@@ -24,7 +24,7 @@ import numpy as np
 from . import fabric as fabric_mod
 from . import orchestrator as orch
 from .compute import Server
-from .errors import EmptyTrace, ScenarioInvalid
+from .errors import EmptyTrace, EventInPast, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration, flow
 from .orchestrator import (
     DeadlineMiss,
@@ -429,7 +429,10 @@ class SimEngine:
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, t_us: int, kind: EventKind, payload: tuple = ()):
-        assert t_us >= self.state.clock_us, "events cannot be scheduled in the past"
+        if t_us < self.state.clock_us:
+            raise EventInPast(
+                f"{kind.name} at {t_us} us is before the clock ({self.state.clock_us} us)"
+            )
         self.seq += 1
         heappush(self.heap, (t_us, kind.value, self.seq, kind, payload))
 
@@ -514,14 +517,8 @@ class SimEngine:
 
     def _placement_round(self):
         state = self.state
-        now = state.clock
-        eligible = [
-            state.jobs[jid]
-            for _, jid in state.queue
-            if state.jobs[jid].eligible_at_s <= now + 1e-9
-        ]
-        if eligible:
-            decision = plan_placement(eligible, state, state.policy)
+        if state.queue:
+            decision = plan_placement(state.pending, state, state.policy)
             for job_id, (srv_id, gpu_id, inst_id, fraction) in decision.assignments.items():
                 gpu = state.gpu_by_id(gpu_id)
                 start_job(state, state.jobs[job_id], srv_id, gpu, inst_id, fraction)
@@ -564,7 +561,7 @@ class SimEngine:
                     self._push(nxt, EventKind.POLICY_EPOCH, ())
         elif kind is EventKind.JOB_ARRIVAL:
             job = state.jobs[payload[0]]
-            if job.state is JobState.QUEUED and (job.arrival_time, job.id) not in state.queue:
+            if job.state is JobState.QUEUED and job.id not in state.queued:
                 bound = state.policy.queue_bound
                 if bound is not None and len(state.queue) >= bound:
                     job.state = JobState.REJECTED

@@ -61,6 +61,10 @@ class InvalidEpoch(SimulatorError):
     """policy_epoch was invoked at a time that is not an epoch boundary."""
 
 
+class EventInPast(SimulatorError):
+    """An event was scheduled at a time before the simulation clock."""
+
+
 class ScenarioInvalid(SimulatorError):
     """A scenario failed validation; carries the list of violations."""
 

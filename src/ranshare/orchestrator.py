@@ -116,7 +116,47 @@ class DeadlineMiss:
 @dataclass
 class PlacementDecision:
     assignments: dict[str, tuple[str, str, str, float]] = field(default_factory=dict)
-    rejected: list[tuple[str, str]] = field(default_factory=list)
+
+
+_INTERACTIVE_RANK, _BATCH_RANK = 0, 1
+
+
+def _order_entry(job: AiJob) -> tuple:
+    """Sort entry giving a job's place in the placement order."""
+    if job.slo_class is SloClass.INTERACTIVE:
+        return (_INTERACTIVE_RANK, job.arrival_time, job.id, job)
+    return (_BATCH_RANK, -job.demand_fraction, job.id, job)
+
+
+class PlacementOrder:
+    """Jobs in the order ``plan_placement`` offers them.
+
+    INTERACTIVE jobs come first by (arrival, id), then BATCH jobs
+    first-fit-decreasing by (-demand, id). Entries are
+    ``(rank, key, id, job)`` tuples. ``ClusterState.pending`` keeps one for
+    the queue, whose ids are unique, so ``add`` never compares two jobs; it
+    is updated as jobs enter and leave the queue, so a placement round
+    never sorts the queue.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, jobs=()):
+        # a caller's list may name a job twice: sort on the key alone
+        self.entries = sorted((_order_entry(j) for j in jobs), key=lambda e: e[:3])
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def add(self, job: AiJob):
+        bisect.insort(self.entries, _order_entry(job))
+
+    def remove(self, job: AiJob):
+        entry = _order_entry(job)
+        i = bisect.bisect_left(self.entries, entry[:3])
+        if i == len(self.entries) or self.entries[i][3] is not job:
+            raise KeyError(job.id)
+        del self.entries[i]
 
 
 class EngineHooks:
@@ -215,38 +255,42 @@ class ClusterState:
     servers: list[ServerState]
     policy: Policy
     jobs: dict[str, AiJob] = field(default_factory=dict)
-    queue: list[tuple[float, str]] = field(default_factory=list)  # (arrival, id)
     clock_us: int = 0
     slot_us: int = 500
     hooks: EngineHooks = field(default_factory=EngineHooks)
+    # the queue, changed only by enqueue/dequeue: (arrival, id) in arrival
+    # order, the set of its ids, and its jobs in placement order
+    queue: list[tuple[float, str]] = field(init=False, default_factory=list)
+    queued: set[str] = field(init=False, default_factory=set)
+    pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
     # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
     soft_ran: bool = field(init=False, default=False)
+    _gpus: dict[str, GpuState] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.soft_ran = self.policy.is_dynamic
+        self._gpus = {gpu.device.id: gpu for srv in self.servers for gpu in srv.gpus}
 
     @property
     def clock(self) -> float:
         return self.clock_us / US
 
     def gpu_by_id(self, gpu_id: str) -> GpuState:
-        for srv in self.servers:
-            for gpu in srv.gpus:
-                if gpu.device.id == gpu_id:
-                    return gpu
-        raise KeyError(gpu_id)
-
-    def server_by_id(self, server_id: str) -> ServerState:
-        for srv in self.servers:
-            if srv.server.id == server_id:
-                return srv
-        raise KeyError(server_id)
+        return self._gpus[gpu_id]
 
     def enqueue(self, job: AiJob):
         bisect.insort(self.queue, (job.arrival_time, job.id))
+        self.queued.add(job.id)
+        self.pending.add(job)
 
     def dequeue(self, job: AiJob):
-        self.queue.remove((job.arrival_time, job.id))
+        key = (job.arrival_time, job.id)
+        i = bisect.bisect_left(self.queue, key)
+        if i == len(self.queue) or self.queue[i] != key:
+            raise ValueError(f"job {job.id} is not queued")
+        del self.queue[i]
+        self.queued.remove(job.id)
+        self.pending.remove(job)
 
 
 def build_cluster_state(
@@ -426,7 +470,7 @@ def _gpu_budget(state: ClusterState, gpu: GpuState) -> float:
 
 
 def plan_placement(
-    jobs: list[AiJob], state: ClusterState, policy: Policy
+    jobs: list[AiJob] | PlacementOrder, state: ClusterState, policy: Policy
 ) -> PlacementDecision:
     """First-fit placement of whole job demands.
 
@@ -436,47 +480,60 @@ def plan_placement(
     id, then GPUs by free capacity descending (ties by id), then instances
     by free capacity descending (ties by id). Jobs that fit nowhere stay
     queued; rejection happens only at enqueue time via the queue bound.
-    """
-    decision = PlacementDecision()
-    interactive = [j for j in jobs if j.slo_class is SloClass.INTERACTIVE]
-    interactive.sort(key=lambda j: (j.arrival_time, j.id))
-    batch = [j for j in jobs if j.slo_class is SloClass.BATCH]
-    batch.sort(key=lambda j: (-j.demand_fraction, j.id))
+    ``jobs`` is any list of jobs, or a ``PlacementOrder`` already in that
+    order, such as ``state.pending``.
 
+    Bound invariant: within one call, instance frees and GPU budgets only
+    decrease, so the largest grantable fraction seen by a scan that failed
+    bounds every grantable fraction for the rest of the call. A job whose
+    demand is above that bound + TOL cannot fit, so it is skipped without a
+    scan; in the demand-sorted BATCH run one bisection skips them all.
+    Right after a failed scan the next job not skipped fits, so at most one
+    scan fails per placement made, and the cost of a call does not grow
+    with the number of queued jobs that cannot fit.
+    """
+    order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
+    decision = PlacementDecision()
     budgets: dict[str, float] = {}
     frees: dict[str, float] = {}
     now_us = state.clock_us
+    eligible_by = state.clock + TOL
+    servers = sorted(state.servers, key=lambda s: s.server.id)
+
+    def free_of(gpu: GpuState, inst: GpuInstance) -> float:
+        free = frees.get(inst.id)
+        if free is None:
+            free = frees[inst.id] = _instance_free(gpu, inst)
+        return free
 
     def candidates():
-        for srv in sorted(state.servers, key=lambda s: s.server.id):
+        for srv in servers:
             gpus = []
             for gpu in srv.gpus:
                 if gpu.settling_until_us > now_us:
                     continue
-                total_free = sum(
-                    frees.setdefault(i.id, _instance_free(gpu, i))
-                    for i in _eligible_instances(state, gpu)
-                )
+                total_free = sum(free_of(gpu, i) for i in _eligible_instances(state, gpu))
                 gpus.append((-total_free, gpu.device.id, srv, gpu))
             for _, _, srv_, gpu in sorted(gpus, key=lambda x: (x[0], x[1])):
                 insts = sorted(
                     _eligible_instances(state, gpu),
-                    key=lambda i: (-frees.setdefault(i.id, _instance_free(gpu, i)), i.id),
+                    key=lambda i: (-free_of(gpu, i), i.id),
                 )
                 for inst in insts:
                     yield srv_, gpu, inst
 
-    def try_place(job: AiJob) -> bool:
-        if (
-            job.slo_class is SloClass.INTERACTIVE
-            and job.demand_fraction + TOL < job.required_rate
-        ):
-            return False  # its demand can never meet the latency bound
+    def try_place(job: AiJob) -> float | None:
+        """Place ``job``; on failure return the largest grantable fraction seen."""
+        best = -math.inf
         for srv, gpu, inst in candidates():
-            free = frees.setdefault(inst.id, _instance_free(gpu, inst))
-            budget = budgets.setdefault(gpu.device.id, _gpu_budget(state, gpu))
+            free = free_of(gpu, inst)
+            budget = budgets.get(gpu.device.id)
+            if budget is None:
+                budget = budgets[gpu.device.id] = _gpu_budget(state, gpu)
             grantable = free if free < budget else budget
             if grantable + TOL < job.demand_fraction:
+                if grantable > best:
+                    best = grantable
                 continue
             decision.assignments[job.id] = (
                 srv.server.id,
@@ -486,15 +543,28 @@ def plan_placement(
             )
             frees[inst.id] = free - job.demand_fraction
             budgets[gpu.device.id] = budget - job.demand_fraction
-            return True
-        return False
+            return None
+        return best
 
-    for job in interactive + batch:
+    entries = order.entries
+    bound = math.inf  # largest grantable fraction left; inf until a scan fails
+    i, n = 0, len(entries)
+    while i < n:
+        rank, _key, _id, job = entries[i]
+        i += 1
+        if bound + TOL < job.demand_fraction:
+            if rank == _BATCH_RANK:
+                i = bisect.bisect_left(entries, (_BATCH_RANK, -(bound + TOL)), i)
+            continue
         if job.state not in (JobState.QUEUED, JobState.PREEMPTED):
             continue
-        if job.eligible_at_s > state.clock + TOL:
+        if job.eligible_at_s > eligible_by:
             continue
-        try_place(job)
+        if rank == _INTERACTIVE_RANK and job.demand_fraction + TOL < job.required_rate:
+            continue  # its demand can never meet the latency bound
+        best = try_place(job)
+        if best is not None:
+            bound = best
     return decision
 
 
@@ -756,26 +826,33 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
     """
     if gpu.settling_until_us > state.clock_us:
         return budget
-    server_id = gpu.server_id
     min_grant = gpu.device.partition_granularity
-    for arrival, jid in list(state.queue):
-        if budget < min_grant - TOL:
-            break
-        job = state.jobs[jid]
+    if budget < min_grant - TOL:
+        return budget
+    server_id = gpu.server_id
+    queue = state.queue
+    i = 0  # start_job dequeues queue[i - 1], so the next job then sits there
+    while i < len(queue) and budget >= min_grant - TOL:
+        job = state.jobs[queue[i][1]]
+        i += 1
         if job.slo_class is not SloClass.BATCH:
             continue
         if job.eligible_at_s > state.clock + TOL:
             continue
-        for inst in sorted(
+        insts = sorted(
             _eligible_instances(state, gpu),
-            key=lambda i: (-_instance_free(gpu, i), i.id),
-        ):
+            key=lambda inst: (-_instance_free(gpu, inst), inst.id),
+        )
+        if not insts or _instance_free(gpu, insts[0]) + TOL < min_grant:
+            break  # frees only shrink here: no later job can be granted either
+        for inst in insts:
             free = _instance_free(gpu, inst)
             grant = min(job.demand_fraction, budget, free)
             if grant + TOL < min_grant:
                 continue
             start_job(state, job, server_id, gpu, inst.id, grant)
             budget -= grant
+            i -= 1
             break
     return budget
 

@@ -1,8 +1,12 @@
 import math
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+from ranshare import orchestrator as orch
 from ranshare.compute import GpuDevice, Server
 from ranshare.engine import (
     CellSpec,
@@ -14,7 +18,7 @@ from ranshare.engine import (
     run,
     summarize,
 )
-from ranshare.errors import EmptyTrace, ScenarioInvalid
+from ranshare.errors import EmptyTrace, EventInPast, ScenarioInvalid, SimulatorError
 from ranshare.orchestrator import ForecastKind, Policy, PolicyKind
 from ranshare.scenario import write_report
 from ranshare.workload import (
@@ -27,6 +31,7 @@ from ranshare.workload import (
     ProfileKind,
     SloClass,
     constant,
+    uniform,
 )
 
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
@@ -610,3 +615,59 @@ class TestMixSeed:
     def test_range(self):
         for s in range(20):
             assert 0 <= mix_seed(s, s) < 2**64
+
+
+class TestEventClock:
+    def test_event_before_clock_raises(self):
+        engine = SimEngine(scenario(horizon=0.01))
+        engine.state.clock_us = 1_000
+        engine._push(1_000, EventKind.JOB_ARRIVAL, ("now",))
+        with pytest.raises(EventInPast):
+            engine._push(999, EventKind.JOB_ARRIVAL, ("past",))
+        assert issubclass(EventInPast, SimulatorError)
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips assert statements; this check must not be one
+        code = (
+            "import sys; sys.path.insert(0, 'src'); sys.path.insert(0, 'tests')\n"
+            "from test_engine import scenario\n"
+            "from ranshare.engine import EventKind, SimEngine\n"
+            "from ranshare.errors import EventInPast\n"
+            "engine = SimEngine(scenario(horizon=0.01))\n"
+            "engine.state.clock_us = 1_000\n"
+            "try:\n"
+            "    engine._push(999, EventKind.JOB_ARRIVAL, ('past',))\n"
+            "except EventInPast:\n"
+            "    print('raised')\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], cwd=root, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "raised", out.stderr
+
+
+class TestOverloadedQueue:
+    def test_queue_indexes_agree_after_overload(self):
+        workloads = (
+            SATURATING,
+            AiWorkload(
+                id="burst",
+                arrival=ArrivalKind.POISSON,
+                rate_per_s=400.0,
+                job_size=constant(0.5),
+                demand_fraction=uniform(0.1, 0.5),
+            ),
+        )
+        engine = SimEngine(scenario(policy=DYNAMIC, workloads=workloads, horizon=0.5))
+        report = engine.run()
+        state = engine.state
+        js = report.job_stats
+        assert js.queued_at_end > 50
+        queued = [state.jobs[jid] for _, jid in state.queue]
+        assert js.queued_at_end == len(queued) == len(state.pending)
+        assert state.queued == {j.id for j in queued}
+        assert [e[3] for e in state.pending.entries] == [
+            e[3] for e in orch.PlacementOrder(queued).entries
+        ]

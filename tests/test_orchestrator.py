@@ -92,7 +92,6 @@ class TestPlanPlacement:
         enqueue(state, j)
         decision = plan_placement([j], state, STATIC)
         assert decision.assignments == {}
-        assert decision.rejected == []
         assert j.state is JobState.QUEUED
 
     def test_job_fits_poc_ai_slice(self):
