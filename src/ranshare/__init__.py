@@ -46,7 +46,6 @@ from .orchestrator import (
     Policy,
     PolicyKind,
     apply_actions,
-    enforce_ran_priority,
     plan_placement,
     policy_epoch,
 )
@@ -63,9 +62,7 @@ from .workload import (
     constant,
     exponential,
     gen_ai_arrivals,
-    ran_demand_at,
     ran_peak_fraction,
-    sample_load,
     slot_duration,
     uniform,
 )

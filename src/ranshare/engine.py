@@ -2,14 +2,32 @@
 
 The clock is an integer microsecond counter; every event time is quantized
 to it, which makes tie-breaking exact and runs reproducible byte for byte.
-Slot boundaries dominate the event count, so they are processed in a
-batched inner loop instead of the heap; heap events carry
-(time_us, kind_priority, seq) keys so that simultaneous events follow the
-fixed kind order: slot < policy epoch < arrival < completion < others.
+Heap events carry (time_us, kind_priority, seq) keys so that simultaneous
+events follow the fixed kind order: slot < policy epoch < arrival <
+completion < others.
+
+Slot boundaries dominate the event count, so they never enter the heap.
+Between two heap events slots differ only through RAN demand, so the main
+loop settles them a segment at a time: every slot from the next unsettled
+one up to and including the next event's time (capped at the horizon),
+the slot at an event's time settling before the event, as slot order
+requires. ``orchestrator.settle_segment`` settles a segment with the result
+of one ``settle_slot`` per slot, bit for bit:
+
+* constant demand (constant and trace profiles between profile changes) in
+  closed form: one ``settle_slot``, which every later slot repeats;
+* otherwise in numpy passes over chunks of at most ``CHUNK_CELLS``
+  (slot, GPU) elements, so memory does not grow with segment length.
+
+It falls back to ``settle_slot`` at each slot whose throttle test fires
+(that slot may change job rates and schedule events, so the segment ends
+after it), while a GPU is settling after a repartition, and for segments
+shorter than ``VECTOR_MIN_SLOTS``, where a numpy pass costs more.
 
 Utilization samples are flushed lazily: a sample at time t is recorded
 once the clock moves strictly past t, so it reflects the state after every
-event that fired at t.
+event that fired at t. A sample due before a segment's last slot sees only
+slot settlements, so the segment records it from its own levels.
 """
 
 from __future__ import annotations
@@ -28,6 +46,7 @@ from .errors import EmptyTrace, EventInPast, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration, flow
 from .orchestrator import (
     DeadlineMiss,
+    DemandModel,
     EngineHooks,
     Policy,
     PolicyKind,
@@ -35,6 +54,7 @@ from .orchestrator import (
     backfill_queue,
     plan_placement,
     policy_epoch,
+    settle_segment,
     settle_slot,
     start_job,
 )
@@ -265,8 +285,77 @@ def mix_seed(base_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def summarize(trace: list[TraceRecord]) -> Summary:
-    """Time-weighted summary of a utilization trace.
+def _server_demand(terms: list[tuple[float, LoadProfile]], floor: float):
+    """One server's ``t -> demand`` from its (peak, profile) terms."""
+    scalars = [(peak, profile.sampler()) for peak, profile in terms]
+    if not terms:
+        return lambda t: floor
+    if len(terms) == 1 and floor == 0.0:
+        peak, sampler = scalars[0]
+        return lambda t: peak * sampler(t)
+
+    def scalar(t):
+        total = 0.0
+        for p, s in scalars:
+            total += p * s(t)
+        return total if total > floor else floor
+
+    return scalar
+
+
+def _fleet_demand(terms: list[list[tuple[float, LoadProfile]]], floor: float):
+    """Every server's demand as one ``times -> (servers, times)`` array.
+
+    Row ``i`` adds server ``i``'s terms in order, as ``_server_demand``
+    does; a server with fewer terms than another adds ``0.0 * load``,
+    which leaves its sum unchanged. Each distinct profile is evaluated once.
+    """
+    index: dict[LoadProfile, int] = {}
+    for server_terms in terms:
+        for _peak, profile in server_terms:
+            index.setdefault(profile, len(index))
+    samplers = [profile.vector_sampler() for profile in index]
+    depth = max((len(t) for t in terms), default=0)
+    peaks = np.zeros((len(terms), depth))
+    which = np.zeros((len(terms), depth), dtype=np.intp)
+    for i, server_terms in enumerate(terms):
+        for k, (peak, profile) in enumerate(server_terms):
+            peaks[i, k] = peak
+            which[i, k] = index[profile]
+
+    def vector(t):
+        loads = np.array([v(t) for v in samplers])
+        total = np.zeros((len(terms), t.size))
+        for k in range(depth):
+            total = total + peaks[:, k, None] * loads[which[:, k]]
+        return np.where(total > floor, total, floor)
+
+    return vector
+
+
+def build_demand(scenario: Scenario) -> DemandModel:
+    """RAN demand of each server: the sum over its cells of peak x load, floored."""
+    calib = scenario.calibration
+    floor = calib.idle_floor_fraction
+    terms = [
+        [
+            (ran_peak_fraction(cell.config, calib), cell.profile)
+            for cell in scenario.cells
+            if cell.server_id == server.id
+        ]
+        for server in scenario.servers
+    ]
+    return DemandModel(
+        scalar=tuple(_server_demand(t, floor) for t in terms),
+        vector=_fleet_demand(terms, floor),
+        stepwise=all(
+            c.profile.kind is not ProfileKind.DIURNAL_SINUSOID for c in scenario.cells
+        ),
+    )
+
+
+def summarize(trace: list[TraceRecord], miss_count: int = 0) -> Summary:
+    """Time-weighted summary of a utilization trace and a miss count.
 
     The trace is treated as a step function: each sample holds until the
     next one, and the final sample carries zero weight. Peaks and P95 are
@@ -301,11 +390,6 @@ def summarize(trace: list[TraceRecord]) -> Summary:
             p95_total=float(np.percentile(totals, 95)),
         )
     avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)
-    miss_count = 0
-    for rec in trace:
-        for item in rec.annotation.split(";"):
-            if item.startswith("miss:"):
-                miss_count += int(item.split(":")[1])
     return Summary(per_gpu=per_gpu, avg_total=avg_total, miss_count=miss_count)
 
 
@@ -361,7 +445,7 @@ class SimEngine:
         self.next_sample_us = 0
         self.track_forecast = scenario.policy.is_dynamic
 
-        self._build_demand_fns()
+        self.demand = build_demand(scenario)
         self._seed_jobs()
         self._schedule_initial_events()
 
@@ -372,32 +456,6 @@ class SimEngine:
         self._route_fabric(0.0)
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_demand_fns(self):
-        scenario = self.scenario
-        calib = scenario.calibration
-        self._demand_fns = []
-        self._demands = [0.0] * len(scenario.servers)
-        for server in scenario.servers:
-            terms = []
-            for cell in scenario.cells:
-                if cell.server_id == server.id:
-                    peak = ran_peak_fraction(cell.config, calib)
-                    terms.append((peak, cell.profile.sampler()))
-            floor = calib.idle_floor_fraction
-            if not terms:
-                self._demand_fns.append(lambda t, f=floor: f)
-            elif len(terms) == 1 and floor == 0.0:
-                peak, sampler = terms[0]
-                self._demand_fns.append(lambda t, p=peak, s=sampler: p * s(t))
-            else:
-                def demand(t, terms=tuple(terms), floor=floor):
-                    total = 0.0
-                    for p, s in terms:
-                        total += p * s(t)
-                    return total if total > floor else floor
-
-                self._demand_fns.append(demand)
 
     def _seed_jobs(self):
         for wi, workload in enumerate(self.scenario.ai_workloads):
@@ -481,39 +539,49 @@ class SimEngine:
 
     # -- sampling -----------------------------------------------------------------
 
-    def _flush_samples(self, before_us: int):
-        while self.next_sample_us < before_us and self.next_sample_us <= self.horizon_us:
+    def _emit_samples(self, ran: list[float], ai: list[float], count: int = 1):
+        """Record the next ``count`` samples at per-GPU levels (``state.gpus`` order)."""
+        rows = [
+            (gpu, gpu.device.id, round(r, 6), round(a, 6))
+            for gpu, r, a in zip(self.state.gpus, ran, ai)
+        ]
+        append = self.trace.append
+        for _ in range(count):
             t_s = self.next_sample_us / US
-            for srv in self.state.servers:
-                for gpu in srv.gpus:
-                    ann = ""
-                    if gpu.annotations:
-                        ann = ";".join(
-                            f"{k}:{v}" for k, v in sorted(gpu.annotations.items())
-                        )
-                        gpu.annotations.clear()
-                    self.trace.append(
-                        TraceRecord(
-                            t_s,
-                            gpu.device.id,
-                            round(gpu.ran_level, 6),
-                            round(gpu.ai_level, 6),
-                            ann,
-                        )
-                    )
+            for gpu, gpu_id, r, a in rows:
+                ann = ""
+                if gpu.annotations:
+                    ann = ";".join(f"{k}:{v}" for k, v in sorted(gpu.annotations.items()))
+                    gpu.annotations.clear()
+                append(TraceRecord(t_s, gpu_id, r, a, ann))
             self.next_sample_us += self.sample_us
+
+    def _flush_samples(self, before_us: int):
+        gpus = self.state.gpus
+        while self.next_sample_us < before_us and self.next_sample_us <= self.horizon_us:
+            self._emit_samples([g.ran_level for g in gpus], [g.ai_level for g in gpus])
 
     # -- dispatch -------------------------------------------------------------------
 
     def _process_slot(self, t_us: int):
-        state = self.state
-        state.clock_us = t_us
+        self.state.clock_us = t_us
         t_s = t_us / US
-        demands = self._demands
-        fns = self._demand_fns
-        for i in range(len(fns)):
-            demands[i] = fns[i](t_s)
-        settle_slot(state, t_s, demands, self.miss_sink, self.track_forecast)
+        demands = [f(t_s) for f in self.demand.scalar]
+        settle_slot(self.state, t_s, demands, self.miss_sink, self.track_forecast)
+
+    def _settle(self, first_us: int, count: int) -> int:
+        """Settle up to ``count`` slots from ``first_us``; returns how many settled.
+
+        Samples due before the segment's last slot see only slot
+        settlements, so they are recorded from the segment's levels; the
+        rest wait for the events at or after that slot.
+        """
+        last_us = first_us + (count - 1) * self.slot_us
+        return settle_segment(
+            self.state, first_us, count, self.demand, self.miss_sink,
+            self.track_forecast, range(self.next_sample_us, last_us, self.sample_us),
+            self._emit_samples,
+        )
 
     def _placement_round(self):
         state = self.state
@@ -636,9 +704,11 @@ class SimEngine:
         while True:
             head = heap[0] if heap else None
             if next_slot < horizon_us and (head is None or next_slot <= head[0]):
+                # a segment: every slot up to and including the next event's time
+                end_us = horizon_us if head is None else min(head[0] + 1, horizon_us)
+                count = -((next_slot - end_us) // slot_us)
                 self._flush_samples(next_slot)
-                self._process_slot(next_slot)
-                next_slot += slot_us
+                next_slot += slot_us * self._settle(next_slot, count)
                 continue
             if head is None:
                 break
@@ -689,8 +759,10 @@ class SimEngine:
             ),
         )
         gpu_ids = tuple(g.id for s in self.scenario.servers for g in s.gpus)
-        summary = summarize(self.trace) if self.trace else Summary({}, 0.0, 0)
-        summary = Summary(summary.per_gpu, summary.avg_total, len(misses))
+        if self.trace:
+            summary = summarize(self.trace, len(misses))
+        else:
+            summary = Summary({}, 0.0, len(misses))
         return MetricsReport(
             scenario_name=self.scenario.name,
             horizon_s=self.scenario.horizon_s,

@@ -20,8 +20,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from . import compute
 from .compute import GpuDevice, GpuInstance, Server, TenantClass
@@ -265,11 +268,14 @@ class ClusterState:
     pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
     # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
     soft_ran: bool = field(init=False, default=False)
+    # every GPU, servers in order and each server's GPUs in order
+    gpus: list[GpuState] = field(init=False, repr=False, default_factory=list)
     _gpus: dict[str, GpuState] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.soft_ran = self.policy.is_dynamic
-        self._gpus = {gpu.device.id: gpu for srv in self.servers for gpu in srv.gpus}
+        self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
+        self._gpus = {gpu.device.id: gpu for gpu in self.gpus}
 
     @property
     def clock(self) -> float:
@@ -366,7 +372,7 @@ def settle_slot(
     demands: list[float],
     miss_sink: list,
     track_forecast: bool = False,
-) -> None:
+) -> bool:
     """Grant RAN demand before AI renewal for one slot; record misses.
 
     Per server, demand fills GPUs in declaration order: hard RAN slices
@@ -374,9 +380,12 @@ def settle_slot(
     slices are capped at what RAN left over; hard AI slices are untouched
     by construction. Misses are appended to ``miss_sink`` as
     ``(t_s, server_id, shortfall)`` tuples when shortfall exceeds 1e-9.
+    Returns True when a GPU's throttle was applied, which may have changed
+    job rates and, through the hooks, scheduled events.
     """
     soft = state.soft_ran
     now_us = state.clock_us
+    applied = False
     for si, srv in enumerate(state.servers):
         demand = demands[si]
         srv.current_demand = demand
@@ -412,13 +421,13 @@ def settle_slot(
                 gpu.ran_in_free = in_free
             if gpu.ai_free > 0.0 or gpu.throttled:
                 allowed = gpu.free_cap - in_free
-                if gpu.ai_free > allowed + TOL:
+                if gpu.ai_free > allowed + TOL or gpu.throttled:
                     _apply_throttle(state, gpu, allowed)
-                elif gpu.throttled:
-                    _apply_throttle(state, gpu, allowed)
+                    applied = True
         if rem > TOL:
             miss_sink.append((t_s, srv.server.id, rem))
             srv.gpus[0].annotate("miss")
+    return applied
 
 
 def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
@@ -440,12 +449,285 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     gpu.throttled = eff_total < gpu.ai_free - TOL
 
 
-def enforce_ran_priority(state: ClusterState) -> list[DeadlineMiss]:
-    """Settle the current slot from ``state`` and return its deadline misses."""
-    sink: list = []
-    demands = [srv.current_demand for srv in state.servers]
-    settle_slot(state, state.clock, demands, sink, track_forecast=state.soft_ran)
-    return [DeadlineMiss(t, sid, sf) for t, sid, sf in sink]
+# A numpy pass has a fixed cost: it breaks even with slot-by-slot settlement
+# at about 75 slots on 2 GPUs and 16 slots on 64 (measured on poc and
+# cluster_diurnal), so segments shorter than VECTOR_MIN_SLOTS settle slot by
+# slot. Longer ones are passed in chunks of at most CHUNK_CELLS (slot, GPU)
+# elements, so that the arrays stay small however long the segment is.
+VECTOR_MIN_SLOTS = 32
+CHUNK_CELLS = 16384
+
+
+@dataclass(frozen=True)
+class DemandModel:
+    """RAN demand per server, compiled twice from the same terms.
+
+    ``scalar[i]`` maps a time in seconds to server ``i``'s demand;
+    ``vector`` maps a float64 array of times to a (server, time) array
+    whose every element equals the scalar value. ``stepwise`` says that no
+    term varies continuously (constant and trace profiles only).
+    """
+
+    scalar: tuple[Callable[[float], float], ...]
+    vector: Callable[[np.ndarray], np.ndarray]
+    stepwise: bool
+
+
+def settle_segment(
+    state: ClusterState,
+    first_us: int,
+    count: int,
+    demand: DemandModel,
+    miss_sink: list,
+    track_forecast: bool,
+    samples: range,
+    emit,
+) -> int:
+    """Settle ``count`` slots from ``first_us`` that no event separates.
+
+    The result is that of ``settle_slot`` called once per slot, in order:
+    levels, misses, annotations, forecast inputs and level integrals are
+    the same, bit for bit. Three ways, chosen per segment:
+
+    * closed form, when demand is stepwise and equal at the first, second
+      and last slot (a trace point between events moves demand only at the
+      event's slot, the last, or, when it lies in (0, 0.5) us and so has no
+      event, at the second): after one ``settle_slot`` every slot repeats it;
+    * slot by slot with ``settle_slot``, while a GPU is settling and for
+      segments shorter than ``VECTOR_MIN_SLOTS``;
+    * otherwise numpy passes of up to ``CHUNK_CELLS`` (slot, GPU) elements, with
+      ``settle_slot`` at each slot whose throttle test fires.
+
+    A slot that applies a throttle may change job rates and schedule
+    events, so the call returns after it: the return value is the number of
+    slots settled. ``samples`` are the times (us) of the utilization
+    samples due before the segment's last slot; a sample at ``t`` shows the
+    state after the last slot at or before ``t``. For each sample whose
+    slot is settled before the last slot settled, ``emit(ran, ai)``
+    receives the per-GPU levels (``state.gpus`` order) of that state, with
+    the slot's misses already annotated; ``emit(ran, ai, n)`` stands for
+    ``n`` such calls in a row.
+    """
+    if any(gpu.settling_until_us >= first_us for gpu in state.gpus):
+        return _settle_slots(
+            state, first_us, count, demand, miss_sink, track_forecast, samples, emit
+        )
+    if demand.stepwise:
+        steady = _steady_demand(demand, first_us, count, state.slot_us)
+        if steady is not None:
+            return _settle_steady(
+                state, first_us, count, steady, miss_sink, track_forecast, samples, emit
+            )
+    if count < VECTOR_MIN_SLOTS:
+        return _settle_slots(
+            state, first_us, count, demand, miss_sink, track_forecast, samples, emit
+        )
+    return _settle_chunks(
+        state, first_us, count, demand, miss_sink, track_forecast, samples, emit
+    )
+
+
+def _state_levels(state: ClusterState) -> tuple[list[float], list[float]]:
+    return [g.ran_level for g in state.gpus], [g.ai_level for g in state.gpus]
+
+
+def _settle_one(state, t_us, demand, miss_sink, track_forecast) -> bool:
+    state.clock_us = t_us
+    t_s = t_us / US
+    demands = [f(t_s) for f in demand.scalar]
+    return settle_slot(state, t_s, demands, miss_sink, track_forecast)
+
+
+def _settle_slots(state, first_us, count, demand, miss_sink, track_forecast, samples, emit):
+    """The scalar path: one ``settle_slot`` per slot."""
+    slot_us = state.slot_us
+    i = 0  # samples[:i] are emitted
+    for j in range(count):
+        t_us = first_us + j * slot_us
+        if _settle_one(state, t_us, demand, miss_sink, track_forecast):
+            return j + 1
+        while i < len(samples) and samples[i] < t_us + slot_us:
+            emit(*_state_levels(state))
+            i += 1
+    return count
+
+
+def _steady_demand(demand, first_us, count, slot_us) -> list[float] | None:
+    """Per-server demand if it is the same at every slot of the segment."""
+    first = [f(first_us / US) for f in demand.scalar]
+    for j in (1, count - 1):
+        if 0 < j < count:
+            t_s = (first_us + j * slot_us) / US
+            if [f(t_s) for f in demand.scalar] != first:
+                return None
+    return first
+
+
+def _settle_steady(state, first_us, count, demands, miss_sink, track_forecast, samples, emit):
+    """Closed form for constant demand: the first slot, then ``count - 1`` repeats.
+
+    With demand unchanged and no throttle applied, a second ``settle_slot``
+    changes no level and no forecast input, so every later slot only
+    repeats the first one's misses.
+    """
+    slot_us = state.slot_us
+    before = len(miss_sink)
+    state.clock_us = first_us
+    if settle_slot(state, first_us / US, demands, miss_sink, track_forecast):
+        return 1
+    missed = miss_sink[before:]
+    ran, ai = _state_levels(state)
+    if not missed:
+        emit(ran, ai, len(samples))
+    else:
+        missed_ids = {sid for _t, sid, _sf in missed}
+        heads = [srv.gpus[0] for srv in state.servers if srv.server.id in missed_ids]
+        done = 0  # slots whose misses are annotated
+        for k in [(t - first_us) // slot_us for t in samples] + [count - 1]:
+            if k > done:
+                for gpu in heads:
+                    gpu.annotate("miss", k - done)
+                done = k
+            if k < count - 1:
+                emit(ran, ai)
+        for j in range(1, count):
+            t_s = (first_us + j * slot_us) / US
+            miss_sink.extend((t_s, sid, shortfall) for _t, sid, shortfall in missed)
+    state.clock_us = first_us + (count - 1) * slot_us
+    return count
+
+
+def _settle_chunks(state, first_us, count, demand, miss_sink, track_forecast, samples, emit):
+    """The numpy path, with ``settle_slot`` wherever the throttle test fires."""
+    slot_us = state.slot_us
+    chunk = max(1, CHUNK_CELLS // len(state.gpus))
+    j = 0
+    i = 0  # samples[:i] are emitted
+    while j < count:
+        if not any(gpu.throttled for gpu in state.gpus):
+            hi = min(j + chunk, count)
+            i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
+            n = _settle_run(
+                state, first_us + j * slot_us, hi - j, demand, miss_sink,
+                track_forecast, samples[i:i_hi], emit,
+            )
+            if j + n == hi:
+                j, i = hi, i_hi
+                continue
+            j += n
+        # the throttle test fires at slot j: settle it alone, and end here
+        _settle_one(state, first_us + j * slot_us, demand, miss_sink, track_forecast)
+        return j + 1
+    return count
+
+
+def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, emit) -> int:
+    """Settle up to ``n`` slots in one numpy pass; no GPU is settling or throttled.
+
+    Arrays are (GPU, slot) or (server, slot). Demand fills one GPU
+    position of every server at a time; a server without a GPU there meets
+    a capacity of 0, which takes nothing and leaves its remainder as it
+    is. Every element goes through the float operations ``settle_slot``
+    does, in the same order, so the levels match it bit for bit.
+    Integrals are summed left to right over the slots in order, adding
+    0.0 where a GPU's level does not change, the slots where
+    ``settle_slot`` does not accrue. Stops before the first slot whose
+    throttle test would fire; returns the number of slots settled.
+    """
+    gpus, servers = state.gpus, state.servers
+    t_us = first_us + state.slot_us * np.arange(n, dtype=np.int64)
+    t_s = t_us / US
+    load = rem = demand.vector(t_s)
+    take = np.empty((len(gpus), n))
+    sizes = np.array([len(srv.gpus) for srv in servers])
+    first_row = np.cumsum(sizes) - sizes  # each server's first GPU in ``gpus``
+    for j in range(sizes.max()):
+        have = np.flatnonzero(sizes > j)
+        caps = np.zeros((len(servers), 1))
+        for si in have:
+            gpu = servers[si].gpus[j]
+            caps[si] = gpu.ran_cap + gpu.free_cap if state.soft_ran else gpu.ran_cap
+        fits = rem < caps
+        at = np.where(fits, rem, caps)
+        rem = np.where(fits, 0.0, rem - caps)
+        take[first_row[have] + j] = at[have]
+    ran_cap = np.array([[g.ran_cap] for g in gpus])
+    in_free = take - ran_cap
+    in_free[in_free < 0.0] = 0.0
+
+    stop = n
+    sharing = [g for g, gpu in enumerate(gpus) if gpu.ai_free > 0.0]
+    if sharing:
+        ai_free = np.array([[gpus[g].ai_free] for g in sharing])
+        free_cap = np.array([[gpus[g].free_cap] for g in sharing])
+        fire = np.flatnonzero((ai_free > (free_cap - in_free[sharing]) + TOL).any(axis=0))
+        if fire.size:
+            stop = int(fire[0])
+            if stop == 0:
+                return 0
+
+    take, in_free, at_us = take[:, :stop], in_free[:, :stop], t_us[:stop]
+    level = np.array([[g.ran_level] for g in gpus])
+    before = np.concatenate((level, take[:, :-1]), axis=1)
+    changed = take != before
+    accrued = np.array([[g.last_accrue_us] for g in gpus])
+    upto = np.maximum.accumulate(np.where(changed, at_us, accrued), axis=1)
+    dt = at_us - np.concatenate((accrued, upto[:, :-1]), axis=1)
+    ai_level = np.array([[g.ai_level] for g in gpus])
+    ran_int = np.array([[g.ran_integral] for g in gpus])
+    ai_int = np.array([[g.ai_integral] for g in gpus])
+    ran_int = np.cumsum(np.concatenate((ran_int, np.where(changed, before * dt, 0.0)), axis=1), axis=1)
+    ai_int = np.cumsum(np.concatenate((ai_int, np.where(changed, ai_level * dt, 0.0)), axis=1), axis=1)
+    rows = zip(
+        gpus, changed.any(axis=1).tolist(), take[:, -1].tolist(), in_free[:, -1].tolist(),
+        upto[:, -1].tolist(), ran_int[:, -1].tolist(), ai_int[:, -1].tolist(),
+    )
+    for gpu, moved, ran_level, ran_in_free, accrued_us, ran_integral, ai_integral in rows:
+        if moved:
+            gpu.ran_level, gpu.ran_in_free = ran_level, ran_in_free
+            gpu.last_accrue_us = accrued_us
+            gpu.ran_integral, gpu.ai_integral = ran_integral, ai_integral
+    if track_forecast:
+        # what each GPU was asked to serve: its take, plus the server's
+        # shortfall on the server's last GPU
+        asked = take.copy()
+        asked[first_row + sizes - 1] += rem[:, :stop]
+        for gpu, last, peak in zip(gpus, asked[:, -1].tolist(), asked.max(axis=1).tolist()):
+            gpu.demand_last = last
+            if peak > gpu.epoch_max:
+                gpu.epoch_max = peak
+    for srv, current in zip(state.servers, load[:, stop - 1].tolist()):
+        srv.current_demand = current
+
+    missed = rem[:, :stop] > TOL
+    slots, owners = np.nonzero(missed.T)  # by slot, then by server
+    ids = [srv.server.id for srv in state.servers]
+    miss_sink.extend(
+        (t, ids[si], shortfall)
+        for t, si, shortfall in zip(
+            t_s[slots].tolist(), owners.tolist(), rem[owners, slots].tolist()
+        )
+    )
+
+    # the slot whose state each sample shows
+    marks = (np.arange(samples.start, samples.stop, samples.step) - first_us) // state.slot_us
+    marks = marks[marks < stop]
+    ai = ai_level[:, 0].tolist()
+    heads = [(srv.gpus[0], si) for si, srv in enumerate(state.servers) if missed[si].any()]
+    counts = np.cumsum(missed[[si for _g, si in heads]], axis=1)
+    at_marks = counts[:, marks].tolist()
+    done = [0] * len(heads)
+    for i, ran in enumerate(take[:, marks].T.tolist()):
+        for h, (head, _si) in enumerate(heads):
+            if at_marks[h][i] > done[h]:
+                head.annotate("miss", at_marks[h][i] - done[h])
+                done[h] = at_marks[h][i]
+        emit(ran, ai)
+    for h, (head, _si) in enumerate(heads):
+        if counts[h, -1] > done[h]:
+            head.annotate("miss", int(counts[h, -1]) - done[h])
+    state.clock_us = int(at_us[-1])
+    return stop
 
 
 # -- placement ---------------------------------------------------------------
@@ -590,11 +872,20 @@ def _roll_forecast(policy: Policy, gpu: GpuState):
 
 
 def _queued_demand(state: ClusterState) -> float:
+    """Eligible queued demand, summed in queue order only until it exceeds TOL.
+
+    Its one use is the test ``queued + undergrant > TOL``. A sum of
+    non-negative terms never shrinks, so once past TOL it decides that test
+    as the full sum would.
+    """
     total = 0.0
+    eligible_by = state.clock + TOL
     for _, jid in state.queue:
         job = state.jobs[jid]
-        if job.eligible_at_s <= state.clock + TOL:
+        if job.eligible_at_s <= eligible_by:
             total += job.demand_fraction
+            if total > TOL:
+                break
     return total
 
 

@@ -835,8 +835,7 @@ def parse_records(text: str) -> MetricsReport:
         mean_turnaround_s=float(job_kv.get("mean_turnaround_s", 0.0)),
     )
     if trace:
-        base = summarize(trace)
-        summary = Summary(base.per_gpu, base.avg_total, len(misses))
+        summary = summarize(trace, len(misses))
     else:
         summary = Summary({}, 0.0, len(misses))
     return MetricsReport(

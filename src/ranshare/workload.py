@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import CalibrationOverflow, EmptyTrace, UnsupportedNumerology
 
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
@@ -93,14 +95,22 @@ class LoadProfile:
                     raise ValueError("trace timestamps must be strictly increasing")
                 last = t
 
+    def _diurnal_terms(self) -> tuple[float, float, float, float]:
+        lo, hi = self.minimum, self.maximum
+        return lo, hi - lo, 2.0 * math.pi / self.period_s, self.phase
+
+    def _trace_steps(self) -> tuple[list[float], list[float]]:
+        if not self.points:
+            raise EmptyTrace("trace profile has no points")
+        return [t for t, _ in self.points], [v for _, v in self.points]
+
     def sampler(self):
         """Compile this profile into a fast ``t -> load`` callable."""
         if self.kind is ProfileKind.CONSTANT:
             level = self.level
             return lambda t: level
         if self.kind is ProfileKind.DIURNAL_SINUSOID:
-            lo, hi = self.minimum, self.maximum
-            amp, w, ph = hi - lo, 2.0 * math.pi / self.period_s, self.phase
+            lo, amp, w, ph = self._diurnal_terms()
             sin = math.sin
 
             def diurnal(t):
@@ -110,10 +120,7 @@ class LoadProfile:
                 return 1.0 if v > 1.0 else v
 
             return diurnal
-        if not self.points:
-            raise EmptyTrace("trace profile has no points")
-        times = [t for t, _ in self.points]
-        values = [v for _, v in self.points]
+        times, values = self._trace_steps()
 
         def step(t):
             i = bisect.bisect_right(times, t) - 1
@@ -121,10 +128,31 @@ class LoadProfile:
 
         return step
 
+    def vector_sampler(self):
+        """Compile this profile into a ``times -> loads`` callable on float64 arrays.
 
-def sample_load(profile: LoadProfile, t: float) -> float:
-    """Evaluate a load profile at time ``t`` (seconds)."""
-    return profile.sampler()(t)
+        Each element equals ``sampler()`` at that time bit for bit: the same
+        float operations run in the same order, and ``np.sin`` rounds like
+        ``math.sin`` (the tests check this over a full shipped horizon).
+        """
+        if self.kind is ProfileKind.CONSTANT:
+            level = self.level
+            return lambda t: np.full(t.shape, level)
+        if self.kind is ProfileKind.DIURNAL_SINUSOID:
+            lo, amp, w, ph = self._diurnal_terms()
+
+            def diurnal(t):
+                v = lo + amp * (1.0 + np.sin(w * t + ph)) * 0.5
+                return np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
+
+            return diurnal
+        times, values = (np.array(a) for a in self._trace_steps())
+
+        def step(t):
+            i = np.searchsorted(times, t, side="right") - 1
+            return values[np.where(i < 0, 0, i)]
+
+        return step
 
 
 def slot_duration(scs_khz: int) -> float:
@@ -153,33 +181,6 @@ def ran_peak_fraction(cell: CellConfig, calib: Calibration) -> float:
     if peak > 1.0 + 1e-9:
         raise CalibrationOverflow(f"cell peak {peak:.4f} exceeds one GPU")
     return min(peak, 1.0)
-
-
-@dataclass(frozen=True)
-class RanWorkload:
-    """A set of cells with per-cell load profiles sharing one slot clock."""
-
-    cells: tuple[CellConfig, ...]
-    profiles: tuple[LoadProfile, ...]
-
-    def __post_init__(self):
-        if len(self.cells) != len(self.profiles):
-            raise ValueError("one profile per cell required")
-        if len({c.scs_khz for c in self.cells}) > 1:
-            raise ValueError("cells of one workload must share a numerology")
-
-    @property
-    def deadline_s(self) -> float:
-        return slot_duration(self.cells[0].scs_khz)
-
-
-def ran_demand_at(workload: RanWorkload, calib: Calibration, t: float) -> float:
-    """Aggregate GPU demand of the workload's cells at time ``t``."""
-    total = 0.0
-    for cell, profile in zip(workload.cells, workload.profiles):
-        total += ran_peak_fraction(cell, calib) * sample_load(profile, t)
-    floor = calib.idle_floor_fraction
-    return total if total > floor else floor
 
 
 # -- AI side ---------------------------------------------------------------

@@ -15,7 +15,6 @@ from ranshare.orchestrator import (
     apply_actions,
     backfill_queue,
     build_cluster_state,
-    enforce_ran_priority,
     initial_partitions,
     plan_placement,
     policy_epoch,
@@ -273,6 +272,25 @@ class TestPolicyEpoch:
         actions = policy_epoch(state, DYNAMIC, 0.1)
         assert any(a.kind is ActionKind.GRANT_AI for a in actions)
 
+    def test_epoch_reads_constant_share_of_long_queue(self):
+        """Whether queued work wants a grant needs one eligible job, not the queue."""
+
+        class CountingJobs(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingJobs.reads += 1
+                return super().__getitem__(key)
+
+        state = poc_state(DYNAMIC)
+        enqueue(state, *(job(f"j{i:03d}", 0.3, arrival=i * 1e-3) for i in range(500)))
+        state.jobs = CountingJobs(state.jobs)
+        for gpu in state.gpus:
+            gpu.epoch_max = gpu.demand_last = 0.2
+        actions = policy_epoch(state, DYNAMIC, 0.1)
+        assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 2
+        assert CountingJobs.reads <= 2
+
 
 class TestApplyActions:
     def _running_pair(self):
@@ -335,23 +353,27 @@ class TestApplyActions:
         assert gpu1.ai_free == pytest.approx(0.25)
 
 
+def settle_misses(state, demands):
+    """Settle one slot at the state's clock; returns its (t, server, shortfall) misses."""
+    misses = []
+    settle_slot(state, state.clock, demands, misses, state.soft_ran)
+    return misses
+
+
 class TestRanPriority:
     def test_demand_within_slice_no_miss(self):
         state = poc_state()
-        state.servers[0].current_demand = 0.40
-        assert enforce_ran_priority(state) == []
+        assert settle_misses(state, [0.40]) == []
 
     def test_demand_beyond_hard_slice_misses(self):
         state = poc_state()
-        state.servers[0].current_demand = 0.45
-        misses = enforce_ran_priority(state)
+        misses = settle_misses(state, [0.45])
         assert len(misses) == 1
-        assert misses[0].shortfall == pytest.approx(0.05, abs=1e-9)
+        assert misses[0][2] == pytest.approx(0.05, abs=1e-9)
 
     def test_dynamic_whole_gpu_available(self):
         state = poc_state(DYNAMIC)
-        state.servers[0].current_demand = 0.45
-        assert enforce_ran_priority(state) == []
+        assert settle_misses(state, [0.45]) == []
         assert state.gpu_by_id("gpu1").ran_level == pytest.approx(0.45)
 
     def test_ai_throttled_when_ran_spikes(self):
@@ -378,8 +400,7 @@ class TestRanPriority:
         state = build_cluster_state(
             [server], policy, initial_partitions(policy, [server], {"srv1"})
         )
-        state.servers[0].current_demand = 0.6
-        misses = enforce_ran_priority(state)
+        misses = settle_misses(state, [0.6])
         assert misses == []
         assert state.gpu_by_id("gpu1").ran_level == pytest.approx(0.4)
         assert state.gpu_by_id("gpu2").ran_level == pytest.approx(0.2)

@@ -1,9 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ranshare.compute import GpuDevice, Server
+from ranshare.engine import CellSpec, Scenario, build_demand
 from ranshare.errors import CalibrationOverflow, EmptyTrace, UnsupportedNumerology
+from ranshare.orchestrator import Policy, PolicyKind
 from ranshare.workload import (
     AiWorkload,
     ArrivalKind,
@@ -11,18 +15,22 @@ from ranshare.workload import (
     CellConfig,
     LoadProfile,
     ProfileKind,
-    RanWorkload,
     SloClass,
     constant,
     exponential,
     gen_ai_arrivals,
-    ran_demand_at,
     ran_peak_fraction,
-    sample_load,
     slot_duration,
 )
 
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
+
+
+def load_at(profile: LoadProfile, t: float) -> float:
+    """The profile's load at ``t`` from ``sampler()``, checked against ``vector_sampler()``."""
+    value = profile.sampler()(t)
+    assert profile.vector_sampler()(np.array([t])).tolist() == [value]
+    return value
 
 
 class TestSlotDuration:
@@ -64,27 +72,48 @@ class TestPeakFraction:
 
 
 class TestDemand:
-    def _workload(self, profiles, cells=None):
-        cells = cells or [POC_CELL] * len(profiles)
-        return RanWorkload(cells=tuple(cells), profiles=tuple(profiles))
+    """The engine's per-server demand: calibrated peaks times loads, floored."""
+
+    def _demand(self, profiles, calib=Calibration()):
+        """Demand at ``t`` of one server carrying one POC cell per profile."""
+        sc = Scenario(
+            name="demand",
+            servers=(Server(id="srv1", gpus=(GpuDevice("gpu1"),)),),
+            cells=tuple(
+                CellSpec(f"cell{i}", POC_CELL, p, "srv1") for i, p in enumerate(profiles)
+            ),
+            calibration=calib,
+            ai_workloads=(),
+            policy=Policy(kind=PolicyKind.STATIC_SPLIT, ran_fraction=0.4, ai_fraction=0.6),
+        )
+        demand = build_demand(sc)
+
+        def at(t):
+            value = demand.scalar[0](t)
+            assert demand.vector(np.array([t])).tolist() == [[value]]
+            return value
+
+        return at
 
     def test_single_cell_full_load(self):
-        wl = self._workload([LoadProfile(kind=ProfileKind.CONSTANT, level=1.0)])
-        assert ran_demand_at(wl, Calibration(), 0.0) == 0.40
+        at = self._demand([LoadProfile(kind=ProfileKind.CONSTANT, level=1.0)])
+        assert at(0.0) == 0.40
 
     def test_zero_load_zero_floor(self):
-        wl = self._workload([LoadProfile(kind=ProfileKind.CONSTANT, level=0.0)])
-        assert ran_demand_at(wl, Calibration(), 12.0) == 0.0
+        at = self._demand([LoadProfile(kind=ProfileKind.CONSTANT, level=0.0)])
+        assert at(12.0) == 0.0
 
     def test_two_half_loaded_cells(self):
         prof = LoadProfile(kind=ProfileKind.CONSTANT, level=0.5)
-        wl = self._workload([prof, prof])
-        assert ran_demand_at(wl, Calibration(), 0.0) == pytest.approx(0.40, abs=1e-12)
+        at = self._demand([prof, prof])
+        assert at(0.0) == pytest.approx(0.40, abs=1e-12)
 
     def test_idle_floor(self):
-        wl = self._workload([LoadProfile(kind=ProfileKind.CONSTANT, level=0.0)])
-        calib = Calibration(idle_floor_fraction=0.05)
-        assert ran_demand_at(wl, calib, 0.0) == 0.05
+        at = self._demand(
+            [LoadProfile(kind=ProfileKind.CONSTANT, level=0.0)],
+            Calibration(idle_floor_fraction=0.05),
+        )
+        assert at(0.0) == 0.05
 
     def test_monotone_in_load(self):
         calib = Calibration()
@@ -92,34 +121,36 @@ class TestDemand:
         for _ in range(100):
             lo = rng.uniform(0, 1)
             hi = rng.uniform(lo, 1)
-            wl_lo = self._workload([LoadProfile(kind=ProfileKind.CONSTANT, level=lo)])
-            wl_hi = self._workload([LoadProfile(kind=ProfileKind.CONSTANT, level=hi)])
-            assert ran_demand_at(wl_hi, calib, 0.0) >= ran_demand_at(wl_lo, calib, 0.0)
+            at_lo = self._demand([LoadProfile(kind=ProfileKind.CONSTANT, level=lo)], calib)
+            at_hi = self._demand([LoadProfile(kind=ProfileKind.CONSTANT, level=hi)], calib)
+            assert at_hi(0.0) >= at_lo(0.0)
 
 
 class TestSampleLoad:
     def test_constant(self):
         prof = LoadProfile(kind=ProfileKind.CONSTANT, level=0.35)
         for t in (0.0, 1.0, 1e6):
-            assert sample_load(prof, t) == 0.35
+            assert load_at(prof, t) == 0.35
 
     def test_diurnal_peak_closed_form(self):
         prof = LoadProfile(
             kind=ProfileKind.DIURNAL_SINUSOID, minimum=0.2, maximum=1.0, period_s=100.0
         )
-        assert sample_load(prof, 25.0) == pytest.approx(1.0, abs=1e-12)
-        assert sample_load(prof, 75.0) == pytest.approx(0.2, abs=1e-12)
+        assert load_at(prof, 25.0) == pytest.approx(1.0, abs=1e-12)
+        assert load_at(prof, 75.0) == pytest.approx(0.2, abs=1e-12)
 
     def test_trace_step_interpolation(self):
         prof = LoadProfile(kind=ProfileKind.TRACE, points=((0.0, 0.1), (10.0, 0.9)))
-        assert sample_load(prof, 5.0) == 0.1
-        assert sample_load(prof, 10.0) == 0.9
-        assert sample_load(prof, 11.0) == 0.9
+        assert load_at(prof, 5.0) == 0.1
+        assert load_at(prof, 10.0) == 0.9
+        assert load_at(prof, 11.0) == 0.9
 
     def test_empty_trace(self):
         prof = LoadProfile(kind=ProfileKind.TRACE, points=())
         with pytest.raises(EmptyTrace):
-            sample_load(prof, 0.0)
+            prof.sampler()
+        with pytest.raises(EmptyTrace):
+            prof.vector_sampler()
 
     def test_output_in_unit_interval(self):
         rng = random.Random(17)
@@ -142,9 +173,8 @@ class TestSampleLoad:
                     kind=kind,
                     points=tuple((t, rng.uniform(0, 1)) for t in times),
                 )
-            sampler = prof.sampler()
             for _ in range(20):
-                v = sampler(rng.uniform(0, 200))
+                v = load_at(prof, rng.uniform(0, 200))
                 assert 0.0 <= v <= 1.0
 
     def test_invalid_params_rejected(self):
