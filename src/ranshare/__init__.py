@@ -1,14 +1,11 @@
 """ranshare: deterministic simulation of RAN/AI co-scheduling on shared GPUs."""
 
 from .compute import (
-    Allocation,
     GpuDevice,
     GpuInstance,
     NfBundle,
     Server,
     TenantClass,
-    allocate,
-    free_capacity,
     partition_gpu,
     repartition,
 )
@@ -18,7 +15,6 @@ from .engine import (
     MetricsReport,
     Scenario,
     SimEngine,
-    SimEvent,
     Summary,
     TopologySpec,
     TraceRecord,

@@ -2,21 +2,18 @@
 
 Slice sizes are stored internally as integer multiples of the device's
 partition granularity; the decimal fraction is derived as units/total so
-that e.g. a 0.4/0.6 split reproduces those decimals exactly. Grants inside
-a slice are plain floats clipped to the slice size.
+that e.g. a 0.4/0.6 split reproduces those decimals exactly. Slices hold
+no grants: the orchestrator's ``GpuState.inst_granted`` is the one ledger
+of what each slice has granted, and ``repartition`` checks a new layout
+against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    ActiveAllocationConflict,
-    ClassMismatch,
-    GranularityViolation,
-    PartitionOverflow,
-)
+from .errors import ActiveAllocationConflict, GranularityViolation, PartitionOverflow
 
 TOL = 1e-9
 
@@ -54,45 +51,31 @@ class GpuDevice:
             raise GranularityViolation(f"{self.id}: 1.0/{g} is not an integer")
 
     @property
-    def compute_capacity(self) -> float:
-        return 1.0
-
-    @property
     def total_units(self) -> int:
         return round(1.0 / self.partition_granularity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuInstance:
     """A hard-isolated fractional slice of one GPU.
 
-    ``units`` never changes after construction; a repartition replaces the
-    instance rather than resizing it. ``granted`` is the per-slot
-    allocation accumulator, reset by the simulation loop each slot.
+    A repartition replaces the instances rather than resizing them.
     """
 
     id: str
-    parent_gpu: str
     units: int
     total_units: int
     tenant_class: TenantClass
-    memory_fraction: float = 0.0  # 0.0 means "mirror compute_fraction"
-    granted: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.units <= 0 or self.units > self.total_units:
             raise GranularityViolation(
                 f"{self.id}: units {self.units} outside 1..{self.total_units}"
             )
-        if self.memory_fraction == 0.0:
-            self.memory_fraction = self.compute_fraction
 
     @property
     def compute_fraction(self) -> float:
         return self.units / self.total_units
-
-    def reset_slot(self):
-        self.granted = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,16 +94,6 @@ class Server:
             raise ValueError(f"server {self.id}: cpu_cores must be positive")
         if self.frontend_port_gbps <= 0 or self.backend_port_gbps <= 0:
             raise ValueError(f"server {self.id}: port rates must be positive")
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Outcome of offering a demand to one slice for one slot."""
-
-    instance: str
-    granted_fraction: float
-    shortfall_fraction: float
-    tenant_class: TenantClass
 
 
 def _fraction_to_units(gpu: GpuDevice, fraction: float) -> int:
@@ -164,7 +137,6 @@ def partition_gpu(
     instances = [
         GpuInstance(
             id=f"{prefix}/s{i}",
-            parent_gpu=gpu.id,
             units=u,
             total_units=total,
             tenant_class=cls,
@@ -176,7 +148,6 @@ def partition_gpu(
         instances.append(
             GpuInstance(
                 id=f"{prefix}/free",
-                parent_gpu=gpu.id,
                 units=leftover,
                 total_units=total,
                 tenant_class=TenantClass.FREE,
@@ -185,75 +156,33 @@ def partition_gpu(
     return instances
 
 
-def allocate(instance: GpuInstance, demand: float, cls: TenantClass) -> Allocation:
-    """Grant as much of ``demand`` as the slice still has in this slot."""
-    if demand < 0:
-        raise ValueError(f"demand {demand} must be >= 0")
-    if instance.tenant_class is not TenantClass.FREE and instance.tenant_class is not cls:
-        raise ClassMismatch(
-            f"{instance.id} is {instance.tenant_class.value}, demand is {cls.value}"
-        )
-    headroom = instance.compute_fraction - instance.granted
-    if headroom < 0.0:
-        headroom = 0.0
-    granted = demand if demand < headroom else headroom
-    instance.granted += granted
-    return Allocation(
-        instance=instance.id,
-        granted_fraction=granted,
-        shortfall_fraction=demand - granted,
-        tenant_class=cls,
-    )
-
-
 def repartition(
     gpu: GpuDevice,
     old_instances: list[GpuInstance],
+    ledger: dict[str, float],
     new_fractions: list[float],
     new_classes: list[TenantClass],
     id_prefix: str = "",
 ) -> list[GpuInstance]:
     """Atomically replace a GPU's slices with a new layout.
 
-    Callers must drain or preempt first: for every tenant class, currently
-    granted capacity on the old slices has to fit inside the new slices of
-    the same class (FREE counts toward every class).
+    ``ledger`` is the caller's grant ledger (``GpuState.inst_granted``): the
+    fraction granted inside each old slice, by instance id. Callers must
+    drain or preempt first: for every tenant class, what the old slices of
+    that class have granted has to fit inside the new slices of the same
+    class (FREE counts toward every class).
     """
     new_instances = partition_gpu(gpu, new_fractions, new_classes, id_prefix=id_prefix)
     for cls in (TenantClass.RAN, TenantClass.AI):
-        granted = sum(i.granted for i in old_instances if i.tenant_class is cls)
+        held = sum(ledger.get(i.id, 0.0) for i in old_instances if i.tenant_class is cls)
         capacity = sum(
             i.compute_fraction
             for i in new_instances
             if i.tenant_class is cls or i.tenant_class is TenantClass.FREE
         )
-        if granted > capacity + TOL:
+        if held > capacity + TOL:
             raise ActiveAllocationConflict(
-                f"{gpu.id}: {cls.value} holds {granted:.6f}, new layout offers "
+                f"{gpu.id}: {cls.value} holds {held:.6f}, new layout offers "
                 f"{capacity:.6f}; drain first"
             )
     return new_instances
-
-
-def free_capacity(
-    server: Server,
-    instances_by_gpu: dict[str, list[GpuInstance]],
-    ran_headroom_visible: bool = False,
-) -> list[float]:
-    """Unused headroom per GPU, in the server's GPU order.
-
-    Headroom inside FREE and AI slices always counts as free; headroom
-    inside RAN slices is hidden unless ``ran_headroom_visible`` (the
-    dynamic-backfill policy's view).
-    """
-    out = []
-    for gpu in server.gpus:
-        used = 0.0
-        for inst in instances_by_gpu.get(gpu.id, []):
-            if inst.tenant_class is TenantClass.RAN and not ran_headroom_visible:
-                used += inst.compute_fraction
-            else:
-                used += inst.granted
-        free = 1.0 - used
-        out.append(free if free > 0.0 else 0.0)
-    return out

@@ -3,15 +3,15 @@
 The clock is an integer microsecond counter; every event time is quantized
 to it, which makes tie-breaking exact and runs reproducible byte for byte.
 Heap events carry (time_us, kind_priority, seq) keys so that simultaneous
-events follow the fixed kind order: slot < policy epoch < arrival <
-completion < others.
+events follow the ``EventKind`` order: policy epoch < arrival < completion
+< profile change < repartition settled.
 
 Slot boundaries dominate the event count, so they never enter the heap.
 Between two heap events slots differ only through RAN demand, so the main
 loop settles them a segment at a time: every slot from the next unsettled
-one up to and including the next event's time (capped at the horizon),
-the slot at an event's time settling before the event, as slot order
-requires. ``orchestrator.settle_segment`` settles a segment with the result
+one up to and including the next event's time (capped at the horizon).
+A slot at an event's time settles before the event, so the event sees that
+slot's demand. ``orchestrator.settle_segment`` settles a segment with the result
 of one ``settle_slot`` per slot, bit for bit:
 
 * constant demand (constant and trace profiles between profile changes) in
@@ -55,7 +55,6 @@ from .orchestrator import (
     plan_placement,
     policy_epoch,
     settle_segment,
-    settle_slot,
     start_job,
 )
 from .workload import (
@@ -75,21 +74,13 @@ US = 1_000_000
 
 
 class EventKind(Enum):
-    SLOT_BOUNDARY = 0
-    POLICY_EPOCH = 1
-    JOB_ARRIVAL = 2
-    JOB_COMPLETION = 3
-    PROFILE_CHANGE = 4
-    REPARTITION_SETTLED = 5
-    SAMPLE = 6  # internal: lowest priority so samples see settled state
+    """Heap event kinds; the value orders simultaneous events."""
 
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_s: float
-    seq: int
-    kind: EventKind
-    payload: tuple = ()
+    POLICY_EPOCH = 0
+    JOB_ARRIVAL = 1
+    JOB_COMPLETION = 2
+    PROFILE_CHANGE = 3
+    REPARTITION_SETTLED = 4
 
 
 @dataclass(frozen=True)
@@ -232,11 +223,8 @@ class Scenario:
             return []
         devices = {g.id: g for s in self.servers for g in s.gpus}
         cell_hosts = {c.server_id for c in self.cells}
-        targets = list(policy.split_gpus) or [
-            s.gpus[0].id for s in self.servers if s.id in cell_hosts
-        ]
         problems = []
-        for gid in targets:
+        for gid in orch.split_targets(policy, self.servers, cell_hosts):
             gpu = devices.get(gid)
             if gpu is None:
                 continue  # reported as an unknown-gpu problem already
@@ -431,7 +419,7 @@ class SimEngine:
             scenario.policy, list(scenario.servers), cell_hosts
         )
         self.state = orch.build_cluster_state(
-            list(scenario.servers), scenario.policy, partitions
+            list(scenario.servers), scenario.policy, partitions, cell_hosts=cell_hosts
         )
         self.state.slot_us = self.slot_us
         self.state.hooks = _Hooks(self)
@@ -563,12 +551,6 @@ class SimEngine:
 
     # -- dispatch -------------------------------------------------------------------
 
-    def _process_slot(self, t_us: int):
-        self.state.clock_us = t_us
-        t_s = t_us / US
-        demands = [f(t_s) for f in self.demand.scalar]
-        settle_slot(self.state, t_s, demands, self.miss_sink, self.track_forecast)
-
     def _settle(self, first_us: int, count: int) -> int:
         """Settle up to ``count`` slots from ``first_us``; returns how many settled.
 
@@ -677,21 +659,6 @@ class SimEngine:
                     EventRecord(t_s, "settled", gpu.device.id, "slices accepting work")
                 )
                 self._placement_round()
-
-    def step(self, event: SimEvent) -> list[SimEvent]:
-        """Process one event; returns events it scheduled (testing hook)."""
-        before = {entry[2] for entry in self.heap}
-        t_us = round(event.time_s * US)
-        self._flush_samples(t_us)
-        self.state.clock_us = t_us
-        if event.kind is EventKind.SLOT_BOUNDARY:
-            self._process_slot(t_us)
-        else:
-            self._dispatch(event.kind, event.payload, t_us)
-        emitted = sorted(e for e in self.heap if e[2] not in before)
-        return [
-            SimEvent(t / US, seq, kind, payload) for t, _p, seq, kind, payload in emitted
-        ]
 
     # -- main loop ---------------------------------------------------------------
 

@@ -15,10 +15,6 @@ class GranularityViolation(SimulatorError):
     """A fraction is not an integer multiple of the partition granularity."""
 
 
-class ClassMismatch(SimulatorError):
-    """A demand was offered to a slice dedicated to a different tenant class."""
-
-
 class ActiveAllocationConflict(SimulatorError):
     """A repartition would shrink a slice below what is currently granted."""
 

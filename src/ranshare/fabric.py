@@ -56,7 +56,6 @@ class Link:
     endpoint_a: str
     endpoint_b: str
     capacity_gbps: float
-    current_load_gbps: float = 0.0
 
     @property
     def id(self) -> str:
@@ -403,8 +402,6 @@ def route_flows(
         for link_id, load in sorted(loads.items())
         if load > topology.links[link_id].capacity_gbps + 1e-9
     ]
-    for link_id, load in loads.items():
-        topology.links[link_id].current_load_gbps = load
     return loads, violations
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -51,7 +51,7 @@ class Policy:
     kind: PolicyKind
     ran_fraction: float = 0.0
     ai_fraction: float = 0.0
-    split_gpus: tuple[str, ...] = ()  # empty: first GPU of each cell-hosting server
+    split_gpus: tuple[str, ...] = ()  # empty: see split_targets
     schedule: tuple[tuple[float, float, float], ...] = ()  # (start_s, end_s, ran_fraction)
     epoch_s: float = 0.1
     safety_margin: float = 0.05
@@ -191,7 +191,6 @@ class GpuState:
     instances: list[GpuInstance]
     # slice-size caches, refreshed on (re)partition
     ran_cap: float = 0.0
-    ai_cap: float = 0.0
     free_cap: float = 0.0
     # current slot levels
     ran_level: float = 0.0
@@ -201,6 +200,7 @@ class GpuState:
     ai_free_eff: float = 0.0  # after the slot-level cap
     throttled: bool = False
     jobs: list[AiJob] = field(default_factory=list)
+    # the grant ledger: AI grant held inside each slice, by instance id
     inst_granted: dict[str, float] = field(default_factory=dict)
     free_ids: set = field(default_factory=set)
     # repartition settling
@@ -218,16 +218,14 @@ class GpuState:
     annotations: dict[str, int] = field(default_factory=dict)
 
     def refresh_caches(self):
-        self.ran_cap = self.ai_cap = self.free_cap = 0.0
+        self.ran_cap = self.free_cap = 0.0
         self.inst_granted = {i.id: 0.0 for i in self.instances}
         self.free_ids = set()
         for inst in self.instances:
             f = inst.compute_fraction
             if inst.tenant_class is TenantClass.RAN:
                 self.ran_cap += f
-            elif inst.tenant_class is TenantClass.AI:
-                self.ai_cap += f
-            else:
+            elif inst.tenant_class is TenantClass.FREE:
                 self.free_cap += f
                 self.free_ids.add(inst.id)
 
@@ -250,7 +248,6 @@ class GpuState:
 class ServerState:
     server: Server
     gpus: list[GpuState]
-    current_demand: float = 0.0
 
 
 @dataclass
@@ -261,6 +258,7 @@ class ClusterState:
     clock_us: int = 0
     slot_us: int = 500
     hooks: EngineHooks = field(default_factory=EngineHooks)
+    cell_hosts: frozenset[str] = frozenset()  # ids of the servers that host a cell
     # the queue, changed only by enqueue/dequeue: (arrival, id) in arrival
     # order, the set of its ids, and its jobs in placement order
     queue: list[tuple[float, str]] = field(init=False, default_factory=list)
@@ -304,6 +302,7 @@ def build_cluster_state(
     policy: Policy,
     partitions: dict[str, tuple[list[float], list[TenantClass]]],
     hooks: EngineHooks | None = None,
+    cell_hosts: Iterable[str] = (),
 ) -> ClusterState:
     """Partition GPUs per the initial layout and assemble the cluster state.
 
@@ -323,8 +322,22 @@ def build_cluster_state(
             gpu_states.append(gs)
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
-        servers=server_states, policy=policy, hooks=hooks or EngineHooks()
+        servers=server_states,
+        policy=policy,
+        hooks=hooks or EngineHooks(),
+        cell_hosts=frozenset(cell_hosts),
     )
+
+
+def split_targets(
+    policy: Policy, servers: Iterable[Server], cell_hosts: Container[str]
+) -> list[str]:
+    """The GPUs a static or time split partitions.
+
+    ``policy.split_gpus`` when given, else the first GPU of each server in
+    ``cell_hosts``, the servers that host a cell.
+    """
+    return list(policy.split_gpus) or [s.gpus[0].id for s in servers if s.id in cell_hosts]
 
 
 def initial_partitions(
@@ -332,15 +345,12 @@ def initial_partitions(
 ) -> dict[str, tuple[list[float], list[TenantClass]]]:
     """Initial GPU layouts implied by the policy.
 
-    Static and time splits partition the designated GPUs (defaulting to the
-    first GPU of every cell-hosting server); the dynamic policy leaves all
-    GPUs whole.
+    Static and time splits partition their ``split_targets``; the dynamic
+    policy leaves all GPUs whole.
     """
     if policy.is_dynamic:
         return {}
-    targets = list(policy.split_gpus)
-    if not targets:
-        targets = [s.gpus[0].id for s in servers if s.id in cell_hosts]
+    targets = split_targets(policy, servers, cell_hosts)
     if policy.kind is PolicyKind.STATIC_SPLIT:
         ran, ai = policy.ran_fraction, policy.ai_fraction
     else:
@@ -386,10 +396,7 @@ def settle_slot(
     soft = state.soft_ran
     now_us = state.clock_us
     applied = False
-    for si, srv in enumerate(state.servers):
-        demand = demands[si]
-        srv.current_demand = demand
-        rem = demand
+    for srv, rem in zip(state.servers, demands):
         for gpu in srv.gpus:
             if gpu.settling_until_us >= now_us:
                 # repartition settling: slices accept no allocations
@@ -637,7 +644,7 @@ def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, 
     gpus, servers = state.gpus, state.servers
     t_us = first_us + state.slot_us * np.arange(n, dtype=np.int64)
     t_s = t_us / US
-    load = rem = demand.vector(t_s)
+    rem = demand.vector(t_s)
     take = np.empty((len(gpus), n))
     sizes = np.array([len(srv.gpus) for srv in servers])
     first_row = np.cumsum(sizes) - sizes  # each server's first GPU in ``gpus``
@@ -696,8 +703,6 @@ def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, 
             gpu.demand_last = last
             if peak > gpu.epoch_max:
                 gpu.epoch_max = peak
-    for srv, current in zip(state.servers, load[:, stop - 1].tolist()):
-        srv.current_demand = current
 
     missed = rem[:, :stop] > TOL
     slots, owners = np.nonzero(missed.T)  # by slot, then by server
@@ -915,9 +920,9 @@ def policy_epoch(state: ClusterState, policy: Policy, t: float) -> list[ScaleAct
         if interval is None:
             raise InvalidEpoch(f"t={t} is not a schedule boundary")
         ran = interval[2]
-        targets = set(policy.split_gpus) or {
-            srv.gpus[0].device.id for srv in state.servers if srv.gpus
-        }
+        targets = set(
+            split_targets(policy, [srv.server for srv in state.servers], state.cell_hosts)
+        )
         for srv in state.servers:
             for gpu in srv.gpus:
                 if gpu.device.id not in targets:
@@ -1177,6 +1182,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.instances = compute.repartition(
         gpu.device,
         gpu.instances,
+        gpu.inst_granted,
         list(action.fractions),
         list(action.classes),
         id_prefix=prefix,

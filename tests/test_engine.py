@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from heapq import heappop
 
 import pytest
 
@@ -344,22 +345,57 @@ class TestTimeSplit:
         report = run(sc)
         assert [e for e in report.events if e.kind == "repartition"] == []
 
+    def test_default_targets_skip_servers_without_cells(self):
+        """Without ``policy.gpus`` only cell-hosting servers' first GPUs are split.
+
+        The initial layout and every boundary agree: g2, on a server with no
+        cell, stays whole for the whole run.
+        """
+        policy = Policy(
+            kind=PolicyKind.TIME_SPLIT, schedule=((0.0, 1.0, 0.4), (1.0, 2.0, 0.6))
+        )
+        sc = Scenario(
+            name="split-targets",
+            servers=(
+                Server(id="srv1", gpus=(GpuDevice("g1"),)),
+                Server(id="srv2", gpus=(GpuDevice("g2"),)),
+            ),
+            cells=(
+                CellSpec("cell1", POC_CELL, LoadProfile(ProfileKind.CONSTANT, level=0.5), "srv1"),
+            ),
+            calibration=Calibration(),
+            ai_workloads=(),
+            policy=policy,
+            horizon_s=2.0,
+        )
+        engine = SimEngine(sc)
+        g2 = engine.state.gpu_by_id("g2")
+        assert [i.tenant_class.value for i in g2.instances] == ["FREE"]
+        report = engine.run()
+        reparts = [(e.time_s, e.subject) for e in report.events if e.kind == "repartition"]
+        assert reparts == [(1.0, "g1")]
+        assert [i.tenant_class.value for i in g2.instances] == ["FREE"]
+
 
 class TestStepApi:
     def test_tie_break_slot_before_epoch(self):
-        assert EventKind.SLOT_BOUNDARY.value < EventKind.POLICY_EPOCH.value
+        # slots never enter the heap; test_epoch_at_t0_sees_slot_settled_demand
+        # checks that a slot settles before an event at its time
         assert EventKind.POLICY_EPOCH.value < EventKind.JOB_ARRIVAL.value
         assert EventKind.JOB_ARRIVAL.value < EventKind.JOB_COMPLETION.value
 
     def test_step_emits_followup_events(self):
         sc = scenario(workloads=(SATURATING,), policy=DYNAMIC, gpus=("gpu1",))
         engine = SimEngine(sc)
-        from ranshare.engine import SimEvent
-
-        engine._process_slot(0)  # settle demand so the epoch sees it
-        emitted = engine.step(SimEvent(0.0, 0, EventKind.POLICY_EPOCH))
-        assert any(e.kind is EventKind.POLICY_EPOCH for e in emitted)
-        assert all(e.time_s >= 0.0 for e in emitted)
+        # settle slot 0 so the epoch sees its demand, then dispatch the epoch
+        engine._settle(0, 1)
+        epoch = heappop(engine.heap)
+        assert epoch[:2] == (0, EventKind.POLICY_EPOCH.value)
+        seqs = {entry[2] for entry in engine.heap}
+        engine._dispatch(EventKind.POLICY_EPOCH, (), 0)
+        emitted = [e for e in engine.heap if e[2] not in seqs]
+        assert any(e[3] is EventKind.POLICY_EPOCH for e in emitted)
+        assert all(e[0] >= 0 for e in emitted)
 
     def test_epoch_at_t0_sees_slot_settled_demand(self):
         # slot and epoch coincide at t=0; the slot must settle first so the

@@ -50,7 +50,9 @@ def reference_run(eng: SimEngine):
         head = heap[0] if heap else None
         if next_slot < horizon_us and (head is None or next_slot <= head[0]):
             eng._flush_samples(next_slot)
-            eng._process_slot(next_slot)
+            orchestrator._settle_one(
+                state, next_slot, eng.demand, eng.miss_sink, eng.track_forecast
+            )
             next_slot += slot_us
             continue
         if head is None:
