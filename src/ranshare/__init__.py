@@ -17,6 +17,7 @@ from .engine import (
     SimEngine,
     Summary,
     TopologySpec,
+    Trace,
     TraceRecord,
     mix_seed,
     run,

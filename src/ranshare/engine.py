@@ -22,17 +22,24 @@ of one ``settle_slot`` per slot, bit for bit:
 It falls back to ``settle_slot`` at each slot whose throttle test fires
 (that slot may change job rates and schedule events, so the segment ends
 after it), while a GPU is settling after a repartition, and for segments
-shorter than ``VECTOR_MIN_SLOTS``, where a numpy pass costs more.
+shorter than the cutoff ``VECTOR_MIN_SLOTS`` sets for the fleet's size,
+where a numpy pass costs more.
 
 Utilization samples are flushed lazily: a sample at time t is recorded
 once the clock moves strictly past t, so it reflects the state after every
 event that fired at t. A sample due before a segment's last slot sees only
-slot settlements, so the segment records it from its own levels.
+slot settlements, so the segment hands its levels over in blocks of
+samples. The samples go into one columnar ``Trace``, preallocated by
+``run``: every GPU's raw levels per sample, rounded to 6 decimals in one
+pass at the end. The annotations are made then too, from the miss list
+and ``ClusterState.annotations``: each entry goes to the first sample at
+or after its time, a miss to its server's first GPU.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -90,6 +97,90 @@ class TraceRecord:
     ran_fraction: float
     ai_fraction: float
     annotation: str = ""
+
+
+def round6(x) -> np.ndarray:
+    """``round(v, 6)`` of every element of ``x``: the same doubles as Python's.
+
+    ``rint(v * 1e6) / 1e6`` rounds the scaled value to the integer Python
+    rounds the exact decimal to, unless that value lies within 1e-6 of a
+    tie (the product's rounding error is below 1e-7 for |v| < 1e3), and
+    the division rounds that integer's quotient correctly, as Python's
+    string round trip does. Near-ties, |v| >= 1e3 and non-finite values go
+    through Python's ``round``.
+    """
+    x = np.asarray(x, dtype=float)
+    scaled = x * 1e6
+    out = np.rint(scaled) / 1e6
+    with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan: the slow path
+        exact = (np.abs(x) < 1e3) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    if not exact.all():
+        slow = ~exact
+        out[slow] = [round(v, 6) for v in x[slow].tolist()]
+    return out
+
+
+class Trace:
+    """The utilization trace, as columns: one row per GPU per sample.
+
+    ``times[s]`` is sample ``s``'s time in seconds; ``ran[s, g]`` and
+    ``ai[s, g]`` are GPU ``gpu_ids[g]``'s levels then, and ``notes`` maps
+    ``(s, g)`` to the row's annotation where it has one. ``len()`` counts
+    rows; iteration yields them as ``TraceRecord`` in time order, GPUs in
+    ``gpu_ids`` order within a sample.
+    """
+
+    def __init__(self, gpu_ids, times, ran, ai, notes=None):
+        self.gpu_ids = tuple(gpu_ids)
+        self.times = np.asarray(times, dtype=float)
+        shape = (self.times.size, len(self.gpu_ids))
+        self.ran = np.asarray(ran, dtype=float).reshape(shape)
+        self.ai = np.asarray(ai, dtype=float).reshape(shape)
+        self.notes: dict[tuple[int, int], str] = dict(notes or {})
+
+    @classmethod
+    def from_records(cls, records: Iterable[TraceRecord]) -> Trace:
+        """Rebuild a trace from its rows, which list every GPU at every sample time."""
+        rows = list(records)
+        gpu_ids: list[str] = []
+        for rec in rows:
+            if rec.gpu_id in gpu_ids:
+                break
+            gpu_ids.append(rec.gpu_id)
+        n = len(gpu_ids)
+        if any(
+            rec.gpu_id != gpu_ids[i % n] or rec.time_s != rows[i - i % n].time_s
+            for i, rec in enumerate(rows)
+        ) or (n and len(rows) % n):
+            raise ValueError("trace rows do not list every GPU at every sample time")
+        return cls(
+            gpu_ids,
+            [rec.time_s for rec in rows[::n or 1]],
+            [rec.ran_fraction for rec in rows],
+            [rec.ai_fraction for rec in rows],
+            {divmod(i, n): rec.annotation for i, rec in enumerate(rows) if rec.annotation},
+        )
+
+    def __len__(self) -> int:
+        return self.ran.size
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        notes = self.notes
+        levels = zip(self.times.tolist(), self.ran.tolist(), self.ai.tolist())
+        for s, (t, ran, ai) in enumerate(levels):
+            for g, (gpu_id, r, a) in enumerate(zip(self.gpu_ids, ran, ai)):
+                yield TraceRecord(t, gpu_id, r, a, notes.get((s, g), ""))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.gpu_ids == other.gpu_ids
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.ran, other.ran)
+            and np.array_equal(self.ai, other.ai)
+            and self.notes == other.notes
+        )
 
 
 @dataclass(frozen=True)
@@ -257,7 +348,7 @@ class MetricsReport:
     sample_interval_s: float
     seed: int
     gpu_ids: tuple[str, ...]
-    trace: list[TraceRecord]
+    trace: Trace
     events: list[EventRecord]
     deadline_misses: list[DeadlineMiss]
     fabric_violations: list[EventRecord]
@@ -342,39 +433,33 @@ def build_demand(scenario: Scenario) -> DemandModel:
     )
 
 
-def summarize(trace: list[TraceRecord], miss_count: int = 0) -> Summary:
+def summarize(trace: Trace, miss_count: int = 0) -> Summary:
     """Time-weighted summary of a utilization trace and a miss count.
 
     The trace is treated as a step function: each sample holds until the
     next one, and the final sample carries zero weight. Peaks and P95 are
-    over the raw samples.
+    over the raw samples. Every average is an exact ``math.fsum`` of the
+    elementwise products.
     """
-    if not trace:
+    if not len(trace):
         raise EmptyTrace("cannot summarize an empty trace")
-    by_gpu: dict[str, list[TraceRecord]] = {}
-    for rec in trace:
-        by_gpu.setdefault(rec.gpu_id, []).append(rec)
+    weights = np.append(np.diff(trace.times), 0.0)
+    span = math.fsum(weights.tolist())
     per_gpu = {}
-    for gpu_id, recs in by_gpu.items():
-        times = [r.time_s for r in recs]
-        weights = [t1 - t0 for t0, t1 in zip(times, times[1:])] + [0.0]
-        span = math.fsum(weights)
-        totals = [r.ran_fraction + r.ai_fraction for r in recs]
+    for g, gpu_id in enumerate(trace.gpu_ids):
+        ran, ai = trace.ran[:, g], trace.ai[:, g]
+        totals = ran + ai
         if span <= 0.0:
-            avg_ran, avg_ai, avg_total = (
-                recs[0].ran_fraction,
-                recs[0].ai_fraction,
-                totals[0],
-            )
+            avg_ran, avg_ai, avg_total = float(ran[0]), float(ai[0]), float(totals[0])
         else:
-            avg_ran = math.fsum(w * r.ran_fraction for w, r in zip(weights, recs)) / span
-            avg_ai = math.fsum(w * r.ai_fraction for w, r in zip(weights, recs)) / span
-            avg_total = math.fsum(w * t for w, t in zip(weights, totals)) / span
+            avg_ran = math.fsum((weights * ran).tolist()) / span
+            avg_ai = math.fsum((weights * ai).tolist()) / span
+            avg_total = math.fsum((weights * totals).tolist()) / span
         per_gpu[gpu_id] = GpuSummary(
             avg_ran=avg_ran,
             avg_ai=avg_ai,
             avg_total=avg_total,
-            peak_total=max(totals),
+            peak_total=max(totals.tolist()),
             p95_total=float(np.percentile(totals, 95)),
         )
     avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)
@@ -429,7 +514,8 @@ class SimEngine:
         self.events: list[EventRecord] = []
         self.miss_sink: list = []
         self.fabric_events: list[EventRecord] = []
-        self.trace: list[TraceRecord] = []
+        # no samples until run() allocates the whole trace
+        self.trace = Trace([g.device.id for g in self.state.gpus], [], [], [])
         self.next_sample_us = 0
         self.track_forecast = scenario.policy.is_dynamic
 
@@ -527,27 +613,61 @@ class SimEngine:
 
     # -- sampling -----------------------------------------------------------------
 
-    def _emit_samples(self, ran: list[float], ai: list[float], count: int = 1):
-        """Record the next ``count`` samples at per-GPU levels (``state.gpus`` order)."""
-        rows = [
-            (gpu, gpu.device.id, round(r, 6), round(a, 6))
-            for gpu, r, a in zip(self.state.gpus, ran, ai)
-        ]
-        append = self.trace.append
-        for _ in range(count):
-            t_s = self.next_sample_us / US
-            for gpu, gpu_id, r, a in rows:
-                ann = ""
-                if gpu.annotations:
-                    ann = ";".join(f"{k}:{v}" for k, v in sorted(gpu.annotations.items()))
-                    gpu.annotations.clear()
-                append(TraceRecord(t_s, gpu_id, r, a, ann))
-            self.next_sample_us += self.sample_us
+    def _emit_samples(self, ran, ai, n: int):
+        """Record the next ``n`` samples of every GPU's raw levels.
+
+        ``ran`` and ``ai`` list the levels in ``state.gpus`` order: one row
+        for all ``n`` samples, or an (n, GPU) array.
+        """
+        s = self.next_sample_us // self.sample_us
+        self.trace.ran[s:s + n] = ran
+        self.trace.ai[s:s + n] = ai
+        self.next_sample_us += n * self.sample_us
 
     def _flush_samples(self, before_us: int):
-        gpus = self.state.gpus
-        while self.next_sample_us < before_us and self.next_sample_us <= self.horizon_us:
-            self._emit_samples([g.ran_level for g in gpus], [g.ai_level for g in gpus])
+        """Record every sample due before ``before_us``, up to the horizon, at the current levels."""
+        last_us = min(before_us - 1, self.horizon_us)
+        if self.next_sample_us <= last_us:
+            gpus = self.state.gpus
+            self._emit_samples(
+                [g.ran_level for g in gpus],
+                [g.ai_level for g in gpus],
+                (last_us - self.next_sample_us) // self.sample_us + 1,
+            )
+
+    def _close_trace(self):
+        """Round the recorded levels and annotate the samples.
+
+        An annotation made at time t goes to the first sample at or after
+        t; a server's slot misses annotate the server's first GPU. A row's
+        annotation counts each kind: ``kind:<n>`` joined by ``;``, kinds
+        sorted.
+        """
+        trace = self.trace
+        trace.ran = round6(trace.ran)
+        trace.ai = round6(trace.ai)
+        n = trace.times.size
+        index = {gpu.device.id: g for g, gpu in enumerate(self.state.gpus)}
+        kinds: dict[tuple[int, int], dict[str, int]] = {}
+        miss_times: dict[str, list[float]] = {}
+        for t, sid, _shortfall in self.miss_sink:
+            miss_times.setdefault(sid, []).append(t)
+        for srv in self.state.servers:
+            if srv.server.id in miss_times:
+                at = np.searchsorted(trace.times, miss_times[srv.server.id])
+                counts = np.bincount(at, minlength=n + 1)[:n]
+                g = index[srv.gpus[0].device.id]
+                for s in np.flatnonzero(counts).tolist():
+                    kinds[s, g] = {"miss": int(counts[s])}
+        for t_us, gpu_id, kind in self.state.annotations:
+            s = -(-t_us // self.sample_us)
+            if s < n:
+                row = kinds.setdefault((s, index[gpu_id]), {})
+                row[kind] = row.get(kind, 0) + 1
+        trace.notes = {
+            key: ";".join(f"{k}:{v}" for k, v in sorted(row.items()))
+            for key, row in kinds.items()
+        }
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -667,6 +787,14 @@ class SimEngine:
         horizon_us = self.horizon_us
         slot_us = self.slot_us
         heap = self.heap
+        n_samples = horizon_us // self.sample_us + 1
+        shape = (n_samples, len(state.gpus))
+        self.trace = Trace(
+            self.trace.gpu_ids,
+            np.arange(n_samples, dtype=np.int64) * self.sample_us / US,
+            np.empty(shape),
+            np.empty(shape),
+        )
         next_slot = 0
         while True:
             head = heap[0] if heap else None
@@ -687,6 +815,7 @@ class SimEngine:
             self._dispatch(kind, payload, t_us)
         state.clock_us = horizon_us
         self._flush_samples(horizon_us + 1)
+        self._close_trace()
         for srv in state.servers:
             for gpu in srv.gpus:
                 gpu.accrue(horizon_us)
@@ -726,7 +855,7 @@ class SimEngine:
             ),
         )
         gpu_ids = tuple(g.id for s in self.scenario.servers for g in s.gpus)
-        if self.trace:
+        if len(self.trace):
             summary = summarize(self.trace, len(misses))
         else:
             summary = Summary({}, 0.0, len(misses))

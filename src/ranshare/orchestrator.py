@@ -215,7 +215,6 @@ class GpuState:
     ran_integral: float = 0.0
     ai_integral: float = 0.0
     last_accrue_us: int = 0
-    annotations: dict[str, int] = field(default_factory=dict)
 
     def refresh_caches(self):
         self.ran_cap = self.free_cap = 0.0
@@ -240,9 +239,6 @@ class GpuState:
             self.ai_integral += (self.ai_hard + self.ai_free_eff) * dt
             self.last_accrue_us = now_us
 
-    def annotate(self, kind: str, n: int = 1):
-        self.annotations[kind] = self.annotations.get(kind, 0) + n
-
 
 @dataclass
 class ServerState:
@@ -264,6 +260,8 @@ class ClusterState:
     queue: list[tuple[float, str]] = field(init=False, default_factory=list)
     queued: set[str] = field(init=False, default_factory=set)
     pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
+    # (clock_us, gpu id, kind) of each GPU annotation, in order
+    annotations: list[tuple[int, str, str]] = field(init=False, default_factory=list)
     # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
     soft_ran: bool = field(init=False, default=False)
     # every GPU, servers in order and each server's GPUs in order
@@ -281,6 +279,10 @@ class ClusterState:
 
     def gpu_by_id(self, gpu_id: str) -> GpuState:
         return self._gpus[gpu_id]
+
+    def annotate(self, gpu: GpuState, kind: str):
+        """Log ``kind`` on ``gpu`` now; the engine notes it on the next sample."""
+        self.annotations.append((self.clock_us, gpu.device.id, kind))
 
     def enqueue(self, job: AiJob):
         bisect.insort(self.queue, (job.arrival_time, job.id))
@@ -433,7 +435,6 @@ def settle_slot(
                     applied = True
         if rem > TOL:
             miss_sink.append((t_s, srv.server.id, rem))
-            srv.gpus[0].annotate("miss")
     return applied
 
 
@@ -456,12 +457,14 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     gpu.throttled = eff_total < gpu.ai_free - TOL
 
 
-# A numpy pass has a fixed cost: it breaks even with slot-by-slot settlement
-# at about 75 slots on 2 GPUs and 16 slots on 64 (measured on poc and
-# cluster_diurnal), so segments shorter than VECTOR_MIN_SLOTS settle slot by
+# A numpy pass has a fixed cost, which settle_slot's per-GPU cost pays back
+# sooner on a larger fleet: it breaks even with slot-by-slot settlement at
+# about 75 slots on 2 GPUs and 16 slots on 64 (measured on poc and
+# cluster_diurnal). With VECTOR_MIN_SLOTS = (a, b), segments shorter than
+# a + b / n_gpus slots, the line through those two points, settle slot by
 # slot. Longer ones are passed in chunks of at most CHUNK_CELLS (slot, GPU)
 # elements, so that the arrays stay small however long the segment is.
-VECTOR_MIN_SLOTS = 32
+VECTOR_MIN_SLOTS = (14.1, 121.8)
 CHUNK_CELLS = 16384
 
 
@@ -501,7 +504,8 @@ def settle_segment(
       event's slot, the last, or, when it lies in (0, 0.5) us and so has no
       event, at the second): after one ``settle_slot`` every slot repeats it;
     * slot by slot with ``settle_slot``, while a GPU is settling and for
-      segments shorter than ``VECTOR_MIN_SLOTS``;
+      segments shorter than the cutoff ``VECTOR_MIN_SLOTS`` sets for the
+      fleet's size;
     * otherwise numpy passes of up to ``CHUNK_CELLS`` (slot, GPU) elements, with
       ``settle_slot`` at each slot whose throttle test fires.
 
@@ -509,11 +513,11 @@ def settle_segment(
     events, so the call returns after it: the return value is the number of
     slots settled. ``samples`` are the times (us) of the utilization
     samples due before the segment's last slot; a sample at ``t`` shows the
-    state after the last slot at or before ``t``. For each sample whose
-    slot is settled before the last slot settled, ``emit(ran, ai)``
-    receives the per-GPU levels (``state.gpus`` order) of that state, with
-    the slot's misses already annotated; ``emit(ran, ai, n)`` stands for
-    ``n`` such calls in a row.
+    state after the last slot at or before ``t``. The samples whose slot
+    is settled before the last slot settled are handed over in order, in
+    blocks: ``emit(ran, ai, n)`` records the next ``n`` samples, where
+    ``ran`` and ``ai`` give the per-GPU levels (``state.gpus`` order)
+    either as one row that holds for all ``n`` or as an (n, GPU) array.
     """
     if any(gpu.settling_until_us >= first_us for gpu in state.gpus):
         return _settle_slots(
@@ -525,7 +529,8 @@ def settle_segment(
             return _settle_steady(
                 state, first_us, count, steady, miss_sink, track_forecast, samples, emit
             )
-    if count < VECTOR_MIN_SLOTS:
+    a, b = VECTOR_MIN_SLOTS
+    if count < a + b / len(state.gpus):
         return _settle_slots(
             state, first_us, count, demand, miss_sink, track_forecast, samples, emit
         )
@@ -553,9 +558,10 @@ def _settle_slots(state, first_us, count, demand, miss_sink, track_forecast, sam
         t_us = first_us + j * slot_us
         if _settle_one(state, t_us, demand, miss_sink, track_forecast):
             return j + 1
-        while i < len(samples) and samples[i] < t_us + slot_us:
-            emit(*_state_levels(state))
-            i += 1
+        hi = bisect.bisect_left(samples, t_us + slot_us, i)
+        if hi > i:
+            emit(*_state_levels(state), hi - i)
+            i = hi
     return count
 
 
@@ -583,20 +589,8 @@ def _settle_steady(state, first_us, count, demands, miss_sink, track_forecast, s
     if settle_slot(state, first_us / US, demands, miss_sink, track_forecast):
         return 1
     missed = miss_sink[before:]
-    ran, ai = _state_levels(state)
-    if not missed:
-        emit(ran, ai, len(samples))
-    else:
-        missed_ids = {sid for _t, sid, _sf in missed}
-        heads = [srv.gpus[0] for srv in state.servers if srv.server.id in missed_ids]
-        done = 0  # slots whose misses are annotated
-        for k in [(t - first_us) // slot_us for t in samples] + [count - 1]:
-            if k > done:
-                for gpu in heads:
-                    gpu.annotate("miss", k - done)
-                done = k
-            if k < count - 1:
-                emit(ran, ai)
+    emit(*_state_levels(state), len(samples))
+    if missed:
         for j in range(1, count):
             t_s = (first_us + j * slot_us) / US
             miss_sink.extend((t_s, sid, shortfall) for _t, sid, shortfall in missed)
@@ -717,20 +711,7 @@ def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, 
     # the slot whose state each sample shows
     marks = (np.arange(samples.start, samples.stop, samples.step) - first_us) // state.slot_us
     marks = marks[marks < stop]
-    ai = ai_level[:, 0].tolist()
-    heads = [(srv.gpus[0], si) for si, srv in enumerate(state.servers) if missed[si].any()]
-    counts = np.cumsum(missed[[si for _g, si in heads]], axis=1)
-    at_marks = counts[:, marks].tolist()
-    done = [0] * len(heads)
-    for i, ran in enumerate(take[:, marks].T.tolist()):
-        for h, (head, _si) in enumerate(heads):
-            if at_marks[h][i] > done[h]:
-                head.annotate("miss", at_marks[h][i] - done[h])
-                done[h] = at_marks[h][i]
-        emit(ran, ai)
-    for h, (head, _si) in enumerate(heads):
-        if counts[h, -1] > done[h]:
-            head.annotate("miss", int(counts[h, -1]) - done[h])
+    emit(take[:, marks].T, ai_level[:, 0], marks.size)
     state.clock_us = int(at_us[-1])
     return stop
 
@@ -1014,7 +995,7 @@ def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
     job.eligible_at_s = state.clock + state.policy.resume_delay_s
     job.server_id = job.gpu_id = job.instance_id = None
     state.enqueue(job)
-    gpu.annotate("preempt")
+    state.annotate(gpu, "preempt")
 
 
 def _reclaim(state: ClusterState, action: ScaleAction):
@@ -1035,7 +1016,7 @@ def _reclaim(state: ClusterState, action: ScaleAction):
             state.hooks.log_event(
                 "trim", gpu.device.id, f"job={job.id} fraction={delta:.6f}"
             )
-            gpu.annotate("trim")
+            state.annotate(gpu, "trim")
             delta = 0.0
     _refresh_effective(state, gpu)
 
@@ -1193,7 +1174,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.ai_free_eff = 0.0
     gpu.throttled = False
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
-    gpu.annotate("repartition")
+    state.annotate(gpu, "repartition")
     state.hooks.log_event(
         "repartition",
         gpu.device.id,

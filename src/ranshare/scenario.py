@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import yaml
 
 from .compute import GpuDevice, NfBundle, Server
@@ -25,6 +26,7 @@ from .engine import (
     Scenario,
     Summary,
     TopologySpec,
+    Trace,
     TraceRecord,
     summarize,
 )
@@ -714,41 +716,63 @@ def _write_records(report: MetricsReport) -> str:
         f"mean_turnaround_s={report.job_stats.mean_turnaround_s:.6f}",
         RECORDS_HEADER,
     ]
-    rows: list[tuple[float, int, str]] = []
-    for i, rec in enumerate(report.trace):
-        rows.append(
-            (
-                rec.time_s,
-                i,
-                f"sample,{rec.time_s:.6f},{rec.gpu_id},"
-                f"{rec.ran_fraction:.6f},{rec.ai_fraction:.6f},{rec.annotation}",
-            )
-        )
-    for i, ev in enumerate(report.events):
-        rows.append(
-            (ev.time_s, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}")
-        )
-    for i, miss in enumerate(report.deadline_misses):
-        rows.append(
-            (
-                miss.time_s,
-                i,
-                f"miss,{miss.time_s:.6f},{miss.server_id},,,shortfall={miss.shortfall:.9f}",
-            )
-        )
-    for i, ev in enumerate(report.fabric_violations):
-        rows.append((ev.time_s, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}"))
-    # stable order: records interleave chronologically, entry order preserved
-    # within a category via the index key and category order via tuple order
-    lines.extend(row for _, _, row in sorted(rows, key=lambda r: (r[0], _category(r[2]), r[1])))
+    # every other row, in (time, category, index) order; at equal times
+    # they precede the samples, which are chronological already
+    others = [
+        (ev.time_s, 0, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}")
+        for i, ev in enumerate(report.events)
+    ]
+    others += [
+        (m.time_s, 1, i, f"miss,{m.time_s:.6f},{m.server_id},,,shortfall={m.shortfall:.9f}")
+        for i, m in enumerate(report.deadline_misses)
+    ]
+    others += [
+        (ev.time_s, 2, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}")
+        for i, ev in enumerate(report.fabric_violations)
+    ]
+    others.sort()
+    trace = report.trace
+    samples = _sample_rows(trace)
+    width = len(trace.gpu_ids)
+    done = 0  # samples[:done] are written
+    before = np.searchsorted(trace.times, [t for t, _c, _i, _row in others]).tolist()
+    for s, (_t, _c, _i, row) in zip(before, others):
+        lines.extend(samples[done:s * width])
+        done = s * width
+        lines.append(row)
+    lines.extend(samples[done:])
     return "\n".join(lines) + "\n"
 
 
-_CATEGORY_ORDER = {"sample": 3, "event": 0, "miss": 1, "fabric": 2}
+def _sample_rows(trace: Trace) -> list[str]:
+    """The trace's rows as RECORDS lines, in trace order.
 
-
-def _category(row: str) -> int:
-    return _CATEGORY_ORDER[row.split(",", 1)[0]]
+    Each sample time and each distinct (ran, ai) pair is formatted once;
+    levels are told apart by their bits, so that -0.0 keeps its sign.
+    """
+    if not len(trace):
+        return []
+    levels, level_code = np.unique(
+        np.concatenate((trace.ran.ravel(), trace.ai.ravel())).view(np.int64),
+        return_inverse=True,
+    )
+    text = [f"{v:.6f}" for v in levels.view(np.float64).tolist()]
+    rows, n = trace.ran.size, len(levels)
+    pairs, pair_code = np.unique(
+        level_code[:rows] * n + level_code[rows:], return_inverse=True
+    )
+    pair_text = [f"{text[p // n]},{text[p % n]}," for p in pairs.tolist()]
+    gpus = [f"{gpu_id}," for gpu_id in trace.gpu_ids]
+    codes = iter(pair_code.tolist())
+    lines = []
+    for t in trace.times.tolist():
+        head = f"sample,{t:.6f},"
+        for gpu in gpus:
+            lines.append(head + gpu + pair_text[next(codes)])
+    width = len(gpus)
+    for (s, g), note in trace.notes.items():
+        lines[s * width + g] += note
+    return lines
 
 
 def _write_summary(report: MetricsReport) -> str:
@@ -786,7 +810,7 @@ def parse_records(text: str) -> MetricsReport:
     meta: dict[str, str] = {}
     gpu_ids: tuple[str, ...] = ()
     job_kv: dict[str, str] = {}
-    trace: list[TraceRecord] = []
+    rows: list[TraceRecord] = []
     events: list[EventRecord] = []
     misses: list[DeadlineMiss] = []
     fabric: list[EventRecord] = []
@@ -812,7 +836,7 @@ def parse_records(text: str) -> MetricsReport:
         kind, t_raw, subject, ran_raw, ai_raw, annotation = line.split(",", 5)
         t = float(t_raw)
         if kind == "sample":
-            trace.append(TraceRecord(t, subject, float(ran_raw), float(ai_raw), annotation))
+            rows.append(TraceRecord(t, subject, float(ran_raw), float(ai_raw), annotation))
         elif kind == "event":
             ev_kind, _, detail = annotation.partition(" ")
             events.append(EventRecord(t, ev_kind, subject, detail))
@@ -834,7 +858,11 @@ def parse_records(text: str) -> MetricsReport:
         p95_wait_s=float(job_kv.get("p95_wait_s", 0.0)),
         mean_turnaround_s=float(job_kv.get("mean_turnaround_s", 0.0)),
     )
-    if trace:
+    try:
+        trace = Trace.from_records(rows)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    if len(trace):
         summary = summarize(trace, len(misses))
     else:
         summary = Summary({}, 0.0, len(misses))

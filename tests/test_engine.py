@@ -14,6 +14,7 @@ from ranshare.engine import (
     EventKind,
     Scenario,
     SimEngine,
+    Trace,
     TraceRecord,
     mix_seed,
     run,
@@ -415,7 +416,7 @@ class TestStepApi:
 
 class TestSummarize:
     def _trace(self, pairs, gpu="g1"):
-        return [TraceRecord(t, gpu, ran, ai) for t, ran, ai in pairs]
+        return Trace.from_records(TraceRecord(t, gpu, ran, ai) for t, ran, ai in pairs)
 
     def test_constant_trace(self):
         s = summarize(self._trace([(0.0, 0.4, 0.0), (1.0, 0.4, 0.0), (2.0, 0.4, 0.0)]))
@@ -435,7 +436,7 @@ class TestSummarize:
 
     def test_empty_trace_raises(self):
         with pytest.raises(EmptyTrace):
-            summarize([])
+            summarize(self._trace([]))
 
     def test_peak_and_p95(self):
         recs = self._trace([(float(i), 0.01 * i, 0.0) for i in range(101)])

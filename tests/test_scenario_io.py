@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ranshare.engine import JobStats, MetricsReport, SimEngine, Summary
+from ranshare.engine import JobStats, MetricsReport, SimEngine, Summary, Trace
 from ranshare.errors import ParseError, SchemaError, SemanticError
 from ranshare.orchestrator import PolicyKind
 from ranshare.scenario import (
@@ -182,7 +182,7 @@ class TestReports:
             sample_interval_s=0.01,
             seed=0,
             gpu_ids=(),
-            trace=[],
+            trace=Trace((), [], [], []),
             events=[],
             deadline_misses=[],
             fabric_violations=[],

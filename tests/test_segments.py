@@ -1,12 +1,16 @@
-"""Segment settlement against the per-slot loop it replaced.
+"""Segment settlement and the columnar trace against the paths they replaced.
 
 ``reference_run`` is ``SimEngine.run`` as it was before segments: one
-``settle_slot`` per slot, and samples flushed before every slot and event.
-Random scenarios go through it and through the engine, and everything the
-run leaves behind must be equal: report bytes, the raw miss list, every
-GPU's levels, forecast inputs and level integrals, and every job.
+``settle_slot`` per slot, and samples flushed before every slot and event,
+one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
+``reference_write_records`` are ``summarize`` and the RECORDS writer as
+they were for that list of rows. Random scenarios go through them and
+through the engine, and everything the run leaves behind must be equal:
+report bytes, the rows, the raw miss list, every GPU's levels, forecast
+inputs and level integrals, and every job.
 """
 
+import dataclasses
 import math
 import random
 from heapq import heappop
@@ -17,9 +21,18 @@ import pytest
 
 from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server
-from ranshare.engine import CellSpec, Scenario, SimEngine, build_demand
+from ranshare.engine import (
+    CellSpec,
+    GpuSummary,
+    Scenario,
+    SimEngine,
+    Summary,
+    TraceRecord,
+    build_demand,
+)
+from ranshare.errors import EmptyTrace
 from ranshare.orchestrator import ForecastKind, Policy, PolicyKind
-from ranshare.scenario import parse_scenario, write_report
+from ranshare.scenario import RECORDS_HEADER, parse_records, parse_scenario, write_report
 from ranshare.workload import (
     AiWorkload,
     ArrivalKind,
@@ -39,9 +52,147 @@ ROOT = Path(__file__).resolve().parents[1]
 US = 1_000_000
 
 
+class ReferenceSampler:
+    """The per-row sampling of the engine before the columnar trace.
+
+    ``pending`` stands for each GPU's annotation counts, which every
+    sample took and cleared: a miss counted on the server's first GPU,
+    and each entry of ``state.annotations`` on its GPU.
+    """
+
+    def __init__(self, eng: SimEngine):
+        self.eng = eng
+        self.rows: list[TraceRecord] = []
+        self.pending = {gpu.device.id: {} for gpu in eng.state.gpus}
+        self.heads = {srv.server.id: srv.gpus[0].device.id for srv in eng.state.servers}
+        self.seen_misses = self.seen_notes = 0
+
+    def _collect(self):
+        eng = self.eng
+        for _t, sid, _sf in eng.miss_sink[self.seen_misses:]:
+            kinds = self.pending[self.heads[sid]]
+            kinds["miss"] = kinds.get("miss", 0) + 1
+        for _t, gpu_id, kind in eng.state.annotations[self.seen_notes:]:
+            kinds = self.pending[gpu_id]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        self.seen_misses = len(eng.miss_sink)
+        self.seen_notes = len(eng.state.annotations)
+
+    def _emit_samples(self, ran, ai, count=1):
+        eng = self.eng
+        self._collect()
+        rows = [
+            (gpu.device.id, round(r, 6), round(a, 6))
+            for gpu, r, a in zip(eng.state.gpus, ran, ai)
+        ]
+        for _ in range(count):
+            t_s = eng.next_sample_us / US
+            for gpu_id, r, a in rows:
+                ann = ""
+                if self.pending[gpu_id]:
+                    ann = ";".join(f"{k}:{v}" for k, v in sorted(self.pending[gpu_id].items()))
+                    self.pending[gpu_id].clear()
+                self.rows.append(TraceRecord(t_s, gpu_id, r, a, ann))
+            eng.next_sample_us += eng.sample_us
+
+    def flush(self, before_us: int):
+        eng = self.eng
+        gpus = eng.state.gpus
+        while eng.next_sample_us < before_us and eng.next_sample_us <= eng.horizon_us:
+            self._emit_samples([g.ran_level for g in gpus], [g.ai_level for g in gpus])
+
+
+def reference_summarize(trace: list[TraceRecord], miss_count: int = 0) -> Summary:
+    """``summarize`` over a list of rows, as it was before the columnar trace."""
+    if not trace:
+        raise EmptyTrace("cannot summarize an empty trace")
+    by_gpu: dict[str, list[TraceRecord]] = {}
+    for rec in trace:
+        by_gpu.setdefault(rec.gpu_id, []).append(rec)
+    per_gpu = {}
+    for gpu_id, recs in by_gpu.items():
+        times = [r.time_s for r in recs]
+        weights = [t1 - t0 for t0, t1 in zip(times, times[1:])] + [0.0]
+        span = math.fsum(weights)
+        totals = [r.ran_fraction + r.ai_fraction for r in recs]
+        if span <= 0.0:
+            avg_ran, avg_ai, avg_total = (
+                recs[0].ran_fraction,
+                recs[0].ai_fraction,
+                totals[0],
+            )
+        else:
+            avg_ran = math.fsum(w * r.ran_fraction for w, r in zip(weights, recs)) / span
+            avg_ai = math.fsum(w * r.ai_fraction for w, r in zip(weights, recs)) / span
+            avg_total = math.fsum(w * t for w, t in zip(weights, totals)) / span
+        per_gpu[gpu_id] = GpuSummary(
+            avg_ran=avg_ran,
+            avg_ai=avg_ai,
+            avg_total=avg_total,
+            peak_total=max(totals),
+            p95_total=float(np.percentile(totals, 95)),
+        )
+    avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)
+    return Summary(per_gpu=per_gpu, avg_total=avg_total, miss_count=miss_count)
+
+
+_CATEGORY_ORDER = {"sample": 3, "event": 0, "miss": 1, "fabric": 2}
+
+
+def reference_write_records(report) -> str:
+    """The RECORDS writer as it was before the columnar trace: one full sort."""
+    lines = [
+        "# ranshare-records v1",
+        f"# scenario={report.scenario_name} horizon_s={report.horizon_s:.6f} "
+        f"sample_interval_s={report.sample_interval_s:.6f} seed={report.seed}",
+        "# gpus=" + ",".join(report.gpu_ids),
+        f"# jobs completed={report.job_stats.completed} "
+        f"preempted_events={report.job_stats.preempted_events} "
+        f"rejected={report.job_stats.rejected} "
+        f"queued_at_end={report.job_stats.queued_at_end} "
+        f"running_at_end={report.job_stats.running_at_end} "
+        f"mean_wait_s={report.job_stats.mean_wait_s:.6f} "
+        f"p95_wait_s={report.job_stats.p95_wait_s:.6f} "
+        f"mean_turnaround_s={report.job_stats.mean_turnaround_s:.6f}",
+        RECORDS_HEADER,
+    ]
+    rows: list[tuple[float, int, str]] = []
+    for i, rec in enumerate(report.trace):
+        rows.append(
+            (
+                rec.time_s,
+                i,
+                f"sample,{rec.time_s:.6f},{rec.gpu_id},"
+                f"{rec.ran_fraction:.6f},{rec.ai_fraction:.6f},{rec.annotation}",
+            )
+        )
+    for i, ev in enumerate(report.events):
+        rows.append(
+            (ev.time_s, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}")
+        )
+    for i, miss in enumerate(report.deadline_misses):
+        rows.append(
+            (
+                miss.time_s,
+                i,
+                f"miss,{miss.time_s:.6f},{miss.server_id},,,shortfall={miss.shortfall:.9f}",
+            )
+        )
+    for i, ev in enumerate(report.fabric_violations):
+        rows.append((ev.time_s, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}"))
+    category = lambda row: _CATEGORY_ORDER[row.split(",", 1)[0]]  # noqa: E731
+    lines.extend(row for _, _, row in sorted(rows, key=lambda r: (r[0], category(r[2]), r[1])))
+    return "\n".join(lines) + "\n"
+
+
 def reference_run(eng: SimEngine):
-    """The engine's main loop before segment settlement, slot by slot."""
+    """The engine's main loop before segment settlement, slot by slot.
+
+    The report carries the per-row trace (a list of ``TraceRecord``) and
+    its ``reference_summarize`` summary.
+    """
     state = eng.state
+    sampler = ReferenceSampler(eng)
     horizon_us = eng.horizon_us
     slot_us = eng.slot_us
     heap = eng.heap
@@ -49,7 +200,7 @@ def reference_run(eng: SimEngine):
     while True:
         head = heap[0] if heap else None
         if next_slot < horizon_us and (head is None or next_slot <= head[0]):
-            eng._flush_samples(next_slot)
+            sampler.flush(next_slot)
             orchestrator._settle_one(
                 state, next_slot, eng.demand, eng.miss_sink, eng.track_forecast
             )
@@ -60,18 +211,22 @@ def reference_run(eng: SimEngine):
         t_us, _prio, _seq, kind, payload = heappop(heap)
         if t_us > horizon_us:
             break
-        eng._flush_samples(t_us)
+        sampler.flush(t_us)
         state.clock_us = t_us
         eng._dispatch(kind, payload, t_us)
     state.clock_us = horizon_us
-    eng._flush_samples(horizon_us + 1)
+    sampler.flush(horizon_us + 1)
     for srv in state.servers:
         for gpu in srv.gpus:
             gpu.accrue(horizon_us)
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             eng._accrue_job(job, horizon_us)
-    return eng._report()
+    report = eng._report()  # its summary is empty: eng.trace holds no samples
+    if sampler.rows:
+        summary = reference_summarize(sampler.rows, len(report.deadline_misses))
+        report = dataclasses.replace(report, trace=sampler.rows, summary=summary)
+    return report
 
 
 # -- random scenarios -----------------------------------------------------------
@@ -242,8 +397,12 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     ref = reference_run(ref_eng)
     eng = SimEngine(sc)
     rep = eng.run()
-    assert write_report(rep, "records") == write_report(ref, "records"), label
+    records = write_report(rep, "records")
+    assert records == reference_write_records(ref), label
     assert write_report(rep, "summary") == write_report(ref, "summary"), label
+    assert list(rep.trace) == ref.trace, label
+    again = parse_records(records)
+    assert again.trace == rep.trace and again.summary == rep.summary, label
     assert eng.miss_sink == ref_eng.miss_sink, label
     assert _gpu_state(eng) == _gpu_state(ref_eng), label
     assert _job_state(eng) == _job_state(ref_eng), label
@@ -265,7 +424,7 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
         chunk, crossover = defaults
         if seed % 2:
             rng = random.Random(-seed)
-            chunk, crossover = rng.choice((3, 17, 64)), rng.choice((1, 2, 9))
+            chunk, crossover = rng.choice((3, 17, 64)), (rng.choice((1, 2, 9)), 0.0)
         monkeypatch.setattr(orchestrator, "CHUNK_CELLS", chunk)
         monkeypatch.setattr(orchestrator, "VECTOR_MIN_SLOTS", crossover)
         before = counts.get("_apply_throttle", 0)
@@ -392,7 +551,8 @@ def test_trace_point_without_event():
         sample_interval_s=0.001,
     )
     eng = assert_same_run(sc, "early-point")
-    assert [(r.time_s, r.ran_fraction) for r in eng.trace[:2]] == [(0.0, 0.2), (0.001, 0.36)]
+    rows = list(eng.trace)[:2]
+    assert [(r.time_s, r.ran_fraction) for r in rows] == [(0.0, 0.2), (0.001, 0.36)]
 
 
 def test_steady_segment_count_on_uplift(monkeypatch):
@@ -405,6 +565,7 @@ def test_steady_segment_count_on_uplift(monkeypatch):
     # slot 0, then one slot per 0.1 s epoch segment: 4,000 slots in all
     assert counts["settle_slot"] == 21
     assert report.deadline_misses == []
+    assert_same_run(sc, "uplift")
 
 
 def _grid(horizon_s: float, slot_s: float) -> np.ndarray:
