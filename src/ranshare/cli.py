@@ -13,8 +13,6 @@ import itertools
 import sys
 from pathlib import Path
 
-import yaml
-
 from .engine import SimEngine, mix_seed
 from .errors import (
     ParseError,
@@ -23,7 +21,7 @@ from .errors import (
     SemanticError,
     SimulatorError,
 )
-from .scenario import parse_scenario, write_report
+from .scenario import _build_scenario, _load_yaml, parse_scenario, write_report
 
 EXIT_USAGE = 1
 EXIT_SCHEMA = 2
@@ -106,29 +104,25 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = _load_document(args.scenario)
-    base = parse_scenario(text, name=Path(args.scenario).stem)  # fail early
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not valid YAML: {exc}")
+    doc = _load_yaml(_load_document(args.scenario))
+    name = Path(args.scenario).stem
+    base = _build_scenario(doc, name)  # fail early
     axes = []
     for spec in args.param:
         dotted, _, raw = spec.partition("=")
         if not raw:
             raise SchemaError(f"--param {spec!r}: expected PATH=V1,V2,...")
-        values = [yaml.safe_load(v) for v in raw.split(",")]
+        values = [_load_yaml(v) for v in raw.split(",")]
         axes.append((dotted, values))
     base_seed = args.seed if args.seed is not None else base.seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = Path(args.scenario).stem
     for index, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
         point_doc = copy.deepcopy(doc)
         for (dotted, _), value in zip(axes, combo):
             _set_path(point_doc, dotted, value)
         point_doc["sim"]["seed"] = mix_seed(base_seed, index) & 0x7FFFFFFFFFFFFFFF
-        scenario = parse_scenario(yaml.safe_dump(point_doc), name=f"{name}.p{index}")
+        scenario = _build_scenario(point_doc, f"{name}.p{index}")
         report = SimEngine(scenario).run()
         out_path = out_dir / f"{name}.p{index}.records"
         out_path.write_text(write_report(report, "records"), encoding="utf-8")

@@ -23,6 +23,7 @@ from collections import deque
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,13 +47,21 @@ class ForecastKind(Enum):
     MAX_OVER_WINDOW = "max_over_window"
 
 
+class Interval(NamedTuple):
+    """One entry of a time-split schedule."""
+
+    start_s: float
+    end_s: float
+    ran_fraction: float
+
+
 @dataclass(frozen=True)
 class Policy:
     kind: PolicyKind
     ran_fraction: float = 0.0
     ai_fraction: float = 0.0
     split_gpus: tuple[str, ...] = ()  # empty: see split_targets
-    schedule: tuple[tuple[float, float, float], ...] = ()  # (start_s, end_s, ran_fraction)
+    schedule: tuple[Interval, ...] = ()
     epoch_s: float = 0.1
     safety_margin: float = 0.05
     forecast: ForecastKind = ForecastKind.MAX_OVER_WINDOW
@@ -62,6 +71,11 @@ class Policy:
     settle_slots: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "schedule", tuple(Interval(*iv) for iv in self.schedule))
+        if self.resume_delay_s < 0:
+            raise ValueError("resume_delay_s must be >= 0")
+        if self.settle_slots < 0:
+            raise ValueError("settle_slots must be >= 0")
         if self.kind is PolicyKind.STATIC_SPLIT:
             if self.ran_fraction < 0 or self.ai_fraction < 0:
                 raise ValueError("split fractions must be >= 0")

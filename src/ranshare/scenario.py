@@ -12,7 +12,11 @@ reported with their section path. Reports serialize to two formats:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
+from enum import Enum
+from typing import Any, NamedTuple
 
 import numpy as np
 import yaml
@@ -32,7 +36,7 @@ from .engine import (
 )
 from .errors import ParseError, SchemaError, SemanticError
 from .fabric import FlowKind, FronthaulCalibration, egress_target, flow
-from .orchestrator import DeadlineMiss, ForecastKind, Policy, PolicyKind
+from .orchestrator import DeadlineMiss, ForecastKind, Interval, Policy, PolicyKind
 from .workload import (
     AiWorkload,
     ArrivalKind,
@@ -46,485 +50,413 @@ from .workload import (
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_./-]*$")
 
-_TOP_KEYS = {
-    "topology",
-    "servers",
-    "cells",
-    "calibration",
-    "profiles",
-    "ai_workloads",
-    "policy",
-    "flows",
-    "sim",
-}
+
+class _Loader(yaml.SafeLoader):
+    """PyYAML's SafeLoader, which also reads ``2e-05`` as a float, as YAML 1.2 does.
+
+    YAML 1.1 floats need a dot, so without this a plain ``2e-05`` (the
+    ``repr`` of a float) would be read as a string.
+    """
 
 
-def _require_mapping(obj, path: str) -> dict:
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
+
+
+def _load_yaml(text: str):
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"not valid YAML: {exc}")
+
+
+# -- value types: each checks one document value and converts it to a field value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _is_ident(value) -> bool:
+    return isinstance(value, str) and _ID_RE.match(value) is not None
+
+
+def _type(test, message: str, convert=None):
+    """Values that pass ``test``, read through ``convert``; ``message`` (which
+    may show the value as ``{!r}``) reports the others."""
+
+    def read(value, path: str):
+        if not test(value):
+            raise SchemaError(f"{path}: " + message.format(value))
+        return value if convert is None else convert(value)
+
+    return read
+
+
+def _choice(options, message: str):
+    """One of ``options``: strings, or an Enum's members given by their values."""
+    by_value = {getattr(o, "value", o): o for o in options}
+    return _type(lambda v: isinstance(v, str) and v in by_value, message, by_value.get)
+
+
+def _is_list(value, item) -> bool:
+    return isinstance(value, list) and all(map(item, value))
+
+
+_number = _type(_is_number, "expected a number")
+_integer = _type(_is_integer, "expected an integer", int)
+_count = _type(lambda v: _is_integer(v) and v >= 0, "expected a non-negative integer", int)
+_ident = _type(_is_ident, "must be an identifier (letters/digits/_-./)")
+_gpu_ids = _type(lambda v: _is_list(v, _is_ident), "expected a list of gpu ids", tuple)
+_times = _type(
+    lambda v: _is_list(v, _is_number), "expected a list of times", lambda v: tuple(map(float, v))
+)
+_points = _type(
+    lambda v: _is_list(v, lambda p: _is_list(p, _is_number) and len(p) == 2),
+    "expected a list of [time, value] pairs",
+    lambda v: tuple((float(t), float(x)) for t, x in v),
+)
+
+
+def _plain(value):
+    """A field value as the document writes it."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a mapping")
     return obj
 
 
-def _check_keys(obj: dict, path: str, allowed: set[str], required: set[str] = frozenset()):
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(f"{path}: missing required key {key!r}")
+# -- sections ---------------------------------------------------------------------
+
+_ROOT = "document"  # the path of the whole document in messages
+
+_REQUIRED = "required"  # must be given
+_OPTIONAL = "optional"  # absent or null: the field default; always written
+_SPARSE = "sparse"  # as _OPTIONAL, but left out of the document at its default
 
 
-def _ident(obj: dict, path: str) -> str:
-    value = obj.get("id")
-    if not isinstance(value, str) or not _ID_RE.match(value):
-        raise SchemaError(f"{path}.id: must be an identifier (letters/digits/_-./)")
-    return value
+class _Key(NamedTuple):
+    """One document key: its value type, whether it must be given, and the
+    field it sets (the key itself unless named; ``part.field`` for a field of
+    one of the section's ``parts``)."""
+
+    key: str
+    type: Any
+    need: str = _OPTIONAL
+    field: str = ""
 
 
-def _number(obj: dict, key: str, path: str, default=None):
-    if key not in obj:
-        if default is None:
-            raise SchemaError(f"{path}: missing required key {key!r}")
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number")
-    return value
+class _Section:
+    """A mapping of the document, read into and written from one object.
 
+    ``make`` builds the object from the keys that are given, so an absent
+    optional key takes the dataclass's own field default. With ``make`` None
+    the mapping's keys set fields of the enclosing object instead. ``parts``
+    builds the fields whose own fields are keys of this mapping. With
+    ``kinds``, the value of the ``kind`` key selects which of the keys listed
+    there apply; the keys of other kinds are allowed, but not read or written.
+    """
 
-def _semantic(path: str, exc: Exception) -> SemanticError:
-    return SemanticError(f"{path}: {exc}")
+    def __init__(self, make, *keys: _Key, parts=None, kinds=None):
+        self.make = make
+        self.keys = tuple(k._replace(field=k.field or k.key) for k in keys)
+        self.parts = parts or {}
+        self.kinds = kinds or {}
+        self.kind_keys = set().union(*self.kinds.values())
+        self.allowed = {k.key for k in keys}
+        declared = dataclasses.fields(make) if dataclasses.is_dataclass(make) else ()
+        self.defaults = {f.name: f.default for f in declared}
 
+    def fields(self, obj, path: str) -> dict:
+        """The field values that ``obj``, found at ``path``, gives."""
+        obj = _mapping(obj, path)
+        for key in obj:
+            if key not in self.allowed:
+                raise SchemaError(f"{path}: unknown key {key!r}")
+        prefix = "" if path == _ROOT else f"{path}."  # top-level sections go by their key
+        values: dict = {}
+        for k in self.keys:
+            if k.key in self.kind_keys and k.key not in self.kinds[values["kind"]]:
+                continue
+            if obj.get(k.key) is None and k.need != _REQUIRED:
+                continue
+            if k.key not in obj:
+                raise SchemaError(f"{path}: missing required key {k.key!r}")
+            kpath = prefix + k.key
+            if isinstance(k.type, _Section) and k.type.make is None:
+                values.update(k.type.fields(obj[k.key], kpath))
+                continue
+            value = getattr(k.type, "read", k.type)(obj[k.key], kpath)
+            part, _, name = k.field.rpartition(".")
+            (values.setdefault(part, {}) if part else values)[name] = value
+        return values
 
-def _parse_distribution(obj, path: str, default: Distribution) -> Distribution:
-    if obj is None:
-        return default
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, path, {"kind", "value", "mean", "low", "high"}, {"kind"})
-    kind = obj["kind"]
-    if kind == "constant":
-        return Distribution(kind="constant", value=_number(obj, "value", path))
-    if kind == "exponential":
-        return Distribution(kind="exponential", mean=_number(obj, "mean", path))
-    if kind == "uniform":
-        return Distribution(
-            kind="uniform", low=_number(obj, "low", path), high=_number(obj, "high", path)
-        )
-    raise SchemaError(f"{path}.kind: unknown distribution {kind!r}")
+    def read(self, obj, path: str):
+        values = self.fields(obj, path)
+        try:
+            for part, make in self.parts.items():
+                values[part] = make(**values.get(part, {}))
+            return self.make(**values)
+        except (ValueError, TypeError) as exc:
+            raise SemanticError(f"{path}: {exc}")
 
-
-def _parse_profile(obj: dict, path: str) -> tuple[str, LoadProfile]:
-    _check_keys(
-        obj,
-        path,
-        {"id", "kind", "level", "min", "max", "period_s", "phase", "points"},
-        {"id", "kind"},
-    )
-    pid = _ident(obj, path)
-    kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return pid, LoadProfile(
-                kind=ProfileKind.CONSTANT, level=_number(obj, "level", path)
-            )
-        if kind == "diurnal":
-            return pid, LoadProfile(
-                kind=ProfileKind.DIURNAL_SINUSOID,
-                minimum=_number(obj, "min", path),
-                maximum=_number(obj, "max", path),
-                period_s=_number(obj, "period_s", path),
-                phase=_number(obj, "phase", path, 0.0),
-            )
-        if kind == "trace":
-            points = obj.get("points")
-            if not isinstance(points, list) or not all(
-                isinstance(p, list) and len(p) == 2 for p in points
-            ):
-                raise SchemaError(f"{path}.points: expected a list of [time, value] pairs")
-            return pid, LoadProfile(
-                kind=ProfileKind.TRACE,
-                points=tuple((float(t), float(v)) for t, v in points),
-            )
-    except (ValueError, TypeError) as exc:
-        raise _semantic(path, exc)
-    raise SchemaError(f"{path}.kind: unknown profile kind {kind!r}")
-
-
-def _parse_policy(obj: dict, path: str) -> Policy:
-    _check_keys(
-        obj,
-        path,
-        {
-            "kind",
-            "ran_fraction",
-            "ai_fraction",
-            "gpus",
-            "schedule",
-            "epoch_s",
-            "safety_margin",
-            "forecast",
-            "queue_bound",
-            "resume_delay_s",
-            "settle_slots",
-        },
-        {"kind"},
-    )
-    kind_raw = obj["kind"]
-    try:
-        kind = PolicyKind(kind_raw)
-    except ValueError:
-        raise SchemaError(f"{path}.kind: unknown policy {kind_raw!r}")
-    gpus = obj.get("gpus", [])
-    if not isinstance(gpus, list) or not all(isinstance(g, str) for g in gpus):
-        raise SchemaError(f"{path}.gpus: expected a list of gpu ids")
-    queue_bound = obj.get("queue_bound")
-    if queue_bound is not None and (
-        isinstance(queue_bound, bool) or not isinstance(queue_bound, int) or queue_bound < 0
-    ):
-        raise SchemaError(f"{path}.queue_bound: expected a non-negative integer")
-    kwargs = dict(
-        kind=kind,
-        split_gpus=tuple(gpus),
-        queue_bound=queue_bound,
-        resume_delay_s=_number(obj, "resume_delay_s", path, 0.0),
-        settle_slots=int(_number(obj, "settle_slots", path, 1)),
-    )
-    try:
-        if kind is PolicyKind.STATIC_SPLIT:
-            kwargs["ran_fraction"] = _number(obj, "ran_fraction", path)
-            kwargs["ai_fraction"] = _number(obj, "ai_fraction", path)
-        elif kind is PolicyKind.TIME_SPLIT:
-            sched = obj.get("schedule")
-            if not isinstance(sched, list) or not sched:
-                raise SchemaError(f"{path}.schedule: expected a non-empty list")
-            intervals = []
-            for i, entry in enumerate(sched):
-                epath = f"{path}.schedule[{i}]"
-                entry = _require_mapping(entry, epath)
-                _check_keys(
-                    entry, epath, {"start_s", "end_s", "ran_fraction"},
-                    {"start_s", "end_s", "ran_fraction"},
-                )
-                intervals.append(
-                    (
-                        _number(entry, "start_s", epath),
-                        _number(entry, "end_s", epath),
-                        _number(entry, "ran_fraction", epath),
-                    )
-                )
-            kwargs["schedule"] = tuple(intervals)
-        else:
-            kwargs["epoch_s"] = _number(obj, "epoch_s", path, 0.1)
-            kwargs["safety_margin"] = _number(obj, "safety_margin", path, 0.05)
-            fc = obj.get("forecast")
-            if fc is not None:
-                fc = _require_mapping(fc, f"{path}.forecast")
-                _check_keys(fc, f"{path}.forecast", {"kind", "window_s"}, {"kind"})
-                try:
-                    kwargs["forecast"] = ForecastKind(fc["kind"])
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}.forecast.kind: unknown forecast {fc['kind']!r}"
-                    )
-                kwargs["window_s"] = _number(fc, "window_s", f"{path}.forecast", 0.2)
-        return Policy(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise _semantic(path, exc)
-
-
-def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    """Parse and fully validate a scenario document."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not valid YAML: {exc}")
-    if doc is None:
+    def write(self, obj, **given) -> dict:
+        """The mapping that reads back as ``obj``; ``given`` supplies fields
+        that ``obj`` does not hold."""
         doc = {}
-    doc = _require_mapping(doc, "document")
-    missing = sorted(k for k in ("servers", "policy", "sim") if k not in doc)
+        for k in self.keys:
+            if k.key in self.kind_keys and k.key not in self.kinds[obj.kind]:
+                continue
+            if isinstance(k.type, _Section) and k.type.make is None:
+                doc[k.key] = k.type.write(obj)
+                continue
+            if k.field in given:
+                value = given[k.field]
+            else:
+                value = functools.reduce(getattr, k.field.split("."), obj)
+            if k.need == _SPARSE and value == self.defaults[k.field]:
+                continue
+            doc[k.key] = getattr(k.type, "write", _plain)(value)
+        return doc
+
+
+class _Many(NamedTuple):
+    """A list of ``section`` mappings, read into a tuple; no two share an id."""
+
+    section: _Section
+    noun: str = ""  # what the duplicate-id message calls an item
+    nonempty: bool = False
+
+    def read(self, value, path: str) -> tuple:
+        if not isinstance(value, list) or self.nonempty and not value:
+            raise SchemaError(f"{path}: expected a {'non-empty ' * self.nonempty}list")
+        items, seen = [], set()
+        for i, obj in enumerate(value):
+            items.append(self.section.read(obj, f"{path}[{i}]"))
+            ident = obj.get("id")
+            if ident is not None:
+                if ident in seen:
+                    raise SchemaError(f"{path}[{i}]: duplicate {self.noun} id {ident!r}")
+                seen.add(ident)
+        return tuple(items)
+
+    def write(self, items) -> list:
+        return [self.section.write(item) for item in items]
+
+
+_CELL_CONFIG = (
+    _Key("bandwidth_mhz", _number),
+    _Key("scs_khz", _integer),
+    _Key("tx_antennas", _integer),
+    _Key("rx_antennas", _integer),
+)
+
+_TOPOLOGY = _Section(
+    TopologySpec,
+    _Key("compute_spines", _integer),
+    _Key("compute_leaves", _integer),
+    _Key("converged_spines", _integer),
+    _Key("converged_leaves", _integer),
+    _Key("link_capacity_gbps", _number),
+    _Key("fronthaul_gbps_per_mhz_per_port", _number, field="fronthaul.gbps_per_mhz_per_port"),
+    parts={"fronthaul": FronthaulCalibration},
+)
+
+_GPU = _Section(
+    GpuDevice,
+    _Key("id", _ident, _REQUIRED),
+    _Key("memory_units", _integer),
+    _Key("partition_granularity", _number),
+)
+
+_SERVER = _Section(
+    Server,
+    _Key("id", _ident, _REQUIRED),
+    _Key("cpu_cores", _integer),
+    _Key("nf_bundle", _choice(NfBundle, "unknown bundle {!r}"), field="hosted_nf_bundle"),
+    _Key("frontend_port_gbps", _number),
+    _Key("backend_port_gbps", _number),
+    _Key("gpus", _Many(_GPU, "gpu", nonempty=True), _REQUIRED),
+)
+
+_CALIBRATION = _Section(
+    Calibration,
+    _Key("reference_cell", _Section(CellConfig, *_CELL_CONFIG)),
+    _Key("reference_peak_fraction", _number),
+    _Key("bandwidth_exponent", _number),
+    _Key("antenna_exponent", _number),
+    _Key("idle_floor_fraction", _number),
+)
+
+_PROFILE = _Section(
+    lambda id, **fields: (id, LoadProfile(**fields)),
+    _Key("id", _ident, _REQUIRED),
+    _Key("kind", _choice(ProfileKind, "unknown profile kind {!r}"), _REQUIRED),
+    _Key("level", _number, _REQUIRED),
+    _Key("min", _number, _REQUIRED, "minimum"),
+    _Key("max", _number, _REQUIRED, "maximum"),
+    _Key("period_s", _number, _REQUIRED),
+    _Key("phase", _number),
+    _Key("points", _points, _REQUIRED),
+    kinds={
+        ProfileKind.CONSTANT: {"level"},
+        ProfileKind.DIURNAL_SINUSOID: {"min", "max", "period_s", "phase"},
+        ProfileKind.TRACE: {"points"},
+    },
+)
+
+# a cell names its server and its profile by id; _build_scenario resolves them
+_CELL = _Section(
+    dict,
+    _Key("id", _ident, _REQUIRED),
+    _Key("server", _ident, _REQUIRED, "server_id"),
+    *(k._replace(field=f"config.{k.key}") for k in _CELL_CONFIG),
+    _Key("profile", _ident, _REQUIRED),
+    parts={"config": CellConfig},
+)
+
+_DISTRIBUTION = _Section(
+    Distribution,
+    _Key("kind", _choice(("constant", "exponential", "uniform"), "unknown distribution {!r}"),
+         _REQUIRED),
+    _Key("value", _number, _REQUIRED),
+    _Key("mean", _number, _REQUIRED),
+    _Key("low", _number, _REQUIRED),
+    _Key("high", _number, _REQUIRED),
+    kinds={"constant": {"value"}, "exponential": {"mean"}, "uniform": {"low", "high"}},
+)
+
+_WORKLOAD = _Section(
+    AiWorkload,
+    _Key("id", _ident, _REQUIRED),
+    _Key("arrival", _choice(ArrivalKind, "unknown arrival kind {!r}"), _REQUIRED),
+    _Key("rate_per_s", _number, _SPARSE),
+    _Key("arrivals", _times, _SPARSE, "trace_arrivals"),
+    _Key("job_size", _DISTRIBUTION),
+    _Key("demand_fraction", _DISTRIBUTION),
+    _Key("slo_class", _choice(SloClass, "unknown class {!r}")),
+    _Key("latency_bound_s", _number, _SPARSE),
+)
+
+_POLICY = _Section(
+    Policy,
+    _Key("kind", _choice(PolicyKind, "unknown policy {!r}"), _REQUIRED),
+    _Key("gpus", _gpu_ids, _SPARSE, "split_gpus"),
+    _Key("ran_fraction", _number, _REQUIRED),
+    _Key("ai_fraction", _number, _REQUIRED),
+    _Key("schedule", _Many(_Section(
+        Interval,
+        _Key("start_s", _number, _REQUIRED),
+        _Key("end_s", _number, _REQUIRED),
+        _Key("ran_fraction", _number, _REQUIRED),
+    ), nonempty=True), _REQUIRED),
+    _Key("epoch_s", _number),
+    _Key("safety_margin", _number),
+    _Key("forecast", _Section(
+        None,
+        _Key("kind", _choice(ForecastKind, "unknown forecast {!r}"), _REQUIRED, "forecast"),
+        _Key("window_s", _number),
+    )),
+    _Key("queue_bound", _count, _SPARSE),
+    _Key("resume_delay_s", _number, _SPARSE),
+    _Key("settle_slots", _integer, _SPARSE),
+    kinds={
+        PolicyKind.STATIC_SPLIT: {"ran_fraction", "ai_fraction"},
+        PolicyKind.TIME_SPLIT: {"schedule"},
+        PolicyKind.DYNAMIC_BACKFILL: {"epoch_s", "safety_margin", "forecast"},
+    },
+)
+
+# a flow names its server by id; _build_scenario resolves it and maps the kind
+_FLOW = _Section(
+    dict,
+    _Key("id", _ident, _REQUIRED),
+    _Key("server", _ident, _REQUIRED),
+    _Key("kind", _choice(("egress", "ai_wired"), "expected 'egress' or 'ai_wired'"), _REQUIRED),
+    _Key("rate_gbps", _number),
+)
+
+_SIM = _Section(
+    None,
+    _Key("horizon_s", _number, _REQUIRED),
+    _Key("seed", _integer, _REQUIRED),
+    _Key("sample_interval_s", _number),
+)
+
+_DOCUMENT = _Section(
+    dict,
+    _Key("topology", _TOPOLOGY),
+    _Key("servers", _Many(_SERVER, "server", nonempty=True), _REQUIRED),
+    _Key("calibration", _CALIBRATION),
+    _Key("profiles", _Many(_PROFILE, "profile")),
+    _Key("cells", _Many(_CELL, "cell")),
+    _Key("ai_workloads", _Many(_WORKLOAD, "workload")),
+    _Key("policy", _POLICY, _REQUIRED),
+    _Key("flows", _Many(_FLOW, "flow"), field="static_flows"),
+    _Key("sim", _SIM, _REQUIRED),
+)
+
+
+def _build_scenario(doc, name: str) -> Scenario:
+    """Check a loaded document and build its Scenario."""
+    doc = _mapping({} if doc is None else doc, _ROOT)
+    missing = sorted(k.key for k in _DOCUMENT.keys if k.need == _REQUIRED and k.key not in doc)
     if missing:
-        raise SchemaError("document: missing required sections: " + ", ".join(missing))
-    _check_keys(doc, "document", _TOP_KEYS)
-
-    # topology
-    topo_obj = _require_mapping(doc.get("topology", {}), "topology")
-    _check_keys(
-        topo_obj,
-        "topology",
-        {
-            "compute_spines",
-            "compute_leaves",
-            "converged_spines",
-            "converged_leaves",
-            "link_capacity_gbps",
-            "fronthaul_gbps_per_mhz_per_port",
-        },
-    )
-    topology = TopologySpec(
-        compute_spines=int(_number(topo_obj, "compute_spines", "topology", 2)),
-        compute_leaves=int(_number(topo_obj, "compute_leaves", "topology", 4)),
-        converged_spines=int(_number(topo_obj, "converged_spines", "topology", 2)),
-        converged_leaves=int(_number(topo_obj, "converged_leaves", "topology", 4)),
-        link_capacity_gbps=_number(topo_obj, "link_capacity_gbps", "topology", 100.0),
-        fronthaul=FronthaulCalibration(
-            gbps_per_mhz_per_port=_number(
-                topo_obj, "fronthaul_gbps_per_mhz_per_port", "topology", 0.05
-            )
-        ),
-    )
-
-    # servers and GPUs
-    servers_obj = doc["servers"]
-    if not isinstance(servers_obj, list) or not servers_obj:
-        raise SchemaError("servers: expected a non-empty list")
-    servers = []
-    for i, sobj in enumerate(servers_obj):
-        spath = f"servers[{i}]"
-        sobj = _require_mapping(sobj, spath)
-        _check_keys(
-            sobj,
-            spath,
-            {
-                "id",
-                "cpu_cores",
-                "nf_bundle",
-                "frontend_port_gbps",
-                "backend_port_gbps",
-                "gpus",
-            },
-            {"id", "gpus"},
-        )
-        sid = _ident(sobj, spath)
-        bundle_raw = sobj.get("nf_bundle", "DU_CU_CN")
-        try:
-            bundle = NfBundle(bundle_raw)
-        except ValueError:
-            raise SchemaError(f"{spath}.nf_bundle: unknown bundle {bundle_raw!r}")
-        gpus_obj = sobj["gpus"]
-        if not isinstance(gpus_obj, list) or not gpus_obj:
-            raise SchemaError(f"{spath}.gpus: expected a non-empty list")
-        gpus = []
-        for j, gobj in enumerate(gpus_obj):
-            gpath = f"{spath}.gpus[{j}]"
-            gobj = _require_mapping(gobj, gpath)
-            _check_keys(
-                gobj, gpath, {"id", "memory_units", "partition_granularity"}, {"id"}
-            )
-            try:
-                gpus.append(
-                    GpuDevice(
-                        id=_ident(gobj, gpath),
-                        memory_units=int(_number(gobj, "memory_units", gpath, 96)),
-                        partition_granularity=_number(
-                            gobj, "partition_granularity", gpath, 0.05
-                        ),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise _semantic(gpath, exc)
-        try:
-            servers.append(
-                Server(
-                    id=sid,
-                    gpus=tuple(gpus),
-                    cpu_cores=int(_number(sobj, "cpu_cores", spath, 64)),
-                    hosted_nf_bundle=bundle,
-                    frontend_port_gbps=_number(sobj, "frontend_port_gbps", spath, 100.0),
-                    backend_port_gbps=_number(sobj, "backend_port_gbps", spath, 100.0),
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            raise _semantic(spath, exc)
-    server_ids = {s.id for s in servers}
-
-    # calibration
-    calib_obj = _require_mapping(doc.get("calibration", {}), "calibration")
-    _check_keys(
-        calib_obj,
-        "calibration",
-        {
-            "reference_cell",
-            "reference_peak_fraction",
-            "bandwidth_exponent",
-            "antenna_exponent",
-            "idle_floor_fraction",
-        },
-    )
-    ref_obj = _require_mapping(calib_obj.get("reference_cell", {}), "calibration.reference_cell")
-    _check_keys(
-        ref_obj,
-        "calibration.reference_cell",
-        {"bandwidth_mhz", "scs_khz", "tx_antennas", "rx_antennas"},
-    )
-    try:
-        ref_cell = CellConfig(
-            bandwidth_mhz=_number(ref_obj, "bandwidth_mhz", "calibration.reference_cell", 100.0),
-            scs_khz=int(_number(ref_obj, "scs_khz", "calibration.reference_cell", 30)),
-            tx_antennas=int(_number(ref_obj, "tx_antennas", "calibration.reference_cell", 4)),
-            rx_antennas=int(_number(ref_obj, "rx_antennas", "calibration.reference_cell", 4)),
-        )
-        calibration = Calibration(
-            reference_cell=ref_cell,
-            reference_peak_fraction=_number(
-                calib_obj, "reference_peak_fraction", "calibration", 0.40
-            ),
-            bandwidth_exponent=_number(calib_obj, "bandwidth_exponent", "calibration", 1.0),
-            antenna_exponent=_number(calib_obj, "antenna_exponent", "calibration", 1.0),
-            idle_floor_fraction=_number(calib_obj, "idle_floor_fraction", "calibration", 0.0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise _semantic("calibration", exc)
-
-    # profiles
-    profiles: dict[str, LoadProfile] = {}
-    for i, pobj in enumerate(doc.get("profiles", []) or []):
-        ppath = f"profiles[{i}]"
-        pid, profile = _parse_profile(_require_mapping(pobj, ppath), ppath)
-        if pid in profiles:
-            raise SchemaError(f"{ppath}: duplicate profile id {pid!r}")
-        profiles[pid] = profile
-
-    # cells
+        raise SchemaError(f"{_ROOT}: missing required sections: " + ", ".join(missing))
+    fields = _DOCUMENT.fields(doc, _ROOT)
+    servers = {s.id: s for s in fields["servers"]}
+    profiles = dict(fields.pop("profiles", ()))
     cells = []
-    for i, cobj in enumerate(doc.get("cells", []) or []):
-        cpath = f"cells[{i}]"
-        cobj = _require_mapping(cobj, cpath)
-        _check_keys(
-            cobj,
-            cpath,
-            {
-                "id",
-                "server",
-                "bandwidth_mhz",
-                "scs_khz",
-                "tx_antennas",
-                "rx_antennas",
-                "profile",
-            },
-            {"id", "server", "profile"},
-        )
-        cid = _ident(cobj, cpath)
-        server_ref = cobj["server"]
-        if server_ref not in server_ids:
-            raise SchemaError(f"{cpath}.server: unknown server {server_ref!r}")
-        profile_ref = cobj["profile"]
-        if profile_ref not in profiles:
-            raise SchemaError(f"{cpath}.profile: unknown profile {profile_ref!r}")
+    for i, cell in enumerate(fields.pop("cells", ())):
+        if cell["server_id"] not in servers:
+            raise SchemaError(f"cells[{i}].server: unknown server {cell['server_id']!r}")
+        if cell["profile"] not in profiles:
+            raise SchemaError(f"cells[{i}].profile: unknown profile {cell['profile']!r}")
+        cells.append(CellSpec(**{**cell, "profile": profiles[cell["profile"]]}))
+    flows = []
+    for i, f in enumerate(fields.pop("static_flows", ())):
+        server = servers.get(f["server"])
+        if server is None:
+            raise SchemaError(f"flows[{i}].server: unknown server {f['server']!r}")
+        rate = f.get("rate_gbps", 0.0)
         try:
-            config = CellConfig(
-                bandwidth_mhz=_number(cobj, "bandwidth_mhz", cpath, 100.0),
-                scs_khz=int(_number(cobj, "scs_khz", cpath, 30)),
-                tx_antennas=int(_number(cobj, "tx_antennas", cpath, 4)),
-                rx_antennas=int(_number(cobj, "rx_antennas", cpath, 4)),
-            )
-        except (ValueError, TypeError) as exc:
-            raise _semantic(cpath, exc)
-        cells.append(
-            CellSpec(id=cid, config=config, profile=profiles[profile_ref], server_id=server_ref)
-        )
-
-    # AI workloads
-    workloads = []
-    for i, wobj in enumerate(doc.get("ai_workloads", []) or []):
-        wpath = f"ai_workloads[{i}]"
-        wobj = _require_mapping(wobj, wpath)
-        _check_keys(
-            wobj,
-            wpath,
-            {
-                "id",
-                "arrival",
-                "rate_per_s",
-                "arrivals",
-                "job_size",
-                "demand_fraction",
-                "slo_class",
-                "latency_bound_s",
-            },
-            {"id", "arrival"},
-        )
-        wid = _ident(wobj, wpath)
-        try:
-            arrival = ArrivalKind(wobj["arrival"])
-        except ValueError:
-            raise SchemaError(f"{wpath}.arrival: unknown arrival kind {wobj['arrival']!r}")
-        slo_raw = wobj.get("slo_class", "batch")
-        try:
-            slo = SloClass(slo_raw)
-        except ValueError:
-            raise SchemaError(f"{wpath}.slo_class: unknown class {slo_raw!r}")
-        arrivals = wobj.get("arrivals", [])
-        if not isinstance(arrivals, list):
-            raise SchemaError(f"{wpath}.arrivals: expected a list of times")
-        try:
-            workloads.append(
-                AiWorkload(
-                    id=wid,
-                    arrival=arrival,
-                    rate_per_s=_number(wobj, "rate_per_s", wpath, 0.0),
-                    trace_arrivals=tuple(float(t) for t in arrivals),
-                    job_size=_parse_distribution(
-                        wobj.get("job_size"), f"{wpath}.job_size", Distribution("constant", value=1.0)
-                    ),
-                    demand_fraction=_parse_distribution(
-                        wobj.get("demand_fraction"),
-                        f"{wpath}.demand_fraction",
-                        Distribution("constant", value=1.0),
-                    ),
-                    slo_class=slo,
-                    latency_bound_s=_number(wobj, "latency_bound_s", wpath, 0.0),
-                )
-            )
-        except (ValueError, TypeError) as exc:
-            raise _semantic(wpath, exc)
-
-    policy = _parse_policy(_require_mapping(doc["policy"], "policy"), "policy")
-
-    # explicit flows
-    static_flows = []
-    servers_by_id = {s.id: s for s in servers}
-    for i, fobj in enumerate(doc.get("flows", []) or []):
-        fpath = f"flows[{i}]"
-        fobj = _require_mapping(fobj, fpath)
-        _check_keys(fobj, fpath, {"id", "server", "kind", "rate_gbps"}, {"id", "server", "kind"})
-        fid = _ident(fobj, fpath)
-        server_ref = fobj["server"]
-        if server_ref not in server_ids:
-            raise SchemaError(f"{fpath}.server: unknown server {server_ref!r}")
-        rate = _number(fobj, "rate_gbps", fpath, 0.0)
-        kind_raw = fobj["kind"]
-        if kind_raw == "egress":
-            kind = egress_target(servers_by_id[server_ref])
-            static_flows.append(flow(fid, server_ref, "wan", rate, kind))
-        elif kind_raw == "ai_wired":
-            static_flows.append(flow(fid, "wan", server_ref, rate, FlowKind.AI_WIRED))
-        else:
-            raise SchemaError(f"{fpath}.kind: expected 'egress' or 'ai_wired'")
-
-    # sim section
-    sim_obj = _require_mapping(doc["sim"], "sim")
-    _check_keys(sim_obj, "sim", {"horizon_s", "seed", "sample_interval_s"}, {"horizon_s", "seed"})
-    seed = sim_obj["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError("sim.seed: expected an integer")
-
+            if f["kind"] == "egress":
+                flows.append(flow(f["id"], server.id, "wan", rate, egress_target(server)))
+            else:
+                flows.append(flow(f["id"], "wan", server.id, rate, FlowKind.AI_WIRED))
+        except ValueError as exc:
+            raise SemanticError(f"flows[{i}]: {exc}")
     scenario = Scenario(
         name=name,
-        servers=tuple(servers),
         cells=tuple(cells),
-        calibration=calibration,
-        ai_workloads=tuple(workloads),
-        policy=policy,
-        horizon_s=_number(sim_obj, "horizon_s", "sim"),
-        seed=seed,
-        sample_interval_s=_number(sim_obj, "sample_interval_s", "sim", 0.01),
-        topology=topology,
-        static_flows=tuple(static_flows),
+        calibration=fields.pop("calibration", Calibration()),
+        ai_workloads=fields.pop("ai_workloads", ()),
+        static_flows=tuple(flows),
+        **fields,
     )
     problems = scenario.validate()
     if problems:
         raise SemanticError("; ".join(problems))
     return scenario
+
+
+def parse_scenario(text: str, name: str = "scenario") -> Scenario:
+    """Parse and fully validate a scenario document."""
+    return _build_scenario(_load_yaml(text), name)
 
 
 def load_scenario(path) -> Scenario:
@@ -534,155 +466,35 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
 
 
-# -- scenario write-back ------------------------------------------------------
-
-
 def write_scenario(scenario: Scenario) -> str:
     """Serialize a Scenario back to the document format (identity under parse)."""
-    doc: dict = {}
-    doc["topology"] = {
-        "compute_spines": scenario.topology.compute_spines,
-        "compute_leaves": scenario.topology.compute_leaves,
-        "converged_spines": scenario.topology.converged_spines,
-        "converged_leaves": scenario.topology.converged_leaves,
-        "link_capacity_gbps": scenario.topology.link_capacity_gbps,
-        "fronthaul_gbps_per_mhz_per_port": scenario.topology.fronthaul.gbps_per_mhz_per_port,
-    }
-    doc["servers"] = [
-        {
-            "id": s.id,
-            "cpu_cores": s.cpu_cores,
-            "nf_bundle": s.hosted_nf_bundle.value,
-            "frontend_port_gbps": s.frontend_port_gbps,
-            "backend_port_gbps": s.backend_port_gbps,
-            "gpus": [
-                {
-                    "id": g.id,
-                    "memory_units": g.memory_units,
-                    "partition_granularity": g.partition_granularity,
-                }
-                for g in s.gpus
-            ],
-        }
-        for s in scenario.servers
-    ]
-    ref = scenario.calibration.reference_cell
-    doc["calibration"] = {
-        "reference_cell": {
-            "bandwidth_mhz": ref.bandwidth_mhz,
-            "scs_khz": ref.scs_khz,
-            "tx_antennas": ref.tx_antennas,
-            "rx_antennas": ref.rx_antennas,
-        },
-        "reference_peak_fraction": scenario.calibration.reference_peak_fraction,
-        "bandwidth_exponent": scenario.calibration.bandwidth_exponent,
-        "antenna_exponent": scenario.calibration.antenna_exponent,
-        "idle_floor_fraction": scenario.calibration.idle_floor_fraction,
-    }
-    profiles = []
-    cells = []
-    seen: dict[int, str] = {}
+    pids: dict[int, str] = {}  # cells that share a profile object share its entry
+    profiles, cells = [], []
     for cell in scenario.cells:
-        key = id(cell.profile)
-        if key not in seen:
-            pid = f"profile-{len(seen)}"
-            seen[key] = pid
-            p = cell.profile
-            if p.kind is ProfileKind.CONSTANT:
-                profiles.append({"id": pid, "kind": "constant", "level": p.level})
-            elif p.kind is ProfileKind.DIURNAL_SINUSOID:
-                profiles.append(
-                    {
-                        "id": pid,
-                        "kind": "diurnal",
-                        "min": p.minimum,
-                        "max": p.maximum,
-                        "period_s": p.period_s,
-                        "phase": p.phase,
-                    }
-                )
-            else:
-                profiles.append(
-                    {"id": pid, "kind": "trace", "points": [[t, v] for t, v in p.points]}
-                )
-        cells.append(
-            {
-                "id": cell.id,
-                "server": cell.server_id,
-                "bandwidth_mhz": cell.config.bandwidth_mhz,
-                "scs_khz": cell.config.scs_khz,
-                "tx_antennas": cell.config.tx_antennas,
-                "rx_antennas": cell.config.rx_antennas,
-                "profile": seen[key],
-            }
-        )
-    if profiles:
-        doc["profiles"] = profiles
-    if cells:
-        doc["cells"] = cells
-    workloads = []
-    for w in scenario.ai_workloads:
-        wobj: dict = {"id": w.id, "arrival": w.arrival.value}
-        if w.arrival is ArrivalKind.POISSON:
-            wobj["rate_per_s"] = w.rate_per_s
-        if w.arrival is ArrivalKind.TRACE:
-            wobj["arrivals"] = list(w.trace_arrivals)
-        wobj["job_size"] = _dist_doc(w.job_size)
-        wobj["demand_fraction"] = _dist_doc(w.demand_fraction)
-        wobj["slo_class"] = w.slo_class.value
-        if w.slo_class is SloClass.INTERACTIVE:
-            wobj["latency_bound_s"] = w.latency_bound_s
-        workloads.append(wobj)
-    if workloads:
-        doc["ai_workloads"] = workloads
-    p = scenario.policy
-    pobj: dict = {"kind": p.kind.value}
-    if p.split_gpus:
-        pobj["gpus"] = list(p.split_gpus)
-    if p.kind is PolicyKind.STATIC_SPLIT:
-        pobj["ran_fraction"] = p.ran_fraction
-        pobj["ai_fraction"] = p.ai_fraction
-    elif p.kind is PolicyKind.TIME_SPLIT:
-        pobj["schedule"] = [
-            {"start_s": s, "end_s": e, "ran_fraction": r} for s, e, r in p.schedule
-        ]
-    else:
-        pobj["epoch_s"] = p.epoch_s
-        pobj["safety_margin"] = p.safety_margin
-        pobj["forecast"] = {"kind": p.forecast.value, "window_s": p.window_s}
-    if p.queue_bound is not None:
-        pobj["queue_bound"] = p.queue_bound
-    if p.resume_delay_s:
-        pobj["resume_delay_s"] = p.resume_delay_s
-    if p.settle_slots != 1:
-        pobj["settle_slots"] = p.settle_slots
-    doc["policy"] = pobj
-    if scenario.static_flows:
-        flows = []
-        for f in scenario.static_flows:
-            if f.kind is FlowKind.AI_WIRED:
-                flows.append(
-                    {"id": f.id, "server": f.dst, "kind": "ai_wired", "rate_gbps": f.rate_gbps}
-                )
-            else:
-                flows.append(
-                    {"id": f.id, "server": f.src, "kind": "egress", "rate_gbps": f.rate_gbps}
-                )
-        doc["flows"] = flows
-    doc["sim"] = {
-        "horizon_s": scenario.horizon_s,
-        "seed": scenario.seed,
-        "sample_interval_s": scenario.sample_interval_s,
+        if id(cell.profile) not in pids:
+            pids[id(cell.profile)] = f"profile-{len(pids)}"
+            profiles.append(_PROFILE.write(cell.profile, id=pids[id(cell.profile)]))
+        cells.append(_CELL.write(cell, profile=pids[id(cell.profile)]))
+    flows = [
+        _FLOW.write(f, server=f.dst, kind="ai_wired")
+        if f.kind is FlowKind.AI_WIRED
+        else _FLOW.write(f, server=f.src, kind="egress")
+        for f in scenario.static_flows
+    ]
+    doc = {
+        "topology": _TOPOLOGY.write(scenario.topology),
+        "servers": [_SERVER.write(s) for s in scenario.servers],
+        "calibration": _CALIBRATION.write(scenario.calibration),
+        "profiles": profiles,
+        "cells": cells,
+        "ai_workloads": [_WORKLOAD.write(w) for w in scenario.ai_workloads],
+        "policy": _POLICY.write(scenario.policy),
+        "flows": flows,
+        "sim": _SIM.write(scenario),
     }
+    # the list sections are left out when empty
+    doc = {key: value for key, value in doc.items() if value}
     return yaml.safe_dump(doc, sort_keys=False)
-
-
-def _dist_doc(d: Distribution) -> dict:
-    if d.kind == "constant":
-        return {"kind": "constant", "value": d.value}
-    if d.kind == "exponential":
-        return {"kind": "exponential", "mean": d.mean}
-    return {"kind": "uniform", "low": d.low, "high": d.high}
 
 
 # -- report serialization -------------------------------------------------------

@@ -215,6 +215,21 @@ class Distribution:
     low: float = 0.0
     high: float = 0.0
 
+    def __post_init__(self):
+        if self.kind == "exponential" and not self.mean > 0:
+            raise ValueError("exponential mean must be positive")
+        if self.kind == "uniform" and not self.low <= self.high:
+            raise ValueError("uniform low must not exceed high")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        """Bounds that hold every value ``sample`` can return."""
+        if self.kind == "constant":
+            return self.value, self.value
+        if self.kind == "uniform":
+            return self.low, self.high
+        return 0.0, math.inf
+
     def sample(self, rng: random.Random) -> float:
         if self.kind == "constant":
             return self.value
@@ -255,6 +270,13 @@ class AiWorkload:
             raise ValueError("rate must be >= 0")
         if self.slo_class is SloClass.INTERACTIVE and self.latency_bound_s <= 0:
             raise ValueError("interactive workloads need a positive latency bound")
+        # AiJob rejects a sampled value outside these ranges, so a workload
+        # whose every value falls outside could only fail during the run
+        lo, hi = self.demand_fraction.support
+        if hi <= 0.0 or lo > 1.0:
+            raise ValueError("demand_fraction has no value in (0, 1]")
+        if self.job_size.support[1] <= 0.0:
+            raise ValueError("job_size has no positive value")
 
 
 @dataclass

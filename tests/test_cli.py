@@ -39,6 +39,26 @@ class TestValidate:
         bad.write_text(text)
         assert main(["validate", str(bad)]) == 3
 
+    @pytest.mark.parametrize("section", ["cells", "flows", "ai_workloads", "profiles"])
+    def test_non_list_section_exit_2(self, tmp_path, capsys, section):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(
+            "servers: [{id: s1, gpus: [{id: g1}]}]\n"
+            "policy: {kind: dynamic_backfill}\n"
+            "sim: {horizon_s: 1.0, seed: 3}\n"
+            f"{section}: 5\n"
+        )
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {section}: expected a list\n"
+
+    def test_demand_that_can_only_fail_exit_3(self, tmp_path, scenario_dir, capsys):
+        text = (scenario_dir / "uplift.scenario").read_text()
+        text = text.replace("{kind: constant, value: 1.0}", "{kind: constant, value: 3.0}")
+        bad = tmp_path / "overdemand.scenario"
+        bad.write_text(text)
+        assert main(["validate", str(bad)]) == 3
+        assert "demand_fraction" in capsys.readouterr().err
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
@@ -124,6 +144,14 @@ class TestSweep:
             for i in range(2)
         }
         assert len(seeds) == 2
+
+    def test_bad_param_value_exit_2(self, short_uplift, tmp_path, capsys):
+        rc = main(
+            ["sweep", str(short_uplift), "--param", "policy.safety_margin=[",
+             "--out-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: not valid YAML: ")
 
     def test_bad_param_path(self, short_uplift, tmp_path):
         rc = main(
