@@ -31,15 +31,19 @@ event that fired at t. A sample due before a segment's last slot sees only
 slot settlements, so the segment hands its levels over in blocks of
 samples. The samples go into one columnar ``Trace``, preallocated by
 ``run``: every GPU's raw levels per sample, rounded to 6 decimals in one
-pass at the end. The annotations are made then too, from the miss list
-and ``ClusterState.annotations``: each entry goes to the first sample at
-or after its time, a miss to its server's first GPU.
+pass at the end.
+
+``ClusterState`` is the run's only log: ``state.log`` records every event
+and settlement appends every slot miss to ``state.misses``. The report
+takes both lists as they are; the trace's notes are derived from them at
+the end (``_close_trace``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -49,12 +53,13 @@ import numpy as np
 from . import fabric as fabric_mod
 from . import orchestrator as orch
 from .compute import Server
-from .errors import EmptyTrace, EventInPast, ScenarioInvalid
+from .errors import CalibrationOverflow, EmptyTrace, EventInPast, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration, flow
 from .orchestrator import (
     DeadlineMiss,
     DemandModel,
     EngineHooks,
+    EventRecord,
     Policy,
     PolicyKind,
     apply_actions,
@@ -78,6 +83,8 @@ from .workload import (
 )
 
 US = 1_000_000
+# the events that note the trace: each on its GPU's next sample
+NOTED_EVENTS = frozenset(("preempt", "trim", "repartition"))
 
 
 class EventKind(Enum):
@@ -138,29 +145,6 @@ class Trace:
         self.ai = np.asarray(ai, dtype=float).reshape(shape)
         self.notes: dict[tuple[int, int], str] = dict(notes or {})
 
-    @classmethod
-    def from_records(cls, records: Iterable[TraceRecord]) -> Trace:
-        """Rebuild a trace from its rows, which list every GPU at every sample time."""
-        rows = list(records)
-        gpu_ids: list[str] = []
-        for rec in rows:
-            if rec.gpu_id in gpu_ids:
-                break
-            gpu_ids.append(rec.gpu_id)
-        n = len(gpu_ids)
-        if any(
-            rec.gpu_id != gpu_ids[i % n] or rec.time_s != rows[i - i % n].time_s
-            for i, rec in enumerate(rows)
-        ) or (n and len(rows) % n):
-            raise ValueError("trace rows do not list every GPU at every sample time")
-        return cls(
-            gpu_ids,
-            [rec.time_s for rec in rows[::n or 1]],
-            [rec.ran_fraction for rec in rows],
-            [rec.ai_fraction for rec in rows],
-            {divmod(i, n): rec.annotation for i, rec in enumerate(rows) if rec.annotation},
-        )
-
     def __len__(self) -> int:
         return self.ran.size
 
@@ -181,14 +165,6 @@ class Trace:
             and np.array_equal(self.ai, other.ai)
             and self.notes == other.notes
         )
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    time_s: float
-    kind: str
-    subject: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -272,6 +248,10 @@ class Scenario:
         for cell in self.cells:
             if cell.server_id not in server_ids:
                 problems.append(f"cell {cell.id}: unknown server {cell.server_id}")
+            try:
+                ran_peak_fraction(cell.config, self.calibration)
+            except CalibrationOverflow as exc:
+                problems.append(f"cell {cell.id}: {exc}")
         scs = {c.config.scs_khz for c in self.cells}
         if len(scs) > 1:
             problems.append("all cells must share one subcarrier spacing")
@@ -477,10 +457,6 @@ class _Hooks(EngineHooks):
         job.version += 1
         eng._schedule_completion(job)
 
-    def log_event(self, kind: str, subject: str, detail: str):
-        eng = self.engine
-        eng.events.append(EventRecord(eng.state.clock_us / US, kind, subject, detail))
-
     def on_repartition(self, gpu: orch.GpuState):
         eng = self.engine
         eng._push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))
@@ -511,13 +487,10 @@ class SimEngine:
 
         self.heap: list = []
         self.seq = 0
-        self.events: list[EventRecord] = []
-        self.miss_sink: list = []
         self.fabric_events: list[EventRecord] = []
         # no samples until run() allocates the whole trace
         self.trace = Trace([g.device.id for g in self.state.gpus], [], [], [])
         self.next_sample_us = 0
-        self.track_forecast = scenario.policy.is_dynamic
 
         self.demand = build_demand(scenario)
         self._seed_jobs()
@@ -602,14 +575,8 @@ class SimEngine:
             )
         _loads, violations = fabric_mod.route_flows(self.topology, flows)
         for v in violations:
-            self.fabric_events.append(
-                EventRecord(
-                    t_s,
-                    "capacity",
-                    v.link_id,
-                    f"load={v.load_gbps:.6f} capacity={v.capacity_gbps:.6f}",
-                )
-            )
+            detail = orch.event_detail(load=v.load_gbps, capacity=v.capacity_gbps)
+            self.fabric_events.append(EventRecord(t_s, "capacity", v.link_id, detail))
 
     # -- sampling -----------------------------------------------------------------
 
@@ -636,37 +603,31 @@ class SimEngine:
             )
 
     def _close_trace(self):
-        """Round the recorded levels and annotate the samples.
+        """Round the recorded levels and note the samples.
 
-        An annotation made at time t goes to the first sample at or after
-        t; a server's slot misses annotate the server's first GPU. A row's
-        annotation counts each kind: ``kind:<n>`` joined by ``;``, kinds
-        sorted.
+        Each ``NOTED_EVENTS`` event at time t notes its GPU on the first
+        sample at or after t; each slot miss notes its server's first GPU
+        the same way. A row's note counts each kind: ``kind:<n>`` joined by
+        ``;``, kinds sorted.
         """
         trace = self.trace
         trace.ran = round6(trace.ran)
         trace.ai = round6(trace.ai)
-        n = trace.times.size
-        index = {gpu.device.id: g for g, gpu in enumerate(self.state.gpus)}
-        kinds: dict[tuple[int, int], dict[str, int]] = {}
-        miss_times: dict[str, list[float]] = {}
-        for t, sid, _shortfall in self.miss_sink:
-            miss_times.setdefault(sid, []).append(t)
-        for srv in self.state.servers:
-            if srv.server.id in miss_times:
-                at = np.searchsorted(trace.times, miss_times[srv.server.id])
-                counts = np.bincount(at, minlength=n + 1)[:n]
-                g = index[srv.gpus[0].device.id]
-                for s in np.flatnonzero(counts).tolist():
-                    kinds[s, g] = {"miss": int(counts[s])}
-        for t_us, gpu_id, kind in self.state.annotations:
-            s = -(-t_us // self.sample_us)
-            if s < n:
-                row = kinds.setdefault((s, index[gpu_id]), {})
-                row[kind] = row.get(kind, 0) + 1
+        state = self.state
+        index = {gpu.device.id: g for g, gpu in enumerate(state.gpus)}
+        heads = {srv.server.id: index[srv.gpus[0].device.id] for srv in state.servers}
+        noted = [(t, heads[sid], "miss") for t, sid, _shortfall in state.misses]
+        noted += [(ev.time_s, index[ev.subject], ev.kind) for ev in state.events
+                  if ev.kind in NOTED_EVENTS]
+        times, gpus, kinds = zip(*noted) if noted else ((), (), ())
+        at = np.searchsorted(trace.times, times).tolist()
+        rows: dict[tuple[int, int], dict[str, int]] = {}
+        for (s, g, kind), count in Counter(zip(at, gpus, kinds)).items():
+            if s < trace.times.size:
+                rows.setdefault((s, g), {})[kind] = count
         trace.notes = {
             key: ";".join(f"{k}:{v}" for k, v in sorted(row.items()))
-            for key, row in kinds.items()
+            for key, row in rows.items()
         }
 
     # -- dispatch -------------------------------------------------------------------
@@ -680,9 +641,8 @@ class SimEngine:
         """
         last_us = first_us + (count - 1) * self.slot_us
         return settle_segment(
-            self.state, first_us, count, self.demand, self.miss_sink,
-            self.track_forecast, range(self.next_sample_us, last_us, self.sample_us),
-            self._emit_samples,
+            self.state, first_us, count, self.demand,
+            range(self.next_sample_us, last_us, self.sample_us), self._emit_samples,
         )
 
     def _placement_round(self):
@@ -702,6 +662,7 @@ class SimEngine:
                         backfill_queue(state, gpu, budget)
 
     def _dispatch(self, kind: EventKind, payload: tuple, t_us: int):
+        """Handle one heap event; ``state.clock_us`` is ``t_us``."""
         state = self.state
         t_s = t_us / US
         if kind is EventKind.POLICY_EPOCH:
@@ -715,14 +676,9 @@ class SimEngine:
             for srv in state.servers:
                 for gpu in srv.gpus:
                     if gpu.ai_ceiling != prev_ceilings[gpu.device.id]:
-                        self.events.append(
-                            EventRecord(
-                                t_s,
-                                "ceiling",
-                                gpu.device.id,
-                                f"value={gpu.ai_ceiling:.6f} "
-                                f"ai={gpu.ai_hard + gpu.ai_free:.6f}",
-                            )
+                        state.log(
+                            "ceiling", gpu.device.id,
+                            value=gpu.ai_ceiling, ai=gpu.ai_hard + gpu.ai_free,
                         )
             self._placement_round()
             if state.policy.is_dynamic:
@@ -735,19 +691,12 @@ class SimEngine:
                 bound = state.policy.queue_bound
                 if bound is not None and len(state.queue) >= bound:
                     job.state = JobState.REJECTED
-                    self.events.append(
-                        EventRecord(t_s, "reject", job.id, "queue bound exceeded")
-                    )
+                    state.log("reject", job.id, "queue bound exceeded")
                 else:
                     state.enqueue(job)
-                    self.events.append(
-                        EventRecord(
-                            t_s,
-                            "arrival",
-                            job.id,
-                            f"size={job.size_compute_seconds:.6f} "
-                            f"demand={job.demand_fraction:.6f}",
-                        )
+                    state.log(
+                        "arrival", job.id,
+                        size=job.size_compute_seconds, demand=job.demand_fraction,
                     )
             self._placement_round()
         elif kind is EventKind.JOB_COMPLETION:
@@ -762,22 +711,18 @@ class SimEngine:
             job.completion_time = t_s
             job.service_rate = 0.0
             job.version += 1
-            orch._release_grant(state, gpu, job, job.granted_fraction)
+            orch._change_grant(state, gpu, job, -job.granted_fraction)
             gpu.jobs.remove(job)
             orch._refresh_effective(state, gpu)
-            self.events.append(
-                EventRecord(t_s, "completion", job.id, f"gpu={gpu.device.id}")
-            )
+            state.log("completion", job.id, gpu=gpu.device.id)
             self._placement_round()
         elif kind is EventKind.PROFILE_CHANGE:
             self._route_fabric(t_s)
-            self.events.append(EventRecord(t_s, "reroute", "-", "profile step"))
+            state.log("reroute", "-", "profile step")
         elif kind is EventKind.REPARTITION_SETTLED:
             gpu = state.gpu_by_id(payload[0])
             if gpu.settling_until_us <= t_us:
-                self.events.append(
-                    EventRecord(t_s, "settled", gpu.device.id, "slices accepting work")
-                )
+                state.log("settled", gpu.device.id, "slices accepting work")
                 self._placement_round()
 
     # -- main loop ---------------------------------------------------------------
@@ -828,7 +773,7 @@ class SimEngine:
         state = self.state
         # shortfalls and stats are rounded to their serialized precision so
         # RECORDS output round-trips losslessly
-        misses = [DeadlineMiss(t, sid, round(sf, 9)) for t, sid, sf in self.miss_sink]
+        misses = [DeadlineMiss(t, sid, round(sf, 9)) for t, sid, sf in state.misses]
         jobs = list(state.jobs.values())
         waits = [
             j.first_start_time - j.arrival_time
@@ -866,7 +811,7 @@ class SimEngine:
             seed=self.scenario.seed,
             gpu_ids=gpu_ids,
             trace=self.trace,
-            events=self.events,
+            events=state.events,
             deadline_misses=misses,
             fabric_violations=self.fabric_events,
             job_stats=job_stats,

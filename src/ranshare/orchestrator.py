@@ -124,6 +124,33 @@ class ScaleAction:
 
 
 @dataclass(frozen=True)
+class EventRecord:
+    time_s: float
+    kind: str
+    subject: str
+    detail: str
+
+
+def _detail_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_detail_text, value))
+    if isinstance(value, tuple):
+        return ":".join(map(_detail_text, value))
+    if isinstance(value, Enum):
+        return value.value
+    return f"{value:.6f}" if isinstance(value, (int, float)) else value
+
+
+def event_detail(text: str = "", **fields) -> str:
+    """The detail of an event or fabric row: ``text``, or ``key=value`` fields.
+
+    Numbers are written with 6 decimals, enums by value, a tuple's items
+    joined by ``:`` and a list's by ``,``; strings as they are.
+    """
+    return text or " ".join(f"{key}={_detail_text(v)}" for key, v in fields.items())
+
+
+@dataclass(frozen=True)
 class DeadlineMiss:
     time_s: float
     server_id: str
@@ -181,16 +208,13 @@ class EngineHooks:
 
     ``set_rate`` must accrue the job's progress up to the current clock
     before changing its effective rate, and refresh any pending completion
-    event. ``log_event`` records structured events for the output trace.
-    ``on_repartition`` lets the engine schedule the settling-complete event.
+    event. ``on_repartition`` lets the engine schedule the settling-complete
+    event. Events are not hooks: ``ClusterState.log`` records them.
     """
 
     def set_rate(self, job: AiJob, rate: float):
         job.service_rate = rate
         job.version += 1
-
-    def log_event(self, kind: str, subject: str, detail: str):
-        pass
 
     def on_repartition(self, gpu: "GpuState"):
         pass
@@ -274,8 +298,9 @@ class ClusterState:
     queue: list[tuple[float, str]] = field(init=False, default_factory=list)
     queued: set[str] = field(init=False, default_factory=set)
     pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
-    # (clock_us, gpu id, kind) of each GPU annotation, in order
-    annotations: list[tuple[int, str, str]] = field(init=False, default_factory=list)
+    # the run log: every event, and every slot miss as (t_s, server id, shortfall)
+    events: list[EventRecord] = field(init=False, default_factory=list)
+    misses: list[tuple[float, str, float]] = field(init=False, default_factory=list)
     # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
     soft_ran: bool = field(init=False, default=False)
     # every GPU, servers in order and each server's GPUs in order
@@ -294,9 +319,11 @@ class ClusterState:
     def gpu_by_id(self, gpu_id: str) -> GpuState:
         return self._gpus[gpu_id]
 
-    def annotate(self, gpu: GpuState, kind: str):
-        """Log ``kind`` on ``gpu`` now; the engine notes it on the next sample."""
-        self.annotations.append((self.clock_us, gpu.device.id, kind))
+    def log(self, kind: str, subject: str, text: str = "", **fields):
+        """Record event ``kind`` about ``subject`` now; ``event_detail`` writes its detail."""
+        self.events.append(
+            EventRecord(self.clock_us / US, kind, subject, event_detail(text, **fields))
+        )
 
     def enqueue(self, job: AiJob):
         bisect.insort(self.queue, (job.arrival_time, job.id))
@@ -392,22 +419,16 @@ def _split_layout(ran: float, ai: float) -> tuple[list[float], list[TenantClass]
 # -- slot-level settlement ---------------------------------------------------
 
 
-def settle_slot(
-    state: ClusterState,
-    t_s: float,
-    demands: list[float],
-    miss_sink: list,
-    track_forecast: bool = False,
-) -> bool:
+def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     """Grant RAN demand before AI renewal for one slot; record misses.
 
     Per server, demand fills GPUs in declaration order: hard RAN slices
-    first, then (dynamic policy only) FREE capacity. AI grants inside FREE
-    slices are capped at what RAN left over; hard AI slices are untouched
-    by construction. Misses are appended to ``miss_sink`` as
-    ``(t_s, server_id, shortfall)`` tuples when shortfall exceeds 1e-9.
-    Returns True when a GPU's throttle was applied, which may have changed
-    job rates and, through the hooks, scheduled events.
+    first, then (dynamic policy only, which also feeds the forecaster) FREE
+    capacity. AI grants inside FREE slices are capped at what RAN left over;
+    hard AI slices are untouched by construction. Misses are appended to
+    ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
+    exceeds 1e-9. Returns True when a GPU's throttle was applied, which may
+    have changed job rates and, through the hooks, scheduled events.
     """
     soft = state.soft_ran
     now_us = state.clock_us
@@ -428,7 +449,7 @@ def settle_slot(
             else:
                 take = cap
                 rem -= cap
-            if track_forecast:
+            if soft:
                 # what this GPU was asked to serve, for the forecaster
                 asked = take + (rem if gpu is srv.gpus[-1] else 0.0)
                 gpu.demand_last = asked
@@ -448,7 +469,7 @@ def settle_slot(
                     _apply_throttle(state, gpu, allowed)
                     applied = True
         if rem > TOL:
-            miss_sink.append((t_s, srv.server.id, rem))
+            state.misses.append((t_s, srv.server.id, rem))
     return applied
 
 
@@ -502,15 +523,13 @@ def settle_segment(
     first_us: int,
     count: int,
     demand: DemandModel,
-    miss_sink: list,
-    track_forecast: bool,
     samples: range,
     emit,
 ) -> int:
     """Settle ``count`` slots from ``first_us`` that no event separates.
 
     The result is that of ``settle_slot`` called once per slot, in order:
-    levels, misses, annotations, forecast inputs and level integrals are
+    levels, misses, forecast inputs and level integrals are
     the same, bit for bit. Three ways, chosen per segment:
 
     * closed form, when demand is stepwise and equal at the first, second
@@ -534,43 +553,34 @@ def settle_segment(
     either as one row that holds for all ``n`` or as an (n, GPU) array.
     """
     if any(gpu.settling_until_us >= first_us for gpu in state.gpus):
-        return _settle_slots(
-            state, first_us, count, demand, miss_sink, track_forecast, samples, emit
-        )
+        return _settle_slots(state, first_us, count, demand, samples, emit)
     if demand.stepwise:
         steady = _steady_demand(demand, first_us, count, state.slot_us)
         if steady is not None:
-            return _settle_steady(
-                state, first_us, count, steady, miss_sink, track_forecast, samples, emit
-            )
+            return _settle_steady(state, first_us, count, steady, samples, emit)
     a, b = VECTOR_MIN_SLOTS
     if count < a + b / len(state.gpus):
-        return _settle_slots(
-            state, first_us, count, demand, miss_sink, track_forecast, samples, emit
-        )
-    return _settle_chunks(
-        state, first_us, count, demand, miss_sink, track_forecast, samples, emit
-    )
+        return _settle_slots(state, first_us, count, demand, samples, emit)
+    return _settle_chunks(state, first_us, count, demand, samples, emit)
 
 
 def _state_levels(state: ClusterState) -> tuple[list[float], list[float]]:
     return [g.ran_level for g in state.gpus], [g.ai_level for g in state.gpus]
 
 
-def _settle_one(state, t_us, demand, miss_sink, track_forecast) -> bool:
+def _settle_one(state, t_us, demand) -> bool:
     state.clock_us = t_us
     t_s = t_us / US
-    demands = [f(t_s) for f in demand.scalar]
-    return settle_slot(state, t_s, demands, miss_sink, track_forecast)
+    return settle_slot(state, t_s, [f(t_s) for f in demand.scalar])
 
 
-def _settle_slots(state, first_us, count, demand, miss_sink, track_forecast, samples, emit):
+def _settle_slots(state, first_us, count, demand, samples, emit):
     """The scalar path: one ``settle_slot`` per slot."""
     slot_us = state.slot_us
     i = 0  # samples[:i] are emitted
     for j in range(count):
         t_us = first_us + j * slot_us
-        if _settle_one(state, t_us, demand, miss_sink, track_forecast):
+        if _settle_one(state, t_us, demand):
             return j + 1
         hi = bisect.bisect_left(samples, t_us + slot_us, i)
         if hi > i:
@@ -590,7 +600,7 @@ def _steady_demand(demand, first_us, count, slot_us) -> list[float] | None:
     return first
 
 
-def _settle_steady(state, first_us, count, demands, miss_sink, track_forecast, samples, emit):
+def _settle_steady(state, first_us, count, demands, samples, emit):
     """Closed form for constant demand: the first slot, then ``count - 1`` repeats.
 
     With demand unchanged and no throttle applied, a second ``settle_slot``
@@ -598,21 +608,22 @@ def _settle_steady(state, first_us, count, demands, miss_sink, track_forecast, s
     repeats the first one's misses.
     """
     slot_us = state.slot_us
-    before = len(miss_sink)
+    misses = state.misses
+    before = len(misses)
     state.clock_us = first_us
-    if settle_slot(state, first_us / US, demands, miss_sink, track_forecast):
+    if settle_slot(state, first_us / US, demands):
         return 1
-    missed = miss_sink[before:]
+    missed = misses[before:]
     emit(*_state_levels(state), len(samples))
     if missed:
         for j in range(1, count):
             t_s = (first_us + j * slot_us) / US
-            miss_sink.extend((t_s, sid, shortfall) for _t, sid, shortfall in missed)
+            misses.extend((t_s, sid, shortfall) for _t, sid, shortfall in missed)
     state.clock_us = first_us + (count - 1) * slot_us
     return count
 
 
-def _settle_chunks(state, first_us, count, demand, miss_sink, track_forecast, samples, emit):
+def _settle_chunks(state, first_us, count, demand, samples, emit):
     """The numpy path, with ``settle_slot`` wherever the throttle test fires."""
     slot_us = state.slot_us
     chunk = max(1, CHUNK_CELLS // len(state.gpus))
@@ -623,20 +634,19 @@ def _settle_chunks(state, first_us, count, demand, miss_sink, track_forecast, sa
             hi = min(j + chunk, count)
             i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
             n = _settle_run(
-                state, first_us + j * slot_us, hi - j, demand, miss_sink,
-                track_forecast, samples[i:i_hi], emit,
+                state, first_us + j * slot_us, hi - j, demand, samples[i:i_hi], emit
             )
             if j + n == hi:
                 j, i = hi, i_hi
                 continue
             j += n
         # the throttle test fires at slot j: settle it alone, and end here
-        _settle_one(state, first_us + j * slot_us, demand, miss_sink, track_forecast)
+        _settle_one(state, first_us + j * slot_us, demand)
         return j + 1
     return count
 
 
-def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, emit) -> int:
+def _settle_run(state, first_us, n, demand, samples, emit) -> int:
     """Settle up to ``n`` slots in one numpy pass; no GPU is settling or throttled.
 
     Arrays are (GPU, slot) or (server, slot). Demand fills one GPU
@@ -702,7 +712,7 @@ def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, 
             gpu.ran_level, gpu.ran_in_free = ran_level, ran_in_free
             gpu.last_accrue_us = accrued_us
             gpu.ran_integral, gpu.ai_integral = ran_integral, ai_integral
-    if track_forecast:
+    if state.soft_ran:
         # what each GPU was asked to serve: its take, plus the server's
         # shortfall on the server's last GPU
         asked = take.copy()
@@ -715,7 +725,7 @@ def _settle_run(state, first_us, n, demand, miss_sink, track_forecast, samples, 
     missed = rem[:, :stop] > TOL
     slots, owners = np.nonzero(missed.T)  # by slot, then by server
     ids = [srv.server.id for srv in state.servers]
-    miss_sink.extend(
+    state.misses.extend(
         (t, ids[si], shortfall)
         for t, si, shortfall in zip(
             t_s[slots].tolist(), owners.tolist(), rem[owners, slots].tolist()
@@ -989,27 +999,33 @@ def _job_sort_newest(jobs: list[AiJob]) -> list[AiJob]:
     return sorted(jobs, key=lambda j: (j.arrival_time, j.id), reverse=True)
 
 
-def _release_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float):
-    gpu.accrue(state.clock_us)  # integrate at the old level first
-    gpu.inst_granted[job.instance_id] -= amount
+def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float):
+    """Add ``amount`` (negative to release) to ``job``'s grant in its slice.
+
+    The GPU's level integrals are accrued at the old level first. The
+    slice's ledger entry, the GPU's FREE or hard AI total and the job's
+    grant all move by ``amount``.
+    """
+    gpu.accrue(state.clock_us)
+    gpu.inst_granted[job.instance_id] += amount
     if job.instance_id in gpu.free_ids:
-        gpu.ai_free -= amount
+        gpu.ai_free += amount
     else:
-        gpu.ai_hard -= amount
-    job.granted_fraction -= amount
+        gpu.ai_hard += amount
+    job.granted_fraction += amount
 
 
 def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
     """Suspend a running job, preserving its remaining work."""
+    state.log("preempt", gpu.device.id, job=job.id, fraction=job.granted_fraction)
     state.hooks.set_rate(job, 0.0)
-    _release_grant(state, gpu, job, job.granted_fraction)
+    _change_grant(state, gpu, job, -job.granted_fraction)
     gpu.jobs.remove(job)
     job.state = JobState.PREEMPTED
     job.preempt_count += 1
     job.eligible_at_s = state.clock + state.policy.resume_delay_s
     job.server_id = job.gpu_id = job.instance_id = None
     state.enqueue(job)
-    state.annotate(gpu, "preempt")
 
 
 def _reclaim(state: ClusterState, action: ScaleAction):
@@ -1020,17 +1036,11 @@ def _reclaim(state: ClusterState, action: ScaleAction):
             break
         if job.granted_fraction <= delta + TOL:
             delta -= job.granted_fraction
-            state.hooks.log_event(
-                "preempt", gpu.device.id, f"job={job.id} fraction={job.granted_fraction:.6f}"
-            )
             preempt_job(state, gpu, job)
         else:
-            _release_grant(state, gpu, job, delta)
+            _change_grant(state, gpu, job, -delta)
             state.hooks.set_rate(job, job.granted_fraction)
-            state.hooks.log_event(
-                "trim", gpu.device.id, f"job={job.id} fraction={delta:.6f}"
-            )
-            state.annotate(gpu, "trim")
+            state.log("trim", gpu.device.id, job=job.id, fraction=delta)
             delta = 0.0
     _refresh_effective(state, gpu)
 
@@ -1050,21 +1060,13 @@ def start_job(
     job.server_id = server_id
     job.gpu_id = gpu.device.id
     job.instance_id = inst_id
-    job.granted_fraction = grant
     if job.first_start_time is None:
         job.first_start_time = state.clock
-    gpu.accrue(state.clock_us)
     gpu.jobs.append(job)
-    gpu.inst_granted[inst_id] = gpu.inst_granted.get(inst_id, 0.0) + grant
-    if inst_id in gpu.free_ids:
-        gpu.ai_free += grant
-    else:
-        gpu.ai_hard += grant
+    _change_grant(state, gpu, job, grant)  # a job out of service holds no grant
     state.hooks.set_rate(job, grant)
     _refresh_effective(state, gpu)
-    state.hooks.log_event(
-        "place", gpu.device.id, f"job={job.id} instance={inst_id} fraction={grant:.6f}"
-    )
+    state.log("place", gpu.device.id, job=job.id, instance=inst_id, fraction=grant)
 
 
 def _refresh_effective(state: ClusterState, gpu: GpuState):
@@ -1079,7 +1081,6 @@ def _refresh_effective(state: ClusterState, gpu: GpuState):
 
 def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
     """Raise under-granted running jobs toward their demand, oldest first."""
-    gpu.accrue(state.clock_us)
     for job in sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)):
         if budget <= TOL:
             break
@@ -1093,16 +1094,9 @@ def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
         extra = min(gap, budget, inst_free)
         if extra <= TOL:
             continue
-        gpu.inst_granted[job.instance_id] += extra
-        if job.instance_id in gpu.free_ids:
-            gpu.ai_free += extra
-        else:
-            gpu.ai_hard += extra
-        job.granted_fraction += extra
+        _change_grant(state, gpu, job, extra)
         state.hooks.set_rate(job, job.granted_fraction)
-        state.hooks.log_event(
-            "grant", gpu.device.id, f"job={job.id} fraction={extra:.6f}"
-        )
+        state.log("grant", gpu.device.id, job=job.id, fraction=extra)
         budget -= extra
     _refresh_effective(state, gpu)
     return budget
@@ -1167,9 +1161,6 @@ def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterSta
 def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu = state.gpu_by_id(action.gpu_id)
     for job in list(gpu.jobs):  # drain AI before resizing
-        state.hooks.log_event(
-            "preempt", gpu.device.id, f"job={job.id} fraction={job.granted_fraction:.6f}"
-        )
         preempt_job(state, gpu, job)
     gpu.accrue(state.clock_us)
     gpu.generation += 1
@@ -1188,12 +1179,5 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.ai_free_eff = 0.0
     gpu.throttled = False
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
-    state.annotate(gpu, "repartition")
-    state.hooks.log_event(
-        "repartition",
-        gpu.device.id,
-        "layout=" + ",".join(
-            f"{f:.6f}:{c.value}" for f, c in zip(action.fractions, action.classes)
-        ),
-    )
+    state.log("repartition", gpu.device.id, layout=list(zip(action.fractions, action.classes)))
     state.hooks.on_repartition(gpu)

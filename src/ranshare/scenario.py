@@ -31,10 +31,9 @@ from .engine import (
     Summary,
     TopologySpec,
     Trace,
-    TraceRecord,
     summarize,
 )
-from .errors import ParseError, SchemaError, SemanticError
+from .errors import ParseError, SchemaError, SemanticError, SimulatorError
 from .fabric import FlowKind, FronthaulCalibration, egress_target, flow
 from .orchestrator import DeadlineMiss, ForecastKind, Interval, Policy, PolicyKind
 from .workload import (
@@ -211,7 +210,7 @@ class _Section:
             for part, make in self.parts.items():
                 values[part] = make(**values.get(part, {}))
             return self.make(**values)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, SimulatorError) as exc:
             raise SemanticError(f"{path}: {exc}")
 
     def write(self, obj, **given) -> dict:
@@ -502,6 +501,31 @@ def write_scenario(scenario: Scenario) -> str:
 
 RECORDS_HEADER = "record,time_s,gpu_id,ran_fraction,ai_fraction,annotation"
 
+_TYPES = {"str": str, "int": int, "float": float}
+# the ``key=value`` header lines as (key, field, type): the report's own
+# scalar fields (``scenario_name`` keyed ``scenario``), and its job stats
+_META = tuple(
+    (f.name.removesuffix("_name"), f.name, _TYPES[f.type])
+    for f in dataclasses.fields(MetricsReport) if f.type in _TYPES
+)
+_JOBS = tuple((f.name, f.name, _TYPES[f.type]) for f in dataclasses.fields(JobStats))
+
+
+def _write_fields(obj, fields) -> str:
+    """``key=value`` for each field; floats with 6 decimals."""
+    return " ".join(
+        f"{key}={getattr(obj, name):.6f}" if kind is float else f"{key}={getattr(obj, name)}"
+        for key, name, kind in fields
+    )
+
+
+def _read_fields(body: str, fields, line: int) -> dict:
+    given = dict(token.partition("=")[::2] for token in body.split())
+    try:
+        return {name: kind(given[key]) for key, name, kind in fields}
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"line {line}: bad or missing header field {exc}") from None
+
 
 def write_report(report: MetricsReport, format: str = "records") -> str:
     """Serialize a report; ``format`` is 'records' or 'summary'."""
@@ -515,17 +539,9 @@ def write_report(report: MetricsReport, format: str = "records") -> str:
 def _write_records(report: MetricsReport) -> str:
     lines = [
         "# ranshare-records v1",
-        f"# scenario={report.scenario_name} horizon_s={report.horizon_s:.6f} "
-        f"sample_interval_s={report.sample_interval_s:.6f} seed={report.seed}",
+        "# " + _write_fields(report, _META),
         "# gpus=" + ",".join(report.gpu_ids),
-        f"# jobs completed={report.job_stats.completed} "
-        f"preempted_events={report.job_stats.preempted_events} "
-        f"rejected={report.job_stats.rejected} "
-        f"queued_at_end={report.job_stats.queued_at_end} "
-        f"running_at_end={report.job_stats.running_at_end} "
-        f"mean_wait_s={report.job_stats.mean_wait_s:.6f} "
-        f"p95_wait_s={report.job_stats.p95_wait_s:.6f} "
-        f"mean_turnaround_s={report.job_stats.mean_turnaround_s:.6f}",
+        "# jobs " + _write_fields(report.job_stats, _JOBS),
         RECORDS_HEADER,
     ]
     # every other row, in (time, category, index) order; at equal times
@@ -618,37 +634,49 @@ def _write_summary(report: MetricsReport) -> str:
 
 
 def parse_records(text: str) -> MetricsReport:
-    """Rebuild a MetricsReport from RECORDS output (inverse of write_report)."""
-    meta: dict[str, str] = {}
-    gpu_ids: tuple[str, ...] = ()
-    job_kv: dict[str, str] = {}
-    rows: list[TraceRecord] = []
+    """Rebuild a MetricsReport from RECORDS output (inverse of write_report).
+
+    Sample rows go straight into the trace's columns: each sample lists the
+    ``# gpus=`` GPUs in order, at one time, later than the previous sample's.
+    """
+    meta: dict = {}
+    job_stats = gpu_ids = None
+    times: list[float] = []
+    ran: list[float] = []
+    ai: list[float] = []
+    notes: dict[tuple[int, int], str] = {}
     events: list[EventRecord] = []
     misses: list[DeadlineMiss] = []
     fabric: list[EventRecord] = []
-    for line in text.splitlines():
-        if not line:
+    g = 0  # the GPU the next sample row is for
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line or line == RECORDS_HEADER:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("scenario="):
-                for token in body.split():
-                    k, _, v = token.partition("=")
-                    meta[k] = v
+                meta = _read_fields(body, _META, number)
             elif body.startswith("gpus="):
                 raw = body[len("gpus="):]
                 gpu_ids = tuple(raw.split(",")) if raw else ()
             elif body.startswith("jobs "):
-                for token in body[len("jobs "):].split():
-                    k, _, v = token.partition("=")
-                    job_kv[k] = v
-            continue
-        if line == RECORDS_HEADER:
+                job_stats = JobStats(**_read_fields(body[len("jobs "):], _JOBS, number))
             continue
         kind, t_raw, subject, ran_raw, ai_raw, annotation = line.split(",", 5)
         t = float(t_raw)
         if kind == "sample":
-            rows.append(TraceRecord(t, subject, float(ran_raw), float(ai_raw), annotation))
+            if not gpu_ids or subject != gpu_ids[g]:
+                raise ParseError(f"line {number}: sample row for {subject!r} is not "
+                                 "the next gpu of the '# gpus=' header")
+            if g == 0 and times and t <= times[-1] or g and t != times[-1]:
+                raise ParseError(f"line {number}: sample row at {t_raw} is out of time order")
+            if g == 0:
+                times.append(t)
+            if annotation:
+                notes[len(times) - 1, g] = annotation
+            ran.append(float(ran_raw))
+            ai.append(float(ai_raw))
+            g = (g + 1) % len(gpu_ids)
         elif kind == "event":
             ev_kind, _, detail = annotation.partition(" ")
             events.append(EventRecord(t, ev_kind, subject, detail))
@@ -658,31 +686,17 @@ def parse_records(text: str) -> MetricsReport:
             fabric.append(EventRecord(t, "capacity", subject, annotation))
         else:
             raise ParseError(f"unknown record type {kind!r}")
-    if "scenario" not in meta:
+    if not meta or gpu_ids is None or job_stats is None:
         raise ParseError("missing records metadata header")
-    job_stats = JobStats(
-        completed=int(job_kv.get("completed", 0)),
-        preempted_events=int(job_kv.get("preempted_events", 0)),
-        rejected=int(job_kv.get("rejected", 0)),
-        queued_at_end=int(job_kv.get("queued_at_end", 0)),
-        running_at_end=int(job_kv.get("running_at_end", 0)),
-        mean_wait_s=float(job_kv.get("mean_wait_s", 0.0)),
-        p95_wait_s=float(job_kv.get("p95_wait_s", 0.0)),
-        mean_turnaround_s=float(job_kv.get("mean_turnaround_s", 0.0)),
-    )
-    try:
-        trace = Trace.from_records(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if g:
+        raise ParseError(f"the last sample lists {g} of {len(gpu_ids)} gpus")
+    trace = Trace(gpu_ids, times, ran, ai, notes)
     if len(trace):
         summary = summarize(trace, len(misses))
     else:
         summary = Summary({}, 0.0, len(misses))
     return MetricsReport(
-        scenario_name=meta["scenario"],
-        horizon_s=float(meta["horizon_s"]),
-        sample_interval_s=float(meta["sample_interval_s"]),
-        seed=int(meta["seed"]),
+        **meta,
         gpu_ids=gpu_ids,
         trace=trace,
         events=events,

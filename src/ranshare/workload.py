@@ -87,6 +87,8 @@ class LoadProfile:
             if self.period_s <= 0:
                 raise ValueError("diurnal period must be positive")
         elif self.kind is ProfileKind.TRACE:
+            if not self.points:
+                raise EmptyTrace("trace profile has no points")
             last = None
             for t, v in self.points:
                 if not 0.0 <= v <= 1.0:
@@ -100,8 +102,6 @@ class LoadProfile:
         return lo, hi - lo, 2.0 * math.pi / self.period_s, self.phase
 
     def _trace_steps(self) -> tuple[list[float], list[float]]:
-        if not self.points:
-            raise EmptyTrace("trace profile has no points")
         return [t for t, _ in self.points], [v for _, v in self.points]
 
     def sampler(self):

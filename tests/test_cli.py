@@ -59,6 +59,32 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 3
         assert "demand_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario, old, new, message",
+        [
+            ("poc", "gpu1\n        partition_granularity: 0.05",
+             "gpu1\n        partition_granularity: 0.3",
+             "servers[0].gpus[0]: gpu1: 1.0/0.3 is not an integer"),
+            ("poc", "scs_khz: 30", "scs_khz: 45", "cells[0]: scs_khz 45 not in"),
+            ("uplift", "bandwidth_mhz: 100.0", "bandwidth_mhz: 400.0",
+             "cell cell1: cell peak 1.6000 exceeds one GPU"),
+            ("poc", "kind: diurnal", "kind: trace\n    points: []",
+             "profiles[0]: trace profile has no points"),
+        ],
+        ids=["granularity", "numerology", "calibration-overflow", "empty-trace"],
+    )
+    def test_what_cannot_run_fails_validate_exit_3(
+        self, tmp_path, scenario_dir, capsys, scenario, old, new, message
+    ):
+        """Inputs that ``run`` would reject are semantic errors for ``validate`` too."""
+        text = (scenario_dir / f"{scenario}.scenario").read_text()
+        assert old in text
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text.replace(old, new, 1))
+        assert main(["validate", str(bad)]) == 3
+        assert message in capsys.readouterr().err
+        assert main(["run", str(bad)]) == 3
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main([]) == 1

@@ -59,9 +59,9 @@ def whole_state():
 
 def settle(state, *demands):
     """Settle one slot at the state's clock; returns its misses."""
-    misses = []
-    settle_slot(state, state.clock, list(demands), misses)
-    return misses
+    before = len(state.misses)
+    settle_slot(state, state.clock, list(demands))
+    return state.misses[before:]
 
 
 def slice_of(gpu_state, cls):
@@ -260,8 +260,7 @@ class TestAllocate:
                 state.clock_us = k * state.slot_us
                 demands = [rng.choice((0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)))
                            for _ in servers]
-                misses = []
-                settle_slot(state, state.clock, demands, misses, policy.is_dynamic)
+                misses = settle(state, *demands)
                 shortfall = {sid: sf for _t, sid, sf in misses}
                 for srv, demand in zip(state.servers, demands):
                     granted = math.fsum(g.ran_level for g in srv.gpus)

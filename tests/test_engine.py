@@ -15,7 +15,6 @@ from ranshare.engine import (
     Scenario,
     SimEngine,
     Trace,
-    TraceRecord,
     mix_seed,
     run,
     summarize,
@@ -415,8 +414,10 @@ class TestStepApi:
 
 
 class TestSummarize:
-    def _trace(self, pairs, gpu="g1"):
-        return Trace.from_records(TraceRecord(t, gpu, ran, ai) for t, ran, ai in pairs)
+    def _trace(self, rows, gpu="g1"):
+        """One GPU's trace from (time, ran, ai) rows."""
+        times, ran, ai = zip(*rows) if rows else ((), (), ())
+        return Trace((gpu,), times, ran, ai)
 
     def test_constant_trace(self):
         s = summarize(self._trace([(0.0, 0.4, 0.0), (1.0, 0.4, 0.0), (2.0, 0.4, 0.0)]))

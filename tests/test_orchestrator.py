@@ -8,6 +8,7 @@ from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.errors import InvalidEpoch
 from ranshare.orchestrator import (
     ActionKind,
+    EventRecord,
     ForecastKind,
     Policy,
     PolicyKind,
@@ -15,6 +16,7 @@ from ranshare.orchestrator import (
     apply_actions,
     backfill_queue,
     build_cluster_state,
+    event_detail,
     initial_partitions,
     plan_placement,
     policy_epoch,
@@ -355,9 +357,9 @@ class TestApplyActions:
 
 def settle_misses(state, demands):
     """Settle one slot at the state's clock; returns its (t, server, shortfall) misses."""
-    misses = []
-    settle_slot(state, state.clock, demands, misses, state.soft_ran)
-    return misses
+    before = len(state.misses)
+    settle_slot(state, state.clock, demands)
+    return state.misses[before:]
 
 
 class TestRanPriority:
@@ -383,12 +385,12 @@ class TestRanPriority:
         state.jobs["j1"] = j
         state.enqueue(j)
         start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.85)
-        settle_slot(state, 0.0, [0.4, 0.0][:1], [], False)
+        settle_slot(state, 0.0, [0.4])
         assert gpu1.ran_level == pytest.approx(0.4)
         assert j.service_rate == pytest.approx(0.60, abs=1e-9)
         assert gpu1.ran_level + gpu1.ai_level <= 1.0 + 1e-9
         # relief: demand drops, AI rate restored
-        settle_slot(state, 0.0005, [0.1], [], False)
+        settle_slot(state, 0.0005, [0.1])
         assert j.service_rate == pytest.approx(0.85)
 
     def test_ran_fills_gpus_in_order(self):
@@ -423,3 +425,52 @@ class TestBackfill:
         enqueue(state, job("i1", 1.0, size=1.0, slo=SloClass.INTERACTIVE, bound=1.0))
         backfill_queue(state, gpu1, math.inf)
         assert state.jobs["i1"].state is JobState.QUEUED
+
+
+class TestEventLog:
+    def test_bare_state_logs_events_with_engine_detail(self):
+        """A state built without an engine records its events, as the engine writes them."""
+        state = poc_state()
+        gpu1 = state.gpu_by_id("gpu1")
+        ai_slice = gpu1.instances[1].id
+        enqueue(state, job("j1", 0.3), job("j2", 0.25, arrival=1.0))
+        start_job(state, state.jobs["j1"], "srv1", gpu1, ai_slice, 0.3)
+        start_job(state, state.jobs["j2"], "srv1", gpu1, ai_slice, 0.25)
+        state.clock_us = 500
+        # newest first: j2 is preempted whole, then j1 trimmed by the rest
+        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.3)])
+        assert state.events == [
+            EventRecord(0.0, "place", "gpu1", f"job=j1 instance={ai_slice} fraction=0.300000"),
+            EventRecord(0.0, "place", "gpu1", f"job=j2 instance={ai_slice} fraction=0.250000"),
+            EventRecord(0.0005, "preempt", "gpu1", "job=j2 fraction=0.250000"),
+            EventRecord(0.0005, "trim", "gpu1", "job=j1 fraction=0.050000"),
+        ]
+        assert state.jobs["j2"].state is JobState.PREEMPTED
+        assert state.jobs["j1"].granted_fraction == pytest.approx(0.25)
+
+    def test_detail_formats(self):
+        assert event_detail("queue bound exceeded") == "queue bound exceeded"
+        assert event_detail(job="j1", size=2, demand=math.inf) == "job=j1 size=2.000000 demand=inf"
+        assert event_detail(layout=[(0.4, RAN), (0.6, AI)]) == "layout=0.400000:RAN,0.600000:AI"
+
+
+def test_grant_changes_accrue_at_the_old_level():
+    """Placing, trimming and preempting integrate the GPU's AI level up to now first."""
+    state = poc_state()
+    gpu1 = state.gpu_by_id("gpu1")
+    ai_slice = gpu1.instances[1].id
+    enqueue(state, job("j1", 0.5), job("j2", 0.1, arrival=1.0))
+    state.clock_us = 1_000
+    start_job(state, state.jobs["j1"], "srv1", gpu1, ai_slice, 0.5)
+    assert gpu1.ai_integral == 0.0
+    state.clock_us = 3_000
+    start_job(state, state.jobs["j2"], "srv1", gpu1, ai_slice, 0.1)
+    assert gpu1.ai_integral == 0.5 * 2_000
+    state.clock_us = 4_000
+    apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.2)])
+    assert gpu1.ai_integral == 0.5 * 2_000 + 0.6 * 1_000
+    assert gpu1.inst_granted[ai_slice] == pytest.approx(0.4) == gpu1.ai_hard
+    state.clock_us = 6_000
+    preempt_job(state, gpu1, state.jobs["j1"])
+    assert gpu1.ai_integral == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
+    assert gpu1.ai_hard == pytest.approx(0.0) and gpu1.inst_granted[ai_slice] == pytest.approx(0.0)

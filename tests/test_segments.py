@@ -57,7 +57,7 @@ class ReferenceSampler:
 
     ``pending`` stands for each GPU's annotation counts, which every
     sample took and cleared: a miss counted on the server's first GPU,
-    and each entry of ``state.annotations`` on its GPU.
+    and each ``preempt``, ``trim`` and ``repartition`` event on its GPU.
     """
 
     def __init__(self, eng: SimEngine):
@@ -65,18 +65,19 @@ class ReferenceSampler:
         self.rows: list[TraceRecord] = []
         self.pending = {gpu.device.id: {} for gpu in eng.state.gpus}
         self.heads = {srv.server.id: srv.gpus[0].device.id for srv in eng.state.servers}
-        self.seen_misses = self.seen_notes = 0
+        self.seen_misses = self.seen_events = 0
 
     def _collect(self):
-        eng = self.eng
-        for _t, sid, _sf in eng.miss_sink[self.seen_misses:]:
+        state = self.eng.state
+        for _t, sid, _sf in state.misses[self.seen_misses:]:
             kinds = self.pending[self.heads[sid]]
             kinds["miss"] = kinds.get("miss", 0) + 1
-        for _t, gpu_id, kind in eng.state.annotations[self.seen_notes:]:
-            kinds = self.pending[gpu_id]
-            kinds[kind] = kinds.get(kind, 0) + 1
-        self.seen_misses = len(eng.miss_sink)
-        self.seen_notes = len(eng.state.annotations)
+        for ev in state.events[self.seen_events:]:
+            if ev.kind in ("preempt", "trim", "repartition"):
+                kinds = self.pending[ev.subject]
+                kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+        self.seen_misses = len(state.misses)
+        self.seen_events = len(state.events)
 
     def _emit_samples(self, ran, ai, count=1):
         eng = self.eng
@@ -201,9 +202,7 @@ def reference_run(eng: SimEngine):
         head = heap[0] if heap else None
         if next_slot < horizon_us and (head is None or next_slot <= head[0]):
             sampler.flush(next_slot)
-            orchestrator._settle_one(
-                state, next_slot, eng.demand, eng.miss_sink, eng.track_forecast
-            )
+            orchestrator._settle_one(state, next_slot, eng.demand)
             next_slot += slot_us
             continue
         if head is None:
@@ -403,10 +402,10 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     assert list(rep.trace) == ref.trace, label
     again = parse_records(records)
     assert again.trace == rep.trace and again.summary == rep.summary, label
-    assert eng.miss_sink == ref_eng.miss_sink, label
+    assert eng.state.misses == ref_eng.state.misses, label
     assert _gpu_state(eng) == _gpu_state(ref_eng), label
     assert _job_state(eng) == _job_state(ref_eng), label
-    assert eng.events == ref_eng.events, label
+    assert eng.state.events == ref_eng.state.events, label
     for rec in rep.trace:
         assert rec.ran_fraction + rec.ai_fraction <= 1.0 + 1e-9, (label, rec)
     return eng
@@ -430,7 +429,7 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
         before = counts.get("_apply_throttle", 0)
         eng = assert_same_run(sc, seed)
         throttled += counts.get("_apply_throttle", 0) > before
-        misses += bool(eng.miss_sink)
+        misses += bool(eng.state.misses)
     # every settlement path, and the cases that force a fallback, were exercised
     for name in PATHS:
         assert counts.get(name, 0) > 0, (name, counts)
@@ -469,7 +468,7 @@ def test_overloaded_dynamic_fleet(monkeypatch):
         sample_interval_s=0.002,
     )
     eng = assert_same_run(sc, "overload")
-    assert calls and eng.miss_sink
+    assert calls and eng.state.misses
     assert max(g.epoch_max for g in eng.state.gpus) > 1.0
 
 

@@ -1,5 +1,6 @@
 """The columnar utilization trace: exact rounding, rows, memory, and the demos."""
 
+import dataclasses
 import os
 import struct
 import subprocess
@@ -15,11 +16,13 @@ from ranshare.engine import (
     JobStats,
     MetricsReport,
     SimEngine,
+    Summary,
     Trace,
     TraceRecord,
     round6,
     summarize,
 )
+from ranshare.errors import ParseError
 from ranshare.orchestrator import DeadlineMiss
 from ranshare.scenario import parse_records, parse_scenario, write_report
 
@@ -73,33 +76,81 @@ def _records():
     ]
 
 
+def _trace(notes=None):
+    """The trace whose rows ``_records`` lists."""
+    notes = {(0, 0): "miss:2", (1, 1): "preempt:1;trim:1"} if notes is None else notes
+    return Trace(("g1", "g2"), [0.0, 0.5], [[0.25, 0.0], [0.125, 0.0]], [[0.5, 1.0], [0.0, 0.75]],
+                 notes)
+
+
+def _report(trace: Trace) -> MetricsReport:
+    return MetricsReport(
+        scenario_name="rows", horizon_s=0.5, sample_interval_s=0.5, seed=0,
+        gpu_ids=trace.gpu_ids, trace=trace, events=[], deadline_misses=[], fabric_violations=[],
+        job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
+        summary=summarize(trace) if len(trace) else Summary({}, 0.0, 0),
+    )
+
+
 class TestTrace:
     def test_rows_round_trip(self):
-        trace = Trace.from_records(_records())
+        trace = _trace()
         assert len(trace) == 4
         assert trace.gpu_ids == ("g1", "g2")
         assert trace.times.tolist() == [0.0, 0.5]
-        assert trace.notes == {(0, 0): "miss:2", (1, 1): "preempt:1;trim:1"}
         assert list(trace) == _records()
-        assert Trace.from_records(trace) == trace
+        assert parse_records(write_report(_report(trace), "records")).trace == trace
 
     def test_unequal_traces(self):
-        trace = Trace.from_records(_records())
-        other = _records()
-        other[2] = TraceRecord(0.5, "g1", 0.125, 0.0, "miss:1")
-        assert Trace.from_records(other) != trace
+        trace = _trace()
+        assert _trace({(0, 0): "miss:2", (1, 0): "miss:1"}) != trace
         assert trace != _records()
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(ValueError):
-            Trace.from_records(_records()[:3])
-        swapped = _records()
-        swapped[2], swapped[3] = swapped[3], swapped[2]
-        with pytest.raises(ValueError):
-            Trace.from_records(swapped)
+        lines = write_report(_report(_trace()), "records").splitlines()
+        with pytest.raises(ParseError, match="lists 1 of 2 gpus"):
+            parse_records("\n".join(lines[:-1]))
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        with pytest.raises(ParseError, match="not the next gpu"):
+            parse_records("\n".join(lines))
+
+    def test_rows_out_of_time_order_rejected(self):
+        lines = write_report(_report(_trace()), "records").splitlines()
+        moved = lines[:-1] + [lines[-1].replace("0.500000", "0.600000", 1)]
+        with pytest.raises(ParseError, match="out of time order"):
+            parse_records("\n".join(moved))
+        backwards = lines[:-2] + [row.replace("0.500000", "0.000000", 1) for row in lines[-2:]]
+        with pytest.raises(ParseError, match="out of time order"):
+            parse_records("\n".join(backwards))
+
+    def test_samples_need_the_gpus_header(self):
+        lines = write_report(_report(_trace()), "records").splitlines()
+        with pytest.raises(ParseError, match="not the next gpu"):
+            parse_records("\n".join(l for l in lines if not l.startswith("# gpus=")))
+        lines = write_report(_report(Trace(("g1", "g2"), [], [], [])), "records").splitlines()
+        with pytest.raises(ParseError, match="metadata header"):
+            parse_records("\n".join(l for l in lines if not l.startswith("# gpus=")))
+
+    def test_header_fields_round_trip(self):
+        report = dataclasses.replace(
+            _report(_trace()), scenario_name="odd-name", horizon_s=12.5, seed=2**63 - 1,
+            job_stats=JobStats(1, 2, 3, 4, 5, 0.25, 0.5, 0.125),
+        )
+        text = write_report(report, "records")
+        assert text.splitlines()[1:4] == [
+            "# scenario=odd-name horizon_s=12.500000 sample_interval_s=0.500000 "
+            "seed=9223372036854775807",
+            "# gpus=g1,g2",
+            "# jobs completed=1 preempted_events=2 rejected=3 queued_at_end=4 "
+            "running_at_end=5 mean_wait_s=0.250000 p95_wait_s=0.500000 "
+            "mean_turnaround_s=0.125000",
+        ]
+        assert parse_records(text) == report
+        with pytest.raises(ParseError, match="rejected"):
+            parse_records(text.replace(" rejected=3", ""))
 
     def test_summary_of_rows(self):
-        s = summarize(Trace.from_records(_records()))
+        s = summarize(_trace())
         assert s.per_gpu["g1"].avg_total == 0.75
         assert s.per_gpu["g2"].peak_total == 1.0
         assert list(s.per_gpu) == ["g1", "g2"]
@@ -107,12 +158,10 @@ class TestTrace:
 
 def test_records_keep_signed_zero_and_merge_order():
     """-0.0 prints with its sign; other rows precede samples at equal times."""
-    trace = Trace.from_records([
-        TraceRecord(0.0, "g1", 0.0, -0.0),
-        TraceRecord(0.0, "g2", -0.0, 0.0, "miss:1"),
-        TraceRecord(0.01, "g1", 0.0, -0.0),
-        TraceRecord(0.01, "g2", 0.0, 0.0),
-    ])
+    trace = Trace(
+        ("g1", "g2"), [0.0, 0.01], [[0.0, -0.0], [0.0, 0.0]], [[-0.0, 0.0], [-0.0, 0.0]],
+        {(0, 1): "miss:1"},
+    )
     report = MetricsReport(
         scenario_name="zeros", horizon_s=0.01, sample_interval_s=0.01, seed=0,
         gpu_ids=("g1", "g2"), trace=trace,
@@ -153,18 +202,24 @@ def test_engine_trace_is_columnar():
 
 
 def test_annotations_go_to_the_next_sample():
-    """An annotation at t goes to the first sample at or after t, kinds counted and sorted."""
+    """A noted event at t goes to the first sample at or after t, kinds counted and sorted."""
     eng = SimEngine(_poc(0.05))
-    eng.state.annotations.extend([
-        (0, "gpu1", "trim"),
-        (0, "gpu1", "preempt"),
-        (0, "gpu1", "trim"),
-        (5_000, "gpu2", "repartition"),
-        (10_000, "gpu2", "preempt"),
-        (50_001, "gpu1", "trim"),  # after the last sample: dropped
+    eng.state.events.extend(EventRecord(t, kind, gpu, "") for t, gpu, kind in [
+        (0.0, "gpu1", "trim"),
+        (0.0, "gpu1", "preempt"),
+        (0.0, "gpu1", "trim"),
+        (0.0, "gpu1", "place"),  # not a noted kind
+        (0.005, "gpu2", "repartition"),
+        (0.01, "gpu2", "preempt"),
+        (0.050001, "gpu1", "trim"),  # after the last sample: dropped
     ])
+    eng.state.misses.extend([(0.0, "srv1", 0.5), (0.0095, "srv1", 0.25)])
     trace = eng.run().trace
-    assert trace.notes == {(0, 0): "preempt:1;trim:2", (1, 1): "preempt:1;repartition:1"}
+    assert trace.notes == {
+        (0, 0): "miss:1;preempt:1;trim:2",
+        (1, 0): "miss:1",
+        (1, 1): "preempt:1;repartition:1",
+    }
 
 
 def test_trace_memory_per_row():

@@ -146,11 +146,10 @@ class TestSampleLoad:
         assert load_at(prof, 11.0) == 0.9
 
     def test_empty_trace(self):
-        prof = LoadProfile(kind=ProfileKind.TRACE, points=())
+        """A trace profile without points is rejected when it is made."""
         with pytest.raises(EmptyTrace):
-            prof.sampler()
-        with pytest.raises(EmptyTrace):
-            prof.vector_sampler()
+            LoadProfile(kind=ProfileKind.TRACE, points=())
+        LoadProfile(kind=ProfileKind.CONSTANT, level=0.5, points=())  # other kinds ignore it
 
     def test_output_in_unit_interval(self):
         rng = random.Random(17)
