@@ -873,12 +873,32 @@ def _forecast(policy: Policy, gpu: GpuState) -> float:
     return f
 
 
+def _window(policy: Policy) -> int:
+    """Epochs a max-over-window forecast spans, the current one included."""
+    return max(1, round(policy.window_s / policy.epoch_s))
+
+
 def _roll_forecast(policy: Policy, gpu: GpuState):
-    window = max(1, round(policy.window_s / policy.epoch_s))
+    window = _window(policy)
     gpu.epoch_history.append(gpu.epoch_max)
     while len(gpu.epoch_history) > window - 1:
         gpu.epoch_history.popleft()
     gpu.epoch_max = gpu.demand_last
+
+
+def forecast_holds(policy: Policy, gpu: GpuState) -> bool:
+    """Whether the next epoch's roll leaves ``gpu``'s forecast inputs as they are.
+
+    It does when the history is full and ``epoch_max`` and every past
+    epoch's maximum equal ``demand_last``.
+    """
+    last = gpu.demand_last
+    history = gpu.epoch_history
+    return (
+        gpu.epoch_max == last
+        and len(history) == _window(policy) - 1
+        and all(past == last for past in history)
+    )
 
 
 def _queued_demand(state: ClusterState) -> float:

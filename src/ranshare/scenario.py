@@ -50,24 +50,37 @@ from .workload import (
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_./-]*$")
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's SafeLoader, which also reads ``2e-05`` as a float, as YAML 1.2 does.
+def _exponent_floats(loader: type) -> type:
+    """Make ``loader`` also read ``2e-05`` as a float, as YAML 1.2 does.
 
     YAML 1.1 floats need a dot, so without this a plain ``2e-05`` (the
     ``repr`` of a float) would be read as a string.
     """
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+        list("-+0123456789"),
+    )
+    return loader
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
-    list("-+0123456789"),
-)
+@_exponent_floats
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """PyYAML's safe loader on libyaml's scanner where PyYAML has it."""
+
+
+@_exponent_floats
+class _PyLoader(yaml.SafeLoader):
+    """The pure-Python safe loader, whose errors show the offending line."""
 
 
 def _load_yaml(text: str):
     try:
         return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError:
+        pass
+    try:  # a document libyaml rejects is read again for the message
+        return yaml.load(text, Loader=_PyLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}")
 

@@ -270,8 +270,9 @@ class AiWorkload:
             raise ValueError("rate must be >= 0")
         if self.slo_class is SloClass.INTERACTIVE and self.latency_bound_s <= 0:
             raise ValueError("interactive workloads need a positive latency bound")
-        # AiJob rejects a sampled value outside these ranges, so a workload
-        # whose every value falls outside could only fail during the run
+        # a workload with no demand in (0, 1] or no positive size is a
+        # mistake: AiJob rejects a demand or size of 0 or less, and
+        # gen_ai_arrivals would cap every demand, all above 1, at 1
         lo, hi = self.demand_fraction.support
         if hi <= 0.0 or lo > 1.0:
             raise ValueError("demand_fraction has no value in (0, 1]")
@@ -325,18 +326,25 @@ class AiJob:
 
 
 def gen_ai_arrivals(workload: AiWorkload, seed: int, horizon_s: float) -> list[AiJob]:
-    """Materialize the workload's job list for one run; deterministic in seed."""
+    """Materialize the workload's job list for one run; deterministic in seed.
+
+    A sampled demand fraction above 1 is capped at 1, the whole GPU.
+    """
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
     rng = random.Random(seed)
     jobs: list[AiJob] = []
+
+    def demand() -> float:
+        # a job can use no more than the one GPU it runs on
+        return min(workload.demand_fraction.sample(rng), 1.0)
 
     def make(i: int, t: float) -> AiJob:
         return AiJob(
             id=f"{workload.id}-{i}",
             arrival_time=t,
             size_compute_seconds=workload.job_size.sample(rng),
-            demand_fraction=workload.demand_fraction.sample(rng),
+            demand_fraction=demand(),
             slo_class=workload.slo_class,
             latency_bound_s=workload.latency_bound_s,
         )
@@ -347,7 +355,7 @@ def gen_ai_arrivals(workload: AiWorkload, seed: int, horizon_s: float) -> list[A
                 id=f"{workload.id}-0",
                 arrival_time=0.0,
                 size_compute_seconds=math.inf,
-                demand_fraction=workload.demand_fraction.sample(rng),
+                demand_fraction=demand(),
                 slo_class=workload.slo_class,
                 latency_bound_s=workload.latency_bound_s,
             )

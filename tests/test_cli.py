@@ -123,6 +123,27 @@ class TestRun:
         assert outs[0] == outs[1]  # identical seeds, identical bytes
         assert outs[0] != outs[2]  # seed flag actually overrides the config
 
+    def test_exponential_demand_above_one_runs(self, tmp_path, capsys):
+        """An exponential demand may sample above 1; a job then asks for the whole GPU."""
+        sc = tmp_path / "heavy.scenario"
+        sc.write_text(
+            "servers: [{id: srv1, gpus: [{id: gpu1}]}]\n"
+            "ai_workloads:\n"
+            "  - {id: jobs, arrival: poisson, rate_per_s: 50.0,\n"
+            "     demand_fraction: {kind: exponential, mean: 0.5}}\n"
+            "policy: {kind: dynamic_backfill}\n"
+            "sim: {horizon_s: 1.0, seed: 1}\n"
+        )
+        assert main(["validate", str(sc)]) == 0
+        out = tmp_path / "heavy.records"
+        assert main(["run", str(sc), "--out", str(out)]) == 0
+        demands = [
+            float(line.split("demand=")[1])
+            for line in out.read_text().splitlines()
+            if ",arrival " in line
+        ]
+        assert len(demands) > 20 and max(demands) == 1.0 and min(demands) < 1.0
+
     def test_summary_format_to_stdout(self, short_poc, capsys):
         assert main(["run", str(short_poc), "--format", "summary"]) == 0
         out = capsys.readouterr().out

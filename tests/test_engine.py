@@ -5,7 +5,10 @@ import subprocess
 import sys
 from heapq import heappop
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranshare import orchestrator as orch
 from ranshare.compute import GpuDevice, Server
@@ -16,6 +19,7 @@ from ranshare.engine import (
     SimEngine,
     Trace,
     mix_seed,
+    p95,
     run,
     summarize,
 )
@@ -445,6 +449,25 @@ class TestSummarize:
         assert s.per_gpu["g1"].peak_total == pytest.approx(1.0)
         assert s.per_gpu["g1"].p95_total == pytest.approx(0.95)
 
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64)
+            | st.sampled_from([0.0, -0.0, 0.35, 0.95, 1.0]),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_p95_is_numpy_percentile_bit_for_bit(self, values):
+        expected = float(np.percentile(values, 95))
+        assert p95(values).hex() == expected.hex()
+        assert p95(np.array(values)).hex() == expected.hex()
+
+    def test_p95_leaves_its_input_alone(self):
+        values = np.array([3.0, 1.0, 2.0])
+        assert p95(values) == pytest.approx(2.9)
+        assert values.tolist() == [3.0, 1.0, 2.0]
+
     def test_report_summary_matches_independent_mean(self):
         # uniform sampling makes the time-weighted mean equal the plain mean
         # over all but the final (zero-width) sample
@@ -709,3 +732,22 @@ class TestOverloadedQueue:
         assert [e[3] for e in state.pending.entries] == [
             e[3] for e in orch.PlacementOrder(queued).entries
         ]
+
+
+def test_run_and_report_do_not_import_numpy_ma():
+    """P95 goes without ``np.percentile``, whose first call imports ``numpy.ma``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, 'src')\n"
+        "from ranshare.engine import run\n"
+        "from ranshare.scenario import load_scenario, write_report\n"
+        "report = run(load_scenario('scenarios/uplift.scenario'))\n"
+        "assert report.job_stats.p95_wait_s == 0.0 and report.summary.per_gpu\n"
+        "write_report(report, 'records')\n"
+        "write_report(report, 'summary')\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False", out.stderr

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 
 import pytest
 import yaml
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from ranshare.engine import JobStats, MetricsReport, SimEngine, Summary, Trace
 from ranshare.errors import ParseError, SchemaError, SemanticError
 from ranshare.orchestrator import PolicyKind
+from ranshare import scenario as scenario_mod
 from ranshare.scenario import (
     load_scenario,
     parse_records,
@@ -634,3 +637,42 @@ def test_write_back_round_trip(text):
     again = parse_scenario(written, name="generated")
     assert again == sc
     assert write_scenario(again) == written
+
+
+# -- the YAML loader --------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _bench_texts() -> list[str]:
+    """The benchmark's four workload documents at seed 1."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [build(ROOT, 1) for build, _fmt in module.WORKLOADS.values()]
+
+
+def test_loader_runs_on_libyaml_where_pyyaml_has_it():
+    base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(scenario_mod._Loader, base)
+    assert issubclass(scenario_mod._PyLoader, yaml.SafeLoader)
+
+
+def test_both_loaders_read_the_same_documents():
+    texts = _bench_texts() + [MINIMAL, scenario_text()]
+    for name in ("poc.scenario", "uplift.scenario"):
+        text = (ROOT / "scenarios" / name).read_text()
+        texts += [text, write_scenario(parse_scenario(text))]
+    for text in texts:
+        fast = yaml.load(text, Loader=scenario_mod._Loader)
+        assert fast == yaml.load(text, Loader=scenario_mod._PyLoader)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(scenario_documents())
+def test_both_loaders_read_generated_documents_alike(text):
+    written = write_scenario(parse_scenario(text, name="generated"))
+    for doc in (text, written):
+        fast = yaml.load(doc, Loader=scenario_mod._Loader)
+        assert fast == yaml.load(doc, Loader=scenario_mod._PyLoader)

@@ -7,7 +7,8 @@ one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
 they were for that list of rows. Random scenarios go through them and
 through the engine, and everything the run leaves behind must be equal:
 report bytes, the rows, the raw miss list, every GPU's levels, forecast
-inputs and level integrals, and every job.
+inputs and level integrals, and every job. Targeted scenarios check the
+same for runs that skip quiescent policy epochs.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server
 from ranshare.engine import (
     CellSpec,
+    EventKind,
     GpuSummary,
     Scenario,
     SimEngine,
@@ -188,6 +190,9 @@ def reference_write_records(report) -> str:
 
 def reference_run(eng: SimEngine):
     """The engine's main loop before segment settlement, slot by slot.
+
+    It ignores what ``_dispatch`` returns, so it runs every policy epoch
+    on the grid: the engine's skipping of quiescent epochs must not show.
 
     The report carries the per-row trace (a list of ``TraceRecord``) and
     its ``reference_summarize`` summary.
@@ -436,6 +441,17 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
     assert misses > 0 and throttled > 0, (misses, throttled)
 
 
+def test_random_scenarios_skip_quiescent_epochs():
+    """Some random dynamic scenarios skip epochs, so the comparison above covers it."""
+    skipped = 0
+    for seed in range(120):
+        sc = random_scenario(seed)
+        if sc.policy.is_dynamic:
+            grid = -(-round(sc.horizon_s * US) // round(sc.policy.epoch_s * US))
+            skipped += len(epoch_times(sc)) < grid
+    assert skipped > 0
+
+
 def test_overloaded_dynamic_fleet(monkeypatch):
     """Shortfalls inside numpy passes reach the forecast inputs and the misses.
 
@@ -556,15 +572,213 @@ def test_trace_point_without_event():
 
 def test_steady_segment_count_on_uplift(monkeypatch):
     """A constant-demand scenario settles one slot per segment, not per slot."""
-    text = (ROOT / "scenarios" / "uplift.scenario").read_text()
-    sc = parse_scenario(text.replace("horizon_s: 600.0", "horizon_s: 2.0"), name="uplift")
+    sc = uplift_variant(2.0)
     counts: dict[str, int] = {}
     _counting(monkeypatch, counts, "settle_slot")
     report = SimEngine(sc).run()
-    # slot 0, then one slot per 0.1 s epoch segment: 4,000 slots in all
-    assert counts["settle_slot"] == 21
+    # slot 0, the segment up to the epoch at 0.1 s, which is quiescent,
+    # and one segment from there to the horizon: 4,000 slots in all
+    assert counts["settle_slot"] == 3
     assert report.deadline_misses == []
     assert_same_run(sc, "uplift")
+
+
+# -- quiescent epochs ----------------------------------------------------------
+
+UPLIFT = (ROOT / "scenarios" / "uplift.scenario").read_text()
+_LEVEL = "kind: constant\n    level: 0.875"
+_BACKLOG = (
+    "  - id: backlog\n    arrival: saturating\n"
+    "    demand_fraction: {kind: constant, value: 1.0}\n    slo_class: batch"
+)
+_POLICY = "  safety_margin: 0.05\n  forecast: {kind: max_over_window, window_s: 0.2}"
+
+
+def uplift_variant(horizon_s: float, profile=None, workloads=None, policy=None) -> Scenario:
+    """``uplift`` over ``horizon_s``, its profile, AI workloads or policy lines replaced.
+
+    Its cell peaks at 0.4 of the GPU, so a load of 0.9 asks for 0.36.
+    """
+    text = UPLIFT.replace("horizon_s: 600.0", f"horizon_s: {horizon_s}")
+    for old, new in ((_LEVEL, profile), (_BACKLOG, workloads), (_POLICY, policy)):
+        if new is not None:
+            assert old in text
+            text = text.replace(old, new)
+    return parse_scenario(text, name="uplift")
+
+
+def epoch_times(sc: Scenario) -> list[float]:
+    """The times of the policy epochs a run of ``sc`` dispatches."""
+    eng = SimEngine(sc)
+    times = []
+    dispatch = eng._dispatch
+
+    def recording(kind, payload, t_us):
+        if kind is EventKind.POLICY_EPOCH:
+            times.append(t_us / US)
+        return dispatch(kind, payload, t_us)
+
+    eng._dispatch = recording
+    eng.run()
+    return times
+
+
+def assert_skips(sc: Scenario, label, needed=()) -> SimEngine:
+    """``assert_same_run``, and the run skips epochs but runs those at ``needed``."""
+    eng = assert_same_run(sc, label)
+    times = epoch_times(sc)
+    grid = round(sc.horizon_s / sc.policy.epoch_s)
+    assert len(times) < grid, (label, times)
+    assert set(needed) <= set(times), (label, times)
+    return eng
+
+
+def _events(eng: SimEngine, kind: str) -> list[float]:
+    return [ev.time_s for ev in eng.state.events if ev.kind == kind]
+
+
+def test_trace_steps_on_and_off_the_epoch_grid():
+    """A step at an epoch's time reaches that epoch; an off-grid step the next one.
+
+    The step at 1.0 s changes the slot at 1.0 s, which settles before the
+    epoch at 1.0 s: that epoch must run and trims the backlog. The step
+    down at 1.55 s raises the ceiling once the 0.2 s window has passed it.
+    """
+    sc = uplift_variant(3.0, profile="kind: trace\n    points: [[0.0, 0.5], [1.0, 0.9], [1.55, 0.3]]")
+    eng = assert_skips(sc, "trace steps", needed=(1.0, 1.6, 1.7, 1.8))
+    assert _events(eng, "trim") == [1.0]
+    assert _events(eng, "grant") == [1.8]
+
+
+def test_arrivals_between_epochs():
+    """Poisson arrivals and completions off the epoch grid resume the epochs."""
+    jobs = (
+        "  - id: jobs\n    arrival: poisson\n    rate_per_s: 4.0\n"
+        "    job_size: {kind: exponential, mean: 0.2}\n"
+        "    demand_fraction: {kind: constant, value: 0.3}"
+    )
+    eng = assert_skips(uplift_variant(2.0, workloads=jobs), "poisson")
+    arrivals = _events(eng, "arrival")
+    assert len(arrivals) > 2 and all(round(t * 10) != t * 10 for t in arrivals)
+    assert _events(eng, "completion")
+
+
+def test_forecast_window_still_filling():
+    """Epochs run while a 5-epoch window fills, and while it forgets a step down."""
+    sc = uplift_variant(
+        2.0,
+        profile="kind: trace\n    points: [[0.0, 0.9], [0.5, 0.3]]",
+        policy="  safety_margin: 0.05\n  forecast: {kind: max_over_window, window_s: 0.5}",
+    )
+    eng = assert_skips(sc, "window", needed=(0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9, 1.0))
+    assert _events(eng, "grant") == [1.0]
+
+
+def test_throttle_between_epochs(monkeypatch):
+    """A step up between epochs throttles the backlog before the next epoch trims it."""
+    counts: dict[str, int] = {}
+    _counting(monkeypatch, counts, "_apply_throttle")
+    sc = uplift_variant(1.0, profile="kind: trace\n    points: [[0.0, 0.3], [0.55, 0.9]]")
+    eng = assert_skips(sc, "throttle", needed=(0.6,))
+    assert counts["_apply_throttle"] > 0
+    assert _events(eng, "trim") == [0.6]
+
+
+def test_preempted_job_resumes_between_heap_events():
+    """A job preempted with a resume delay becomes eligible when no event is due.
+
+    Job b is preempted at 0.5 s and may resume from 1.13 s; nothing is on
+    the heap then, so only the epoch at 1.2 s can place it again.
+    """
+    jobs = (
+        "  - id: a\n    arrival: saturating\n    demand_fraction: {kind: constant, value: 0.55}\n"
+        "  - id: b\n    arrival: trace\n    arrivals: [0.2]\n"
+        "    job_size: {kind: constant, value: 100.0}\n"
+        "    demand_fraction: {kind: constant, value: 0.4}"
+    )
+    sc = uplift_variant(
+        2.0,
+        profile="kind: trace\n    points: [[0.0, 0.0], [0.5, 1.0], [0.55, 0.0]]",
+        workloads=jobs,
+        policy=_POLICY + "\n  resume_delay_s: 0.63",
+    )
+    eng = assert_skips(sc, "resume", needed=(1.2,))
+    assert _events(eng, "preempt") == [0.5]
+    assert _events(eng, "place") == [0.0, 0.2, 1.2]
+
+
+def test_one_epoch_window_forgets_a_step_down():
+    """An epoch whose maximum still holds a step down is not quiescent.
+
+    With a one-epoch window the history is empty. The epoch at 0.6 s
+    forecasts the 0.9 load that lasted until 0.55 s, as the epoch before
+    it did, and changes nothing; the one at 0.7 s sees only 0.3 and grants.
+    """
+    sc = uplift_variant(
+        1.0,
+        profile="kind: trace\n    points: [[0.0, 0.9], [0.55, 0.3]]",
+        policy="  safety_margin: 0.05\n  forecast: {kind: max_over_window, window_s: 0.1}",
+    )
+    eng = assert_skips(sc, "one-epoch window", needed=(0.6, 0.7))
+    assert _events(eng, "grant") == [0.7]
+
+
+def test_epochs_with_a_grant_that_changes_nothing_all_run():
+    """A grant action that finds nothing to grant still accrues the levels.
+
+    The interactive job can never meet its latency bound, so it stays
+    queued, and every epoch asks to grant it the headroom: ``_top_up``
+    finds no job and re-accrues the GPU's level integrals, so no epoch
+    may be skipped.
+    """
+    job = (
+        "  - id: late\n    arrival: trace\n    arrivals: [0.05]\n"
+        "    job_size: {kind: constant, value: 10.0}\n"
+        "    demand_fraction: {kind: constant, value: 0.3}\n"
+        "    slo_class: interactive\n    latency_bound_s: 1.0"
+    )
+    sc = uplift_variant(1.0, workloads=job)
+    eng = assert_same_run(sc, "silent grant")
+    assert eng.state.queue and not _events(eng, "place")
+    assert len(epoch_times(sc)) == 10
+
+
+def test_trace_point_without_event_under_dynamic_backfill():
+    """A demand step at the second slot, with no event, ends a quiescent start.
+
+    Demand is 0 at slot 0, so with no margin and a one-epoch window the
+    epoch at 0 s leaves the ceiling at 1.0 and its forecast inputs as
+    they were. The step at 0.3 us reaches slot 1 without an event; the
+    epochs after it must run.
+    """
+    profile = LoadProfile(
+        kind=ProfileKind.TRACE, points=((-1.0, 0.0), (3e-7, 0.9), (0.05, 0.5))
+    )
+    sc = Scenario(
+        name="early-point",
+        servers=(Server(id="srv1", gpus=(GpuDevice("gpu1"),)),),
+        cells=(CellSpec("cell1", CellConfig(), profile, "srv1"),),
+        calibration=Calibration(),
+        ai_workloads=(),
+        policy=Policy(
+            kind=PolicyKind.DYNAMIC_BACKFILL, epoch_s=0.01, safety_margin=0.0,
+            window_s=0.01,
+        ),
+        horizon_s=0.1,
+        sample_interval_s=0.001,
+    )
+    eng = assert_skips(sc, "early-point dynamic", needed=(0.01, 0.05, 0.06))
+    assert _events(eng, "ceiling")[:2] == [0.01, 0.06]
+
+
+@pytest.mark.parametrize("horizon_s", [60.0, 6000.0])
+def test_uplift_epochs_do_not_grow_with_horizon(horizon_s):
+    """Once the policy holds still, no epoch runs until the horizon.
+
+    The epoch at 0 s sets the ceiling and fills the window; the one at
+    0.1 s finds nothing to change.
+    """
+    assert epoch_times(uplift_variant(horizon_s)) == [0.0, 0.1]
 
 
 def _grid(horizon_s: float, slot_s: float) -> np.ndarray:

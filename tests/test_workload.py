@@ -21,6 +21,7 @@ from ranshare.workload import (
     gen_ai_arrivals,
     ran_peak_fraction,
     slot_duration,
+    uniform,
 )
 
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
@@ -200,6 +201,20 @@ class TestArrivals:
         jobs = gen_ai_arrivals(wl, seed=1, horizon_s=100.0)
         assert [j.arrival_time for j in jobs] == [1.0, 3.0, 5.0]
         assert all(j.size_compute_seconds == 2.0 for j in jobs)
+
+    def test_demand_above_one_is_capped(self):
+        """Samples above 1 become 1; every other sample, and the stream, stay as drawn."""
+        wl = AiWorkload(
+            id="a",
+            arrival=ArrivalKind.TRACE,
+            trace_arrivals=tuple(range(50)),
+            demand_fraction=uniform(0.5, 1.5),
+        )
+        rng = random.Random(9)
+        drawn = [rng.uniform(0.5, 1.5) for _ in range(50)]
+        demands = [j.demand_fraction for j in gen_ai_arrivals(wl, seed=9, horizon_s=100.0)]
+        assert demands == [min(d, 1.0) for d in drawn]
+        assert 1.0 in demands and any(d > 1.0 for d in drawn)
 
     def test_saturating_single_infinite_job(self):
         wl = AiWorkload(id="a", arrival=ArrivalKind.SATURATING)
