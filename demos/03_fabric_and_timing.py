@@ -21,7 +21,7 @@ from ranshare import (
     route_flows,
     validate_topology,
 )
-from ranshare.fabric import FronthaulCalibration, flow, sync_hops
+from ranshare.fabric import Flow, FronthaulCalibration, sync_hops
 from ranshare.workload import CellConfig
 
 servers = [
@@ -49,7 +49,7 @@ cell = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
 rate = fronthaul_rate(cell, FronthaulCalibration(gbps_per_mhz_per_port=0.05))
 print(f"\nfronthaul line rate for the cell: {rate:.1f} gbps")
 
-loads, overloads = route_flows(topo, [flow("fh", "ru1", "edge1", rate, FlowKind.FRONTHAUL)])
+loads, overloads = route_flows(topo, [Flow("fh", "ru1", "edge1", FlowKind.FRONTHAUL, rate)])
 print("per-spine load after routing a single flow (equal-cost split):")
 for spine in ("cs1", "cs2"):
     through = sum(l for link, l in loads.items() if spine in link.split("~")) / 2

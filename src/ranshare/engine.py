@@ -23,7 +23,9 @@ It falls back to ``settle_slot`` at each slot whose throttle test fires
 (that slot may change job rates and schedule events, so the segment ends
 after it), while a GPU is settling after a repartition, and for segments
 shorter than the cutoff ``VECTOR_MIN_SLOTS`` sets for the fleet's size,
-where a numpy pass costs more.
+where a numpy pass costs more. Every path reads RAN demand from the one
+evaluator ``DemandModel.vector``, which gives a time the same bits however
+times are batched, so the path that settles a slot never shows in the output.
 
 Under the dynamic policy with stepwise demand, the policy soon reaches a
 fixed point, and the epochs after it change nothing. An epoch is
@@ -70,7 +72,7 @@ from . import fabric as fabric_mod
 from . import orchestrator as orch
 from .compute import Server
 from .errors import CalibrationOverflow, EmptyTrace, EventInPast, ScenarioInvalid
-from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration, flow
+from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration
 from .orchestrator import (
     ActionKind,
     DeadlineMiss,
@@ -287,6 +289,11 @@ class Scenario:
                     problems.append(
                         f"time_split boundary {start} is not on a slot boundary"
                     )
+        epoch_us = self.policy.epoch_s * US  # the event clock counts whole microseconds
+        if self.policy.is_dynamic and (epoch_us < 1 or abs(epoch_us - round(epoch_us)) > 1e-6):
+            problems.append(
+                f"policy.epoch_s {self.policy.epoch_s} is not a positive whole number of us"
+            )
         known_gpus = set(gpu_ids)
         for gid in self.policy.split_gpus:
             if gid not in known_gpus:
@@ -361,30 +368,12 @@ def mix_seed(base_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _server_demand(terms: list[tuple[float, LoadProfile]], floor: float):
-    """One server's ``t -> demand`` from its (peak, profile) terms."""
-    scalars = [(peak, profile.sampler()) for peak, profile in terms]
-    if not terms:
-        return lambda t: floor
-    if len(terms) == 1 and floor == 0.0:
-        peak, sampler = scalars[0]
-        return lambda t: peak * sampler(t)
-
-    def scalar(t):
-        total = 0.0
-        for p, s in scalars:
-            total += p * s(t)
-        return total if total > floor else floor
-
-    return scalar
-
-
 def _fleet_demand(terms: list[list[tuple[float, LoadProfile]]], floor: float):
     """Every server's demand as one ``times -> (servers, times)`` array.
 
-    Row ``i`` adds server ``i``'s terms in order, as ``_server_demand``
-    does; a server with fewer terms than another adds ``0.0 * load``,
-    which leaves its sum unchanged. Each distinct profile is evaluated once.
+    Row ``i`` adds server ``i``'s terms in order to 0.0 and floors the sum;
+    a server with fewer terms than another adds ``0.0 * load``, which
+    leaves its sum unchanged. Each distinct profile is evaluated once.
     """
     index: dict[LoadProfile, int] = {}
     for server_terms in terms:
@@ -422,7 +411,6 @@ def build_demand(scenario: Scenario) -> DemandModel:
         for server in scenario.servers
     ]
     return DemandModel(
-        scalar=tuple(_server_demand(t, floor) for t in terms),
         vector=_fleet_demand(terms, floor),
         stepwise=all(
             c.profile.kind is not ProfileKind.DIURNAL_SINUSOID for c in scenario.cells
@@ -540,9 +528,7 @@ class SimEngine:
         self._schedule_initial_events()
 
         self.topology = scenario.build_topology()
-        self._cell_samplers = [
-            (c, c.profile.sampler()) for c in scenario.cells
-        ]
+        self._cell_loads = [(c, c.profile.vector_sampler()) for c in scenario.cells]
         self._route_fabric(0.0)
 
     # -- construction helpers ------------------------------------------------
@@ -611,10 +597,11 @@ class SimEngine:
     def _route_fabric(self, t_s: float):
         flows = list(self.scenario.static_flows)
         fh = self.scenario.topology.fronthaul
-        for cell, sampler in self._cell_samplers:
-            rate = fabric_mod.fronthaul_rate(cell.config, fh) * sampler(t_s)
+        at = np.array([t_s])
+        for cell, load in self._cell_loads:
+            rate = fabric_mod.fronthaul_rate(cell.config, fh) * load(at).item()
             flows.append(
-                flow(f"fh-{cell.id}", f"ru-{cell.id}", cell.server_id, rate, FlowKind.FRONTHAUL)
+                Flow(f"fh-{cell.id}", f"ru-{cell.id}", cell.server_id, FlowKind.FRONTHAUL, rate)
             )
         _loads, violations = fabric_mod.route_flows(self.topology, flows)
         for v in violations:
@@ -796,8 +783,8 @@ class SimEngine:
         if not heap or heap[0][3] is not EventKind.POLICY_EPOCH:
             return  # an event comes before the epoch just pushed, or none was pushed
         bound = min([self.horizon_us] + [entry[0] for entry in heap[1:3]])
-        last_s, next_s = (next_slot - self.slot_us) / US, next_slot / US
-        if any(f(last_s) != f(next_s) for f in self.demand.scalar):
+        last, nxt = self.demand.vector(np.array([next_slot - self.slot_us, next_slot]) / US).T
+        if (last != nxt).any():
             bound = min(bound, next_slot)
         state = self.state
         eligible_by = state.clock + orch.TOL

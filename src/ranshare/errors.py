@@ -51,6 +51,10 @@ class NoPath(SimulatorError):
     """A flow's endpoints are not connected."""
 
 
+class NodeIdClash(SimulatorError):
+    """A server or RU id names another node of the fabric."""
+
+
 # -- orchestration / engine ------------------------------------------------
 
 class InvalidEpoch(SimulatorError):

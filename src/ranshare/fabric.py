@@ -11,14 +11,14 @@ count as a synchronization hop.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import networkx as nx
 
 from .compute import NfBundle, Server
-from .errors import InvalidCounts, NoPath, OddLeafCount, UnreachableEndpoint
+from .errors import InvalidCounts, NodeIdClash, NoPath, OddLeafCount, UnreachableEndpoint
 from .workload import CellConfig
 
 
@@ -67,25 +67,19 @@ class Flow:
     id: str
     src: str
     dst: str
-    direction: FlowDirection
-    rate_gbps: float
     kind: FlowKind
+    rate_gbps: float = 0.0
 
     def __post_init__(self):
         if self.rate_gbps < 0:
             raise ValueError("flow rate must be >= 0")
-        east_west = self.kind is FlowKind.FRONTHAUL
-        expected = FlowDirection.EAST_WEST if east_west else FlowDirection.NORTH_SOUTH
-        if self.direction is not expected:
-            raise ValueError(f"{self.kind.value} flows must be {expected.value}")
 
-
-def flow(flow_id: str, src: str, dst: str, rate_gbps: float, kind: FlowKind) -> Flow:
-    """Build a flow with the direction implied by its kind."""
-    direction = (
-        FlowDirection.EAST_WEST if kind is FlowKind.FRONTHAUL else FlowDirection.NORTH_SOUTH
-    )
-    return Flow(flow_id, src, dst, direction, rate_gbps, kind)
+    @property
+    def direction(self) -> FlowDirection:
+        """Fronthaul stays inside the edge (east-west); every other kind leaves it."""
+        if self.kind is FlowKind.FRONTHAUL:
+            return FlowDirection.EAST_WEST
+        return FlowDirection.NORTH_SOUTH
 
 
 @dataclass(frozen=True)
@@ -241,6 +235,9 @@ def build_reference_fabric(
         for leaf in be_pair:
             add_link(server.id, leaf, server.backend_port_gbps)
 
+    clashes = [n for n, k in Counter([*switches, *rus, *frontends]).items() if k > 1]
+    if clashes:
+        raise NodeIdClash(f"fabric node ids used twice: {', '.join(sorted(clashes))}")
     return FabricTopology(
         switches=switches,
         links=links,

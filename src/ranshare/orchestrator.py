@@ -505,15 +505,15 @@ CHUNK_CELLS = 16384
 
 @dataclass(frozen=True)
 class DemandModel:
-    """RAN demand per server, compiled twice from the same terms.
+    """RAN demand per server, from one evaluator.
 
-    ``scalar[i]`` maps a time in seconds to server ``i``'s demand;
-    ``vector`` maps a float64 array of times to a (server, time) array
-    whose every element equals the scalar value. ``stepwise`` says that no
-    term varies continuously (constant and trace profiles only).
+    ``vector`` maps a float64 array of times (s) to a (server, time) array.
+    Each element depends on its own time alone, so every settlement path
+    reads the same bits for a slot however it batches the times.
+    ``stepwise`` says that no term varies continuously (constant and trace
+    profiles only).
     """
 
-    scalar: tuple[Callable[[float], float], ...]
     vector: Callable[[np.ndarray], np.ndarray]
     stepwise: bool
 
@@ -571,16 +571,18 @@ def _state_levels(state: ClusterState) -> tuple[list[float], list[float]]:
 def _settle_one(state, t_us, demand) -> bool:
     state.clock_us = t_us
     t_s = t_us / US
-    return settle_slot(state, t_s, [f(t_s) for f in demand.scalar])
+    return settle_slot(state, t_s, demand.vector(np.array([t_s]))[:, 0].tolist())
 
 
 def _settle_slots(state, first_us, count, demand, samples, emit):
-    """The scalar path: one ``settle_slot`` per slot."""
+    """The slot-by-slot path: one ``settle_slot`` per slot."""
     slot_us = state.slot_us
+    t_s = (first_us + slot_us * np.arange(count, dtype=np.int64)) / US
     i = 0  # samples[:i] are emitted
-    for j in range(count):
+    for j, demands in enumerate(demand.vector(t_s).T.tolist()):
         t_us = first_us + j * slot_us
-        if _settle_one(state, t_us, demand):
+        state.clock_us = t_us
+        if settle_slot(state, t_us / US, demands):
             return j + 1
         hi = bisect.bisect_left(samples, t_us + slot_us, i)
         if hi > i:
@@ -591,13 +593,11 @@ def _settle_slots(state, first_us, count, demand, samples, emit):
 
 def _steady_demand(demand, first_us, count, slot_us) -> list[float] | None:
     """Per-server demand if it is the same at every slot of the segment."""
-    first = [f(first_us / US) for f in demand.scalar]
-    for j in (1, count - 1):
-        if 0 < j < count:
-            t_s = (first_us + j * slot_us) / US
-            if [f(t_s) for f in demand.scalar] != first:
-                return None
-    return first
+    slots = np.array([0, min(1, count - 1), count - 1], dtype=np.int64)
+    rows = demand.vector((first_us + slot_us * slots) / US)
+    if (rows != rows[:, :1]).any():
+        return None
+    return rows[:, 0].tolist()
 
 
 def _settle_steady(state, first_us, count, demands, samples, emit):

@@ -34,7 +34,7 @@ from .engine import (
     summarize,
 )
 from .errors import ParseError, SchemaError, SemanticError, SimulatorError
-from .fabric import FlowKind, FronthaulCalibration, egress_target, flow
+from .fabric import Flow, FlowKind, FronthaulCalibration, egress_target
 from .orchestrator import DeadlineMiss, ForecastKind, Interval, Policy, PolicyKind
 from .workload import (
     AiWorkload,
@@ -441,15 +441,15 @@ def _build_scenario(doc, name: str) -> Scenario:
         cells.append(CellSpec(**{**cell, "profile": profiles[cell["profile"]]}))
     flows = []
     for i, f in enumerate(fields.pop("static_flows", ())):
-        server = servers.get(f["server"])
-        if server is None:
-            raise SchemaError(f"flows[{i}].server: unknown server {f['server']!r}")
-        rate = f.get("rate_gbps", 0.0)
+        sid = f.pop("server")
+        if sid not in servers:
+            raise SchemaError(f"flows[{i}].server: unknown server {sid!r}")
+        if f.pop("kind") == "egress":
+            f.update(src=sid, dst="wan", kind=egress_target(servers[sid]))
+        else:
+            f.update(src="wan", dst=sid, kind=FlowKind.AI_WIRED)
         try:
-            if f["kind"] == "egress":
-                flows.append(flow(f["id"], server.id, "wan", rate, egress_target(server)))
-            else:
-                flows.append(flow(f["id"], "wan", server.id, rate, FlowKind.AI_WIRED))
+            flows.append(Flow(**f))
         except ValueError as exc:
             raise SemanticError(f"flows[{i}]: {exc}")
     scenario = Scenario(

@@ -8,7 +8,6 @@ each under a configurable exponent (both default to linear).
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -97,56 +96,25 @@ class LoadProfile:
                     raise ValueError("trace timestamps must be strictly increasing")
                 last = t
 
-    def _diurnal_terms(self) -> tuple[float, float, float, float]:
-        lo, hi = self.minimum, self.maximum
-        return lo, hi - lo, 2.0 * math.pi / self.period_s, self.phase
-
-    def _trace_steps(self) -> tuple[list[float], list[float]]:
-        return [t for t, _ in self.points], [v for _, v in self.points]
-
-    def sampler(self):
-        """Compile this profile into a fast ``t -> load`` callable."""
-        if self.kind is ProfileKind.CONSTANT:
-            level = self.level
-            return lambda t: level
-        if self.kind is ProfileKind.DIURNAL_SINUSOID:
-            lo, amp, w, ph = self._diurnal_terms()
-            sin = math.sin
-
-            def diurnal(t):
-                v = lo + amp * (1.0 + sin(w * t + ph)) * 0.5
-                if v < 0.0:
-                    return 0.0
-                return 1.0 if v > 1.0 else v
-
-            return diurnal
-        times, values = self._trace_steps()
-
-        def step(t):
-            i = bisect.bisect_right(times, t) - 1
-            return values[0] if i < 0 else values[i]
-
-        return step
-
     def vector_sampler(self):
         """Compile this profile into a ``times -> loads`` callable on float64 arrays.
 
-        Each element equals ``sampler()`` at that time bit for bit: the same
-        float operations run in the same order, and ``np.sin`` rounds like
-        ``math.sin`` (the tests check this over a full shipped horizon).
+        Each element depends on its own time alone, so a time gives the same
+        load, bit for bit, however the times around it are batched.
         """
         if self.kind is ProfileKind.CONSTANT:
             level = self.level
             return lambda t: np.full(t.shape, level)
         if self.kind is ProfileKind.DIURNAL_SINUSOID:
-            lo, amp, w, ph = self._diurnal_terms()
+            lo, amp = self.minimum, self.maximum - self.minimum
+            w, ph = 2.0 * math.pi / self.period_s, self.phase
 
             def diurnal(t):
                 v = lo + amp * (1.0 + np.sin(w * t + ph)) * 0.5
                 return np.where(v < 0.0, 0.0, np.where(v > 1.0, 1.0, v))
 
             return diurnal
-        times, values = (np.array(a) for a in self._trace_steps())
+        times, values = (np.array(a) for a in zip(*self.points))
 
         def step(t):
             i = np.searchsorted(times, t, side="right") - 1

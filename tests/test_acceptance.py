@@ -16,10 +16,10 @@ import pytest
 from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.engine import CellSpec, Scenario, run
 from ranshare.fabric import (
+    Flow,
     FlowKind,
     build_ptp_tree,
     build_reference_fabric,
-    flow,
     route_flows,
     validate_topology,
 )
@@ -267,7 +267,7 @@ class TestCriterion5FabricInvariants:
         tree = build_ptp_tree(topo)
         ok_coverage = set(tree.paths) == set(rus) | {s.id for s in servers}
 
-        loads, _ = route_flows(topo, [flow("f", "ru1", "srv0", 10.0, FlowKind.FRONTHAUL)])
+        loads, _ = route_flows(topo, [Flow("f", "ru1", "srv0", FlowKind.FRONTHAUL, 10.0)])
         per_spine = {
             spine: math.fsum(
                 load for link, load in loads.items() if spine in link.split("~")

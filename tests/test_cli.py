@@ -70,8 +70,17 @@ class TestValidate:
              "cell cell1: cell peak 1.6000 exceeds one GPU"),
             ("poc", "kind: diurnal", "kind: trace\n    points: []",
              "profiles[0]: trace profile has no points"),
+            ("poc", "srv1", "wan", "topology: fabric node ids used twice: wan"),
+            ("poc", "srv1", "ru-cell1", "topology: fabric node ids used twice: ru-cell1"),
+            ("uplift", "epoch_s: 0.1", "epoch_s: 0.0000004",
+             "policy.epoch_s 4e-07 is not a positive whole number of us"),
+            ("uplift", "epoch_s: 0.1", "epoch_s: 0.0012345",
+             "policy.epoch_s 0.0012345 is not a positive whole number of us"),
         ],
-        ids=["granularity", "numerology", "calibration-overflow", "empty-trace"],
+        ids=[
+            "granularity", "numerology", "calibration-overflow", "empty-trace",
+            "server-named-wan", "server-named-like-an-ru", "epoch-below-1us", "epoch-off-us-grid",
+        ],
     )
     def test_what_cannot_run_fails_validate_exit_3(
         self, tmp_path, scenario_dir, capsys, scenario, old, new, message
@@ -80,7 +89,7 @@ class TestValidate:
         text = (scenario_dir / f"{scenario}.scenario").read_text()
         assert old in text
         bad = tmp_path / "bad.scenario"
-        bad.write_text(text.replace(old, new, 1))
+        bad.write_text(text.replace(old, new))
         assert main(["validate", str(bad)]) == 3
         assert message in capsys.readouterr().err
         assert main(["run", str(bad)]) == 3

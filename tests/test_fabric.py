@@ -5,15 +5,16 @@ import networkx as nx
 import pytest
 
 from ranshare.compute import GpuDevice, NfBundle, Server
-from ranshare.errors import NoPath, OddLeafCount, UnreachableEndpoint
+from ranshare.errors import NodeIdClash, NoPath, OddLeafCount, UnreachableEndpoint
 from ranshare.fabric import (
+    Flow,
+    FlowDirection,
     FlowKind,
     FronthaulCalibration,
     SwitchRole,
     build_ptp_tree,
     build_reference_fabric,
     egress_target,
-    flow,
     fronthaul_rate,
     route_flows,
     sync_hops,
@@ -59,6 +60,23 @@ class TestBuild:
         topo = reference()
         assert topo.ids_with_role(SwitchRole.FRONTHAUL_LEAF) == ["cl1", "cl2"]
         assert topo.ids_with_role(SwitchRole.SERVER_LEAF) == ["cl3", "cl4"]
+
+
+    @pytest.mark.parametrize(
+        "rus, server_ids, clash",
+        [
+            (["ru1"], ["wan"], "wan"),
+            (["ru1"], ["srv1", "cs2"], "cs2"),
+            (["ru1"], ["vl4"], "vl4"),
+            (["agg"], ["srv1"], "agg"),
+            (["ru1", "cl1"], ["srv1"], "cl1"),
+            (["ru1"], ["ru1"], "ru1"),
+        ],
+    )
+    def test_node_ids_must_not_clash(self, rus, server_ids, clash):
+        """A second node with one id would merge into the first."""
+        with pytest.raises(NodeIdClash, match=f"used twice: {clash}$"):
+            build_reference_fabric(2, 4, 2, 4, rus, [server(sid) for sid in server_ids])
 
 
 class TestValidate:
@@ -137,7 +155,7 @@ class TestRouting:
     def test_single_flow_splits_equally_across_spines(self):
         topo = reference()
         loads, violations = route_flows(
-            topo, [flow("f1", "ru1", "srv1", 10.0, FlowKind.FRONTHAUL)]
+            topo, [Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, 10.0)]
         )
         assert violations == []
         per_spine = {
@@ -157,7 +175,7 @@ class TestRouting:
     def test_overload_reports_links(self):
         topo = build_reference_fabric(2, 4, 2, 4, ["ru1"], [server()], link_capacity_gbps=10.0)
         _loads, violations = route_flows(
-            topo, [flow("f1", "ru1", "srv1", 400.0, FlowKind.FRONTHAUL)]
+            topo, [Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, 400.0)]
         )
         assert violations
         assert all(v.load_gbps > v.capacity_gbps for v in violations)
@@ -165,7 +183,7 @@ class TestRouting:
     def test_no_path(self):
         topo = reference()
         with pytest.raises(NoPath):
-            route_flows(topo, [flow("f1", "ru1", "nowhere", 1.0, FlowKind.FRONTHAUL)])
+            route_flows(topo, [Flow("f1", "ru1", "nowhere", FlowKind.FRONTHAUL, 1.0)])
 
     def test_flow_conservation(self):
         rng = random.Random(23)
@@ -183,7 +201,7 @@ class TestRouting:
                 src, dst = rng.sample(nodes, 2)
                 rate = rng.uniform(0.5, 20.0)
                 kind = FlowKind.FRONTHAUL
-                flows.append(flow(f"f{i}", src, dst, rate, kind))
+                flows.append(Flow(f"f{i}", src, dst, kind, rate))
                 hops = nx.shortest_path_length(g, src, dst)
                 expected += rate * hops
             loads, _ = route_flows(topo, flows)
@@ -215,7 +233,7 @@ class TestRouting:
                 dst = rng.choice(servers_).id
                 rate = rng.uniform(0.1, 30.0)
                 max_rate = max(max_rate, rate)
-                flows.append(flow(f"f{i}", src, dst, rate, FlowKind.FRONTHAUL))
+                flows.append(Flow(f"f{i}", src, dst, FlowKind.FRONTHAUL, rate))
             loads, _ = route_flows(topo, flows)
             per_spine = [
                 math.fsum(
@@ -265,8 +283,8 @@ class TestRatesAndEgress:
     def test_egress_target(self, bundle, kind):
         assert egress_target(server(bundle=bundle)) is kind
 
-    def test_flow_direction_enforced(self):
-        with pytest.raises(ValueError):
-            from ranshare.fabric import Flow, FlowDirection
-
-            Flow("f", "a", "b", FlowDirection.NORTH_SOUTH, 1.0, FlowKind.FRONTHAUL)
+    def test_flow_direction_follows_kind(self):
+        assert Flow("f", "a", "b", FlowKind.FRONTHAUL).direction is FlowDirection.EAST_WEST
+        for kind in FlowKind:
+            if kind is not FlowKind.FRONTHAUL:
+                assert Flow("f", "a", "b", kind).direction is FlowDirection.NORTH_SOUTH

@@ -596,7 +596,11 @@ def scenario_documents(draw):
         horizon_max = float(n)
     else:
         if draw(st.booleans()):
-            policy["epoch_s"] = draw(_num(0.01, 10))
+            # a whole number of microseconds, as the event clock needs
+            policy["epoch_s"] = draw(
+                st.integers(10_000, 10_000_000).map(lambda us: us / 1_000_000)
+                | st.integers(1, 10)
+            )
             policy["safety_margin"] = draw(st.floats(0, 0.99))
         if draw(st.booleans()):
             policy["forecast"] = {"kind": draw(st.sampled_from(["last_value", "max_over_window"]))}

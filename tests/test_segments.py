@@ -785,26 +785,37 @@ def _grid(horizon_s: float, slot_s: float) -> np.ndarray:
     return np.arange(0, round(horizon_s * US), round(slot_s * US), dtype=np.int64) / US
 
 
+def _one_at_a_time(evaluate, t: np.ndarray, every: int) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` over the whole ``t``, and over every ``every``-th time alone."""
+    times = t[::every]
+    alone = np.concatenate([evaluate(times[k:k + 1]) for k in range(times.size)], axis=-1)
+    return evaluate(t)[..., ::every], alone
+
+
 @pytest.mark.parametrize(
     "profile",
     [
         parse_scenario((ROOT / "scenarios" / "poc.scenario").read_text()).cells[0].profile,
         LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.2, maximum=0.9, period_s=20.0),
+        LoadProfile(
+            ProfileKind.TRACE, points=((0.0, 0.3), (0.00025, 0.7), (17.5, 0.1), (599.9, 1.0))
+        ),
     ],
-    ids=["poc", "cluster"],
+    ids=["poc", "cluster", "trace"],
 )
-def test_vector_diurnal_equals_scalar_bit_for_bit(profile):
-    """np.sin rounds like math.sin on every slot time of a 600 s horizon."""
-    t = _grid(600.0, 0.0005)
-    scalar = profile.sampler()
-    assert profile.vector_sampler()(t).tolist() == [scalar(x) for x in t.tolist()]
+def test_vector_sampler_does_not_depend_on_batching(profile):
+    """A time's load alone is the same bits as inside a 600 s full-horizon call.
+
+    Every settlement path reads demand in batches of its own length, so
+    this is what makes them agree bit for bit.
+    """
+    whole, alone = _one_at_a_time(profile.vector_sampler(), _grid(600.0, 0.0005), 397)
+    assert whole.tolist() == alone.tolist()
 
 
-def test_engine_demand_vector_equals_scalar():
-    """Both demand evaluators of every server agree on a mixed-profile fleet."""
+def test_engine_demand_does_not_depend_on_batching():
+    """Each server's demand at a time alone equals it inside a full-horizon call."""
     for seed in range(20):
         sc = random_scenario(1000 + seed)
-        demand = build_demand(sc)
-        t = _grid(sc.horizon_s, sc.slot_s)
-        for scalar, row in zip(demand.scalar, demand.vector(t).tolist()):
-            assert row == [scalar(x) for x in t.tolist()], seed
+        whole, alone = _one_at_a_time(build_demand(sc).vector, _grid(sc.horizon_s, sc.slot_s), 7)
+        assert whole.tolist() == alone.tolist(), seed

@@ -28,10 +28,8 @@ POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antenna
 
 
 def load_at(profile: LoadProfile, t: float) -> float:
-    """The profile's load at ``t`` from ``sampler()``, checked against ``vector_sampler()``."""
-    value = profile.sampler()(t)
-    assert profile.vector_sampler()(np.array([t])).tolist() == [value]
-    return value
+    """The profile's load at ``t``, from ``vector_sampler()``."""
+    return profile.vector_sampler()(np.array([t])).item()
 
 
 class TestSlotDuration:
@@ -89,12 +87,7 @@ class TestDemand:
         )
         demand = build_demand(sc)
 
-        def at(t):
-            value = demand.scalar[0](t)
-            assert demand.vector(np.array([t])).tolist() == [[value]]
-            return value
-
-        return at
+        return lambda t: demand.vector(np.array([t])).item()
 
     def test_single_cell_full_load(self):
         at = self._demand([LoadProfile(kind=ProfileKind.CONSTANT, level=1.0)])
