@@ -806,6 +806,11 @@ class SimEngine:
         heap = self.heap
         n_samples = horizon_us // self.sample_us + 1
         shape = (n_samples, len(state.gpus))
+        # glibc maps fresh pages for a block at or above its mmap threshold
+        # and trims the heap top beyond twice it; the threshold only rises,
+        # to the largest mapped block freed. Freeing 4 MiB here keeps the
+        # numpy passes' temporaries on reused heap pages, whatever ran before.
+        np.empty(1 << 19)
         self.trace = Trace(
             self.trace.gpu_ids,
             np.arange(n_samples, dtype=np.int64) * self.sample_us / US,

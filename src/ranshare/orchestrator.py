@@ -498,7 +498,8 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
 # cluster_diurnal). With VECTOR_MIN_SLOTS = (a, b), segments shorter than
 # a + b / n_gpus slots, the line through those two points, settle slot by
 # slot. Longer ones are passed in chunks of at most CHUNK_CELLS (slot, GPU)
-# elements, so that the arrays stay small however long the segment is.
+# elements, so that the arrays stay small however long the segment is (and
+# on the heap: see SimEngine.run).
 VECTOR_MIN_SLOTS = (14.1, 121.8)
 CHUNK_CELLS = 16384
 
@@ -743,10 +744,13 @@ def _settle_run(state, first_us, n, demand, samples, emit) -> int:
 # -- placement ---------------------------------------------------------------
 
 
+def _ai_classes(policy: Policy) -> tuple[TenantClass, ...]:
+    """The slice classes that AI jobs may be placed in under ``policy``."""
+    return (TenantClass.AI, TenantClass.FREE) if policy.is_dynamic else (TenantClass.AI,)
+
+
 def _eligible_instances(state: ClusterState, gpu: GpuState) -> list[GpuInstance]:
-    classes = (TenantClass.AI, TenantClass.FREE) if state.policy.is_dynamic else (
-        TenantClass.AI,
-    )
+    classes = _ai_classes(state.policy)
     return [i for i in gpu.instances if i.tenant_class in classes]
 
 
@@ -754,11 +758,14 @@ def _instance_free(gpu: GpuState, inst: GpuInstance) -> float:
     return inst.compute_fraction - gpu.inst_granted.get(inst.id, 0.0)
 
 
+def _ai_headroom(gpu: GpuState) -> float:
+    """AI grant a GPU's ceiling still allows under a dynamic policy."""
+    return gpu.ai_ceiling - (gpu.ai_hard + gpu.ai_free)
+
+
 def _gpu_budget(state: ClusterState, gpu: GpuState) -> float:
     """Policy-level AI budget left on a GPU (physical capacity aside)."""
-    if not state.policy.is_dynamic:
-        return math.inf
-    return gpu.ai_ceiling - (gpu.ai_hard + gpu.ai_free)
+    return _ai_headroom(gpu) if state.policy.is_dynamic else math.inf
 
 
 def plan_placement(
@@ -782,60 +789,67 @@ def plan_placement(
     scan; in the demand-sorted BATCH run one bisection skips them all.
     Right after a failed scan the next job not skipped fits, so at most one
     scan fails per placement made, and the cost of a call does not grow
-    with the number of queued jobs that cannot fit.
+    with the number of queued jobs that cannot fit. A scan reads each
+    server unsorted first and passes over one whose largest grantable
+    fraction + TOL is below the demand, before sorting it: none of its
+    candidates fits, and walking them would only raise the bound to that
+    same fraction. So a failed scan sorts nothing and returns the bound a
+    full walk returns, and a server that can fit is walked in candidate
+    order to the same first fit.
     """
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
     budgets: dict[str, float] = {}
     frees: dict[str, float] = {}
+    dynamic = state.policy.is_dynamic
+    classes = _ai_classes(state.policy)
     now_us = state.clock_us
     eligible_by = state.clock + TOL
     servers = sorted(state.servers, key=lambda s: s.server.id)
 
-    def free_of(gpu: GpuState, inst: GpuInstance) -> float:
-        free = frees.get(inst.id)
-        if free is None:
-            free = frees[inst.id] = _instance_free(gpu, inst)
-        return free
-
-    def candidates():
+    def try_place(job: AiJob) -> float | None:
+        """Place ``job``; on failure return the largest grantable fraction seen."""
+        demand = job.demand_fraction
+        best = -math.inf
         for srv in servers:
-            gpus = []
+            top = -math.inf  # the server's largest grantable fraction
             for gpu in srv.gpus:
                 if gpu.settling_until_us > now_us:
                     continue
-                total_free = sum(free_of(gpu, i) for i in _eligible_instances(state, gpu))
-                gpus.append((-total_free, gpu.device.id, srv, gpu))
-            for _, _, srv_, gpu in sorted(gpus, key=lambda x: (x[0], x[1])):
-                insts = sorted(
-                    _eligible_instances(state, gpu),
-                    key=lambda i: (-free_of(gpu, i), i.id),
-                )
-                for inst in insts:
-                    yield srv_, gpu, inst
-
-    def try_place(job: AiJob) -> float | None:
-        """Place ``job``; on failure return the largest grantable fraction seen."""
-        best = -math.inf
-        for srv, gpu, inst in candidates():
-            free = free_of(gpu, inst)
-            budget = budgets.get(gpu.device.id)
-            if budget is None:
-                budget = budgets[gpu.device.id] = _gpu_budget(state, gpu)
-            grantable = free if free < budget else budget
-            if grantable + TOL < job.demand_fraction:
-                if grantable > best:
-                    best = grantable
+                budget = budgets.get(gpu.device.id)
+                if budget is None:
+                    budget = budgets[gpu.device.id] = _ai_headroom(gpu) if dynamic else math.inf
+                for inst in gpu.instances:
+                    if inst.tenant_class not in classes:
+                        continue
+                    free = frees.get(inst.id)
+                    if free is None:
+                        free = frees[inst.id] = _instance_free(gpu, inst)
+                    grantable = free if free < budget else budget
+                    if grantable > top:
+                        top = grantable
+            if top + TOL < demand:
+                if top > best:
+                    best = top
                 continue
-            decision.assignments[job.id] = (
-                srv.server.id,
-                gpu.device.id,
-                inst.id,
-                job.demand_fraction,
-            )
-            frees[inst.id] = free - job.demand_fraction
-            budgets[gpu.device.id] = budget - job.demand_fraction
-            return None
+            # some slice here fits: walk the server in candidate order
+            gpus = []
+            for gpu in srv.gpus:
+                if gpu.settling_until_us <= now_us:
+                    insts = [i for i in gpu.instances if i.tenant_class in classes]
+                    total_free = sum(frees[i.id] for i in insts)
+                    gpus.append((-total_free, gpu.device.id, insts))
+            for _, gpu_id, insts in sorted(gpus, key=lambda g: g[:2]):
+                budget = budgets[gpu_id]
+                for inst in sorted(insts, key=lambda i: (-frees[i.id], i.id)):
+                    free = frees[inst.id]
+                    grantable = free if free < budget else budget
+                    if grantable + TOL < demand:
+                        continue
+                    decision.assignments[job.id] = (srv.server.id, gpu_id, inst.id, demand)
+                    frees[inst.id] = free - demand
+                    budgets[gpu_id] = budget - demand
+                    return None
         return best
 
     entries = order.entries

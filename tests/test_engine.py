@@ -751,3 +751,40 @@ def test_run_and_report_do_not_import_numpy_ma():
         [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60,
     )
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_run_leaves_numpy_temporaries_on_the_heap():
+    """After ``SimEngine.run`` glibc serves MiB-sized blocks from the heap.
+
+    glibc maps fresh pages for a block at or above its mmap threshold and
+    trims the heap top beyond twice it. The threshold starts at 128 KiB and
+    rises only to the largest mapped block freed so far, so without the
+    raise in ``run`` whether each chunk of a numpy pass re-faulted its
+    temporaries hung on what the process had allocated before (a 600 s
+    ``poc`` run took ~23,000 or ~51,000 minor faults).
+    """
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = (
+        "import ctypes, sys; sys.path.insert(0, 'src'); sys.path.insert(0, 'tests')\n"
+        "from test_engine import scenario\n"
+        "from ranshare.engine import SimEngine\n"
+        "libc = ctypes.CDLL(None)\n"
+        "if not hasattr(libc, 'mallinfo2'):\n"
+        "    sys.exit(print('no glibc'))\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+        "        'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+        "libc.mallinfo2.restype = Info\n"
+        "libc.malloc.restype = ctypes.c_void_p\n"
+        "SimEngine(scenario(horizon=0.01)).run()\n"
+        "mapped = libc.mallinfo2().hblks\n"
+        "block = libc.malloc(2 << 20)\n"
+        "print(libc.mallinfo2().hblks - mapped)\n"
+        "libc.free(ctypes.c_void_p(block))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60,
+    )
+    if out.stdout.strip() == "no glibc":
+        pytest.skip("needs glibc's mallinfo2")
+    assert out.stdout.strip() == "0", out.stderr

@@ -251,7 +251,42 @@ class TestOverloadCost:
         monkeypatch.setattr(orchestrator, "_instance_free", counting)
         decision = plan_placement(jobs, state, DYNAMIC)
         assert decision.assignments == {}
-        assert 0 < calls <= 3 * instances
+        assert calls == instances  # one failed scan reads each slice once
+
+    def test_fit_on_first_server_reads_only_that_server(self, monkeypatch):
+        state, _ = overloaded_fleet(0)
+        srv0 = state.servers[0]
+        for srv in state.servers:
+            for gpu in srv.gpus:
+                gpu.ai_ceiling = 1.0  # every server has room
+        srv0.gpus[3].settling_until_us = state.clock_us + 500
+        for gpu, grant in zip(srv0.gpus, (0.4, 0.1, 0.1)):
+            running = AiJob(f"run-{gpu.device.id}", 0.0, 100.0, grant)
+            state.jobs[running.id] = running
+            state.enqueue(running)
+            start_job(state, running, "srv0", gpu, gpu.instances[0].id, grant)
+        jobs = []
+        for i, demand in enumerate((0.3, 0.5, 0.4)):
+            job = AiJob(f"j{i}", i * 1e-3, 1.0, demand)
+            state.jobs[job.id] = job
+            state.enqueue(job)
+            jobs.append(job)
+        ref = reference_plan_placement(jobs, state, DYNAMIC)
+        calls = 0
+        original = orchestrator._instance_free
+
+        def counting(gpu: GpuState, inst):
+            nonlocal calls
+            calls += 1
+            return original(gpu, inst)
+
+        monkeypatch.setattr(orchestrator, "_instance_free", counting)
+        decision = plan_placement(state.pending, state, DYNAMIC)
+        assert list(decision.assignments.items()) == list(ref.assignments.items())
+        # first-fit decreasing: GPUs by free capacity descending, ties by id
+        placed = [(job_id, where[1]) for job_id, where in decision.assignments.items()]
+        assert placed == [("j1", "srv0-g1"), ("j2", "srv0-g2"), ("j0", "srv0-g0")]
+        assert calls == 3  # srv0's slices that are not settling, each once
 
     def test_backfill_onto_full_slice_does_not_walk_the_queue(self, monkeypatch):
         # static split: the GPU's only AI slice is full, the budget unlimited

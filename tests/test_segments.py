@@ -195,19 +195,24 @@ def reference_run(eng: SimEngine):
     on the grid: the engine's skipping of quiescent epochs must not show.
 
     The report carries the per-row trace (a list of ``TraceRecord``) and
-    its ``reference_summarize`` summary.
+    its ``reference_summarize`` summary. Demand is evaluated once for every
+    slot of the horizon; each slot reads the same bits as it would alone
+    (``test_vector_sampler_does_not_depend_on_batching``).
     """
     state = eng.state
     sampler = ReferenceSampler(eng)
     horizon_us = eng.horizon_us
     slot_us = eng.slot_us
     heap = eng.heap
+    slot_times = np.arange(0, horizon_us, slot_us, dtype=np.int64) / US
+    demands = eng.demand.vector(slot_times).T.tolist()
     next_slot = 0
     while True:
         head = heap[0] if heap else None
         if next_slot < horizon_us and (head is None or next_slot <= head[0]):
             sampler.flush(next_slot)
-            orchestrator._settle_one(state, next_slot, eng.demand)
+            state.clock_us = next_slot
+            orchestrator.settle_slot(state, next_slot / US, demands[next_slot // slot_us])
             next_slot += slot_us
             continue
         if head is None:
