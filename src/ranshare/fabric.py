@@ -7,19 +7,24 @@ disjoint converged fabric for server backends reaching midhaul, backhaul,
 or the internet through a WAN router. Each fronthaul leaf carries a PTP
 grandmaster; the aggregation router is timing-transparent, so it does not
 count as a synchronization hop.
+
+Routing is fluid ECMP (RFC 2992) by shortest-path counts: a flow splits
+evenly over its shortest paths, and a link (a, b) lies on sigma_s(a) *
+sigma_t(b) of them (Brandes, J. Math. Sociol. 25(2), 2001), so two
+breadth-first passes per flow route it without enumerating a path.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-import networkx as nx
 
 from .compute import NfBundle, Server
 from .errors import InvalidCounts, NodeIdClash, NoPath, OddLeafCount, UnreachableEndpoint
 from .workload import CellConfig
+
+Adjacency = dict[str, dict[str, str]]  # node -> {neighbour: link id}
 
 
 class SwitchRole(Enum):
@@ -29,11 +34,6 @@ class SwitchRole(Enum):
     CONVERGED_LEAF = "CONVERGED_LEAF"
     CONVERGED_SPINE = "CONVERGED_SPINE"
     AGGREGATION_ROUTER = "AGGREGATION_ROUTER"
-
-
-class FlowDirection(Enum):
-    EAST_WEST = "EAST_WEST"
-    NORTH_SOUTH = "NORTH_SOUTH"
 
 
 class FlowKind(Enum):
@@ -48,7 +48,6 @@ class FlowKind(Enum):
 class Switch:
     id: str
     role: SwitchRole
-    port_capacity_gbps: float = 100.0
 
 
 @dataclass
@@ -73,13 +72,6 @@ class Flow:
     def __post_init__(self):
         if self.rate_gbps < 0:
             raise ValueError("flow rate must be >= 0")
-
-    @property
-    def direction(self) -> FlowDirection:
-        """Fronthaul stays inside the edge (east-west); every other kind leaves it."""
-        if self.kind is FlowKind.FRONTHAUL:
-            return FlowDirection.EAST_WEST
-        return FlowDirection.NORTH_SOUTH
 
 
 @dataclass(frozen=True)
@@ -108,18 +100,14 @@ class FabricTopology:
     server_backends: dict[str, tuple[str, str]]  # server id -> converged leaf pair
     gm_switches: list[str]
     aggregation_router: str = "agg"
-    wan_router: str = "wan"
-    _graph: nx.Graph | None = field(default=None, repr=False, compare=False)
 
-    def graph(self) -> nx.Graph:
-        if self._graph is None:
-            g = nx.Graph()
-            for sid in self.switches:
-                g.add_node(sid)
-            for link in self.links.values():
-                g.add_edge(link.endpoint_a, link.endpoint_b, link_id=link.id)
-            self._graph = g
-        return self._graph
+    def _adjacency(self) -> Adjacency:
+        """Every switch and link endpoint, read from the link table as it is now."""
+        adj: Adjacency = {sid: {} for sid in self.switches}
+        for link in self.links.values():
+            adj.setdefault(link.endpoint_a, {})[link.endpoint_b] = link.id
+            adj.setdefault(link.endpoint_b, {})[link.endpoint_a] = link.id
+        return adj
 
     def ids_with_role(self, role: SwitchRole) -> list[str]:
         return sorted(s.id for s in self.switches.values() if s.role is role)
@@ -169,7 +157,7 @@ def build_reference_fabric(
     links: dict[str, Link] = {}
 
     def add_switch(sid: str, role: SwitchRole):
-        switches[sid] = Switch(sid, role, link_capacity_gbps)
+        switches[sid] = Switch(sid, role)
 
     def add_link(a: str, b: str, capacity: float):
         link = Link(a, b, capacity)
@@ -251,10 +239,10 @@ def build_reference_fabric(
 def validate_topology(topology: FabricTopology) -> list[Violation]:
     """Structural checks; returns violations as data rather than raising."""
     violations: list[Violation] = []
-    g = topology.graph()
+    adj = topology._adjacency()
 
     def linked(a: str, b: str) -> bool:
-        return g.has_edge(a, b)
+        return b in adj.get(a, ())
 
     spine_sets = (
         (SwitchRole.COMPUTE_SPINE, (SwitchRole.FRONTHAUL_LEAF, SwitchRole.SERVER_LEAF)),
@@ -266,13 +254,8 @@ def validate_topology(topology: FabricTopology) -> list[Violation]:
         for leaf in leaves:
             for spine in spines:
                 if not linked(leaf, spine):
-                    violations.append(
-                        Violation(
-                            "BipartiteIncomplete",
-                            f"{leaf}~{spine}",
-                            f"missing {spine_role.value} mesh link",
-                        )
-                    )
+                    detail = f"missing {spine_role.value} mesh link"
+                    violations.append(Violation("BipartiteIncomplete", f"{leaf}~{spine}", detail))
 
     agg = topology.aggregation_router
     for ru, pair in sorted(topology.rus.items()):
@@ -289,18 +272,13 @@ def validate_topology(topology: FabricTopology) -> list[Violation]:
                     Violation("RedundancyViolation", ru, f"aggregation not linked to {leaf}")
                 )
 
-    for server, pair in sorted(topology.server_frontends.items()):
-        for leaf in pair:
-            if not linked(server, leaf):
-                violations.append(
-                    Violation("AttachmentViolation", server, f"frontend missing link to {leaf}")
-                )
-    for server, pair in sorted(topology.server_backends.items()):
-        for leaf in pair:
-            if not linked(server, leaf):
-                violations.append(
-                    Violation("AttachmentViolation", server, f"backend missing link to {leaf}")
-                )
+    attachments = (("frontend", topology.server_frontends), ("backend", topology.server_backends))
+    for side, homes in attachments:
+        for server, pair in sorted(homes.items()):
+            for leaf in pair:
+                if not linked(server, leaf):
+                    detail = f"{side} missing link to {leaf}"
+                    violations.append(Violation("AttachmentViolation", server, detail))
 
     fronthaul_leaves = topology.ids_with_role(SwitchRole.FRONTHAUL_LEAF)
     gms = set(topology.gm_switches)
@@ -313,7 +291,7 @@ def validate_topology(topology: FabricTopology) -> list[Violation]:
     return violations
 
 
-def _bfs_path(g: nx.Graph, src: str, dst: str) -> list[str] | None:
+def _bfs_path(adj: Adjacency, src: str, dst: str) -> list[str] | None:
     """Deterministic shortest path; ties broken by lowest node id."""
     if src == dst:
         return [src]
@@ -321,7 +299,7 @@ def _bfs_path(g: nx.Graph, src: str, dst: str) -> list[str] | None:
     frontier = deque([src])
     while frontier:
         node = frontier.popleft()
-        for nxt in sorted(g.neighbors(node)):
+        for nxt in sorted(adj[node]):
             if nxt not in parent:
                 parent[nxt] = node
                 if nxt == dst:
@@ -335,13 +313,8 @@ def _bfs_path(g: nx.Graph, src: str, dst: str) -> list[str] | None:
 
 def sync_hops(topology: FabricTopology, path: tuple[str, ...]) -> int:
     """PTP hops along a path; timing-transparent aggregation nodes are skipped."""
-    relevant = [
-        n
-        for n in path
-        if topology.switches.get(n) is None
-        or topology.switches[n].role is not SwitchRole.AGGREGATION_ROUTER
-    ]
-    return len(relevant) - 1
+    transparent = set(topology.ids_with_role(SwitchRole.AGGREGATION_ROUTER))
+    return sum(n not in transparent for n in path) - 1
 
 
 def build_ptp_tree(topology: FabricTopology) -> SyncTree:
@@ -351,12 +324,12 @@ def build_ptp_tree(topology: FabricTopology) -> SyncTree:
     hosting a DU takes timing from the nearest GM (lowest id on ties), per
     the fabric-sourced synchronization layout.
     """
-    g = topology.graph()
+    adj = topology._adjacency()
     paths: dict[str, tuple[str, ...]] = {}
 
     for ru, pair in sorted(topology.rus.items()):
         gm = min(pair)
-        path = _bfs_path(g, gm, ru)
+        path = _bfs_path(adj, gm, ru)
         if path is None:
             raise UnreachableEndpoint(f"RU {ru} cannot reach grandmaster {gm}")
         paths[ru] = tuple(path)
@@ -365,7 +338,7 @@ def build_ptp_tree(topology: FabricTopology) -> SyncTree:
     for server in sorted(topology.server_frontends):
         best: list[str] | None = None
         for gm in sorted(topology.gm_switches):
-            path = _bfs_path(g, gm, server)
+            path = _bfs_path(adj, gm, server)
             if path is not None and (best is None or len(path) < len(best)):
                 best = path
         if best is None:
@@ -377,23 +350,47 @@ def build_ptp_tree(topology: FabricTopology) -> SyncTree:
     return SyncTree(grandmaster=grandmaster, paths=paths, max_hops=max_hops)
 
 
+def _path_counts(adj: Adjacency, src: str) -> tuple[dict[str, int], dict[str, int]]:
+    """Hop distance and shortest-path count from ``src`` to every reachable node."""
+    dist, sigma = {src: 0}, {src: 1}
+    frontier = [src]
+    while frontier:
+        ring = []
+        for a in frontier:
+            d = dist[a] + 1
+            for b in adj[a]:
+                if b not in dist:
+                    dist[b], sigma[b] = d, 0
+                    ring.append(b)
+                if dist[b] == d:
+                    sigma[b] += sigma[a]
+        frontier = ring
+    return dist, sigma
+
+
 def route_flows(
     topology: FabricTopology, flows: list[Flow]
 ) -> tuple[dict[str, float], list[CapacityViolation]]:
     """Fluid equal-cost routing: each flow splits evenly over all shortest paths."""
-    g = topology.graph()
+    adj = topology._adjacency()
     loads: dict[str, float] = {link_id: 0.0 for link_id in topology.links}
     for f in flows:
-        if f.src not in g or f.dst not in g:
+        if f.src not in adj or f.dst not in adj:
             raise NoPath(f"flow {f.id}: unknown endpoint")
-        try:
-            paths = sorted(nx.all_shortest_paths(g, f.src, f.dst))
-        except nx.NetworkXNoPath:
+        d_s, sigma_s = _path_counts(adj, f.src)
+        if f.dst not in d_s:
             raise NoPath(f"flow {f.id}: {f.src} and {f.dst} are disconnected")
-        share = f.rate_gbps / len(paths)
-        for path in paths:
-            for a, b in zip(path, path[1:]):
-                loads[g.edges[a, b]["link_id"]] += share
+        d_t, sigma_t = _path_counts(adj, f.dst)
+        hops = d_s[f.dst]
+        share = f.rate_gbps / sigma_s[f.dst]
+        for a, d in d_s.items():
+            if d + d_t[a] != hops:
+                continue  # on no shortest path
+            for b, link_id in adj[a].items():
+                if d + 1 + d_t[b] == hops:
+                    # once per path through (a, b), the same sum as walking each path
+                    for _ in range(sigma_s[a] * sigma_t[b]):
+                        loads[link_id] += share
     violations = [
         CapacityViolation(link_id, load, topology.links[link_id].capacity_gbps)
         for link_id, load in sorted(loads.items())

@@ -42,6 +42,8 @@ from ranshare.workload import (
     constant,
 )
 
+from test_fabric import nx_graph
+
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
 SATURATING = AiWorkload(id="sat", arrival=ArrivalKind.SATURATING)
 
@@ -255,7 +257,7 @@ class TestCriterion5FabricInvariants:
         violations = validate_topology(topo)
         ok_valid = violations == []
 
-        g = topo.graph()
+        g = nx_graph(topo)
         ok_redundant = True
         for spine in ("cs1", "cs2"):
             h = g.copy()

@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from ranshare.cli import main
@@ -157,6 +161,21 @@ class TestRun:
         assert main(["run", str(short_poc), "--format", "summary"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("scenario poc-short")
+
+    def test_run_does_not_import_networkx(self, short_uplift, tmp_path):
+        """networkx is the tests' routing oracle; the program itself never loads it."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        argv = ["run", str(short_uplift), "--format", "summary", "--out", str(tmp_path / "s")]
+        code = (
+            "import sys; sys.path.insert(0, 'src')\n"
+            "import ranshare\n"
+            "from ranshare.cli import main\n"
+            f"print(main({argv!r}), 'networkx' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, timeout=60,
+        )
+        assert out.stdout.strip() == "0 False", out.stderr
 
 
 class TestSweep:

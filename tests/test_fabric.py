@@ -5,10 +5,11 @@ import networkx as nx
 import pytest
 
 from ranshare.compute import GpuDevice, NfBundle, Server
+from ranshare.engine import run
 from ranshare.errors import NodeIdClash, NoPath, OddLeafCount, UnreachableEndpoint
 from ranshare.fabric import (
+    CapacityViolation,
     Flow,
-    FlowDirection,
     FlowKind,
     FronthaulCalibration,
     SwitchRole,
@@ -20,6 +21,7 @@ from ranshare.fabric import (
     sync_hops,
     validate_topology,
 )
+from ranshare.scenario import parse_scenario
 from ranshare.workload import CellConfig
 
 
@@ -31,6 +33,67 @@ def reference(rus=("ru1", "ru2"), servers_=None):
     return build_reference_fabric(
         2, 4, 2, 4, list(rus), servers_ or [server()], link_capacity_gbps=100.0
     )
+
+
+def nx_graph(topo) -> nx.Graph:
+    """The topology as a networkx graph: every switch, and every link under its id."""
+    g = nx.Graph()
+    g.add_nodes_from(topo.switches)
+    for link in topo.links.values():
+        g.add_edge(link.endpoint_a, link.endpoint_b, link_id=link.id)
+    return g
+
+
+def reference_route_flows(topo, flows):
+    """Fluid ECMP by enumeration: ``rate / len(paths)`` added along each sorted shortest path."""
+    g = nx_graph(topo)
+    loads = {link_id: 0.0 for link_id in topo.links}
+    for f in flows:
+        if f.src not in g or f.dst not in g:
+            raise NoPath(f"flow {f.id}: unknown endpoint")
+        try:
+            paths = sorted(nx.all_shortest_paths(g, f.src, f.dst))
+        except nx.NetworkXNoPath:
+            raise NoPath(f"flow {f.id}: {f.src} and {f.dst} are disconnected")
+        share = f.rate_gbps / len(paths)
+        for path in paths:
+            for a, b in zip(path, path[1:]):
+                loads[g.edges[a, b]["link_id"]] += share
+    violations = [
+        CapacityViolation(link_id, load, topo.links[link_id].capacity_gbps)
+        for link_id, load in sorted(loads.items())
+        if load > topo.links[link_id].capacity_gbps + 1e-9
+    ]
+    return loads, violations
+
+
+def random_fabric(rng):
+    """A random reference fabric and flows over it.
+
+    Each fabric has 1-4 spines and 2-8 leaves, and there are 1-8 RUs and
+    1-8 servers. Link and server port capacities are drawn from 10-100 Gbps
+    and flow rates up to 60 Gbps, so some links overload. Flows run between
+    any two of the RUs, servers, the aggregation router and the WAN router.
+    """
+    ports = (10.0, 25.0, 40.0, 100.0)
+    servers_ = [
+        Server(
+            id=f"srv{i}", gpus=(GpuDevice(id=f"srv{i}-gpu"),),
+            frontend_port_gbps=rng.choice(ports), backend_port_gbps=rng.choice(ports),
+        )
+        for i in range(rng.randint(1, 8))
+    ]
+    rus = [f"ru{i}" for i in range(rng.randint(1, 8))]
+    topo = build_reference_fabric(
+        rng.randint(1, 4), 2 * rng.randint(1, 4), rng.randint(1, 4), 2 * rng.randint(1, 4),
+        rus, servers_, link_capacity_gbps=rng.choice(ports),
+    )
+    nodes = rus + [s.id for s in servers_] + ["agg", "wan"]
+    flows = [
+        Flow(f"f{i}", *rng.sample(nodes, 2), rng.choice(list(FlowKind)), rng.uniform(0.5, 60.0))
+        for i in range(rng.randint(1, 12))
+    ]
+    return topo, flows
 
 
 class TestBuild:
@@ -86,7 +149,6 @@ class TestValidate:
     def test_missing_mesh_link(self):
         topo = reference()
         del topo.links["cl1~cs1"]
-        topo._graph = None
         violations = validate_topology(topo)
         assert any(v.rule == "BipartiteIncomplete" for v in violations)
 
@@ -100,7 +162,6 @@ class TestValidate:
         topo = reference()
         pair = topo.server_backends["srv1"]
         del topo.links[f"srv1~{pair[0]}"]
-        topo._graph = None
         violations = validate_topology(topo)
         assert any(v.rule == "AttachmentViolation" for v in violations)
 
@@ -139,7 +200,6 @@ class TestPtp:
             del topo.links[f"srv1~{leaf}"]
         for leaf in topo.server_backends["srv1"]:
             del topo.links[f"srv1~{leaf}"]
-        topo._graph = None
         with pytest.raises(UnreachableEndpoint):
             build_ptp_tree(topo)
 
@@ -188,28 +248,48 @@ class TestRouting:
     def test_flow_conservation(self):
         rng = random.Random(23)
         for _ in range(20):
-            n_spine = rng.choice([1, 2, 3])
-            n_leaf = rng.choice([2, 4])
-            servers_ = [server(f"srv{i}") for i in range(1, rng.randint(2, 4))]
-            rus = [f"ru{i}" for i in range(1, rng.randint(2, 4))]
-            topo = build_reference_fabric(n_spine, n_leaf, n_spine, n_leaf, rus, servers_)
-            g = topo.graph()
-            flows = []
+            topo, flows = random_fabric(rng)
+            g = nx_graph(topo)
             expected = 0.0
-            nodes = rus + [s.id for s in servers_]
-            for i in range(rng.randint(1, 5)):
-                src, dst = rng.sample(nodes, 2)
-                rate = rng.uniform(0.5, 20.0)
-                kind = FlowKind.FRONTHAUL
-                flows.append(Flow(f"f{i}", src, dst, kind, rate))
-                hops = nx.shortest_path_length(g, src, dst)
-                expected += rate * hops
+            for f in flows:
+                expected += f.rate_gbps * nx.shortest_path_length(g, f.src, f.dst)
             loads, _ = route_flows(topo, flows)
             assert math.fsum(loads.values()) == pytest.approx(expected, rel=1e-9)
 
+    def test_path_counts_match_path_enumeration(self):
+        """Loads and violations equal, float for float, those of enumerating every path."""
+        rng = random.Random(2992)
+        spines, leaves, violated = set(), set(), 0
+        for _ in range(120):
+            topo, flows = random_fabric(rng)
+            loads, violations = route_flows(topo, flows)
+            assert (loads, violations) == reference_route_flows(topo, flows)
+            spines.add(len(topo.ids_with_role(SwitchRole.COMPUTE_SPINE)))
+            leaves.add(len(topo.ids_with_role(SwitchRole.CONVERGED_LEAF)))
+            violated += bool(violations)
+        assert spines == {1, 2, 3, 4} and leaves == {2, 4, 6, 8}
+        assert 0 < violated < 120
+
+    @pytest.mark.parametrize("route", [route_flows, reference_route_flows])
+    def test_detached_endpoint_has_no_path(self, route):
+        topo = reference()
+        flows = [Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, 1.0)]
+        del topo.links["ru1~agg"]
+        with pytest.raises(NoPath, match="^flow f1: unknown endpoint$"):
+            route(topo, flows)
+
+    @pytest.mark.parametrize("route", [route_flows, reference_route_flows])
+    def test_split_fabrics_have_no_path(self, route):
+        topo = reference()
+        flows = [Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, 1.0)]
+        for leaf in topo.server_frontends["srv1"]:
+            del topo.links[f"srv1~{leaf}"]
+        with pytest.raises(NoPath, match="^flow f1: ru1 and srv1 are disconnected$"):
+            route(topo, flows)
+
     def test_spine_failure_keeps_leaf_pairs_connected(self):
         topo = reference()
-        g = topo.graph()
+        g = nx_graph(topo)
         for spine in ("cs1", "cs2"):
             h = g.copy()
             h.remove_node(spine)
@@ -283,8 +363,29 @@ class TestRatesAndEgress:
     def test_egress_target(self, bundle, kind):
         assert egress_target(server(bundle=bundle)) is kind
 
-    def test_flow_direction_follows_kind(self):
-        assert Flow("f", "a", "b", FlowKind.FRONTHAUL).direction is FlowDirection.EAST_WEST
-        for kind in FlowKind:
-            if kind is not FlowKind.FRONTHAUL:
-                assert Flow("f", "a", "b", kind).direction is FlowDirection.NORTH_SOUTH
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "fronthaul is routed only at t=0 and at TRACE steps, so a diurnal peak "
+    "after t=0 is never checked"
+))
+def test_every_phase_of_a_diurnal_peak_reports_a_violation(scenario_dir):
+    """A 20 Gbps fronthaul peak on 15 Gbps links is a violation whatever the phase.
+
+    The cell's diurnal load runs 0.2-1.0 with a 2 s period, so every phase
+    reaches the peak within the 4 s horizon. Today phases 0 and 3 report
+    nothing: their load at t=0 is below 0.75.
+    """
+    text = (scenario_dir / "poc.scenario").read_text()
+    for old, new in [
+        ("link_capacity_gbps: 100.0", "link_capacity_gbps: 15.0"),
+        ("min: 0.98", "min: 0.2"),
+        ("period_s: 300.0", "period_s: 2.0"),
+        ("horizon_s: 600.0", "horizon_s: 4.0"),
+    ]:
+        text = text.replace(old, new)
+    violations = {
+        phase: len(run(parse_scenario(text.replace("phase: 0.0", f"phase: {phase}")))
+                   .fabric_violations)
+        for phase in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    }
+    assert all(violations.values()), violations
