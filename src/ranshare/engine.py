@@ -1,10 +1,13 @@
 """Deterministic discrete-event core.
 
-The clock is an integer microsecond counter; every event time is quantized
-to it, which makes tie-breaking exact and runs reproducible byte for byte.
-Heap events carry (time_us, kind_priority, seq) keys so that simultaneous
-events follow the ``EventKind`` order: policy epoch < arrival < completion
-< profile change < repartition settled.
+The cluster state holds the event queue and the job clock
+(``ClusterState.push``, ``orchestrator.set_rate``); the engine seeds the
+queue, pops it in order, dispatches each event and settles the slots in
+between. The clock is an integer microsecond counter; every event time is
+quantized to it, which makes tie-breaking exact and runs reproducible byte
+for byte. Heap events carry (time_us, kind_priority, seq) keys so that
+simultaneous events follow the ``EventKind`` order: policy epoch < arrival
+< completion < profile change < repartition settled.
 
 Slot boundaries dominate the event count, so they never enter the heap.
 Between two heap events slots differ only through RAN demand, so the main
@@ -63,33 +66,31 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop
 
 import numpy as np
 
 from . import fabric as fabric_mod
 from . import orchestrator as orch
 from .compute import Server
-from .errors import CalibrationOverflow, EmptyTrace, EventInPast, ScenarioInvalid
+from .errors import CalibrationOverflow, EmptyTrace, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration
 from .orchestrator import (
     ActionKind,
     DeadlineMiss,
     DemandModel,
-    EngineHooks,
+    EventKind,
     EventRecord,
     Policy,
     PolicyKind,
+    accrue_all,
     apply_actions,
-    backfill_queue,
-    plan_placement,
+    finish_job,
+    placement_round,
     policy_epoch,
     settle_segment,
-    start_job,
 )
 from .workload import (
-    AiJob,
     AiWorkload,
     Calibration,
     CellConfig,
@@ -104,16 +105,6 @@ from .workload import (
 US = 1_000_000
 # the events that note the trace: each on its GPU's next sample
 NOTED_EVENTS = frozenset(("preempt", "trim", "repartition"))
-
-
-class EventKind(Enum):
-    """Heap event kinds; the value orders simultaneous events."""
-
-    POLICY_EPOCH = 0
-    JOB_ARRIVAL = 1
-    JOB_COMPLETION = 2
-    PROFILE_CHANGE = 3
-    REPARTITION_SETTLED = 4
 
 
 @dataclass(frozen=True)
@@ -477,22 +468,6 @@ def summarize(trace: Trace, miss_count: int = 0) -> Summary:
     return Summary(per_gpu=per_gpu, avg_total=avg_total, miss_count=miss_count)
 
 
-class _Hooks(EngineHooks):
-    def __init__(self, engine: "SimEngine"):
-        self.engine = engine
-
-    def set_rate(self, job: AiJob, rate: float):
-        eng = self.engine
-        eng._accrue_job(job, eng.state.clock_us)
-        job.service_rate = rate
-        job.version += 1
-        eng._schedule_completion(job)
-
-    def on_repartition(self, gpu: orch.GpuState):
-        eng = self.engine
-        eng._push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))
-
-
 class SimEngine:
     """One scenario run. Single-threaded; never reads the wall clock."""
 
@@ -514,10 +489,6 @@ class SimEngine:
             list(scenario.servers), scenario.policy, partitions, cell_hosts=cell_hosts
         )
         self.state.slot_us = self.slot_us
-        self.state.hooks = _Hooks(self)
-
-        self.heap: list = []
-        self.seq = 0
         self.fabric_events: list[EventRecord] = []
         # no samples until run() allocates the whole trace
         self.trace = Trace([g.device.id for g in self.state.gpus], [], [], [])
@@ -541,56 +512,24 @@ class SimEngine:
                 job.arrival_time = t_us / US  # quantize to the event clock
                 job.accrued_until_us = t_us
                 self.state.jobs[job.id] = job
-                self._push(t_us, EventKind.JOB_ARRIVAL, (job.id,))
+                self.state.push(t_us, EventKind.JOB_ARRIVAL, (job.id,))
 
     def _schedule_initial_events(self):
-        policy = self.scenario.policy
+        policy, push = self.scenario.policy, self.state.push
         if policy.is_dynamic:
-            self._push(0, EventKind.POLICY_EPOCH, ())
+            push(0, EventKind.POLICY_EPOCH, ())
         elif policy.kind is PolicyKind.TIME_SPLIT:
             # the first interval's layout is already the initial partition
             for start, _end, _ran in policy.schedule[1:]:
                 t_us = round(start * US)
                 if t_us < self.horizon_us:
-                    self._push(t_us, EventKind.POLICY_EPOCH, ())
+                    push(t_us, EventKind.POLICY_EPOCH, ())
         for cell in self.scenario.cells:
             if cell.profile.kind is ProfileKind.TRACE:
                 for t, _v in cell.profile.points:
                     t_us = round(t * US)
                     if 0 < t_us < self.horizon_us:
-                        self._push(t_us, EventKind.PROFILE_CHANGE, ())
-
-    # -- event plumbing --------------------------------------------------------
-
-    def _push(self, t_us: int, kind: EventKind, payload: tuple = ()):
-        if t_us < self.state.clock_us:
-            raise EventInPast(
-                f"{kind.name} at {t_us} us is before the clock ({self.state.clock_us} us)"
-            )
-        self.seq += 1
-        heappush(self.heap, (t_us, kind.value, self.seq, kind, payload))
-
-    def _accrue_job(self, job: AiJob, now_us: int):
-        dt = now_us - job.accrued_until_us
-        if dt > 0:
-            if job.service_rate > 0.0 and math.isfinite(job.remaining_compute_seconds):
-                done = job.service_rate * (dt / US)
-                rem = job.remaining_compute_seconds - done
-                job.remaining_compute_seconds = rem if rem > 0.0 else 0.0
-            job.accrued_until_us = now_us
-
-    def _schedule_completion(self, job: AiJob):
-        if (
-            job.state is JobState.RUNNING
-            and job.service_rate > 1e-12
-            and math.isfinite(job.remaining_compute_seconds)
-        ):
-            dt_us = math.ceil(job.remaining_compute_seconds / job.service_rate * US)
-            self._push(
-                self.state.clock_us + max(dt_us, 0),
-                EventKind.JOB_COMPLETION,
-                (job.id, job.version),
-            )
+                        push(t_us, EventKind.PROFILE_CHANGE, ())
 
     # -- fabric ------------------------------------------------------------------
 
@@ -675,22 +614,6 @@ class SimEngine:
             range(self.next_sample_us, last_us, self.sample_us), self._emit_samples,
         )
 
-    def _placement_round(self):
-        state = self.state
-        if state.queue:
-            decision = plan_placement(state.pending, state, state.policy)
-            for job_id, (srv_id, gpu_id, inst_id, fraction) in decision.assignments.items():
-                gpu = state.gpu_by_id(gpu_id)
-                start_job(state, state.jobs[job_id], srv_id, gpu, inst_id, fraction)
-        if state.queue:
-            for srv in state.servers:
-                for gpu in srv.gpus:
-                    if gpu.settling_until_us > state.clock_us:
-                        continue
-                    budget = orch._gpu_budget(state, gpu)
-                    if budget > 1e-9:
-                        backfill_queue(state, gpu, budget)
-
     def _dispatch(self, kind: EventKind, payload: tuple, t_us: int) -> bool:
         """Handle one heap event; ``state.clock_us`` is ``t_us``.
 
@@ -709,7 +632,7 @@ class SimEngine:
             )
             logged = len(state.events)
             prev_ceilings = [gpu.ai_ceiling for gpu in gpus]
-            actions = policy_epoch(state, policy, t_s)
+            actions = policy_epoch(state, t_s)
             apply_actions(state, actions)
             for gpu, ceiling in zip(gpus, prev_ceilings):
                 if gpu.ai_ceiling != ceiling:
@@ -717,11 +640,11 @@ class SimEngine:
                         "ceiling", gpu.device.id,
                         value=gpu.ai_ceiling, ai=gpu.ai_hard + gpu.ai_free,
                     )
-            self._placement_round()
+            placement_round(state)
             if policy.is_dynamic:
                 nxt = t_us + self.epoch_us
                 if nxt < self.horizon_us:
-                    self._push(nxt, EventKind.POLICY_EPOCH, ())
+                    state.push(nxt, EventKind.POLICY_EPOCH, ())
             return (
                 steady
                 and len(state.events) == logged
@@ -741,24 +664,14 @@ class SimEngine:
                         "arrival", job.id,
                         size=job.size_compute_seconds, demand=job.demand_fraction,
                     )
-            self._placement_round()
+            placement_round(state)
         elif kind is EventKind.JOB_COMPLETION:
             job_id, version = payload
             job = state.jobs[job_id]
             if job.version != version or job.state is not JobState.RUNNING:
                 return False  # stale completion from a superseded rate
-            self._accrue_job(job, t_us)
-            gpu = state.gpu_by_id(job.gpu_id)
-            job.remaining_compute_seconds = 0.0
-            job.state = JobState.DONE
-            job.completion_time = t_s
-            job.service_rate = 0.0
-            job.version += 1
-            orch._change_grant(state, gpu, job, -job.granted_fraction)
-            gpu.jobs.remove(job)
-            orch._refresh_effective(state, gpu)
-            state.log("completion", job.id, gpu=gpu.device.id)
-            self._placement_round()
+            finish_job(state, job)
+            placement_round(state)
         elif kind is EventKind.PROFILE_CHANGE:
             self._route_fabric(t_s)
             state.log("reroute", "-", "profile step")
@@ -766,7 +679,7 @@ class SimEngine:
             gpu = state.gpu_by_id(payload[0])
             if gpu.settling_until_us <= t_us:
                 state.log("settled", gpu.device.id, "slices accepting work")
-                self._placement_round()
+                placement_round(state)
         return False
 
     # -- main loop ---------------------------------------------------------------
@@ -779,14 +692,14 @@ class SimEngine:
         last settled slot's, and a time just before a queued job becomes
         eligible. Past the horizon, no epoch is left.
         """
-        heap = self.heap
+        state = self.state
+        heap = state.heap
         if not heap or heap[0][3] is not EventKind.POLICY_EPOCH:
             return  # an event comes before the epoch just pushed, or none was pushed
         bound = min([self.horizon_us] + [entry[0] for entry in heap[1:3]])
         last, nxt = self.demand.vector(np.array([next_slot - self.slot_us, next_slot]) / US).T
         if (last != nxt).any():
             bound = min(bound, next_slot)
-        state = self.state
         eligible_by = state.clock + orch.TOL
         for _arrival, job_id in state.queue:
             at = state.jobs[job_id].eligible_at_s
@@ -797,13 +710,13 @@ class SimEngine:
         if due > heap[0][0]:
             heappop(heap)
             if due < self.horizon_us:
-                self._push(due, EventKind.POLICY_EPOCH, ())
+                state.push(due, EventKind.POLICY_EPOCH, ())
 
     def run(self) -> MetricsReport:
         state = self.state
         horizon_us = self.horizon_us
         slot_us = self.slot_us
-        heap = self.heap
+        heap = state.heap
         n_samples = horizon_us // self.sample_us + 1
         shape = (n_samples, len(state.gpus))
         # glibc maps fresh pages for a block at or above its mmap threshold
@@ -839,12 +752,7 @@ class SimEngine:
         state.clock_us = horizon_us
         self._flush_samples(horizon_us + 1)
         self._close_trace()
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                gpu.accrue(horizon_us)
-        for job in state.jobs.values():
-            if job.state is JobState.RUNNING:
-                self._accrue_job(job, horizon_us)
+        accrue_all(state)
         return self._report()
 
     def _report(self) -> MetricsReport:

@@ -13,6 +13,12 @@ Three multi-tenancy policies:
 Slot-level rule, shared by every policy: RAN demand is granted before AI
 grants renew, so AI can never displace RAN inside a slot. A slot whose RAN
 demand cannot be fully granted records a deadline miss.
+
+``ClusterState`` also holds the run's event queue and its job clock. Every
+rate change goes through ``set_rate``, which accrues the job's work to
+``clock_us`` and queues its completion; a repartition queues the event
+that ends its settling; ``finish_job`` retires a job at its completion.
+The engine pops the queue and settles the slots between events.
 """
 
 from __future__ import annotations
@@ -23,13 +29,14 @@ from collections import deque
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappush
 from typing import NamedTuple
 
 import numpy as np
 
 from . import compute
 from .compute import GpuDevice, GpuInstance, Server, TenantClass
-from .errors import InvalidEpoch
+from .errors import EventInPast, InvalidEpoch
 from .workload import AiJob, JobState, SloClass
 
 TOL = 1e-9
@@ -40,6 +47,16 @@ class PolicyKind(Enum):
     STATIC_SPLIT = "static_split"
     TIME_SPLIT = "time_split"
     DYNAMIC_BACKFILL = "dynamic_backfill"
+
+
+class EventKind(Enum):
+    """Queued event kinds; the value orders simultaneous events."""
+
+    POLICY_EPOCH = 0
+    JOB_ARRIVAL = 1
+    JOB_COMPLETION = 2
+    PROFILE_CHANGE = 3
+    REPARTITION_SETTLED = 4
 
 
 class ForecastKind(Enum):
@@ -203,23 +220,6 @@ class PlacementOrder:
         del self.entries[i]
 
 
-class EngineHooks:
-    """Callbacks the simulation engine installs; defaults are inert.
-
-    ``set_rate`` must accrue the job's progress up to the current clock
-    before changing its effective rate, and refresh any pending completion
-    event. ``on_repartition`` lets the engine schedule the settling-complete
-    event. Events are not hooks: ``ClusterState.log`` records them.
-    """
-
-    def set_rate(self, job: AiJob, rate: float):
-        job.service_rate = rate
-        job.version += 1
-
-    def on_repartition(self, gpu: "GpuState"):
-        pass
-
-
 @dataclass
 class GpuState:
     """Mutable per-GPU scheduling state plus metrics accumulators."""
@@ -291,7 +291,6 @@ class ClusterState:
     jobs: dict[str, AiJob] = field(default_factory=dict)
     clock_us: int = 0
     slot_us: int = 500
-    hooks: EngineHooks = field(default_factory=EngineHooks)
     cell_hosts: frozenset[str] = frozenset()  # ids of the servers that host a cell
     # the queue, changed only by enqueue/dequeue: (arrival, id) in arrival
     # order, the set of its ids, and its jobs in placement order
@@ -301,6 +300,9 @@ class ClusterState:
     # the run log: every event, and every slot miss as (t_s, server id, shortfall)
     events: list[EventRecord] = field(init=False, default_factory=list)
     misses: list[tuple[float, str, float]] = field(init=False, default_factory=list)
+    # the event queue: (t_us, kind value, seq, kind, payload) entries
+    heap: list[tuple] = field(init=False, default_factory=list)
+    seq: int = field(init=False, default=0)
     # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
     soft_ran: bool = field(init=False, default=False)
     # every GPU, servers in order and each server's GPUs in order
@@ -325,6 +327,15 @@ class ClusterState:
             EventRecord(self.clock_us / US, kind, subject, event_detail(text, **fields))
         )
 
+    def push(self, t_us: int, kind: EventKind, payload: tuple = ()):
+        """Queue event ``kind`` at ``t_us``; a time before the clock raises ``EventInPast``."""
+        if t_us < self.clock_us:
+            raise EventInPast(
+                f"{kind.name} at {t_us} us is before the clock ({self.clock_us} us)"
+            )
+        self.seq += 1
+        heappush(self.heap, (t_us, kind.value, self.seq, kind, payload))
+
     def enqueue(self, job: AiJob):
         bisect.insort(self.queue, (job.arrival_time, job.id))
         self.queued.add(job.id)
@@ -344,7 +355,6 @@ def build_cluster_state(
     servers: list[Server],
     policy: Policy,
     partitions: dict[str, tuple[list[float], list[TenantClass]]],
-    hooks: EngineHooks | None = None,
     cell_hosts: Iterable[str] = (),
 ) -> ClusterState:
     """Partition GPUs per the initial layout and assemble the cluster state.
@@ -367,7 +377,6 @@ def build_cluster_state(
     return ClusterState(
         servers=server_states,
         policy=policy,
-        hooks=hooks or EngineHooks(),
         cell_hosts=frozenset(cell_hosts),
     )
 
@@ -428,7 +437,7 @@ def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     hard AI slices are untouched by construction. Misses are appended to
     ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
     exceeds 1e-9. Returns True when a GPU's throttle was applied, which may
-    have changed job rates and, through the hooks, scheduled events.
+    have changed job rates and so queued completion events.
     """
     soft = state.soft_ran
     now_us = state.clock_us
@@ -486,7 +495,7 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
         remaining -= rate
         eff_total += rate
         if rate != job.service_rate:
-            state.hooks.set_rate(job, rate)
+            set_rate(state, job, rate)
     gpu.accrue(state.clock_us)
     gpu.ai_free_eff = eff_total
     gpu.throttled = eff_total < gpu.ai_free - TOL
@@ -768,9 +777,7 @@ def _gpu_budget(state: ClusterState, gpu: GpuState) -> float:
     return _ai_headroom(gpu) if state.policy.is_dynamic else math.inf
 
 
-def plan_placement(
-    jobs: list[AiJob] | PlacementOrder, state: ClusterState, policy: Policy
-) -> PlacementDecision:
+def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> PlacementDecision:
     """First-fit placement of whole job demands.
 
     INTERACTIVE jobs go first, in arrival order, and only onto instances
@@ -941,13 +948,14 @@ def _undergrant(gpu: GpuState) -> float:
     )
 
 
-def policy_epoch(state: ClusterState, policy: Policy, t: float) -> list[ScaleAction]:
-    """Compute scale actions due at time ``t``.
+def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
+    """Compute the scale actions ``state.policy`` takes at time ``t``.
 
     STATIC_SPLIT never changes anything. TIME_SPLIT emits repartitions at
     schedule boundaries. DYNAMIC_BACKFILL recomputes each GPU's AI ceiling
     from the RAN forecast and emits grants/reclaims toward it.
     """
+    policy = state.policy
     actions: list[ScaleAction] = []
     if policy.kind is PolicyKind.STATIC_SPLIT:
         return [ScaleAction(ActionKind.NO_OP)]
@@ -1049,10 +1057,51 @@ def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float)
     job.granted_fraction += amount
 
 
+def _accrue_job(job: AiJob, now_us: int):
+    """Count the work ``job`` did at its current rate up to ``now_us``."""
+    dt = now_us - job.accrued_until_us
+    if dt > 0:
+        if job.service_rate > 0.0 and math.isfinite(job.remaining_compute_seconds):
+            done = job.service_rate * (dt / US)
+            rem = job.remaining_compute_seconds - done
+            job.remaining_compute_seconds = rem if rem > 0.0 else 0.0
+        job.accrued_until_us = now_us
+
+
+def accrue_all(state: ClusterState):
+    """Bring every GPU's level integrals and every running job's work up to the clock."""
+    for gpu in state.gpus:
+        gpu.accrue(state.clock_us)
+    for job in state.jobs.values():
+        if job.state is JobState.RUNNING:
+            _accrue_job(job, state.clock_us)
+
+
+def set_rate(state: ClusterState, job: AiJob, rate: float):
+    """Serve ``job`` at ``rate`` from now on.
+
+    Its work is accrued to the clock at the old rate first. The change bumps
+    ``job.version``, which makes any queued completion stale, and a running
+    job with a positive rate and finite work gets a new completion at the
+    first microsecond by which that work is done.
+    """
+    now_us = state.clock_us
+    _accrue_job(job, now_us)
+    job.service_rate = rate
+    job.version += 1
+    if (
+        job.state is JobState.RUNNING
+        and rate > 1e-12
+        and math.isfinite(job.remaining_compute_seconds)
+    ):
+        dt_us = math.ceil(job.remaining_compute_seconds / rate * US)
+        state.push(now_us + max(dt_us, 0), EventKind.JOB_COMPLETION, (job.id, job.version))
+
+
 def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
     """Suspend a running job, preserving its remaining work."""
     state.log("preempt", gpu.device.id, job=job.id, fraction=job.granted_fraction)
-    state.hooks.set_rate(job, 0.0)
+    set_rate(state, job, 0.0)
     _change_grant(state, gpu, job, -job.granted_fraction)
     gpu.jobs.remove(job)
     job.state = JobState.PREEMPTED
@@ -1073,7 +1122,7 @@ def _reclaim(state: ClusterState, action: ScaleAction):
             preempt_job(state, gpu, job)
         else:
             _change_grant(state, gpu, job, -delta)
-            state.hooks.set_rate(job, job.granted_fraction)
+            set_rate(state, job, job.granted_fraction)
             state.log("trim", gpu.device.id, job=job.id, fraction=delta)
             delta = 0.0
     _refresh_effective(state, gpu)
@@ -1098,9 +1147,22 @@ def start_job(
         job.first_start_time = state.clock
     gpu.jobs.append(job)
     _change_grant(state, gpu, job, grant)  # a job out of service holds no grant
-    state.hooks.set_rate(job, grant)
+    set_rate(state, job, grant)
     _refresh_effective(state, gpu)
     state.log("place", gpu.device.id, job=job.id, instance=inst_id, fraction=grant)
+
+
+def finish_job(state: ClusterState, job: AiJob):
+    """Complete a running job now: its work is done and its grant released."""
+    set_rate(state, job, 0.0)
+    gpu = state.gpu_by_id(job.gpu_id)
+    job.remaining_compute_seconds = 0.0
+    job.state = JobState.DONE
+    job.completion_time = state.clock
+    _change_grant(state, gpu, job, -job.granted_fraction)
+    gpu.jobs.remove(job)
+    _refresh_effective(state, gpu)
+    state.log("completion", job.id, gpu=gpu.device.id)
 
 
 def _refresh_effective(state: ClusterState, gpu: GpuState):
@@ -1129,7 +1191,7 @@ def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
         if extra <= TOL:
             continue
         _change_grant(state, gpu, job, extra)
-        state.hooks.set_rate(job, job.granted_fraction)
+        set_rate(state, job, job.granted_fraction)
         state.log("grant", gpu.device.id, job=job.id, fraction=extra)
         budget -= extra
     _refresh_effective(state, gpu)
@@ -1176,6 +1238,25 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
     return budget
 
 
+def placement_round(state: ClusterState):
+    """Place what fits of the queue, then backfill every GPU that has a budget.
+
+    GPUs that are settling after a repartition are left out of the backfill.
+    """
+    if state.queue:
+        decision = plan_placement(state.pending, state)
+        for job_id, (srv_id, gpu_id, inst_id, fraction) in decision.assignments.items():
+            gpu = state.gpu_by_id(gpu_id)
+            start_job(state, state.jobs[job_id], srv_id, gpu, inst_id, fraction)
+    if state.queue:
+        for gpu in state.gpus:
+            if gpu.settling_until_us > state.clock_us:
+                continue
+            budget = _gpu_budget(state, gpu)
+            if budget > 1e-9:
+                backfill_queue(state, gpu, budget)
+
+
 def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterState:
     """Apply policy actions in order; mutates and returns ``state``."""
     for action in actions:
@@ -1214,4 +1295,4 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.throttled = False
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
     state.log("repartition", gpu.device.id, layout=list(zip(action.fractions, action.classes)))
-    state.hooks.on_repartition(gpu)
+    state.push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))

@@ -222,7 +222,7 @@ class TestCriterion4PlacementOracle:
                 jobs.append(job)
                 state.jobs[job.id] = job
                 state.enqueue(job)
-            decision = plan_placement(jobs, state, policy)
+            decision = plan_placement(jobs, state)
 
             used: dict[str, float] = {}
             for _, (_, _, inst_id, frac) in decision.assignments.items():

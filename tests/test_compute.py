@@ -194,7 +194,7 @@ class TestAllocate:
         settle(state, 0.2)
         run_job(state, gpu1, slice_of(gpu1, AI), 0.6)
         late = queue_job(state, "late", 0.1)
-        assert plan_placement([late], state, state.policy).assignments == {}
+        assert plan_placement([late], state).assignments == {}
         backfill_queue(state, gpu1, math.inf)
         assert late.state is JobState.QUEUED
         assert gpu1.inst_granted[slice_of(gpu1, RAN).id] == 0.0
@@ -360,14 +360,14 @@ class TestFreeCapacity:
         run_job(state, gpu1, ai, 0.55)
         assert orch._instance_free(gpu1, ai) == pytest.approx(0.05, abs=1e-9)
         jobs = [queue_job(state, "j2", 0.1), queue_job(state, "j3", 0.05)]
-        assert list(plan_placement(jobs, state, state.policy).assignments) == ["j3"]
+        assert list(plan_placement(jobs, state).assignments) == ["j3"]
 
     def test_idle_gpu(self):
         state = whole_state()
         gpu1 = state.gpus[0]
         assert orch._instance_free(gpu1, slice_of(gpu1, FREE)) == 1.0
         job = queue_job(state, "j1", 1.0)
-        assert list(plan_placement([job], state, state.policy).assignments) == ["j1"]
+        assert list(plan_placement([job], state).assignments) == ["j1"]
 
     def test_poc_server_frees_whole_second_gpu(self):
         state = split_state(gpus=("gpu1", "gpu2"))
@@ -386,7 +386,7 @@ class TestFreeCapacity:
         settle(state, 0.1)
         assert orch._eligible_instances(state, gpu1) == [slice_of(gpu1, AI)]
         job = queue_job(state, "j1", 0.9)
-        assert plan_placement([job], state, state.policy).assignments == {}
+        assert plan_placement([job], state).assignments == {}
         # dynamic: RAN shares the whole GPU, so AI may use what RAN leaves
         state = whole_state()
         gpu1 = state.gpus[0]

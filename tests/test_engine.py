@@ -393,11 +393,11 @@ class TestStepApi:
         engine = SimEngine(sc)
         # settle slot 0 so the epoch sees its demand, then dispatch the epoch
         engine._settle(0, 1)
-        epoch = heappop(engine.heap)
+        epoch = heappop(engine.state.heap)
         assert epoch[:2] == (0, EventKind.POLICY_EPOCH.value)
-        seqs = {entry[2] for entry in engine.heap}
+        seqs = {entry[2] for entry in engine.state.heap}
         engine._dispatch(EventKind.POLICY_EPOCH, (), 0)
-        emitted = [e for e in engine.heap if e[2] not in seqs]
+        emitted = [e for e in engine.state.heap if e[2] not in seqs]
         assert any(e[3] is EventKind.POLICY_EPOCH for e in emitted)
         assert all(e[0] >= 0 for e in emitted)
 
@@ -682,9 +682,9 @@ class TestEventClock:
     def test_event_before_clock_raises(self):
         engine = SimEngine(scenario(horizon=0.01))
         engine.state.clock_us = 1_000
-        engine._push(1_000, EventKind.JOB_ARRIVAL, ("now",))
+        engine.state.push(1_000, EventKind.JOB_ARRIVAL, ("now",))
         with pytest.raises(EventInPast):
-            engine._push(999, EventKind.JOB_ARRIVAL, ("past",))
+            engine.state.push(999, EventKind.JOB_ARRIVAL, ("past",))
         assert issubclass(EventInPast, SimulatorError)
 
     def test_check_survives_optimized_mode(self):
@@ -697,7 +697,7 @@ class TestEventClock:
             "engine = SimEngine(scenario(horizon=0.01))\n"
             "engine.state.clock_us = 1_000\n"
             "try:\n"
-            "    engine._push(999, EventKind.JOB_ARRIVAL, ('past',))\n"
+            "    engine.state.push(999, EventKind.JOB_ARRIVAL, ('past',))\n"
             "except EventInPast:\n"
             "    print('raised')\n"
         )

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from ranshare.compute import GpuDevice, Server, TenantClass
-from ranshare.errors import InvalidEpoch
+from ranshare.errors import EventInPast, InvalidEpoch
 from ranshare.orchestrator import (
     ActionKind,
+    EventKind,
     EventRecord,
     ForecastKind,
     Policy,
@@ -17,6 +18,7 @@ from ranshare.orchestrator import (
     backfill_queue,
     build_cluster_state,
     event_detail,
+    finish_job,
     initial_partitions,
     plan_placement,
     policy_epoch,
@@ -91,7 +93,7 @@ class TestPlanPlacement:
         start_job(state, filler, "srv1", gpu1, gpu1.instances[1].id, 0.6)
         j = job("j1", 0.3)
         enqueue(state, j)
-        decision = plan_placement([j], state, STATIC)
+        decision = plan_placement([j], state)
         assert decision.assignments == {}
         assert j.state is JobState.QUEUED
 
@@ -99,7 +101,7 @@ class TestPlanPlacement:
         state = poc_state()
         j = job("j1", 0.55)
         enqueue(state, j)
-        decision = plan_placement([j], state, STATIC)
+        decision = plan_placement([j], state)
         assert decision.assignments["j1"][1] == "gpu1"
         assert decision.assignments["j1"][2] == "gpu1/s1"
         assert decision.assignments["j1"][3] == 0.55
@@ -108,7 +110,7 @@ class TestPlanPlacement:
         state = poc_state()
         j = job("j1", 0.9)  # does not fit the 0.6 AI slice, would fit gpu2
         enqueue(state, j)
-        decision = plan_placement([j], state, STATIC)
+        decision = plan_placement([j], state)
         assert decision.assignments == {}
 
     def test_dynamic_policy_uses_free_capacity_within_ceiling(self):
@@ -118,7 +120,7 @@ class TestPlanPlacement:
                 gpu.ai_ceiling = 0.95
         j = job("j1", 0.9)
         enqueue(state, j)
-        decision = plan_placement([j], state, DYNAMIC)
+        decision = plan_placement([j], state)
         assert decision.assignments["j1"][3] == 0.9
 
     def test_interactive_needs_rate(self):
@@ -126,7 +128,7 @@ class TestPlanPlacement:
         fast = job("fast", 0.5, size=1.0, slo=SloClass.INTERACTIVE, bound=2.5)
         slow = job("slow", 0.2, size=1.0, slo=SloClass.INTERACTIVE, bound=2.5)
         enqueue(state, fast, slow)
-        decision = plan_placement([fast, slow], state, STATIC)
+        decision = plan_placement([fast, slow], state)
         assert "fast" in decision.assignments  # 0.5 >= 1/2.5
         assert "slow" not in decision.assignments  # 0.2 < 0.4 required rate
 
@@ -135,7 +137,7 @@ class TestPlanPlacement:
         inter = job("i1", 0.6, arrival=5.0, size=1.0, slo=SloClass.INTERACTIVE, bound=2.0)
         batch = job("b1", 0.6, arrival=0.0)
         enqueue(state, inter, batch)
-        decision = plan_placement([batch, inter], state, STATIC)
+        decision = plan_placement([batch, inter], state)
         assert "i1" in decision.assignments
         assert "b1" not in decision.assignments
 
@@ -187,7 +189,7 @@ class TestPlacementOracle:
                 for i in range(rng.randint(1, 6))
             ]
             enqueue(state, *jobs)
-            decision = plan_placement(jobs, state, policy)
+            decision = plan_placement(jobs, state)
 
             # never infeasible: applied grants stay within each slice
             used = {}
@@ -209,7 +211,7 @@ class TestPlacementOracle:
 class TestPolicyEpoch:
     def test_static_is_noop(self):
         state = poc_state()
-        actions = policy_epoch(state, STATIC, 0.3)
+        actions = policy_epoch(state, 0.3)
         assert [a.kind for a in actions] == [ActionKind.NO_OP]
 
     def test_dynamic_grant_ceiling(self):
@@ -219,7 +221,7 @@ class TestPolicyEpoch:
             for gpu in srv.gpus:
                 gpu.epoch_max = 0.40 if gpu.device.id == "gpu1" else 0.0
                 gpu.demand_last = gpu.epoch_max
-        actions = policy_epoch(state, DYNAMIC, 0.1)
+        actions = policy_epoch(state, 0.1)
         grant = next(a for a in actions if a.gpu_id == "gpu1")
         assert grant.kind is ActionKind.GRANT_AI
         assert grant.fraction == pytest.approx(0.55, abs=1e-12)
@@ -233,20 +235,20 @@ class TestPolicyEpoch:
         start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.55)
         gpu1.epoch_max = 0.90
         gpu1.demand_last = 0.90
-        actions = policy_epoch(state, DYNAMIC, 0.2)
+        actions = policy_epoch(state, 0.2)
         reclaim = next(a for a in actions if a.gpu_id == "gpu1")
         assert reclaim.kind is ActionKind.RECLAIM_AI
         assert reclaim.fraction == pytest.approx(0.50, abs=1e-9)
 
     def test_dynamic_stable_noop(self):
         state = poc_state(DYNAMIC)
-        actions = policy_epoch(state, DYNAMIC, 0.1)
+        actions = policy_epoch(state, 0.1)
         assert [a.kind for a in actions] == [ActionKind.NO_OP]
 
     def test_misaligned_epoch(self):
         state = poc_state(DYNAMIC)
         with pytest.raises(InvalidEpoch):
-            policy_epoch(state, DYNAMIC, 0.15)
+            policy_epoch(state, 0.15)
 
     def test_time_split_boundary_emits_repartition(self):
         policy = Policy(
@@ -258,11 +260,11 @@ class TestPolicyEpoch:
         state = build_cluster_state(
             [server], policy, initial_partitions(policy, [server], {"srv1"})
         )
-        actions = policy_epoch(state, policy, 10.0)
+        actions = policy_epoch(state, 10.0)
         assert actions[0].kind is ActionKind.REPARTITION
         assert actions[0].fractions == (0.7, 0.3)
         with pytest.raises(InvalidEpoch):
-            policy_epoch(state, policy, 5.0)
+            policy_epoch(state, 5.0)
 
     def test_work_conservation_grant_emitted(self):
         state = poc_state(DYNAMIC)
@@ -271,7 +273,7 @@ class TestPolicyEpoch:
             for gpu in srv.gpus:
                 gpu.epoch_max = 0.2
                 gpu.demand_last = 0.2
-        actions = policy_epoch(state, DYNAMIC, 0.1)
+        actions = policy_epoch(state, 0.1)
         assert any(a.kind is ActionKind.GRANT_AI for a in actions)
 
     def test_epoch_reads_constant_share_of_long_queue(self):
@@ -289,7 +291,7 @@ class TestPolicyEpoch:
         state.jobs = CountingJobs(state.jobs)
         for gpu in state.gpus:
             gpu.epoch_max = gpu.demand_last = 0.2
-        actions = policy_epoch(state, DYNAMIC, 0.1)
+        actions = policy_epoch(state, 0.1)
         assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 2
         assert CountingJobs.reads <= 2
 
@@ -474,3 +476,65 @@ def test_grant_changes_accrue_at_the_old_level():
     preempt_job(state, gpu1, state.jobs["j1"])
     assert gpu1.ai_integral == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
     assert gpu1.ai_hard == pytest.approx(0.0) and gpu1.inst_granted[ai_slice] == pytest.approx(0.0)
+
+
+class TestJobClock:
+    """A bare state queues its own events and accrues job work on every rate change."""
+
+    def test_start_and_trim_queue_completions(self):
+        state = poc_state(DYNAMIC)
+        gpu1 = state.gpu_by_id("gpu1")
+        j = job("j1", 0.5, size=3.0)
+        state.jobs["j1"] = j
+        state.enqueue(j)
+        state.clock_us = 1_000_000
+        start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.5)
+        done_us = 1_000_000 + math.ceil(3.0 / 0.5 * 1e6)
+        completion = EventKind.JOB_COMPLETION
+        assert state.heap == [(done_us, completion.value, 1, completion, ("j1", 1))]
+
+        # a trim accrues the work done at the old rate, then queues a new completion
+        state.clock_us = 3_000_000
+        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.2)])
+        assert j.remaining_compute_seconds == 3.0 - 0.5 * (2_000_000 / 1e6)
+        assert j.accrued_until_us == 3_000_000
+        assert j.version == 2 and j.service_rate == j.granted_fraction == pytest.approx(0.3)
+        redone_us = 3_000_000 + math.ceil(j.remaining_compute_seconds / j.service_rate * 1e6)
+        assert sorted(state.heap) == [
+            (done_us, completion.value, 1, completion, ("j1", 1)),  # stale: version 1
+            (redone_us, completion.value, 2, completion, ("j1", 2)),
+        ]
+
+        state.clock_us = redone_us
+        finish_job(state, j)
+        assert j.state is JobState.DONE and j.remaining_compute_seconds == 0.0
+        assert j.completion_time == redone_us / 1e6 and j.version == 3
+        assert gpu1.jobs == [] and gpu1.ai_free == pytest.approx(0.0)
+        assert state.events[-1] == EventRecord(redone_us / 1e6, "completion", "j1", "gpu=gpu1")
+        assert len(state.heap) == 2  # finishing queues nothing
+
+    def test_repartition_queues_its_settling_event(self):
+        policy = Policy(
+            kind=PolicyKind.TIME_SPLIT,
+            schedule=((0.0, 10.0, 0.4), (10.0, 20.0, 0.7)),
+            split_gpus=("gpu1",),
+            settle_slots=3,
+        )
+        server = Server(id="srv1", gpus=(GpuDevice("gpu1"),))
+        state = build_cluster_state(
+            [server], policy, initial_partitions(policy, [server], {"srv1"})
+        )
+        state.clock_us = 10_000_000
+        apply_actions(state, policy_epoch(state, 10.0))
+        gpu1 = state.gpu_by_id("gpu1")
+        assert gpu1.settling_until_us == 10_000_000 + 3 * state.slot_us
+        settled = EventKind.REPARTITION_SETTLED
+        assert state.heap == [(gpu1.settling_until_us, settled.value, 1, settled, ("gpu1",))]
+
+    def test_push_before_the_clock_raises(self):
+        state = poc_state()
+        state.clock_us = 1_000
+        state.push(1_000, EventKind.JOB_ARRIVAL, ("now",))
+        with pytest.raises(EventInPast):
+            state.push(999, EventKind.JOB_ARRIVAL, ("past",))
+        assert [entry[4] for entry in state.heap] == [("now",)]

@@ -29,7 +29,7 @@ DYNAMIC = Policy(
 )
 
 
-def reference_plan_placement(jobs, state, policy):
+def reference_plan_placement(jobs, state):
     """The full-rescan first-fit body that plan_placement replaced.
 
     Every job, fitting or not, walks the lazy candidate generator, which
@@ -191,12 +191,12 @@ class TestDifferential:
             offered = list(queue)
             rng.shuffle(offered)  # callers may pass any order
             offered += [state.jobs[j] for j in list(state.jobs)[:3]]  # running: ignored
-            ref = reference_plan_placement(offered, state, policy)
-            got = plan_placement(offered, state, policy)
+            ref = reference_plan_placement(offered, state)
+            got = plan_placement(offered, state)
             assert list(got.assignments.items()) == list(ref.assignments.items())
             # the engine's path: the state's own index of the queue
-            from_index = plan_placement(state.pending, state, policy)
-            ref_queue = reference_plan_placement(queue, state, policy)
+            from_index = plan_placement(state.pending, state)
+            ref_queue = reference_plan_placement(queue, state)
             assert list(from_index.assignments.items()) == list(ref_queue.assignments.items())
             placed += len(ref.assignments)
             skipped += len(queue) - len(ref_queue.assignments)
@@ -249,7 +249,7 @@ class TestOverloadCost:
             return original(gpu, inst)
 
         monkeypatch.setattr(orchestrator, "_instance_free", counting)
-        decision = plan_placement(jobs, state, DYNAMIC)
+        decision = plan_placement(jobs, state)
         assert decision.assignments == {}
         assert calls == instances  # one failed scan reads each slice once
 
@@ -271,7 +271,7 @@ class TestOverloadCost:
             state.jobs[job.id] = job
             state.enqueue(job)
             jobs.append(job)
-        ref = reference_plan_placement(jobs, state, DYNAMIC)
+        ref = reference_plan_placement(jobs, state)
         calls = 0
         original = orchestrator._instance_free
 
@@ -281,7 +281,7 @@ class TestOverloadCost:
             return original(gpu, inst)
 
         monkeypatch.setattr(orchestrator, "_instance_free", counting)
-        decision = plan_placement(state.pending, state, DYNAMIC)
+        decision = plan_placement(state.pending, state)
         assert list(decision.assignments.items()) == list(ref.assignments.items())
         # first-fit decreasing: GPUs by free capacity descending, ties by id
         placed = [(job_id, where[1]) for job_id, where in decision.assignments.items()]

@@ -40,7 +40,6 @@ from ranshare.workload import (
     ArrivalKind,
     Calibration,
     CellConfig,
-    JobState,
     LoadProfile,
     ProfileKind,
     SloClass,
@@ -203,7 +202,7 @@ def reference_run(eng: SimEngine):
     sampler = ReferenceSampler(eng)
     horizon_us = eng.horizon_us
     slot_us = eng.slot_us
-    heap = eng.heap
+    heap = state.heap
     slot_times = np.arange(0, horizon_us, slot_us, dtype=np.int64) / US
     demands = eng.demand.vector(slot_times).T.tolist()
     next_slot = 0
@@ -225,12 +224,7 @@ def reference_run(eng: SimEngine):
         eng._dispatch(kind, payload, t_us)
     state.clock_us = horizon_us
     sampler.flush(horizon_us + 1)
-    for srv in state.servers:
-        for gpu in srv.gpus:
-            gpu.accrue(horizon_us)
-    for job in state.jobs.values():
-        if job.state is JobState.RUNNING:
-            eng._accrue_job(job, horizon_us)
+    orchestrator.accrue_all(state)
     report = eng._report()  # its summary is empty: eng.trace holds no samples
     if sampler.rows:
         summary = reference_summarize(sampler.rows, len(report.deadline_misses))
