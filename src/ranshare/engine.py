@@ -19,16 +19,14 @@ of one ``settle_slot`` per slot, bit for bit:
 
 * constant demand (constant and trace profiles between profile changes) in
   closed form: one ``settle_slot``, which every later slot repeats;
-* otherwise in numpy passes over chunks of at most ``CHUNK_CELLS``
-  (slot, GPU) elements, so memory does not grow with segment length.
+* otherwise with one array kernel over the fleet arrays, whatever the
+  segment's length, in blocks of at most ``CHUNK_CELLS`` (slot, GPU)
+  elements, so memory does not grow with segment length.
 
-It falls back to ``settle_slot`` at each slot whose throttle test fires
-(that slot may change job rates and schedule events, so the segment ends
-after it), while a GPU is settling after a repartition, and for segments
-shorter than the cutoff ``VECTOR_MIN_SLOTS`` sets for the fleet's size,
-where a numpy pass costs more. Every path reads RAN demand from the one
-evaluator ``DemandModel.vector``, which gives a time the same bits however
-times are batched, so the path that settles a slot never shows in the output.
+A slot whose throttle test fires ends the segment (it may change job rates
+and schedule events). RAN demand comes from the one evaluator
+``DemandModel.vector``, which gives a time the same bits however times are
+batched, so how a slot is settled never shows in the output.
 
 Under the dynamic policy with stepwise demand, the policy soon reaches a
 fixed point, and the epochs after it change nothing. An epoch is
@@ -66,6 +64,7 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop
 
 import numpy as np
@@ -243,7 +242,15 @@ class Scenario:
         return slot_duration(scs)
 
     def validate(self) -> list[str]:
-        """Structural checks; empty list means the scenario can run."""
+        """Structural checks; empty list means the scenario can run.
+
+        A scenario and all its parts are frozen, so the checks run once per
+        scenario object: ``parse_scenario`` and ``SimEngine`` share them.
+        """
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
         problems = []
         if self.horizon_s <= 0:
             problems.append("sim.horizon_s must be positive")
@@ -291,12 +298,12 @@ class Scenario:
                 problems.append(f"policy.gpus: unknown gpu {gid}")
         problems.extend(self._check_split_granularity())
         try:
-            topo = self.build_topology()
+            topo = self.fabric
         except Exception as exc:  # count/shape errors become violations
             problems.append(f"topology: {exc}")
-            return problems
+            return tuple(problems)
         problems.extend(str(v) for v in fabric_mod.validate_topology(topo))
-        return problems
+        return tuple(problems)
 
     def _check_split_granularity(self) -> list[str]:
         """Split fractions must sit on every target GPU's granularity grid."""
@@ -323,7 +330,9 @@ class Scenario:
                     )
         return problems
 
-    def build_topology(self) -> FabricTopology:
+    @cached_property
+    def fabric(self) -> FabricTopology:
+        """The reference fabric, built once per scenario object; nothing changes it."""
         rus = [f"ru-{c.id}" for c in self.cells] or ["ru-0"]
         return fabric_mod.build_reference_fabric(
             self.topology.compute_spines,
@@ -498,7 +507,7 @@ class SimEngine:
         self._seed_jobs()
         self._schedule_initial_events()
 
-        self.topology = scenario.build_topology()
+        self.topology = scenario.fabric
         self._cell_loads = [(c, c.profile.vector_sampler()) for c in scenario.cells]
         self._route_fabric(0.0)
 
@@ -564,10 +573,10 @@ class SimEngine:
         """Record every sample due before ``before_us``, up to the horizon, at the current levels."""
         last_us = min(before_us - 1, self.horizon_us)
         if self.next_sample_us <= last_us:
-            gpus = self.state.gpus
+            fleet = self.state.fleet
             self._emit_samples(
-                [g.ran_level for g in gpus],
-                [g.ai_level for g in gpus],
+                fleet.ran_level,
+                fleet.ai_hard + fleet.ai_free_eff,
                 (last_us - self.next_sample_us) // self.sample_us + 1,
             )
 
@@ -624,21 +633,19 @@ class SimEngine:
         state = self.state
         t_s = t_us / US
         if kind is EventKind.POLICY_EPOCH:
-            policy, gpus = state.policy, state.gpus
-            steady = (
-                policy.is_dynamic
-                and self.demand.stepwise
-                and all(orch.forecast_holds(policy, gpu) for gpu in gpus)
-            )
+            policy, fleet = state.policy, state.fleet
+            steady = policy.is_dynamic and self.demand.stepwise and orch.forecast_holds(state)
             logged = len(state.events)
-            prev_ceilings = [gpu.ai_ceiling for gpu in gpus]
+            prev_ceilings = fleet.ai_ceiling.copy()
             actions = policy_epoch(state, t_s)
             apply_actions(state, actions)
-            for gpu, ceiling in zip(gpus, prev_ceilings):
-                if gpu.ai_ceiling != ceiling:
+            moved = np.flatnonzero(fleet.ai_ceiling != prev_ceilings).tolist()
+            if moved:
+                ceilings = fleet.ai_ceiling.tolist()
+                granted = (fleet.ai_hard + fleet.ai_free).tolist()
+                for g in moved:
                     state.log(
-                        "ceiling", gpu.device.id,
-                        value=gpu.ai_ceiling, ai=gpu.ai_hard + gpu.ai_free,
+                        "ceiling", state.gpus[g].device.id, value=ceilings[g], ai=granted[g]
                     )
             placement_round(state)
             if policy.is_dynamic:
@@ -649,7 +656,8 @@ class SimEngine:
                 steady
                 and len(state.events) == logged
                 and all(a.kind is ActionKind.NO_OP for a in actions)
-                and not any(g.throttled or g.settling_until_us >= t_us for g in gpus)
+                and not fleet.throttled.any()
+                and not (fleet.settling_until_us >= t_us).any()
             )
         elif kind is EventKind.JOB_ARRIVAL:
             job = state.jobs[payload[0]]
@@ -722,7 +730,7 @@ class SimEngine:
         # glibc maps fresh pages for a block at or above its mmap threshold
         # and trims the heap top beyond twice it; the threshold only rises,
         # to the largest mapped block freed. Freeing 4 MiB here keeps the
-        # numpy passes' temporaries on reused heap pages, whatever ran before.
+        # settlement blocks' temporaries on reused heap pages, whatever ran before.
         np.empty(1 << 19)
         self.trace = Trace(
             self.trace.gpu_ids,

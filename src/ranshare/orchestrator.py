@@ -220,51 +220,124 @@ class PlacementOrder:
         del self.entries[i]
 
 
+def _column(name: str) -> property:
+    """A ``GpuState`` field whose one store is the fleet array ``name``, at the GPU's index."""
+
+    def get(gpu):
+        return getattr(gpu.fleet, name).item(gpu.index)
+
+    def put(gpu, value):
+        getattr(gpu.fleet, name)[gpu.index] = value
+
+    return property(get, put)
+
+
+class Fleet:
+    """Every GPU's per-slot settlement state, one array per field, in ``ClusterState.gpus`` order.
+
+    Slice-size caches (``ran_cap``, ``free_cap``, ``grid_cap``) change only
+    in ``GpuState.refresh_caches``; the slot levels, the FREE-slice AI grant
+    and the throttle flag, the end of a repartition's settling, the forecast
+    inputs and the level integrals change wherever the orchestrator changes
+    them, through ``GpuState``'s properties or as whole arrays.
+
+    ``grid_cap`` is the capacity RAN demand meets on each (server, GPU
+    position): ``ran_cap``, plus ``free_cap`` under the dynamic policy,
+    and 0 where a server has no GPU at that position. ``grid_rows`` is each
+    GPU's flat index in that grid and ``last_rows`` each server's last GPU.
+    """
+
+    __slots__ = (
+        "ran_cap", "free_cap", "grid_cap", "grid_rows", "last_rows",
+        "server_ids", "ran_level", "ran_in_free", "ai_hard", "ai_free", "ai_free_eff",
+        "throttled", "settling_until_us", "demand_last", "epoch_max", "ai_ceiling",
+        "integrals", "ran_integral", "ai_integral", "last_accrue_us",
+    )
+
+    def __init__(self, servers: list[ServerState]):
+        sizes = [len(srv.gpus) for srv in servers]
+        n, width = sum(sizes), max(sizes, default=0)
+        self.server_ids = [srv.server.id for srv in servers]
+        self.grid_cap = np.zeros((len(servers), width))
+        self.grid_rows = np.array(
+            [s * width + p for s, size in enumerate(sizes) for p in range(size)], dtype=np.intp
+        )
+        self.last_rows = np.cumsum(sizes) - 1
+        for name in (
+            "ran_cap", "free_cap", "ran_level", "ran_in_free", "ai_hard", "ai_free",
+            "ai_free_eff", "demand_last", "epoch_max",
+        ):
+            setattr(self, name, np.zeros(n))
+        # the level integrals, RAN then AI: two views of one array
+        self.integrals = np.zeros((2, n))
+        self.ran_integral, self.ai_integral = self.integrals
+        self.ai_ceiling = np.ones(n)
+        self.throttled = np.zeros(n, dtype=bool)
+        self.settling_until_us = np.full(n, -1, dtype=np.int64)
+        self.last_accrue_us = np.zeros(n, dtype=np.int64)
+
+
 @dataclass
 class GpuState:
-    """Mutable per-GPU scheduling state plus metrics accumulators."""
+    """One GPU's jobs, slices and grant ledger; its levels live in the fleet arrays.
+
+    ``ClusterState`` sets ``fleet`` and ``index``. Each property below reads
+    and writes the GPU's element of the fleet array of the same name.
+    """
 
     device: GpuDevice
     server_id: str
     instances: list[GpuInstance]
-    # slice-size caches, refreshed on (re)partition
-    ran_cap: float = 0.0
-    free_cap: float = 0.0
-    # current slot levels
-    ran_level: float = 0.0
-    ran_in_free: float = 0.0
-    ai_hard: float = 0.0  # granted inside AI slices
-    ai_free: float = 0.0  # granted inside FREE slices
-    ai_free_eff: float = 0.0  # after the slot-level cap
-    throttled: bool = False
     jobs: list[AiJob] = field(default_factory=list)
     # the grant ledger: AI grant held inside each slice, by instance id
     inst_granted: dict[str, float] = field(default_factory=dict)
     free_ids: set = field(default_factory=set)
-    # repartition settling
-    settling_until_us: int = -1
-    generation: int = 0
-    # forecast inputs (maintained by settle_slot under dynamic policies)
-    demand_last: float = 0.0
-    epoch_max: float = 0.0
-    epoch_history: deque = field(default_factory=deque)
-    ai_ceiling: float = 1.0
-    # metrics accrual (microsecond clock)
-    ran_integral: float = 0.0
-    ai_integral: float = 0.0
-    last_accrue_us: int = 0
+    generation: int = 0  # repartitions so far
+    epoch_history: deque = field(default_factory=deque)  # past epochs' demand maxima
+    fleet: Fleet | None = field(default=None, repr=False)
+    index: int = -1
 
-    def refresh_caches(self):
-        self.ran_cap = self.free_cap = 0.0
+    # slice-size caches, refreshed on (re)partition
+    ran_cap = _column("ran_cap")
+    free_cap = _column("free_cap")
+    # current slot levels
+    ran_level = _column("ran_level")
+    ran_in_free = _column("ran_in_free")
+    ai_hard = _column("ai_hard")  # granted inside AI slices
+    ai_free = _column("ai_free")  # granted inside FREE slices
+    ai_free_eff = _column("ai_free_eff")  # after the slot-level cap
+    throttled = _column("throttled")
+    # repartition settling: slots up to this time accept no allocations
+    settling_until_us = _column("settling_until_us")
+    # forecast inputs (maintained by settlement under dynamic policies)
+    demand_last = _column("demand_last")
+    epoch_max = _column("epoch_max")
+    ai_ceiling = _column("ai_ceiling")
+    # metrics accrual (microsecond clock)
+    ran_integral = _column("ran_integral")
+    ai_integral = _column("ai_integral")
+    last_accrue_us = _column("last_accrue_us")
+
+    def refresh_caches(self, soft_ran: bool):
+        """Recompute the slice-size caches and the ledger after a (re)partition.
+
+        ``soft_ran``: RAN may spill into FREE capacity (the dynamic policy).
+        """
+        ran_cap = free_cap = 0.0
         self.inst_granted = {i.id: 0.0 for i in self.instances}
         self.free_ids = set()
         for inst in self.instances:
             f = inst.compute_fraction
             if inst.tenant_class is TenantClass.RAN:
-                self.ran_cap += f
+                ran_cap += f
             elif inst.tenant_class is TenantClass.FREE:
-                self.free_cap += f
+                free_cap += f
                 self.free_ids.add(inst.id)
+        self.ran_cap, self.free_cap = ran_cap, free_cap
+        fleet = self.fleet
+        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
+            ran_cap + free_cap if soft_ran else ran_cap
+        )
 
     @property
     def ai_level(self) -> float:
@@ -286,6 +359,12 @@ class ServerState:
 
 @dataclass
 class ClusterState:
+    """The cluster's scheduling state, its event queue and its run log.
+
+    ``fleet`` holds every GPU's settlement state as arrays in ``gpus``
+    order, so that settlement reads and writes the whole fleet at once.
+    """
+
     servers: list[ServerState]
     policy: Policy
     jobs: dict[str, AiJob] = field(default_factory=dict)
@@ -303,16 +382,23 @@ class ClusterState:
     # the event queue: (t_us, kind value, seq, kind, payload) entries
     heap: list[tuple] = field(init=False, default_factory=list)
     seq: int = field(init=False, default=0)
-    # dynamic policy lets RAN spill into FREE capacity (hot-loop cache)
-    soft_ran: bool = field(init=False, default=False)
     # every GPU, servers in order and each server's GPUs in order
     gpus: list[GpuState] = field(init=False, repr=False, default_factory=list)
     _gpus: dict[str, GpuState] = field(init=False, repr=False, default_factory=dict)
+    fleet: Fleet = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.soft_ran = self.policy.is_dynamic
         self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
         self._gpus = {gpu.device.id: gpu for gpu in self.gpus}
+        self.fleet = Fleet(self.servers)
+        for i, gpu in enumerate(self.gpus):
+            gpu.fleet, gpu.index = self.fleet, i
+            gpu.refresh_caches(self.soft_ran)
+
+    @property
+    def soft_ran(self) -> bool:
+        """Whether RAN may spill into FREE capacity: under the dynamic policy."""
+        return self.policy.is_dynamic
 
     @property
     def clock(self) -> float:
@@ -370,9 +456,7 @@ def build_cluster_state(
                 instances = compute.partition_gpu(gpu, fracs, classes)
             else:
                 instances = compute.partition_gpu(gpu, [1.0], [TenantClass.FREE])
-            gs = GpuState(device=gpu, server_id=server.id, instances=instances)
-            gs.refresh_caches()
-            gpu_states.append(gs)
+            gpu_states.append(GpuState(device=gpu, server_id=server.id, instances=instances))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
         servers=server_states,
@@ -429,7 +513,7 @@ def _split_layout(ran: float, ai: float) -> tuple[list[float], list[TenantClass]
 
 
 def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
-    """Grant RAN demand before AI renewal for one slot; record misses.
+    """Grant RAN demand before AI renewal for the slot at the clock; record misses.
 
     Per server, demand fills GPUs in declaration order: hard RAN slices
     first, then (dynamic policy only, which also feeds the forecaster) FREE
@@ -437,49 +521,11 @@ def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     hard AI slices are untouched by construction. Misses are appended to
     ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
     exceeds 1e-9. Returns True when a GPU's throttle was applied, which may
-    have changed job rates and so queued completion events.
+    have changed job rates and so queued completion events. This is
+    ``_settle_block`` over one slot.
     """
-    soft = state.soft_ran
-    now_us = state.clock_us
-    applied = False
-    for srv, rem in zip(state.servers, demands):
-        for gpu in srv.gpus:
-            if gpu.settling_until_us >= now_us:
-                # repartition settling: slices accept no allocations
-                if gpu.ran_level != 0.0:
-                    gpu.accrue(now_us)
-                    gpu.ran_level = 0.0
-                    gpu.ran_in_free = 0.0
-                continue
-            cap = gpu.ran_cap + gpu.free_cap if soft else gpu.ran_cap
-            if rem < cap:
-                take = rem
-                rem = 0.0
-            else:
-                take = cap
-                rem -= cap
-            if soft:
-                # what this GPU was asked to serve, for the forecaster
-                asked = take + (rem if gpu is srv.gpus[-1] else 0.0)
-                gpu.demand_last = asked
-                if asked > gpu.epoch_max:
-                    gpu.epoch_max = asked
-            in_free = take - gpu.ran_cap
-            if in_free < 0.0:
-                in_free = 0.0
-            changed = take != gpu.ran_level
-            if changed:
-                gpu.accrue(now_us)
-                gpu.ran_level = take
-                gpu.ran_in_free = in_free
-            if gpu.ai_free > 0.0 or gpu.throttled:
-                allowed = gpu.free_cap - in_free
-                if gpu.ai_free > allowed + TOL or gpu.throttled:
-                    _apply_throttle(state, gpu, allowed)
-                    applied = True
-        if rem > TOL:
-            state.misses.append((t_s, srv.server.id, rem))
-    return applied
+    rem = np.array(demands, dtype=float).reshape(-1, 1)
+    return _settle_block(state, np.array([state.clock_us]), np.array([t_s]), rem) == 0
 
 
 def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
@@ -501,15 +547,8 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     gpu.throttled = eff_total < gpu.ai_free - TOL
 
 
-# A numpy pass has a fixed cost, which settle_slot's per-GPU cost pays back
-# sooner on a larger fleet: it breaks even with slot-by-slot settlement at
-# about 75 slots on 2 GPUs and 16 slots on 64 (measured on poc and
-# cluster_diurnal). With VECTOR_MIN_SLOTS = (a, b), segments shorter than
-# a + b / n_gpus slots, the line through those two points, settle slot by
-# slot. Longer ones are passed in chunks of at most CHUNK_CELLS (slot, GPU)
-# elements, so that the arrays stay small however long the segment is (and
-# on the heap: see SimEngine.run).
-VECTOR_MIN_SLOTS = (14.1, 121.8)
+# Segments settle in blocks of at most CHUNK_CELLS (slot, GPU) elements, so the
+# arrays stay small however long a segment is (and on the heap: see SimEngine.run).
 CHUNK_CELLS = 16384
 
 
@@ -518,10 +557,9 @@ class DemandModel:
     """RAN demand per server, from one evaluator.
 
     ``vector`` maps a float64 array of times (s) to a (server, time) array.
-    Each element depends on its own time alone, so every settlement path
-    reads the same bits for a slot however it batches the times.
-    ``stepwise`` says that no term varies continuously (constant and trace
-    profiles only).
+    Each element depends on its own time alone, so a slot reads the same
+    bits however its time is batched. ``stepwise`` says that no term varies
+    continuously (constant and trace profiles only).
     """
 
     vector: Callable[[np.ndarray], np.ndarray]
@@ -538,215 +576,161 @@ def settle_segment(
 ) -> int:
     """Settle ``count`` slots from ``first_us`` that no event separates.
 
-    The result is that of ``settle_slot`` called once per slot, in order:
-    levels, misses, forecast inputs and level integrals are
-    the same, bit for bit. Three ways, chosen per segment:
-
-    * closed form, when demand is stepwise and equal at the first, second
-      and last slot (a trace point between events moves demand only at the
-      event's slot, the last, or, when it lies in (0, 0.5) us and so has no
-      event, at the second): after one ``settle_slot`` every slot repeats it;
-    * slot by slot with ``settle_slot``, while a GPU is settling and for
-      segments shorter than the cutoff ``VECTOR_MIN_SLOTS`` sets for the
-      fleet's size;
-    * otherwise numpy passes of up to ``CHUNK_CELLS`` (slot, GPU) elements, with
-      ``settle_slot`` at each slot whose throttle test fires.
+    The result is that of ``settle_slot`` called once per slot, in order,
+    bit for bit. When demand is stepwise, equal at the first, second and
+    last slot, and no GPU is settling, one ``settle_slot`` gives every slot
+    (a trace point between events moves demand only at the event's slot,
+    the last, or, when it lies in (0, 0.5) us and so has no event, at the
+    second). Otherwise ``_settle_block`` settles blocks of up to
+    ``CHUNK_CELLS`` (slot, GPU) elements; while a GPU is throttled, whose
+    test then fires at every slot, a block holds one slot.
 
     A slot that applies a throttle may change job rates and schedule
     events, so the call returns after it: the return value is the number of
     slots settled. ``samples`` are the times (us) of the utilization
-    samples due before the segment's last slot; a sample at ``t`` shows the
-    state after the last slot at or before ``t``. The samples whose slot
-    is settled before the last slot settled are handed over in order, in
-    blocks: ``emit(ran, ai, n)`` records the next ``n`` samples, where
-    ``ran`` and ``ai`` give the per-GPU levels (``state.gpus`` order)
-    either as one row that holds for all ``n`` or as an (n, GPU) array.
+    samples due before the segment's last slot; a sample at ``t`` shows
+    the state after the last slot at or before ``t``. Those whose slot is
+    settled before the last slot settled are handed over in order:
+    ``emit(ran, ai, n)`` records the next ``n`` samples, where ``ran`` and
+    ``ai`` give the per-GPU levels (``state.gpus`` order) either as one row
+    that holds for all ``n`` or as an (n, GPU) array.
     """
-    if any(gpu.settling_until_us >= first_us for gpu in state.gpus):
-        return _settle_slots(state, first_us, count, demand, samples, emit)
-    if demand.stepwise:
-        steady = _steady_demand(demand, first_us, count, state.slot_us)
-        if steady is not None:
-            return _settle_steady(state, first_us, count, steady, samples, emit)
-    a, b = VECTOR_MIN_SLOTS
-    if count < a + b / len(state.gpus):
-        return _settle_slots(state, first_us, count, demand, samples, emit)
-    return _settle_chunks(state, first_us, count, demand, samples, emit)
-
-
-def _state_levels(state: ClusterState) -> tuple[list[float], list[float]]:
-    return [g.ran_level for g in state.gpus], [g.ai_level for g in state.gpus]
-
-
-def _settle_one(state, t_us, demand) -> bool:
-    state.clock_us = t_us
-    t_s = t_us / US
-    return settle_slot(state, t_s, demand.vector(np.array([t_s]))[:, 0].tolist())
-
-
-def _settle_slots(state, first_us, count, demand, samples, emit):
-    """The slot-by-slot path: one ``settle_slot`` per slot."""
-    slot_us = state.slot_us
-    t_s = (first_us + slot_us * np.arange(count, dtype=np.int64)) / US
-    i = 0  # samples[:i] are emitted
-    for j, demands in enumerate(demand.vector(t_s).T.tolist()):
-        t_us = first_us + j * slot_us
-        state.clock_us = t_us
-        if settle_slot(state, t_us / US, demands):
-            return j + 1
-        hi = bisect.bisect_left(samples, t_us + slot_us, i)
-        if hi > i:
-            emit(*_state_levels(state), hi - i)
-            i = hi
-    return count
-
-
-def _steady_demand(demand, first_us, count, slot_us) -> list[float] | None:
-    """Per-server demand if it is the same at every slot of the segment."""
-    slots = np.array([0, min(1, count - 1), count - 1], dtype=np.int64)
-    rows = demand.vector((first_us + slot_us * slots) / US)
-    if (rows != rows[:, :1]).any():
-        return None
-    return rows[:, 0].tolist()
-
-
-def _settle_steady(state, first_us, count, demands, samples, emit):
-    """Closed form for constant demand: the first slot, then ``count - 1`` repeats.
-
-    With demand unchanged and no throttle applied, a second ``settle_slot``
-    changes no level and no forecast input, so every later slot only
-    repeats the first one's misses.
-    """
-    slot_us = state.slot_us
-    misses = state.misses
-    before = len(misses)
-    state.clock_us = first_us
-    if settle_slot(state, first_us / US, demands):
-        return 1
-    missed = misses[before:]
-    emit(*_state_levels(state), len(samples))
-    if missed:
-        for j in range(1, count):
-            t_s = (first_us + j * slot_us) / US
-            misses.extend((t_s, sid, shortfall) for _t, sid, shortfall in missed)
-    state.clock_us = first_us + (count - 1) * slot_us
-    return count
-
-
-def _settle_chunks(state, first_us, count, demand, samples, emit):
-    """The numpy path, with ``settle_slot`` wherever the throttle test fires."""
-    slot_us = state.slot_us
+    fleet, slot_us = state.fleet, state.slot_us
+    if demand.stepwise and fleet.settling_until_us.max() < first_us:
+        ends = np.array([0, min(1, count - 1), count - 1], dtype=np.int64)
+        rows = demand.vector((first_us + slot_us * ends) / US)
+        if not (rows != rows[:, :1]).any():
+            # with demand unchanged and no throttle applied, a later slot
+            # changes no level and no forecast input: it repeats the misses
+            before = len(state.misses)
+            state.clock_us = first_us
+            if settle_slot(state, first_us / US, rows[:, 0].tolist()):
+                return 1
+            missed = state.misses[before:]
+            emit(fleet.ran_level, fleet.ai_hard + fleet.ai_free_eff, len(samples))
+            if missed:
+                for t_us in range(first_us + slot_us, first_us + count * slot_us, slot_us):
+                    state.misses.extend((t_us / US, sid, sf) for _t, sid, sf in missed)
+            state.clock_us = first_us + (count - 1) * slot_us
+            return count
     chunk = max(1, CHUNK_CELLS // len(state.gpus))
-    j = 0
-    i = 0  # samples[:i] are emitted
+    j = i = 0  # slots[:j] are settled and samples[:i] emitted
     while j < count:
-        if not any(gpu.throttled for gpu in state.gpus):
-            hi = min(j + chunk, count)
-            i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
-            n = _settle_run(
-                state, first_us + j * slot_us, hi - j, demand, samples[i:i_hi], emit
-            )
-            if j + n == hi:
-                j, i = hi, i_hi
-                continue
-            j += n
-        # the throttle test fires at slot j: settle it alone, and end here
-        _settle_one(state, first_us + j * slot_us, demand)
-        return j + 1
+        hi = min(j + (1 if fleet.throttled.any() else chunk), count)
+        i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
+        t_us = first_us + slot_us * np.arange(j, hi, dtype=np.int64)
+        t_s = t_us / US
+        fired = _settle_block(state, t_us, t_s, demand.vector(t_s), samples[i:i_hi], emit)
+        if fired < hi - j:
+            return j + fired + 1
+        j, i = hi, i_hi
     return count
 
 
-def _settle_run(state, first_us, n, demand, samples, emit) -> int:
-    """Settle up to ``n`` slots in one numpy pass; no GPU is settling or throttled.
+def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
+    """Settle the slots at ``t_us`` (int64 us; ``t_s`` in s) in one array pass.
 
-    Arrays are (GPU, slot) or (server, slot). Demand fills one GPU
-    position of every server at a time; a server without a GPU there meets
-    a capacity of 0, which takes nothing and leaves its remainder as it
-    is. Every element goes through the float operations ``settle_slot``
-    does, in the same order, so the levels match it bit for bit.
-    Integrals are summed left to right over the slots in order, adding
-    0.0 where a GPU's level does not change, the slots where
-    ``settle_slot`` does not accrue. Stops before the first slot whose
-    throttle test would fire; returns the number of slots settled.
+    ``rem`` is each server's demand, (server, slot); the other arrays are
+    (GPU, slot), or (server, GPU position, slot) while demand fills one GPU
+    position of every server at a time. Every element goes through the
+    float operations of ``settle_slot``'s rule applied one GPU at a time,
+    in the same order, so the result is that rule's slot by slot, bit for
+    bit (``tests/test_segments.py`` keeps the scalar form). A position a
+    server lacks, and a GPU at a slot it is settling, meets a capacity of
+    0, which takes nothing and leaves the remainder as it is; a settling
+    GPU feeds no forecast input and has no throttle test. Level integrals
+    accrue only at the slots where the level changes, summed in slot order.
+
+    The first slot whose throttle test fires ends the block: its levels are
+    settled, then ``_apply_throttle`` runs for its firing GPUs in GPU order
+    (a throttle touches only its own GPU). Returns that slot's index, or
+    the number of slots when none fires. Of ``samples`` (us), which fall in
+    the block, those before the firing slot go to ``emit``.
     """
-    gpus, servers = state.gpus, state.servers
-    t_us = first_us + state.slot_us * np.arange(n, dtype=np.int64)
-    t_s = t_us / US
-    rem = demand.vector(t_s)
-    take = np.empty((len(gpus), n))
-    sizes = np.array([len(srv.gpus) for srv in servers])
-    first_row = np.cumsum(sizes) - sizes  # each server's first GPU in ``gpus``
-    for j in range(sizes.max()):
-        have = np.flatnonzero(sizes > j)
-        caps = np.zeros((len(servers), 1))
-        for si in have:
-            gpu = servers[si].gpus[j]
-            caps[si] = gpu.ran_cap + gpu.free_cap if state.soft_ran else gpu.ran_cap
-        fits = rem < caps
-        at = np.where(fits, rem, caps)
-        rem = np.where(fits, 0.0, rem - caps)
-        take[first_row[have] + j] = at[have]
-    ran_cap = np.array([[g.ran_cap] for g in gpus])
-    in_free = take - ran_cap
-    in_free[in_free < 0.0] = 0.0
+    fleet = state.fleet
+    n = t_us.size
+    servers, width = fleet.grid_cap.shape
+    caps = fleet.grid_cap[:, :, None]  # (server, position, slot)
+    live = None  # (GPU, slot): not settling
+    if fleet.settling_until_us.max() >= t_us[0]:
+        live = fleet.settling_until_us[:, None] < t_us
+        grid_live = np.ones((servers * width, n), dtype=bool)
+        grid_live[fleet.grid_rows] = live
+        caps = np.where(grid_live.reshape(servers, width, n), caps, 0.0)
+    take = np.zeros((servers, width, n))
+    for p in range(width):
+        if not rem.any():
+            break  # no demand is left, so every later take is 0.0
+        # take = rem if rem < cap else cap; rem = 0.0 if rem < cap else rem - cap
+        np.minimum(rem, caps[:, p], out=take[:, p])
+        rem = np.maximum(rem - caps[:, p], 0.0)
+    take = take.reshape(servers * width, n)[fleet.grid_rows]
+    in_free = np.maximum(take - fleet.ran_cap[:, None], 0.0)
+    ai_level = fleet.ai_hard + fleet.ai_free_eff
 
     stop = n
-    sharing = [g for g, gpu in enumerate(gpus) if gpu.ai_free > 0.0]
-    if sharing:
-        ai_free = np.array([[gpus[g].ai_free] for g in sharing])
-        free_cap = np.array([[gpus[g].free_cap] for g in sharing])
-        fire = np.flatnonzero((ai_free > (free_cap - in_free[sharing]) + TOL).any(axis=0))
-        if fire.size:
-            stop = int(fire[0])
-            if stop == 0:
-                return 0
+    sharing = (fleet.ai_free > 0.0) | fleet.throttled  # the GPUs with a throttle test
+    if sharing.any():
+        room = fleet.free_cap[:, None] - in_free
+        fire = ((fleet.ai_free[:, None] > room + TOL) & sharing[:, None]) | fleet.throttled[:, None]
+        if live is not None:
+            fire &= live
+        hits = np.flatnonzero(fire.any(axis=0))
+        stop = int(hits[0]) if hits.size else n
+    if stop < n:
+        firing = np.flatnonzero(fire[:, stop])
+        allowed = room[firing, stop].tolist()
+        settled = (a[..., :stop + 1] for a in (take, in_free, rem, t_us, t_s))
+        take, in_free, rem, t_us, t_s = settled
+        live = None if live is None else live[:, :stop + 1]
 
-    take, in_free, at_us = take[:, :stop], in_free[:, :stop], t_us[:stop]
-    level = np.array([[g.ran_level] for g in gpus])
-    before = np.concatenate((level, take[:, :-1]), axis=1)
+    before = np.concatenate((fleet.ran_level[:, None], take[:, :-1]), axis=1)
     changed = take != before
-    accrued = np.array([[g.last_accrue_us] for g in gpus])
-    upto = np.maximum.accumulate(np.where(changed, at_us, accrued), axis=1)
-    dt = at_us - np.concatenate((accrued, upto[:, :-1]), axis=1)
-    ai_level = np.array([[g.ai_level] for g in gpus])
-    ran_int = np.array([[g.ran_integral] for g in gpus])
-    ai_int = np.array([[g.ai_integral] for g in gpus])
-    ran_int = np.cumsum(np.concatenate((ran_int, np.where(changed, before * dt, 0.0)), axis=1), axis=1)
-    ai_int = np.cumsum(np.concatenate((ai_int, np.where(changed, ai_level * dt, 0.0)), axis=1), axis=1)
-    rows = zip(
-        gpus, changed.any(axis=1).tolist(), take[:, -1].tolist(), in_free[:, -1].tolist(),
-        upto[:, -1].tolist(), ran_int[:, -1].tolist(), ai_int[:, -1].tolist(),
-    )
-    for gpu, moved, ran_level, ran_in_free, accrued_us, ran_integral, ai_integral in rows:
-        if moved:
-            gpu.ran_level, gpu.ran_in_free = ran_level, ran_in_free
-            gpu.last_accrue_us = accrued_us
-            gpu.ran_integral, gpu.ai_integral = ran_integral, ai_integral
+    # the last accrual time before each slot, and after the last one
+    accrued = np.empty((len(take), t_us.size + 1), dtype=np.int64)
+    accrued[:, 0] = fleet.last_accrue_us
+    np.multiply(changed, t_us, out=accrued[:, 1:])
+    np.maximum.accumulate(accrued, axis=1, out=accrued)
+    # time since the last accrual where the level changes, else 0: there the
+    # scalar rule does not accrue, and adding 0.0 changes no integral
+    dt = (t_us - accrued[:, :-1]) * changed
+    # each integral, RAN then AI, and what each slot adds to it
+    sums = np.empty((2, len(take), t_us.size + 1))
+    sums[:, :, 0] = fleet.integrals
+    np.multiply(before, dt, out=sums[0, :, 1:])
+    np.multiply(ai_level[:, None], dt, out=sums[1, :, 1:])
+    fleet.integrals[:] = np.add.accumulate(sums, axis=2, out=sums)[:, :, -1]
+    np.copyto(fleet.ran_in_free, in_free[:, -1], where=changed.any(axis=1))
+    fleet.ran_level[:] = take[:, -1]
+    fleet.last_accrue_us[:] = accrued[:, -1]
     if state.soft_ran:
         # what each GPU was asked to serve: its take, plus the server's
-        # shortfall on the server's last GPU
-        asked = take.copy()
-        asked[first_row + sizes - 1] += rem[:, :stop]
-        for gpu, last, peak in zip(gpus, asked[:, -1].tolist(), asked.max(axis=1).tolist()):
-            gpu.demand_last = last
-            if peak > gpu.epoch_max:
-                gpu.epoch_max = peak
+        # shortfall on the server's last GPU (take + 0.0 is take)
+        asked = take
+        if rem.any():
+            asked = take.copy()
+            asked[fleet.last_rows] += rem
+        if live is None:
+            fleet.demand_last[:] = asked[:, -1]
+        else:
+            np.copyto(fleet.demand_last, asked[:, -1], where=live[:, -1])
+            asked = np.where(live, asked, -np.inf)
+        np.maximum(fleet.epoch_max, asked.max(axis=1), out=fleet.epoch_max)
 
-    missed = rem[:, :stop] > TOL
-    slots, owners = np.nonzero(missed.T)  # by slot, then by server
-    ids = [srv.server.id for srv in state.servers]
-    state.misses.extend(
-        (t, ids[si], shortfall)
-        for t, si, shortfall in zip(
-            t_s[slots].tolist(), owners.tolist(), rem[owners, slots].tolist()
-        )
-    )
-
-    # the slot whose state each sample shows
-    marks = (np.arange(samples.start, samples.stop, samples.step) - first_us) // state.slot_us
-    marks = marks[marks < stop]
-    emit(take[:, marks].T, ai_level[:, 0], marks.size)
-    state.clock_us = int(at_us[-1])
+    slots, owners = np.nonzero(rem.T > TOL)  # by slot, then by server
+    if slots.size:
+        ids = fleet.server_ids
+        missed = zip(t_s[slots].tolist(), owners.tolist(), rem[owners, slots].tolist())
+        state.misses.extend((t, ids[si], shortfall) for t, si, shortfall in missed)
+    if samples:
+        # the slot whose state each sample shows, up to the firing one
+        marks = [(t - int(t_us[0])) // state.slot_us for t in samples]
+        marks = marks[:bisect.bisect_left(marks, stop)]
+        emit(take[:, marks].T, ai_level, len(marks))
+    state.clock_us = int(t_us[-1])
+    if stop < n:
+        for g, room_g in zip(firing.tolist(), allowed):
+            _apply_throttle(state, state.gpus[g], room_g)
     return stop
 
 
@@ -767,14 +751,12 @@ def _instance_free(gpu: GpuState, inst: GpuInstance) -> float:
     return inst.compute_fraction - gpu.inst_granted.get(inst.id, 0.0)
 
 
-def _ai_headroom(gpu: GpuState) -> float:
-    """AI grant a GPU's ceiling still allows under a dynamic policy."""
-    return gpu.ai_ceiling - (gpu.ai_hard + gpu.ai_free)
-
-
-def _gpu_budget(state: ClusterState, gpu: GpuState) -> float:
-    """Policy-level AI budget left on a GPU (physical capacity aside)."""
-    return _ai_headroom(gpu) if state.policy.is_dynamic else math.inf
+def _budgets(state: ClusterState) -> np.ndarray:
+    """Every GPU's policy-level AI budget left (physical capacity aside), in ``gpus`` order."""
+    fleet = state.fleet
+    if not state.policy.is_dynamic:
+        return np.full(len(state.gpus), math.inf)
+    return fleet.ai_ceiling - (fleet.ai_hard + fleet.ai_free)
 
 
 def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> PlacementDecision:
@@ -806,11 +788,10 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     """
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
-    budgets: dict[str, float] = {}
+    budgets = _budgets(state).tolist()  # by GPU index
+    settling = (state.fleet.settling_until_us > state.clock_us).tolist()
     frees: dict[str, float] = {}
-    dynamic = state.policy.is_dynamic
     classes = _ai_classes(state.policy)
-    now_us = state.clock_us
     eligible_by = state.clock + TOL
     servers = sorted(state.servers, key=lambda s: s.server.id)
 
@@ -821,11 +802,9 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
         for srv in servers:
             top = -math.inf  # the server's largest grantable fraction
             for gpu in srv.gpus:
-                if gpu.settling_until_us > now_us:
+                if settling[gpu.index]:
                     continue
-                budget = budgets.get(gpu.device.id)
-                if budget is None:
-                    budget = budgets[gpu.device.id] = _ai_headroom(gpu) if dynamic else math.inf
+                budget = budgets[gpu.index]
                 for inst in gpu.instances:
                     if inst.tenant_class not in classes:
                         continue
@@ -842,12 +821,12 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
             # some slice here fits: walk the server in candidate order
             gpus = []
             for gpu in srv.gpus:
-                if gpu.settling_until_us <= now_us:
+                if not settling[gpu.index]:
                     insts = [i for i in gpu.instances if i.tenant_class in classes]
                     total_free = sum(frees[i.id] for i in insts)
-                    gpus.append((-total_free, gpu.device.id, insts))
-            for _, gpu_id, insts in sorted(gpus, key=lambda g: g[:2]):
-                budget = budgets[gpu_id]
+                    gpus.append((-total_free, gpu.device.id, gpu.index, insts))
+            for _, gpu_id, g, insts in sorted(gpus, key=lambda c: c[:2]):
+                budget = budgets[g]
                 for inst in sorted(insts, key=lambda i: (-frees[i.id], i.id)):
                     free = frees[inst.id]
                     grantable = free if free < budget else budget
@@ -855,7 +834,7 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
                         continue
                     decision.assignments[job.id] = (srv.server.id, gpu_id, inst.id, demand)
                     frees[inst.id] = free - demand
-                    budgets[gpu_id] = budget - demand
+                    budgets[g] = budget - demand
                     return None
         return best
 
@@ -884,41 +863,24 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
 # -- policy epochs -----------------------------------------------------------
 
 
-def _forecast(policy: Policy, gpu: GpuState) -> float:
-    if policy.forecast is ForecastKind.LAST_VALUE:
-        return gpu.demand_last
-    f = gpu.epoch_max
-    for past in gpu.epoch_history:  # length kept at window-1 by _roll_forecast
-        if past > f:
-            f = past
-    return f
-
-
 def _window(policy: Policy) -> int:
     """Epochs a max-over-window forecast spans, the current one included."""
     return max(1, round(policy.window_s / policy.epoch_s))
 
 
-def _roll_forecast(policy: Policy, gpu: GpuState):
-    window = _window(policy)
-    gpu.epoch_history.append(gpu.epoch_max)
-    while len(gpu.epoch_history) > window - 1:
-        gpu.epoch_history.popleft()
-    gpu.epoch_max = gpu.demand_last
+def forecast_holds(state: ClusterState) -> bool:
+    """Whether the next epoch's roll leaves every GPU's forecast inputs as they are.
 
-
-def forecast_holds(policy: Policy, gpu: GpuState) -> bool:
-    """Whether the next epoch's roll leaves ``gpu``'s forecast inputs as they are.
-
-    It does when the history is full and ``epoch_max`` and every past
-    epoch's maximum equal ``demand_last``.
+    It does when each GPU's history is full and its ``epoch_max`` and every
+    past epoch's maximum equal its ``demand_last``.
     """
-    last = gpu.demand_last
-    history = gpu.epoch_history
-    return (
-        gpu.epoch_max == last
-        and len(history) == _window(policy) - 1
-        and all(past == last for past in history)
+    fleet = state.fleet
+    if not (fleet.epoch_max == fleet.demand_last).all():
+        return False
+    full = _window(state.policy) - 1
+    return all(
+        len(gpu.epoch_history) == full and all(past == last for past in gpu.epoch_history)
+        for gpu, last in zip(state.gpus, fleet.demand_last.tolist())
     )
 
 
@@ -1000,37 +962,51 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
     if abs(ratio - round(ratio)) > 1e-6:
         raise InvalidEpoch(f"t={t} is not on the {policy.epoch_s}s epoch grid")
     queued = _queued_demand(state)
-    for srv in state.servers:
-        for gpu in srv.gpus:
-            forecast = _forecast(policy, gpu)
-            _roll_forecast(policy, gpu)
-            ceiling = 1.0 - forecast - policy.safety_margin
-            if ceiling < 0.0:
-                ceiling = 0.0
-            gpu.ai_ceiling = ceiling
-            current = gpu.ai_hard + gpu.ai_free
-            if current > ceiling + TOL:
+    fleet = state.fleet
+    last_value = policy.forecast is ForecastKind.LAST_VALUE
+    full = _window(policy) - 1
+    ceilings = []
+    rows = zip(
+        state.gpus,
+        fleet.demand_last.tolist(),
+        fleet.epoch_max.tolist(),
+        (fleet.ai_hard + fleet.ai_free).tolist(),
+    )
+    for gpu, demand_last, epoch_max, current in rows:
+        history = gpu.epoch_history
+        forecast = demand_last if last_value else max((epoch_max, *history))
+        # roll the window: this epoch's maximum joins the history
+        history.append(epoch_max)
+        while len(history) > full:
+            history.popleft()
+        ceiling = 1.0 - forecast - policy.safety_margin
+        if ceiling < 0.0:
+            ceiling = 0.0
+        ceilings.append(ceiling)
+        if current > ceiling + TOL:
+            actions.append(
+                ScaleAction(
+                    ActionKind.RECLAIM_AI,
+                    server_id=gpu.server_id,
+                    gpu_id=gpu.device.id,
+                    fraction=current - ceiling,
+                )
+            )
+        else:
+            headroom = ceiling - current
+            wanted = queued + _undergrant(gpu)
+            min_grant = gpu.device.partition_granularity
+            if headroom + TOL >= min_grant and wanted > TOL:
                 actions.append(
                     ScaleAction(
-                        ActionKind.RECLAIM_AI,
-                        server_id=srv.server.id,
+                        ActionKind.GRANT_AI,
+                        server_id=gpu.server_id,
                         gpu_id=gpu.device.id,
-                        fraction=current - ceiling,
+                        fraction=headroom,
                     )
                 )
-            else:
-                headroom = ceiling - current
-                wanted = queued + _undergrant(gpu)
-                min_grant = gpu.device.partition_granularity
-                if headroom + TOL >= min_grant and wanted > TOL:
-                    actions.append(
-                        ScaleAction(
-                            ActionKind.GRANT_AI,
-                            server_id=srv.server.id,
-                            gpu_id=gpu.device.id,
-                            fraction=headroom,
-                        )
-                    )
+    fleet.ai_ceiling[:] = ceilings
+    fleet.epoch_max[:] = fleet.demand_last
     return actions or [ScaleAction(ActionKind.NO_OP)]
 
 
@@ -1070,8 +1046,12 @@ def _accrue_job(job: AiJob, now_us: int):
 
 def accrue_all(state: ClusterState):
     """Bring every GPU's level integrals and every running job's work up to the clock."""
-    for gpu in state.gpus:
-        gpu.accrue(state.clock_us)
+    fleet = state.fleet
+    dt = state.clock_us - fleet.last_accrue_us
+    due = dt > 0
+    fleet.ran_integral[due] += fleet.ran_level[due] * dt[due]
+    fleet.ai_integral[due] += (fleet.ai_hard + fleet.ai_free_eff)[due] * dt[due]
+    fleet.last_accrue_us[due] = state.clock_us
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             _accrue_job(job, state.clock_us)
@@ -1249,12 +1229,10 @@ def placement_round(state: ClusterState):
             gpu = state.gpu_by_id(gpu_id)
             start_job(state, state.jobs[job_id], srv_id, gpu, inst_id, fraction)
     if state.queue:
-        for gpu in state.gpus:
-            if gpu.settling_until_us > state.clock_us:
-                continue
-            budget = _gpu_budget(state, gpu)
-            if budget > 1e-9:
-                backfill_queue(state, gpu, budget)
+        budgets = _budgets(state)
+        ready = (budgets > 1e-9) & (state.fleet.settling_until_us <= state.clock_us)
+        for g, budget in zip(np.flatnonzero(ready).tolist(), budgets[ready].tolist()):
+            backfill_queue(state, state.gpus[g], budget)
 
 
 def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterState:
@@ -1288,7 +1266,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
         list(action.classes),
         id_prefix=prefix,
     )
-    gpu.refresh_caches()
+    gpu.refresh_caches(state.soft_ran)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling
     gpu.ai_free_eff = 0.0

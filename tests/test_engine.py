@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import random
@@ -17,6 +18,7 @@ from ranshare.engine import (
     EventKind,
     Scenario,
     SimEngine,
+    TopologySpec,
     Trace,
     mix_seed,
     p95,
@@ -138,6 +140,46 @@ class TestRun:
         sc = scenario(horizon=-1.0)
         with pytest.raises(ScenarioInvalid):
             run(sc)
+
+
+class TestValidateOnce:
+    """A scenario is validated, and its fabric built, once per scenario object."""
+
+    def _counting(self, monkeypatch) -> dict[str, int]:
+        from ranshare import fabric
+
+        counts = {}
+        for name in ("build_reference_fabric", "validate_topology"):
+            original = getattr(fabric, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(fabric, name, wrapper)
+        return counts
+
+    def test_parse_and_engines_share_one_fabric(self, monkeypatch):
+        from ranshare.scenario import load_scenario
+
+        counts = self._counting(monkeypatch)
+        sc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios" / "poc.scenario")
+        first, second = SimEngine(sc), SimEngine(sc)
+        assert counts == {"build_reference_fabric": 1, "validate_topology": 1}
+        assert first.topology is second.topology is sc.fabric
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"horizon_s": -1.0}, {"topology": TopologySpec(compute_spines=0)}],
+        ids=["horizon", "fabric"],
+    )
+    def test_engine_rejects_a_hand_built_invalid_scenario(self, monkeypatch, change):
+        counts = self._counting(monkeypatch)
+        sc = dataclasses.replace(scenario(), **change)
+        for _ in range(2):
+            with pytest.raises(ScenarioInvalid):
+                SimEngine(sc)
+        assert counts["build_reference_fabric"] == 1
 
     def test_split_off_granularity_rejected_at_validation(self):
         coarse = Policy(

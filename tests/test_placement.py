@@ -37,7 +37,12 @@ def reference_plan_placement(jobs, state):
     """
     _eligible_instances = orchestrator._eligible_instances
     _instance_free = orchestrator._instance_free
-    _gpu_budget = orchestrator._gpu_budget
+
+    def _gpu_budget(state, gpu):
+        """Policy-level AI budget left on a GPU, one GPU at a time."""
+        if not state.policy.is_dynamic:
+            return math.inf
+        return gpu.ai_ceiling - (gpu.ai_hard + gpu.ai_free)
 
     decision = PlacementDecision()
     interactive = [j for j in jobs if j.slo_class is SloClass.INTERACTIVE]

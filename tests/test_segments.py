@@ -1,8 +1,9 @@
 """Segment settlement and the columnar trace against the paths they replaced.
 
+``reference_settle_slot`` is the scalar settlement rule, one GPU at a time.
 ``reference_run`` is ``SimEngine.run`` as it was before segments: one
-``settle_slot`` per slot, and samples flushed before every slot and event,
-one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
+``reference_settle_slot`` per slot, and samples flushed before every slot
+and event, one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
 ``reference_write_records`` are ``summarize`` and the RECORDS writer as
 they were for that list of rows. Random scenarios go through them and
 through the engine, and everything the run leaves behind must be equal:
@@ -11,6 +12,7 @@ inputs and level integrals, and every job. Targeted scenarios check the
 same for runs that skip quiescent policy epochs.
 """
 
+import copy
 import dataclasses
 import math
 import random
@@ -51,6 +53,56 @@ from ranshare.workload import (
 
 ROOT = Path(__file__).resolve().parents[1]
 US = 1_000_000
+
+
+def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
+    """``settle_slot`` as a scalar loop over the GPUs, one attribute at a time.
+
+    Per server, demand fills GPUs in declaration order; a GPU that is
+    settling takes nothing. Under the dynamic policy RAN spills into FREE
+    capacity and each GPU records what it was asked to serve. A GPU whose
+    FREE-slice AI exceeds what RAN left over, or that is throttled, has its
+    throttle applied at once. Returns True when a throttle was applied.
+    """
+    TOL = orchestrator.TOL
+    soft = state.soft_ran
+    now_us = state.clock_us
+    applied = False
+    for srv, rem in zip(state.servers, demands):
+        for gpu in srv.gpus:
+            if gpu.settling_until_us >= now_us:
+                if gpu.ran_level != 0.0:
+                    gpu.accrue(now_us)
+                    gpu.ran_level = 0.0
+                    gpu.ran_in_free = 0.0
+                continue
+            cap = gpu.ran_cap + gpu.free_cap if soft else gpu.ran_cap
+            if rem < cap:
+                take = rem
+                rem = 0.0
+            else:
+                take = cap
+                rem -= cap
+            if soft:
+                asked = take + (rem if gpu is srv.gpus[-1] else 0.0)
+                gpu.demand_last = asked
+                if asked > gpu.epoch_max:
+                    gpu.epoch_max = asked
+            in_free = take - gpu.ran_cap
+            if in_free < 0.0:
+                in_free = 0.0
+            if take != gpu.ran_level:
+                gpu.accrue(now_us)
+                gpu.ran_level = take
+                gpu.ran_in_free = in_free
+            if gpu.ai_free > 0.0 or gpu.throttled:
+                allowed = gpu.free_cap - in_free
+                if gpu.ai_free > allowed + TOL or gpu.throttled:
+                    orchestrator._apply_throttle(state, gpu, allowed)
+                    applied = True
+        if rem > TOL:
+            state.misses.append((t_s, srv.server.id, rem))
+    return applied
 
 
 class ReferenceSampler:
@@ -211,7 +263,7 @@ def reference_run(eng: SimEngine):
         if next_slot < horizon_us and (head is None or next_slot <= head[0]):
             sampler.flush(next_slot)
             state.clock_us = next_slot
-            orchestrator.settle_slot(state, next_slot / US, demands[next_slot // slot_us])
+            reference_settle_slot(state, next_slot / US, demands[next_slot // slot_us])
             next_slot += slot_us
             continue
         if head is None:
@@ -362,22 +414,22 @@ def random_scenario(seed: int) -> Scenario:
     return sc
 
 
-def _gpu_state(eng: SimEngine) -> list[tuple]:
+def _gpu_state(state) -> list[tuple]:
     return [
         (
             g.device.id, g.ran_level, g.ran_in_free, g.ai_hard, g.ai_free, g.ai_free_eff,
             g.throttled, g.demand_last, g.epoch_max, tuple(g.epoch_history),
             g.ai_ceiling, g.ran_integral, g.ai_integral, g.last_accrue_us,
         )
-        for g in eng.state.gpus
+        for g in state.gpus
     ]
 
 
-def _job_state(eng: SimEngine) -> list[tuple]:
+def _job_state(state) -> list[tuple]:
     return [
         (j.id, j.state, j.remaining_compute_seconds, j.service_rate, j.granted_fraction,
          j.completion_time, j.preempt_count, j.version)
-        for j in eng.state.jobs.values()
+        for j in state.jobs.values()
     ]
 
 
@@ -391,7 +443,23 @@ def _counting(monkeypatch, counts: dict, name: str):
     monkeypatch.setattr(orchestrator, name, wrapper)
 
 
-PATHS = ("_settle_steady", "_settle_slots", "_settle_run", "_apply_throttle")
+def _recording_blocks(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Record each ``_settle_block`` call as (slots, fired slot or slots, any GPU settling)."""
+    blocks = []
+    original = orchestrator._settle_block
+
+    def recording(state, t_us, *rest):
+        settling = bool((state.fleet.settling_until_us >= t_us[0]).any())
+        fired = original(state, t_us, *rest)
+        blocks.append((t_us.size, fired, settling))
+        return fired
+
+    monkeypatch.setattr(orchestrator, "_settle_block", recording)
+    return blocks
+
+
+# the engine calls settle_slot only for a segment it settles in closed form
+PATHS = ("settle_slot", "_apply_throttle")
 
 
 def assert_same_run(sc: Scenario, label) -> SimEngine:
@@ -407,8 +475,8 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     again = parse_records(records)
     assert again.trace == rep.trace and again.summary == rep.summary, label
     assert eng.state.misses == ref_eng.state.misses, label
-    assert _gpu_state(eng) == _gpu_state(ref_eng), label
-    assert _job_state(eng) == _job_state(ref_eng), label
+    assert _gpu_state(eng.state) == _gpu_state(ref_eng.state), label
+    assert _job_state(eng.state) == _job_state(ref_eng.state), label
     assert eng.state.events == ref_eng.state.events, label
     for rec in rep.trace:
         assert rec.ran_fraction + rec.ai_fraction <= 1.0 + 1e-9, (label, rec)
@@ -416,27 +484,33 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
 
 
 def test_segments_match_slot_by_slot_loop(monkeypatch):
-    """120 random scenarios; odd seeds use tiny chunks and crossover lengths."""
+    """120 random scenarios; odd seeds settle in blocks of a few slots."""
     counts: dict[str, int] = {}
     for name in PATHS:
         _counting(monkeypatch, counts, name)
-    defaults = orchestrator.CHUNK_CELLS, orchestrator.VECTOR_MIN_SLOTS
+    blocks = _recording_blocks(monkeypatch)
+    default = orchestrator.CHUNK_CELLS
     misses = throttled = 0
     for seed in range(120):
         sc = random_scenario(seed)
-        chunk, crossover = defaults
+        chunk = default
         if seed % 2:
-            rng = random.Random(-seed)
-            chunk, crossover = rng.choice((3, 17, 64)), (rng.choice((1, 2, 9)), 0.0)
+            chunk = random.Random(-seed).choice((3, 17, 64))
         monkeypatch.setattr(orchestrator, "CHUNK_CELLS", chunk)
-        monkeypatch.setattr(orchestrator, "VECTOR_MIN_SLOTS", crossover)
         before = counts.get("_apply_throttle", 0)
         eng = assert_same_run(sc, seed)
         throttled += counts.get("_apply_throttle", 0) > before
         misses += bool(eng.state.misses)
-    # every settlement path, and the cases that force a fallback, were exercised
+    # every settlement path, and each case the block kernel handles, was exercised
     for name in PATHS:
         assert counts.get(name, 0) > 0, (name, counts)
+    cases = {
+        "one slot": any(n == 1 for n, _fired, _settling in blocks),
+        "many slots": any(n > 1 and fired == n for n, fired, _settling in blocks),
+        "fired inside": any(0 < fired < n - 1 for n, fired, _settling in blocks),
+        "settling": any(settling for _n, _fired, settling in blocks),
+    }
+    assert all(cases.values()), cases
     assert misses > 0 and throttled > 0, (misses, throttled)
 
 
@@ -452,17 +526,13 @@ def test_random_scenarios_skip_quiescent_epochs():
 
 
 def test_overloaded_dynamic_fleet(monkeypatch):
-    """Shortfalls inside numpy passes reach the forecast inputs and the misses.
+    """Shortfalls inside array passes reach the forecast inputs and the misses.
 
     Server srv0 has one GPU and three full-peak diurnal cells, so demand
     exceeds the GPU; srv1 spills over two GPUs. No AI runs, so no throttle
     cuts the passes short.
     """
-    calls = []
-    original = orchestrator._settle_run
-    monkeypatch.setattr(
-        orchestrator, "_settle_run", lambda *a: calls.append(a[2]) or original(*a)
-    )
+    blocks = _recording_blocks(monkeypatch)
     diurnal = [
         LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.5, maximum=1.0, period_s=p)
         for p in (0.07, 0.3, 1.1)
@@ -483,7 +553,7 @@ def test_overloaded_dynamic_fleet(monkeypatch):
         sample_interval_s=0.002,
     )
     eng = assert_same_run(sc, "overload")
-    assert calls and eng.state.misses
+    assert any(n > 1 for n, _fired, _settling in blocks) and eng.state.misses
     assert max(g.epoch_max for g in eng.state.gpus) > 1.0
 
 
@@ -515,15 +585,7 @@ def test_throttle_inside_numpy_pass(monkeypatch):
     whose demand tops the previous epoch's last value by the margin, some
     slots into the epoch; a sample at every slot makes one fall on it.
     """
-    runs = []
-    original = orchestrator._settle_run
-
-    def counting(state, first_us, n, *rest):
-        settled = original(state, first_us, n, *rest)
-        runs.append((settled, n))
-        return settled
-
-    monkeypatch.setattr(orchestrator, "_settle_run", counting)
+    blocks = _recording_blocks(monkeypatch)
     profile = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.1, maximum=1.0, period_s=0.5)
     sc = Scenario(
         name="rising",
@@ -539,7 +601,7 @@ def test_throttle_inside_numpy_pass(monkeypatch):
         sample_interval_s=0.0005,
     )
     assert_same_run(sc, "rising")
-    assert any(0 < settled < n for settled, n in runs)
+    assert any(0 < fired < n for n, fired, _settling in blocks)
 
 
 def test_trace_point_without_event():
@@ -580,6 +642,201 @@ def test_steady_segment_count_on_uplift(monkeypatch):
     assert counts["settle_slot"] == 3
     assert report.deadline_misses == []
     assert_same_run(sc, "uplift")
+
+
+# -- edge cases of the block kernel -----------------------------------------
+
+
+def test_one_slot_segments(monkeypatch):
+    """An epoch at every slot makes every segment, and so every block, one slot long."""
+    blocks = _recording_blocks(monkeypatch)
+    fast = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.1, maximum=1.0, period_s=0.02)
+    sc = Scenario(
+        name="one-slot",
+        servers=tuple(
+            Server(id=f"srv{i}", gpus=(GpuDevice(f"srv{i}-gpu0"), GpuDevice(f"srv{i}-gpu1")))
+            for i in range(2)
+        ),
+        cells=tuple(
+            CellSpec(f"cell{i}{c}", CellConfig(), fast, f"srv{i}") for i in range(2) for c in "abc"
+        ),
+        calibration=Calibration(reference_peak_fraction=1.0),
+        ai_workloads=(AiWorkload(id="sat", arrival=ArrivalKind.SATURATING),),
+        policy=Policy(
+            kind=PolicyKind.DYNAMIC_BACKFILL, epoch_s=0.0005, safety_margin=0.0,
+            forecast=ForecastKind.LAST_VALUE,
+        ),
+        horizon_s=0.05,
+        sample_interval_s=0.0005,
+    )
+    eng = assert_same_run(sc, "one-slot")
+    assert blocks and all(n == 1 for n, _fired, _settling in blocks)
+    assert any(fired == 0 for _n, fired, _settling in blocks) and eng.state.misses
+
+
+def test_throttle_fires_at_the_first_and_the_last_slot_of_a_segment(monkeypatch):
+    """A step on the slot grid fires at its segment's last slot; one just after, at the next's first.
+
+    The step up at 0.5 s has an event at 0.5 s, and the slot at 0.5 s,
+    the last one before that event, already sees it. The step at
+    1.5000002 s rounds to an event at 1.5 s too, but the slot at 1.5 s
+    does not see it yet: the first slot of the segment after the event
+    does. A small diurnal cell keeps demand from being stepwise, so the
+    segments settle in blocks, not in closed form.
+    """
+    blocks = _recording_blocks(monkeypatch)
+    step = LoadProfile(
+        ProfileKind.TRACE, points=((0.0, 0.3), (0.5, 0.9), (1.0, 0.3), (1.5000002, 0.9))
+    )
+    wave = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.0, maximum=0.1, period_s=0.3)
+    sc = Scenario(
+        name="steps",
+        servers=(Server(id="srv1", gpus=(GpuDevice("gpu1"),)),),
+        cells=(
+            CellSpec("step", CellConfig(), step, "srv1"),
+            CellSpec("wave", CellConfig(), wave, "srv1"),
+        ),
+        calibration=Calibration(reference_peak_fraction=0.4),
+        ai_workloads=(AiWorkload(id="sat", arrival=ArrivalKind.SATURATING),),
+        policy=Policy(kind=PolicyKind.DYNAMIC_BACKFILL, epoch_s=0.1, safety_margin=0.05),
+        horizon_s=2.0,
+        sample_interval_s=0.01,
+    )
+    assert_same_run(sc, "first and last")
+    assert (200, 199, False) in blocks and (200, 0, False) in blocks, blocks
+
+
+def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
+    """The middle GPU of three repartitions and settles while its neighbours stay live."""
+    blocks = _recording_blocks(monkeypatch)
+    gpus = tuple(GpuDevice(f"srv1-gpu{j}") for j in range(3))
+    diurnal = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.3, maximum=1.0, period_s=0.05)
+    sc = Scenario(
+        name="settling-middle",
+        servers=(Server(id="srv1", gpus=gpus), Server(id="srv2", gpus=(GpuDevice("srv2-gpu0"),))),
+        cells=(
+            CellSpec("cell1", CellConfig(), diurnal, "srv1"),
+            CellSpec("cell2", CellConfig(), diurnal, "srv2"),
+        ),
+        calibration=Calibration(reference_peak_fraction=0.9),
+        ai_workloads=(),
+        policy=Policy(
+            kind=PolicyKind.TIME_SPLIT,
+            schedule=((0.0, 0.05, 0.4), (0.05, 0.1, 0.7), (0.1, 1.0, 0.5)),
+            split_gpus=("srv1-gpu1",),
+            settle_slots=6,
+        ),
+        horizon_s=0.2,
+        sample_interval_s=0.001,
+    )
+    eng = assert_same_run(sc, "settling middle")
+    assert any(settling and n > 1 for n, _fired, settling in blocks), blocks
+    assert [ev.subject for ev in eng.state.events if ev.kind == "repartition"] == ["srv1-gpu1"] * 2
+    assert eng.state.misses
+
+
+def _dynamic_state(*sizes: int):
+    """Servers ``srv0``, ``srv1``, ... of ``sizes`` whole GPUs under dynamic backfill."""
+    servers = [
+        Server(id=f"srv{s}", gpus=tuple(GpuDevice(f"srv{s}-gpu{g}") for g in range(size)))
+        for s, size in enumerate(sizes)
+    ]
+    return orchestrator.build_cluster_state(
+        servers, Policy(kind=PolicyKind.DYNAMIC_BACKFILL), {}
+    )
+
+
+def _run_free_job(state, gpu, grant: float, jid: str):
+    job = orchestrator.AiJob(jid, 0.0, 1.0, grant, remaining_compute_seconds=1.0)
+    state.jobs[jid] = job
+    state.enqueue(job)
+    orchestrator.start_job(state, job, gpu.server_id, gpu, gpu.instances[0].id, grant)
+
+
+def assert_block_matches_slots(state, demands: np.ndarray) -> int:
+    """``_settle_block`` over ``demands`` (server, slot) from the next slot, against the reference.
+
+    A copy of ``state`` settles the same slots one ``reference_settle_slot``
+    at a time, up to the first that applies a throttle. Both must stop at
+    the same slot and leave every GPU, job, miss and queued event equal.
+    Returns the index of the slot that fired, or the number of slots.
+    """
+    ref = copy.deepcopy(state)
+    n = demands.shape[1]
+    t_us = state.clock_us + state.slot_us * np.arange(1, n + 1, dtype=np.int64)
+    fired = orchestrator._settle_block(state, t_us, t_us / US, demands)
+    for k, t in enumerate(t_us.tolist()):
+        ref.clock_us = t
+        if reference_settle_slot(ref, t / US, demands[:, k].tolist()):
+            assert fired == k
+            break
+    else:
+        assert fired == n
+    assert state.clock_us == ref.clock_us
+    assert state.misses == ref.misses
+    assert _gpu_state(state) == _gpu_state(ref)
+    assert _job_state(state) == _job_state(ref)
+    assert state.heap == ref.heap
+    return fired
+
+
+def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
+    """Settle every slot of ``demands`` in checked blocks; returns (slots, fired) per block."""
+    blocks = []
+    while demands.shape[1]:
+        fired = assert_block_matches_slots(state, demands)
+        blocks.append((demands.shape[1], fired))
+        demands = demands[:, fired + 1:]
+    return blocks
+
+
+def test_block_with_a_settling_gpu_between_live_gpus():
+    """Demand passes a settling middle GPU by, to its live neighbour, which throttles."""
+    state = _dynamic_state(3, 1)
+    first, middle, third = state.servers[0].gpus
+    _run_free_job(state, third, 0.3, "j0")
+    _settle_all(state, np.array([[1.5] * 4, [0.2] * 4]))
+    assert middle.ran_level == 0.5
+    middle.settling_until_us = state.clock_us + 4 * state.slot_us
+    srv0 = [1.2, 1.5, 1.8, 1.9, 1.9, 1.9, 2.2, 2.5, 2.9, 3.1, 3.4]
+    blocks = _settle_all(state, np.array([srv0, [0.2, 1.3] * 5 + [0.2]]))
+    # the throttle fires inside the first block, while the middle GPU settles
+    assert blocks[0] == (11, 2), blocks
+    assert not first.throttled and state.misses
+
+
+def test_block_with_the_last_gpu_settling_while_demand_overflows():
+    """A settling last GPU leaves the server's shortfall to the misses alone.
+
+    The first GPU records only its own take as the demand it was asked to
+    serve; the settling GPU's forecast inputs stay as they were.
+    """
+    state = _dynamic_state(2)
+    first, last = state.gpus
+    _run_free_job(state, last, 0.3, "j0")
+    _settle_all(state, np.array([[1.6, 1.7, 1.9]]))
+    assert last.demand_last == last.epoch_max == 1.9 - 1.0
+    # a throttled GPU has no throttle test while it settles
+    last.settling_until_us = state.clock_us + 5 * state.slot_us
+    assert last.throttled
+    before = len(state.misses)
+    assert _settle_all(state, np.array([[1.4, 2.3, 1.2]])) == [(3, 3)]
+    assert last.ran_level == 0.0 and last.demand_last == last.epoch_max == 1.9 - 1.0
+    assert first.demand_last == 1.0 and len(state.misses) == before + 3
+    blocks = _settle_all(state, np.array([[1.1, 2.5, 1.9, 0.4, 1.3]]))
+    assert last.demand_last == 1.3 - 1.0 and last.epoch_max == 1.9 - 1.0
+    assert blocks[0] == (5, 2), blocks  # the first slot the last GPU is live
+
+
+def test_block_applies_simultaneous_throttles_in_gpu_order():
+    """Two GPUs whose tests fire at one slot throttle in GPU order, so their events queue so."""
+    state = _dynamic_state(1, 1, 1)
+    for k, gpu in enumerate(state.gpus):
+        _run_free_job(state, gpu, 0.5, f"j{k}")
+    blocks = _settle_all(state, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.3], [0.2, 0.4, 0.6]]))
+    assert blocks[0] == (3, 2), blocks
+    queued = sorted(state.heap, key=lambda entry: entry[2])  # by sequence number
+    assert [entry[4][0] for entry in queued[-2:]] == ["j0", "j2"]
 
 
 # -- quiescent epochs ----------------------------------------------------------
