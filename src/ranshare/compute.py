@@ -3,9 +3,9 @@
 Slice sizes are stored internally as integer multiples of the device's
 partition granularity; the decimal fraction is derived as units/total so
 that e.g. a 0.4/0.6 split reproduces those decimals exactly. Slices hold
-no grants: the orchestrator's ``GpuState.inst_granted`` is the one ledger
-of what each slice has granted, and ``repartition`` checks a new layout
-against it.
+no grants: the orchestrator keeps what each GPU's one AI slice has granted
+in its fleet arrays (``GpuState.ai_hard + ai_free``), and ``repartition``
+checks a new layout against the grants its caller says the old slices hold.
 """
 
 from __future__ import annotations
@@ -166,8 +166,9 @@ def repartition(
 ) -> list[GpuInstance]:
     """Atomically replace a GPU's slices with a new layout.
 
-    ``ledger`` is the caller's grant ledger (``GpuState.inst_granted``): the
-    fraction granted inside each old slice, by instance id. Callers must
+    ``ledger`` is the fraction granted inside each old slice, by instance
+    id; a slice it does not name holds nothing. The orchestrator names its
+    AI slice, with ``GpuState.ai_hard + ai_free``. Callers must
     drain or preempt first: for every tenant class, what the old slices of
     that class have granted has to fit inside the new slices of the same
     class (FREE counts toward every class).

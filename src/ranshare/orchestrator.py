@@ -176,7 +176,7 @@ class DeadlineMiss:
 
 @dataclass
 class PlacementDecision:
-    assignments: dict[str, tuple[str, str, str, float]] = field(default_factory=dict)
+    assignments: dict[str, tuple[str, float]] = field(default_factory=dict)  # job -> (GPU, grant)
 
 
 _INTERACTIVE_RANK, _BATCH_RANK = 0, 1
@@ -235,11 +235,13 @@ def _column(name: str) -> property:
 class Fleet:
     """Every GPU's per-slot settlement state, one array per field, in ``ClusterState.gpus`` order.
 
-    Slice-size caches (``ran_cap``, ``free_cap``, ``grid_cap``) change only
-    in ``GpuState.refresh_caches``; the slot levels, the FREE-slice AI grant
-    and the throttle flag, the end of a repartition's settling, the forecast
-    inputs and the level integrals change wherever the orchestrator changes
-    them, through ``GpuState``'s properties or as whole arrays.
+    Slice-size caches (``ran_cap``, ``free_cap``, ``ai_cap``, ``grid_cap``)
+    change only in ``GpuState.refresh_caches``; the slot levels, the AI
+    grants and the throttle flag, the end of a repartition's settling, the
+    forecast inputs and the level integrals change wherever the orchestrator
+    changes them, through ``GpuState``'s properties or as whole arrays.
+    ``ai_hard + ai_free`` is what a GPU's AI slice has granted, so its AI
+    capacity left is ``ai_cap - (ai_hard + ai_free)``.
 
     ``grid_cap`` is the capacity RAN demand meets on each (server, GPU
     position): ``ran_cap``, plus ``free_cap`` under the dynamic policy,
@@ -248,7 +250,7 @@ class Fleet:
     """
 
     __slots__ = (
-        "ran_cap", "free_cap", "grid_cap", "grid_rows", "last_rows",
+        "ran_cap", "free_cap", "ai_cap", "grid_cap", "grid_rows", "last_rows",
         "server_ids", "ran_level", "ran_in_free", "ai_hard", "ai_free", "ai_free_eff",
         "throttled", "settling_until_us", "demand_last", "epoch_max", "ai_ceiling",
         "integrals", "ran_integral", "ai_integral", "last_accrue_us",
@@ -264,7 +266,7 @@ class Fleet:
         )
         self.last_rows = np.cumsum(sizes) - 1
         for name in (
-            "ran_cap", "free_cap", "ran_level", "ran_in_free", "ai_hard", "ai_free",
+            "ran_cap", "free_cap", "ai_cap", "ran_level", "ran_in_free", "ai_hard", "ai_free",
             "ai_free_eff", "demand_last", "epoch_max",
         ):
             setattr(self, name, np.zeros(n))
@@ -279,19 +281,19 @@ class Fleet:
 
 @dataclass
 class GpuState:
-    """One GPU's jobs, slices and grant ledger; its levels live in the fleet arrays.
+    """One GPU's jobs and slices; its levels and grants live in the fleet arrays.
 
     ``ClusterState`` sets ``fleet`` and ``index``. Each property below reads
     and writes the GPU's element of the fleet array of the same name.
+    ``ai_slice`` is the one slice AI jobs may use under the policy, or None;
+    every job on the GPU runs in it.
     """
 
     device: GpuDevice
     server_id: str
     instances: list[GpuInstance]
     jobs: list[AiJob] = field(default_factory=list)
-    # the grant ledger: AI grant held inside each slice, by instance id
-    inst_granted: dict[str, float] = field(default_factory=dict)
-    free_ids: set = field(default_factory=set)
+    ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
     generation: int = 0  # repartitions so far
     epoch_history: deque = field(default_factory=deque)  # past epochs' demand maxima
     fleet: Fleet | None = field(default=None, repr=False)
@@ -300,11 +302,12 @@ class GpuState:
     # slice-size caches, refreshed on (re)partition
     ran_cap = _column("ran_cap")
     free_cap = _column("free_cap")
+    ai_cap = _column("ai_cap")  # the AI slice's size, 0.0 without one
     # current slot levels
     ran_level = _column("ran_level")
     ran_in_free = _column("ran_in_free")
-    ai_hard = _column("ai_hard")  # granted inside AI slices
-    ai_free = _column("ai_free")  # granted inside FREE slices
+    ai_hard = _column("ai_hard")  # granted inside an AI slice
+    ai_free = _column("ai_free")  # granted inside a FREE slice
     ai_free_eff = _column("ai_free_eff")  # after the slot-level cap
     throttled = _column("throttled")
     # repartition settling: slots up to this time accept no allocations
@@ -319,20 +322,31 @@ class GpuState:
     last_accrue_us = _column("last_accrue_us")
 
     def refresh_caches(self, soft_ran: bool):
-        """Recompute the slice-size caches and the ledger after a (re)partition.
+        """Recompute the slice caches and zero the AI levels after a (re)partition.
 
-        ``soft_ran``: RAN may spill into FREE capacity (the dynamic policy).
+        A GPU is (re)partitioned only with no job on it, so it holds no
+        grant. ``soft_ran``: the dynamic policy, under which RAN may spill
+        into FREE capacity and AI may use a FREE slice as well as an AI
+        one. A layout that gives AI more than one slice is rejected.
         """
+        ai_classes = (TenantClass.AI, TenantClass.FREE) if soft_ran else (TenantClass.AI,)
+        ai_slices = [i for i in self.instances if i.tenant_class in ai_classes]
+        if len(ai_slices) > 1:
+            raise ValueError(
+                f"{self.device.id}: AI may use {len(ai_slices)} slices "
+                f"({', '.join(i.id for i in ai_slices)}); a GPU gives AI at most one"
+            )
+        self.ai_slice = ai_slices[0] if ai_slices else None
+        self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
+        self.ai_hard = self.ai_free = self.ai_free_eff = 0.0
+        self.throttled = False
         ran_cap = free_cap = 0.0
-        self.inst_granted = {i.id: 0.0 for i in self.instances}
-        self.free_ids = set()
         for inst in self.instances:
             f = inst.compute_fraction
             if inst.tenant_class is TenantClass.RAN:
                 ran_cap += f
             elif inst.tenant_class is TenantClass.FREE:
                 free_cap += f
-                self.free_ids.add(inst.id)
         self.ran_cap, self.free_cap = ran_cap, free_cap
         fleet = self.fleet
         fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
@@ -342,6 +356,11 @@ class GpuState:
     @property
     def ai_level(self) -> float:
         return self.ai_hard + self.ai_free_eff
+
+    @property
+    def ai_left(self) -> float:
+        """What the AI slice has left to grant; ``_frees`` gives it for every GPU."""
+        return self.ai_cap - (self.ai_hard + self.ai_free)
 
     def accrue(self, now_us: int):
         dt = now_us - self.last_accrue_us
@@ -532,8 +551,9 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     """Cap FREE-slice AI rates at ``allowed``, trimming newest jobs first."""
     if allowed < 0.0:
         allowed = 0.0
-    free_jobs = [j for j in gpu.jobs if j.instance_id in gpu.free_ids]
-    free_jobs.sort(key=lambda j: (j.arrival_time, j.id))  # oldest keeps its rate
+    in_free = gpu.ai_slice is not None and gpu.ai_slice.tenant_class is TenantClass.FREE
+    # a FREE slice's jobs, oldest first: the oldest keeps its rate
+    free_jobs = sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)) if in_free else []
     remaining = allowed
     eff_total = 0.0
     for job in free_jobs:
@@ -737,18 +757,10 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
 # -- placement ---------------------------------------------------------------
 
 
-def _ai_classes(policy: Policy) -> tuple[TenantClass, ...]:
-    """The slice classes that AI jobs may be placed in under ``policy``."""
-    return (TenantClass.AI, TenantClass.FREE) if policy.is_dynamic else (TenantClass.AI,)
-
-
-def _eligible_instances(state: ClusterState, gpu: GpuState) -> list[GpuInstance]:
-    classes = _ai_classes(state.policy)
-    return [i for i in gpu.instances if i.tenant_class in classes]
-
-
-def _instance_free(gpu: GpuState, inst: GpuInstance) -> float:
-    return inst.compute_fraction - gpu.inst_granted.get(inst.id, 0.0)
+def _frees(state: ClusterState) -> np.ndarray:
+    """Every GPU's ``ai_left``, in ``gpus`` order."""
+    fleet = state.fleet
+    return fleet.ai_cap - (fleet.ai_hard + fleet.ai_free)
 
 
 def _budgets(state: ClusterState) -> np.ndarray:
@@ -762,16 +774,16 @@ def _budgets(state: ClusterState) -> np.ndarray:
 def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> PlacementDecision:
     """First-fit placement of whole job demands.
 
-    INTERACTIVE jobs go first, in arrival order, and only onto instances
-    whose grantable fraction meets their latency bound. BATCH jobs follow,
+    INTERACTIVE jobs go first, in arrival order, and only onto GPUs whose
+    grantable fraction meets their latency bound. BATCH jobs follow,
     first-fit-decreasing by demand fraction. Candidate order: servers by
-    id, then GPUs by free capacity descending (ties by id), then instances
-    by free capacity descending (ties by id). Jobs that fit nowhere stay
-    queued; rejection happens only at enqueue time via the queue bound.
-    ``jobs`` is any list of jobs, or a ``PlacementOrder`` already in that
-    order, such as ``state.pending``.
+    id, then GPUs by free capacity descending (ties by id); a job runs in
+    its GPU's AI slice, and a GPU without one, or settling, is no
+    candidate. Jobs that fit nowhere stay queued; rejection happens only at
+    enqueue time via the queue bound. ``jobs`` is any list of jobs, or a
+    ``PlacementOrder`` already in that order, such as ``state.pending``.
 
-    Bound invariant: within one call, instance frees and GPU budgets only
+    Bound invariant: within one call, GPU frees and budgets only
     decrease, so the largest grantable fraction seen by a scan that failed
     bounds every grantable fraction for the rest of the call. A job whose
     demand is above that bound + TOL cannot fit, so it is skipped without a
@@ -788,10 +800,10 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     """
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
-    budgets = _budgets(state).tolist()  # by GPU index
-    settling = (state.fleet.settling_until_us > state.clock_us).tolist()
-    frees: dict[str, float] = {}
-    classes = _ai_classes(state.policy)
+    fleet = state.fleet
+    # by GPU index
+    budgets, frees = _budgets(state).tolist(), _frees(state).tolist()
+    usable = ((fleet.settling_until_us <= state.clock_us) & (fleet.ai_cap > 0.0)).tolist()
     eligible_by = state.clock + TOL
     servers = sorted(state.servers, key=lambda s: s.server.id)
 
@@ -801,41 +813,26 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
         best = -math.inf
         for srv in servers:
             top = -math.inf  # the server's largest grantable fraction
-            for gpu in srv.gpus:
-                if settling[gpu.index]:
-                    continue
-                budget = budgets[gpu.index]
-                for inst in gpu.instances:
-                    if inst.tenant_class not in classes:
-                        continue
-                    free = frees.get(inst.id)
-                    if free is None:
-                        free = frees[inst.id] = _instance_free(gpu, inst)
-                    grantable = free if free < budget else budget
-                    if grantable > top:
-                        top = grantable
+            gpus = [gpu.index for gpu in srv.gpus if usable[gpu.index]]
+            for g in gpus:
+                free, budget = frees[g], budgets[g]
+                grantable = free if free < budget else budget
+                if grantable > top:
+                    top = grantable
             if top + TOL < demand:
                 if top > best:
                     best = top
                 continue
-            # some slice here fits: walk the server in candidate order
-            gpus = []
-            for gpu in srv.gpus:
-                if not settling[gpu.index]:
-                    insts = [i for i in gpu.instances if i.tenant_class in classes]
-                    total_free = sum(frees[i.id] for i in insts)
-                    gpus.append((-total_free, gpu.device.id, gpu.index, insts))
-            for _, gpu_id, g, insts in sorted(gpus, key=lambda c: c[:2]):
-                budget = budgets[g]
-                for inst in sorted(insts, key=lambda i: (-frees[i.id], i.id)):
-                    free = frees[inst.id]
-                    grantable = free if free < budget else budget
-                    if grantable + TOL < demand:
-                        continue
-                    decision.assignments[job.id] = (srv.server.id, gpu_id, inst.id, demand)
-                    frees[inst.id] = free - demand
-                    budgets[g] = budget - demand
-                    return None
+            # some GPU here fits: walk the server in candidate order
+            for _, gpu_id, g in sorted((-frees[g], state.gpus[g].device.id, g) for g in gpus):
+                free, budget = frees[g], budgets[g]
+                grantable = free if free < budget else budget
+                if grantable + TOL < demand:
+                    continue
+                decision.assignments[job.id] = (gpu_id, demand)
+                frees[g] = free - demand
+                budgets[g] = budget - demand
+                return None
         return best
 
     entries = order.entries
@@ -1018,15 +1015,14 @@ def _job_sort_newest(jobs: list[AiJob]) -> list[AiJob]:
 
 
 def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float):
-    """Add ``amount`` (negative to release) to ``job``'s grant in its slice.
+    """Add ``amount`` (negative to release) to ``job``'s grant in the GPU's AI slice.
 
     The GPU's level integrals are accrued at the old level first. The
-    slice's ledger entry, the GPU's FREE or hard AI total and the job's
-    grant all move by ``amount``.
+    GPU's FREE or hard AI total, as the slice's class says, and the job's
+    grant both move by ``amount``.
     """
     gpu.accrue(state.clock_us)
-    gpu.inst_granted[job.instance_id] += amount
-    if job.instance_id in gpu.free_ids:
+    if gpu.ai_slice.tenant_class is TenantClass.FREE:
         gpu.ai_free += amount
     else:
         gpu.ai_hard += amount
@@ -1087,7 +1083,7 @@ def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
     job.state = JobState.PREEMPTED
     job.preempt_count += 1
     job.eligible_at_s = state.clock + state.policy.resume_delay_s
-    job.server_id = job.gpu_id = job.instance_id = None
+    job.gpu_id = None
     state.enqueue(job)
 
 
@@ -1108,28 +1104,21 @@ def _reclaim(state: ClusterState, action: ScaleAction):
     _refresh_effective(state, gpu)
 
 
-def start_job(
-    state: ClusterState,
-    job: AiJob,
-    server_id: str,
-    gpu: GpuState,
-    inst_id: str,
-    grant: float,
-):
-    """Move a queued/preempted job into RUNNING with the given grant."""
+def start_job(state: ClusterState, job: AiJob, gpu: GpuState, grant: float):
+    """Move a queued/preempted job into RUNNING in ``gpu``'s AI slice with the given grant."""
+    if gpu.ai_slice is None:
+        raise ValueError(f"{gpu.device.id}: no slice AI may use; job {job.id} cannot start")
     if job.state in (JobState.QUEUED, JobState.PREEMPTED):
         state.dequeue(job)
     job.state = JobState.RUNNING
-    job.server_id = server_id
     job.gpu_id = gpu.device.id
-    job.instance_id = inst_id
     if job.first_start_time is None:
         job.first_start_time = state.clock
     gpu.jobs.append(job)
     _change_grant(state, gpu, job, grant)  # a job out of service holds no grant
     set_rate(state, job, grant)
     _refresh_effective(state, gpu)
-    state.log("place", gpu.device.id, job=job.id, instance=inst_id, fraction=grant)
+    state.log("place", gpu.device.id, job=job.id, instance=gpu.ai_slice.id, fraction=grant)
 
 
 def finish_job(state: ClusterState, job: AiJob):
@@ -1163,11 +1152,7 @@ def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
         gap = job.demand_fraction - job.granted_fraction
         if gap <= TOL:
             continue
-        inst_free = 0.0
-        for inst in gpu.instances:
-            if inst.id == job.instance_id:
-                inst_free = _instance_free(gpu, inst)
-        extra = min(gap, budget, inst_free)
+        extra = min(gap, budget, gpu.ai_left)
         if extra <= TOL:
             continue
         _change_grant(state, gpu, job, extra)
@@ -1183,14 +1168,12 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 
     Partial grants are the backfill mechanism: batch work runs at whatever
     rate it is given. INTERACTIVE jobs are never partially granted; they
-    only enter via plan_placement with their full demand.
+    only enter via plan_placement with their full demand. Callers pass
+    no GPU that is settling.
     """
-    if gpu.settling_until_us > state.clock_us:
-        return budget
     min_grant = gpu.device.partition_granularity
     if budget < min_grant - TOL:
         return budget
-    server_id = gpu.server_id
     queue = state.queue
     i = 0  # start_job dequeues queue[i - 1], so the next job then sits there
     while i < len(queue) and budget >= min_grant - TOL:
@@ -1200,21 +1183,15 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
             continue
         if job.eligible_at_s > state.clock + TOL:
             continue
-        insts = sorted(
-            _eligible_instances(state, gpu),
-            key=lambda inst: (-_instance_free(gpu, inst), inst.id),
-        )
-        if not insts or _instance_free(gpu, insts[0]) + TOL < min_grant:
-            break  # frees only shrink here: no later job can be granted either
-        for inst in insts:
-            free = _instance_free(gpu, inst)
-            grant = min(job.demand_fraction, budget, free)
-            if grant + TOL < min_grant:
-                continue
-            start_job(state, job, server_id, gpu, inst.id, grant)
-            budget -= grant
-            i -= 1
-            break
+        free = gpu.ai_left  # 0.0 without an AI slice
+        if free + TOL < min_grant:
+            break  # free only shrinks here: no later job can be granted either
+        grant = min(job.demand_fraction, budget, free)
+        if grant + TOL < min_grant:
+            continue
+        start_job(state, job, gpu, grant)
+        budget -= grant
+        i -= 1
     return budget
 
 
@@ -1225,9 +1202,8 @@ def placement_round(state: ClusterState):
     """
     if state.queue:
         decision = plan_placement(state.pending, state)
-        for job_id, (srv_id, gpu_id, inst_id, fraction) in decision.assignments.items():
-            gpu = state.gpu_by_id(gpu_id)
-            start_job(state, state.jobs[job_id], srv_id, gpu, inst_id, fraction)
+        for job_id, (gpu_id, fraction) in decision.assignments.items():
+            start_job(state, state.jobs[job_id], state.gpu_by_id(gpu_id), fraction)
     if state.queue:
         budgets = _budgets(state)
         ready = (budgets > 1e-9) & (state.fleet.settling_until_us <= state.clock_us)
@@ -1258,10 +1234,11 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.accrue(state.clock_us)
     gpu.generation += 1
     prefix = f"{gpu.device.id}.g{gpu.generation}"
+    held = {gpu.ai_slice.id: gpu.ai_hard + gpu.ai_free} if gpu.ai_slice else {}
     gpu.instances = compute.repartition(
         gpu.device,
         gpu.instances,
-        gpu.inst_granted,
+        held,
         list(action.fractions),
         list(action.classes),
         id_prefix=prefix,
@@ -1269,8 +1246,6 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.refresh_caches(state.soft_ran)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling
-    gpu.ai_free_eff = 0.0
-    gpu.throttled = False
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
     state.log("repartition", gpu.device.id, layout=list(zip(action.fractions, action.classes)))
     state.push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))

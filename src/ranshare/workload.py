@@ -270,9 +270,7 @@ class AiJob:
     # -- scheduling state --
     granted_fraction: float = 0.0  # policy-level grant
     service_rate: float = 0.0  # effective rate (may be throttled below grant)
-    server_id: str | None = None
-    gpu_id: str | None = None
-    instance_id: str | None = None
+    gpu_id: str | None = None  # it runs in that GPU's AI slice
     accrued_until_us: int = 0
     version: int = 0  # bumped on every rate change; stale completions check it
     eligible_at_s: float = 0.0  # resume delay gate after preemption

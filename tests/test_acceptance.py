@@ -225,14 +225,10 @@ class TestCriterion4PlacementOracle:
             decision = plan_placement(jobs, state)
 
             used: dict[str, float] = {}
-            for _, (_, _, inst_id, frac) in decision.assignments.items():
-                used[inst_id] = used.get(inst_id, 0.0) + frac
-            caps = {
-                inst.id: inst.compute_fraction
-                for srv in state.servers
-                for gpu in srv.gpus
-                for inst in gpu.instances
-            }
+            for _, (gpu_id, frac) in decision.assignments.items():
+                used[gpu_id] = used.get(gpu_id, 0.0) + frac
+            # a job runs in its GPU's one AI slice
+            caps = {gpu.device.id: gpu.ai_slice.compute_fraction for gpu in state.gpus}
             if any(v > caps[k] + 1e-9 for k, v in used.items()):
                 infeasible_emitted += 1
             if _brute_force_fits([j.demand_fraction for j in jobs], capacities):

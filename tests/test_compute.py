@@ -1,9 +1,10 @@
-"""Slices from ``compute`` and the one grant ledger that fills them.
+"""Slices from ``compute`` and the AI grants that fill them.
 
 ``compute`` cuts GPUs into slices and checks repartitions; grants inside
 slices are made by the orchestrator, on the engine path: ``settle_slot``
-grants RAN demand each slot, and ``start_job``/``backfill_queue`` record AI
-grants in ``GpuState.inst_granted``, the ledger ``repartition`` checks.
+grants RAN demand each slot, and ``start_job``/``backfill_queue`` grant AI
+inside each GPU's one AI slice (``GpuState.ai_slice``), recorded as the
+GPU's ``ai_hard + ai_free``, the grant ``repartition`` checks.
 """
 
 import math
@@ -75,27 +76,27 @@ def queue_job(state, jid, demand):
     return job
 
 
-def run_job(state, gpu_state, inst, grant, jid="j1"):
-    """Queue a backlog job and start it with ``grant`` inside ``inst``."""
+def run_job(state, gpu_state, grant, jid="j1"):
+    """Queue a backlog job and start it with ``grant`` inside the GPU's AI slice."""
     job = queue_job(state, jid, 1.0)
-    start_job(state, job, gpu_state.server_id, gpu_state, inst.id, grant)
+    start_job(state, job, gpu_state, grant)
     return job
 
 
 def assert_ledger(state) -> float:
-    """Every GPU's ledger matches its jobs' grants; returns the total granted."""
+    """Every GPU's AI grant is its jobs' grants and fits its AI slice; returns the total."""
     total = 0.0
     for gpu_state in state.gpus:
-        assert set(gpu_state.inst_granted) == {i.id for i in gpu_state.instances}
-        for inst in gpu_state.instances:
-            held = math.fsum(
-                j.granted_fraction for j in gpu_state.jobs if j.instance_id == inst.id
-            )
-            assert gpu_state.inst_granted[inst.id] == pytest.approx(held, abs=1e-9)
-            assert held <= inst.compute_fraction + 1e-9
-        ledger = math.fsum(gpu_state.inst_granted.values())
-        assert gpu_state.ai_hard + gpu_state.ai_free == pytest.approx(ledger, abs=1e-9)
-        total += ledger
+        ai_slice = gpu_state.ai_slice
+        assert gpu_state.ai_cap == (ai_slice.compute_fraction if ai_slice else 0.0)
+        held = math.fsum(j.granted_fraction for j in gpu_state.jobs)
+        granted = gpu_state.ai_hard + gpu_state.ai_free
+        assert granted == pytest.approx(held, abs=1e-9)
+        assert granted <= gpu_state.ai_cap + 1e-9
+        # the slice's class says which total holds the grant
+        in_free = ai_slice is not None and ai_slice.tenant_class is FREE
+        assert (gpu_state.ai_hard if in_free else gpu_state.ai_free) == 0.0
+        total += granted
     return total
 
 
@@ -158,8 +159,8 @@ class TestAllocate:
         gpu1 = state.gpus[0]
         assert settle(state, 0.35) == []
         assert gpu1.ran_level == 0.35
-        job = run_job(state, gpu1, slice_of(gpu1, AI), 0.5)
-        assert gpu1.inst_granted[slice_of(gpu1, AI).id] == 0.5
+        job = run_job(state, gpu1, 0.5)
+        assert gpu1.ai_slice is slice_of(gpu1, AI) and gpu1.ai_hard == 0.5
         assert job.service_rate == 0.5
 
     def test_clipped_at_slice(self):
@@ -172,17 +173,15 @@ class TestAllocate:
         job = queue_job(state, "big", 1.0)
         backfill_queue(state, gpu1, math.inf)
         assert job.granted_fraction == pytest.approx(0.6, abs=1e-12)
-        assert gpu1.inst_granted == {
-            slice_of(gpu1, RAN).id: 0.0,
-            slice_of(gpu1, AI).id: pytest.approx(0.6, abs=1e-12),
-        }
+        assert gpu1.ai_slice is slice_of(gpu1, AI)
+        assert (gpu1.ai_hard, gpu1.ai_free) == (pytest.approx(0.6, abs=1e-12), 0.0)
 
     def test_zero_demand(self):
         state = split_state()
         gpu1 = state.gpus[0]
         assert settle(state, 0.0) == []
         assert gpu1.ran_level == 0.0 and gpu1.ai_level == 0.0
-        assert set(gpu1.inst_granted.values()) == {0.0}
+        assert gpu1.ai_hard == gpu1.ai_free == 0.0
 
     def test_class_mismatch(self):
         """A slice serves its own class only."""
@@ -192,22 +191,23 @@ class TestAllocate:
         assert settle(state, 0.9) and gpu1.ran_level == pytest.approx(0.4)
         # AI work does not land in the RAN slice, although RAN leaves 0.2 of it idle
         settle(state, 0.2)
-        run_job(state, gpu1, slice_of(gpu1, AI), 0.6)
+        assert gpu1.ai_slice is slice_of(gpu1, AI)
+        run_job(state, gpu1, 0.6)
         late = queue_job(state, "late", 0.1)
         assert plan_placement([late], state).assignments == {}
         backfill_queue(state, gpu1, math.inf)
         assert late.state is JobState.QUEUED
-        assert gpu1.inst_granted[slice_of(gpu1, RAN).id] == 0.0
+        assert gpu1.ai_hard == pytest.approx(0.6)
 
     def test_free_accepts_any_class(self):
         state = whole_state()
         gpu1 = state.gpus[0]
-        free = slice_of(gpu1, FREE)
-        job = run_job(state, gpu1, free, 0.9)
+        assert gpu1.ai_slice is slice_of(gpu1, FREE)
+        job = run_job(state, gpu1, 0.9)
         assert settle(state, 0.2) == []
         assert gpu1.ran_level == pytest.approx(0.2) and gpu1.ran_in_free == pytest.approx(0.2)
-        # the grant stays in the ledger; RAN comes first, so AI runs at what is left
-        assert gpu1.inst_granted[free.id] == pytest.approx(0.9)
+        # the grant stays held; RAN comes first, so AI runs at what is left
+        assert gpu1.ai_free == pytest.approx(0.9)
         assert job.service_rate == pytest.approx(0.8)
 
     def test_slot_accumulation(self):
@@ -251,11 +251,9 @@ class TestAllocate:
             for gpu_state in state.gpus:
                 if rng.random() < 0.15:
                     gpu_state.settling_until_us = 10**9
-                free = [i for i in gpu_state.instances if i.tenant_class is not RAN]
-                if free and rng.random() < 0.5:
-                    inst = rng.choice(free)
-                    grant = rng.uniform(0.05, inst.compute_fraction)
-                    run_job(state, gpu_state, inst, grant, jid=f"{gpu_state.device.id}-j")
+                if gpu_state.ai_slice and rng.random() < 0.5:
+                    grant = rng.uniform(0.05, gpu_state.ai_cap)
+                    run_job(state, gpu_state, grant, jid=f"{gpu_state.device.id}-j")
             for k in range(4):
                 state.clock_us = k * state.slot_us
                 demands = [rng.choice((0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)))
@@ -297,18 +295,20 @@ class TestRepartition:
         old = partition_gpu(g, [0.4, 0.6], [RAN, AI])
         with pytest.raises(ActiveAllocationConflict):
             repartition(g, old, {old[0].id: 0.4}, [0.2, 0.8], [RAN, AI])
-        # the engine's ledger: a running AI job holds 0.5 of the AI slice
+        # the engine's grants: a running AI job holds 0.5 of the AI slice
         state = split_state()
         gpu1 = state.gpus[0]
-        job = run_job(state, gpu1, slice_of(gpu1, AI), 0.5)
-        layout = (gpu1.device, gpu1.instances, gpu1.inst_granted)
+        job = run_job(state, gpu1, 0.5)
+
+        def to(fractions, classes):
+            held = {gpu1.ai_slice.id: gpu1.ai_hard + gpu1.ai_free}
+            return repartition(gpu1.device, gpu1.instances, held, fractions, classes)
+
         with pytest.raises(ActiveAllocationConflict):
-            repartition(*layout, [0.7, 0.3], [RAN, AI])
-        assert [i.compute_fraction for i in repartition(*layout, [0.5, 0.5], [RAN, AI])] == [
-            0.5, 0.5
-        ]
+            to([0.7, 0.3], [RAN, AI])
+        assert [i.compute_fraction for i in to([0.5, 0.5], [RAN, AI])] == [0.5, 0.5]
         orch.preempt_job(state, gpu1, job)  # drained: any layout fits
-        assert [i.tenant_class for i in repartition(*layout, [1.0], [RAN])] == [RAN]
+        assert [i.tenant_class for i in to([1.0], [RAN])] == [RAN]
 
     def test_conservation_under_random_allocations(self):
         """The ledger matches the jobs' grants after every event of random engine runs."""
@@ -339,7 +339,8 @@ class TestIsolation:
                     state = make()
                     gpu1 = state.gpus[0]
                     if ai_grant:
-                        run_job(state, gpu1, slice_of(gpu1, cls), ai_grant)
+                        assert gpu1.ai_slice is slice_of(gpu1, cls)
+                        run_job(state, gpu1, ai_grant)
                     log = []
                     for k, d in enumerate(demands):
                         state.clock_us = k * state.slot_us
@@ -350,22 +351,21 @@ class TestIsolation:
 
 
 class TestFreeCapacity:
-    """What placement may still grant inside a slice: its size less the ledger."""
+    """What placement may still grant on a GPU: its AI slice's size less its grants."""
 
     def test_partial_grants(self):
         state = split_state()
         gpu1 = state.gpus[0]
-        ai = slice_of(gpu1, AI)
         settle(state, 0.4)
-        run_job(state, gpu1, ai, 0.55)
-        assert orch._instance_free(gpu1, ai) == pytest.approx(0.05, abs=1e-9)
+        run_job(state, gpu1, 0.55)
+        assert gpu1.ai_left == pytest.approx(0.05, abs=1e-9)
         jobs = [queue_job(state, "j2", 0.1), queue_job(state, "j3", 0.05)]
         assert list(plan_placement(jobs, state).assignments) == ["j3"]
 
     def test_idle_gpu(self):
         state = whole_state()
         gpu1 = state.gpus[0]
-        assert orch._instance_free(gpu1, slice_of(gpu1, FREE)) == 1.0
+        assert gpu1.ai_slice is slice_of(gpu1, FREE) and gpu1.ai_left == 1.0
         job = queue_job(state, "j1", 1.0)
         assert list(plan_placement([job], state).assignments) == ["j1"]
 
@@ -373,26 +373,52 @@ class TestFreeCapacity:
         state = split_state(gpus=("gpu1", "gpu2"))
         gpu1, gpu2 = state.gpus
         settle(state, 0.4)
-        run_job(state, gpu1, slice_of(gpu1, AI), 0.6)
-        free = [orch._instance_free(g, i) for g in state.gpus for i in g.instances
-                if i.tenant_class is not RAN]
-        assert free == [pytest.approx(0.0, abs=1e-9), 1.0]
-        assert [i.tenant_class for i in gpu2.instances] == [FREE]
+        run_job(state, gpu1, 0.6)
+        assert gpu1.ai_left == pytest.approx(0.0, abs=1e-9)
+        # the whole second GPU is FREE, which AI does not use under a static split
+        assert [i.tenant_class for i in gpu2.instances] == [FREE] and gpu2.free_cap == 1.0
+        assert gpu2.ai_slice is None and gpu2.ai_left == 0.0
 
     def test_ran_headroom_hidden_unless_visible(self):
         # static split: the RAN slice's idle 0.3 is not offered to AI
         state = split_state()
         gpu1 = state.gpus[0]
         settle(state, 0.1)
-        assert orch._eligible_instances(state, gpu1) == [slice_of(gpu1, AI)]
+        assert gpu1.ai_slice is slice_of(gpu1, AI)
         job = queue_job(state, "j1", 0.9)
         assert plan_placement([job], state).assignments == {}
         # dynamic: RAN shares the whole GPU, so AI may use what RAN leaves
         state = whole_state()
         gpu1 = state.gpus[0]
         settle(state, 0.1)
-        assert orch._eligible_instances(state, gpu1) == [slice_of(gpu1, FREE)]
-        job = run_job(state, gpu1, slice_of(gpu1, FREE), 0.9)
+        assert gpu1.ai_slice is slice_of(gpu1, FREE)
+        job = run_job(state, gpu1, 0.9)
         assert job.service_rate == pytest.approx(0.9) and not gpu1.throttled
-        run_job(state, gpu1, slice_of(gpu1, FREE), 0.05, jid="j2")
+        run_job(state, gpu1, 0.05, jid="j2")
         assert gpu1.throttled and gpu1.ai_level == pytest.approx(0.9)
+
+
+class TestOneAiSlice:
+    """A GPU gives AI at most one slice; a job runs in it."""
+
+    @pytest.mark.parametrize(
+        "policy, layout",
+        [
+            (Policy(kind=PolicyKind.STATIC_SPLIT), ([0.4, 0.3, 0.3], [RAN, AI, AI])),
+            (DYNAMIC, ([0.4, 0.3], [RAN, AI])),  # and the FREE rest
+        ],
+        ids=["static_two_ai", "dynamic_ai_and_free"],
+    )
+    def test_layout_with_two_ai_slices_is_rejected(self, policy, layout):
+        server = Server(id="srv1", gpus=(GpuDevice("gpu0"), GpuDevice("gpu1")))
+        with pytest.raises(ValueError, match="gpu1: AI may use 2 slices"):
+            build_cluster_state([server], policy, {"gpu1": layout})
+
+    def test_job_cannot_start_without_an_ai_slice(self):
+        state = split_state(ran=1.0, ai=0.0)
+        gpu1 = state.gpus[0]
+        assert [i.tenant_class for i in gpu1.instances] == [RAN] and gpu1.ai_slice is None
+        job = queue_job(state, "j1", 0.5)
+        with pytest.raises(ValueError, match="gpu1: no slice AI may use"):
+            start_job(state, job, gpu1, 0.5)
+        assert job.state is JobState.QUEUED and gpu1.jobs == []

@@ -375,11 +375,50 @@ class TestTimeSplit:
         assert len(reparts) == 1 and reparts[0].time_s == 1.0
         settled = [e for e in report.events if e.kind == "settled"]
         assert settled and settled[0].time_s == pytest.approx(1.0005)
+        # no job is placed on gpu1 while it settles; the drained job returns after
+        cut, end = report.events.index(reparts[0]), report.events.index(settled[0])
+        events = [(e.kind, e.subject) for e in report.events]
+        placed = [i for i, event in enumerate(events) if event == ("place", "gpu1")]
+        assert not [i for i in placed if cut < i < end] and placed[-1] > end
         # the slot after the boundary finds the GPU settling: one miss
         assert [m.time_s for m in report.deadline_misses] == [pytest.approx(1.0005)]
         # after the boundary the RAN slice is 0.7 wide: load 0.5 -> demand 0.2 fits
         late = [t for t in report.trace if t.gpu_id == "gpu1" and t.time_s > 1.1]
         assert all(t.ai_fraction <= 0.3 + 1e-9 for t in late)
+
+    def test_drained_gpu_reads_positive_zero_ai(self):
+        """A drained GPU's AI level restarts at +0.0, not at what its grants' sum rounds to.
+
+        Grants of 0.05, 0.05 and 0.5 released in order leave -5.55e-17 behind
+        when summed; the repartition that drains them must not carry it on.
+        """
+        policy = Policy(
+            kind=PolicyKind.TIME_SPLIT,
+            schedule=((0.0, 0.5, 0.2), (0.5, 1.0, 1.0)),
+            split_gpus=("gpu1",),
+        )
+        workloads = [
+            AiWorkload(
+                id=f"w{i}",
+                arrival=ArrivalKind.TRACE,
+                trace_arrivals=(0.0,),
+                job_size=constant(10.0),
+                demand_fraction=constant(demand),
+            )
+            for i, demand in enumerate((0.05, 0.05, 0.5))
+        ]
+        sc = scenario(
+            profile=LoadProfile(kind=ProfileKind.CONSTANT, level=0.1),
+            policy=policy,
+            workloads=workloads,
+            horizon=1.0,
+            gpus=("gpu1",),
+        )
+        report = run(sc)
+        assert [e.kind for e in report.events].count("preempt") == 3
+        late = [t.ai_fraction for t in report.trace if t.time_s >= 0.5]
+        assert late and all(math.copysign(1.0, ai) == 1.0 and ai == 0.0 for ai in late)
+        assert "-0.000000" not in write_report(report, "records")
 
     def test_same_layout_boundary_is_noop(self):
         policy = Policy(

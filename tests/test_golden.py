@@ -6,7 +6,8 @@ RECORDS and SUMMARY output of each ``scenarios/*.scenario`` at its full
 each ``demos/*.py``. A change meant to alter the output updates the hashes
 and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
-pinned the same way.
+pinned the same way, as are those of ``time_split_text``, a small fleet
+whose split GPUs are repartitioned under running jobs.
 """
 
 import hashlib
@@ -36,6 +37,10 @@ DEMOS = {
     "02_dynamic_backfill_uplift": "8f3df290e7cc41553e355ac127b536ba4cb29a6a44bf75acf3375e642acc3769",
     "03_fabric_and_timing": "7f7a1831edb03889e0c0f978eb00e4ae959a038b16ef9902205361e3bfef59cd",
     "04_policy_sweep": "275fd85ca78642ac7033d44eaa47f9be828552a6a5f63de3eae26e9e5d4a6814",
+}
+TIME_SPLIT = {
+    "records": "df60763ed6fa91bd676811f07dc9f2f83a29af7c88bc9b207d95a3711fc44fc5",
+    "summary": "d1ea27bbfbc2ceb8acf12b1ee0cec43a0486d625516b6b769702512f36f11b60",
 }
 FLEET = {
     "records": "c3a3da6f3368d6e8c19be1f35057f5d2a74d490dd9cd07e0178680a91fffb630",
@@ -130,5 +135,72 @@ def test_fleet_report_bytes():
     assert len(scenario.servers) == 16 and {len(s.gpus) for s in scenario.servers} == {4}
     report = SimEngine(scenario).run()
     for fmt, want in FLEET.items():
+        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
+        assert got == want, fmt
+
+
+def time_split_text() -> str:
+    """Three servers x 2 GPUs under a time split with four boundaries in 2 s.
+
+    Each server hosts one cell, so its first GPU is split; the RAN share
+    steps 0.4, 0.7, 0.2, 1.0 (no AI slice) and 0.3. Two backlog jobs and
+    Poisson batch jobs of demand 0.05-0.45 run in the AI slices, so each
+    boundary drains jobs, and backfill grants partial fractions.
+    """
+    lines = ["servers:"]
+    for s in range(3):
+        lines += [f"  - id: srv{s}", "    gpus:"]
+        lines += [f"      - id: srv{s}-gpu{g}" for g in range(2)]
+    lines.append("cells:")
+    for s in range(3):
+        lines += [
+            f"  - id: cell{s}",
+            f"    server: srv{s}",
+            "    bandwidth_mhz: 100.0",
+            "    scs_khz: 30",
+            "    tx_antennas: 4",
+            "    rx_antennas: 4",
+            "    profile: load",
+        ]
+    lines += [
+        "profiles:",
+        "  - {id: load, kind: diurnal, min: 0.1, max: 0.6, period_s: 1.0, phase: 0.0}",
+        "ai_workloads:",
+    ]
+    for i in range(2):
+        lines += [
+            f"  - id: backlog{i}",
+            "    arrival: saturating",
+            "    demand_fraction: {kind: constant, value: 0.3}",
+        ]
+    lines += [
+        "  - id: jobs",
+        "    arrival: poisson",
+        "    rate_per_s: 30.0",
+        "    job_size: {kind: exponential, mean: 0.1}",
+        "    demand_fraction: {kind: uniform, low: 0.05, high: 0.45}",
+        "    slo_class: batch",
+        "policy:",
+        "  kind: time_split",
+        "  schedule:",
+    ]
+    bounds = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
+    for start, end, ran in zip(bounds, bounds[1:], (0.4, 0.7, 0.2, 1.0, 0.3)):
+        lines.append(f"    - {{start_s: {start}, end_s: {end}, ran_fraction: {ran}}}")
+    lines += [
+        "sim:",
+        "  horizon_s: 2.0",
+        "  seed: 3",
+        "  sample_interval_s: 0.01",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_time_split_report_bytes():
+    report = SimEngine(parse_scenario(time_split_text(), name="time_split")).run()
+    assert [e.time_s for e in report.events if e.kind == "repartition"] == [
+        t for t in (0.4, 0.8, 1.2, 1.6) for _ in range(3)
+    ]
+    for fmt, want in TIME_SPLIT.items():
         got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
         assert got == want, fmt

@@ -90,7 +90,7 @@ class TestPlanPlacement:
         gpu1 = state.gpu_by_id("gpu1")
         filler = job("fill", 0.6)
         enqueue(state, filler)
-        start_job(state, filler, "srv1", gpu1, gpu1.instances[1].id, 0.6)
+        start_job(state, filler, gpu1, 0.6)
         j = job("j1", 0.3)
         enqueue(state, j)
         decision = plan_placement([j], state)
@@ -102,9 +102,8 @@ class TestPlanPlacement:
         j = job("j1", 0.55)
         enqueue(state, j)
         decision = plan_placement([j], state)
-        assert decision.assignments["j1"][1] == "gpu1"
-        assert decision.assignments["j1"][2] == "gpu1/s1"
-        assert decision.assignments["j1"][3] == 0.55
+        assert decision.assignments["j1"] == ("gpu1", 0.55)
+        assert state.gpu_by_id("gpu1").ai_slice.id == "gpu1/s1"  # the job's slice
 
     def test_static_policy_never_uses_free_gpus(self):
         state = poc_state()
@@ -121,7 +120,7 @@ class TestPlanPlacement:
         j = job("j1", 0.9)
         enqueue(state, j)
         decision = plan_placement([j], state)
-        assert decision.assignments["j1"][3] == 0.9
+        assert decision.assignments["j1"][1] == 0.9
 
     def test_interactive_needs_rate(self):
         state = poc_state()
@@ -191,14 +190,13 @@ class TestPlacementOracle:
             enqueue(state, *jobs)
             decision = plan_placement(jobs, state)
 
-            # never infeasible: applied grants stay within each slice
+            # never infeasible: applied grants stay within each GPU's AI slice
             used = {}
-            for jid, (_, _, inst_id, frac) in decision.assignments.items():
-                used[inst_id] = used.get(inst_id, 0.0) + frac
-            for srv in state.servers:
-                for gpu in srv.gpus:
-                    for inst in gpu.instances:
-                        assert used.get(inst.id, 0.0) <= inst.compute_fraction + 1e-9
+            for jid, (gpu_id, frac) in decision.assignments.items():
+                used[gpu_id] = used.get(gpu_id, 0.0) + frac
+            for gpu in state.gpus:
+                assert gpu.ai_slice.tenant_class is AI
+                assert used.get(gpu.device.id, 0.0) <= gpu.ai_slice.compute_fraction + 1e-9
 
             if brute_force_feasible([j.demand_fraction for j in jobs], capacities):
                 feasible_found += 1
@@ -232,7 +230,7 @@ class TestPolicyEpoch:
         j = job("j1", 1.0)
         state.jobs["j1"] = j
         state.enqueue(j)
-        start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.55)
+        start_job(state, j, gpu1, 0.55)
         gpu1.epoch_max = 0.90
         gpu1.demand_last = 0.90
         actions = policy_epoch(state, 0.2)
@@ -305,7 +303,7 @@ class TestApplyActions:
         for j, grant in ((older, 0.30), (newer, 0.25)):
             state.jobs[j.id] = j
             state.enqueue(j)
-            start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, grant)
+            start_job(state, j, gpu1, grant)
         return state, gpu1, older, newer
 
     def test_reclaim_newest_first(self):
@@ -386,7 +384,7 @@ class TestRanPriority:
         j = job("j1", 1.0)
         state.jobs["j1"] = j
         state.enqueue(j)
-        start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.85)
+        start_job(state, j, gpu1, 0.85)
         settle_slot(state, 0.0, [0.4])
         assert gpu1.ran_level == pytest.approx(0.4)
         assert j.service_rate == pytest.approx(0.60, abs=1e-9)
@@ -436,8 +434,8 @@ class TestEventLog:
         gpu1 = state.gpu_by_id("gpu1")
         ai_slice = gpu1.instances[1].id
         enqueue(state, job("j1", 0.3), job("j2", 0.25, arrival=1.0))
-        start_job(state, state.jobs["j1"], "srv1", gpu1, ai_slice, 0.3)
-        start_job(state, state.jobs["j2"], "srv1", gpu1, ai_slice, 0.25)
+        start_job(state, state.jobs["j1"], gpu1, 0.3)
+        start_job(state, state.jobs["j2"], gpu1, 0.25)
         state.clock_us = 500
         # newest first: j2 is preempted whole, then j1 trimmed by the rest
         apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.3)])
@@ -460,22 +458,21 @@ def test_grant_changes_accrue_at_the_old_level():
     """Placing, trimming and preempting integrate the GPU's AI level up to now first."""
     state = poc_state()
     gpu1 = state.gpu_by_id("gpu1")
-    ai_slice = gpu1.instances[1].id
     enqueue(state, job("j1", 0.5), job("j2", 0.1, arrival=1.0))
     state.clock_us = 1_000
-    start_job(state, state.jobs["j1"], "srv1", gpu1, ai_slice, 0.5)
+    start_job(state, state.jobs["j1"], gpu1, 0.5)
     assert gpu1.ai_integral == 0.0
     state.clock_us = 3_000
-    start_job(state, state.jobs["j2"], "srv1", gpu1, ai_slice, 0.1)
+    start_job(state, state.jobs["j2"], gpu1, 0.1)
     assert gpu1.ai_integral == 0.5 * 2_000
     state.clock_us = 4_000
     apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.2)])
     assert gpu1.ai_integral == 0.5 * 2_000 + 0.6 * 1_000
-    assert gpu1.inst_granted[ai_slice] == pytest.approx(0.4) == gpu1.ai_hard
+    assert gpu1.ai_hard == pytest.approx(0.4) and gpu1.ai_left == pytest.approx(0.2)
     state.clock_us = 6_000
     preempt_job(state, gpu1, state.jobs["j1"])
     assert gpu1.ai_integral == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
-    assert gpu1.ai_hard == pytest.approx(0.0) and gpu1.inst_granted[ai_slice] == pytest.approx(0.0)
+    assert gpu1.ai_hard == pytest.approx(0.0) and gpu1.ai_left == pytest.approx(0.6)
 
 
 class TestJobClock:
@@ -488,7 +485,7 @@ class TestJobClock:
         state.jobs["j1"] = j
         state.enqueue(j)
         state.clock_us = 1_000_000
-        start_job(state, j, "srv1", gpu1, gpu1.instances[0].id, 0.5)
+        start_job(state, j, gpu1, 0.5)
         done_us = 1_000_000 + math.ceil(3.0 / 0.5 * 1e6)
         completion = EventKind.JOB_COMPLETION
         assert state.heap == [(done_us, completion.value, 1, completion, ("j1", 1))]

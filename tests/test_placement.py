@@ -4,11 +4,10 @@ import math
 import random
 
 from ranshare import orchestrator
-from ranshare.compute import GpuDevice, Server
+from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.orchestrator import (
     TOL,
     ForecastKind,
-    GpuState,
     Policy,
     PlacementDecision,
     PlacementOrder,
@@ -29,14 +28,23 @@ DYNAMIC = Policy(
 )
 
 
+def eligible_slices(state, gpu):
+    """The slices AI may use: AI slices, and FREE ones under the dynamic policy."""
+    classes = (TenantClass.AI, TenantClass.FREE) if state.policy.is_dynamic else (TenantClass.AI,)
+    return [i for i in gpu.instances if i.tenant_class in classes]
+
+
+def slice_free(gpu, inst):
+    """What ``inst`` has left; a GPU's running jobs all hold their grants in its one AI slice."""
+    return inst.compute_fraction - (gpu.ai_hard + gpu.ai_free)
+
+
 def reference_plan_placement(jobs, state):
     """The full-rescan first-fit body that plan_placement replaced.
 
     Every job, fitting or not, walks the lazy candidate generator, which
-    re-sorts every server's GPUs and instances.
+    re-sorts every server's GPUs and every GPU's eligible slices.
     """
-    _eligible_instances = orchestrator._eligible_instances
-    _instance_free = orchestrator._instance_free
 
     def _gpu_budget(state, gpu):
         """Policy-level AI budget left on a GPU, one GPU at a time."""
@@ -61,17 +69,17 @@ def reference_plan_placement(jobs, state):
                 if gpu.settling_until_us > now_us:
                     continue
                 total_free = sum(
-                    frees.setdefault(i.id, _instance_free(gpu, i))
-                    for i in _eligible_instances(state, gpu)
+                    frees.setdefault(i.id, slice_free(gpu, i))
+                    for i in eligible_slices(state, gpu)
                 )
-                gpus.append((-total_free, gpu.device.id, srv, gpu))
-            for _, _, srv_, gpu in sorted(gpus, key=lambda x: (x[0], x[1])):
+                gpus.append((-total_free, gpu.device.id, gpu))
+            for _, _, gpu in sorted(gpus, key=lambda x: (x[0], x[1])):
                 insts = sorted(
-                    _eligible_instances(state, gpu),
-                    key=lambda i: (-frees.setdefault(i.id, _instance_free(gpu, i)), i.id),
+                    eligible_slices(state, gpu),
+                    key=lambda i: (-frees.setdefault(i.id, slice_free(gpu, i)), i.id),
                 )
                 for inst in insts:
-                    yield srv_, gpu, inst
+                    yield gpu, inst
 
     def try_place(job):
         if (
@@ -79,18 +87,13 @@ def reference_plan_placement(jobs, state):
             and job.demand_fraction + TOL < job.required_rate
         ):
             return False
-        for srv, gpu, inst in candidates():
-            free = frees.setdefault(inst.id, _instance_free(gpu, inst))
+        for gpu, inst in candidates():
+            free = frees.setdefault(inst.id, slice_free(gpu, inst))
             budget = budgets.setdefault(gpu.device.id, _gpu_budget(state, gpu))
             grantable = free if free < budget else budget
             if grantable + TOL < job.demand_fraction:
                 continue
-            decision.assignments[job.id] = (
-                srv.server.id,
-                gpu.device.id,
-                inst.id,
-                job.demand_fraction,
-            )
+            decision.assignments[job.id] = (gpu.device.id, job.demand_fraction)
             frees[inst.id] = free - job.demand_fraction
             budgets[gpu.device.id] = budget - job.demand_fraction
             return True
@@ -166,15 +169,15 @@ def random_fleet(rng: random.Random):
 
     n = 0
     for gpu in gpus:  # running jobs hold part of the capacity
-        for inst in orchestrator._eligible_instances(state, gpu):
+        for inst in eligible_slices(state, gpu):
             if rng.random() < 0.6:
                 grant = rng.randrange(1, 5) * 0.05
-                if grant <= orchestrator._instance_free(gpu, inst) + TOL:
+                if grant <= slice_free(gpu, inst) + TOL:
                     running = AiJob(f"run{n}", 0.0, 100.0, grant)
                     n += 1
                     state.jobs[running.id] = running
                     state.enqueue(running)
-                    start_job(state, running, gpu.server_id, gpu, inst.id, grant)
+                    start_job(state, running, gpu, grant)
 
     queue = []
     for i in range(rng.choice([0, 1, 5, 40, 300, rng.randint(0, 300)])):
@@ -211,14 +214,32 @@ class TestDifferential:
     def test_pending_index_tracks_queue(self):
         rng = random.Random(7)
         state, _policy, queue = random_fleet(rng)
-        while len(queue) < 50:
+        while len(queue) < 50 or not any(gpu.ai_slice for gpu in state.gpus):
             state, _policy, queue = random_fleet(rng)
+        gpu = next(gpu for gpu in state.gpus if gpu.ai_slice)
         for job in queue[::3]:
-            start_job(state, job, state.servers[0].server.id, state.servers[0].gpus[0],
-                      state.servers[0].gpus[0].instances[0].id, 0.0)
+            start_job(state, job, gpu, 0.0)
         queued = [state.jobs[jid] for _, jid in state.queue]
         assert state.queued == {j.id for j in queued}
         assert state.pending.entries == PlacementOrder(queued).entries
+
+
+class CountingGpus(list):
+    """A server's GPU list that counts the GPUs read from it."""
+
+    reads = 0
+
+    def __iter__(self):
+        for gpu in super().__iter__():
+            self.reads += 1
+            yield gpu
+
+
+def count_gpu_reads(state) -> list[CountingGpus]:
+    """Make every server of ``state`` count the GPUs read from it; its lists, in server order."""
+    for srv in state.servers:
+        srv.gpus = CountingGpus(srv.gpus)
+    return [srv.gpus for srv in state.servers]
 
 
 def overloaded_fleet(n_jobs: int):
@@ -242,23 +263,15 @@ def overloaded_fleet(n_jobs: int):
 
 
 class TestOverloadCost:
-    def test_unplaceable_queue_scans_fleet_a_bounded_number_of_times(self, monkeypatch):
+    def test_unplaceable_queue_scans_fleet_a_bounded_number_of_times(self):
         state, jobs = overloaded_fleet(500)
-        instances = sum(len(g.instances) for srv in state.servers for g in srv.gpus)
-        calls = 0
-        original = orchestrator._instance_free
-
-        def counting(gpu: GpuState, inst):
-            nonlocal calls
-            calls += 1
-            return original(gpu, inst)
-
-        monkeypatch.setattr(orchestrator, "_instance_free", counting)
+        counts = count_gpu_reads(state)
         decision = plan_placement(jobs, state)
         assert decision.assignments == {}
-        assert calls == instances  # one failed scan reads each slice once
+        # one failed scan reads each GPU once
+        assert [c.reads for c in counts] == [len(c) for c in counts] == [4] * 4
 
-    def test_fit_on_first_server_reads_only_that_server(self, monkeypatch):
+    def test_fit_on_first_server_reads_only_that_server(self):
         state, _ = overloaded_fleet(0)
         srv0 = state.servers[0]
         for srv in state.servers:
@@ -269,7 +282,7 @@ class TestOverloadCost:
             running = AiJob(f"run-{gpu.device.id}", 0.0, 100.0, grant)
             state.jobs[running.id] = running
             state.enqueue(running)
-            start_job(state, running, "srv0", gpu, gpu.instances[0].id, grant)
+            start_job(state, running, gpu, grant)
         jobs = []
         for i, demand in enumerate((0.3, 0.5, 0.4)):
             job = AiJob(f"j{i}", i * 1e-3, 1.0, demand)
@@ -277,23 +290,16 @@ class TestOverloadCost:
             state.enqueue(job)
             jobs.append(job)
         ref = reference_plan_placement(jobs, state)
-        calls = 0
-        original = orchestrator._instance_free
-
-        def counting(gpu: GpuState, inst):
-            nonlocal calls
-            calls += 1
-            return original(gpu, inst)
-
-        monkeypatch.setattr(orchestrator, "_instance_free", counting)
+        counts = count_gpu_reads(state)
         decision = plan_placement(state.pending, state)
         assert list(decision.assignments.items()) == list(ref.assignments.items())
         # first-fit decreasing: GPUs by free capacity descending, ties by id
-        placed = [(job_id, where[1]) for job_id, where in decision.assignments.items()]
+        placed = [(job_id, where[0]) for job_id, where in decision.assignments.items()]
         assert placed == [("j1", "srv0-g1"), ("j2", "srv0-g2"), ("j0", "srv0-g0")]
-        assert calls == 3  # srv0's slices that are not settling, each once
+        # each job reads srv0's four GPUs once, and no other server
+        assert [c.reads for c in counts] == [3 * 4, 0, 0, 0]
 
-    def test_backfill_onto_full_slice_does_not_walk_the_queue(self, monkeypatch):
+    def test_backfill_onto_full_slice_does_not_walk_the_queue(self):
         # static split: the GPU's only AI slice is full, the budget unlimited
         server = Server(id="srv1", gpus=(GpuDevice("gpu1"),))
         policy = Policy(kind=PolicyKind.STATIC_SPLIT, ran_fraction=0.4, ai_fraction=0.6)
@@ -302,20 +308,20 @@ class TestOverloadCost:
         filler = AiJob("fill", 0.0, 1.0, 0.6)
         state.jobs[filler.id] = filler
         state.enqueue(filler)
-        start_job(state, filler, "srv1", gpu, gpu.instances[1].id, 0.6)
+        start_job(state, filler, gpu, 0.6)
         for i in range(500):
             job = AiJob(f"j{i:03d}", 1.0 + i * 1e-3, 1.0, 0.3)
             state.jobs[job.id] = job
             state.enqueue(job)
-        calls = 0
-        original = orchestrator._instance_free
 
-        def counting(gpu: GpuState, inst):
-            nonlocal calls
-            calls += 1
-            return original(gpu, inst)
+        class CountingJobs(dict):
+            reads = 0
 
-        monkeypatch.setattr(orchestrator, "_instance_free", counting)
+            def __getitem__(self, key):
+                CountingJobs.reads += 1
+                return super().__getitem__(key)
+
+        state.jobs = CountingJobs(state.jobs)
         assert orchestrator.backfill_queue(state, gpu, math.inf) == math.inf
         assert len(state.queue) == 500
-        assert calls <= 3 * len(gpu.instances)
+        assert CountingJobs.reads == 1  # the first queued job finds the slice full

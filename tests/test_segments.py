@@ -750,7 +750,7 @@ def _run_free_job(state, gpu, grant: float, jid: str):
     job = orchestrator.AiJob(jid, 0.0, 1.0, grant, remaining_compute_seconds=1.0)
     state.jobs[jid] = job
     state.enqueue(job)
-    orchestrator.start_job(state, job, gpu.server_id, gpu, gpu.instances[0].id, grant)
+    orchestrator.start_job(state, job, gpu, grant)
 
 
 def assert_block_matches_slots(state, demands: np.ndarray) -> int:
