@@ -4,8 +4,8 @@ Slice sizes are stored internally as integer multiples of the device's
 partition granularity; the decimal fraction is derived as units/total so
 that e.g. a 0.4/0.6 split reproduces those decimals exactly. Slices hold
 no grants: the orchestrator keeps what each GPU's one AI slice has granted
-in its fleet arrays (``GpuState.ai_hard + ai_free``), and ``repartition``
-checks a new layout against the grants its caller says the old slices hold.
+in its fleet arrays (``GpuState.ai_granted``), and drains a GPU before it
+calls ``repartition``, so a new layout never has a grant to fit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ActiveAllocationConflict, GranularityViolation, PartitionOverflow
+from .errors import GranularityViolation, PartitionOverflow
 
 TOL = 1e-9
 
@@ -158,32 +158,13 @@ def partition_gpu(
 
 def repartition(
     gpu: GpuDevice,
-    old_instances: list[GpuInstance],
-    ledger: dict[str, float],
     new_fractions: list[float],
     new_classes: list[TenantClass],
     id_prefix: str = "",
 ) -> list[GpuInstance]:
-    """Atomically replace a GPU's slices with a new layout.
+    """Replace a drained GPU's slices with a new layout, as ``partition_gpu`` cuts it.
 
-    ``ledger`` is the fraction granted inside each old slice, by instance
-    id; a slice it does not name holds nothing. The orchestrator names its
-    AI slice, with ``GpuState.ai_hard + ai_free``. Callers must
-    drain or preempt first: for every tenant class, what the old slices of
-    that class have granted has to fit inside the new slices of the same
-    class (FREE counts toward every class).
+    The orchestrator preempts every job on the GPU first, so no grant is
+    held across the change.
     """
-    new_instances = partition_gpu(gpu, new_fractions, new_classes, id_prefix=id_prefix)
-    for cls in (TenantClass.RAN, TenantClass.AI):
-        held = sum(ledger.get(i.id, 0.0) for i in old_instances if i.tenant_class is cls)
-        capacity = sum(
-            i.compute_fraction
-            for i in new_instances
-            if i.tenant_class is cls or i.tenant_class is TenantClass.FREE
-        )
-        if held > capacity + TOL:
-            raise ActiveAllocationConflict(
-                f"{gpu.id}: {cls.value} holds {held:.6f}, new layout offers "
-                f"{capacity:.6f}; drain first"
-            )
-    return new_instances
+    return partition_gpu(gpu, new_fractions, new_classes, id_prefix=id_prefix)

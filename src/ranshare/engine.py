@@ -576,7 +576,7 @@ class SimEngine:
             fleet = self.state.fleet
             self._emit_samples(
                 fleet.ran_level,
-                fleet.ai_hard + fleet.ai_free_eff,
+                fleet.ai_level,
                 (last_us - self.next_sample_us) // self.sample_us + 1,
             )
 
@@ -642,7 +642,7 @@ class SimEngine:
             moved = np.flatnonzero(fleet.ai_ceiling != prev_ceilings).tolist()
             if moved:
                 ceilings = fleet.ai_ceiling.tolist()
-                granted = (fleet.ai_hard + fleet.ai_free).tolist()
+                granted = fleet.ai_granted.tolist()
                 for g in moved:
                     state.log(
                         "ceiling", state.gpus[g].device.id, value=ceilings[g], ai=granted[g]

@@ -15,10 +15,6 @@ class GranularityViolation(SimulatorError):
     """A fraction is not an integer multiple of the partition granularity."""
 
 
-class ActiveAllocationConflict(SimulatorError):
-    """A repartition would shrink a slice below what is currently granted."""
-
-
 # -- workloads -------------------------------------------------------------
 
 class UnsupportedNumerology(SimulatorError):

@@ -133,7 +133,6 @@ class ActionKind(Enum):
 @dataclass(frozen=True)
 class ScaleAction:
     kind: ActionKind
-    server_id: str = ""
     gpu_id: str = ""
     fraction: float = 0.0  # delta for grants/reclaims
     fractions: tuple[float, ...] = ()  # repartition layout
@@ -235,25 +234,30 @@ def _column(name: str) -> property:
 class Fleet:
     """Every GPU's per-slot settlement state, one array per field, in ``ClusterState.gpus`` order.
 
-    Slice-size caches (``ran_cap``, ``free_cap``, ``ai_cap``, ``grid_cap``)
-    change only in ``GpuState.refresh_caches``; the slot levels, the AI
-    grants and the throttle flag, the end of a repartition's settling, the
-    forecast inputs and the level integrals change wherever the orchestrator
-    changes them, through ``GpuState``'s properties or as whole arrays.
-    ``ai_hard + ai_free`` is what a GPU's AI slice has granted, so its AI
-    capacity left is ``ai_cap - (ai_hard + ai_free)``.
+    Slice-size caches (``ai_cap``, ``grid_cap``) change only in
+    ``GpuState.refresh_caches``; the slot levels, the AI grant and the
+    throttle flag, the end of a repartition's settling, the forecast inputs
+    and the level integrals change wherever the orchestrator changes them,
+    through ``GpuState``'s properties or as whole arrays.
+
+    ``ai_granted`` is what a GPU's AI slice has granted, so its AI capacity
+    left is ``ai_cap - ai_granted``, and ``ai_level`` is the rate AI runs
+    at. The two are equal unless the policy is dynamic: there RAN and AI
+    share the whole GPU, and each slot caps AI at ``ai_cap - ran_level``,
+    what RAN left (``throttled`` while the cap is below the grant).
 
     ``grid_cap`` is the capacity RAN demand meets on each (server, GPU
-    position): ``ran_cap``, plus ``free_cap`` under the dynamic policy,
-    and 0 where a server has no GPU at that position. ``grid_rows`` is each
-    GPU's flat index in that grid and ``last_rows`` each server's last GPU.
+    position): the GPU's RAN slices, or under the dynamic policy the whole
+    GPU, and 0 where a server has no GPU at that position. ``grid_rows`` is
+    each GPU's flat index in that grid and ``last_rows`` each server's last
+    GPU.
     """
 
     __slots__ = (
-        "ran_cap", "free_cap", "ai_cap", "grid_cap", "grid_rows", "last_rows",
-        "server_ids", "ran_level", "ran_in_free", "ai_hard", "ai_free", "ai_free_eff",
-        "throttled", "settling_until_us", "demand_last", "epoch_max", "ai_ceiling",
-        "integrals", "ran_integral", "ai_integral", "last_accrue_us",
+        "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
+        "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
+        "epoch_max", "ai_ceiling", "integrals", "ran_integral", "ai_integral",
+        "last_accrue_us",
     )
 
     def __init__(self, servers: list[ServerState]):
@@ -265,10 +269,7 @@ class Fleet:
             [s * width + p for s, size in enumerate(sizes) for p in range(size)], dtype=np.intp
         )
         self.last_rows = np.cumsum(sizes) - 1
-        for name in (
-            "ran_cap", "free_cap", "ai_cap", "ran_level", "ran_in_free", "ai_hard", "ai_free",
-            "ai_free_eff", "demand_last", "epoch_max",
-        ):
+        for name in ("ai_cap", "ran_level", "ai_granted", "ai_level", "demand_last", "epoch_max"):
             setattr(self, name, np.zeros(n))
         # the level integrals, RAN then AI: two views of one array
         self.integrals = np.zeros((2, n))
@@ -281,16 +282,16 @@ class Fleet:
 
 @dataclass
 class GpuState:
-    """One GPU's jobs and slices; its levels and grants live in the fleet arrays.
+    """One GPU's jobs and slices; its levels and grant live in the fleet arrays.
 
     ``ClusterState`` sets ``fleet`` and ``index``. Each property below reads
     and writes the GPU's element of the fleet array of the same name.
-    ``ai_slice`` is the one slice AI jobs may use under the policy, or None;
-    every job on the GPU runs in it.
+    ``ai_slice`` is the one slice AI jobs may use under the policy, or None:
+    the whole-GPU FREE slice under the dynamic policy, the AI slice under a
+    split. Every job on the GPU runs in it.
     """
 
     device: GpuDevice
-    server_id: str
     instances: list[GpuInstance]
     jobs: list[AiJob] = field(default_factory=list)
     ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
@@ -299,16 +300,12 @@ class GpuState:
     fleet: Fleet | None = field(default=None, repr=False)
     index: int = -1
 
-    # slice-size caches, refreshed on (re)partition
-    ran_cap = _column("ran_cap")
-    free_cap = _column("free_cap")
+    # slice-size cache, refreshed on (re)partition
     ai_cap = _column("ai_cap")  # the AI slice's size, 0.0 without one
-    # current slot levels
+    # the AI grant and the current slot levels
+    ai_granted = _column("ai_granted")
     ran_level = _column("ran_level")
-    ran_in_free = _column("ran_in_free")
-    ai_hard = _column("ai_hard")  # granted inside an AI slice
-    ai_free = _column("ai_free")  # granted inside a FREE slice
-    ai_free_eff = _column("ai_free_eff")  # after the slot-level cap
+    ai_level = _column("ai_level")  # the grant, after the dynamic policy's per-slot cap
     throttled = _column("throttled")
     # repartition settling: slots up to this time accept no allocations
     settling_until_us = _column("settling_until_us")
@@ -322,15 +319,16 @@ class GpuState:
     last_accrue_us = _column("last_accrue_us")
 
     def refresh_caches(self, soft_ran: bool):
-        """Recompute the slice caches and zero the AI levels after a (re)partition.
+        """Recompute the slice caches and zero the AI grant after a (re)partition.
 
         A GPU is (re)partitioned only with no job on it, so it holds no
-        grant. ``soft_ran``: the dynamic policy, under which RAN may spill
-        into FREE capacity and AI may use a FREE slice as well as an AI
-        one. A layout that gives AI more than one slice is rejected.
+        grant. ``soft_ran``: the dynamic policy, under which the GPU is one
+        whole FREE slice that RAN and AI share, RAN first. Otherwise RAN
+        meets the RAN slices and AI uses the AI slice. A layout that gives
+        AI more than one slice is rejected.
         """
-        ai_classes = (TenantClass.AI, TenantClass.FREE) if soft_ran else (TenantClass.AI,)
-        ai_slices = [i for i in self.instances if i.tenant_class in ai_classes]
+        ai_class = TenantClass.FREE if soft_ran else TenantClass.AI
+        ai_slices = [i for i in self.instances if i.tenant_class is ai_class]
         if len(ai_slices) > 1:
             raise ValueError(
                 f"{self.device.id}: AI may use {len(ai_slices)} slices "
@@ -338,35 +336,23 @@ class GpuState:
             )
         self.ai_slice = ai_slices[0] if ai_slices else None
         self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
-        self.ai_hard = self.ai_free = self.ai_free_eff = 0.0
+        self.ai_granted = self.ai_level = 0.0
         self.throttled = False
-        ran_cap = free_cap = 0.0
-        for inst in self.instances:
-            f = inst.compute_fraction
-            if inst.tenant_class is TenantClass.RAN:
-                ran_cap += f
-            elif inst.tenant_class is TenantClass.FREE:
-                free_cap += f
-        self.ran_cap, self.free_cap = ran_cap, free_cap
         fleet = self.fleet
-        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
-            ran_cap + free_cap if soft_ran else ran_cap
+        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = self.ai_cap if soft_ran else sum(
+            i.compute_fraction for i in self.instances if i.tenant_class is TenantClass.RAN
         )
-
-    @property
-    def ai_level(self) -> float:
-        return self.ai_hard + self.ai_free_eff
 
     @property
     def ai_left(self) -> float:
         """What the AI slice has left to grant; ``_frees`` gives it for every GPU."""
-        return self.ai_cap - (self.ai_hard + self.ai_free)
+        return self.ai_cap - self.ai_granted
 
     def accrue(self, now_us: int):
         dt = now_us - self.last_accrue_us
         if dt > 0:
             self.ran_integral += self.ran_level * dt
-            self.ai_integral += (self.ai_hard + self.ai_free_eff) * dt
+            self.ai_integral += self.ai_level * dt
             self.last_accrue_us = now_us
 
 
@@ -464,8 +450,13 @@ def build_cluster_state(
 ) -> ClusterState:
     """Partition GPUs per the initial layout and assemble the cluster state.
 
-    GPUs absent from ``partitions`` stay whole as a single FREE slice.
+    GPUs absent from ``partitions`` stay whole as a single FREE slice. The
+    dynamic policy shares whole GPUs only, so it takes no ``partitions``.
     """
+    if policy.is_dynamic and partitions:
+        raise ValueError(
+            f"dynamic_backfill shares whole GPUs; cannot partition {', '.join(partitions)}"
+        )
     server_states = []
     for server in servers:
         gpu_states = []
@@ -475,7 +466,7 @@ def build_cluster_state(
                 instances = compute.partition_gpu(gpu, fracs, classes)
             else:
                 instances = compute.partition_gpu(gpu, [1.0], [TenantClass.FREE])
-            gpu_states.append(GpuState(device=gpu, server_id=server.id, instances=instances))
+            gpu_states.append(GpuState(device=gpu, instances=instances))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
         servers=server_states,
@@ -534,10 +525,10 @@ def _split_layout(ran: float, ai: float) -> tuple[list[float], list[TenantClass]
 def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     """Grant RAN demand before AI renewal for the slot at the clock; record misses.
 
-    Per server, demand fills GPUs in declaration order: hard RAN slices
-    first, then (dynamic policy only, which also feeds the forecaster) FREE
-    capacity. AI grants inside FREE slices are capped at what RAN left over;
-    hard AI slices are untouched by construction. Misses are appended to
+    Per server, demand fills GPUs in declaration order: their RAN slices
+    under a split, the whole GPUs under the dynamic policy, which also feeds
+    the forecaster and caps each GPU's AI at what RAN left of it; a split's
+    hard AI slice is untouched by construction. Misses are appended to
     ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
     exceeds 1e-9. Returns True when a GPU's throttle was applied, which may
     have changed job rates and so queued completion events. This is
@@ -548,23 +539,24 @@ def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
 
 
 def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
-    """Cap FREE-slice AI rates at ``allowed``, trimming newest jobs first."""
+    """Cap the GPU's AI rates at ``allowed``, trimming newest jobs first.
+
+    This is the dynamic policy's per-slot cap; a split never throttles.
+    """
     if allowed < 0.0:
         allowed = 0.0
-    in_free = gpu.ai_slice is not None and gpu.ai_slice.tenant_class is TenantClass.FREE
-    # a FREE slice's jobs, oldest first: the oldest keeps its rate
-    free_jobs = sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)) if in_free else []
     remaining = allowed
     eff_total = 0.0
-    for job in free_jobs:
+    # oldest first: the oldest job keeps its rate
+    for job in sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)):
         rate = job.granted_fraction if job.granted_fraction < remaining else remaining
         remaining -= rate
         eff_total += rate
         if rate != job.service_rate:
             set_rate(state, job, rate)
     gpu.accrue(state.clock_us)
-    gpu.ai_free_eff = eff_total
-    gpu.throttled = eff_total < gpu.ai_free - TOL
+    gpu.ai_level = eff_total
+    gpu.throttled = eff_total < gpu.ai_granted - TOL
 
 
 # Segments settle in blocks of at most CHUNK_CELLS (slot, GPU) elements, so the
@@ -627,7 +619,7 @@ def settle_segment(
             if settle_slot(state, first_us / US, rows[:, 0].tolist()):
                 return 1
             missed = state.misses[before:]
-            emit(fleet.ran_level, fleet.ai_hard + fleet.ai_free_eff, len(samples))
+            emit(fleet.ran_level, fleet.ai_level, len(samples))
             if missed:
                 for t_us in range(first_us + slot_us, first_us + count * slot_us, slot_us):
                     state.misses.extend((t_us / US, sid, sf) for _t, sid, sf in missed)
@@ -658,8 +650,10 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
     bit (``tests/test_segments.py`` keeps the scalar form). A position a
     server lacks, and a GPU at a slot it is settling, meets a capacity of
     0, which takes nothing and leaves the remainder as it is; a settling
-    GPU feeds no forecast input and has no throttle test. Level integrals
-    accrue only at the slots where the level changes, summed in slot order.
+    GPU feeds no forecast input and has no throttle test. Only the dynamic
+    policy has a throttle test: its room for AI is ``ai_cap - take``. Level
+    integrals accrue only at the slots where the level changes, summed in
+    slot order.
 
     The first slot whose throttle test fires ends the block: its levels are
     settled, then ``_apply_throttle`` runs for its firing GPUs in GPU order
@@ -685,14 +679,13 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
         np.minimum(rem, caps[:, p], out=take[:, p])
         rem = np.maximum(rem - caps[:, p], 0.0)
     take = take.reshape(servers * width, n)[fleet.grid_rows]
-    in_free = np.maximum(take - fleet.ran_cap[:, None], 0.0)
-    ai_level = fleet.ai_hard + fleet.ai_free_eff
+    granted = fleet.ai_granted
 
     stop = n
-    sharing = (fleet.ai_free > 0.0) | fleet.throttled  # the GPUs with a throttle test
-    if sharing.any():
-        room = fleet.free_cap[:, None] - in_free
-        fire = ((fleet.ai_free[:, None] > room + TOL) & sharing[:, None]) | fleet.throttled[:, None]
+    sharing = (granted > 0.0) | fleet.throttled  # the GPUs with a throttle test
+    if state.soft_ran and sharing.any():
+        room = fleet.ai_cap[:, None] - take
+        fire = ((granted[:, None] > room + TOL) & sharing[:, None]) | fleet.throttled[:, None]
         if live is not None:
             fire &= live
         hits = np.flatnonzero(fire.any(axis=0))
@@ -700,8 +693,7 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
     if stop < n:
         firing = np.flatnonzero(fire[:, stop])
         allowed = room[firing, stop].tolist()
-        settled = (a[..., :stop + 1] for a in (take, in_free, rem, t_us, t_s))
-        take, in_free, rem, t_us, t_s = settled
+        take, rem, t_us, t_s = (a[..., :stop + 1] for a in (take, rem, t_us, t_s))
         live = None if live is None else live[:, :stop + 1]
 
     before = np.concatenate((fleet.ran_level[:, None], take[:, :-1]), axis=1)
@@ -718,9 +710,8 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
     sums = np.empty((2, len(take), t_us.size + 1))
     sums[:, :, 0] = fleet.integrals
     np.multiply(before, dt, out=sums[0, :, 1:])
-    np.multiply(ai_level[:, None], dt, out=sums[1, :, 1:])
+    np.multiply(fleet.ai_level[:, None], dt, out=sums[1, :, 1:])
     fleet.integrals[:] = np.add.accumulate(sums, axis=2, out=sums)[:, :, -1]
-    np.copyto(fleet.ran_in_free, in_free[:, -1], where=changed.any(axis=1))
     fleet.ran_level[:] = take[:, -1]
     fleet.last_accrue_us[:] = accrued[:, -1]
     if state.soft_ran:
@@ -746,7 +737,7 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
         # the slot whose state each sample shows, up to the firing one
         marks = [(t - int(t_us[0])) // state.slot_us for t in samples]
         marks = marks[:bisect.bisect_left(marks, stop)]
-        emit(take[:, marks].T, ai_level, len(marks))
+        emit(take[:, marks].T, fleet.ai_level, len(marks))
     state.clock_us = int(t_us[-1])
     if stop < n:
         for g, room_g in zip(firing.tolist(), allowed):
@@ -760,7 +751,7 @@ def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
 def _frees(state: ClusterState) -> np.ndarray:
     """Every GPU's ``ai_left``, in ``gpus`` order."""
     fleet = state.fleet
-    return fleet.ai_cap - (fleet.ai_hard + fleet.ai_free)
+    return fleet.ai_cap - fleet.ai_granted
 
 
 def _budgets(state: ClusterState) -> np.ndarray:
@@ -768,7 +759,7 @@ def _budgets(state: ClusterState) -> np.ndarray:
     fleet = state.fleet
     if not state.policy.is_dynamic:
         return np.full(len(state.gpus), math.inf)
-    return fleet.ai_ceiling - (fleet.ai_hard + fleet.ai_free)
+    return fleet.ai_ceiling - fleet.ai_granted
 
 
 def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> PlacementDecision:
@@ -946,7 +937,6 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
                     actions.append(
                         ScaleAction(
                             ActionKind.REPARTITION,
-                            server_id=srv.server.id,
                             gpu_id=gpu.device.id,
                             fractions=tuple(fractions),
                             classes=tuple(classes),
@@ -964,10 +954,7 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
     full = _window(policy) - 1
     ceilings = []
     rows = zip(
-        state.gpus,
-        fleet.demand_last.tolist(),
-        fleet.epoch_max.tolist(),
-        (fleet.ai_hard + fleet.ai_free).tolist(),
+        state.gpus, fleet.demand_last.tolist(), fleet.epoch_max.tolist(), fleet.ai_granted.tolist()
     )
     for gpu, demand_last, epoch_max, current in rows:
         history = gpu.epoch_history
@@ -984,7 +971,6 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
             actions.append(
                 ScaleAction(
                     ActionKind.RECLAIM_AI,
-                    server_id=gpu.server_id,
                     gpu_id=gpu.device.id,
                     fraction=current - ceiling,
                 )
@@ -997,7 +983,6 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
                 actions.append(
                     ScaleAction(
                         ActionKind.GRANT_AI,
-                        server_id=gpu.server_id,
                         gpu_id=gpu.device.id,
                         fraction=headroom,
                     )
@@ -1018,14 +1003,12 @@ def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float)
     """Add ``amount`` (negative to release) to ``job``'s grant in the GPU's AI slice.
 
     The GPU's level integrals are accrued at the old level first. The
-    GPU's FREE or hard AI total, as the slice's class says, and the job's
-    grant both move by ``amount``.
+    GPU's grant and the job's both move by ``amount``, and AI runs at the
+    new grant until ``_refresh_effective`` caps it.
     """
     gpu.accrue(state.clock_us)
-    if gpu.ai_slice.tenant_class is TenantClass.FREE:
-        gpu.ai_free += amount
-    else:
-        gpu.ai_hard += amount
+    gpu.ai_granted += amount
+    gpu.ai_level = gpu.ai_granted
     job.granted_fraction += amount
 
 
@@ -1046,7 +1029,7 @@ def accrue_all(state: ClusterState):
     dt = state.clock_us - fleet.last_accrue_us
     due = dt > 0
     fleet.ran_integral[due] += fleet.ran_level[due] * dt[due]
-    fleet.ai_integral[due] += (fleet.ai_hard + fleet.ai_free_eff)[due] * dt[due]
+    fleet.ai_integral[due] += fleet.ai_level[due] * dt[due]
     fleet.last_accrue_us[due] = state.clock_us
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
@@ -1135,13 +1118,15 @@ def finish_job(state: ClusterState, job: AiJob):
 
 
 def _refresh_effective(state: ClusterState, gpu: GpuState):
-    """Re-apply the slot-level FREE-slice cap after grant changes."""
-    allowed = gpu.free_cap - gpu.ran_in_free
-    if gpu.ai_free > allowed + TOL or gpu.throttled:
+    """Re-apply the dynamic policy's per-slot cap after grant changes."""
+    if not state.soft_ran:
+        return  # a split's AI slice is hard: AI runs at its grant
+    allowed = gpu.ai_cap - gpu.ran_level
+    if gpu.ai_granted > allowed + TOL or gpu.throttled:
         _apply_throttle(state, gpu, allowed)
     else:
         gpu.accrue(state.clock_us)
-        gpu.ai_free_eff = gpu.ai_free
+        gpu.ai_level = gpu.ai_granted
 
 
 def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
@@ -1198,15 +1183,17 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 def placement_round(state: ClusterState):
     """Place what fits of the queue, then backfill every GPU that has a budget.
 
-    GPUs that are settling after a repartition are left out of the backfill.
+    GPUs without an AI slice, and GPUs settling after a repartition, are
+    left out of the backfill.
     """
     if state.queue:
         decision = plan_placement(state.pending, state)
         for job_id, (gpu_id, fraction) in decision.assignments.items():
             start_job(state, state.jobs[job_id], state.gpu_by_id(gpu_id), fraction)
     if state.queue:
-        budgets = _budgets(state)
-        ready = (budgets > 1e-9) & (state.fleet.settling_until_us <= state.clock_us)
+        fleet, budgets = state.fleet, _budgets(state)
+        ready = budgets > 1e-9
+        ready &= (fleet.ai_cap > 0.0) & (fleet.settling_until_us <= state.clock_us)
         for g, budget in zip(np.flatnonzero(ready).tolist(), budgets[ready].tolist()):
             backfill_queue(state, state.gpus[g], budget)
 
@@ -1233,15 +1220,11 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
         preempt_job(state, gpu, job)
     gpu.accrue(state.clock_us)
     gpu.generation += 1
-    prefix = f"{gpu.device.id}.g{gpu.generation}"
-    held = {gpu.ai_slice.id: gpu.ai_hard + gpu.ai_free} if gpu.ai_slice else {}
     gpu.instances = compute.repartition(
         gpu.device,
-        gpu.instances,
-        held,
         list(action.fractions),
         list(action.classes),
-        id_prefix=prefix,
+        id_prefix=f"{gpu.device.id}.g{gpu.generation}",
     )
     gpu.refresh_caches(state.soft_ran)
     # the boundary slot finishes on the old layout (ran_level persists);

@@ -1,10 +1,10 @@
 """Slices from ``compute`` and the AI grants that fill them.
 
-``compute`` cuts GPUs into slices and checks repartitions; grants inside
-slices are made by the orchestrator, on the engine path: ``settle_slot``
-grants RAN demand each slot, and ``start_job``/``backfill_queue`` grant AI
-inside each GPU's one AI slice (``GpuState.ai_slice``), recorded as the
-GPU's ``ai_hard + ai_free``, the grant ``repartition`` checks.
+``compute`` cuts GPUs into slices; grants inside slices are made by the
+orchestrator, on the engine path: ``settle_slot`` grants RAN demand each
+slot, and ``start_job``/``backfill_queue`` grant AI inside each GPU's one
+AI slice (``GpuState.ai_slice``), recorded as the GPU's ``ai_granted``. AI
+runs at that grant (``ai_level``) unless the dynamic policy caps it.
 """
 
 import math
@@ -15,15 +15,13 @@ import pytest
 from ranshare import orchestrator as orch
 from ranshare.compute import GpuDevice, Server, TenantClass, partition_gpu, repartition
 from ranshare.engine import SimEngine
-from ranshare.errors import (
-    ActiveAllocationConflict,
-    GranularityViolation,
-    PartitionOverflow,
-)
+from ranshare.errors import GranularityViolation, PartitionOverflow
 from ranshare.orchestrator import (
     TOL,
+    ActionKind,
     Policy,
     PolicyKind,
+    ScaleAction,
     backfill_queue,
     build_cluster_state,
     initial_partitions,
@@ -84,18 +82,26 @@ def run_job(state, gpu_state, grant, jid="j1"):
 
 
 def assert_ledger(state) -> float:
-    """Every GPU's AI grant is its jobs' grants and fits its AI slice; returns the total."""
+    """Every GPU's AI grant is its jobs' grants and fits its AI slice; returns the total.
+
+    AI runs at no more than its grant. Under a split it runs at exactly its
+    grant and is never throttled. Under the dynamic policy a GPU that is not
+    throttled runs at its grant within TOL: an unthrottled cap sums the job
+    rates oldest first, which may round apart from the grant's own sum.
+    """
     total = 0.0
     for gpu_state in state.gpus:
         ai_slice = gpu_state.ai_slice
         assert gpu_state.ai_cap == (ai_slice.compute_fraction if ai_slice else 0.0)
         held = math.fsum(j.granted_fraction for j in gpu_state.jobs)
-        granted = gpu_state.ai_hard + gpu_state.ai_free
+        granted = gpu_state.ai_granted
         assert granted == pytest.approx(held, abs=1e-9)
         assert granted <= gpu_state.ai_cap + 1e-9
-        # the slice's class says which total holds the grant
-        in_free = ai_slice is not None and ai_slice.tenant_class is FREE
-        assert (gpu_state.ai_hard if in_free else gpu_state.ai_free) == 0.0
+        assert gpu_state.ai_level <= granted + TOL
+        if not state.policy.is_dynamic:
+            assert not gpu_state.throttled and gpu_state.ai_level == granted
+        elif not gpu_state.throttled:
+            assert gpu_state.ai_level == pytest.approx(granted, abs=TOL)
         total += granted
     return total
 
@@ -160,7 +166,7 @@ class TestAllocate:
         assert settle(state, 0.35) == []
         assert gpu1.ran_level == 0.35
         job = run_job(state, gpu1, 0.5)
-        assert gpu1.ai_slice is slice_of(gpu1, AI) and gpu1.ai_hard == 0.5
+        assert gpu1.ai_slice is slice_of(gpu1, AI) and gpu1.ai_granted == gpu1.ai_level == 0.5
         assert job.service_rate == 0.5
 
     def test_clipped_at_slice(self):
@@ -174,14 +180,13 @@ class TestAllocate:
         backfill_queue(state, gpu1, math.inf)
         assert job.granted_fraction == pytest.approx(0.6, abs=1e-12)
         assert gpu1.ai_slice is slice_of(gpu1, AI)
-        assert (gpu1.ai_hard, gpu1.ai_free) == (pytest.approx(0.6, abs=1e-12), 0.0)
+        assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_demand(self):
         state = split_state()
         gpu1 = state.gpus[0]
         assert settle(state, 0.0) == []
-        assert gpu1.ran_level == 0.0 and gpu1.ai_level == 0.0
-        assert gpu1.ai_hard == gpu1.ai_free == 0.0
+        assert gpu1.ran_level == 0.0 and gpu1.ai_level == gpu1.ai_granted == 0.0
 
     def test_class_mismatch(self):
         """A slice serves its own class only."""
@@ -197,7 +202,7 @@ class TestAllocate:
         assert plan_placement([late], state).assignments == {}
         backfill_queue(state, gpu1, math.inf)
         assert late.state is JobState.QUEUED
-        assert gpu1.ai_hard == pytest.approx(0.6)
+        assert gpu1.ai_granted == pytest.approx(0.6)
 
     def test_free_accepts_any_class(self):
         state = whole_state()
@@ -205,10 +210,10 @@ class TestAllocate:
         assert gpu1.ai_slice is slice_of(gpu1, FREE)
         job = run_job(state, gpu1, 0.9)
         assert settle(state, 0.2) == []
-        assert gpu1.ran_level == pytest.approx(0.2) and gpu1.ran_in_free == pytest.approx(0.2)
+        assert gpu1.ran_level == pytest.approx(0.2)
         # the grant stays held; RAN comes first, so AI runs at what is left
-        assert gpu1.ai_free == pytest.approx(0.9)
-        assert job.service_rate == pytest.approx(0.8)
+        assert gpu1.ai_granted == pytest.approx(0.9) and gpu1.ai_level == pytest.approx(0.8)
+        assert job.service_rate == pytest.approx(0.8) and gpu1.throttled
 
     def test_slot_accumulation(self):
         """Each slot grants its demand afresh; nothing accumulates across slots."""
@@ -266,7 +271,11 @@ class TestAllocate:
                         demand, abs=1e-9
                     )
                     for g in srv.gpus:
-                        cap = g.ran_cap + (g.free_cap if state.soft_ran else 0.0)
+                        # RAN meets its own slices, and under the dynamic policy the FREE one
+                        cap = math.fsum(
+                            i.compute_fraction for i in g.instances
+                            if i.tenant_class is RAN or (state.soft_ran and i.tenant_class is FREE)
+                        )
                         if g.settling_until_us >= state.clock_us:
                             cap = 0.0
                         assert g.ran_level <= cap + 1e-9
@@ -279,36 +288,35 @@ class TestAllocate:
 
 class TestRepartition:
     def test_grow_ran_with_empty_ai(self):
-        g = gpu()
-        old = partition_gpu(g, [0.4, 0.6], [RAN, AI])
-        new = repartition(g, old, {i.id: 0.0 for i in old}, [0.7, 0.3], [RAN, AI])
+        new = repartition(gpu(), [0.7, 0.3], [RAN, AI])
         assert [i.compute_fraction for i in new] == [0.7, 0.3]
 
     def test_idempotent(self):
         g = gpu()
         old = partition_gpu(g, [0.4, 0.6], [RAN, AI])
-        new = repartition(g, old, {}, [0.4, 0.6], [RAN, AI])
-        assert [i.compute_fraction for i in new] == [0.4, 0.6]
+        assert repartition(g, [0.4, 0.6], [RAN, AI]) == old
 
-    def test_shrink_below_granted_conflicts(self):
-        g = gpu()
-        old = partition_gpu(g, [0.4, 0.6], [RAN, AI])
-        with pytest.raises(ActiveAllocationConflict):
-            repartition(g, old, {old[0].id: 0.4}, [0.2, 0.8], [RAN, AI])
-        # the engine's grants: a running AI job holds 0.5 of the AI slice
+    def test_shrink_below_granted_drains_the_gpu(self):
+        """A layout whose AI slice is below the running grants drains every job first.
+
+        Grants of 0.05, 0.05 and 0.5 released in order sum to -5.55e-17;
+        the GPU's grant after the repartition is +0.0 all the same.
+        """
         state = split_state()
         gpu1 = state.gpus[0]
-        job = run_job(state, gpu1, 0.5)
-
-        def to(fractions, classes):
-            held = {gpu1.ai_slice.id: gpu1.ai_hard + gpu1.ai_free}
-            return repartition(gpu1.device, gpu1.instances, held, fractions, classes)
-
-        with pytest.raises(ActiveAllocationConflict):
-            to([0.7, 0.3], [RAN, AI])
-        assert [i.compute_fraction for i in to([0.5, 0.5], [RAN, AI])] == [0.5, 0.5]
-        orch.preempt_job(state, gpu1, job)  # drained: any layout fits
-        assert [i.tenant_class for i in to([1.0], [RAN])] == [RAN]
+        jobs = [run_job(state, gpu1, g, jid=f"j{i}") for i, g in enumerate((0.05, 0.05, 0.5))]
+        action = ScaleAction(
+            ActionKind.REPARTITION, "gpu1", fractions=(0.7, 0.3), classes=(RAN, AI)
+        )
+        orch._repartition_gpu(state, action)
+        layout = [(i.compute_fraction, i.tenant_class) for i in gpu1.instances]
+        assert layout == [(0.7, RAN), (0.3, AI)]
+        assert gpu1.jobs == [] and gpu1.ai_cap == 0.3
+        assert gpu1.ai_granted == gpu1.ai_level == 0.0
+        assert math.copysign(1.0, gpu1.ai_granted) == 1.0
+        assert all(j.state is JobState.PREEMPTED and j.granted_fraction == 0.0 for j in jobs)
+        assert [jid for _t, jid in state.queue] == ["j0", "j1", "j2"]
+        assert_ledger(state)
 
     def test_conservation_under_random_allocations(self):
         """The ledger matches the jobs' grants after every event of random engine runs."""
@@ -376,7 +384,7 @@ class TestFreeCapacity:
         run_job(state, gpu1, 0.6)
         assert gpu1.ai_left == pytest.approx(0.0, abs=1e-9)
         # the whole second GPU is FREE, which AI does not use under a static split
-        assert [i.tenant_class for i in gpu2.instances] == [FREE] and gpu2.free_cap == 1.0
+        assert [(i.compute_fraction, i.tenant_class) for i in gpu2.instances] == [(1.0, FREE)]
         assert gpu2.ai_slice is None and gpu2.ai_left == 0.0
 
     def test_ran_headroom_hidden_unless_visible(self):
@@ -402,17 +410,29 @@ class TestOneAiSlice:
     """A GPU gives AI at most one slice; a job runs in it."""
 
     @pytest.mark.parametrize(
-        "policy, layout",
+        "policy",
         [
-            (Policy(kind=PolicyKind.STATIC_SPLIT), ([0.4, 0.3, 0.3], [RAN, AI, AI])),
-            (DYNAMIC, ([0.4, 0.3], [RAN, AI])),  # and the FREE rest
+            Policy(kind=PolicyKind.STATIC_SPLIT),
+            Policy(kind=PolicyKind.TIME_SPLIT, schedule=((0.0, 1.0, 0.4),)),
         ],
-        ids=["static_two_ai", "dynamic_ai_and_free"],
+        ids=["static_two_ai", "time_split_two_ai"],
     )
-    def test_layout_with_two_ai_slices_is_rejected(self, policy, layout):
+    def test_layout_with_two_ai_slices_is_rejected(self, policy):
         server = Server(id="srv1", gpus=(GpuDevice("gpu0"), GpuDevice("gpu1")))
+        layout = ([0.4, 0.3, 0.3], [RAN, AI, AI])
         with pytest.raises(ValueError, match="gpu1: AI may use 2 slices"):
             build_cluster_state([server], policy, {"gpu1": layout})
+
+    @pytest.mark.parametrize(
+        "layout",
+        [([0.4, 0.3], [RAN, AI]), ([0.4], [RAN]), ([1.0], [FREE])],
+        ids=["ai_and_free", "ran_and_free", "whole"],
+    )
+    def test_dynamic_policy_takes_no_partitions(self, layout):
+        """The dynamic policy shares whole GPUs, RAN first: any caller's layout is refused."""
+        server = Server(id="srv1", gpus=(GpuDevice("gpu0"), GpuDevice("gpu1")))
+        with pytest.raises(ValueError, match="dynamic_backfill shares whole GPUs.*gpu1"):
+            build_cluster_state([server], DYNAMIC, {"gpu1": layout})
 
     def test_job_cannot_start_without_an_ai_slice(self):
         state = split_state(ran=1.0, ai=0.0)

@@ -27,7 +27,7 @@ from ranshare.engine import (
 )
 from ranshare.errors import EmptyTrace, EventInPast, ScenarioInvalid, SimulatorError
 from ranshare.orchestrator import ForecastKind, Policy, PolicyKind
-from ranshare.scenario import write_report
+from ranshare.scenario import parse_scenario, write_report
 from ranshare.workload import (
     AiWorkload,
     ArrivalKind,
@@ -419,6 +419,21 @@ class TestTimeSplit:
         late = [t.ai_fraction for t in report.trace if t.time_s >= 0.5]
         assert late and all(math.copysign(1.0, ai) == 1.0 and ai == 0.0 for ai in late)
         assert "-0.000000" not in write_report(report, "records")
+
+    def test_backfill_skips_gpus_without_an_ai_slice(self, monkeypatch):
+        """Placement rounds backfill only the GPUs that have an AI slice."""
+        from test_golden import time_split_text
+
+        calls = []
+        backfill = orch.backfill_queue
+
+        def counting(state, gpu, budget):
+            calls.append(gpu.ai_slice is not None)
+            return backfill(state, gpu, budget)
+
+        monkeypatch.setattr(orch, "backfill_queue", counting)
+        SimEngine(parse_scenario(time_split_text(), name="time_split")).run()
+        assert calls and calls.count(False) == 0, (len(calls), calls.count(False))
 
     def test_same_layout_boundary_is_noop(self):
         policy = Policy(

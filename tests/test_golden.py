@@ -7,10 +7,13 @@ each ``demos/*.py``. A change meant to alter the output updates the hashes
 and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
-whose split GPUs are repartitioned under running jobs.
+whose split GPUs are repartitioned under running jobs. The two cluster
+benchmark workloads are pinned at three seeds each, built by
+``perfbench/workloads.py``, which this module only reads.
 """
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,6 +48,36 @@ TIME_SPLIT = {
 FLEET = {
     "records": "c3a3da6f3368d6e8c19be1f35057f5d2a74d490dd9cd07e0178680a91fffb630",
     "summary": "4659dc8c5b9ae679fab41e7c9dda01573e52484d948ba5a97233424539d56dc3",
+}
+WORKLOADS = {
+    "cluster_diurnal": {
+        1: {
+            "records": "b9cbc389f9401f035e9d1c2d9cab61a474479400b66acb7832264104c5479911",
+            "summary": "175b055f4a4a14451228044677b55d7ed59c5fa5c5208da35e9df37b16bd0ea7",
+        },
+        7: {
+            "records": "a6feee34d5611c602bdc159125a1f01c9df94f87791832219dd00cac604aabe9",
+            "summary": "8ad73ecd1c7e70dd248f11c091ad5fddcf83773ec371bc77c105f623e8bda33c",
+        },
+        23: {
+            "records": "a436ac35e9f9d2346c6e03e62137a705eeb1f7576c1eb4cc32e672458459539c",
+            "summary": "6a6bd06d0ce4b2584b5cc1fc5e5ad5786bcc7ba7d4c732344b3654153e4f91d4",
+        },
+    },
+    "cluster_overload": {
+        1: {
+            "records": "f0d5634558afa565c9141e0f81fe974d8f9551777b50a3a256dd81df5fe5ed64",
+            "summary": "d2c033cb39b52ed9f66115458dac0a12d56b104915a7423602ec5c4d43f2c02f",
+        },
+        7: {
+            "records": "8526ae51386f6701cfbf4778836cc984d9e37b74a5186919976b445de5063706",
+            "summary": "6c3938637ee6563f1b7bc947ccd2a267fcf6551e6da4cebb82a2047fda2d6d67",
+        },
+        23: {
+            "records": "9022323b42ca536c1e278d296a500dadbeae078f9523168a86d6219d6930ab14",
+            "summary": "45166748be443b3e2f9a82fa5521a8b9f143f400988292b03900cc6089985f5b",
+        },
+    },
 }
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -202,5 +235,24 @@ def test_time_split_report_bytes():
         t for t in (0.4, 0.8, 1.2, 1.6) for _ in range(3)
     ]
     for fmt, want in TIME_SPLIT.items():
+        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
+        assert got == want, fmt
+
+
+def _load_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "name, seed", [(name, seed) for name in sorted(WORKLOADS) for seed in sorted(WORKLOADS[name])]
+)
+def test_benchmark_workload_report_bytes(name, seed):
+    build, _fmt = _load_workloads().WORKLOADS[name]
+    report = SimEngine(parse_scenario(build(ROOT, seed), name=name)).run()
+    for fmt, want in WORKLOADS[name][seed].items():
         got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
         assert got == want, fmt

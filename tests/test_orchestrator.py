@@ -310,7 +310,7 @@ class TestApplyActions:
         state, gpu1, older, newer = self._running_pair()
         apply_actions(
             state,
-            [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.50)],
+            [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.50)],
         )
         assert newer.state is JobState.PREEMPTED
         assert newer.granted_fraction == 0.0
@@ -329,15 +329,15 @@ class TestApplyActions:
         state, gpu1, older, newer = self._running_pair()
         snapshot = (
             [(j.id, j.granted_fraction, j.state) for j in gpu1.jobs],
-            gpu1.ai_free,
-            gpu1.ai_hard,
+            gpu1.ai_granted,
+            gpu1.ai_level,
             list(state.queue),
         )
         apply_actions(state, [ScaleAction(ActionKind.NO_OP)])
         assert snapshot == (
             [(j.id, j.granted_fraction, j.state) for j in gpu1.jobs],
-            gpu1.ai_free,
-            gpu1.ai_hard,
+            gpu1.ai_granted,
+            gpu1.ai_level,
             list(state.queue),
         )
 
@@ -347,12 +347,12 @@ class TestApplyActions:
         gpu1.ai_ceiling = 0.9
         enqueue(state, job("j1", 0.25))
         apply_actions(
-            state, [ScaleAction(ActionKind.GRANT_AI, "srv1", "gpu1", fraction=0.9)]
+            state, [ScaleAction(ActionKind.GRANT_AI, "gpu1", fraction=0.9)]
         )
         j = state.jobs["j1"]
         assert j.state is JobState.RUNNING
         assert j.granted_fraction == 0.25
-        assert gpu1.ai_free == pytest.approx(0.25)
+        assert gpu1.ai_granted == pytest.approx(0.25)
 
 
 def settle_misses(state, demands):
@@ -438,7 +438,7 @@ class TestEventLog:
         start_job(state, state.jobs["j2"], gpu1, 0.25)
         state.clock_us = 500
         # newest first: j2 is preempted whole, then j1 trimmed by the rest
-        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.3)])
+        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.3)])
         assert state.events == [
             EventRecord(0.0, "place", "gpu1", f"job=j1 instance={ai_slice} fraction=0.300000"),
             EventRecord(0.0, "place", "gpu1", f"job=j2 instance={ai_slice} fraction=0.250000"),
@@ -466,13 +466,16 @@ def test_grant_changes_accrue_at_the_old_level():
     start_job(state, state.jobs["j2"], gpu1, 0.1)
     assert gpu1.ai_integral == 0.5 * 2_000
     state.clock_us = 4_000
-    apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.2)])
+    apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.2)])
     assert gpu1.ai_integral == 0.5 * 2_000 + 0.6 * 1_000
-    assert gpu1.ai_hard == pytest.approx(0.4) and gpu1.ai_left == pytest.approx(0.2)
+    assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.4)
+    assert gpu1.ai_left == pytest.approx(0.2)
     state.clock_us = 6_000
     preempt_job(state, gpu1, state.jobs["j1"])
     assert gpu1.ai_integral == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
-    assert gpu1.ai_hard == pytest.approx(0.0) and gpu1.ai_left == pytest.approx(0.6)
+    # a bare preemption on a split GPU moves its AI level with the grant
+    assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.0)
+    assert gpu1.ai_left == pytest.approx(0.6)
 
 
 class TestJobClock:
@@ -492,7 +495,7 @@ class TestJobClock:
 
         # a trim accrues the work done at the old rate, then queues a new completion
         state.clock_us = 3_000_000
-        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "srv1", "gpu1", fraction=0.2)])
+        apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.2)])
         assert j.remaining_compute_seconds == 3.0 - 0.5 * (2_000_000 / 1e6)
         assert j.accrued_until_us == 3_000_000
         assert j.version == 2 and j.service_rate == j.granted_fraction == pytest.approx(0.3)
@@ -506,7 +509,7 @@ class TestJobClock:
         finish_job(state, j)
         assert j.state is JobState.DONE and j.remaining_compute_seconds == 0.0
         assert j.completion_time == redone_us / 1e6 and j.version == 3
-        assert gpu1.jobs == [] and gpu1.ai_free == pytest.approx(0.0)
+        assert gpu1.jobs == [] and gpu1.ai_granted == pytest.approx(0.0)
         assert state.events[-1] == EventRecord(redone_us / 1e6, "completion", "j1", "gpu=gpu1")
         assert len(state.heap) == 2  # finishing queues nothing
 

@@ -36,7 +36,7 @@ def eligible_slices(state, gpu):
 
 def slice_free(gpu, inst):
     """What ``inst`` has left; a GPU's running jobs all hold their grants in its one AI slice."""
-    return inst.compute_fraction - (gpu.ai_hard + gpu.ai_free)
+    return inst.compute_fraction - gpu.ai_granted
 
 
 def reference_plan_placement(jobs, state):
@@ -50,7 +50,7 @@ def reference_plan_placement(jobs, state):
         """Policy-level AI budget left on a GPU, one GPU at a time."""
         if not state.policy.is_dynamic:
             return math.inf
-        return gpu.ai_ceiling - (gpu.ai_hard + gpu.ai_free)
+        return gpu.ai_ceiling - gpu.ai_granted
 
     decision = PlacementDecision()
     interactive = [j for j in jobs if j.slo_class is SloClass.INTERACTIVE]

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from ranshare import orchestrator
-from ranshare.compute import GpuDevice, Server
+from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.engine import (
     CellSpec,
     EventKind,
@@ -59,10 +59,12 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     """``settle_slot`` as a scalar loop over the GPUs, one attribute at a time.
 
     Per server, demand fills GPUs in declaration order; a GPU that is
-    settling takes nothing. Under the dynamic policy RAN spills into FREE
-    capacity and each GPU records what it was asked to serve. A GPU whose
-    FREE-slice AI exceeds what RAN left over, or that is throttled, has its
-    throttle applied at once. Returns True when a throttle was applied.
+    settling takes nothing. RAN meets a GPU's RAN slices, and under the
+    dynamic policy its FREE capacity too. Only under the dynamic policy
+    does each GPU record what it was asked to serve, and a GPU whose AI
+    grant exceeds the FREE capacity RAN left over, or that is throttled,
+    has its throttle applied at once. Returns True when a throttle was
+    applied.
     """
     TOL = orchestrator.TOL
     soft = state.soft_ran
@@ -74,9 +76,14 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 if gpu.ran_level != 0.0:
                     gpu.accrue(now_us)
                     gpu.ran_level = 0.0
-                    gpu.ran_in_free = 0.0
                 continue
-            cap = gpu.ran_cap + gpu.free_cap if soft else gpu.ran_cap
+            ran_cap = free_cap = 0.0
+            for inst in gpu.instances:
+                if inst.tenant_class is TenantClass.RAN:
+                    ran_cap += inst.compute_fraction
+                elif inst.tenant_class is TenantClass.FREE:
+                    free_cap += inst.compute_fraction
+            cap = ran_cap + free_cap if soft else ran_cap
             if rem < cap:
                 take = rem
                 rem = 0.0
@@ -88,16 +95,15 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 gpu.demand_last = asked
                 if asked > gpu.epoch_max:
                     gpu.epoch_max = asked
-            in_free = take - gpu.ran_cap
-            if in_free < 0.0:
-                in_free = 0.0
             if take != gpu.ran_level:
                 gpu.accrue(now_us)
                 gpu.ran_level = take
-                gpu.ran_in_free = in_free
-            if gpu.ai_free > 0.0 or gpu.throttled:
-                allowed = gpu.free_cap - in_free
-                if gpu.ai_free > allowed + TOL or gpu.throttled:
+            if soft and (gpu.ai_granted > 0.0 or gpu.throttled):
+                in_free = take - ran_cap
+                if in_free < 0.0:
+                    in_free = 0.0
+                allowed = free_cap - in_free
+                if gpu.ai_granted > allowed + TOL or gpu.throttled:
                     orchestrator._apply_throttle(state, gpu, allowed)
                     applied = True
         if rem > TOL:
@@ -417,8 +423,8 @@ def random_scenario(seed: int) -> Scenario:
 def _gpu_state(state) -> list[tuple]:
     return [
         (
-            g.device.id, g.ran_level, g.ran_in_free, g.ai_hard, g.ai_free, g.ai_free_eff,
-            g.throttled, g.demand_last, g.epoch_max, tuple(g.epoch_history),
+            g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
+            g.demand_last, g.epoch_max, tuple(g.epoch_history),
             g.ai_ceiling, g.ran_integral, g.ai_integral, g.last_accrue_us,
         )
         for g in state.gpus
