@@ -19,9 +19,10 @@ of one ``settle_slot`` per slot, bit for bit:
 
 * constant demand (constant and trace profiles between profile changes) in
   closed form: one ``settle_slot``, which every later slot repeats;
-* otherwise with one array kernel over the fleet arrays, whatever the
-  segment's length, in blocks of at most ``CHUNK_CELLS`` (slot, GPU)
-  elements, so memory does not grow with segment length.
+* otherwise by slicing a RAN tape, the AI-independent RAN side of every
+  slot, which is computed for the whole fleet once per chunk of at most
+  ``CHUNK_CELLS`` (GPU, slot) cells of the slot grid, so memory does not
+  grow with segment length; a slice adds only the throttle test.
 
 A slot whose throttle test fires ends the segment (it may change job rates
 and schedule events). RAN demand comes from the one evaluator
@@ -758,6 +759,7 @@ class SimEngine:
             if self._dispatch(kind, payload, t_us):
                 self._skip_quiet_epochs(next_slot)
         state.clock_us = horizon_us
+        state.fleet.tape = None  # every slot is settled: free the RAN tape
         self._flush_samples(horizon_us + 1)
         self._close_trace()
         accrue_all(state)

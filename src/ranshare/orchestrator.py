@@ -240,6 +240,18 @@ class Fleet:
     and the level integrals change wherever the orchestrator changes them,
     through ``GpuState``'s properties or as whole arrays.
 
+    Each level integral has its own clock (``ran_accrue_us``,
+    ``ai_accrue_us``: the time up to which it is accrued). The RAN
+    integral accrues at the slots where the RAN level changes, in slot
+    order, and at the horizon; it is computed on the ``tape``, so no AI
+    event splits it. The AI integral accrues where the AI level may change:
+    a grant change, a throttle, a refresh, and the horizon.
+
+    ``tape`` is the ``RanTape`` that ``settle_segment`` slices, or None
+    until the next segment builds one: ``refresh_caches`` drops it, since
+    the tape holds the RAN side under the capacities and settling windows
+    it was built with.
+
     ``ai_granted`` is what a GPU's AI slice has granted, so its AI capacity
     left is ``ai_cap - ai_granted``, and ``ai_level`` is the rate AI runs
     at. The two are equal unless the policy is dynamic: there RAN and AI
@@ -256,8 +268,8 @@ class Fleet:
     __slots__ = (
         "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
         "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
-        "epoch_max", "ai_ceiling", "integrals", "ran_integral", "ai_integral",
-        "last_accrue_us",
+        "epoch_max", "ai_ceiling", "ran_integral", "ai_integral", "ran_accrue_us",
+        "ai_accrue_us", "tape",
     )
 
     def __init__(self, servers: list[ServerState]):
@@ -269,15 +281,17 @@ class Fleet:
             [s * width + p for s, size in enumerate(sizes) for p in range(size)], dtype=np.intp
         )
         self.last_rows = np.cumsum(sizes) - 1
-        for name in ("ai_cap", "ran_level", "ai_granted", "ai_level", "demand_last", "epoch_max"):
+        for name in (
+            "ai_cap", "ran_level", "ai_granted", "ai_level", "demand_last", "epoch_max",
+            "ran_integral", "ai_integral",
+        ):
             setattr(self, name, np.zeros(n))
-        # the level integrals, RAN then AI: two views of one array
-        self.integrals = np.zeros((2, n))
-        self.ran_integral, self.ai_integral = self.integrals
         self.ai_ceiling = np.ones(n)
         self.throttled = np.zeros(n, dtype=bool)
         self.settling_until_us = np.full(n, -1, dtype=np.int64)
-        self.last_accrue_us = np.zeros(n, dtype=np.int64)
+        self.ran_accrue_us = np.zeros(n, dtype=np.int64)
+        self.ai_accrue_us = np.zeros(n, dtype=np.int64)
+        self.tape = None  # see settle_segment
 
 
 @dataclass
@@ -313,10 +327,11 @@ class GpuState:
     demand_last = _column("demand_last")
     epoch_max = _column("epoch_max")
     ai_ceiling = _column("ai_ceiling")
-    # metrics accrual (microsecond clock)
+    # level integrals, each accrued up to its own clock (microseconds)
     ran_integral = _column("ran_integral")
     ai_integral = _column("ai_integral")
-    last_accrue_us = _column("last_accrue_us")
+    ran_accrue_us = _column("ran_accrue_us")
+    ai_accrue_us = _column("ai_accrue_us")
 
     def refresh_caches(self, soft_ran: bool):
         """Recompute the slice caches and zero the AI grant after a (re)partition.
@@ -342,18 +357,19 @@ class GpuState:
         fleet.grid_cap.flat[fleet.grid_rows[self.index]] = self.ai_cap if soft_ran else sum(
             i.compute_fraction for i in self.instances if i.tenant_class is TenantClass.RAN
         )
+        fleet.tape = None
 
     @property
     def ai_left(self) -> float:
         """What the AI slice has left to grant; ``_frees`` gives it for every GPU."""
         return self.ai_cap - self.ai_granted
 
-    def accrue(self, now_us: int):
-        dt = now_us - self.last_accrue_us
+    def accrue_ai(self, now_us: int):
+        """Accrue the AI level integral up to ``now_us``, before the AI level changes."""
+        dt = now_us - self.ai_accrue_us
         if dt > 0:
-            self.ran_integral += self.ran_level * dt
             self.ai_integral += self.ai_level * dt
-            self.last_accrue_us = now_us
+            self.ai_accrue_us = now_us
 
 
 @dataclass
@@ -530,22 +546,28 @@ def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     the forecaster and caps each GPU's AI at what RAN left of it; a split's
     hard AI slice is untouched by construction. Misses are appended to
     ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
-    exceeds 1e-9. Returns True when a GPU's throttle was applied, which may
-    have changed job rates and so queued completion events. This is
-    ``_settle_block`` over one slot.
+    exceeds 1e-9. A GPU's RAN integral accrues when its RAN level changes;
+    its AI integral, only when a throttle is applied. Returns True when a
+    GPU's throttle was applied, which may have changed job rates and so
+    queued completion events. This is a one-slot ``RanTape``, settled by
+    ``_settle_slice``.
     """
     rem = np.array(demands, dtype=float).reshape(-1, 1)
-    return _settle_block(state, np.array([state.clock_us]), np.array([t_s]), rem) == 0
+    tape = _ran_tape(state, np.array([state.clock_us]), np.array([t_s]), rem)
+    return _settle_slice(state, tape, 0, 1) == 0
 
 
 def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     """Cap the GPU's AI rates at ``allowed``, trimming newest jobs first.
 
     This is the dynamic policy's per-slot cap; a split never throttles.
+    When the cap does not bite, every job runs at its grant, and AI at
+    exactly ``ai_granted``: only a job not at its grant changes rate.
     """
     if allowed < 0.0:
         allowed = 0.0
-    remaining = allowed
+    bites = gpu.ai_granted > allowed
+    remaining = allowed if bites else math.inf
     eff_total = 0.0
     # oldest first: the oldest job keeps its rate
     for job in sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)):
@@ -554,13 +576,14 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
         eff_total += rate
         if rate != job.service_rate:
             set_rate(state, job, rate)
-    gpu.accrue(state.clock_us)
-    gpu.ai_level = eff_total
-    gpu.throttled = eff_total < gpu.ai_granted - TOL
+    gpu.accrue_ai(state.clock_us)
+    gpu.ai_level = eff_total if bites else gpu.ai_granted
+    gpu.throttled = bites and eff_total < gpu.ai_granted - TOL
 
 
-# Segments settle in blocks of at most CHUNK_CELLS (slot, GPU) elements, so the
-# arrays stay small however long a segment is (and on the heap: see SimEngine.run).
+# A RAN tape covers at most one chunk of the slot grid, CHUNK_CELLS (GPU, slot)
+# cells, so its arrays stay small however long a segment is (and on the heap:
+# see SimEngine.run).
 CHUNK_CELLS = 16384
 
 
@@ -578,6 +601,28 @@ class DemandModel:
     stepwise: bool
 
 
+class RanTape:
+    """The RAN side of settling a run of slots, which no AI state changes.
+
+    RAN is granted before AI, so each slot's RAN levels, misses and
+    forecast inputs follow from demand, ``grid_cap`` and the settling
+    windows alone. Slot ``k`` of the tape is at ``first_us + k * slot_us``,
+    for ``k < size``. Per (slot, GPU): ``take`` is the RAN level, and
+    ``ran_integral`` and ``ran_accrue_us`` are the RAN integral and its
+    clock after the slot. Under the dynamic policy, ``asked`` is what the
+    GPU was asked to serve (-inf while it settles) and ``room`` what RAN
+    left for AI, ``ai_cap - take`` (+inf while it settles). ``live`` marks
+    the (slot, GPU) cells that do not settle, or is None when none settles.
+    ``misses`` are the tape's misses in order and ``miss_slots`` their
+    slots. ``next`` is the first slot not yet settled from the tape.
+    """
+
+    __slots__ = (
+        "first_us", "size", "next", "take", "ran_integral", "ran_accrue_us",
+        "asked", "room", "live", "misses", "miss_slots",
+    )
+
+
 def settle_segment(
     state: ClusterState,
     first_us: int,
@@ -593,9 +638,14 @@ def settle_segment(
     last slot, and no GPU is settling, one ``settle_slot`` gives every slot
     (a trace point between events moves demand only at the event's slot,
     the last, or, when it lies in (0, 0.5) us and so has no event, at the
-    second). Otherwise ``_settle_block`` settles blocks of up to
-    ``CHUNK_CELLS`` (slot, GPU) elements; while a GPU is throttled, whose
-    test then fires at every slot, a block holds one slot.
+    second). Otherwise the segment slices the fleet's ``RanTape``. A tape
+    runs from the slot it is built at to the end of that slot's chunk of
+    the grid (``CHUNK_CELLS // len(state.gpus)`` slots per chunk), and the
+    segment builds one, with one ``demand.vector`` call, when the tape it
+    finds does not go on at the segment's next slot: in a new chunk, and
+    after ``refresh_caches`` or a closed-form segment. A slice reads the
+    RAN side off the tape and runs the throttle test; while a GPU is
+    throttled, whose test then fires at every slot, a slice holds one slot.
 
     A slot that applies a throttle may change job rates and schedule
     events, so the call returns after it: the return value is the number of
@@ -628,121 +678,164 @@ def settle_segment(
     chunk = max(1, CHUNK_CELLS // len(state.gpus))
     j = i = 0  # slots[:j] are settled and samples[:i] emitted
     while j < count:
-        hi = min(j + (1 if fleet.throttled.any() else chunk), count)
+        t0 = first_us + j * slot_us
+        tape = fleet.tape
+        if tape is None or tape.next == tape.size or tape.first_us + tape.next * slot_us != t0:
+            tape = fleet.tape = None  # one tape at a time
+            t_us = t0 + slot_us * np.arange(chunk - t0 // slot_us % chunk, dtype=np.int64)
+            t_s = t_us / US
+            tape = fleet.tape = _ran_tape(state, t_us, t_s, demand.vector(t_s))
+        a = tape.next
+        b = min(tape.size, a + (1 if fleet.throttled.any() else count - j))
+        hi = j + b - a
         i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
-        t_us = first_us + slot_us * np.arange(j, hi, dtype=np.int64)
-        t_s = t_us / US
-        fired = _settle_block(state, t_us, t_s, demand.vector(t_s), samples[i:i_hi], emit)
-        if fired < hi - j:
+        fired = _settle_slice(state, tape, a, b, samples[i:i_hi], emit)
+        if fired < b - a:
             return j + fired + 1
         j, i = hi, i_hi
     return count
 
 
-def _settle_block(state, t_us, t_s, rem, samples=range(0), emit=None) -> int:
-    """Settle the slots at ``t_us`` (int64 us; ``t_s`` in s) in one array pass.
+def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
+    """The RAN tape of the slots at ``t_us`` (int64 us; ``t_s`` in s), from the fleet as it is.
 
-    ``rem`` is each server's demand, (server, slot); the other arrays are
-    (GPU, slot), or (server, GPU position, slot) while demand fills one GPU
+    ``rem`` is each server's demand, (server, slot). The tape's arrays are
+    (slot, GPU), or (slot, server, GPU position) while demand fills one GPU
     position of every server at a time. Every element goes through the
     float operations of ``settle_slot``'s rule applied one GPU at a time,
-    in the same order, so the result is that rule's slot by slot, bit for
-    bit (``tests/test_segments.py`` keeps the scalar form). A position a
-    server lacks, and a GPU at a slot it is settling, meets a capacity of
-    0, which takes nothing and leaves the remainder as it is; a settling
-    GPU feeds no forecast input and has no throttle test. Only the dynamic
-    policy has a throttle test: its room for AI is ``ai_cap - take``. Level
-    integrals accrue only at the slots where the level changes, summed in
-    slot order.
-
-    The first slot whose throttle test fires ends the block: its levels are
-    settled, then ``_apply_throttle`` runs for its firing GPUs in GPU order
-    (a throttle touches only its own GPU). Returns that slot's index, or
-    the number of slots when none fires. Of ``samples`` (us), which fall in
-    the block, those before the firing slot go to ``emit``.
+    in the same order, so the tape is that rule's slot by slot, bit for bit
+    (``tests/test_segments.py`` keeps the scalar form). A position a server
+    lacks, and a GPU at a slot it is settling, meets a capacity of 0, which
+    takes nothing and leaves the remainder as it is. The RAN integral
+    accrues only at the slots where the level changes, summed in slot order.
     """
     fleet = state.fleet
     n = t_us.size
     servers, width = fleet.grid_cap.shape
-    caps = fleet.grid_cap[:, :, None]  # (server, position, slot)
-    live = None  # (GPU, slot): not settling
+    rem = rem.T  # (slot, server)
+    caps = fleet.grid_cap  # (server, position), or (slot, server, position)
+    live = None  # (slot, GPU): not settling
     if fleet.settling_until_us.max() >= t_us[0]:
-        live = fleet.settling_until_us[:, None] < t_us
-        grid_live = np.ones((servers * width, n), dtype=bool)
-        grid_live[fleet.grid_rows] = live
-        caps = np.where(grid_live.reshape(servers, width, n), caps, 0.0)
-    take = np.zeros((servers, width, n))
+        live = t_us[:, None] > fleet.settling_until_us
+        grid_live = np.ones((n, servers * width), dtype=bool)
+        grid_live[:, fleet.grid_rows] = live
+        caps = np.where(grid_live.reshape(n, servers, width), caps, 0.0)
+    take = np.zeros((n, servers, width))
     for p in range(width):
         if not rem.any():
             break  # no demand is left, so every later take is 0.0
         # take = rem if rem < cap else cap; rem = 0.0 if rem < cap else rem - cap
-        np.minimum(rem, caps[:, p], out=take[:, p])
-        rem = np.maximum(rem - caps[:, p], 0.0)
-    take = take.reshape(servers * width, n)[fleet.grid_rows]
-    granted = fleet.ai_granted
+        np.minimum(rem, caps[..., p], out=take[..., p])
+        rem = np.maximum(rem - caps[..., p], 0.0)
+    take = take.reshape(n, servers * width)[:, fleet.grid_rows]
 
-    stop = n
-    sharing = (granted > 0.0) | fleet.throttled  # the GPUs with a throttle test
-    if state.soft_ran and sharing.any():
-        room = fleet.ai_cap[:, None] - take
-        fire = ((granted[:, None] > room + TOL) & sharing[:, None]) | fleet.throttled[:, None]
-        if live is not None:
-            fire &= live
-        hits = np.flatnonzero(fire.any(axis=0))
-        stop = int(hits[0]) if hits.size else n
-    if stop < n:
-        firing = np.flatnonzero(fire[:, stop])
-        allowed = room[firing, stop].tolist()
-        take, rem, t_us, t_s = (a[..., :stop + 1] for a in (take, rem, t_us, t_s))
-        live = None if live is None else live[:, :stop + 1]
-
-    before = np.concatenate((fleet.ran_level[:, None], take[:, :-1]), axis=1)
+    before = np.concatenate((fleet.ran_level[None], take[:-1]))
     changed = take != before
-    # the last accrual time before each slot, and after the last one
-    accrued = np.empty((len(take), t_us.size + 1), dtype=np.int64)
-    accrued[:, 0] = fleet.last_accrue_us
-    np.multiply(changed, t_us, out=accrued[:, 1:])
-    np.maximum.accumulate(accrued, axis=1, out=accrued)
-    # time since the last accrual where the level changes, else 0: there the
-    # scalar rule does not accrue, and adding 0.0 changes no integral
-    dt = (t_us - accrued[:, :-1]) * changed
-    # each integral, RAN then AI, and what each slot adds to it
-    sums = np.empty((2, len(take), t_us.size + 1))
-    sums[:, :, 0] = fleet.integrals
-    np.multiply(before, dt, out=sums[0, :, 1:])
-    np.multiply(fleet.ai_level[:, None], dt, out=sums[1, :, 1:])
-    fleet.integrals[:] = np.add.accumulate(sums, axis=2, out=sums)[:, :, -1]
-    fleet.ran_level[:] = take[:, -1]
-    fleet.last_accrue_us[:] = accrued[:, -1]
+    # the integral's clock before each slot, and after the last one
+    accrued = np.empty((n + 1, len(fleet.ran_level)), dtype=np.int64)
+    accrued[0] = fleet.ran_accrue_us
+    np.multiply(changed, t_us[:, None], out=accrued[1:])
+    np.maximum.accumulate(accrued, out=accrued)
+    # the integral before each slot, and what the slot adds: the old level
+    # times the time since the last accrual where the level changes, else
+    # 0.0, which changes no integral (the scalar rule does not accrue there)
+    sums = np.empty((n + 1, len(fleet.ran_level)))
+    sums[0] = fleet.ran_integral
+    dt = t_us[:, None] - accrued[:-1]
+    dt *= changed
+    np.multiply(before, dt, out=sums[1:])
+    del before, changed, dt  # temporaries, freed before the AI side's arrays are made
+    np.add.accumulate(sums, out=sums)
+
+    tape = RanTape()
+    tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
+    tape.take, tape.live = take, live
+    tape.ran_integral, tape.ran_accrue_us = sums[1:], accrued[1:]
+    tape.asked = tape.room = None
     if state.soft_ran:
         # what each GPU was asked to serve: its take, plus the server's
         # shortfall on the server's last GPU (take + 0.0 is take)
         asked = take
         if rem.any():
             asked = take.copy()
-            asked[fleet.last_rows] += rem
-        if live is None:
-            fleet.demand_last[:] = asked[:, -1]
-        else:
-            np.copyto(fleet.demand_last, asked[:, -1], where=live[:, -1])
+            asked[:, fleet.last_rows] += rem
+        room = fleet.ai_cap - take
+        if live is not None:
             asked = np.where(live, asked, -np.inf)
-        np.maximum(fleet.epoch_max, asked.max(axis=1), out=fleet.epoch_max)
+            room = np.where(live, room, np.inf)
+        tape.asked, tape.room = asked, room
+    slots, owners = np.nonzero(rem > TOL)  # by slot, then by server
+    ids = fleet.server_ids
+    missed = zip(t_s[slots].tolist(), owners.tolist(), rem[slots, owners].tolist())
+    tape.misses = [(t, ids[si], shortfall) for t, si, shortfall in missed]
+    tape.miss_slots = slots.tolist()
+    return tape
 
-    slots, owners = np.nonzero(rem.T > TOL)  # by slot, then by server
-    if slots.size:
-        ids = fleet.server_ids
-        missed = zip(t_s[slots].tolist(), owners.tolist(), rem[owners, slots].tolist())
-        state.misses.extend((t, ids[si], shortfall) for t, si, shortfall in missed)
+
+def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
+    """The first of the tape's slots ``a:b`` whose throttle test fires, and the GPUs it fires for.
+
+    Only the dynamic policy has a throttle test. It fires where a GPU's AI
+    grant exceeds the slot's ``room`` by more than TOL, and at every slot a
+    throttled GPU is live. RAN takes at most ``ai_cap`` of a whole GPU, so
+    ``room`` is never negative and a GPU without a grant never fires.
+    Returns ``(b, None)`` when no test fires.
+    """
+    if not state.soft_ran:
+        return b, None
+    fleet = state.fleet
+    granted, throttled = fleet.ai_granted, fleet.throttled
+    room = tape.room[a:b]
+    if throttled.any():
+        held_back = throttled if tape.live is None else throttled & tape.live[a:b]
+        fire = (granted > room + TOL) | held_back
+    else:
+        # x + TOL never falls as x grows, so a GPU's test fires somewhere in
+        # the slice exactly when it fires at the slice's least room
+        if not (granted > room.min(axis=0) + TOL).any():
+            return b, None
+        fire = granted > room + TOL
+    hits = fire.any(axis=1)
+    k = int(hits.argmax())
+    return (a + k, np.flatnonzero(fire[k])) if hits[k] else (b, None)
+
+
+def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=range(0), emit=None):
+    """Settle the tape's slots ``a:b``: read the RAN side off it and run the throttle test.
+
+    The first slot whose throttle test fires ends the slice: its levels are
+    settled, then ``_apply_throttle`` runs for its firing GPUs in GPU order
+    (a throttle touches only its own GPU). Returns that slot's index from
+    ``a``, or ``b - a`` when none fires. Of ``samples`` (us), which fall in
+    the slice, those before the firing slot go to ``emit``.
+    """
+    fleet, slot_us = state.fleet, state.slot_us
+    stop, firing = _first_fire(state, tape, a, b)
+    last = min(stop, b - 1)
+    fleet.ran_level[:] = tape.take[last]
+    fleet.ran_integral[:] = tape.ran_integral[last]
+    fleet.ran_accrue_us[:] = tape.ran_accrue_us[last]
+    if state.soft_ran:
+        asked = tape.asked[a:last + 1]
+        if tape.live is None:
+            fleet.demand_last[:] = asked[-1]
+        else:
+            np.copyto(fleet.demand_last, asked[-1], where=tape.live[last])
+        np.maximum(fleet.epoch_max, asked.max(axis=0), out=fleet.epoch_max)
+    lo = bisect.bisect_left(tape.miss_slots, a)
+    state.misses.extend(tape.misses[lo:bisect.bisect_left(tape.miss_slots, last + 1, lo)])
     if samples:
         # the slot whose state each sample shows, up to the firing one
-        marks = [(t - int(t_us[0])) // state.slot_us for t in samples]
+        first_us = tape.first_us + a * slot_us
+        marks = [a + (t - first_us) // slot_us for t in samples]
         marks = marks[:bisect.bisect_left(marks, stop)]
-        emit(take[:, marks].T, fleet.ai_level, len(marks))
-    state.clock_us = int(t_us[-1])
-    if stop < n:
-        for g, room_g in zip(firing.tolist(), allowed):
-            _apply_throttle(state, state.gpus[g], room_g)
-    return stop
+        emit(tape.take[marks], fleet.ai_level, len(marks))
+    state.clock_us = tape.first_us + last * slot_us
+    tape.next = last + 1
+    if firing is not None:
+        for g, room in zip(firing.tolist(), tape.room[stop, firing].tolist()):
+            _apply_throttle(state, state.gpus[g], room)
+    return stop - a
 
 
 # -- placement ---------------------------------------------------------------
@@ -1006,7 +1099,7 @@ def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float)
     GPU's grant and the job's both move by ``amount``, and AI runs at the
     new grant until ``_refresh_effective`` caps it.
     """
-    gpu.accrue(state.clock_us)
+    gpu.accrue_ai(state.clock_us)
     gpu.ai_granted += amount
     gpu.ai_level = gpu.ai_granted
     job.granted_fraction += amount
@@ -1026,11 +1119,14 @@ def _accrue_job(job: AiJob, now_us: int):
 def accrue_all(state: ClusterState):
     """Bring every GPU's level integrals and every running job's work up to the clock."""
     fleet = state.fleet
-    dt = state.clock_us - fleet.last_accrue_us
-    due = dt > 0
-    fleet.ran_integral[due] += fleet.ran_level[due] * dt[due]
-    fleet.ai_integral[due] += fleet.ai_level[due] * dt[due]
-    fleet.last_accrue_us[due] = state.clock_us
+    for integral, level, clock in (
+        (fleet.ran_integral, fleet.ran_level, fleet.ran_accrue_us),
+        (fleet.ai_integral, fleet.ai_level, fleet.ai_accrue_us),
+    ):
+        dt = state.clock_us - clock
+        due = dt > 0
+        integral[due] += level[due] * dt[due]
+        clock[due] = state.clock_us
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             _accrue_job(job, state.clock_us)
@@ -1125,7 +1221,7 @@ def _refresh_effective(state: ClusterState, gpu: GpuState):
     if gpu.ai_granted > allowed + TOL or gpu.throttled:
         _apply_throttle(state, gpu, allowed)
     else:
-        gpu.accrue(state.clock_us)
+        gpu.accrue_ai(state.clock_us)
         gpu.ai_level = gpu.ai_granted
 
 
@@ -1218,7 +1314,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu = state.gpu_by_id(action.gpu_id)
     for job in list(gpu.jobs):  # drain AI before resizing
         preempt_job(state, gpu, job)
-    gpu.accrue(state.clock_us)
+    gpu.accrue_ai(state.clock_us)
     gpu.generation += 1
     gpu.instances = compute.repartition(
         gpu.device,

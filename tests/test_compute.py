@@ -86,8 +86,9 @@ def assert_ledger(state) -> float:
 
     AI runs at no more than its grant. Under a split it runs at exactly its
     grant and is never throttled. Under the dynamic policy a GPU that is not
-    throttled runs at its grant within TOL: an unthrottled cap sums the job
-    rates oldest first, which may round apart from the grant's own sum.
+    throttled runs at its grant within TOL: a cap that does not bite gives
+    AI exactly its grant, but one that bites by TOL or less leaves the GPU
+    unthrottled just below it.
     """
     total = 0.0
     for gpu_state in state.gpus:

@@ -14,6 +14,7 @@ from ranshare.orchestrator import (
     Policy,
     PolicyKind,
     ScaleAction,
+    _apply_throttle,
     apply_actions,
     backfill_queue,
     build_cluster_state,
@@ -392,6 +393,36 @@ class TestRanPriority:
         # relief: demand drops, AI rate restored
         settle_slot(state, 0.0005, [0.1])
         assert j.service_rate == pytest.approx(0.85)
+
+    def test_unthrottle_restores_the_exact_grant(self):
+        """A cap that stops biting gives each job its grant, and AI exactly the GPU's grant.
+
+        The grants sum to 0.8 in the order the jobs started, but oldest first
+        (0.3, 0.4) they leave 0.09999999999999998 of 0.8 for the newest job's
+        0.1. Neither that rounding nor a trim by a few ulps may reach the AI
+        level, a job's rate or a job's version.
+        """
+        state = poc_state(DYNAMIC)
+        gpu1 = state.gpu_by_id("gpu1")
+        enqueue(state, job("new", 0.1, arrival=2.0), job("mid", 0.4, arrival=1.0), job("old", 0.3))
+        for jid in ("new", "mid", "old"):
+            start_job(state, state.jobs[jid], gpu1, state.jobs[jid].demand_fraction)
+        granted = gpu1.ai_granted
+        assert granted == 0.8 and granted - 0.3 - 0.4 < 0.1
+        settle_slot(state, 0.0, [0.5])  # RAN leaves AI 0.5: "mid" and "new" are cut
+        assert gpu1.throttled
+        versions = {jid: j.version for jid, j in state.jobs.items()}
+        state.clock_us = 500
+        settle_slot(state, 0.0005, [1.0 - granted])  # RAN leaves AI exactly its grant
+        assert gpu1.ai_level == granted and not gpu1.throttled
+        assert all(j.service_rate == j.granted_fraction for j in state.jobs.values())
+        moved = {jid: j.version - versions[jid] for jid, j in state.jobs.items()}
+        assert moved == {"old": 0, "mid": 1, "new": 1}
+        # the cap at the grant, once more: no job changes rate
+        versions = {jid: j.version for jid, j in state.jobs.items()}
+        _apply_throttle(state, gpu1, granted)
+        assert gpu1.ai_level == granted and not gpu1.throttled
+        assert {jid: j.version for jid, j in state.jobs.items()} == versions
 
     def test_ran_fills_gpus_in_order(self):
         policy = Policy(

@@ -10,6 +10,13 @@ through the engine, and everything the run leaves behind must be equal:
 report bytes, the rows, the raw miss list, every GPU's levels, forecast
 inputs and level integrals, and every job. Targeted scenarios check the
 same for runs that skip quiescent policy epochs.
+
+Each level integral runs on its own clock. The RAN integral accrues at
+the slots where the RAN level changes and at the horizon, so no AI event
+splits it; the AI integral accrues where the orchestrator may change the
+AI level (grant changes, throttles, refreshes) and at the horizon. The
+references state the RAN half; the AI half is the orchestrator's own
+code, which both runs call.
 """
 
 import copy
@@ -22,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ranshare import engine as engine_module
 from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.engine import (
@@ -42,6 +50,7 @@ from ranshare.workload import (
     ArrivalKind,
     Calibration,
     CellConfig,
+    JobState,
     LoadProfile,
     ProfileKind,
     SloClass,
@@ -50,6 +59,8 @@ from ranshare.workload import (
     slot_duration,
     uniform,
 )
+
+from test_golden import _load_workloads, fleet_text
 
 ROOT = Path(__file__).resolve().parents[1]
 US = 1_000_000
@@ -60,11 +71,12 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
 
     Per server, demand fills GPUs in declaration order; a GPU that is
     settling takes nothing. RAN meets a GPU's RAN slices, and under the
-    dynamic policy its FREE capacity too. Only under the dynamic policy
-    does each GPU record what it was asked to serve, and a GPU whose AI
-    grant exceeds the FREE capacity RAN left over, or that is throttled,
-    has its throttle applied at once. Returns True when a throttle was
-    applied.
+    dynamic policy its FREE capacity too. A GPU whose RAN level changes
+    accrues its RAN integral first, on the RAN clock. Only under the
+    dynamic policy does each GPU record what it was asked to serve, and a
+    GPU whose AI grant exceeds the FREE capacity RAN left over, or that is
+    throttled, has its throttle applied at once (which accrues the AI
+    integral). Returns True when a throttle was applied.
     """
     TOL = orchestrator.TOL
     soft = state.soft_ran
@@ -74,7 +86,7 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
         for gpu in srv.gpus:
             if gpu.settling_until_us >= now_us:
                 if gpu.ran_level != 0.0:
-                    gpu.accrue(now_us)
+                    accrue(gpu, "ran", now_us)
                     gpu.ran_level = 0.0
                 continue
             ran_cap = free_cap = 0.0
@@ -96,7 +108,7 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 if asked > gpu.epoch_max:
                     gpu.epoch_max = asked
             if take != gpu.ran_level:
-                gpu.accrue(now_us)
+                accrue(gpu, "ran", now_us)
                 gpu.ran_level = take
             if soft and (gpu.ai_granted > 0.0 or gpu.throttled):
                 in_free = take - ran_cap
@@ -109,6 +121,26 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
         if rem > TOL:
             state.misses.append((t_s, srv.server.id, rem))
     return applied
+
+
+def accrue(gpu, level: str, now_us: int):
+    """Accrue ``gpu``'s ``level`` ("ran" or "ai") integral up to ``now_us``, on its own clock."""
+    clock = f"{level}_accrue_us"
+    dt = now_us - getattr(gpu, clock)
+    if dt > 0:
+        integral = f"{level}_integral"
+        setattr(gpu, integral, getattr(gpu, integral) + getattr(gpu, f"{level}_level") * dt)
+        setattr(gpu, clock, now_us)
+
+
+def reference_accrue_all(state):
+    """``accrue_all`` one GPU and one job at a time: both integrals and all work up to the clock."""
+    for gpu in state.gpus:
+        accrue(gpu, "ran", state.clock_us)
+        accrue(gpu, "ai", state.clock_us)
+    for job in state.jobs.values():
+        if job.state is JobState.RUNNING:
+            orchestrator._accrue_job(job, state.clock_us)
 
 
 class ReferenceSampler:
@@ -282,7 +314,7 @@ def reference_run(eng: SimEngine):
         eng._dispatch(kind, payload, t_us)
     state.clock_us = horizon_us
     sampler.flush(horizon_us + 1)
-    orchestrator.accrue_all(state)
+    reference_accrue_all(state)
     report = eng._report()  # its summary is empty: eng.trace holds no samples
     if sampler.rows:
         summary = reference_summarize(sampler.rows, len(report.deadline_misses))
@@ -425,7 +457,7 @@ def _gpu_state(state) -> list[tuple]:
         (
             g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
             g.demand_last, g.epoch_max, tuple(g.epoch_history),
-            g.ai_ceiling, g.ran_integral, g.ai_integral, g.last_accrue_us,
+            g.ai_ceiling, g.ran_integral, g.ai_integral, g.ran_accrue_us, g.ai_accrue_us,
         )
         for g in state.gpus
     ]
@@ -449,19 +481,38 @@ def _counting(monkeypatch, counts: dict, name: str):
     monkeypatch.setattr(orchestrator, name, wrapper)
 
 
-def _recording_blocks(monkeypatch) -> list[tuple[int, int, bool]]:
-    """Record each ``_settle_block`` call as (slots, fired slot or slots, any GPU settling)."""
-    blocks = []
-    original = orchestrator._settle_block
+def _recording_slices(monkeypatch) -> list[tuple[int, int, bool, int]]:
+    """Record each ``_settle_slice`` call.
 
-    def recording(state, t_us, *rest):
-        settling = bool((state.fleet.settling_until_us >= t_us[0]).any())
-        fired = original(state, t_us, *rest)
-        blocks.append((t_us.size, fired, settling))
+    A record is (slots, fired slot or slots, any GPU settling, the slice's
+    first slot on its tape): a slice that starts past its tape's first
+    slot reads a tape an earlier slice read too.
+    """
+    slices = []
+    original = orchestrator._settle_slice
+
+    def recording(state, tape, a, b, *rest):
+        t_us = tape.first_us + a * state.slot_us
+        settling = bool((state.fleet.settling_until_us >= t_us).any())
+        fired = original(state, tape, a, b, *rest)
+        slices.append((b - a, fired, settling, a))
         return fired
 
-    monkeypatch.setattr(orchestrator, "_settle_block", recording)
-    return blocks
+    monkeypatch.setattr(orchestrator, "_settle_slice", recording)
+    return slices
+
+
+def _recording_tapes(monkeypatch) -> list[tuple[int, int]]:
+    """Record each RAN tape built as (its first slot's time in us, its slots)."""
+    tapes = []
+    original = orchestrator._ran_tape
+
+    def recording(state, t_us, *rest):
+        tapes.append((int(t_us[0]), t_us.size))
+        return original(state, t_us, *rest)
+
+    monkeypatch.setattr(orchestrator, "_ran_tape", recording)
+    return tapes
 
 
 # the engine calls settle_slot only for a segment it settles in closed form
@@ -490,11 +541,11 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
 
 
 def test_segments_match_slot_by_slot_loop(monkeypatch):
-    """120 random scenarios; odd seeds settle in blocks of a few slots."""
+    """120 random scenarios; odd seeds settle on tapes of a few slots."""
     counts: dict[str, int] = {}
     for name in PATHS:
         _counting(monkeypatch, counts, name)
-    blocks = _recording_blocks(monkeypatch)
+    slices = _recording_slices(monkeypatch)
     default = orchestrator.CHUNK_CELLS
     misses = throttled = 0
     for seed in range(120):
@@ -507,14 +558,19 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
         eng = assert_same_run(sc, seed)
         throttled += counts.get("_apply_throttle", 0) > before
         misses += bool(eng.state.misses)
-    # every settlement path, and each case the block kernel handles, was exercised
+    # every settlement path, and each case a tape slice handles, was exercised
     for name in PATHS:
         assert counts.get(name, 0) > 0, (name, counts)
     cases = {
-        "one slot": any(n == 1 for n, _fired, _settling in blocks),
-        "many slots": any(n > 1 and fired == n for n, fired, _settling in blocks),
-        "fired inside": any(0 < fired < n - 1 for n, fired, _settling in blocks),
-        "settling": any(settling for _n, _fired, settling in blocks),
+        "one slot": any(n == 1 for n, _fired, _settling, _a in slices),
+        "many slots": any(n > 1 and fired == n for n, fired, _settling, _a in slices),
+        "fired inside": any(0 < fired < n - 1 for n, fired, _settling, _a in slices),
+        "settling": any(settling for _n, _fired, settling, _a in slices),
+        "tape read again": any(a > 0 for _n, _fired, _settling, a in slices),
+        "read again after a throttle": any(
+            fired < n and nxt[3] == a + fired + 1
+            for (n, fired, _settling, a), nxt in zip(slices, slices[1:])
+        ),
     }
     assert all(cases.values()), cases
     assert misses > 0 and throttled > 0, (misses, throttled)
@@ -538,7 +594,7 @@ def test_overloaded_dynamic_fleet(monkeypatch):
     exceeds the GPU; srv1 spills over two GPUs. No AI runs, so no throttle
     cuts the passes short.
     """
-    blocks = _recording_blocks(monkeypatch)
+    slices = _recording_slices(monkeypatch)
     diurnal = [
         LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.5, maximum=1.0, period_s=p)
         for p in (0.07, 0.3, 1.1)
@@ -559,7 +615,7 @@ def test_overloaded_dynamic_fleet(monkeypatch):
         sample_interval_s=0.002,
     )
     eng = assert_same_run(sc, "overload")
-    assert any(n > 1 for n, _fired, _settling in blocks) and eng.state.misses
+    assert any(n > 1 for n, _fired, _settling, _a in slices) and eng.state.misses
     assert max(g.epoch_max for g in eng.state.gpus) > 1.0
 
 
@@ -591,7 +647,7 @@ def test_throttle_inside_numpy_pass(monkeypatch):
     whose demand tops the previous epoch's last value by the margin, some
     slots into the epoch; a sample at every slot makes one fall on it.
     """
-    blocks = _recording_blocks(monkeypatch)
+    slices = _recording_slices(monkeypatch)
     profile = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.1, maximum=1.0, period_s=0.5)
     sc = Scenario(
         name="rising",
@@ -607,7 +663,7 @@ def test_throttle_inside_numpy_pass(monkeypatch):
         sample_interval_s=0.0005,
     )
     assert_same_run(sc, "rising")
-    assert any(0 < fired < n for n, fired, _settling in blocks)
+    assert any(0 < fired < n for n, fired, _settling, _a in slices)
 
 
 def test_trace_point_without_event():
@@ -650,12 +706,13 @@ def test_steady_segment_count_on_uplift(monkeypatch):
     assert_same_run(sc, "uplift")
 
 
-# -- edge cases of the block kernel -----------------------------------------
+# -- edge cases of tapes and slices ------------------------------------------
 
 
 def test_one_slot_segments(monkeypatch):
-    """An epoch at every slot makes every segment, and so every block, one slot long."""
-    blocks = _recording_blocks(monkeypatch)
+    """An epoch at every slot makes every segment, and so every slice, one slot long."""
+    slices = _recording_slices(monkeypatch)
+    tapes = _recording_tapes(monkeypatch)
     fast = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.1, maximum=1.0, period_s=0.02)
     sc = Scenario(
         name="one-slot",
@@ -676,8 +733,10 @@ def test_one_slot_segments(monkeypatch):
         sample_interval_s=0.0005,
     )
     eng = assert_same_run(sc, "one-slot")
-    assert blocks and all(n == 1 for n, _fired, _settling in blocks)
-    assert any(fired == 0 for _n, fired, _settling in blocks) and eng.state.misses
+    assert slices and all(n == 1 for n, _fired, _settling, _a in slices)
+    assert any(fired == 0 for _n, fired, _settling, _a in slices) and eng.state.misses
+    # one tape covers the run, whatever throttles fire: 100 slices read it
+    assert len(tapes) == 1 and [a for *_rest, a in slices] == list(range(100))
 
 
 def test_throttle_fires_at_the_first_and_the_last_slot_of_a_segment(monkeypatch):
@@ -688,9 +747,9 @@ def test_throttle_fires_at_the_first_and_the_last_slot_of_a_segment(monkeypatch)
     1.5000002 s rounds to an event at 1.5 s too, but the slot at 1.5 s
     does not see it yet: the first slot of the segment after the event
     does. A small diurnal cell keeps demand from being stepwise, so the
-    segments settle in blocks, not in closed form.
+    segments slice the tape rather than settle in closed form.
     """
-    blocks = _recording_blocks(monkeypatch)
+    slices = _recording_slices(monkeypatch)
     step = LoadProfile(
         ProfileKind.TRACE, points=((0.0, 0.3), (0.5, 0.9), (1.0, 0.3), (1.5000002, 0.9))
     )
@@ -709,12 +768,18 @@ def test_throttle_fires_at_the_first_and_the_last_slot_of_a_segment(monkeypatch)
         sample_interval_s=0.01,
     )
     assert_same_run(sc, "first and last")
-    assert (200, 199, False) in blocks and (200, 0, False) in blocks, blocks
+    firsts_and_lasts = {(n, fired, settling) for n, fired, settling, _a in slices}
+    assert {(200, 199, False), (200, 0, False)} <= firsts_and_lasts, slices
 
 
 def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
-    """The middle GPU of three repartitions and settles while its neighbours stay live."""
-    blocks = _recording_blocks(monkeypatch)
+    """The middle GPU of three repartitions and settles while its neighbours stay live.
+
+    Each repartition changes the GPU's capacity and settling window, so the
+    tape is built again from the slot after it.
+    """
+    slices = _recording_slices(monkeypatch)
+    tapes = _recording_tapes(monkeypatch)
     gpus = tuple(GpuDevice(f"srv1-gpu{j}") for j in range(3))
     diurnal = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.3, maximum=1.0, period_s=0.05)
     sc = Scenario(
@@ -736,7 +801,8 @@ def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
         sample_interval_s=0.001,
     )
     eng = assert_same_run(sc, "settling middle")
-    assert any(settling and n > 1 for n, _fired, settling in blocks), blocks
+    assert any(settling and n > 1 for n, _fired, settling, _a in slices), slices
+    assert [t_us for t_us, _n in tapes] == [0, 50_500, 100_500], tapes
     assert [ev.subject for ev in eng.state.events if ev.kind == "repartition"] == ["srv1-gpu1"] * 2
     assert eng.state.misses
 
@@ -759,25 +825,25 @@ def _run_free_job(state, gpu, grant: float, jid: str):
     orchestrator.start_job(state, job, gpu, grant)
 
 
-def assert_block_matches_slots(state, demands: np.ndarray) -> int:
-    """``_settle_block`` over ``demands`` (server, slot) from the next slot, against the reference.
+def assert_slice_matches_slots(state, tape, a: int, demands: np.ndarray) -> int:
+    """``_settle_slice`` over the tape's slots from ``a`` on, against the reference.
 
-    A copy of ``state`` settles the same slots one ``reference_settle_slot``
+    ``demands`` (server, slot) are the demands the tape was built from. A
+    copy of ``state`` settles the same slots one ``reference_settle_slot``
     at a time, up to the first that applies a throttle. Both must stop at
     the same slot and leave every GPU, job, miss and queued event equal.
-    Returns the index of the slot that fired, or the number of slots.
+    Returns the index from ``a`` of the slot that fired, or the number of
+    slots from ``a``.
     """
     ref = copy.deepcopy(state)
-    n = demands.shape[1]
-    t_us = state.clock_us + state.slot_us * np.arange(1, n + 1, dtype=np.int64)
-    fired = orchestrator._settle_block(state, t_us, t_us / US, demands)
-    for k, t in enumerate(t_us.tolist()):
-        ref.clock_us = t
+    fired = orchestrator._settle_slice(state, tape, a, tape.size)
+    for k in range(a, tape.size):
+        ref.clock_us = t = tape.first_us + k * state.slot_us
         if reference_settle_slot(ref, t / US, demands[:, k].tolist()):
-            assert fired == k
+            assert fired == k - a
             break
     else:
-        assert fired == n
+        assert fired == tape.size - a
     assert state.clock_us == ref.clock_us
     assert state.misses == ref.misses
     assert _gpu_state(state) == _gpu_state(ref)
@@ -787,13 +853,21 @@ def assert_block_matches_slots(state, demands: np.ndarray) -> int:
 
 
 def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
-    """Settle every slot of ``demands`` in checked blocks; returns (slots, fired) per block."""
-    blocks = []
-    while demands.shape[1]:
-        fired = assert_block_matches_slots(state, demands)
-        blocks.append((demands.shape[1], fired))
-        demands = demands[:, fired + 1:]
-    return blocks
+    """Settle every slot of ``demands`` (server, slot) from the next slot, on one tape.
+
+    Each slice is checked; a slice ends at a throttle, and the next one
+    reads on from the same tape, which no throttle changes. Returns
+    (slots, fired) per slice.
+    """
+    n = demands.shape[1]
+    t_us = state.clock_us + state.slot_us * np.arange(1, n + 1, dtype=np.int64)
+    tape = orchestrator._ran_tape(state, t_us, t_us / US, demands)
+    slices, a = [], 0
+    while a < n:
+        fired = assert_slice_matches_slots(state, tape, a, demands)
+        slices.append((n - a, fired))
+        a += fired + 1
+    return slices
 
 
 def test_block_with_a_settling_gpu_between_live_gpus():
@@ -805,9 +879,9 @@ def test_block_with_a_settling_gpu_between_live_gpus():
     assert middle.ran_level == 0.5
     middle.settling_until_us = state.clock_us + 4 * state.slot_us
     srv0 = [1.2, 1.5, 1.8, 1.9, 1.9, 1.9, 2.2, 2.5, 2.9, 3.1, 3.4]
-    blocks = _settle_all(state, np.array([srv0, [0.2, 1.3] * 5 + [0.2]]))
-    # the throttle fires inside the first block, while the middle GPU settles
-    assert blocks[0] == (11, 2), blocks
+    slices = _settle_all(state, np.array([srv0, [0.2, 1.3] * 5 + [0.2]]))
+    # the throttle fires inside the first slice, while the middle GPU settles
+    assert slices[0] == (11, 2), slices
     assert not first.throttled and state.misses
 
 
@@ -829,9 +903,9 @@ def test_block_with_the_last_gpu_settling_while_demand_overflows():
     assert _settle_all(state, np.array([[1.4, 2.3, 1.2]])) == [(3, 3)]
     assert last.ran_level == 0.0 and last.demand_last == last.epoch_max == 1.9 - 1.0
     assert first.demand_last == 1.0 and len(state.misses) == before + 3
-    blocks = _settle_all(state, np.array([[1.1, 2.5, 1.9, 0.4, 1.3]]))
+    slices = _settle_all(state, np.array([[1.1, 2.5, 1.9, 0.4, 1.3]]))
     assert last.demand_last == 1.3 - 1.0 and last.epoch_max == 1.9 - 1.0
-    assert blocks[0] == (5, 2), blocks  # the first slot the last GPU is live
+    assert slices[0] == (5, 2), slices  # the first slot the last GPU is live
 
 
 def test_block_applies_simultaneous_throttles_in_gpu_order():
@@ -839,10 +913,85 @@ def test_block_applies_simultaneous_throttles_in_gpu_order():
     state = _dynamic_state(1, 1, 1)
     for k, gpu in enumerate(state.gpus):
         _run_free_job(state, gpu, 0.5, f"j{k}")
-    blocks = _settle_all(state, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.3], [0.2, 0.4, 0.6]]))
-    assert blocks[0] == (3, 2), blocks
+    slices = _settle_all(state, np.array([[0.1, 0.2, 0.7], [0.3, 0.3, 0.3], [0.2, 0.4, 0.6]]))
+    assert slices[0] == (3, 2), slices
     queued = sorted(state.heap, key=lambda entry: entry[2])  # by sequence number
     assert [entry[4][0] for entry in queued[-2:]] == ["j0", "j2"]
+
+
+def _run_keeping_raw_ran(sc: Scenario) -> tuple[SimEngine, np.ndarray]:
+    """Run ``sc``; returns the engine and the trace's RAN levels before they are rounded."""
+    eng = SimEngine(sc)
+    raw = []
+    close = eng._close_trace
+
+    def keeping():
+        raw.append(eng.trace.ran.copy())
+        close()
+
+    eng._close_trace = keeping
+    eng.run()
+    return eng, raw[0]
+
+
+def test_ai_changes_no_ran_bit():
+    """A dynamic 16 x 4 fleet settles RAN to the same bits with and without its AI workloads.
+
+    Misses, every sample's RAN level, and each GPU's RAN level and RAN
+    integral with its clock, bit for bit: AI events split neither the
+    settlement nor the RAN integral. The fleet's AI is throttled as it runs.
+    """
+    sc = parse_scenario(fleet_text(), name="fleet")
+    with_ai, ran = _run_keeping_raw_ran(sc)
+    without_ai, ran_alone = _run_keeping_raw_ran(dataclasses.replace(sc, ai_workloads=()))
+    assert with_ai.state.fleet.ai_integral.any() and not without_ai.state.fleet.ai_integral.any()
+    assert any(ev.kind == "trim" for ev in with_ai.state.events)
+    assert with_ai.state.misses == without_ai.state.misses
+    assert ran.tobytes() == ran_alone.tobytes()
+    for name in ("ran_level", "ran_integral", "ran_accrue_us"):
+        got, alone = (getattr(eng.state.fleet, name) for eng in (with_ai, without_ai))
+        assert got.tobytes() == alone.tobytes(), name
+
+
+def test_demand_is_read_once_per_chunk(monkeypatch):
+    """A 2 s, 16 x 4 cluster fleet reads its demand once per chunk of the slot grid.
+
+    Its demand is diurnal, so no segment settles in closed form and no
+    quiescent epoch probes demand: every read builds a RAN tape, and the
+    segments in between only slice it.
+    """
+    build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
+    text = build(ROOT, 1).replace("horizon_s: 10.0", "horizon_s: 2.0")
+    eng = SimEngine(parse_scenario(text, name="cluster"))
+    assert len(eng.state.gpus) == 64 and not eng.demand.stepwise
+    reads = []
+
+    def counting(t_s):
+        reads.append(t_s.size)
+        return vector(t_s)
+
+    vector = eng.demand.vector
+    eng.demand = dataclasses.replace(eng.demand, vector=counting)
+    segments = _counting_segments(monkeypatch)
+    eng.run()
+    chunk = orchestrator.CHUNK_CELLS // 64
+    chunks = -(-eng.horizon_us // eng.slot_us // chunk)
+    # one read per segment would be over four times as many
+    assert chunks == 16 and len(reads) <= chunks and 4 * chunks < segments[0], (reads, segments)
+    assert sum(reads) == chunks * chunk
+
+
+def _counting_segments(monkeypatch) -> list[int]:
+    """Count ``settle_segment`` calls in the one element of the list returned."""
+    count = [0]
+    original = orchestrator.settle_segment
+
+    def counting(*args):
+        count[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(engine_module, "settle_segment", counting)
+    return count
 
 
 # -- quiescent epochs ----------------------------------------------------------
@@ -990,8 +1139,8 @@ def test_epochs_with_a_grant_that_changes_nothing_all_run():
 
     The interactive job can never meet its latency bound, so it stays
     queued, and every epoch asks to grant it the headroom: ``_top_up``
-    finds no job and re-accrues the GPU's level integrals, so no epoch
-    may be skipped.
+    finds no job, and its refresh re-accrues the GPU's AI integral, so no
+    epoch may be skipped.
     """
     job = (
         "  - id: late\n    arrival: trace\n    arrivals: [0.05]\n"
