@@ -662,7 +662,7 @@ class SimEngine:
             )
         elif kind is EventKind.JOB_ARRIVAL:
             job = state.jobs[payload[0]]
-            if job.state is JobState.QUEUED and job.id not in state.queued:
+            if job.state is JobState.QUEUED:
                 bound = state.policy.queue_bound
                 if bound is not None and len(state.queue) >= bound:
                     job.state = JobState.REJECTED

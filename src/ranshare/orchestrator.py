@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -247,6 +246,12 @@ class Fleet:
     event splits it. The AI integral accrues where the AI level may change:
     a grant change, a throttle, a refresh, and the horizon.
 
+    The forecast inputs are ``demand_last`` (the last settled slot's RAN
+    demand), ``epoch_max`` (its maximum this policy epoch) and ``history``
+    (under the dynamic policy, the past ``window - 1`` epochs' maxima,
+    oldest row first; ``-inf`` in a row not yet filled never equals a
+    demand nor wins a max). ``min_grant`` is each GPU's partition granularity.
+
     ``tape`` is the ``RanTape`` that ``settle_segment`` slices, or None
     until the next segment builds one: ``refresh_caches`` drops it, since
     the tape holds the RAN side under the capacities and settling windows
@@ -268,11 +273,11 @@ class Fleet:
     __slots__ = (
         "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
         "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
-        "epoch_max", "ai_ceiling", "ran_integral", "ai_integral", "ran_accrue_us",
-        "ai_accrue_us", "tape",
+        "epoch_max", "history", "min_grant", "ai_ceiling", "ran_integral", "ai_integral",
+        "ran_accrue_us", "ai_accrue_us", "tape",
     )
 
-    def __init__(self, servers: list[ServerState]):
+    def __init__(self, servers: list[ServerState], history_rows: int):
         sizes = [len(srv.gpus) for srv in servers]
         n, width = sum(sizes), max(sizes, default=0)
         self.server_ids = [srv.server.id for srv in servers]
@@ -286,6 +291,8 @@ class Fleet:
             "ran_integral", "ai_integral",
         ):
             setattr(self, name, np.zeros(n))
+        self.history = np.full((history_rows, n), -np.inf)
+        self.min_grant = np.array([g.device.partition_granularity for s in servers for g in s.gpus])
         self.ai_ceiling = np.ones(n)
         self.throttled = np.zeros(n, dtype=bool)
         self.settling_until_us = np.full(n, -1, dtype=np.int64)
@@ -296,7 +303,7 @@ class Fleet:
 
 @dataclass
 class GpuState:
-    """One GPU's jobs and slices; its levels and grant live in the fleet arrays.
+    """One GPU's jobs and slices; its levels, grant and forecast inputs live in the fleet arrays.
 
     ``ClusterState`` sets ``fleet`` and ``index``. Each property below reads
     and writes the GPU's element of the fleet array of the same name.
@@ -310,7 +317,6 @@ class GpuState:
     jobs: list[AiJob] = field(default_factory=list)
     ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
     generation: int = 0  # repartitions so far
-    epoch_history: deque = field(default_factory=deque)  # past epochs' demand maxima
     fleet: Fleet | None = field(default=None, repr=False)
     index: int = -1
 
@@ -393,9 +399,8 @@ class ClusterState:
     slot_us: int = 500
     cell_hosts: frozenset[str] = frozenset()  # ids of the servers that host a cell
     # the queue, changed only by enqueue/dequeue: (arrival, id) in arrival
-    # order, the set of its ids, and its jobs in placement order
+    # order, and its jobs in placement order
     queue: list[tuple[float, str]] = field(init=False, default_factory=list)
-    queued: set[str] = field(init=False, default_factory=set)
     pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
     # the run log: every event, and every slot miss as (t_s, server id, shortfall)
     events: list[EventRecord] = field(init=False, default_factory=list)
@@ -411,7 +416,7 @@ class ClusterState:
     def __post_init__(self):
         self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
         self._gpus = {gpu.device.id: gpu for gpu in self.gpus}
-        self.fleet = Fleet(self.servers)
+        self.fleet = Fleet(self.servers, _window(self.policy) - 1 if self.soft_ran else 0)
         for i, gpu in enumerate(self.gpus):
             gpu.fleet, gpu.index = self.fleet, i
             gpu.refresh_caches(self.soft_ran)
@@ -445,7 +450,6 @@ class ClusterState:
 
     def enqueue(self, job: AiJob):
         bisect.insort(self.queue, (job.arrival_time, job.id))
-        self.queued.add(job.id)
         self.pending.add(job)
 
     def dequeue(self, job: AiJob):
@@ -454,7 +458,6 @@ class ClusterState:
         if i == len(self.queue) or self.queue[i] != key:
             raise ValueError(f"job {job.id} is not queued")
         del self.queue[i]
-        self.queued.remove(job.id)
         self.pending.remove(job)
 
 
@@ -952,17 +955,11 @@ def _window(policy: Policy) -> int:
 def forecast_holds(state: ClusterState) -> bool:
     """Whether the next epoch's roll leaves every GPU's forecast inputs as they are.
 
-    It does when each GPU's history is full and its ``epoch_max`` and every
-    past epoch's maximum equal its ``demand_last``.
+    It does when each GPU's ``epoch_max`` and every row of its history
+    (``-inf`` until filled) equal its ``demand_last``.
     """
-    fleet = state.fleet
-    if not (fleet.epoch_max == fleet.demand_last).all():
-        return False
-    full = _window(state.policy) - 1
-    return all(
-        len(gpu.epoch_history) == full and all(past == last for past in gpu.epoch_history)
-        for gpu, last in zip(state.gpus, fleet.demand_last.tolist())
-    )
+    fleet, last = state.fleet, state.fleet.demand_last
+    return bool((fleet.epoch_max == last).all() and (fleet.history == last).all())
 
 
 def _queued_demand(state: ClusterState) -> float:
@@ -1043,43 +1040,26 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
         raise InvalidEpoch(f"t={t} is not on the {policy.epoch_s}s epoch grid")
     queued = _queued_demand(state)
     fleet = state.fleet
-    last_value = policy.forecast is ForecastKind.LAST_VALUE
-    full = _window(policy) - 1
-    ceilings = []
-    rows = zip(
-        state.gpus, fleet.demand_last.tolist(), fleet.epoch_max.tolist(), fleet.ai_granted.tolist()
-    )
-    for gpu, demand_last, epoch_max, current in rows:
-        history = gpu.epoch_history
-        forecast = demand_last if last_value else max((epoch_max, *history))
-        # roll the window: this epoch's maximum joins the history
-        history.append(epoch_max)
-        while len(history) > full:
-            history.popleft()
-        ceiling = 1.0 - forecast - policy.safety_margin
-        if ceiling < 0.0:
-            ceiling = 0.0
-        ceilings.append(ceiling)
-        if current > ceiling + TOL:
-            actions.append(
-                ScaleAction(
-                    ActionKind.RECLAIM_AI,
-                    gpu_id=gpu.device.id,
-                    fraction=current - ceiling,
-                )
-            )
-        else:
-            headroom = ceiling - current
-            wanted = queued + _undergrant(gpu)
-            min_grant = gpu.device.partition_granularity
-            if headroom + TOL >= min_grant and wanted > TOL:
-                actions.append(
-                    ScaleAction(
-                        ActionKind.GRANT_AI,
-                        gpu_id=gpu.device.id,
-                        fraction=headroom,
-                    )
-                )
+    if policy.forecast is ForecastKind.LAST_VALUE:
+        forecast = fleet.demand_last
+    else:
+        forecast = np.maximum(fleet.epoch_max, fleet.history.max(axis=0, initial=-np.inf))
+    # roll the window: this epoch's maximum joins the history
+    fleet.history[:] = np.vstack((fleet.history, fleet.epoch_max))[1:]
+    ceilings = 1.0 - forecast - policy.safety_margin
+    ceilings[ceilings < 0.0] = 0.0
+    granted = fleet.ai_granted
+    headroom = ceilings - granted
+    reclaim = granted > ceilings + TOL
+    offer = ~reclaim & (headroom + TOL >= fleet.min_grant)
+    for g in np.flatnonzero(reclaim | offer).tolist():
+        gpu = state.gpus[g]
+        if reclaim[g]:
+            fraction = granted.item(g) - ceilings.item(g)
+            actions.append(ScaleAction(ActionKind.RECLAIM_AI, gpu.device.id, fraction))
+        # undergrant >= 0, so queued > TOL already makes queued + undergrant > TOL
+        elif queued > TOL or queued + _undergrant(gpu) > TOL:
+            actions.append(ScaleAction(ActionKind.GRANT_AI, gpu.device.id, headroom.item(g)))
     fleet.ai_ceiling[:] = ceilings
     fleet.epoch_max[:] = fleet.demand_last
     return actions or [ScaleAction(ActionKind.NO_OP)]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.errors import EventInPast, InvalidEpoch
 from ranshare.orchestrator import (
@@ -293,6 +294,28 @@ class TestPolicyEpoch:
         actions = policy_epoch(state, 0.1)
         assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 2
         assert CountingJobs.reads <= 2
+
+    def test_epoch_sums_no_undergrant_when_queued_work_wants_a_grant(self, monkeypatch):
+        """Eligible queued work decides the test ``queued + undergrant > TOL`` alone."""
+        calls = []
+        undergrant = orchestrator._undergrant
+
+        def counting(gpu):
+            calls.append(gpu.device.id)
+            return undergrant(gpu)
+
+        monkeypatch.setattr(orchestrator, "_undergrant", counting)
+        servers = [
+            Server(id=f"srv{s}", gpus=tuple(GpuDevice(f"srv{s}-gpu{g}") for g in range(4)))
+            for s in range(16)
+        ]
+        state = build_cluster_state(servers, DYNAMIC, {})
+        enqueue(state, job("j1", 0.3))
+        for gpu in state.gpus:
+            gpu.epoch_max = gpu.demand_last = 0.2
+        actions = policy_epoch(state, 0.1)
+        assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 64
+        assert calls == []
 
 
 class TestApplyActions:

@@ -1,6 +1,8 @@
 """Segment settlement and the columnar trace against the paths they replaced.
 
 ``reference_settle_slot`` is the scalar settlement rule, one GPU at a time.
+``ForecastOracle`` holds the dynamic epoch's forecast window as one deque
+per GPU and checks every epoch's ceilings, history and ``forecast_holds``.
 ``reference_run`` is ``SimEngine.run`` as it was before segments: one
 ``reference_settle_slot`` per slot, and samples flushed before every slot
 and event, one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
@@ -23,6 +25,7 @@ import copy
 import dataclasses
 import math
 import random
+from collections import deque
 from heapq import heappop
 from pathlib import Path
 
@@ -131,6 +134,88 @@ def accrue(gpu, level: str, now_us: int):
         integral = f"{level}_integral"
         setattr(gpu, integral, getattr(gpu, integral) + getattr(gpu, f"{level}_level") * dt)
         setattr(gpu, clock, now_us)
+
+
+def reference_forecast_holds(state, past: list[deque]) -> bool:
+    """``forecast_holds`` one GPU at a time: a full window of maxima equal to its last demand."""
+    full = orchestrator._window(state.policy) - 1
+    return all(
+        gpu.epoch_max == gpu.demand_last
+        and len(maxima) == full
+        and all(m == gpu.demand_last for m in maxima)
+        for gpu, maxima in zip(state.gpus, past)
+    )
+
+
+def reference_epoch_ceilings(state, past: list[deque]) -> list[float]:
+    """The dynamic epoch's forecast and ceiling one GPU at a time; rolls each GPU's deque."""
+    policy = state.policy
+    full = orchestrator._window(policy) - 1
+    ceilings = []
+    for gpu, maxima in zip(state.gpus, past):
+        if policy.forecast is ForecastKind.LAST_VALUE:
+            forecast = gpu.demand_last
+        else:
+            forecast = max((gpu.epoch_max, *maxima))
+        maxima.append(gpu.epoch_max)
+        while len(maxima) > full:
+            maxima.popleft()
+        ceiling = 1.0 - forecast - policy.safety_margin
+        if ceiling < 0.0:
+            ceiling = 0.0
+        ceilings.append(ceiling)
+    return ceilings
+
+
+class ForecastOracle:
+    """Checks every dynamic epoch the engine runs against the per-GPU deque rule.
+
+    It wraps the engine's ``policy_epoch`` and ``apply_actions``. Before an
+    epoch, ``forecast_holds`` must match ``reference_forecast_holds``; after
+    it, the fleet's ceilings must match ``reference_epoch_ceilings`` and its
+    history the deques, oldest first, with ``-inf`` for rows not yet
+    filled. After the epoch's actions apply, no GPU's AI grant may exceed
+    its ceiling. ``start`` forgets the deques before the next scenario.
+    """
+
+    def __init__(self, monkeypatch):
+        self.past: dict[int, list[deque]] = {}  # by id of the cluster state
+        self.epochs = 0
+        self.windows: set[int] = set()
+        self.kinds: set[ForecastKind] = set()
+        self.held = 0
+        epoch, apply = engine_module.policy_epoch, engine_module.apply_actions
+
+        def checked_epoch(state, t):
+            if not state.policy.is_dynamic:
+                return epoch(state, t)
+            past = self.past.setdefault(id(state), [deque() for _ in state.gpus])
+            holds = reference_forecast_holds(state, past)
+            assert orchestrator.forecast_holds(state) == holds, t
+            ceilings = reference_epoch_ceilings(state, past)
+            actions = epoch(state, t)
+            fleet, full = state.fleet, orchestrator._window(state.policy) - 1
+            assert fleet.ai_ceiling.tolist() == ceilings, t
+            assert fleet.history.shape == (full, len(past)), t
+            rows = [[-math.inf] * (full - len(maxima)) + list(maxima) for maxima in past]
+            assert fleet.history.T.tolist() == rows, t
+            self.epochs += 1
+            self.held += holds
+            self.windows.add(full + 1)
+            self.kinds.add(state.policy.forecast)
+            return actions
+
+        def checked_apply(state, actions):
+            apply(state, actions)
+            if state.policy.is_dynamic:
+                fleet = state.fleet
+                assert (fleet.ai_granted <= fleet.ai_ceiling + orchestrator.TOL).all()
+
+        monkeypatch.setattr(engine_module, "policy_epoch", checked_epoch)
+        monkeypatch.setattr(engine_module, "apply_actions", checked_apply)
+
+    def start(self):
+        self.past.clear()
 
 
 def reference_accrue_all(state):
@@ -456,7 +541,7 @@ def _gpu_state(state) -> list[tuple]:
     return [
         (
             g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
-            g.demand_last, g.epoch_max, tuple(g.epoch_history),
+            g.demand_last, g.epoch_max, tuple(g.fleet.history[:, g.index].tolist()),
             g.ai_ceiling, g.ran_integral, g.ai_integral, g.ran_accrue_us, g.ai_accrue_us,
         )
         for g in state.gpus
@@ -541,11 +626,15 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
 
 
 def test_segments_match_slot_by_slot_loop(monkeypatch):
-    """120 random scenarios; odd seeds settle on tapes of a few slots."""
+    """120 random scenarios; odd seeds settle on tapes of a few slots.
+
+    ``ForecastOracle`` checks every dynamic epoch of both runs.
+    """
     counts: dict[str, int] = {}
     for name in PATHS:
         _counting(monkeypatch, counts, name)
     slices = _recording_slices(monkeypatch)
+    oracle = ForecastOracle(monkeypatch)
     default = orchestrator.CHUNK_CELLS
     misses = throttled = 0
     for seed in range(120):
@@ -555,6 +644,7 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
             chunk = random.Random(-seed).choice((3, 17, 64))
         monkeypatch.setattr(orchestrator, "CHUNK_CELLS", chunk)
         before = counts.get("_apply_throttle", 0)
+        oracle.start()
         eng = assert_same_run(sc, seed)
         throttled += counts.get("_apply_throttle", 0) > before
         misses += bool(eng.state.misses)
@@ -574,6 +664,9 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
     }
     assert all(cases.values()), cases
     assert misses > 0 and throttled > 0, (misses, throttled)
+    # windows of one epoch (no history) and longer, both forecasts, and steady epochs
+    assert min(oracle.windows) == 1 and max(oracle.windows) > 2, oracle.windows
+    assert oracle.kinds == set(ForecastKind) and 0 < oracle.held < oracle.epochs
 
 
 def test_random_scenarios_skip_quiescent_epochs():
