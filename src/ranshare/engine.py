@@ -31,9 +31,9 @@ batched, so how a slot is settled never shows in the output.
 
 Under the dynamic policy with stepwise demand, the policy soon reaches a
 fixed point, and the epochs after it change nothing. An epoch is
-quiescent when it finds every GPU's forecast inputs fixed, applies only
-``NO_OP``, logs no event and leaves no GPU throttled or settling
-(``_dispatch`` returns True). The next epoch would then find the same
+quiescent when it finds every GPU's forecast inputs fixed, takes no
+action, logs no event and leaves no GPU throttled (``_dispatch`` returns
+True; no dynamic GPU ever settles). The next epoch would then find the same
 state, unless something comes first: another heap event, a change of
 demand at the next slot (a trace point in (0, 0.5) us has no event), or a
 queued job becoming eligible. So ``run`` moves the next epoch to the first
@@ -76,7 +76,6 @@ from .compute import Server
 from .errors import CalibrationOverflow, EmptyTrace, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration
 from .orchestrator import (
-    ActionKind,
     DeadlineMiss,
     DemandModel,
     EventKind,
@@ -656,9 +655,8 @@ class SimEngine:
             return (
                 steady
                 and len(state.events) == logged
-                and all(a.kind is ActionKind.NO_OP for a in actions)
+                and not actions
                 and not fleet.throttled.any()
-                and not (fleet.settling_until_us >= t_us).any()
             )
         elif kind is EventKind.JOB_ARRIVAL:
             job = state.jobs[payload[0]]

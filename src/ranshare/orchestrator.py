@@ -126,16 +126,13 @@ class ActionKind(Enum):
     GRANT_AI = "GRANT_AI"
     RECLAIM_AI = "RECLAIM_AI"
     REPARTITION = "REPARTITION"
-    NO_OP = "NO_OP"
 
 
 @dataclass(frozen=True)
 class ScaleAction:
     kind: ActionKind
     gpu_id: str = ""
-    fraction: float = 0.0  # delta for grants/reclaims
-    fractions: tuple[float, ...] = ()  # repartition layout
-    classes: tuple[TenantClass, ...] = ()
+    fraction: float = 0.0  # a grant's change; for REPARTITION the new RAN share, AI the rest
 
 
 @dataclass(frozen=True)
@@ -329,14 +326,8 @@ class GpuState:
     throttled = _column("throttled")
     # repartition settling: slots up to this time accept no allocations
     settling_until_us = _column("settling_until_us")
-    # forecast inputs (maintained by settlement under dynamic policies)
-    demand_last = _column("demand_last")
-    epoch_max = _column("epoch_max")
-    ai_ceiling = _column("ai_ceiling")
-    # level integrals, each accrued up to its own clock (microseconds)
-    ran_integral = _column("ran_integral")
+    # the AI level integral, accrued up to its own clock (microseconds)
     ai_integral = _column("ai_integral")
-    ran_accrue_us = _column("ran_accrue_us")
     ai_accrue_us = _column("ai_accrue_us")
 
     def refresh_caches(self, soft_ran: bool):
@@ -345,17 +336,11 @@ class GpuState:
         A GPU is (re)partitioned only with no job on it, so it holds no
         grant. ``soft_ran``: the dynamic policy, under which the GPU is one
         whole FREE slice that RAN and AI share, RAN first. Otherwise RAN
-        meets the RAN slices and AI uses the AI slice. A layout that gives
-        AI more than one slice is rejected.
+        meets the RAN slice and AI uses the AI slice. Every layout is cut
+        by ``_split_layout``, so a GPU has at most one slice of each class.
         """
         ai_class = TenantClass.FREE if soft_ran else TenantClass.AI
-        ai_slices = [i for i in self.instances if i.tenant_class is ai_class]
-        if len(ai_slices) > 1:
-            raise ValueError(
-                f"{self.device.id}: AI may use {len(ai_slices)} slices "
-                f"({', '.join(i.id for i in ai_slices)}); a GPU gives AI at most one"
-            )
-        self.ai_slice = ai_slices[0] if ai_slices else None
+        self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
         self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
         self.ai_granted = self.ai_level = 0.0
         self.throttled = False
@@ -464,13 +449,16 @@ class ClusterState:
 def build_cluster_state(
     servers: list[Server],
     policy: Policy,
-    partitions: dict[str, tuple[list[float], list[TenantClass]]],
+    partitions: dict[str, tuple[float, float]],
     cell_hosts: Iterable[str] = (),
 ) -> ClusterState:
     """Partition GPUs per the initial layout and assemble the cluster state.
 
-    GPUs absent from ``partitions`` stay whole as a single FREE slice. The
-    dynamic policy shares whole GPUs only, so it takes no ``partitions``.
+    ``partitions`` maps a GPU id to its (RAN share, AI share); each GPU is
+    cut by ``_split_layout``, so a GPU absent from it, or given (0.0, 0.0),
+    stays whole as a single FREE slice. ``partition_gpu`` rejects shares
+    that overflow the GPU or miss its granularity grid. The dynamic policy
+    shares whole GPUs only, so it takes no ``partitions``.
     """
     if policy.is_dynamic and partitions:
         raise ValueError(
@@ -480,12 +468,8 @@ def build_cluster_state(
     for server in servers:
         gpu_states = []
         for gpu in server.gpus:
-            if gpu.id in partitions:
-                fracs, classes = partitions[gpu.id]
-                instances = compute.partition_gpu(gpu, fracs, classes)
-            else:
-                instances = compute.partition_gpu(gpu, [1.0], [TenantClass.FREE])
-            gpu_states.append(GpuState(device=gpu, instances=instances))
+            layout = _split_layout(*partitions.get(gpu.id, (0.0, 0.0)))
+            gpu_states.append(GpuState(device=gpu, instances=compute.partition_gpu(gpu, *layout)))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
         servers=server_states,
@@ -507,25 +491,24 @@ def split_targets(
 
 def initial_partitions(
     policy: Policy, servers: list[Server], cell_hosts: set[str]
-) -> dict[str, tuple[list[float], list[TenantClass]]]:
-    """Initial GPU layouts implied by the policy.
+) -> dict[str, tuple[float, float]]:
+    """Initial (RAN share, AI share) per GPU implied by the policy.
 
     Static and time splits partition their ``split_targets``; the dynamic
     policy leaves all GPUs whole.
     """
     if policy.is_dynamic:
         return {}
-    targets = split_targets(policy, servers, cell_hosts)
     if policy.kind is PolicyKind.STATIC_SPLIT:
         ran, ai = policy.ran_fraction, policy.ai_fraction
     else:
-        start, _end, ran = policy.schedule[0]
+        ran = policy.schedule[0].ran_fraction
         ai = 1.0 - ran
-    layout = _split_layout(ran, ai)
-    return {gpu_id: layout for gpu_id in targets}
+    return {gpu_id: (ran, ai) for gpu_id in split_targets(policy, servers, cell_hosts)}
 
 
 def _split_layout(ran: float, ai: float) -> tuple[list[float], list[TenantClass]]:
+    """The slices of a (RAN share, AI share): one per share above TOL, else the whole GPU FREE."""
     fractions, classes = [], []
     if ran > TOL:
         fractions.append(ran)
@@ -564,11 +547,10 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     """Cap the GPU's AI rates at ``allowed``, trimming newest jobs first.
 
     This is the dynamic policy's per-slot cap; a split never throttles.
-    When the cap does not bite, every job runs at its grant, and AI at
+    ``allowed`` is the whole GPU less the RAN level, never negative. When
+    the cap does not bite, every job runs at its grant, and AI at
     exactly ``ai_granted``: only a job not at its grant changes rate.
     """
-    if allowed < 0.0:
-        allowed = 0.0
     bites = gpu.ai_granted > allowed
     remaining = allowed if bites else math.inf
     eff_total = 0.0
@@ -613,9 +595,10 @@ class RanTape:
     for ``k < size``. Per (slot, GPU): ``take`` is the RAN level, and
     ``ran_integral`` and ``ran_accrue_us`` are the RAN integral and its
     clock after the slot. Under the dynamic policy, ``asked`` is what the
-    GPU was asked to serve (-inf while it settles) and ``room`` what RAN
-    left for AI, ``ai_cap - take`` (+inf while it settles). ``live`` marks
-    the (slot, GPU) cells that do not settle, or is None when none settles.
+    GPU was asked to serve and ``room`` what RAN left for AI,
+    ``ai_cap - take``. ``live`` marks the (slot, GPU) cells that do not
+    settle, or is None when none settles; only a split's GPU is ever
+    repartitioned, so under the dynamic policy it is None.
     ``misses`` are the tape's misses in order and ``miss_slots`` their
     slots. ``next`` is the first slot not yet settled from the tape.
     """
@@ -762,11 +745,7 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
         if rem.any():
             asked = take.copy()
             asked[:, fleet.last_rows] += rem
-        room = fleet.ai_cap - take
-        if live is not None:
-            asked = np.where(live, asked, -np.inf)
-            room = np.where(live, room, np.inf)
-        tape.asked, tape.room = asked, room
+        tape.asked, tape.room = asked, fleet.ai_cap - take
     slots, owners = np.nonzero(rem > TOL)  # by slot, then by server
     ids = fleet.server_ids
     missed = zip(t_s[slots].tolist(), owners.tolist(), rem[slots, owners].tolist())
@@ -779,8 +758,8 @@ def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
     """The first of the tape's slots ``a:b`` whose throttle test fires, and the GPUs it fires for.
 
     Only the dynamic policy has a throttle test. It fires where a GPU's AI
-    grant exceeds the slot's ``room`` by more than TOL, and at every slot a
-    throttled GPU is live. RAN takes at most ``ai_cap`` of a whole GPU, so
+    grant exceeds the slot's ``room`` by more than TOL, and at every slot
+    for a throttled GPU. RAN takes at most ``ai_cap`` of a whole GPU, so
     ``room`` is never negative and a GPU without a grant never fires.
     Returns ``(b, None)`` when no test fires.
     """
@@ -790,8 +769,7 @@ def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
     granted, throttled = fleet.ai_granted, fleet.throttled
     room = tape.room[a:b]
     if throttled.any():
-        held_back = throttled if tape.live is None else throttled & tape.live[a:b]
-        fire = (granted > room + TOL) | held_back
+        fire = (granted > room + TOL) | throttled
     else:
         # x + TOL never falls as x grows, so a GPU's test fires somewhere in
         # the slice exactly when it fires at the slice's least room
@@ -820,10 +798,7 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     fleet.ran_accrue_us[:] = tape.ran_accrue_us[last]
     if state.soft_ran:
         asked = tape.asked[a:last + 1]
-        if tape.live is None:
-            fleet.demand_last[:] = asked[-1]
-        else:
-            np.copyto(fleet.demand_last, asked[-1], where=tape.live[last])
+        fleet.demand_last[:] = asked[-1]
         np.maximum(fleet.epoch_max, asked.max(axis=0), out=fleet.epoch_max)
     lo = bisect.bisect_left(tape.miss_slots, a)
     state.misses.extend(tape.misses[lo:bisect.bisect_left(tape.miss_slots, last + 1, lo)])
@@ -993,12 +968,13 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
 
     STATIC_SPLIT never changes anything. TIME_SPLIT emits repartitions at
     schedule boundaries. DYNAMIC_BACKFILL recomputes each GPU's AI ceiling
-    from the RAN forecast and emits grants/reclaims toward it.
+    from the RAN forecast and emits grants/reclaims toward it. An epoch
+    with nothing to do returns no action.
     """
     policy = state.policy
     actions: list[ScaleAction] = []
     if policy.kind is PolicyKind.STATIC_SPLIT:
-        return [ScaleAction(ActionKind.NO_OP)]
+        return actions
 
     if policy.kind is PolicyKind.TIME_SPLIT:
         interval = next(
@@ -1010,29 +986,17 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
         targets = set(
             split_targets(policy, [srv.server for srv in state.servers], state.cell_hosts)
         )
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                if gpu.device.id not in targets:
-                    continue
-                # snap the layout to the device grid so identical schedules
-                # compare equal against the live instances
-                total = gpu.device.total_units
-                snapped = round(ran * total) / total
-                fractions, classes = _split_layout(snapped, 1.0 - snapped)
-                fractions = [round(f * total) / total for f in fractions]
-                current = tuple(
-                    (i.compute_fraction, i.tenant_class) for i in gpu.instances
-                )
-                if current != tuple(zip(fractions, classes)):
-                    actions.append(
-                        ScaleAction(
-                            ActionKind.REPARTITION,
-                            gpu_id=gpu.device.id,
-                            fractions=tuple(fractions),
-                            classes=tuple(classes),
-                        )
-                    )
-        return actions or [ScaleAction(ActionKind.NO_OP)]
+        for gpu in state.gpus:
+            if gpu.device.id not in targets:
+                continue
+            # a target fills its GPU (RAN share and the rest to AI), so its
+            # layout is its RAN units
+            total = gpu.device.total_units
+            units = round(ran * total)
+            current = next((i.units for i in gpu.instances if i.tenant_class is TenantClass.RAN), 0)
+            if units != current:
+                actions.append(ScaleAction(ActionKind.REPARTITION, gpu.device.id, units / total))
+        return actions
 
     # DYNAMIC_BACKFILL
     ratio = t / policy.epoch_s
@@ -1062,7 +1026,7 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
             actions.append(ScaleAction(ActionKind.GRANT_AI, gpu.device.id, headroom.item(g)))
     fleet.ai_ceiling[:] = ceilings
     fleet.epoch_max[:] = fleet.demand_last
-    return actions or [ScaleAction(ActionKind.NO_OP)]
+    return actions
 
 
 # -- applying actions ----------------------------------------------------------
@@ -1277,8 +1241,6 @@ def placement_round(state: ClusterState):
 def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterState:
     """Apply policy actions in order; mutates and returns ``state``."""
     for action in actions:
-        if action.kind is ActionKind.NO_OP:
-            continue
         if action.kind is ActionKind.RECLAIM_AI:
             _reclaim(state, action)
         elif action.kind is ActionKind.GRANT_AI:
@@ -1291,6 +1253,9 @@ def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterSta
 
 
 def _repartition_gpu(state: ClusterState, action: ScaleAction):
+    """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI."""
+    if state.soft_ran:
+        raise ValueError(f"dynamic_backfill shares whole GPUs; cannot partition {action.gpu_id}")
     gpu = state.gpu_by_id(action.gpu_id)
     for job in list(gpu.jobs):  # drain AI before resizing
         preempt_job(state, gpu, job)
@@ -1298,13 +1263,15 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.generation += 1
     gpu.instances = compute.repartition(
         gpu.device,
-        list(action.fractions),
-        list(action.classes),
+        *_split_layout(action.fraction, 1.0 - action.fraction),
         id_prefix=f"{gpu.device.id}.g{gpu.generation}",
     )
     gpu.refresh_caches(state.soft_ran)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
-    state.log("repartition", gpu.device.id, layout=list(zip(action.fractions, action.classes)))
+    state.log(
+        "repartition", gpu.device.id,
+        layout=[(i.compute_fraction, i.tenant_class) for i in gpu.instances],
+    )
     state.push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))

@@ -13,7 +13,7 @@ import time
 import networkx as nx
 import pytest
 
-from ranshare.compute import GpuDevice, Server, TenantClass
+from ranshare.compute import GpuDevice, Server
 from ranshare.engine import CellSpec, Scenario, run
 from ranshare.fabric import (
     Flow,
@@ -208,7 +208,7 @@ class TestCriterion4PlacementOracle:
             for s in servers:
                 for g in s.gpus:
                     ai = rng.randrange(4, 21) * 0.05
-                    partitions[g.id] = ([ai], [TenantClass.AI])
+                    partitions[g.id] = (0.0, ai)
                     capacities.append(ai)
             state = build_cluster_state(servers, policy, partitions)
             jobs = []

@@ -233,3 +233,15 @@ class TestSweep:
             ["sweep", str(short_uplift), "--param", "nosuch.key=1,2", "--out-dir", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "param, message",
+        [
+            ("policy.safety_margin", "expected PATH=V1,V2,..."),
+            ("policy.kind.x=1,2", "does not address a mapping key"),
+        ],
+    )
+    def test_malformed_param_exit_2(self, short_uplift, tmp_path, capsys, param, message):
+        rc = main(["sweep", str(short_uplift), "--param", param, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err

@@ -255,7 +255,8 @@ class TestAllocate:
                 servers, policy, initial_partitions(policy, servers, hosts), cell_hosts=hosts
             )
             for gpu_state in state.gpus:
-                if rng.random() < 0.15:
+                # only a split's GPU is ever repartitioned, and so settles
+                if rng.random() < 0.15 and not state.soft_ran:
                     gpu_state.settling_until_us = 10**9
                 if gpu_state.ai_slice and rng.random() < 0.5:
                     grant = rng.uniform(0.05, gpu_state.ai_cap)
@@ -306,10 +307,7 @@ class TestRepartition:
         state = split_state()
         gpu1 = state.gpus[0]
         jobs = [run_job(state, gpu1, g, jid=f"j{i}") for i, g in enumerate((0.05, 0.05, 0.5))]
-        action = ScaleAction(
-            ActionKind.REPARTITION, "gpu1", fractions=(0.7, 0.3), classes=(RAN, AI)
-        )
-        orch._repartition_gpu(state, action)
+        orch._repartition_gpu(state, ScaleAction(ActionKind.REPARTITION, "gpu1", 0.7))
         layout = [(i.compute_fraction, i.tenant_class) for i in gpu1.instances]
         assert layout == [(0.7, RAN), (0.3, AI)]
         assert gpu1.jobs == [] and gpu1.ai_cap == 0.3
@@ -411,29 +409,23 @@ class TestOneAiSlice:
     """A GPU gives AI at most one slice; a job runs in it."""
 
     @pytest.mark.parametrize(
-        "policy",
-        [
-            Policy(kind=PolicyKind.STATIC_SPLIT),
-            Policy(kind=PolicyKind.TIME_SPLIT, schedule=((0.0, 1.0, 0.4),)),
-        ],
-        ids=["static_two_ai", "time_split_two_ai"],
+        "shares", [(0.4, 0.3), (0.4, 0.0), (0.0, 0.0)], ids=["ai_and_free", "ran_and_free", "whole"]
     )
-    def test_layout_with_two_ai_slices_is_rejected(self, policy):
-        server = Server(id="srv1", gpus=(GpuDevice("gpu0"), GpuDevice("gpu1")))
-        layout = ([0.4, 0.3, 0.3], [RAN, AI, AI])
-        with pytest.raises(ValueError, match="gpu1: AI may use 2 slices"):
-            build_cluster_state([server], policy, {"gpu1": layout})
-
-    @pytest.mark.parametrize(
-        "layout",
-        [([0.4, 0.3], [RAN, AI]), ([0.4], [RAN]), ([1.0], [FREE])],
-        ids=["ai_and_free", "ran_and_free", "whole"],
-    )
-    def test_dynamic_policy_takes_no_partitions(self, layout):
+    def test_dynamic_policy_takes_no_partitions(self, shares):
         """The dynamic policy shares whole GPUs, RAN first: any caller's layout is refused."""
         server = Server(id="srv1", gpus=(GpuDevice("gpu0"), GpuDevice("gpu1")))
         with pytest.raises(ValueError, match="dynamic_backfill shares whole GPUs.*gpu1"):
-            build_cluster_state([server], DYNAMIC, {"gpu1": layout})
+            build_cluster_state([server], DYNAMIC, {"gpu1": shares})
+
+    def test_dynamic_policy_takes_no_repartition(self):
+        """A REPARTITION of a dynamic GPU is refused before it drains the GPU."""
+        state = whole_state()
+        gpu1 = state.gpus[0]
+        job = run_job(state, gpu1, 0.5)
+        layout = list(gpu1.instances)
+        with pytest.raises(ValueError, match="dynamic_backfill shares whole GPUs.*gpu1"):
+            orch.apply_actions(state, [ScaleAction(ActionKind.REPARTITION, "gpu1", 0.7)])
+        assert gpu1.instances == layout and job.state is JobState.RUNNING
 
     def test_job_cannot_start_without_an_ai_slice(self):
         state = split_state(ran=1.0, ai=0.0)

@@ -235,7 +235,7 @@ class TestValidateOnce:
         gpu1 = engine.state.gpu_by_id("gpu1")
         horizon_us = round(sc.horizon_s * 1e6)
         assert report.summary.per_gpu["gpu1"].avg_ran == pytest.approx(
-            gpu1.ran_integral / horizon_us, abs=1e-9
+            engine.state.fleet.ran_integral[gpu1.index] / horizon_us, abs=1e-9
         )
         assert report.summary.per_gpu["gpu1"].avg_ai == pytest.approx(
             gpu1.ai_integral / horizon_us, abs=1e-9

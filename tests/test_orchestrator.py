@@ -71,7 +71,7 @@ class TestInitialPartitions:
         server = Server(id="srv1", gpus=(GpuDevice("gpu1"), GpuDevice("gpu2")))
         parts = initial_partitions(STATIC, [server], {"srv1"})
         assert set(parts) == {"gpu1"}
-        assert parts["gpu1"] == ([0.4, 0.6], [RAN, AI])
+        assert parts["gpu1"] == (0.4, 0.6)
 
     def test_dynamic_leaves_gpus_whole(self):
         server = Server(id="srv1", gpus=(GpuDevice("gpu1"),))
@@ -116,9 +116,7 @@ class TestPlanPlacement:
 
     def test_dynamic_policy_uses_free_capacity_within_ceiling(self):
         state = poc_state(DYNAMIC)
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                gpu.ai_ceiling = 0.95
+        state.fleet.ai_ceiling[:] = 0.95
         j = job("j1", 0.9)
         enqueue(state, j)
         decision = plan_placement([j], state)
@@ -182,7 +180,7 @@ class TestPlacementOracle:
             for s in servers:
                 for g in s.gpus:
                     ai = rng.randrange(4, 21) * 0.05
-                    partitions[g.id] = ([ai], [AI])
+                    partitions[g.id] = (0.0, ai)
                     capacities.append(ai)
             state = build_cluster_state(servers, policy, partitions)
             jobs = [
@@ -211,16 +209,14 @@ class TestPlacementOracle:
 class TestPolicyEpoch:
     def test_static_is_noop(self):
         state = poc_state()
-        actions = policy_epoch(state, 0.3)
-        assert [a.kind for a in actions] == [ActionKind.NO_OP]
+        assert policy_epoch(state, 0.3) == []
 
     def test_dynamic_grant_ceiling(self):
         state = poc_state(DYNAMIC)
         enqueue(state, job("j1", 1.0))
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                gpu.epoch_max = 0.40 if gpu.device.id == "gpu1" else 0.0
-                gpu.demand_last = gpu.epoch_max
+        fleet = state.fleet
+        fleet.epoch_max[:] = [0.40 if gpu.device.id == "gpu1" else 0.0 for gpu in state.gpus]
+        fleet.demand_last[:] = fleet.epoch_max
         actions = policy_epoch(state, 0.1)
         grant = next(a for a in actions if a.gpu_id == "gpu1")
         assert grant.kind is ActionKind.GRANT_AI
@@ -233,8 +229,7 @@ class TestPolicyEpoch:
         state.jobs["j1"] = j
         state.enqueue(j)
         start_job(state, j, gpu1, 0.55)
-        gpu1.epoch_max = 0.90
-        gpu1.demand_last = 0.90
+        state.fleet.epoch_max[gpu1.index] = state.fleet.demand_last[gpu1.index] = 0.90
         actions = policy_epoch(state, 0.2)
         reclaim = next(a for a in actions if a.gpu_id == "gpu1")
         assert reclaim.kind is ActionKind.RECLAIM_AI
@@ -242,8 +237,7 @@ class TestPolicyEpoch:
 
     def test_dynamic_stable_noop(self):
         state = poc_state(DYNAMIC)
-        actions = policy_epoch(state, 0.1)
-        assert [a.kind for a in actions] == [ActionKind.NO_OP]
+        assert policy_epoch(state, 0.1) == []
 
     def test_misaligned_epoch(self):
         state = poc_state(DYNAMIC)
@@ -262,17 +256,14 @@ class TestPolicyEpoch:
         )
         actions = policy_epoch(state, 10.0)
         assert actions[0].kind is ActionKind.REPARTITION
-        assert actions[0].fractions == (0.7, 0.3)
+        assert actions[0].fraction == 0.7
         with pytest.raises(InvalidEpoch):
             policy_epoch(state, 5.0)
 
     def test_work_conservation_grant_emitted(self):
         state = poc_state(DYNAMIC)
         enqueue(state, job("j1", 0.3))
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                gpu.epoch_max = 0.2
-                gpu.demand_last = 0.2
+        state.fleet.epoch_max[:] = state.fleet.demand_last[:] = 0.2
         actions = policy_epoch(state, 0.1)
         assert any(a.kind is ActionKind.GRANT_AI for a in actions)
 
@@ -289,8 +280,7 @@ class TestPolicyEpoch:
         state = poc_state(DYNAMIC)
         enqueue(state, *(job(f"j{i:03d}", 0.3, arrival=i * 1e-3) for i in range(500)))
         state.jobs = CountingJobs(state.jobs)
-        for gpu in state.gpus:
-            gpu.epoch_max = gpu.demand_last = 0.2
+        state.fleet.epoch_max[:] = state.fleet.demand_last[:] = 0.2
         actions = policy_epoch(state, 0.1)
         assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 2
         assert CountingJobs.reads <= 2
@@ -311,8 +301,7 @@ class TestPolicyEpoch:
         ]
         state = build_cluster_state(servers, DYNAMIC, {})
         enqueue(state, job("j1", 0.3))
-        for gpu in state.gpus:
-            gpu.epoch_max = gpu.demand_last = 0.2
+        state.fleet.epoch_max[:] = state.fleet.demand_last[:] = 0.2
         actions = policy_epoch(state, 0.1)
         assert [a.kind for a in actions] == [ActionKind.GRANT_AI] * 64
         assert calls == []
@@ -349,26 +338,10 @@ class TestApplyActions:
         assert newer.preempt_count == 1
         assert (newer.arrival_time, newer.id) in state.queue
 
-    def test_noop_leaves_state_unchanged(self):
-        state, gpu1, older, newer = self._running_pair()
-        snapshot = (
-            [(j.id, j.granted_fraction, j.state) for j in gpu1.jobs],
-            gpu1.ai_granted,
-            gpu1.ai_level,
-            list(state.queue),
-        )
-        apply_actions(state, [ScaleAction(ActionKind.NO_OP)])
-        assert snapshot == (
-            [(j.id, j.granted_fraction, j.state) for j in gpu1.jobs],
-            gpu1.ai_granted,
-            gpu1.ai_level,
-            list(state.queue),
-        )
-
     def test_grant_capped_at_queued_demand(self):
         state = poc_state(DYNAMIC)
         gpu1 = state.gpu_by_id("gpu1")
-        gpu1.ai_ceiling = 0.9
+        state.fleet.ai_ceiling[gpu1.index] = 0.9
         enqueue(state, job("j1", 0.25))
         apply_actions(
             state, [ScaleAction(ActionKind.GRANT_AI, "gpu1", fraction=0.9)]

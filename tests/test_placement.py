@@ -50,7 +50,7 @@ def reference_plan_placement(jobs, state):
         """Policy-level AI budget left on a GPU, one GPU at a time."""
         if not state.policy.is_dynamic:
             return math.inf
-        return gpu.ai_ceiling - gpu.ai_granted
+        return gpu.fleet.ai_ceiling[gpu.index] - gpu.ai_granted
 
     decision = PlacementDecision()
     interactive = [j for j in jobs if j.slo_class is SloClass.INTERACTIVE]
@@ -160,7 +160,7 @@ def random_fleet(rng: random.Random):
     clock_s = state.clock
     gpus = [g for srv in state.servers for g in srv.gpus]
     for gpu in gpus:
-        gpu.ai_ceiling = rng.choice([0.0, 0.3, 0.55, 0.95, 1.0])
+        state.fleet.ai_ceiling[gpu.index] = rng.choice([0.0, 0.3, 0.55, 0.95, 1.0])
         r = rng.random()
         if r < 0.15:
             gpu.settling_until_us = state.clock_us + 500
@@ -248,9 +248,7 @@ def overloaded_fleet(n_jobs: int):
         for s in range(4)
     ]
     state = build_cluster_state(servers, DYNAMIC, {})
-    for srv in state.servers:
-        for gpu in srv.gpus:
-            gpu.ai_ceiling = 0.05
+    state.fleet.ai_ceiling[:] = 0.05
     rng = random.Random(3)
     jobs = []
     for i in range(n_jobs):
@@ -273,9 +271,7 @@ class TestOverloadCost:
     def test_fit_on_first_server_reads_only_that_server(self):
         state, _ = overloaded_fleet(0)
         srv0 = state.servers[0]
-        for srv in state.servers:
-            for gpu in srv.gpus:
-                gpu.ai_ceiling = 1.0  # every server has room
+        state.fleet.ai_ceiling[:] = 1.0  # every server has room
         srv0.gpus[3].settling_until_us = state.clock_us + 500
         for gpu, grant in zip(srv0.gpus, (0.4, 0.1, 0.1)):
             running = AiJob(f"run-{gpu.device.id}", 0.0, 100.0, grant)

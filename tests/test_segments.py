@@ -82,7 +82,7 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     integral). Returns True when a throttle was applied.
     """
     TOL = orchestrator.TOL
-    soft = state.soft_ran
+    soft, fleet = state.soft_ran, state.fleet
     now_us = state.clock_us
     applied = False
     for srv, rem in zip(state.servers, demands):
@@ -107,9 +107,9 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 rem -= cap
             if soft:
                 asked = take + (rem if gpu is srv.gpus[-1] else 0.0)
-                gpu.demand_last = asked
-                if asked > gpu.epoch_max:
-                    gpu.epoch_max = asked
+                fleet.demand_last[gpu.index] = asked
+                if asked > fleet.epoch_max[gpu.index]:
+                    fleet.epoch_max[gpu.index] = asked
             if take != gpu.ran_level:
                 accrue(gpu, "ran", now_us)
                 gpu.ran_level = take
@@ -128,22 +128,21 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
 
 def accrue(gpu, level: str, now_us: int):
     """Accrue ``gpu``'s ``level`` ("ran" or "ai") integral up to ``now_us``, on its own clock."""
-    clock = f"{level}_accrue_us"
-    dt = now_us - getattr(gpu, clock)
+    fleet, g = gpu.fleet, gpu.index
+    clock = getattr(fleet, f"{level}_accrue_us")
+    dt = now_us - clock.item(g)
     if dt > 0:
-        integral = f"{level}_integral"
-        setattr(gpu, integral, getattr(gpu, integral) + getattr(gpu, f"{level}_level") * dt)
-        setattr(gpu, clock, now_us)
+        getattr(fleet, f"{level}_integral")[g] += getattr(fleet, f"{level}_level").item(g) * dt
+        clock[g] = now_us
 
 
 def reference_forecast_holds(state, past: list[deque]) -> bool:
     """``forecast_holds`` one GPU at a time: a full window of maxima equal to its last demand."""
     full = orchestrator._window(state.policy) - 1
+    last, epoch_max = state.fleet.demand_last.tolist(), state.fleet.epoch_max.tolist()
     return all(
-        gpu.epoch_max == gpu.demand_last
-        and len(maxima) == full
-        and all(m == gpu.demand_last for m in maxima)
-        for gpu, maxima in zip(state.gpus, past)
+        epoch_max[g] == last[g] and len(maxima) == full and all(m == last[g] for m in maxima)
+        for g, maxima in enumerate(past)
     )
 
 
@@ -151,13 +150,14 @@ def reference_epoch_ceilings(state, past: list[deque]) -> list[float]:
     """The dynamic epoch's forecast and ceiling one GPU at a time; rolls each GPU's deque."""
     policy = state.policy
     full = orchestrator._window(policy) - 1
+    last, epoch_max = state.fleet.demand_last.tolist(), state.fleet.epoch_max.tolist()
     ceilings = []
-    for gpu, maxima in zip(state.gpus, past):
+    for g, maxima in enumerate(past):
         if policy.forecast is ForecastKind.LAST_VALUE:
-            forecast = gpu.demand_last
+            forecast = last[g]
         else:
-            forecast = max((gpu.epoch_max, *maxima))
-        maxima.append(gpu.epoch_max)
+            forecast = max((epoch_max[g], *maxima))
+        maxima.append(epoch_max[g])
         while len(maxima) > full:
             maxima.popleft()
         ceiling = 1.0 - forecast - policy.safety_margin
@@ -538,13 +538,15 @@ def random_scenario(seed: int) -> Scenario:
 
 
 def _gpu_state(state) -> list[tuple]:
+    f = state.fleet
     return [
         (
             g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
-            g.demand_last, g.epoch_max, tuple(g.fleet.history[:, g.index].tolist()),
-            g.ai_ceiling, g.ran_integral, g.ai_integral, g.ran_accrue_us, g.ai_accrue_us,
+            f.demand_last.item(i), f.epoch_max.item(i), tuple(f.history[:, i].tolist()),
+            f.ai_ceiling.item(i), f.ran_integral.item(i), g.ai_integral,
+            f.ran_accrue_us.item(i), g.ai_accrue_us,
         )
-        for g in state.gpus
+        for i, g in enumerate(state.gpus)
     ]
 
 
@@ -709,7 +711,7 @@ def test_overloaded_dynamic_fleet(monkeypatch):
     )
     eng = assert_same_run(sc, "overload")
     assert any(n > 1 for n, _fired, _settling, _a in slices) and eng.state.misses
-    assert max(g.epoch_max for g in eng.state.gpus) > 1.0
+    assert eng.state.fleet.epoch_max.max() > 1.0
 
 
 def test_segment_cover_scenario_kinds():
@@ -900,15 +902,27 @@ def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
     assert eng.state.misses
 
 
-def _dynamic_state(*sizes: int):
-    """Servers ``srv0``, ``srv1``, ... of ``sizes`` whole GPUs under dynamic backfill."""
-    servers = [
+def _servers(sizes) -> list[Server]:
+    """Servers ``srv0``, ``srv1``, ... of ``sizes`` GPUs."""
+    return [
         Server(id=f"srv{s}", gpus=tuple(GpuDevice(f"srv{s}-gpu{g}") for g in range(size)))
         for s, size in enumerate(sizes)
     ]
+
+
+def _dynamic_state(*sizes: int):
+    """Servers of ``sizes`` whole GPUs under dynamic backfill."""
     return orchestrator.build_cluster_state(
-        servers, Policy(kind=PolicyKind.DYNAMIC_BACKFILL), {}
+        _servers(sizes), Policy(kind=PolicyKind.DYNAMIC_BACKFILL), {}
     )
+
+
+def _split_state(*sizes: int):
+    """Servers of ``sizes`` GPUs, each split 0.5 RAN / 0.5 AI; only a split's GPU settles."""
+    servers = _servers(sizes)
+    policy = Policy(kind=PolicyKind.STATIC_SPLIT, ran_fraction=0.5, ai_fraction=0.5)
+    shares = {gpu.id: (0.5, 0.5) for srv in servers for gpu in srv.gpus}
+    return orchestrator.build_cluster_state(servers, policy, shares)
 
 
 def _run_free_job(state, gpu, grant: float, jid: str):
@@ -964,41 +978,38 @@ def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
 
 
 def test_block_with_a_settling_gpu_between_live_gpus():
-    """Demand passes a settling middle GPU by, to its live neighbour, which throttles."""
-    state = _dynamic_state(3, 1)
+    """Demand passes a settling middle GPU by, to its live neighbour, and what is left misses."""
+    state = _split_state(3, 1)
     first, middle, third = state.servers[0].gpus
-    _run_free_job(state, third, 0.3, "j0")
-    _settle_all(state, np.array([[1.5] * 4, [0.2] * 4]))
-    assert middle.ran_level == 0.5
+    _settle_all(state, np.array([[1.2] * 4, [0.2] * 4]))
+    assert (first.ran_level, middle.ran_level, third.ran_level) == (0.5, 0.5, 1.2 - 0.5 - 0.5)
     middle.settling_until_us = state.clock_us + 4 * state.slot_us
-    srv0 = [1.2, 1.5, 1.8, 1.9, 1.9, 1.9, 2.2, 2.5, 2.9, 3.1, 3.4]
-    slices = _settle_all(state, np.array([srv0, [0.2, 1.3] * 5 + [0.2]]))
-    # the throttle fires inside the first slice, while the middle GPU settles
-    assert slices[0] == (11, 2), slices
-    assert not first.throttled and state.misses
+    before = len(state.misses)
+    assert _settle_all(state, np.array([[0.7, 0.9, 1.4, 1.2], [0.2, 0.4, 0.2, 0.4]])) == [(4, 4)]
+    assert (first.ran_level, middle.ran_level, third.ran_level) == (0.5, 0.0, 0.5)
+    assert [(sid, sf) for _t, sid, sf in state.misses[before:]] == [
+        ("srv0", 1.4 - 0.5 - 0.5), ("srv0", 1.2 - 0.5 - 0.5),
+    ]
+    _settle_all(state, np.array([[1.4], [0.2]]))
+    assert (middle.ran_level, third.ran_level) == (0.5, 1.4 - 0.5 - 0.5)
 
 
 def test_block_with_the_last_gpu_settling_while_demand_overflows():
-    """A settling last GPU leaves the server's shortfall to the misses alone.
-
-    The first GPU records only its own take as the demand it was asked to
-    serve; the settling GPU's forecast inputs stay as they were.
-    """
-    state = _dynamic_state(2)
+    """A settling last GPU takes nothing, so all demand past the first GPU's slice misses."""
+    state = _split_state(2)
     first, last = state.gpus
-    _run_free_job(state, last, 0.3, "j0")
-    _settle_all(state, np.array([[1.6, 1.7, 1.9]]))
-    assert last.demand_last == last.epoch_max == 1.9 - 1.0
-    # a throttled GPU has no throttle test while it settles
+    _settle_all(state, np.array([[0.6, 0.8, 0.9]]))
+    assert last.ran_level == 0.9 - 0.5
     last.settling_until_us = state.clock_us + 5 * state.slot_us
-    assert last.throttled
     before = len(state.misses)
-    assert _settle_all(state, np.array([[1.4, 2.3, 1.2]])) == [(3, 3)]
-    assert last.ran_level == 0.0 and last.demand_last == last.epoch_max == 1.9 - 1.0
-    assert first.demand_last == 1.0 and len(state.misses) == before + 3
-    slices = _settle_all(state, np.array([[1.1, 2.5, 1.9, 0.4, 1.3]]))
-    assert last.demand_last == 1.3 - 1.0 and last.epoch_max == 1.9 - 1.0
-    assert slices[0] == (5, 2), slices  # the first slot the last GPU is live
+    assert _settle_all(state, np.array([[0.4, 1.3, 0.7]])) == [(3, 3)]
+    assert (first.ran_level, last.ran_level) == (0.5, 0.0)
+    assert [sf for _t, _sid, sf in state.misses[before:]] == [1.3 - 0.5, 0.7 - 0.5]
+    before = len(state.misses)
+    _settle_all(state, np.array([[1.1, 0.6, 1.2, 0.4, 0.8]]))
+    # the last GPU is live again from the third slot on
+    assert [sf for _t, _sid, sf in state.misses[before:]] == [1.1 - 0.5, 0.6 - 0.5, 1.2 - 0.5 - 0.5]
+    assert last.ran_level == 0.8 - 0.5
 
 
 def test_block_applies_simultaneous_throttles_in_gpu_order():
