@@ -189,7 +189,6 @@ class GpuSummary:
 class Summary:
     per_gpu: dict[str, GpuSummary]
     avg_total: float  # mean of per-GPU time-weighted averages
-    miss_count: int
 
 
 @dataclass(frozen=True)
@@ -347,6 +346,8 @@ class Scenario:
 
 @dataclass
 class MetricsReport:
+    """One run's outputs. The summary is derived from the trace when it is read."""
+
     scenario_name: str
     horizon_s: float
     sample_interval_s: float
@@ -357,7 +358,10 @@ class MetricsReport:
     deadline_misses: list[DeadlineMiss]
     fabric_violations: list[EventRecord]
     job_stats: JobStats
-    summary: Summary
+
+    @cached_property
+    def summary(self) -> Summary:
+        return summarize(self.trace) if len(self.trace) else Summary({}, 0.0)
 
 
 def mix_seed(base_seed: int, index: int) -> int:
@@ -444,8 +448,8 @@ def p95(values) -> float:
     return below + diff * weight
 
 
-def summarize(trace: Trace, miss_count: int = 0) -> Summary:
-    """Time-weighted summary of a utilization trace and a miss count.
+def summarize(trace: Trace) -> Summary:
+    """Time-weighted summary of a utilization trace.
 
     The trace is treated as a step function: each sample holds until the
     next one, and the final sample carries zero weight. Peaks and P95 are
@@ -474,7 +478,7 @@ def summarize(trace: Trace, miss_count: int = 0) -> Summary:
             p95_total=p95(totals),
         )
     avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)
-    return Summary(per_gpu=per_gpu, avg_total=avg_total, miss_count=miss_count)
+    return Summary(per_gpu=per_gpu, avg_total=avg_total)
 
 
 class SimEngine:
@@ -794,10 +798,6 @@ class SimEngine:
             ),
         )
         gpu_ids = tuple(g.id for s in self.scenario.servers for g in s.gpus)
-        if len(self.trace):
-            summary = summarize(self.trace, len(misses))
-        else:
-            summary = Summary({}, 0.0, len(misses))
         return MetricsReport(
             scenario_name=self.scenario.name,
             horizon_s=self.scenario.horizon_s,
@@ -809,7 +809,6 @@ class SimEngine:
             deadline_misses=misses,
             fabric_violations=self.fabric_events,
             job_stats=job_stats,
-            summary=summary,
         )
 
 

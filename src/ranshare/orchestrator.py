@@ -330,22 +330,22 @@ class GpuState:
     ai_integral = _column("ai_integral")
     ai_accrue_us = _column("ai_accrue_us")
 
-    def refresh_caches(self, soft_ran: bool):
+    def refresh_caches(self, dynamic: bool):
         """Recompute the slice caches and zero the AI grant after a (re)partition.
 
         A GPU is (re)partitioned only with no job on it, so it holds no
-        grant. ``soft_ran``: the dynamic policy, under which the GPU is one
+        grant. ``dynamic``: the dynamic policy, under which the GPU is one
         whole FREE slice that RAN and AI share, RAN first. Otherwise RAN
         meets the RAN slice and AI uses the AI slice. Every layout is cut
         by ``_split_layout``, so a GPU has at most one slice of each class.
         """
-        ai_class = TenantClass.FREE if soft_ran else TenantClass.AI
+        ai_class = TenantClass.FREE if dynamic else TenantClass.AI
         self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
         self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
         self.ai_granted = self.ai_level = 0.0
         self.throttled = False
         fleet = self.fleet
-        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = self.ai_cap if soft_ran else sum(
+        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = self.ai_cap if dynamic else sum(
             i.compute_fraction for i in self.instances if i.tenant_class is TenantClass.RAN
         )
         fleet.tape = None
@@ -401,15 +401,11 @@ class ClusterState:
     def __post_init__(self):
         self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
         self._gpus = {gpu.device.id: gpu for gpu in self.gpus}
-        self.fleet = Fleet(self.servers, _window(self.policy) - 1 if self.soft_ran else 0)
+        dynamic = self.policy.is_dynamic
+        self.fleet = Fleet(self.servers, _window(self.policy) - 1 if dynamic else 0)
         for i, gpu in enumerate(self.gpus):
             gpu.fleet, gpu.index = self.fleet, i
-            gpu.refresh_caches(self.soft_ran)
-
-    @property
-    def soft_ran(self) -> bool:
-        """Whether RAN may spill into FREE capacity: under the dynamic policy."""
-        return self.policy.is_dynamic
+            gpu.refresh_caches(dynamic)
 
     @property
     def clock(self) -> float:
@@ -596,16 +592,14 @@ class RanTape:
     ``ran_integral`` and ``ran_accrue_us`` are the RAN integral and its
     clock after the slot. Under the dynamic policy, ``asked`` is what the
     GPU was asked to serve and ``room`` what RAN left for AI,
-    ``ai_cap - take``. ``live`` marks the (slot, GPU) cells that do not
-    settle, or is None when none settles; only a split's GPU is ever
-    repartitioned, so under the dynamic policy it is None.
-    ``misses`` are the tape's misses in order and ``miss_slots`` their
-    slots. ``next`` is the first slot not yet settled from the tape.
+    ``ai_cap - take``. ``misses`` are the tape's misses in order and
+    ``miss_slots`` their slots. ``next`` is the first slot not yet settled
+    from the tape.
     """
 
     __slots__ = (
         "first_us", "size", "next", "take", "ran_integral", "ran_accrue_us",
-        "asked", "room", "live", "misses", "miss_slots",
+        "asked", "room", "misses", "miss_slots",
     )
 
 
@@ -700,11 +694,9 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     servers, width = fleet.grid_cap.shape
     rem = rem.T  # (slot, server)
     caps = fleet.grid_cap  # (server, position), or (slot, server, position)
-    live = None  # (slot, GPU): not settling
     if fleet.settling_until_us.max() >= t_us[0]:
-        live = t_us[:, None] > fleet.settling_until_us
-        grid_live = np.ones((n, servers * width), dtype=bool)
-        grid_live[:, fleet.grid_rows] = live
+        grid_live = np.ones((n, servers * width), dtype=bool)  # (slot, position): not settling
+        grid_live[:, fleet.grid_rows] = t_us[:, None] > fleet.settling_until_us
         caps = np.where(grid_live.reshape(n, servers, width), caps, 0.0)
     take = np.zeros((n, servers, width))
     for p in range(width):
@@ -735,10 +727,10 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
 
     tape = RanTape()
     tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
-    tape.take, tape.live = take, live
+    tape.take = take
     tape.ran_integral, tape.ran_accrue_us = sums[1:], accrued[1:]
     tape.asked = tape.room = None
-    if state.soft_ran:
+    if state.policy.is_dynamic:
         # what each GPU was asked to serve: its take, plus the server's
         # shortfall on the server's last GPU (take + 0.0 is take)
         asked = take
@@ -763,7 +755,7 @@ def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
     ``room`` is never negative and a GPU without a grant never fires.
     Returns ``(b, None)`` when no test fires.
     """
-    if not state.soft_ran:
+    if not state.policy.is_dynamic:
         return b, None
     fleet = state.fleet
     granted, throttled = fleet.ai_granted, fleet.throttled
@@ -796,7 +788,7 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     fleet.ran_level[:] = tape.take[last]
     fleet.ran_integral[:] = tape.ran_integral[last]
     fleet.ran_accrue_us[:] = tape.ran_accrue_us[last]
-    if state.soft_ran:
+    if state.policy.is_dynamic:
         asked = tape.asked[a:last + 1]
         fleet.demand_last[:] = asked[-1]
         np.maximum(fleet.epoch_max, asked.max(axis=0), out=fleet.epoch_max)
@@ -1159,7 +1151,7 @@ def finish_job(state: ClusterState, job: AiJob):
 
 def _refresh_effective(state: ClusterState, gpu: GpuState):
     """Re-apply the dynamic policy's per-slot cap after grant changes."""
-    if not state.soft_ran:
+    if not state.policy.is_dynamic:
         return  # a split's AI slice is hard: AI runs at its grant
     allowed = gpu.ai_cap - gpu.ran_level
     if gpu.ai_granted > allowed + TOL or gpu.throttled:
@@ -1254,7 +1246,7 @@ def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterSta
 
 def _repartition_gpu(state: ClusterState, action: ScaleAction):
     """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI."""
-    if state.soft_ran:
+    if state.policy.is_dynamic:
         raise ValueError(f"dynamic_backfill shares whole GPUs; cannot partition {action.gpu_id}")
     gpu = state.gpu_by_id(action.gpu_id)
     for job in list(gpu.jobs):  # drain AI before resizing
@@ -1266,7 +1258,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
         *_split_layout(action.fraction, 1.0 - action.fraction),
         id_prefix=f"{gpu.device.id}.g{gpu.generation}",
     )
-    gpu.refresh_caches(state.soft_ran)
+    gpu.refresh_caches(state.policy.is_dynamic)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling
     gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us

@@ -28,10 +28,8 @@ from .engine import (
     JobStats,
     MetricsReport,
     Scenario,
-    Summary,
     TopologySpec,
     Trace,
-    summarize,
 )
 from .errors import ParseError, SchemaError, SemanticError, SimulatorError
 from .fabric import Flow, FlowKind, FronthaulCalibration, egress_target
@@ -703,18 +701,12 @@ def parse_records(text: str) -> MetricsReport:
         raise ParseError("missing records metadata header")
     if g:
         raise ParseError(f"the last sample lists {g} of {len(gpu_ids)} gpus")
-    trace = Trace(gpu_ids, times, ran, ai, notes)
-    if len(trace):
-        summary = summarize(trace, len(misses))
-    else:
-        summary = Summary({}, 0.0, len(misses))
     return MetricsReport(
         **meta,
         gpu_ids=gpu_ids,
-        trace=trace,
+        trace=Trace(gpu_ids, times, ran, ai, notes),
         events=events,
         deadline_misses=misses,
         fabric_violations=fabric,
         job_stats=job_stats,
-        summary=summary,
     )

@@ -256,7 +256,7 @@ class TestAllocate:
             )
             for gpu_state in state.gpus:
                 # only a split's GPU is ever repartitioned, and so settles
-                if rng.random() < 0.15 and not state.soft_ran:
+                if rng.random() < 0.15 and not state.policy.is_dynamic:
                     gpu_state.settling_until_us = 10**9
                 if gpu_state.ai_slice and rng.random() < 0.5:
                     grant = rng.uniform(0.05, gpu_state.ai_cap)
@@ -276,7 +276,8 @@ class TestAllocate:
                         # RAN meets its own slices, and under the dynamic policy the FREE one
                         cap = math.fsum(
                             i.compute_fraction for i in g.instances
-                            if i.tenant_class is RAN or (state.soft_ran and i.tenant_class is FREE)
+                            if i.tenant_class is RAN
+                            or (state.policy.is_dynamic and i.tenant_class is FREE)
                         )
                         if g.settling_until_us >= state.clock_us:
                             cap = 0.0

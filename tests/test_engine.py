@@ -584,6 +584,27 @@ class TestSummarize:
             ]
             assert s.avg_total == pytest.approx(float(np.mean(vals[:-1])), abs=1e-6)
 
+    def test_records_run_never_summarizes(self, monkeypatch):
+        """The summary is derived from the trace when first read, and only then."""
+        from ranshare import engine
+        from ranshare.scenario import load_scenario
+
+        calls = []
+        original = engine.summarize
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(engine, "summarize", counting)
+        poc = load_scenario(pathlib.Path(__file__).parents[1] / "scenarios" / "poc.scenario")
+        report = SimEngine(dataclasses.replace(poc, horizon_s=0.5)).run()
+        write_report(report, "records")
+        assert calls == []
+        write_report(report, "summary")
+        assert report.summary is report.summary
+        assert len(calls) == 1
+
 
 class TestDynamicRanPriority:
     def test_miss_sequence_unchanged_by_saturating_ai(self):

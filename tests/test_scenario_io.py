@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranshare.engine import JobStats, MetricsReport, SimEngine, Summary, Trace
+from ranshare.engine import JobStats, MetricsReport, SimEngine, Trace
 from ranshare.errors import ParseError, SchemaError, SemanticError
 from ranshare.orchestrator import PolicyKind
 from ranshare import scenario as scenario_mod
@@ -194,7 +194,6 @@ class TestReports:
             deadline_misses=[],
             fabric_violations=[],
             job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
-            summary=Summary({}, 0.0, 0),
         )
         text = write_report(report, "records")
         lines = text.strip().splitlines()

@@ -82,7 +82,7 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     integral). Returns True when a throttle was applied.
     """
     TOL = orchestrator.TOL
-    soft, fleet = state.soft_ran, state.fleet
+    soft, fleet = state.policy.is_dynamic, state.fleet
     now_us = state.clock_us
     applied = False
     for srv, rem in zip(state.servers, demands):
@@ -279,7 +279,7 @@ class ReferenceSampler:
             self._emit_samples([g.ran_level for g in gpus], [g.ai_level for g in gpus])
 
 
-def reference_summarize(trace: list[TraceRecord], miss_count: int = 0) -> Summary:
+def reference_summarize(trace: list[TraceRecord]) -> Summary:
     """``summarize`` over a list of rows, as it was before the columnar trace."""
     if not trace:
         raise EmptyTrace("cannot summarize an empty trace")
@@ -310,7 +310,7 @@ def reference_summarize(trace: list[TraceRecord], miss_count: int = 0) -> Summar
             p95_total=float(np.percentile(totals, 95)),
         )
     avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)
-    return Summary(per_gpu=per_gpu, avg_total=avg_total, miss_count=miss_count)
+    return Summary(per_gpu=per_gpu, avg_total=avg_total)
 
 
 _CATEGORY_ORDER = {"sample": 3, "event": 0, "miss": 1, "fabric": 2}
@@ -400,10 +400,10 @@ def reference_run(eng: SimEngine):
     state.clock_us = horizon_us
     sampler.flush(horizon_us + 1)
     reference_accrue_all(state)
-    report = eng._report()  # its summary is empty: eng.trace holds no samples
+    report = eng._report()  # its trace is empty: the sampler holds the samples
     if sampler.rows:
-        summary = reference_summarize(sampler.rows, len(report.deadline_misses))
-        report = dataclasses.replace(report, trace=sampler.rows, summary=summary)
+        report = dataclasses.replace(report, trace=sampler.rows)
+        report.summary = reference_summarize(sampler.rows)  # shadows the derived summary
     return report
 
 

@@ -16,7 +16,6 @@ from ranshare.engine import (
     JobStats,
     MetricsReport,
     SimEngine,
-    Summary,
     Trace,
     TraceRecord,
     round6,
@@ -88,7 +87,6 @@ def _report(trace: Trace) -> MetricsReport:
         scenario_name="rows", horizon_s=0.5, sample_interval_s=0.5, seed=0,
         gpu_ids=trace.gpu_ids, trace=trace, events=[], deadline_misses=[], fabric_violations=[],
         job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
-        summary=summarize(trace) if len(trace) else Summary({}, 0.0, 0),
     )
 
 
@@ -169,7 +167,6 @@ def test_records_keep_signed_zero_and_merge_order():
         deadline_misses=[DeadlineMiss(0.0, "s1", 0.5)],
         fabric_violations=[EventRecord(0.02, "capacity", "l1", "z")],
         job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
-        summary=summarize(trace, 1),
     )
     text = write_report(report, "records")
     rows = text.splitlines()[5:]
