@@ -96,75 +96,52 @@ class Server:
             raise ValueError(f"server {self.id}: port rates must be positive")
 
 
-def _fraction_to_units(gpu: GpuDevice, fraction: float) -> int:
-    units = round(fraction * gpu.total_units)
-    if abs(fraction - units / gpu.total_units) > TOL:
+def _share_units(gpu: GpuDevice, share: float) -> int:
+    if not 0.0 <= share <= 1.0 + TOL:
+        raise ValueError(f"{gpu.id}: share {share} outside [0, 1]")
+    units = round(share * gpu.total_units)
+    if abs(share - units / gpu.total_units) > TOL:
         raise GranularityViolation(
-            f"{gpu.id}: {fraction} is not a multiple of "
+            f"{gpu.id}: {share} is not a multiple of "
             f"granularity {gpu.partition_granularity}"
         )
     return units
 
 
 def partition_gpu(
-    gpu: GpuDevice,
-    fractions: list[float],
-    classes: list[TenantClass],
-    id_prefix: str = "",
+    gpu: GpuDevice, ran: float, ai: float, id_prefix: str = ""
 ) -> list[GpuInstance]:
-    """Split a GPU into hard slices; leftover capacity becomes a FREE slice.
+    """Cut a GPU into a RAN slice and an AI slice; leftover capacity becomes a FREE slice.
 
-    Raises PartitionOverflow when the fractions exceed 1.0 and
-    GranularityViolation when a fraction does not sit on the granularity
-    grid. ``id_prefix`` lets callers keep instance ids unique across
+    A share of 0 gets no slice, and (0, 0) leaves the whole GPU one FREE
+    slice. Slices are ``<prefix>/s0``, ``<prefix>/s1`` in cut order and
+    ``<prefix>/free`` for the leftover. Raises ValueError for a share
+    outside [0, 1], PartitionOverflow when the shares exceed the GPU and
+    GranularityViolation when a share is off the granularity grid.
+    ``id_prefix`` (default: the GPU id) keeps instance ids unique across
     repartition generations.
     """
-    if not fractions:
-        raise ValueError("fractions must be non-empty")
-    if len(fractions) != len(classes):
-        raise ValueError("fractions and classes must have equal length")
-    units = []
-    for f in fractions:
-        if not 0.0 < f <= 1.0 + TOL:
-            raise ValueError(f"fraction {f} outside (0, 1]")
-        units.append(_fraction_to_units(gpu, f))
     total = gpu.total_units
-    if sum(units) > total:
-        raise PartitionOverflow(
-            f"{gpu.id}: requested {sum(units)}/{total} units"
-        )
+    ran_units, ai_units = _share_units(gpu, ran), _share_units(gpu, ai)
+    used = ran_units + ai_units
+    if used > total:
+        raise PartitionOverflow(f"{gpu.id}: requested {used}/{total} units")
     prefix = id_prefix or gpu.id
-    instances = [
-        GpuInstance(
-            id=f"{prefix}/s{i}",
-            units=u,
-            total_units=total,
-            tenant_class=cls,
-        )
-        for i, (u, cls) in enumerate(zip(units, classes))
-    ]
-    leftover = total - sum(units)
-    if leftover >= 1:
-        instances.append(
-            GpuInstance(
-                id=f"{prefix}/free",
-                units=leftover,
-                total_units=total,
-                tenant_class=TenantClass.FREE,
-            )
-        )
+    cuts = [(u, cls) for u, cls in ((ran_units, TenantClass.RAN), (ai_units, TenantClass.AI)) if u]
+    if not cuts:
+        return [GpuInstance(f"{prefix}/s0", total, total, TenantClass.FREE)]
+    instances = [GpuInstance(f"{prefix}/s{i}", u, total, cls) for i, (u, cls) in enumerate(cuts)]
+    if used < total:
+        instances.append(GpuInstance(f"{prefix}/free", total - used, total, TenantClass.FREE))
     return instances
 
 
 def repartition(
-    gpu: GpuDevice,
-    new_fractions: list[float],
-    new_classes: list[TenantClass],
-    id_prefix: str = "",
+    gpu: GpuDevice, ran: float, ai: float, id_prefix: str = ""
 ) -> list[GpuInstance]:
     """Replace a drained GPU's slices with a new layout, as ``partition_gpu`` cuts it.
 
     The orchestrator preempts every job on the GPU first, so no grant is
     held across the change.
     """
-    return partition_gpu(gpu, new_fractions, new_classes, id_prefix=id_prefix)
+    return partition_gpu(gpu, ran, ai, id_prefix=id_prefix)

@@ -336,17 +336,18 @@ class GpuState:
         A GPU is (re)partitioned only with no job on it, so it holds no
         grant. ``dynamic``: the dynamic policy, under which the GPU is one
         whole FREE slice that RAN and AI share, RAN first. Otherwise RAN
-        meets the RAN slice and AI uses the AI slice. Every layout is cut
-        by ``_split_layout``, so a GPU has at most one slice of each class.
+        meets the RAN slice and AI uses the AI slice; ``partition_gpu`` cuts
+        at most one slice of each class.
         """
         ai_class = TenantClass.FREE if dynamic else TenantClass.AI
         self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
         self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
         self.ai_granted = self.ai_level = 0.0
         self.throttled = False
+        ran_slice = next((i for i in self.instances if i.tenant_class is TenantClass.RAN), None)
         fleet = self.fleet
-        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = self.ai_cap if dynamic else sum(
-            i.compute_fraction for i in self.instances if i.tenant_class is TenantClass.RAN
+        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
+            self.ai_cap if dynamic else ran_slice.compute_fraction if ran_slice else 0.0
         )
         fleet.tape = None
 
@@ -450,10 +451,10 @@ def build_cluster_state(
 ) -> ClusterState:
     """Partition GPUs per the initial layout and assemble the cluster state.
 
-    ``partitions`` maps a GPU id to its (RAN share, AI share); each GPU is
-    cut by ``_split_layout``, so a GPU absent from it, or given (0.0, 0.0),
-    stays whole as a single FREE slice. ``partition_gpu`` rejects shares
-    that overflow the GPU or miss its granularity grid. The dynamic policy
+    ``partitions`` maps a GPU id to its (RAN share, AI share), which
+    ``partition_gpu`` cuts: a GPU absent from it, or given (0.0, 0.0), stays
+    whole as a single FREE slice, and shares that overflow the GPU or miss
+    its granularity grid are refused. The dynamic policy
     shares whole GPUs only, so it takes no ``partitions``.
     """
     if policy.is_dynamic and partitions:
@@ -464,7 +465,7 @@ def build_cluster_state(
     for server in servers:
         gpu_states = []
         for gpu in server.gpus:
-            layout = _split_layout(*partitions.get(gpu.id, (0.0, 0.0)))
+            layout = partitions.get(gpu.id, (0.0, 0.0))
             gpu_states.append(GpuState(device=gpu, instances=compute.partition_gpu(gpu, *layout)))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
@@ -501,20 +502,6 @@ def initial_partitions(
         ran = policy.schedule[0].ran_fraction
         ai = 1.0 - ran
     return {gpu_id: (ran, ai) for gpu_id in split_targets(policy, servers, cell_hosts)}
-
-
-def _split_layout(ran: float, ai: float) -> tuple[list[float], list[TenantClass]]:
-    """The slices of a (RAN share, AI share): one per share above TOL, else the whole GPU FREE."""
-    fractions, classes = [], []
-    if ran > TOL:
-        fractions.append(ran)
-        classes.append(TenantClass.RAN)
-    if ai > TOL:
-        fractions.append(ai)
-        classes.append(TenantClass.AI)
-    if not fractions:
-        fractions, classes = [1.0], [TenantClass.FREE]
-    return fractions, classes
 
 
 # -- slot-level settlement ---------------------------------------------------
@@ -1253,11 +1240,8 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
         preempt_job(state, gpu, job)
     gpu.accrue_ai(state.clock_us)
     gpu.generation += 1
-    gpu.instances = compute.repartition(
-        gpu.device,
-        *_split_layout(action.fraction, 1.0 - action.fraction),
-        id_prefix=f"{gpu.device.id}.g{gpu.generation}",
-    )
+    prefix = f"{gpu.device.id}.g{gpu.generation}"
+    gpu.instances = compute.repartition(gpu.device, action.fraction, 1.0 - action.fraction, prefix)
     gpu.refresh_caches(state.policy.is_dynamic)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling

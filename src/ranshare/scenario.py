@@ -673,30 +673,33 @@ def parse_records(text: str) -> MetricsReport:
             elif body.startswith("jobs "):
                 job_stats = JobStats(**_read_fields(body[len("jobs "):], _JOBS, number))
             continue
-        kind, t_raw, subject, ran_raw, ai_raw, annotation = line.split(",", 5)
-        t = float(t_raw)
-        if kind == "sample":
-            if not gpu_ids or subject != gpu_ids[g]:
-                raise ParseError(f"line {number}: sample row for {subject!r} is not "
-                                 "the next gpu of the '# gpus=' header")
-            if g == 0 and times and t <= times[-1] or g and t != times[-1]:
-                raise ParseError(f"line {number}: sample row at {t_raw} is out of time order")
-            if g == 0:
-                times.append(t)
-            if annotation:
-                notes[len(times) - 1, g] = annotation
-            ran.append(float(ran_raw))
-            ai.append(float(ai_raw))
-            g = (g + 1) % len(gpu_ids)
-        elif kind == "event":
-            ev_kind, _, detail = annotation.partition(" ")
-            events.append(EventRecord(t, ev_kind, subject, detail))
-        elif kind == "miss":
-            misses.append(DeadlineMiss(t, subject, float(annotation.split("=", 1)[1])))
-        elif kind == "fabric":
-            fabric.append(EventRecord(t, "capacity", subject, annotation))
-        else:
-            raise ParseError(f"unknown record type {kind!r}")
+        try:
+            kind, t_raw, subject, ran_raw, ai_raw, annotation = line.split(",", 5)
+            t = float(t_raw)
+            if kind == "sample":
+                if not gpu_ids or subject != gpu_ids[g]:
+                    raise ParseError(f"line {number}: sample row for {subject!r} is not "
+                                     "the next gpu of the '# gpus=' header")
+                if g == 0 and times and t <= times[-1] or g and t != times[-1]:
+                    raise ParseError(f"line {number}: sample row at {t_raw} is out of time order")
+                if g == 0:
+                    times.append(t)
+                if annotation:
+                    notes[len(times) - 1, g] = annotation
+                ran.append(float(ran_raw))
+                ai.append(float(ai_raw))
+                g = (g + 1) % len(gpu_ids)
+            elif kind == "event":
+                ev_kind, _, detail = annotation.partition(" ")
+                events.append(EventRecord(t, ev_kind, subject, detail))
+            elif kind == "miss":
+                misses.append(DeadlineMiss(t, subject, float(annotation.split("=", 1)[1])))
+            elif kind == "fabric":
+                fabric.append(EventRecord(t, "capacity", subject, annotation))
+            else:
+                raise ParseError(f"line {number}: unknown record type {kind!r}")
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"line {number}: malformed row {line!r} ({exc})") from None
     if not meta or gpu_ids is None or job_stats is None:
         raise ParseError("missing records metadata header")
     if g:

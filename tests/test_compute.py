@@ -109,27 +109,28 @@ def assert_ledger(state) -> float:
 
 class TestPartition:
     def test_poc_split_no_free_remainder(self):
-        instances = partition_gpu(gpu(0.1), [0.4, 0.6], [RAN, AI])
+        instances = partition_gpu(gpu(0.1), 0.4, 0.6)
         assert [(i.compute_fraction, i.tenant_class) for i in instances] == [
             (0.4, RAN),
             (0.6, AI),
         ]
 
     def test_identity_partition(self):
-        instances = partition_gpu(gpu(), [1.0], [RAN])
-        assert len(instances) == 1
-        assert instances[0].compute_fraction == 1.0
+        instances = partition_gpu(gpu(), 1.0, 0.0)
+        assert [(i.id, i.compute_fraction, i.tenant_class) for i in instances] == [
+            ("gpu1/s0", 1.0, RAN)
+        ]
 
     def test_overflow(self):
         with pytest.raises(PartitionOverflow):
-            partition_gpu(gpu(), [0.5, 0.6], [RAN, AI])
+            partition_gpu(gpu(), 0.5, 0.6)
 
     def test_granularity_violation(self):
         with pytest.raises(GranularityViolation):
-            partition_gpu(gpu(0.1), [0.45], [RAN])
+            partition_gpu(gpu(0.1), 0.45, 0.0)
 
     def test_leftover_becomes_free(self):
-        instances = partition_gpu(gpu(), [0.4, 0.3], [RAN, AI])
+        instances = partition_gpu(gpu(), 0.4, 0.3)
         assert instances[-1].tenant_class is FREE
         assert instances[-1].compute_fraction == pytest.approx(0.3, abs=1e-12)
 
@@ -140,20 +141,23 @@ class TestPartition:
     def test_partition_arithmetic_exact(self):
         # exactness is guaranteed on the internal unit grid; the decimal
         # view sums to 1.0 under correctly-rounded (fsum) accumulation
-        import math
-
         rng = random.Random(11)
+        shapes = set()
         for _ in range(200):
             units = rng.choice([4, 5, 10, 20, 7])
             g = gpu(1.0 / units, "g")
-            n = rng.randint(1, 3)
-            cuts = sorted(rng.sample(range(1, units), min(n, units - 1)))
-            sizes = [a - b for a, b in zip(cuts + [units], [0] + cuts)]
-            fracs = [s / units for s in sizes if s]
-            classes = [rng.choice([RAN, AI, FREE]) for _ in fracs]
-            instances = partition_gpu(g, fracs, classes)
+            ran = rng.randint(0, units)
+            ai = rng.randint(0, units - ran)
+            instances = partition_gpu(g, ran / units, ai / units)
             assert sum(i.units for i in instances) == g.total_units
             assert math.fsum(i.compute_fraction for i in instances) == 1.0
+            cuts = [cls for cls, u in ((RAN, ran), (AI, ai)) if u]
+            want = [(f"g/s{k}", cls) for k, cls in enumerate(cuts)] or [("g/s0", FREE)]
+            if cuts and ran + ai < units:
+                want.append(("g/free", FREE))
+            assert [(i.id, i.tenant_class) for i in instances] == want
+            shapes.add((ran > 0, ai > 0, ran + ai < units))
+        assert len(shapes) == 7  # each share zero or not, with a leftover or without
 
 
 
@@ -291,13 +295,13 @@ class TestAllocate:
 
 class TestRepartition:
     def test_grow_ran_with_empty_ai(self):
-        new = repartition(gpu(), [0.7, 0.3], [RAN, AI])
+        new = repartition(gpu(), 0.7, 0.3)
         assert [i.compute_fraction for i in new] == [0.7, 0.3]
 
     def test_idempotent(self):
         g = gpu()
-        old = partition_gpu(g, [0.4, 0.6], [RAN, AI])
-        assert repartition(g, [0.4, 0.6], [RAN, AI]) == old
+        old = partition_gpu(g, 0.4, 0.6)
+        assert repartition(g, 0.4, 0.6) == old
 
     def test_shrink_below_granted_drains_the_gpu(self):
         """A layout whose AI slice is below the running grants drains every job first.

@@ -7,7 +7,8 @@ each ``demos/*.py``. A change meant to alter the output updates the hashes
 and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
-whose split GPUs are repartitioned under running jobs. The two cluster
+whose split GPUs are repartitioned under running jobs. A small fleet's
+RECORDS must not change with the hash seed or under ``python -O``. The two cluster
 benchmark workloads are pinned at three seeds each, built by
 ``perfbench/workloads.py``, which this module only reads.
 """
@@ -170,6 +171,27 @@ def test_fleet_report_bytes():
     for fmt, want in FLEET.items():
         got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
         assert got == want, fmt
+
+
+def test_records_do_not_depend_on_hash_seed_or_asserts(tmp_path):
+    """``ranshare run`` writes the same RECORDS under any hash seed, and with asserts off.
+
+    ``python -O`` strips ``assert`` statements, so the run must not rely on
+    one for a check.
+    """
+    path = tmp_path / "fleet.scenario"
+    path.write_text(fleet_text(4, 2, 2.0), encoding="utf-8")
+    src = str(ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = []
+    for flags, hash_seed in (((), "0"), ((), "12345"), (("-O",), "0")):
+        env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed}
+        outs.append(subprocess.run(
+            [sys.executable, *flags, "-m", "ranshare.cli", "run", str(path)],
+            capture_output=True, check=True, env=env,
+        ).stdout)
+    assert outs[0].startswith(b"# ranshare-records v1\n")
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def time_split_text() -> str:

@@ -18,6 +18,7 @@ from ranshare.errors import (
     GranularityViolation,
     InvalidCounts,
     ParseError,
+    PartitionOverflow,
     ScenarioInvalid,
     SemanticError,
     UnreachableEndpoint,
@@ -124,11 +125,9 @@ CASES = [
     (lambda: Server("srv1", ()), ValueError, "server srv1: needs at least one GPU"),
     (lambda: GpuInstance("gpu1/s0", 0, 20, TenantClass.RAN),
      GranularityViolation, r"gpu1/s0: units 0 outside 1\.\.20"),
-    (lambda: partition_gpu(GPU, [], []), ValueError, "fractions must be non-empty"),
-    (lambda: partition_gpu(GPU, [0.5], []),
-     ValueError, "fractions and classes must have equal length"),
-    (lambda: partition_gpu(GPU, [0.0], [TenantClass.RAN]),
-     ValueError, r"fraction 0.0 outside \(0, 1\]"),
+    (lambda: partition_gpu(GPU, -0.1, 0.5), ValueError, r"gpu1: share -0\.1 outside \[0, 1\]"),
+    (lambda: partition_gpu(GPU, 0.5, 1.5), ValueError, r"gpu1: share 1\.5 outside \[0, 1\]"),
+    (lambda: partition_gpu(GPU, 0.5, 0.6), PartitionOverflow, "gpu1: requested 22/20 units"),
     (lambda: Policy(kind=PolicyKind.TIME_SPLIT), ValueError, "time split needs a schedule"),
     (lambda: _engine(servers=lambda sc: (*sc.servers, Server("srv1", (GpuDevice("gpu2"),)))),
      ScenarioInvalid, "duplicate server ids"),
@@ -143,6 +142,16 @@ CASES = [
     (lambda: AiJob("j1", 0.0, 1.0, 0.0), ValueError, r"demand_fraction must be in \(0, 1\]"),
     (lambda: gen_ai_arrivals(AiWorkload(), 1, 0.0), ValueError, "horizon must be positive"),
     (lambda: parse_records("bogus,0.0,x,0,0,\n"), ParseError, "unknown record type 'bogus'"),
+    (lambda: parse_records("sample,0.0,gpu1,0.1\n"),
+     ParseError, r"line 1: malformed row 'sample,0\.0,gpu1,0\.1'"),
+    (lambda: parse_records("sample,soon,gpu1,0.1,0.2,\n"),
+     ParseError, "line 1: malformed row 'sample,soon,"),
+    (lambda: parse_records("# gpus=gpu1\nsample,0.0,gpu1,high,0.2,\n"),
+     ParseError, "line 2: malformed row 'sample,0.0,gpu1,high,"),
+    (lambda: parse_records("miss,0.0,srv1,0,0,shortfall\n"),
+     ParseError, "line 1: malformed row 'miss,0.0,srv1,0,0,shortfall'"),
+    (lambda: parse_records("miss,0.0,srv1,0,0,shortfall=lots\n"),
+     ParseError, "line 1: malformed row 'miss,0.0,srv1,0,0,shortfall=lots'"),
     (lambda: PlacementOrder().remove(AiJob("j1", 0.0, 1.0, 0.5)), KeyError, "j1"),
     (_dequeue_unqueued, ValueError, "job j1 is not queued"),
 ]

@@ -143,7 +143,10 @@ def random_job(rng: random.Random, jid: str, clock_s: float) -> AiJob:
 
 
 def random_fleet(rng: random.Random):
-    """A random cluster with running jobs, settling GPUs and a 0-300 job queue."""
+    """A random cluster with running jobs, settling GPUs and a 0-300 job queue.
+
+    GPUs settle only under a time split, the one policy that repartitions.
+    """
     policy = random_policy(rng)
     servers = []
     for si in range(rng.randint(1, 5)):
@@ -162,6 +165,8 @@ def random_fleet(rng: random.Random):
     for gpu in gpus:
         state.fleet.ai_ceiling[gpu.index] = rng.choice([0.0, 0.3, 0.55, 0.95, 1.0])
         r = rng.random()
+        if policy.kind is not PolicyKind.TIME_SPLIT:
+            continue
         if r < 0.15:
             gpu.settling_until_us = state.clock_us + 500
         elif r < 0.25:
