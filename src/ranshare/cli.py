@@ -10,6 +10,7 @@ import argparse
 import copy
 import dataclasses
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .errors import (
     SemanticError,
     SimulatorError,
 )
-from .scenario import _build_scenario, _load_yaml, parse_scenario, write_report
+from .scenario import _build_scenario, _load_yaml, iter_report, parse_scenario
 
 EXIT_USAGE = 1
 EXIT_SCHEMA = 2
@@ -82,17 +83,34 @@ def _set_path(doc: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
+def _write_file(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` as they come.
+
+    They go to a temporary file in the same directory, which replaces
+    ``path`` only once every chunk is written, so a failed run leaves no
+    partial report.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_run(args) -> int:
     text = _load_document(args.scenario)
     scenario = parse_scenario(text, name=Path(args.scenario).stem)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     report = SimEngine(scenario).run()
-    out = write_report(report, args.format)
+    chunks = iter_report(report, args.format)
     if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
+        _write_file(Path(args.out), chunks)
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(chunks)
     return 0
 
 
@@ -125,7 +143,7 @@ def _cmd_sweep(args) -> int:
         scenario = _build_scenario(point_doc, f"{name}.p{index}")
         report = SimEngine(scenario).run()
         out_path = out_dir / f"{name}.p{index}.records"
-        out_path.write_text(write_report(report, "records"), encoding="utf-8")
+        _write_file(out_path, iter_report(report, "records"))
         settings = " ".join(
             f"{dotted}={value}" for (dotted, _), value in zip(axes, combo)
         )

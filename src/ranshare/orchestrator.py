@@ -313,6 +313,7 @@ class GpuState:
     instances: list[GpuInstance]
     jobs: list[AiJob] = field(default_factory=list)
     ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
+    ran_units: int = 0  # the RAN slice's size in units, 0 without one; set where the GPU is cut
     generation: int = 0  # repartitions so far
     fleet: Fleet | None = field(default=None, repr=False)
     index: int = -1
@@ -344,10 +345,9 @@ class GpuState:
         self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
         self.ai_granted = self.ai_level = 0.0
         self.throttled = False
-        ran_slice = next((i for i in self.instances if i.tenant_class is TenantClass.RAN), None)
         fleet = self.fleet
         fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
-            self.ai_cap if dynamic else ran_slice.compute_fraction if ran_slice else 0.0
+            self.ai_cap if dynamic else self.ran_units / self.device.total_units
         )
         fleet.tape = None
 
@@ -465,8 +465,12 @@ def build_cluster_state(
     for server in servers:
         gpu_states = []
         for gpu in server.gpus:
-            layout = partitions.get(gpu.id, (0.0, 0.0))
-            gpu_states.append(GpuState(device=gpu, instances=compute.partition_gpu(gpu, *layout)))
+            ran, ai = partitions.get(gpu.id, (0.0, 0.0))
+            gpu_states.append(GpuState(
+                device=gpu,
+                instances=compute.partition_gpu(gpu, ran, ai),
+                ran_units=round(ran * gpu.total_units),
+            ))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
         servers=server_states,
@@ -972,8 +976,7 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
             # layout is its RAN units
             total = gpu.device.total_units
             units = round(ran * total)
-            current = next((i.units for i in gpu.instances if i.tenant_class is TenantClass.RAN), 0)
-            if units != current:
+            if units != gpu.ran_units:
                 actions.append(ScaleAction(ActionKind.REPARTITION, gpu.device.id, units / total))
         return actions
 
@@ -1242,6 +1245,7 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     gpu.generation += 1
     prefix = f"{gpu.device.id}.g{gpu.generation}"
     gpu.instances = compute.repartition(gpu.device, action.fraction, 1.0 - action.fraction, prefix)
+    gpu.ran_units = round(action.fraction * gpu.device.total_units)
     gpu.refresh_caches(state.policy.is_dynamic)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling

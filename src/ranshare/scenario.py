@@ -6,7 +6,9 @@ reported with their section path. Reports serialize to two formats:
 
 * RECORDS - line-delimited CSV-ish records, one per trace sample plus one
   per event/miss/fabric entry; fractions carry 6 decimals. This format
-  round-trips: ``parse_records(write_report(r, "records")) == r``.
+  round-trips: ``parse_records(write_report(r, "records")) == r``. It is
+  written in blocks of sample rows: ``iter_report`` yields each block's
+  text as it is formatted, so the whole text need never be held.
 * SUMMARY - human-readable per-GPU and per-class averages and counters.
 """
 
@@ -16,7 +18,7 @@ import dataclasses
 import functools
 import re
 from enum import Enum
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 import yaml
@@ -538,80 +540,104 @@ def _read_fields(body: str, fields, line: int) -> dict:
         raise ParseError(f"line {line}: bad or missing header field {exc}") from None
 
 
-def write_report(report: MetricsReport, format: str = "records") -> str:
-    """Serialize a report; ``format`` is 'records' or 'summary'."""
+def iter_report(report: MetricsReport, format: str = "records") -> Iterator[str]:
+    """Serialize a report as chunks of text; ``format`` is 'records' or 'summary'.
+
+    RECORDS comes one block of sample rows at a time, so its text is never
+    held whole; SUMMARY is one chunk.
+    """
     if format == "records":
-        return _write_records(report)
+        return _iter_records(report)
     if format == "summary":
-        return _write_summary(report)
+        return iter((_write_summary(report),))
     raise ValueError(f"unknown report format {format!r}")
 
 
-def _write_records(report: MetricsReport) -> str:
-    lines = [
+def write_report(report: MetricsReport, format: str = "records") -> str:
+    """Serialize a report; ``format`` is 'records' or 'summary'."""
+    return "".join(iter_report(report, format))
+
+
+_BLOCK_ROWS = 8192  # sample rows per RECORDS chunk (whole samples, at least one)
+_LEVEL_TEXTS = 16384  # level texts kept across chunks; past this the cache starts over
+
+
+def _iter_records(report: MetricsReport) -> Iterator[str]:
+    yield "\n".join((
         "# ranshare-records v1",
         "# " + _write_fields(report, _META),
         "# gpus=" + ",".join(report.gpu_ids),
         "# jobs " + _write_fields(report.job_stats, _JOBS),
         RECORDS_HEADER,
-    ]
+        "",
+    ))
     # every other row, in (time, category, index) order; at equal times
     # they precede the samples, which are chronological already
     others = [
-        (ev.time_s, 0, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}")
+        (ev.time_s, 0, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}\n")
         for i, ev in enumerate(report.events)
     ]
     others += [
-        (m.time_s, 1, i, f"miss,{m.time_s:.6f},{m.server_id},,,shortfall={m.shortfall:.9f}")
+        (m.time_s, 1, i, f"miss,{m.time_s:.6f},{m.server_id},,,shortfall={m.shortfall:.9f}\n")
         for i, m in enumerate(report.deadline_misses)
     ]
     others += [
-        (ev.time_s, 2, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}")
+        (ev.time_s, 2, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}\n")
         for i, ev in enumerate(report.fabric_violations)
     ]
     others.sort()
     trace = report.trace
-    samples = _sample_rows(trace)
     width = len(trace.gpu_ids)
-    done = 0  # samples[:done] are written
+    samples = len(trace.times)
     before = np.searchsorted(trace.times, [t for t, _c, _i, _row in others]).tolist()
-    for s, (_t, _c, _i, row) in zip(before, others):
-        lines.extend(samples[done:s * width])
-        done = s * width
-        lines.append(row)
-    lines.extend(samples[done:])
-    return "\n".join(lines) + "\n"
+    notes = sorted(trace.notes.items())
+    texts: dict[int, str] = {}
+    k = j = 0  # others[:k] and notes[:j] are written
+    step = max(1, _BLOCK_ROWS // max(width, 1))
+    for s0 in range(0, samples, step):
+        s1 = min(s0 + step, samples)
+        pieces = _sample_pieces(trace, s0, s1, texts)
+        while k < len(others) and before[k] < s1:
+            pieces[(before[k] - s0) * width, 0] += others[k][3]
+            k += 1
+        while j < len(notes) and notes[j][0][0] < s1:
+            (s, g), note = notes[j]
+            pieces[(s - s0) * width + g, -1] = note + "\n"
+            j += 1
+        yield "".join(pieces.ravel().tolist())
+    yield "".join(row for _t, _c, _i, row in others[k:])
 
 
-def _sample_rows(trace: Trace) -> list[str]:
-    """The trace's rows as RECORDS lines, in trace order.
+def _sample_pieces(trace: Trace, s0: int, s1: int, texts: dict[int, str]) -> np.ndarray:
+    """Samples ``s0:s1`` as RECORDS rows, one row of text pieces per (sample, GPU).
 
-    Each sample time and each distinct (ran, ai) pair is formatted once;
-    levels are told apart by their bits, so that -0.0 keeps its sign.
+    A row's pieces are the other rows that precede it (empty, for the
+    caller to fill), its time, its GPU, its two levels and its end, where
+    the caller puts a note. Each sample time is formatted once, and each
+    distinct level once while ``texts`` keeps it: levels are told apart by
+    their bits, so that -0.0 keeps its sign.
     """
-    if not len(trace):
-        return []
-    levels, level_code = np.unique(
-        np.concatenate((trace.ran.ravel(), trace.ai.ravel())).view(np.int64),
-        return_inverse=True,
-    )
-    text = [f"{v:.6f}" for v in levels.view(np.float64).tolist()]
-    rows, n = trace.ran.size, len(levels)
-    pairs, pair_code = np.unique(
-        level_code[:rows] * n + level_code[rows:], return_inverse=True
-    )
-    pair_text = [f"{text[p // n]},{text[p % n]}," for p in pairs.tolist()]
-    gpus = [f"{gpu_id}," for gpu_id in trace.gpu_ids]
-    codes = iter(pair_code.tolist())
-    lines = []
-    for t in trace.times.tolist():
-        head = f"sample,{t:.6f},"
-        for gpu in gpus:
-            lines.append(head + gpu + pair_text[next(codes)])
-    width = len(gpus)
-    for (s, g), note in trace.notes.items():
-        lines[s * width + g] += note
-    return lines
+    width = len(trace.gpu_ids)
+    ran, ai = trace.ran[s0:s1].ravel(), trace.ai[s0:s1].ravel()
+    levels, code = np.unique(np.concatenate((ran, ai)).view(np.int64), return_inverse=True)
+    level_text = np.empty(len(levels), dtype=object)
+    for i, (bits, v) in enumerate(zip(levels.tolist(), levels.view(np.float64).tolist())):
+        text = texts.get(bits)
+        if text is None:
+            if len(texts) >= _LEVEL_TEXTS:
+                texts.clear()
+            text = texts[bits] = f"{v:.6f},"
+        level_text[i] = text
+    heads = np.array([f"sample,{t:.6f}," for t in trace.times[s0:s1].tolist()], dtype=object)
+    gpus = np.array([f"{gpu_id}," for gpu_id in trace.gpu_ids], dtype=object)
+    pieces = np.empty((ran.size, 6), dtype=object)
+    pieces[:, 0] = ""
+    pieces[:, 1] = heads.repeat(width)
+    pieces[:, 2] = np.tile(gpus, s1 - s0)
+    pieces[:, 3] = level_text[code[:ran.size]]
+    pieces[:, 4] = level_text[code[ran.size:]]
+    pieces[:, 5] = "\n"
+    return pieces
 
 
 def _write_summary(report: MetricsReport) -> str:

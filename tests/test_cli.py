@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
+from ranshare import cli
 from ranshare.cli import main
-from ranshare.scenario import parse_records
+from ranshare.scenario import iter_report, parse_records
+
+
+def fail_after_first_chunk(report, format):
+    """``iter_report``, but the write fails once the header is out."""
+    chunks = iter_report(report, format)
+    yield next(chunks)
+    raise OSError("disk full")
 
 
 @pytest.fixture()
@@ -118,6 +126,18 @@ class TestRun:
         assert report.scenario_name == "poc-short"
         assert report.deadline_misses == []
 
+    def test_failed_write_leaves_no_partial_file(self, short_poc, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "iter_report", fail_after_first_chunk)
+        out = tmp_path / "out.records"
+        assert main(["run", str(short_poc), "--out", str(out)]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [short_poc.name]
+        # an earlier report at the path is left as it was
+        out.write_text("earlier")
+        assert main(["run", str(short_poc), "--out", str(out)]) == 4
+        assert out.read_text() == "earlier"
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_seed_override_determinism(self, tmp_path, scenario_dir, capsys):
         src = scenario_dir / "uplift.scenario"
         text = src.read_text().replace("horizon_s: 600.0", "horizon_s: 1.0")
@@ -219,6 +239,16 @@ class TestSweep:
             for i in range(2)
         }
         assert len(seeds) == 2
+
+    def test_failed_point_write_leaves_no_partial_file(
+        self, short_uplift, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "iter_report", fail_after_first_chunk)
+        out_dir = tmp_path / "sweep3"
+        argv = ["sweep", str(short_uplift), "--param", "policy.safety_margin=0.0,0.1",
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 4
+        assert list(out_dir.iterdir()) == []
 
     def test_bad_param_value_exit_2(self, short_uplift, tmp_path, capsys):
         rc = main(

@@ -277,8 +277,8 @@ class TestOverloadCost:
         state, _ = overloaded_fleet(0)
         srv0 = state.servers[0]
         state.fleet.ai_ceiling[:] = 1.0  # every server has room
-        srv0.gpus[3].settling_until_us = state.clock_us + 500
-        for gpu, grant in zip(srv0.gpus, (0.4, 0.1, 0.1)):
+        # srv0-g3's AI capacity is fully granted, so it can take no job
+        for gpu, grant in zip(srv0.gpus, (0.4, 0.1, 0.1, 1.0)):
             running = AiJob(f"run-{gpu.device.id}", 0.0, 100.0, grant)
             state.jobs[running.id] = running
             state.enqueue(running)
