@@ -562,15 +562,22 @@ class SimEngine:
 
     # -- sampling -----------------------------------------------------------------
 
-    def _emit_samples(self, ran, ai, n: int):
+    def _emit_samples(self, ran, ai, n: int, cols=None):
         """Record the next ``n`` samples of every GPU's raw levels.
 
         ``ran`` and ``ai`` list the levels in ``state.gpus`` order: one row
-        for all ``n`` samples, or an (n, GPU) array.
+        for all ``n`` samples, or an (n, GPU) array. With ``cols``, ``ran``
+        is (n, column) for those GPUs alone, and every other GPU's RAN
+        level is 0.0.
         """
         s = self.next_sample_us // self.sample_us
-        self.trace.ran[s:s + n] = ran
-        self.trace.ai[s:s + n] = ai
+        rows = slice(s, s + n)
+        if cols is None:
+            self.trace.ran[rows] = ran
+        else:
+            self.trace.ran[rows] = 0.0
+            self.trace.ran[rows, cols] = ran
+        self.trace.ai[rows] = ai
         self.next_sample_us += n * self.sample_us
 
     def _flush_samples(self, before_us: int):

@@ -252,7 +252,9 @@ class Fleet:
     ``tape`` is the ``RanTape`` that ``settle_segment`` slices, or None
     until the next segment builds one: ``refresh_caches`` drops it, since
     the tape holds the RAN side under the capacities and settling windows
-    it was built with.
+    it was built with. The tape covers only the GPUs its ``cols`` name;
+    settling it reads and writes these arrays at ``cols``, and every other
+    GPU's RAN level, integral and clock stay as they are.
 
     ``ai_granted`` is what a GPU's AI slice has granted, so its AI capacity
     left is ``ai_cap - ai_granted``, and ``ai_level`` is the rate AI runs
@@ -579,17 +581,27 @@ class RanTape:
     RAN is granted before AI, so each slot's RAN levels, misses and
     forecast inputs follow from demand, ``grid_cap`` and the settling
     windows alone. Slot ``k`` of the tape is at ``first_us + k * slot_us``,
-    for ``k < size``. Per (slot, GPU): ``take`` is the RAN level, and
-    ``ran_integral`` and ``ran_accrue_us`` are the RAN integral and its
-    clock after the slot. Under the dynamic policy, ``asked`` is what the
-    GPU was asked to serve and ``room`` what RAN left for AI,
-    ``ai_cap - take``. ``misses`` are the tape's misses in order and
-    ``miss_slots`` their slots. ``next`` is the first slot not yet settled
-    from the tape.
+    for ``k < size``. ``cols`` are the GPUs (indices in ``state.gpus``,
+    ascending) the tape covers: every GPU whose RAN level the tape can
+    change or whose throttle test can fire (see ``_ran_tape``). Per (slot,
+    column): ``take`` is the RAN level, and ``ran_integral`` and
+    ``ran_accrue_us`` are the RAN integral and its clock after the slot.
+    Under the dynamic policy, ``asked`` is what the GPU was asked to serve
+    and ``room`` what RAN left for AI, ``ai_cap - take``. ``misses`` are
+    the tape's misses in order and ``miss_slots`` their slots. ``next`` is
+    the first slot not yet settled from the tape.
+
+    A GPU outside ``cols`` has a RAN level of +0.0 and takes 0.0 at every
+    slot, so its level, integral and clock stay as they are; what it is
+    asked is 0.0, so its ``demand_last`` is 0.0 and its ``epoch_max``,
+    never negative, is unchanged. Its ``room`` is ``ai_cap``, and its AI
+    grant is at most ``ai_cap``, so its throttle test cannot fire; nor is
+    it throttled, since a GPU is throttled only while its grant exceeds
+    ``ai_cap`` less its RAN level.
     """
 
     __slots__ = (
-        "first_us", "size", "next", "take", "ran_integral", "ran_accrue_us",
+        "first_us", "size", "next", "cols", "take", "ran_integral", "ran_accrue_us",
         "asked", "room", "misses", "miss_slots",
     )
 
@@ -624,9 +636,11 @@ def settle_segment(
     samples due before the segment's last slot; a sample at ``t`` shows
     the state after the last slot at or before ``t``. Those whose slot is
     settled before the last slot settled are handed over in order:
-    ``emit(ran, ai, n)`` records the next ``n`` samples, where ``ran`` and
-    ``ai`` give the per-GPU levels (``state.gpus`` order) either as one row
-    that holds for all ``n`` or as an (n, GPU) array.
+    ``emit(ran, ai, n, cols=None)`` records the next ``n`` samples, where
+    ``ran`` and ``ai`` give the per-GPU levels (``state.gpus`` order) either
+    as one row that holds for all ``n`` or as an (n, GPU) array. Samples
+    read off a tape come as an (n, column) ``ran`` with the tape's
+    ``cols``: every other GPU's RAN level is 0.0 at those samples.
     """
     fleet, slot_us = state.fleet, state.slot_us
     if demand.stepwise and fleet.settling_until_us.max() < first_us:
@@ -671,14 +685,27 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     """The RAN tape of the slots at ``t_us`` (int64 us; ``t_s`` in s), from the fleet as it is.
 
     ``rem`` is each server's demand, (server, slot). The tape's arrays are
-    (slot, GPU), or (slot, server, GPU position) while demand fills one GPU
-    position of every server at a time. Every element goes through the
+    (slot, column), or (slot, server, GPU position) while demand fills one
+    GPU position of every server at a time. Every element goes through the
     float operations of ``settle_slot``'s rule applied one GPU at a time,
     in the same order, so the tape is that rule's slot by slot, bit for bit
     (``tests/test_segments.py`` keeps the scalar form). A position a server
     lacks, and a GPU at a slot it is settling, meets a capacity of 0, which
     takes nothing and leaves the remainder as it is. The RAN integral
     accrues only at the slots where the level changes, summed in slot order.
+
+    Demand fills positions in order and stops at the first one where no
+    server has any left, so every GPU from there on takes 0.0 at every
+    slot. The tape's ``cols`` are the GPUs at the positions demand reached,
+    those whose RAN level is not +0.0 (RAN that leaves a GPU must settle
+    it to 0.0), and those granted more than ``ai_cap`` (placement grants
+    up to TOL past what is free). Every other GPU is as ``RanTape`` says,
+    and none is throttled: while a GPU is throttled, ``_apply_throttle``
+    runs again whenever its RAN level or AI grant changes (its test fires
+    at every slot, and under the dynamic policy every grant change ends in
+    ``_refresh_effective``), and it leaves the GPU throttled only if the
+    grant exceeds ``ai_cap - ran_level``, which at a level of 0.0 is
+    ``ai_cap``.
     """
     fleet = state.fleet
     n = t_us.size
@@ -690,26 +717,32 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
         grid_live[:, fleet.grid_rows] = t_us[:, None] > fleet.settling_until_us
         caps = np.where(grid_live.reshape(n, servers, width), caps, 0.0)
     take = np.zeros((n, servers, width))
+    reached = width  # positions demand reached
     for p in range(width):
         if not rem.any():
-            break  # no demand is left, so every later take is 0.0
+            reached = p  # no demand is left, so every later take is 0.0
+            break
         # take = rem if rem < cap else cap; rem = 0.0 if rem < cap else rem - cap
         np.minimum(rem, caps[..., p], out=take[..., p])
         rem = np.maximum(rem - caps[..., p], 0.0)
-    take = take.reshape(n, servers * width)[:, fleet.grid_rows]
+    keep = fleet.grid_rows % width < reached
+    keep |= fleet.ran_level.view(np.int64) != 0
+    keep |= fleet.ai_granted > fleet.ai_cap
+    cols = np.flatnonzero(keep)
+    take = take.reshape(n, servers * width)[:, fleet.grid_rows[cols]]
 
-    before = np.concatenate((fleet.ran_level[None], take[:-1]))
+    before = np.concatenate((fleet.ran_level[cols][None], take[:-1]))
     changed = take != before
     # the integral's clock before each slot, and after the last one
-    accrued = np.empty((n + 1, len(fleet.ran_level)), dtype=np.int64)
-    accrued[0] = fleet.ran_accrue_us
+    accrued = np.empty((n + 1, cols.size), dtype=np.int64)
+    accrued[0] = fleet.ran_accrue_us[cols]
     np.multiply(changed, t_us[:, None], out=accrued[1:])
     np.maximum.accumulate(accrued, out=accrued)
     # the integral before each slot, and what the slot adds: the old level
     # times the time since the last accrual where the level changes, else
     # 0.0, which changes no integral (the scalar rule does not accrue there)
-    sums = np.empty((n + 1, len(fleet.ran_level)))
-    sums[0] = fleet.ran_integral
+    sums = np.empty((n + 1, cols.size))
+    sums[0] = fleet.ran_integral[cols]
     dt = t_us[:, None] - accrued[:-1]
     dt *= changed
     np.multiply(before, dt, out=sums[1:])
@@ -718,17 +751,18 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
 
     tape = RanTape()
     tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
-    tape.take = take
+    tape.cols, tape.take = cols, take
     tape.ran_integral, tape.ran_accrue_us = sums[1:], accrued[1:]
     tape.asked = tape.room = None
     if state.policy.is_dynamic:
         # what each GPU was asked to serve: its take, plus the server's
-        # shortfall on the server's last GPU (take + 0.0 is take)
+        # shortfall on the server's last GPU (take + 0.0 is take); demand
+        # left over reached every position, so the columns are all GPUs
         asked = take
         if rem.any():
             asked = take.copy()
             asked[:, fleet.last_rows] += rem
-        tape.asked, tape.room = asked, fleet.ai_cap - take
+        tape.asked, tape.room = asked, fleet.ai_cap[cols] - take
     slots, owners = np.nonzero(rem > TOL)  # by slot, then by server
     ids = fleet.server_ids
     missed = zip(t_s[slots].tolist(), owners.tolist(), rem[slots, owners].tolist())
@@ -738,18 +772,19 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
 
 
 def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
-    """The first of the tape's slots ``a:b`` whose throttle test fires, and the GPUs it fires for.
+    """The first of the tape's slots ``a:b`` whose throttle test fires, and the columns it fires for.
 
     Only the dynamic policy has a throttle test. It fires where a GPU's AI
     grant exceeds the slot's ``room`` by more than TOL, and at every slot
     for a throttled GPU. RAN takes at most ``ai_cap`` of a whole GPU, so
     ``room`` is never negative and a GPU without a grant never fires.
-    Returns ``(b, None)`` when no test fires.
+    Only the tape's columns are tested: no other GPU's test fires (see
+    ``RanTape``). Returns ``(b, None)`` when no test fires.
     """
     if not state.policy.is_dynamic:
         return b, None
     fleet = state.fleet
-    granted, throttled = fleet.ai_granted, fleet.throttled
+    granted, throttled = fleet.ai_granted[tape.cols], fleet.throttled[tape.cols]
     room = tape.room[a:b]
     if throttled.any():
         fire = (granted > room + TOL) | throttled
@@ -773,28 +808,30 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     ``a``, or ``b - a`` when none fires. Of ``samples`` (us), which fall in
     the slice, those before the firing slot go to ``emit``.
     """
-    fleet, slot_us = state.fleet, state.slot_us
+    fleet, slot_us, cols = state.fleet, state.slot_us, tape.cols
     stop, firing = _first_fire(state, tape, a, b)
     last = min(stop, b - 1)
-    fleet.ran_level[:] = tape.take[last]
-    fleet.ran_integral[:] = tape.ran_integral[last]
-    fleet.ran_accrue_us[:] = tape.ran_accrue_us[last]
+    fleet.ran_level[cols] = tape.take[last]
+    fleet.ran_integral[cols] = tape.ran_integral[last]
+    fleet.ran_accrue_us[cols] = tape.ran_accrue_us[last]
     if state.policy.is_dynamic:
         asked = tape.asked[a:last + 1]
-        fleet.demand_last[:] = asked[-1]
-        np.maximum(fleet.epoch_max, asked.max(axis=0), out=fleet.epoch_max)
+        fleet.demand_last[:] = 0.0
+        fleet.demand_last[cols] = asked[-1]
+        fleet.epoch_max[cols] = np.maximum(fleet.epoch_max[cols], asked.max(axis=0))
     lo = bisect.bisect_left(tape.miss_slots, a)
     state.misses.extend(tape.misses[lo:bisect.bisect_left(tape.miss_slots, last + 1, lo)])
     if samples:
         # the slot whose state each sample shows, up to the firing one
         first_us = tape.first_us + a * slot_us
-        marks = [a + (t - first_us) // slot_us for t in samples]
-        marks = marks[:bisect.bisect_left(marks, stop)]
-        emit(tape.take[marks], fleet.ai_level, len(marks))
+        times = np.arange(samples.start, samples.stop, samples.step, dtype=np.int64)
+        marks = a + (times - first_us) // slot_us
+        marks = marks[:marks.searchsorted(stop)]
+        emit(tape.take[marks], fleet.ai_level, marks.size, cols)
     state.clock_us = tape.first_us + last * slot_us
     tape.next = last + 1
     if firing is not None:
-        for g, room in zip(firing.tolist(), tape.room[stop, firing].tolist()):
+        for g, room in zip(cols[firing].tolist(), tape.room[stop, firing].tolist()):
             _apply_throttle(state, state.gpus[g], room)
     return stop - a
 

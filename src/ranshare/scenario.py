@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import ParseError, SchemaError, SemanticError, SimulatorError
 from .fabric import Flow, FlowKind, FronthaulCalibration, egress_target
-from .orchestrator import DeadlineMiss, ForecastKind, Interval, Policy, PolicyKind
+from .orchestrator import US, DeadlineMiss, ForecastKind, Interval, Policy, PolicyKind
 from .workload import (
     AiWorkload,
     ArrivalKind,
@@ -560,6 +560,9 @@ def write_report(report: MetricsReport, format: str = "records") -> str:
 
 _BLOCK_ROWS = 8192  # sample rows per RECORDS chunk (whole samples, at least one)
 _LEVEL_TEXTS = 16384  # level texts kept across chunks; past this the cache starts over
+# samples in a block from which their heads are joined from text tables: in
+# a smaller block, building the tables costs more than formatting each time
+_TABLE_HEADS = 512
 
 
 def _iter_records(report: MetricsReport) -> Iterator[str]:
@@ -613,9 +616,9 @@ def _sample_pieces(trace: Trace, s0: int, s1: int, texts: dict[int, str]) -> np.
 
     A row's pieces are the other rows that precede it (empty, for the
     caller to fill), its time, its GPU, its two levels and its end, where
-    the caller puts a note. Each sample time is formatted once, and each
-    distinct level once while ``texts`` keeps it: levels are told apart by
-    their bits, so that -0.0 keeps its sign.
+    the caller puts a note. Each sample's head is written once (see
+    ``_sample_heads``), and each distinct level once while ``texts`` keeps
+    it: levels are told apart by their bits, so that -0.0 keeps its sign.
     """
     width = len(trace.gpu_ids)
     ran, ai = trace.ran[s0:s1].ravel(), trace.ai[s0:s1].ravel()
@@ -628,7 +631,7 @@ def _sample_pieces(trace: Trace, s0: int, s1: int, texts: dict[int, str]) -> np.
                 texts.clear()
             text = texts[bits] = f"{v:.6f},"
         level_text[i] = text
-    heads = np.array([f"sample,{t:.6f}," for t in trace.times[s0:s1].tolist()], dtype=object)
+    heads = _sample_heads(trace.times[s0:s1])
     gpus = np.array([f"{gpu_id}," for gpu_id in trace.gpu_ids], dtype=object)
     pieces = np.empty((ran.size, 6), dtype=object)
     pieces[:, 0] = ""
@@ -638,6 +641,27 @@ def _sample_pieces(trace: Trace, s0: int, s1: int, texts: dict[int, str]) -> np.
     pieces[:, 4] = level_text[code[ran.size:]]
     pieces[:, 5] = "\n"
     return pieces
+
+
+def _sample_heads(times: np.ndarray) -> np.ndarray:
+    """``sample,<t>,`` for each time, ``t`` to 6 decimals.
+
+    Times on the sample grid are whole microseconds, each the double
+    nearest ``us / 1e6``; below 2**32 s such a double lies within half a
+    microsecond of it, so it prints as its seconds and six microsecond
+    digits. When every time is one and there are ``_TABLE_HEADS`` or
+    more, the heads are joined from one text per distinct second and per
+    distinct microsecond part; otherwise each time is formatted as a float.
+    """
+    if times.size >= _TABLE_HEADS and ((times >= 0.0) & (times < 2.0**32)).all():
+        us = np.rint(times * US).astype(np.int64)
+        if ((us / US).view(np.int64) == times.view(np.int64)).all():
+            secs, at_sec = np.unique(us // US, return_inverse=True)
+            parts, at_part = np.unique(us % US, return_inverse=True)
+            sec_text = np.array([f"sample,{s}." for s in secs.tolist()], dtype=object)
+            part_text = np.array([f"{p:06d}," for p in parts.tolist()], dtype=object)
+            return sec_text[at_sec] + part_text[at_part]
+    return np.array([f"sample,{t:.6f}," for t in times.tolist()], dtype=object)
 
 
 def _write_summary(report: MetricsReport) -> str:

@@ -8,7 +8,7 @@ and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
 whose split GPUs are repartitioned under running jobs. A small fleet's
-RECORDS must not change with the hash seed or under ``python -O``. The two cluster
+RECORDS must not change with the hash seed or under ``python -O``. The four
 benchmark workloads are pinned at three seeds each, built by
 ``perfbench/workloads.py``, which this module only reads.
 """
@@ -77,6 +77,33 @@ WORKLOADS = {
         23: {
             "records": "9022323b42ca536c1e278d296a500dadbeae078f9523168a86d6219d6930ab14",
             "summary": "45166748be443b3e2f9a82fa5521a8b9f143f400988292b03900cc6089985f5b",
+        },
+    },    "poc": {
+        1: {
+            "records": "2e34a1e5afc574569515f739f95a0ebaef349e474df5f365d37270d2d4f2a3ae",
+            "summary": "083d06ec6755c44d97b688440bade693862fabaa606033f71bb9397392cdecb6",
+        },
+        7: {
+            "records": "1789dd4210cb1d4ba1e324b4ba9c2d5631e8b6174010ebe862560963c0c06975",
+            "summary": "f5faa00dc03f07fd2a7182ef260146c4f3de567934bf2b80e8231bb1696f2656",
+        },
+        23: {
+            "records": "eeca747ab01a6e7722e53cc4810a6cd8a3e289796c30ee7206bf7d3b1abc8a41",
+            "summary": "88dae28c4c1ef3eeb7e2a6292efd04a311f0f10b01f453db8def2b33293c6dbe",
+        },
+    },
+    "uplift": {
+        1: {
+            "records": "ea1a93bdb381fc0cd79443f30f1febf26ea34c7a2064923134394c0224ae6215",
+            "summary": "a65005476b5464e99e0645c9566973931194b8b97aa5fc946b877f312739d1f4",
+        },
+        7: {
+            "records": "9891a223c8eae340ea2625e780a75d4fa41554644eacc1d097b750d0c39654c2",
+            "summary": "e4386a907f07331f56ba77e317ae86874255f171266da31d5e7e11ab7fe9a626",
+        },
+        23: {
+            "records": "b18e5738b7a370094225a5f472af54ade6a84b292145d781172f460b7da94026",
+            "summary": "258e3464aa074ea39bf1b3be9ebc83a6979da2c3593cb8f605b42a4e18cee8e0",
         },
     },
 }

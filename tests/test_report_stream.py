@@ -91,6 +91,28 @@ def test_chunks_join_to_the_report(monkeypatch, format):
         assert len(chunks) > 2  # the header, several blocks of samples and the rows after them
 
 
+@pytest.mark.parametrize(
+    "times",
+    [
+        np.arange(5000, dtype=np.int64) * 10_000 / 1e6,  # a sample grid, as the engine makes it
+        np.arange(5000) * 0.01,  # some times a few ulps off their microsecond
+        np.array([0.0, 3e-7, 3.5e-6, 4.5e-6, 2.0, 1e-6]),  # off the microsecond grid, and on it
+        np.array([-0.0, 0.5]),
+        np.array([-1.5, 0.5]),
+        np.array([4294967295.5, 2.0**32, 2.0**32 + 0.25]),
+        np.array([0.5, np.nan]),
+        np.array([]),
+    ],
+    ids=["grid", "float-steps", "off-grid", "minus-zero", "negative", "past-2**32", "nan", "empty"],
+)
+@pytest.mark.parametrize("table_heads", [0, scenario._TABLE_HEADS])
+def test_sample_heads_match_float_formatting(monkeypatch, times, table_heads):
+    """Heads joined from integer microseconds are the text of formatting each time."""
+    monkeypatch.setattr(scenario, "_TABLE_HEADS", table_heads)
+    want = [f"sample,{t:.6f}," for t in times.tolist()]
+    assert scenario._sample_heads(times).tolist() == want
+
+
 def test_unknown_format_is_refused_before_any_chunk():
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
         iter_report(edge_report(1), "xml")

@@ -589,14 +589,14 @@ def _recording_slices(monkeypatch) -> list[tuple[int, int, bool, int]]:
     return slices
 
 
-def _recording_tapes(monkeypatch) -> list[tuple[int, int]]:
-    """Record each RAN tape built as (its first slot's time in us, its slots)."""
+def _recording_tapes(monkeypatch) -> list:
+    """Record each RAN tape built."""
     tapes = []
     original = orchestrator._ran_tape
 
-    def recording(state, t_us, *rest):
-        tapes.append((int(t_us[0]), t_us.size))
-        return original(state, t_us, *rest)
+    def recording(*args):
+        tapes.append(original(*args))
+        return tapes[-1]
 
     monkeypatch.setattr(orchestrator, "_ran_tape", recording)
     return tapes
@@ -607,7 +607,10 @@ PATHS = ("settle_slot", "_apply_throttle")
 
 
 def assert_same_run(sc: Scenario, label) -> SimEngine:
-    """Run ``sc`` slot by slot and by segments; everything must be equal."""
+    """Run ``sc`` slot by slot and by segments; everything must be equal.
+
+    Every GPU's RAN level, RAN integral and its clock must be equal bit for bit.
+    """
     ref_eng = SimEngine(sc)
     ref = reference_run(ref_eng)
     eng = SimEngine(sc)
@@ -620,6 +623,9 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     assert again.trace == rep.trace and again.summary == rep.summary, label
     assert eng.state.misses == ref_eng.state.misses, label
     assert _gpu_state(eng.state) == _gpu_state(ref_eng.state), label
+    for name in ("ran_level", "ran_integral", "ran_accrue_us"):
+        got, want = (getattr(e.state.fleet, name) for e in (eng, ref_eng))
+        assert got.tobytes() == want.tobytes(), (label, name)
     assert _job_state(eng.state) == _job_state(ref_eng.state), label
     assert eng.state.events == ref_eng.state.events, label
     for rec in rep.trace:
@@ -897,7 +903,7 @@ def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
     )
     eng = assert_same_run(sc, "settling middle")
     assert any(settling and n > 1 for n, _fired, settling, _a in slices), slices
-    assert [t_us for t_us, _n in tapes] == [0, 50_500, 100_500], tapes
+    assert [tape.first_us for tape in tapes] == [0, 50_500, 100_500]
     assert [ev.subject for ev in eng.state.events if ev.kind == "repartition"] == ["srv1-gpu1"] * 2
     assert eng.state.misses
 
@@ -1083,6 +1089,116 @@ def test_demand_is_read_once_per_chunk(monkeypatch):
     # one read per segment would be over four times as many
     assert chunks == 16 and len(reads) <= chunks and 4 * chunks < segments[0], (reads, segments)
     assert sum(reads) == chunks * chunk
+
+
+# -- the tape's columns ----------------------------------------------------------
+
+
+def test_fleet_tapes_cover_only_the_first_gpus(monkeypatch):
+    """On a 16 x 4 cluster fleet RAN fits on each server's first GPU, and each tape covers those alone.
+
+    The other 48 GPUs keep a RAN level, integral and trace column of 0.0.
+    """
+    tapes = _recording_tapes(monkeypatch)
+    build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
+    text = build(ROOT, 1).replace("horizon_s: 10.0", "horizon_s: 2.0")
+    eng = SimEngine(parse_scenario(text, name="cluster"))
+    eng.run()
+    firsts = list(range(0, 64, 4))
+    assert tapes and all(tape.cols.tolist() == firsts for tape in tapes)
+    others = [g for g in range(64) if g % 4]
+    fleet = eng.state.fleet
+    assert fleet.ran_integral[firsts].all() and not fleet.ran_integral[others].any()
+    assert not fleet.ran_level[others].any() and not eng.trace.ran[:, others].any()
+
+
+class _PoisonedTrace(engine_module.Trace):
+    """A trace whose levels start as NaN, so a level the run never writes shows in the report."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ran.fill(np.nan)
+        self.ai.fill(np.nan)
+
+
+def _spill_scenario(policy: Policy) -> Scenario:
+    """Servers of 2, 2 and 3 GPUs; each one's RAN peak spills past its first GPU, then leaves it.
+
+    Two cells per server ask 0.32 to 1.44 of a GPU, on a 0.1 s diurnal
+    profile. Under a 0.5 RAN slice or a whole GPU both, the peaks spill
+    onto the second GPU and the troughs leave it, on every server at once.
+    A saturating backlog keeps AI running.
+    """
+    sizes = (2, 2, 3)
+    wave = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.2, maximum=0.9, period_s=0.1)
+    cells = tuple(
+        CellSpec(f"cell{s}{c}", CellConfig(), wave, f"srv{s}")
+        for s in range(len(sizes))
+        for c in "ab"
+    )
+    return Scenario(
+        name="spill",
+        servers=tuple(_servers(sizes)),
+        cells=cells,
+        calibration=Calibration(reference_peak_fraction=0.8),
+        ai_workloads=(AiWorkload(id="sat", arrival=ArrivalKind.SATURATING),),
+        policy=policy,
+        horizon_s=0.3,
+        sample_interval_s=0.001,
+    )
+
+
+@pytest.mark.parametrize("kind", [PolicyKind.DYNAMIC_BACKFILL, PolicyKind.STATIC_SPLIT])
+@pytest.mark.parametrize("one_slot_tapes", [False, True])
+def test_ran_that_leaves_a_gpu_settles_it(monkeypatch, kind, one_slot_tapes):
+    """RAN that leaves a server's second GPU settles it to 0.0, also on a tape demand does not reach it on.
+
+    By default one tape covers the run. With one-slot tapes, the slot
+    after a spill ends starts a tape on which demand stops at the first
+    GPUs, and the tape covers the second one only because its RAN level is
+    not 0.0. The trace's levels start as NaN, so a sample must write 0.0
+    for every GPU outside its tape.
+    """
+    if kind is PolicyKind.DYNAMIC_BACKFILL:
+        policy = Policy(kind=kind, epoch_s=0.01, safety_margin=0.05)
+    else:
+        gpus = tuple(f"srv{s}-gpu{g}" for s, n in enumerate((2, 2, 3)) for g in range(n))
+        policy = Policy(kind=kind, ran_fraction=0.5, ai_fraction=0.5, split_gpus=gpus)
+    if one_slot_tapes:
+        monkeypatch.setattr(orchestrator, "CHUNK_CELLS", 7)
+    monkeypatch.setattr(engine_module, "Trace", _PoisonedTrace)
+    tapes = _recording_tapes(monkeypatch)
+    eng = assert_same_run(_spill_scenario(policy), (kind, one_slot_tapes))
+    seconds = [1, 3, 5]  # each server's second GPU
+    for g in seconds:
+        ran = eng.trace.ran[:, g]
+        on = np.flatnonzero(ran)
+        assert on.size and not ran[on[0]:].all(), g  # RAN reached the GPU and left it
+    if one_slot_tapes:
+        assert all(tape.size == 1 for tape in tapes)
+        # tapes whose demand stopped at the first GPUs, yet that cover a second one
+        left = set()
+        for tape in tapes:
+            took = dict(zip(tape.cols.tolist(), tape.take[0].tolist()))
+            if not any(took.get(g) for g in (1, 3, 5, 6)):
+                left |= set(seconds) & set(took)
+        assert left == set(seconds), left
+
+
+def test_tape_keeps_a_gpu_granted_past_its_capacity():
+    """A GPU granted more than its capacity is throttled at a RAN level of 0.0, and a tape covers it.
+
+    Placement grants at most TOL past what is free; grants set 3 TOL past,
+    as here, throttle a GPU RAN leaves idle. Demand never reaches the
+    second GPU, yet every slot applies its throttle.
+    """
+    state = _dynamic_state(2)
+    first, second = state.gpus
+    _run_free_job(state, second, 0.5, "j0")
+    _run_free_job(state, second, 0.5 + 3 * orchestrator.TOL, "j1")
+    assert second.throttled and second.ran_level == 0.0
+    assert _settle_all(state, np.array([[0.3, 0.5, 0.4]])) == [(3, 0), (2, 0), (1, 0)]
+    assert second.throttled and first.ran_level == 0.4
 
 
 def _counting_segments(monkeypatch) -> list[int]:
