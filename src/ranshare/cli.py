@@ -130,6 +130,8 @@ def _cmd_sweep(args) -> int:
         dotted, _, raw = spec.partition("=")
         if not raw:
             raise SchemaError(f"--param {spec!r}: expected PATH=V1,V2,...")
+        if dotted == "sim.seed":
+            raise SchemaError(f"--param {spec!r}: point seeds come from the base seed (--seed)")
         values = [_load_yaml(v) for v in raw.split(",")]
         axes.append((dotted, values))
     base_seed = args.seed if args.seed is not None else base.seed
@@ -139,8 +141,10 @@ def _cmd_sweep(args) -> int:
         point_doc = copy.deepcopy(doc)
         for (dotted, _), value in zip(axes, combo):
             _set_path(point_doc, dotted, value)
-        point_doc["sim"]["seed"] = mix_seed(base_seed, index) & 0x7FFFFFFFFFFFFFFF
-        scenario = _build_scenario(point_doc, f"{name}.p{index}")
+        scenario = dataclasses.replace(
+            _build_scenario(point_doc, f"{name}.p{index}"),
+            seed=mix_seed(base_seed, index) & 0x7FFFFFFFFFFFFFFF,
+        )
         report = SimEngine(scenario).run()
         out_path = out_dir / f"{name}.p{index}.records"
         _write_file(out_path, iter_report(report, "records"))

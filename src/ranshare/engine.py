@@ -54,9 +54,10 @@ samples. The samples go into one columnar ``Trace``, preallocated by
 pass at the end.
 
 ``ClusterState`` is the run's only log: ``state.log`` records every event
-and settlement appends every slot miss to ``state.misses``. The report
-takes both lists as they are; the trace's notes are derived from them at
-the end (``_close_trace``).
+with its typed fields, unformatted, and settlement appends every slot miss
+to ``state.misses``. The report takes both lists, holding their numbers at
+the precision RECORDS writes; the trace's notes are derived from them at
+the end (``_close_trace``). Only the RECORDS writer formats an event.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ import numpy as np
 
 from . import fabric as fabric_mod
 from . import orchestrator as orch
-from .compute import Server
-from .errors import CalibrationOverflow, EmptyTrace, ScenarioInvalid
+from .compute import Server, partition_gpu
+from .errors import CalibrationOverflow, EmptyTrace, GranularityViolation, ScenarioInvalid
 from .fabric import FabricTopology, Flow, FlowKind, FronthaulCalibration
 from .orchestrator import (
     DeadlineMiss,
@@ -273,7 +274,7 @@ class Scenario:
             problems.append("all cells must share one subcarrier spacing")
         if self.policy.kind is PolicyKind.TIME_SPLIT:
             sched = self.policy.schedule
-            if sched[0][0] > 1e-9:
+            if abs(sched[0][0]) > 1e-9:
                 problems.append("time_split schedule must start at 0")
             for (s0, e0, _), (s1, _, _) in zip(sched, sched[1:]):
                 if abs(e0 - s1) > 1e-9:
@@ -305,28 +306,25 @@ class Scenario:
         return tuple(problems)
 
     def _check_split_granularity(self) -> list[str]:
-        """Split fractions must sit on every target GPU's granularity grid."""
+        """Every target GPU must cut each (RAN share, AI share) layout the split gives it."""
         policy = self.policy
         if policy.kind is PolicyKind.STATIC_SPLIT:
-            wanted = [policy.ran_fraction, policy.ai_fraction]
+            layouts = [(policy.ran_fraction, policy.ai_fraction)]
         elif policy.kind is PolicyKind.TIME_SPLIT:
-            wanted = [ran for _s, _e, ran in policy.schedule]
+            layouts = dict.fromkeys((ran, 1.0 - ran) for _s, _e, ran in policy.schedule)
         else:
             return []
         devices = {g.id: g for s in self.servers for g in s.gpus}
         cell_hosts = {c.server_id for c in self.cells}
         problems = []
-        for gid in orch.split_targets(policy, self.servers, cell_hosts):
-            gpu = devices.get(gid)
-            if gpu is None:
-                continue  # reported as an unknown-gpu problem already
-            for f in wanted:
-                units = round(f * gpu.total_units)
-                if abs(f - units / gpu.total_units) > 1e-9:
-                    problems.append(
-                        f"policy fraction {f} is not a multiple of {gid}'s "
-                        f"granularity {gpu.partition_granularity}"
-                    )
+        targets = orch.split_targets(policy, self.servers, cell_hosts)
+        # an unknown gpu is reported as a problem of its own
+        for gpu in (devices[gid] for gid in targets if gid in devices):
+            for ran, ai in layouts:
+                try:
+                    partition_gpu(gpu, ran, ai)
+                except GranularityViolation as exc:
+                    problems.append(f"policy: {exc}")
         return problems
 
     @cached_property
@@ -557,8 +555,8 @@ class SimEngine:
             )
         _loads, violations = fabric_mod.route_flows(self.topology, flows)
         for v in violations:
-            detail = orch.event_detail(load=v.load_gbps, capacity=v.capacity_gbps)
-            self.fabric_events.append(EventRecord(t_s, "capacity", v.link_id, detail))
+            fields = {"load": v.load_gbps, "capacity": v.capacity_gbps}
+            self.fabric_events.append(EventRecord(t_s, "capacity", v.link_id, fields))
 
     # -- sampling -----------------------------------------------------------------
 
@@ -651,13 +649,9 @@ class SimEngine:
             actions = policy_epoch(state, t_s)
             apply_actions(state, actions)
             moved = np.flatnonzero(fleet.ai_ceiling != prev_ceilings).tolist()
-            if moved:
-                ceilings = fleet.ai_ceiling.tolist()
-                granted = fleet.ai_granted.tolist()
-                for g in moved:
-                    state.log(
-                        "ceiling", state.gpus[g].device.id, value=ceilings[g], ai=granted[g]
-                    )
+            ceilings, granted = fleet.ai_ceiling.tolist(), fleet.ai_granted.tolist()
+            for g in moved:
+                state.log("ceiling", state.gpus[g].device.id, value=ceilings[g], ai=granted[g])
             placement_round(state)
             if policy.is_dynamic:
                 nxt = t_us + self.epoch_us
@@ -675,7 +669,7 @@ class SimEngine:
                 bound = state.policy.queue_bound
                 if bound is not None and len(state.queue) >= bound:
                     job.state = JobState.REJECTED
-                    state.log("reject", job.id, "queue bound exceeded")
+                    state.log("reject", job.id)
                 else:
                     state.enqueue(job)
                     state.log(
@@ -692,11 +686,11 @@ class SimEngine:
             placement_round(state)
         elif kind is EventKind.PROFILE_CHANGE:
             self._route_fabric(t_s)
-            state.log("reroute", "-", "profile step")
+            state.log("reroute", "-")
         elif kind is EventKind.REPARTITION_SETTLED:
             gpu = state.gpu_by_id(payload[0])
             if gpu.settling_until_us <= t_us:
-                state.log("settled", gpu.device.id, "slices accepting work")
+                state.log("settled", gpu.device.id)
                 placement_round(state)
         return False
 
@@ -776,9 +770,16 @@ class SimEngine:
 
     def _report(self) -> MetricsReport:
         state = self.state
-        # shortfalls and stats are rounded to their serialized precision so
-        # RECORDS output round-trips losslessly
+        # shortfalls, event fields and stats are rounded to their serialized
+        # precision so RECORDS output round-trips losslessly
         misses = [DeadlineMiss(t, sid, round(sf, 9)) for t, sid, sf in state.misses]
+        for ev in state.events + self.fabric_events:
+            fields = ev.fields
+            for key, v in fields.items():
+                if isinstance(v, list):  # a layout: (fraction, tenant class) pairs
+                    fields[key] = [(round(f, 6), c) for f, c in v]
+                elif not isinstance(v, str):
+                    fields[key] = round(float(v), 6)
         jobs = list(state.jobs.values())
         waits = [
             j.first_start_time - j.arrival_time

@@ -137,29 +137,12 @@ class ScaleAction:
 
 @dataclass(frozen=True)
 class EventRecord:
+    """An event or fabric row with its ``fields`` as logged: ids, numbers, layout pairs."""
+
     time_s: float
     kind: str
     subject: str
-    detail: str
-
-
-def _detail_text(value) -> str:
-    if isinstance(value, list):
-        return ",".join(map(_detail_text, value))
-    if isinstance(value, tuple):
-        return ":".join(map(_detail_text, value))
-    if isinstance(value, Enum):
-        return value.value
-    return f"{value:.6f}" if isinstance(value, (int, float)) else value
-
-
-def event_detail(text: str = "", **fields) -> str:
-    """The detail of an event or fabric row: ``text``, or ``key=value`` fields.
-
-    Numbers are written with 6 decimals, enums by value, a tuple's items
-    joined by ``:`` and a list's by ``,``; strings as they are.
-    """
-    return text or " ".join(f"{key}={_detail_text(v)}" for key, v in fields.items())
+    fields: dict
 
 
 @dataclass(frozen=True)
@@ -417,11 +400,9 @@ class ClusterState:
     def gpu_by_id(self, gpu_id: str) -> GpuState:
         return self._gpus[gpu_id]
 
-    def log(self, kind: str, subject: str, text: str = "", **fields):
-        """Record event ``kind`` about ``subject`` now; ``event_detail`` writes its detail."""
-        self.events.append(
-            EventRecord(self.clock_us / US, kind, subject, event_detail(text, **fields))
-        )
+    def log(self, kind: str, subject: str, **fields):
+        """Record event ``kind`` about ``subject`` now, with its ``fields`` as given."""
+        self.events.append(EventRecord(self.clock_us / US, kind, subject, fields))
 
     def push(self, t_us: int, kind: EventKind, payload: tuple = ()):
         """Queue event ``kind`` at ``t_us``; a time before the clock raises ``EventInPast``."""

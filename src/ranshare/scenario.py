@@ -23,7 +23,7 @@ from typing import Any, Iterator, NamedTuple
 import numpy as np
 import yaml
 
-from .compute import GpuDevice, NfBundle, Server
+from .compute import GpuDevice, NfBundle, Server, TenantClass
 from .engine import (
     CellSpec,
     EventRecord,
@@ -540,6 +540,48 @@ def _read_fields(body: str, fields, line: int) -> dict:
         raise ParseError(f"line {line}: bad or missing header field {exc}") from None
 
 
+# the detail of each event kind that is logged without fields
+_EVENT_TEXT = {"reject": "queue bound exceeded", "reroute": "profile step",
+               "settled": "slices accepting work"}
+
+
+def _detail_text(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, list):  # a layout
+        return ",".join(f"{f:.6f}:{c.value}" for f, c in value)
+    return f"{value:.6f}"
+
+
+def event_detail(ev: EventRecord) -> str:
+    """The detail of an event or fabric row: its kind's fixed text, or ``key=value`` fields.
+
+    Numbers are written with 6 decimals, a layout as ``fraction:class``
+    pairs joined by ``,``, and ids as they are.
+    """
+    return _EVENT_TEXT.get(ev.kind) or " ".join(
+        f"{key}={_detail_text(v)}" for key, v in ev.fields.items()
+    )
+
+
+def _read_layout(raw: str) -> list[tuple[float, TenantClass]]:
+    return [(float(f), TenantClass(c)) for f, c in (pair.split(":") for pair in raw.split(","))]
+
+
+# how a field is read back; every other field is a number
+_FIELD_READERS = {"job": str, "instance": str, "gpu": str, "layout": _read_layout}
+
+
+def _read_detail(kind: str, detail: str) -> dict:
+    """The fields of an event or fabric row of ``kind`` from its written ``detail``."""
+    if kind in _EVENT_TEXT:  # a fixed text reads back as no fields
+        if detail != _EVENT_TEXT[kind]:
+            raise ValueError(f"{kind} detail is not {_EVENT_TEXT[kind]!r}")
+        return {}
+    pairs = (item.partition("=")[::2] for item in detail.split())
+    return {key: _FIELD_READERS.get(key, float)(raw) for key, raw in pairs}
+
+
 def iter_report(report: MetricsReport, format: str = "records") -> Iterator[str]:
     """Serialize a report as chunks of text; ``format`` is 'records' or 'summary'.
 
@@ -577,7 +619,7 @@ def _iter_records(report: MetricsReport) -> Iterator[str]:
     # every other row, in (time, category, index) order; at equal times
     # they precede the samples, which are chronological already
     others = [
-        (ev.time_s, 0, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}\n")
+        (ev.time_s, 0, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {event_detail(ev)}\n")
         for i, ev in enumerate(report.events)
     ]
     others += [
@@ -585,7 +627,7 @@ def _iter_records(report: MetricsReport) -> Iterator[str]:
         for i, m in enumerate(report.deadline_misses)
     ]
     others += [
-        (ev.time_s, 2, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}\n")
+        (ev.time_s, 2, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{event_detail(ev)}\n")
         for i, ev in enumerate(report.fabric_violations)
     ]
     others.sort()
@@ -741,11 +783,11 @@ def parse_records(text: str) -> MetricsReport:
                 g = (g + 1) % len(gpu_ids)
             elif kind == "event":
                 ev_kind, _, detail = annotation.partition(" ")
-                events.append(EventRecord(t, ev_kind, subject, detail))
+                events.append(EventRecord(t, ev_kind, subject, _read_detail(ev_kind, detail)))
             elif kind == "miss":
                 misses.append(DeadlineMiss(t, subject, float(annotation.split("=", 1)[1])))
             elif kind == "fabric":
-                fabric.append(EventRecord(t, "capacity", subject, annotation))
+                fabric.append(EventRecord(t, "capacity", subject, _read_detail(kind, annotation)))
             else:
                 raise ParseError(f"line {number}: unknown record type {kind!r}")
         except (ValueError, IndexError) as exc:

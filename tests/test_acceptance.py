@@ -384,8 +384,8 @@ class TestCriterion7ReclaimLatency:
         ok_event = bool(reclaims) and reclaims[0].time_s <= forecast_reflects + epoch + 1e-9
         ok_level = bool(ceilings)
         for e in ceilings:
-            ai_after = float(e.detail.split("ai=")[1])
-            ceiling = float(e.detail.split("value=")[1].split()[0])
+            ai_after = e.fields["ai"]
+            ceiling = e.fields["value"]
             if ai_after > ceiling + 1e-9:
                 ok_level = False
         # after the reclaim, sampled AI stays at or below the new ceiling

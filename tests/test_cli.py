@@ -6,6 +6,7 @@ import pytest
 
 from ranshare import cli
 from ranshare.cli import main
+from ranshare.engine import mix_seed
 from ranshare.scenario import iter_report, parse_records
 
 
@@ -239,6 +240,29 @@ class TestSweep:
             for i in range(2)
         }
         assert len(seeds) == 2
+
+    def test_point_seeds_are_mixed_from_the_base_seed(self, short_uplift, tmp_path, capsys):
+        out_dir = tmp_path / "sweep4"
+        argv = ["sweep", str(short_uplift), "--param", "policy.safety_margin=0.0,0.1",
+                "--seed", "5", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        seeds = [
+            parse_records((out_dir / f"uplift-short.p{i}.records").read_text()).seed
+            for i in range(2)
+        ]
+        assert seeds == [mix_seed(5, i) & 0x7FFFFFFFFFFFFFFF for i in range(2)]
+
+    def test_seed_param_is_refused_exit_2(self, short_uplift, tmp_path, capsys):
+        """A point's seed comes from --seed; a swept sim.seed would be dropped unseen."""
+        argv = ["sweep", str(short_uplift), "--param", "sim.seed=1,2", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "point seeds come from the base seed (--seed)" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["uplift-short.scenario"]
+
+    def test_sim_param_that_is_no_mapping_exit_2(self, short_uplift, tmp_path, capsys):
+        argv = ["sweep", str(short_uplift), "--param", "sim=5", "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: sim: expected a mapping\n"
 
     def test_failed_point_write_leaves_no_partial_file(
         self, short_uplift, tmp_path, monkeypatch, capsys

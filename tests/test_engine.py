@@ -509,7 +509,7 @@ class TestStepApi:
         report = run(sc)
         first_ceiling = next(e for e in report.events if e.kind == "ceiling")
         assert first_ceiling.time_s == 0.0
-        value = float(first_ceiling.detail.split("value=")[1].split()[0])
+        value = first_ceiling.fields["value"]
         assert value == pytest.approx(0.6, abs=1e-9)  # 1 - 0.35 - 0.05
 
 

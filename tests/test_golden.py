@@ -10,7 +10,8 @@ pinned the same way, as are those of ``time_split_text``, a small fleet
 whose split GPUs are repartitioned under running jobs. A small fleet's
 RECORDS must not change with the hash seed or under ``python -O``. The four
 benchmark workloads are pinned at three seeds each, built by
-``perfbench/workloads.py``, which this module only reads.
+``perfbench/workloads.py``, which this module only reads. The RECORDS of
+each pinned run must read back as the same report (``parse_records``).
 """
 
 import hashlib
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from ranshare.engine import SimEngine
-from ranshare.scenario import load_scenario, parse_scenario, write_report
+from ranshare.scenario import load_scenario, parse_records, parse_scenario, write_report
 
 GOLDEN = {
     "poc": {
@@ -110,14 +111,20 @@ WORKLOADS = {
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def assert_report(report, want: dict, label=None):
+    """``report`` hashes to ``want`` in each format, and its RECORDS read back as it."""
+    for fmt, digest in want.items():
+        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
+        assert got == digest, (label, fmt)
+    assert parse_records(write_report(report, "records")) == report, label
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_report_bytes(scenario_dir, name):
     scenario = load_scenario(scenario_dir / f"{name}.scenario")
     assert scenario.horizon_s == 600.0
     report = SimEngine(scenario).run()
-    for fmt, want in GOLDEN[name].items():
-        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
-        assert got == want, (name, fmt)
+    assert_report(report, GOLDEN[name], name)
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))
@@ -195,9 +202,7 @@ def test_fleet_report_bytes():
     scenario = parse_scenario(fleet_text(), name="fleet")
     assert len(scenario.servers) == 16 and {len(s.gpus) for s in scenario.servers} == {4}
     report = SimEngine(scenario).run()
-    for fmt, want in FLEET.items():
-        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
-        assert got == want, fmt
+    assert_report(report, FLEET)
 
 
 def test_records_do_not_depend_on_hash_seed_or_asserts(tmp_path):
@@ -283,9 +288,7 @@ def test_time_split_report_bytes():
     assert [e.time_s for e in report.events if e.kind == "repartition"] == [
         t for t in (0.4, 0.8, 1.2, 1.6) for _ in range(3)
     ]
-    for fmt, want in TIME_SPLIT.items():
-        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
-        assert got == want, fmt
+    assert_report(report, TIME_SPLIT)
 
 
 def _load_workloads():
@@ -302,6 +305,4 @@ def _load_workloads():
 def test_benchmark_workload_report_bytes(name, seed):
     build, _fmt = _load_workloads().WORKLOADS[name]
     report = SimEngine(parse_scenario(build(ROOT, seed), name=name)).run()
-    for fmt, want in WORKLOADS[name][seed].items():
-        got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
-        assert got == want, fmt
+    assert_report(report, WORKLOADS[name][seed], name)

@@ -110,12 +110,18 @@ CASES = [
      SemanticError, "schedule intervals overlap"),
     ({"policy": _time_split((0.5, 1.0, 0.4))},
      SemanticError, "time_split schedule must start at 0"),
+    ({"policy": _time_split((-1.0, 1.0, 0.4))},
+     SemanticError, "^time_split schedule must start at 0$"),
     ({"policy": _time_split((0.0, 0.4, 0.4), (0.5, 1.0, 0.4))},
      SemanticError, "time_split schedule has gaps"),
     ({"policy": _time_split((0.0, 0.5, 0.4))},
      SemanticError, "time_split schedule does not cover the horizon"),
     ({"policy": _time_split((0.0, 0.0003, 0.4), (0.0003, 1.0, 0.4))},
      SemanticError, "time_split boundary 0.0003 is not on a slot boundary"),
+    ({"policy": {"kind": "static_split", "ran_fraction": 0.33, "ai_fraction": 0.31}},
+     SemanticError, r"policy: gpu1: 0\.33 is not a multiple of granularity 0\.05"),
+    ({"policy": _time_split((0.0, 0.3, 0.42), (0.3, 0.6, 0.4), (0.6, 1.0, 0.42))},
+     SemanticError, r"^policy: gpu1: 0\.42 is not a multiple of granularity 0\.05$"),
     ({"policy": {"kind": "dynamic_backfill", "safety_margin": 1.0}},
      SemanticError, r"safety_margin must be in \[0, 1\)"),
     ({"policy": {"kind": "dynamic_backfill",

@@ -19,7 +19,6 @@ from ranshare.orchestrator import (
     apply_actions,
     backfill_queue,
     build_cluster_state,
-    event_detail,
     finish_job,
     initial_partitions,
     plan_placement,
@@ -28,6 +27,7 @@ from ranshare.orchestrator import (
     settle_slot,
     start_job,
 )
+from ranshare.scenario import event_detail
 from ranshare.workload import AiJob, JobState, SloClass
 
 RAN, AI, FREE = TenantClass.RAN, TenantClass.AI, TenantClass.FREE
@@ -466,19 +466,24 @@ class TestEventLog:
         state.clock_us = 500
         # newest first: j2 is preempted whole, then j1 trimmed by the rest
         apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.3)])
-        assert state.events == [
-            EventRecord(0.0, "place", "gpu1", f"job=j1 instance={ai_slice} fraction=0.300000"),
-            EventRecord(0.0, "place", "gpu1", f"job=j2 instance={ai_slice} fraction=0.250000"),
-            EventRecord(0.0005, "preempt", "gpu1", "job=j2 fraction=0.250000"),
-            EventRecord(0.0005, "trim", "gpu1", "job=j1 fraction=0.050000"),
+        assert [(e.time_s, e.kind, e.subject, event_detail(e)) for e in state.events] == [
+            (0.0, "place", "gpu1", f"job=j1 instance={ai_slice} fraction=0.300000"),
+            (0.0, "place", "gpu1", f"job=j2 instance={ai_slice} fraction=0.250000"),
+            (0.0005, "preempt", "gpu1", "job=j2 fraction=0.250000"),
+            (0.0005, "trim", "gpu1", "job=j1 fraction=0.050000"),
         ]
+        assert state.events[0] == EventRecord(
+            0.0, "place", "gpu1", {"job": "j1", "instance": ai_slice, "fraction": 0.3}
+        )
         assert state.jobs["j2"].state is JobState.PREEMPTED
         assert state.jobs["j1"].granted_fraction == pytest.approx(0.25)
 
     def test_detail_formats(self):
-        assert event_detail("queue bound exceeded") == "queue bound exceeded"
-        assert event_detail(job="j1", size=2, demand=math.inf) == "job=j1 size=2.000000 demand=inf"
-        assert event_detail(layout=[(0.4, RAN), (0.6, AI)]) == "layout=0.400000:RAN,0.600000:AI"
+        assert event_detail(EventRecord(0.0, "reject", "j1", {})) == "queue bound exceeded"
+        arrival = EventRecord(0.0, "arrival", "j1", {"job": "j1", "size": 2, "demand": math.inf})
+        assert event_detail(arrival) == "job=j1 size=2.000000 demand=inf"
+        cut = EventRecord(0.0, "repartition", "gpu1", {"layout": [(0.4, RAN), (0.6, AI)]})
+        assert event_detail(cut) == "layout=0.400000:RAN,0.600000:AI"
 
 
 def test_grant_changes_accrue_at_the_old_level():
@@ -537,7 +542,8 @@ class TestJobClock:
         assert j.state is JobState.DONE and j.remaining_compute_seconds == 0.0
         assert j.completion_time == redone_us / 1e6 and j.version == 3
         assert gpu1.jobs == [] and gpu1.ai_granted == pytest.approx(0.0)
-        assert state.events[-1] == EventRecord(redone_us / 1e6, "completion", "j1", "gpu=gpu1")
+        done = EventRecord(redone_us / 1e6, "completion", "j1", {"gpu": "gpu1"})
+        assert state.events[-1] == done
         assert len(state.heap) == 2  # finishing queues nothing
 
     def test_repartition_queues_its_settling_event(self):

@@ -28,9 +28,9 @@ def make_report(gpu_ids, times, ran, ai, notes=None, events=(), misses=(), fabri
         seed=5,
         gpu_ids=tuple(gpu_ids),
         trace=Trace(gpu_ids, times, ran, ai, notes),
-        events=[EventRecord(t, "place", subject, "gpu=g0") for t, subject in events],
+        events=[EventRecord(t, "place", subject, {"gpu": "g0"}) for t, subject in events],
         deadline_misses=[DeadlineMiss(t, "srv0", 0.25) for t in misses],
-        fabric_violations=[EventRecord(t, "capacity", "leaf0", "load=2.0") for t in fabric],
+        fabric_violations=[EventRecord(t, "capacity", "leaf0", {"load": 2.0}) for t in fabric],
         job_stats=JobStats(1, 0, 0, 0, 1, 0.5, 0.5, 1.0),
     )
 

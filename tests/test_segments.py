@@ -7,11 +7,13 @@ per GPU and checks every epoch's ceilings, history and ``forecast_holds``.
 ``reference_settle_slot`` per slot, and samples flushed before every slot
 and event, one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
 ``reference_write_records`` are ``summarize`` and the RECORDS writer as
-they were for that list of rows. Random scenarios go through them and
-through the engine, and everything the run leaves behind must be equal:
-report bytes, the rows, the raw miss list, every GPU's levels, forecast
-inputs and level integrals, and every job. Targeted scenarios check the
-same for runs that skip quiescent policy epochs.
+they were for that list of rows; ``reference_event_detail`` is the detail
+formatter as it was when the log formatted each event as it came. Random
+scenarios go through them and through the engine, and everything the run
+leaves behind must be equal: report bytes, the rows, the raw miss list,
+every GPU's levels, forecast inputs and level integrals, and every job.
+Targeted scenarios check the same for runs that skip quiescent policy
+epochs.
 
 Each level integral runs on its own clock. The RAN integral accrues at
 the slots where the RAN level changes and at the horizon, so no AI event
@@ -26,6 +28,7 @@ import dataclasses
 import math
 import random
 from collections import deque
+from enum import Enum
 from heapq import heappop
 from pathlib import Path
 
@@ -315,6 +318,33 @@ def reference_summarize(trace: list[TraceRecord]) -> Summary:
 
 _CATEGORY_ORDER = {"sample": 3, "event": 0, "miss": 1, "fabric": 2}
 
+# the texts that the events logged without fields were logged with
+_REFERENCE_TEXTS = {
+    "reject": "queue bound exceeded",
+    "reroute": "profile step",
+    "settled": "slices accepting work",
+}
+
+
+def _reference_detail_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(_reference_detail_text, value))
+    if isinstance(value, tuple):
+        return ":".join(map(_reference_detail_text, value))
+    if isinstance(value, Enum):
+        return value.value
+    return f"{value:.6f}" if isinstance(value, (int, float)) else value
+
+
+def reference_event_detail(ev) -> str:
+    """The detail of an event or fabric row: its kind's text, or ``key=value`` fields.
+
+    Numbers are written with 6 decimals, enums by value, a tuple's items
+    joined by ``:`` and a list's by ``,``; strings as they are.
+    """
+    text = _REFERENCE_TEXTS.get(ev.kind, "")
+    return text or " ".join(f"{key}={_reference_detail_text(v)}" for key, v in ev.fields.items())
+
 
 def reference_write_records(report) -> str:
     """The RECORDS writer as it was before the columnar trace: one full sort."""
@@ -344,9 +374,8 @@ def reference_write_records(report) -> str:
             )
         )
     for i, ev in enumerate(report.events):
-        rows.append(
-            (ev.time_s, i, f"event,{ev.time_s:.6f},{ev.subject},,,{ev.kind} {ev.detail}")
-        )
+        detail = f"{ev.kind} {reference_event_detail(ev)}"
+        rows.append((ev.time_s, i, f"event,{ev.time_s:.6f},{ev.subject},,,{detail}"))
     for i, miss in enumerate(report.deadline_misses):
         rows.append(
             (
@@ -356,7 +385,8 @@ def reference_write_records(report) -> str:
             )
         )
     for i, ev in enumerate(report.fabric_violations):
-        rows.append((ev.time_s, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{ev.detail}"))
+        detail = reference_event_detail(ev)
+        rows.append((ev.time_s, i, f"fabric,{ev.time_s:.6f},{ev.subject},,,{detail}"))
     category = lambda row: _CATEGORY_ORDER[row.split(",", 1)[0]]  # noqa: E731
     lines.extend(row for _, _, row in sorted(rows, key=lambda r: (r[0], category(r[2]), r[1])))
     return "\n".join(lines) + "\n"
@@ -620,7 +650,7 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     assert write_report(rep, "summary") == write_report(ref, "summary"), label
     assert list(rep.trace) == ref.trace, label
     again = parse_records(records)
-    assert again.trace == rep.trace and again.summary == rep.summary, label
+    assert again == rep and again.summary == rep.summary, label
     assert eng.state.misses == ref_eng.state.misses, label
     assert _gpu_state(eng.state) == _gpu_state(ref_eng.state), label
     for name in ("ran_level", "ran_integral", "ran_accrue_us"):

@@ -163,22 +163,25 @@ def test_records_keep_signed_zero_and_merge_order():
     report = MetricsReport(
         scenario_name="zeros", horizon_s=0.01, sample_interval_s=0.01, seed=0,
         gpu_ids=("g1", "g2"), trace=trace,
-        events=[EventRecord(0.01, "arrival", "j1", "x"), EventRecord(0.0, "arrival", "j0", "y")],
+        events=[
+            EventRecord(0.01, "arrival", "j1", {"size": 1.0}),
+            EventRecord(0.0, "arrival", "j0", {"size": 2.0}),
+        ],
         deadline_misses=[DeadlineMiss(0.0, "s1", 0.5)],
-        fabric_violations=[EventRecord(0.02, "capacity", "l1", "z")],
+        fabric_violations=[EventRecord(0.02, "capacity", "l1", {"load": 3.0})],
         job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
     )
     text = write_report(report, "records")
     rows = text.splitlines()[5:]
     assert rows == [
-        "event,0.000000,j0,,,arrival y",
+        "event,0.000000,j0,,,arrival size=2.000000",
         "miss,0.000000,s1,,,shortfall=0.500000000",
         "sample,0.000000,g1,0.000000,-0.000000,",
         "sample,0.000000,g2,-0.000000,0.000000,miss:1",
-        "event,0.010000,j1,,,arrival x",
+        "event,0.010000,j1,,,arrival size=1.000000",
         "sample,0.010000,g1,0.000000,-0.000000,",
         "sample,0.010000,g2,0.000000,0.000000,",
-        "fabric,0.020000,l1,,,z",
+        "fabric,0.020000,l1,,,load=3.000000",
     ]
     again = parse_records(text).trace
     assert again == trace and np.signbit(again.ai[:, 0]).all()
@@ -201,7 +204,7 @@ def test_engine_trace_is_columnar():
 def test_annotations_go_to_the_next_sample():
     """A noted event at t goes to the first sample at or after t, kinds counted and sorted."""
     eng = SimEngine(_poc(0.05))
-    eng.state.events.extend(EventRecord(t, kind, gpu, "") for t, gpu, kind in [
+    eng.state.events.extend(EventRecord(t, kind, gpu, {}) for t, gpu, kind in [
         (0.0, "gpu1", "trim"),
         (0.0, "gpu1", "preempt"),
         (0.0, "gpu1", "trim"),
