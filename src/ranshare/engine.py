@@ -91,6 +91,7 @@ from .orchestrator import (
     settle_segment,
 )
 from .workload import (
+    US,
     AiWorkload,
     Calibration,
     CellConfig,
@@ -102,7 +103,6 @@ from .workload import (
     slot_duration,
 )
 
-US = 1_000_000
 # the events that note the trace: each on its GPU's next sample
 NOTED_EVENTS = frozenset(("preempt", "trim", "repartition"))
 

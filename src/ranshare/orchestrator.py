@@ -36,10 +36,9 @@ import numpy as np
 from . import compute
 from .compute import GpuDevice, GpuInstance, Server, TenantClass
 from .errors import EventInPast, InvalidEpoch
-from .workload import AiJob, JobState, SloClass
+from .workload import US, AiJob, JobState, SloClass
 
 TOL = 1e-9
-US = 1_000_000  # microseconds per second
 
 
 class PolicyKind(Enum):
@@ -383,6 +382,11 @@ class ClusterState:
     gpus: list[GpuState] = field(init=False, repr=False, default_factory=list)
     _gpus: dict[str, GpuState] = field(init=False, repr=False, default_factory=dict)
     fleet: Fleet = field(init=False, repr=False)
+    # placement's order: servers by id, their GPUs' rows in that order, and
+    # where each server's rows start
+    by_id: list[ServerState] = field(init=False, repr=False)
+    id_rows: np.ndarray = field(init=False, repr=False)
+    id_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
@@ -392,6 +396,10 @@ class ClusterState:
         for i, gpu in enumerate(self.gpus):
             gpu.fleet, gpu.index = self.fleet, i
             gpu.refresh_caches(dynamic)
+        self.by_id = sorted(self.servers, key=lambda s: s.server.id)
+        self.id_rows = np.array([gpu.index for srv in self.by_id for gpu in srv.gpus], dtype=np.intp)
+        sizes = [len(srv.gpus) for srv in self.by_id]
+        self.id_starts = np.cumsum(sizes, dtype=np.intp) - sizes
 
     @property
     def clock(self) -> float:
@@ -846,77 +854,47 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     enqueue time via the queue bound. ``jobs`` is any list of jobs, or a
     ``PlacementOrder`` already in that order, such as ``state.pending``.
 
-    Bound invariant: within one call, GPU frees and budgets only
-    decrease, so the largest grantable fraction seen by a scan that failed
-    bounds every grantable fraction for the rest of the call. A job whose
-    demand is above that bound + TOL cannot fit, so it is skipped without a
-    scan; in the demand-sorted BATCH run one bisection skips them all.
-    Right after a failed scan the next job not skipped fits, so at most one
-    scan fails per placement made, and the cost of a call does not grow
-    with the number of queued jobs that cannot fit. A scan reads each
-    server unsorted first and passes over one whose largest grantable
-    fraction + TOL is below the demand, before sorting it: none of its
-    candidates fits, and walking them would only raise the bound to that
-    same fraction. So a failed scan sorts nothing and returns the bound a
-    full walk returns, and a server that can fit is walked in candidate
-    order to the same first fit.
+    Each GPU's grantable fraction (``min(free, budget)``, ``-inf`` for no
+    candidate) is read once per call, and so each server's largest, its top.
+    A job above every top + TOL is skipped (the BATCH run by one bisection);
+    any other walks only the first server whose top fits, and renews that top.
     """
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
     fleet = state.fleet
-    # by GPU index
-    budgets, frees = _budgets(state).tolist(), _frees(state).tolist()
-    usable = ((fleet.settling_until_us <= state.clock_us) & (fleet.ai_cap > 0.0)).tolist()
+    frees, budgets = _frees(state), _budgets(state)
+    usable = (fleet.settling_until_us <= state.clock_us) & (fleet.ai_cap > 0.0)
+    grantable = np.where(usable, np.minimum(frees, budgets), -math.inf)
+    # each server's top, servers by id
+    tops = np.maximum.reduceat(grantable[state.id_rows], state.id_starts).tolist()
+    grantable, frees, budgets = grantable.tolist(), frees.tolist(), budgets.tolist()
+    top = max(tops, default=-math.inf)
     eligible_by = state.clock + TOL
-    servers = sorted(state.servers, key=lambda s: s.server.id)
-
-    def try_place(job: AiJob) -> float | None:
-        """Place ``job``; on failure return the largest grantable fraction seen."""
-        demand = job.demand_fraction
-        best = -math.inf
-        for srv in servers:
-            top = -math.inf  # the server's largest grantable fraction
-            gpus = [gpu.index for gpu in srv.gpus if usable[gpu.index]]
-            for g in gpus:
-                free, budget = frees[g], budgets[g]
-                grantable = free if free < budget else budget
-                if grantable > top:
-                    top = grantable
-            if top + TOL < demand:
-                if top > best:
-                    best = top
-                continue
-            # some GPU here fits: walk the server in candidate order
-            for _, gpu_id, g in sorted((-frees[g], state.gpus[g].device.id, g) for g in gpus):
-                free, budget = frees[g], budgets[g]
-                grantable = free if free < budget else budget
-                if grantable + TOL < demand:
-                    continue
-                decision.assignments[job.id] = (gpu_id, demand)
-                frees[g] = free - demand
-                budgets[g] = budget - demand
-                return None
-        return best
-
     entries = order.entries
-    bound = math.inf  # largest grantable fraction left; inf until a scan fails
     i, n = 0, len(entries)
     while i < n:
         rank, _key, _id, job = entries[i]
         i += 1
-        if bound + TOL < job.demand_fraction:
+        demand = job.demand_fraction
+        if top + TOL < demand:  # it fits nowhere
             if rank == _BATCH_RANK:
-                i = bisect.bisect_left(entries, (_BATCH_RANK, -(bound + TOL)), i)
+                i = bisect.bisect_left(entries, (_BATCH_RANK, -(top + TOL)), i)
             continue
         if job.state not in (JobState.QUEUED, JobState.PREEMPTED):
             continue
         if job.eligible_at_s > eligible_by:
             continue
-        if rank == _INTERACTIVE_RANK and job.demand_fraction + TOL < job.required_rate:
+        if rank == _INTERACTIVE_RANK and demand + TOL < job.required_rate:
             continue  # its demand can never meet the latency bound
-        best = try_place(job)
-        if best is not None:
-            bound = best
+        s = next(s for s, t in enumerate(tops) if t + TOL >= demand)
+        walk = sorted((-frees[gpu.index], gpu.device.id, gpu.index) for gpu in state.by_id[s].gpus)
+        gpu_id, g = next((gpu_id, g) for _, gpu_id, g in walk if grantable[g] + TOL >= demand)
+        decision.assignments[job.id] = (gpu_id, demand)
+        frees[g] -= demand
+        budgets[g] -= demand
+        grantable[g] = min(frees[g], budgets[g])
+        tops[s] = max(grantable[h] for *_, h in walk)
+        top = max(tops)
     return decision
 
 
@@ -1221,10 +1199,11 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 
 
 def placement_round(state: ClusterState):
-    """Place what fits of the queue, then backfill every GPU that has a budget.
+    """Place what fits of the queue, then backfill every GPU whose budget can grant.
 
-    GPUs without an AI slice, and GPUs settling after a repartition, are
-    left out of the backfill.
+    A budget below the GPU's granularity (less TOL) grants nothing, so its
+    GPU is left out of the backfill, as are GPUs without an AI slice and
+    GPUs settling after a repartition.
     """
     if state.queue:
         decision = plan_placement(state.pending, state)
@@ -1232,7 +1211,7 @@ def placement_round(state: ClusterState):
             start_job(state, state.jobs[job_id], state.gpu_by_id(gpu_id), fraction)
     if state.queue:
         fleet, budgets = state.fleet, _budgets(state)
-        ready = budgets > 1e-9
+        ready = budgets >= fleet.min_grant - TOL
         ready &= (fleet.ai_cap > 0.0) & (fleet.settling_until_us <= state.clock_us)
         for g, budget in zip(np.flatnonzero(ready).tolist(), budgets[ready].tolist()):
             backfill_queue(state, state.gpus[g], budget)

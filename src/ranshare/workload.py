@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CalibrationOverflow, EmptyTrace, UnsupportedNumerology
 
 SUPPORTED_SCS_KHZ = (15, 30, 60, 120)
+US = 1_000_000  # microseconds per second: the event clock's tick
 
 
 @dataclass(frozen=True)
@@ -236,6 +237,8 @@ class AiWorkload:
     def __post_init__(self):
         if self.rate_per_s < 0:
             raise ValueError("rate must be >= 0")
+        if any(t < 0 for t in self.trace_arrivals):
+            raise ValueError("trace arrivals must be >= 0")
         if self.slo_class is SloClass.INTERACTIVE and self.latency_bound_s <= 0:
             raise ValueError("interactive workloads need a positive latency bound")
         # a workload with no demand in (0, 1] or no positive size is a
@@ -294,7 +297,9 @@ class AiJob:
 def gen_ai_arrivals(workload: AiWorkload, seed: int, horizon_s: float) -> list[AiJob]:
     """Materialize the workload's job list for one run; deterministic in seed.
 
-    A sampled demand fraction above 1 is capped at 1, the whole GPU.
+    A sampled demand fraction above 1 is capped at 1, the whole GPU. Only
+    jobs the run dispatches are made: a trace arrival whose microsecond
+    time is past the horizon's is dropped.
     """
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
@@ -327,9 +332,9 @@ def gen_ai_arrivals(workload: AiWorkload, seed: int, horizon_s: float) -> list[A
             )
         ]
     if workload.arrival is ArrivalKind.TRACE:
-        for i, t in enumerate(sorted(workload.trace_arrivals)):
-            jobs.append(make(i, t))
-        return jobs
+        horizon_us = round(horizon_s * US)
+        times = [t for t in sorted(workload.trace_arrivals) if round(t * US) <= horizon_us]
+        return [make(i, t) for i, t in enumerate(times)]
     if workload.rate_per_s == 0.0:
         return []
     t = 0.0

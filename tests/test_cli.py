@@ -89,10 +89,13 @@ class TestValidate:
              "policy.epoch_s 4e-07 is not a positive whole number of us"),
             ("uplift", "epoch_s: 0.1", "epoch_s: 0.0012345",
              "policy.epoch_s 0.0012345 is not a positive whole number of us"),
+            ("uplift", "arrival: saturating", "arrival: trace\n    arrivals: [-1.0, 0.5]",
+             "ai_workloads[0]: trace arrivals must be >= 0"),
         ],
         ids=[
             "granularity", "numerology", "calibration-overflow", "empty-trace",
             "server-named-wan", "server-named-like-an-ru", "epoch-below-1us", "epoch-off-us-grid",
+            "negative-trace-arrival",
         ],
     )
     def test_what_cannot_run_fails_validate_exit_3(
@@ -117,6 +120,21 @@ class TestValidate:
     def test_unwritable_output_exit_4(self, short_poc, capsys):
         rc = main(["run", str(short_poc), "--out", "/nonexistent-dir/out.records"])
         assert rc == 4
+
+    def test_out_of_memory_exit_4(self, tmp_path, scenario_dir, capsys):
+        """A trace larger than any address space fails at once, as a runtime error."""
+        text = (scenario_dir / "uplift.scenario").read_text()
+        huge = tmp_path / "huge.scenario"
+        # 1e17 samples: the first trace array asks for 711 PiB, more than even
+        # a 57-bit address space, so nothing is allocated
+        huge.write_text(text.replace("horizon_s: 600.0", "horizon_s: 1.0e15"))
+        assert main(["run", str(huge), "--format", "summary"]) == 4
+        sweep = ["sweep", str(huge), "--param", "policy.safety_margin=0.05",
+                 "--out-dir", str(tmp_path / "points")]
+        assert main(sweep) == 4
+        err = capsys.readouterr().err
+        assert err.count("error: out of memory: Unable to allocate") == 2
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -177,6 +195,14 @@ class TestRun:
             if ",arrival " in line
         ]
         assert len(demands) > 20 and max(demands) == 1.0 and min(demands) < 1.0
+
+    def test_trace_arrivals_past_the_horizon_are_not_queued(self, short_uplift, capsys):
+        text = short_uplift.read_text()
+        short_uplift.write_text(
+            text.replace("arrival: saturating", "arrival: trace\n    arrivals: [0.5, 5.0, 7.0]")
+        )
+        assert main(["run", str(short_uplift), "--format", "summary"]) == 0
+        assert "queued_at_end=0 running_at_end=1" in capsys.readouterr().out
 
     def test_summary_format_to_stdout(self, short_poc, capsys):
         assert main(["run", str(short_poc), "--format", "summary"]) == 0

@@ -93,6 +93,8 @@ CASES = [
      SemanticError, r"trace value 1.5 outside \[0, 1\]"),
     ({"ai_workloads": [{"id": "w1", "arrival": "poisson", "rate_per_s": -1}]},
      SemanticError, "rate must be >= 0"),
+    ({"ai_workloads": [{"id": "w1", "arrival": "trace", "arrivals": [-1.0, 0.5]}]},
+     SemanticError, r"ai_workloads\[0\]: trace arrivals must be >= 0"),
     ({"flows": [{"id": "f1", "server": "srv1", "kind": "egress", "rate_gbps": -1}]},
      SemanticError, r"flows\[0\]: flow rate must be >= 0"),
     ({"topology": {"compute_leaves": 0}},

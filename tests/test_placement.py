@@ -3,6 +3,8 @@
 import math
 import random
 
+import pytest
+
 from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.orchestrator import (
@@ -12,6 +14,7 @@ from ranshare.orchestrator import (
     PlacementDecision,
     PlacementOrder,
     PolicyKind,
+    backfill_queue,
     build_cluster_state,
     initial_partitions,
     plan_placement,
@@ -270,8 +273,9 @@ class TestOverloadCost:
         counts = count_gpu_reads(state)
         decision = plan_placement(jobs, state)
         assert decision.assignments == {}
-        # one failed scan reads each GPU once
-        assert [c.reads for c in counts] == [len(c) for c in counts] == [4] * 4
+        # the fleet arrays show that nothing fits: no server's GPU list is read
+        assert [c.reads for c in counts] == [0] * 4
+        assert [len(c) for c in counts] == [4] * 4
 
     def test_fit_on_first_server_reads_only_that_server(self):
         state, _ = overloaded_fleet(0)
@@ -298,6 +302,23 @@ class TestOverloadCost:
         assert placed == [("j1", "srv0-g1"), ("j2", "srv0-g2"), ("j0", "srv0-g0")]
         # each job reads srv0's four GPUs once, and no other server
         assert [c.reads for c in counts] == [3 * 4, 0, 0, 0]
+
+    def test_backfill_skips_budgets_below_the_granularity(self, monkeypatch):
+        state, jobs = overloaded_fleet(50)
+        state.fleet.ai_ceiling[:] = 0.03  # above 1e-9, below the 0.05 granularity
+        state.fleet.ai_ceiling[5] = 0.05
+        calls = []
+
+        def counting(state, gpu, budget):
+            calls.append(gpu.device.id)
+            return backfill_queue(state, gpu, budget)
+
+        monkeypatch.setattr(orchestrator, "backfill_queue", counting)
+        orchestrator.placement_round(state)
+        # only the one GPU whose budget meets its granularity is offered the queue
+        assert calls == [state.gpus[5].device.id]
+        assert state.gpus[5].ai_granted == pytest.approx(0.05)
+        assert len(state.queue) == len(jobs) - 1
 
     def test_backfill_onto_full_slice_does_not_walk_the_queue(self):
         # static split: the GPU's only AI slice is full, the budget unlimited

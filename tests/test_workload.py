@@ -195,6 +195,17 @@ class TestArrivals:
         assert [j.arrival_time for j in jobs] == [1.0, 3.0, 5.0]
         assert all(j.size_compute_seconds == 2.0 for j in jobs)
 
+    def test_trace_arrivals_past_the_horizon_are_dropped(self):
+        """Only arrivals the engine dispatches, at or before the horizon's microsecond, are made."""
+        wl = AiWorkload(
+            id="a",
+            arrival=ArrivalKind.TRACE,
+            trace_arrivals=(7.0, 2.0000006, 0.5, 5.0, 2.0000004, 2.0),
+        )
+        jobs = gen_ai_arrivals(wl, seed=1, horizon_s=2.0)
+        assert [j.arrival_time for j in jobs] == [0.5, 2.0, 2.0000004]
+        assert [j.id for j in jobs] == ["a-0", "a-1", "a-2"]
+
     def test_demand_above_one_is_capped(self):
         """Samples above 1 become 1; every other sample, and the stream, stay as drawn."""
         wl = AiWorkload(
