@@ -41,6 +41,8 @@ from ranshare.workload import (
     uniform,
 )
 
+from test_golden import _load_workloads
+
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
 STATIC = Policy(
     kind=PolicyKind.STATIC_SPLIT, ran_fraction=0.4, ai_fraction=0.6, split_gpus=("gpu1",)
@@ -782,6 +784,39 @@ class TestInteractiveSlo:
         report = engine.run()
         assert engine.state.jobs["slow-0"].state is JobState.QUEUED
         assert report.job_stats.queued_at_end == 1
+
+    def test_reclaim_trims_an_admitted_job_below_its_required_rate(self):
+        """Admission checks ``required_rate``; reclaim later cuts the grant below it.
+
+        The 1 x 1 scale-ladder fleet with its profile swinging 0.1-1.0 every
+        2 s and its jobs INTERACTIVE, demand U(0.7, 1.0), bound 1.0 s.
+        ``jobs-5`` is placed at its demand, 0.743, above its required rate
+        of 0.713; as RAN rises, each epoch from 2.1 s trims it, from 2.2 s
+        below that rate, and it finishes more than 1.0 s after its start.
+        This pins what admission does not promise today.
+        """
+        text = _load_workloads().cluster(1, 1, 5.0, 4.0, 4)
+        for old, new in (
+            ("min: 0.2, max: 0.9, period_s: 20.0", "min: 0.1, max: 1.0, period_s: 2.0"),
+            ("demand_fraction: {kind: uniform, low: 0.1, high: 0.5}",
+             "demand_fraction: {kind: uniform, low: 0.7, high: 1.0}"),
+            ("    slo_class: batch", "    slo_class: interactive\n    latency_bound_s: 1.0"),
+        ):
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        engine = SimEngine(parse_scenario(text, name="interactive"))
+        report = engine.run()
+        job = engine.state.jobs["jobs-5"]
+        assert round(job.required_rate, 3) == 0.713
+        (place,) = [e for e in report.events if e.kind == "place" and e.fields["job"] == job.id]
+        trims = [e for e in report.events if e.kind == "trim" and e.fields["job"] == job.id]
+        assert [e.time_s for e in trims] == [2.1, 2.2, 2.3, 2.4, 2.5]
+        grants = np.round(place.fields["fraction"] - np.cumsum([e.fields["fraction"] for e in trims]), 3)
+        assert grants.tolist() == [0.730, 0.689, 0.658, 0.637, 0.630]
+        below = [e.time_s for e, grant in zip(trims, grants) if grant < job.required_rate]
+        assert below == [2.2, 2.3, 2.4, 2.5]
+        assert job.state is JobState.DONE
+        assert job.completion_time - job.first_start_time > job.latency_bound_s
 
 
 class TestMixSeed:

@@ -7,11 +7,14 @@ each ``demos/*.py``. A change meant to alter the output updates the hashes
 and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
-whose split GPUs are repartitioned under running jobs. A small fleet's
+whose split GPUs are repartitioned under running jobs, and of
+``all_miss_text``, ``poc`` with a RAN slice too small for its cell, so
+every slot misses. A small fleet's
 RECORDS must not change with the hash seed or under ``python -O``. The four
 benchmark workloads are pinned at three seeds each, built by
 ``perfbench/workloads.py``, which this module only reads. The RECORDS of
-each pinned run must read back as the same report (``parse_records``).
+each pinned run must read back as the same report (``parse_records``),
+and that report must write the same text again.
 """
 
 import hashlib
@@ -46,6 +49,10 @@ DEMOS = {
 TIME_SPLIT = {
     "records": "df60763ed6fa91bd676811f07dc9f2f83a29af7c88bc9b207d95a3711fc44fc5",
     "summary": "d1ea27bbfbc2ceb8acf12b1ee0cec43a0486d625516b6b769702512f36f11b60",
+}
+ALL_MISS = {
+    "records": "fdb04ec82b38e0bf005693031d39ba14c286e75061c8f1b009e89b72cdb0c912",
+    "summary": "84cb330d50fb1f04fb06efda7401647cfabc20ac18c2a8da8194a2c3b13841f3",
 }
 FLEET = {
     "records": "c3a3da6f3368d6e8c19be1f35057f5d2a74d490dd9cd07e0178680a91fffb630",
@@ -112,11 +119,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def assert_report(report, want: dict, label=None):
-    """``report`` hashes to ``want`` in each format, and its RECORDS read back as it."""
+    """``report`` hashes to ``want`` in each format, and its RECORDS read back as it.
+
+    The report read back also writes the same RECORDS text, byte for byte.
+    """
     for fmt, digest in want.items():
         got = hashlib.sha256(write_report(report, fmt).encode("utf-8")).hexdigest()
         assert got == digest, (label, fmt)
-    assert parse_records(write_report(report, "records")) == report, label
+    text = write_report(report, "records")
+    again = parse_records(text)
+    assert again == report, label
+    assert write_report(again, "records") == text, label
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -289,6 +302,30 @@ def test_time_split_report_bytes():
         t for t in (0.4, 0.8, 1.2, 1.6) for _ in range(3)
     ]
     assert_report(report, TIME_SPLIT)
+
+
+def all_miss_text() -> str:
+    """``poc`` for 2 s with a 0.20 RAN slice, below the cell's demand: every slot misses."""
+    text = (ROOT / "scenarios" / "poc.scenario").read_text(encoding="utf-8")
+    for old, new in (
+        ("ran_fraction: 0.40", "ran_fraction: 0.20"),
+        ("ai_fraction: 0.60", "ai_fraction: 0.80"),
+        ("horizon_s: 600.0", "horizon_s: 2.0"),
+    ):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+def test_all_miss_report_bytes():
+    """4,000 slot misses, noted on 201 samples of the split GPU."""
+    report = SimEngine(parse_scenario(all_miss_text(), name="poc")).run()
+    assert len(report.deadline_misses) == 4000
+    noted = [line.split(",") for line in write_report(report, "records").splitlines()
+             if line.startswith("sample,") and not line.endswith(",")]
+    assert len(noted) == 201 and {row[2] for row in noted} == {"gpu1"}
+    assert sorted({row[5] for row in noted}) == ["miss:1", "miss:19", "miss:20"]
+    assert_report(report, ALL_MISS)
 
 
 def _load_workloads():
