@@ -56,8 +56,8 @@ pass at the end.
 ``ClusterState`` is the run's only log: ``state.log`` records every event
 with its typed fields, unformatted, and settlement appends every slot miss
 to ``state.misses``. The report takes both lists, holding their numbers at
-the precision RECORDS writes; the trace's notes are derived from them at
-the end (``_close_trace``). Only the RECORDS writer formats an event.
+the precision RECORDS writes; its notes are counted from them at the end
+(``_close_trace``). Only the RECORDS writer formats an event or a note.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop
 
@@ -113,7 +113,6 @@ class TraceRecord:
     gpu_id: str
     ran_fraction: float
     ai_fraction: float
-    annotation: str = ""
 
 
 def round6(x) -> np.ndarray:
@@ -141,29 +140,25 @@ class Trace:
     """The utilization trace, as columns: one row per GPU per sample.
 
     ``times[s]`` is sample ``s``'s time in seconds; ``ran[s, g]`` and
-    ``ai[s, g]`` are GPU ``gpu_ids[g]``'s levels then, and ``notes`` maps
-    ``(s, g)`` to the row's annotation where it has one. ``len()`` counts
+    ``ai[s, g]`` are GPU ``gpu_ids[g]``'s levels then. ``len()`` counts
     rows; iteration yields them as ``TraceRecord`` in time order, GPUs in
     ``gpu_ids`` order within a sample.
     """
 
-    def __init__(self, gpu_ids, times, ran, ai, notes=None):
+    def __init__(self, gpu_ids, times, ran, ai):
         self.gpu_ids = tuple(gpu_ids)
         self.times = np.asarray(times, dtype=float)
         shape = (self.times.size, len(self.gpu_ids))
         self.ran = np.asarray(ran, dtype=float).reshape(shape)
         self.ai = np.asarray(ai, dtype=float).reshape(shape)
-        self.notes: dict[tuple[int, int], str] = dict(notes or {})
 
     def __len__(self) -> int:
         return self.ran.size
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        notes = self.notes
-        levels = zip(self.times.tolist(), self.ran.tolist(), self.ai.tolist())
-        for s, (t, ran, ai) in enumerate(levels):
-            for g, (gpu_id, r, a) in enumerate(zip(self.gpu_ids, ran, ai)):
-                yield TraceRecord(t, gpu_id, r, a, notes.get((s, g), ""))
+        for t, ran, ai in zip(self.times.tolist(), self.ran.tolist(), self.ai.tolist()):
+            for gpu_id, r, a in zip(self.gpu_ids, ran, ai):
+                yield TraceRecord(t, gpu_id, r, a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -173,7 +168,6 @@ class Trace:
             and np.array_equal(self.times, other.times)
             and np.array_equal(self.ran, other.ran)
             and np.array_equal(self.ai, other.ai)
-            and self.notes == other.notes
         )
 
 
@@ -344,7 +338,12 @@ class Scenario:
 
 @dataclass
 class MetricsReport:
-    """One run's outputs. The summary is derived from the trace when it is read."""
+    """One run's outputs. The summary is derived from the trace when it is read.
+
+    ``notes`` counts what happened to a GPU since the previous sample, keyed
+    by (sample, GPU index, kind): slot misses (on the server's first GPU)
+    and the ``NOTED_EVENTS``. Every count is positive.
+    """
 
     scenario_name: str
     horizon_s: float
@@ -356,6 +355,7 @@ class MetricsReport:
     deadline_misses: list[DeadlineMiss]
     fabric_violations: list[EventRecord]
     job_stats: JobStats
+    notes: Counter[tuple[int, int, str]] = field(default_factory=Counter)
 
     @cached_property
     def summary(self) -> Summary:
@@ -503,6 +503,7 @@ class SimEngine:
         self.fabric_events: list[EventRecord] = []
         # no samples until run() allocates the whole trace
         self.trace = Trace([g.device.id for g in self.state.gpus], [], [], [])
+        self.notes: Counter[tuple[int, int, str]] = Counter()
         self.next_sample_us = 0
 
         self.demand = build_demand(scenario)
@@ -590,12 +591,11 @@ class SimEngine:
             )
 
     def _close_trace(self):
-        """Round the recorded levels and note the samples.
+        """Round the recorded levels and count the notes.
 
         Each ``NOTED_EVENTS`` event at time t notes its GPU on the first
         sample at or after t; each slot miss notes its server's first GPU
-        the same way. A row's note counts each kind: ``kind:<n>`` joined by
-        ``;``, kinds sorted.
+        the same way. A note past the last sample is dropped.
         """
         trace = self.trace
         trace.ran = round6(trace.ran)
@@ -608,14 +608,8 @@ class SimEngine:
                   if ev.kind in NOTED_EVENTS]
         times, gpus, kinds = zip(*noted) if noted else ((), (), ())
         at = np.searchsorted(trace.times, times).tolist()
-        rows: dict[tuple[int, int], dict[str, int]] = {}
-        for (s, g, kind), count in Counter(zip(at, gpus, kinds)).items():
-            if s < trace.times.size:
-                rows.setdefault((s, g), {})[kind] = count
-        trace.notes = {
-            key: ";".join(f"{k}:{v}" for k, v in sorted(row.items()))
-            for key, row in rows.items()
-        }
+        counts = Counter(zip(at, gpus, kinds))
+        self.notes = Counter({key: n for key, n in counts.items() if key[0] < trace.times.size})
 
     # -- dispatch -------------------------------------------------------------------
 
@@ -817,6 +811,7 @@ class SimEngine:
             deadline_misses=misses,
             fabric_violations=self.fabric_events,
             job_stats=job_stats,
+            notes=self.notes,
         )
 
 

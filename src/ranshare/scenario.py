@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+from collections import Counter
 from enum import Enum
 from typing import Any, Iterator, NamedTuple
 
@@ -564,6 +565,32 @@ def event_detail(ev: EventRecord) -> str:
     )
 
 
+def _note_texts(notes: Counter) -> list[tuple[int, int, str]]:
+    """Each noted (sample, GPU) in order, with its annotation text.
+
+    The text counts each kind as ``kind:n``, kinds sorted, joined by ``;``.
+    """
+    parts: dict[tuple[int, int], list[str]] = {}
+    for (s, g, kind), n in sorted(notes.items()):
+        parts.setdefault((s, g), []).append(f"{kind}:{n}")
+    return [(s, g, ";".join(texts)) for (s, g), texts in parts.items()]
+
+
+_NOTE_RE = re.compile(r"([a-z_]+):([1-9][0-9]*)")
+
+
+def _read_note(annotation: str, s: int, g: int, notes: Counter, line: int):
+    """Add the counts of sample ``s``'s GPU ``g`` that ``annotation`` writes to ``notes``."""
+    for part in annotation.split(";"):
+        match = _NOTE_RE.fullmatch(part)
+        if match is None:
+            raise ParseError(f"line {line}: note {part!r} is not kind:n with n a positive integer")
+        key = (s, g, match[1])
+        if key in notes:
+            raise ParseError(f"line {line}: note kind {match[1]!r} is repeated")
+        notes[key] = int(match[2])
+
+
 def _read_layout(raw: str) -> list[tuple[float, TenantClass]]:
     return [(float(f), TenantClass(c)) for f, c in (pair.split(":") for pair in raw.split(","))]
 
@@ -635,7 +662,7 @@ def _iter_records(report: MetricsReport) -> Iterator[str]:
     width = len(trace.gpu_ids)
     samples = len(trace.times)
     before = np.searchsorted(trace.times, [t for t, _c, _i, _row in others]).tolist()
-    notes = sorted(trace.notes.items())
+    notes = _note_texts(report.notes)
     texts: dict[int, str] = {}
     k = j = 0  # others[:k] and notes[:j] are written
     step = max(1, _BLOCK_ROWS // max(width, 1))
@@ -645,8 +672,8 @@ def _iter_records(report: MetricsReport) -> Iterator[str]:
         while k < len(others) and before[k] < s1:
             pieces[(before[k] - s0) * width, 0] += others[k][3]
             k += 1
-        while j < len(notes) and notes[j][0][0] < s1:
-            (s, g), note = notes[j]
+        while j < len(notes) and notes[j][0] < s1:
+            s, g, note = notes[j]
             pieces[(s - s0) * width + g, -1] = note + "\n"
             j += 1
         yield "".join(pieces.ravel().tolist())
@@ -741,13 +768,16 @@ def parse_records(text: str) -> MetricsReport:
 
     Sample rows go straight into the trace's columns: each sample lists the
     ``# gpus=`` GPUs in order, at one time, later than the previous sample's.
+    A sample row's annotation reads back as the report's note counts: each
+    ``;``-separated part is ``kind:n`` with ``n`` a positive integer, and no
+    kind comes twice.
     """
     meta: dict = {}
     job_stats = gpu_ids = None
     times: list[float] = []
     ran: list[float] = []
     ai: list[float] = []
-    notes: dict[tuple[int, int], str] = {}
+    notes: Counter[tuple[int, int, str]] = Counter()
     events: list[EventRecord] = []
     misses: list[DeadlineMiss] = []
     fabric: list[EventRecord] = []
@@ -777,7 +807,7 @@ def parse_records(text: str) -> MetricsReport:
                 if g == 0:
                     times.append(t)
                 if annotation:
-                    notes[len(times) - 1, g] = annotation
+                    _read_note(annotation, len(times) - 1, g, notes, number)
                 ran.append(float(ran_raw))
                 ai.append(float(ai_raw))
                 g = (g + 1) % len(gpu_ids)
@@ -799,9 +829,10 @@ def parse_records(text: str) -> MetricsReport:
     return MetricsReport(
         **meta,
         gpu_ids=gpu_ids,
-        trace=Trace(gpu_ids, times, ran, ai, notes),
+        trace=Trace(gpu_ids, times, ran, ai),
         events=events,
         deadline_misses=misses,
         fabric_violations=fabric,
         job_stats=job_stats,
+        notes=notes,
     )

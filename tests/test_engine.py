@@ -811,7 +811,8 @@ class TestInteractiveSlo:
         (place,) = [e for e in report.events if e.kind == "place" and e.fields["job"] == job.id]
         trims = [e for e in report.events if e.kind == "trim" and e.fields["job"] == job.id]
         assert [e.time_s for e in trims] == [2.1, 2.2, 2.3, 2.4, 2.5]
-        grants = np.round(place.fields["fraction"] - np.cumsum([e.fields["fraction"] for e in trims]), 3)
+        cuts = np.cumsum([e.fields["fraction"] for e in trims])
+        grants = np.round(place.fields["fraction"] - cuts, 3)
         assert grants.tolist() == [0.730, 0.689, 0.658, 0.637, 0.630]
         below = [e.time_s for e, grant in zip(trims, grants) if grant < job.required_rate]
         assert below == [2.2, 2.3, 2.4, 2.5]

@@ -6,6 +6,7 @@ report at once, and consuming the stream must not hold the whole text.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,18 +21,19 @@ from test_segments import reference_write_records
 TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
-def make_report(gpu_ids, times, ran, ai, notes=None, events=(), misses=(), fabric=()):
+def make_report(gpu_ids, times, ran, ai, notes=(), events=(), misses=(), fabric=()):
     return MetricsReport(
         scenario_name="stream",
         horizon_s=3.0,
         sample_interval_s=0.5,
         seed=5,
         gpu_ids=tuple(gpu_ids),
-        trace=Trace(gpu_ids, times, ran, ai, notes),
+        trace=Trace(gpu_ids, times, ran, ai),
         events=[EventRecord(t, "place", subject, {"gpu": "g0"}) for t, subject in events],
         deadline_misses=[DeadlineMiss(t, "srv0", 0.25) for t in misses],
         fabric_violations=[EventRecord(t, "capacity", "leaf0", {"load": 2.0}) for t in fabric],
         job_stats=JobStats(1, 0, 0, 0, 1, 0.5, 0.5, 1.0),
+        notes=Counter(dict(notes)),
     )
 
 
@@ -40,8 +42,9 @@ def edge_report(width: int) -> MetricsReport:
 
     Rows fall before the first sample, at a sample's time (every sample is
     a block edge for some block size), between samples and after the last
-    one. Notes sit on the first and the last sample. Levels repeat across
-    samples, and -0.0 and 0.0 both occur.
+    one. Notes sit on the first, a middle and the last sample; the last
+    counts two kinds, given unsorted. Levels repeat across samples, and
+    -0.0 and 0.0 both occur.
     """
     gpu_ids = [f"g{g}" for g in range(width)]
     rng = np.random.default_rng(width)
@@ -49,7 +52,9 @@ def edge_report(width: int) -> MetricsReport:
     ran = rng.choice([0.0, -0.0, 0.25, 0.333333, 0.4], size=shape)
     ai = rng.choice([0.0, 0.6, 0.666667, 0.75], size=shape)
     ran[0, 0] = -0.0
-    notes = {(0, 0): "first", (len(TIMES) - 1, width - 1): "last", (2, width // 2): "mid"}
+    last = len(TIMES) - 1
+    notes = {(0, 0, "miss"): 3, (last, width - 1, "trim"): 2, (last, width - 1, "preempt"): 1,
+             (2, width // 2, "repartition"): 12}
     return make_report(
         gpu_ids, TIMES, ran, ai, notes,
         events=[(-0.5, "j0"), (0.0, "j1"), (1.0, "j2"), (1.0, "j3"), (1.5, "j4"), (2.0, "j5"),
@@ -140,7 +145,7 @@ def test_streaming_records_holds_a_block_not_the_trace():
     n = 300_000
     levels = np.round(rng.random(64), 6)[rng.integers(0, 64, size=(2, n, 2))]
     report = make_report(["g0", "g1"], np.arange(n) * 0.01, levels[0], levels[1],
-                         notes={(0, 0): "first", (n - 1, 1): "last"},
+                         notes={(0, 0, "miss"): 1, (n - 1, 1, "trim"): 4},
                          events=[(t, "j") for t in np.linspace(0.0, n * 0.01, 50).tolist()])
     size, peak = stream_peak(report)
     assert size > 20e6

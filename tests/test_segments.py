@@ -5,13 +5,16 @@
 per GPU and checks every epoch's ceilings, history and ``forecast_holds``.
 ``reference_run`` is ``SimEngine.run`` as it was before segments: one
 ``reference_settle_slot`` per slot, and samples flushed before every slot
-and event, one ``TraceRecord`` per GPU per sample. ``reference_summarize`` and
+and event, one ``TraceRecord`` per GPU per sample, each row taking the
+notes counted since the last. ``reference_summarize`` and
 ``reference_write_records`` are ``summarize`` and the RECORDS writer as
-they were for that list of rows; ``reference_event_detail`` is the detail
+they were for that list of rows, with their own note formatter
+(``reference_annotations``); ``reference_event_detail`` is the detail
 formatter as it was when the log formatted each event as it came. Random
 scenarios go through them and through the engine, and everything the run
-leaves behind must be equal: report bytes, the rows, the raw miss list,
-every GPU's levels, forecast inputs and level integrals, and every job.
+leaves behind must be equal: report bytes, the rows and their notes, the
+raw miss list, every GPU's levels, forecast inputs and level integrals,
+and every job.
 Targeted scenarios check the same for runs that skip quiescent policy
 epochs.
 
@@ -27,7 +30,7 @@ import copy
 import dataclasses
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from enum import Enum
 from heapq import heappop
 from pathlib import Path
@@ -237,11 +240,13 @@ class ReferenceSampler:
     ``pending`` stands for each GPU's annotation counts, which every
     sample took and cleared: a miss counted on the server's first GPU,
     and each ``preempt``, ``trim`` and ``repartition`` event on its GPU.
+    ``notes`` keeps what each row took, keyed by (sample, GPU index, kind).
     """
 
     def __init__(self, eng: SimEngine):
         self.eng = eng
         self.rows: list[TraceRecord] = []
+        self.notes: Counter[tuple[int, int, str]] = Counter()
         self.pending = {gpu.device.id: {} for gpu in eng.state.gpus}
         self.heads = {srv.server.id: srv.gpus[0].device.id for srv in eng.state.servers}
         self.seen_misses = self.seen_events = 0
@@ -267,12 +272,12 @@ class ReferenceSampler:
         ]
         for _ in range(count):
             t_s = eng.next_sample_us / US
-            for gpu_id, r, a in rows:
-                ann = ""
-                if self.pending[gpu_id]:
-                    ann = ";".join(f"{k}:{v}" for k, v in sorted(self.pending[gpu_id].items()))
-                    self.pending[gpu_id].clear()
-                self.rows.append(TraceRecord(t_s, gpu_id, r, a, ann))
+            sample = eng.next_sample_us // eng.sample_us
+            for g, (gpu_id, r, a) in enumerate(rows):
+                for kind, n in self.pending[gpu_id].items():
+                    self.notes[sample, g, kind] = n
+                self.pending[gpu_id].clear()
+                self.rows.append(TraceRecord(t_s, gpu_id, r, a))
             eng.next_sample_us += eng.sample_us
 
     def flush(self, before_us: int):
@@ -346,8 +351,21 @@ def reference_event_detail(ev) -> str:
     return text or " ".join(f"{key}={_reference_detail_text(v)}" for key, v in ev.fields.items())
 
 
+def reference_annotations(report) -> list[str]:
+    """Each trace row's annotation: the report's note counts as ``kind:n`` joined by ``;``."""
+    width = len(report.gpu_ids)
+    kinds: dict[int, dict[str, int]] = {}
+    for (s, g, kind), n in report.notes.items():
+        kinds.setdefault(s * width + g, {})[kind] = n
+    return [
+        ";".join(f"{k}:{v}" for k, v in sorted(kinds.get(i, {}).items()))
+        for i in range(len(report.trace))
+    ]
+
+
 def reference_write_records(report) -> str:
     """The RECORDS writer as it was before the columnar trace: one full sort."""
+    annotations = reference_annotations(report)
     lines = [
         "# ranshare-records v1",
         f"# scenario={report.scenario_name} horizon_s={report.horizon_s:.6f} "
@@ -364,13 +382,13 @@ def reference_write_records(report) -> str:
         RECORDS_HEADER,
     ]
     rows: list[tuple[float, int, str]] = []
-    for i, rec in enumerate(report.trace):
+    for i, (rec, annotation) in enumerate(zip(report.trace, annotations, strict=True)):
         rows.append(
             (
                 rec.time_s,
                 i,
                 f"sample,{rec.time_s:.6f},{rec.gpu_id},"
-                f"{rec.ran_fraction:.6f},{rec.ai_fraction:.6f},{rec.annotation}",
+                f"{rec.ran_fraction:.6f},{rec.ai_fraction:.6f},{annotation}",
             )
         )
     for i, ev in enumerate(report.events):
@@ -398,8 +416,8 @@ def reference_run(eng: SimEngine):
     It ignores what ``_dispatch`` returns, so it runs every policy epoch
     on the grid: the engine's skipping of quiescent epochs must not show.
 
-    The report carries the per-row trace (a list of ``TraceRecord``) and
-    its ``reference_summarize`` summary. Demand is evaluated once for every
+    The report carries the per-row trace (a list of ``TraceRecord``), the
+    sampler's note counts and its ``reference_summarize`` summary. Demand is evaluated once for every
     slot of the horizon; each slot reads the same bits as it would alone
     (``test_vector_sampler_does_not_depend_on_batching``).
     """
@@ -432,7 +450,7 @@ def reference_run(eng: SimEngine):
     reference_accrue_all(state)
     report = eng._report()  # its trace is empty: the sampler holds the samples
     if sampler.rows:
-        report = dataclasses.replace(report, trace=sampler.rows)
+        report = dataclasses.replace(report, trace=sampler.rows, notes=sampler.notes)
         report.summary = reference_summarize(sampler.rows)  # shadows the derived summary
     return report
 
@@ -647,6 +665,7 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     rep = eng.run()
     records = write_report(rep, "records")
     assert records == reference_write_records(ref), label
+    assert rep.notes == ref.notes, label
     assert write_report(rep, "summary") == write_report(ref, "summary"), label
     assert list(rep.trace) == ref.trace, label
     again = parse_records(records)

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -68,25 +69,27 @@ class TestRound6:
 
 def _records():
     return [
-        TraceRecord(0.0, "g1", 0.25, 0.5, "miss:2"),
+        TraceRecord(0.0, "g1", 0.25, 0.5),
         TraceRecord(0.0, "g2", 0.0, 1.0),
         TraceRecord(0.5, "g1", 0.125, 0.0),
-        TraceRecord(0.5, "g2", 0.0, 0.75, "preempt:1;trim:1"),
+        TraceRecord(0.5, "g2", 0.0, 0.75),
     ]
 
 
-def _trace(notes=None):
+def _trace():
     """The trace whose rows ``_records`` lists."""
-    notes = {(0, 0): "miss:2", (1, 1): "preempt:1;trim:1"} if notes is None else notes
-    return Trace(("g1", "g2"), [0.0, 0.5], [[0.25, 0.0], [0.125, 0.0]], [[0.5, 1.0], [0.0, 0.75]],
-                 notes)
+    return Trace(("g1", "g2"), [0.0, 0.5], [[0.25, 0.0], [0.125, 0.0]], [[0.5, 1.0], [0.0, 0.75]])
 
 
-def _report(trace: Trace) -> MetricsReport:
+# two misses on g1's first sample; a preempt and a trim on g2's second
+NOTES = {(0, 0, "miss"): 2, (1, 1, "trim"): 1, (1, 1, "preempt"): 1}
+
+
+def _report(trace: Trace, notes=NOTES) -> MetricsReport:
     return MetricsReport(
         scenario_name="rows", horizon_s=0.5, sample_interval_s=0.5, seed=0,
         gpu_ids=trace.gpu_ids, trace=trace, events=[], deadline_misses=[], fabric_violations=[],
-        job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
+        job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0), notes=Counter(notes),
     )
 
 
@@ -97,12 +100,34 @@ class TestTrace:
         assert trace.gpu_ids == ("g1", "g2")
         assert trace.times.tolist() == [0.0, 0.5]
         assert list(trace) == _records()
-        assert parse_records(write_report(_report(trace), "records")).trace == trace
+        text = write_report(_report(trace), "records")
+        rows = text.splitlines()[5:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["miss:2", "", "", "preempt:1;trim:1"]
+        again = parse_records(text)
+        assert again.trace == trace and again.notes == NOTES
 
     def test_unequal_traces(self):
         trace = _trace()
-        assert _trace({(0, 0): "miss:2", (1, 0): "miss:1"}) != trace
+        assert Trace(trace.gpu_ids, trace.times, trace.ran, trace.ai + 0.125) != trace
         assert trace != _records()
+        assert _report(trace, {(0, 0, "miss"): 2, (1, 0, "miss"): 1}) != _report(trace)
+
+    @pytest.mark.parametrize("note", [
+        "miss", "miss:", "miss:0", "miss:-1", "miss:1.5", "miss:01", ":2", "Miss:2", "miss:2;",
+        "miss:2;;trim:1", "miss:2 trim:1", "first",
+    ])
+    def test_malformed_notes_rejected(self, note):
+        lines = write_report(_report(_trace()), "records").splitlines()
+        lines[5] = lines[5].replace(",miss:2", f",{note}")
+        with pytest.raises(ParseError, match="line 6: note .* is not kind:n"):
+            parse_records("\n".join(lines))
+
+    @pytest.mark.parametrize("note", ["miss:1;miss:1", "trim:1;miss:2;trim:3"])
+    def test_repeated_note_kind_rejected(self, note):
+        lines = write_report(_report(_trace()), "records").splitlines()
+        lines[5] = lines[5].replace(",miss:2", f",{note}")
+        with pytest.raises(ParseError, match="line 6: note kind .* is repeated"):
+            parse_records("\n".join(lines))
 
     def test_ragged_rows_rejected(self):
         lines = write_report(_report(_trace()), "records").splitlines()
@@ -158,7 +183,6 @@ def test_records_keep_signed_zero_and_merge_order():
     """-0.0 prints with its sign; other rows precede samples at equal times."""
     trace = Trace(
         ("g1", "g2"), [0.0, 0.01], [[0.0, -0.0], [0.0, 0.0]], [[-0.0, 0.0], [-0.0, 0.0]],
-        {(0, 1): "miss:1"},
     )
     report = MetricsReport(
         scenario_name="zeros", horizon_s=0.01, sample_interval_s=0.01, seed=0,
@@ -170,6 +194,7 @@ def test_records_keep_signed_zero_and_merge_order():
         deadline_misses=[DeadlineMiss(0.0, "s1", 0.5)],
         fabric_violations=[EventRecord(0.02, "capacity", "l1", {"load": 3.0})],
         job_stats=JobStats(0, 0, 0, 0, 0, 0.0, 0.0, 0.0),
+        notes=Counter({(0, 1, "miss"): 1}),
     )
     text = write_report(report, "records")
     rows = text.splitlines()[5:]
@@ -183,8 +208,9 @@ def test_records_keep_signed_zero_and_merge_order():
         "sample,0.010000,g2,0.000000,0.000000,",
         "fabric,0.020000,l1,,,load=3.000000",
     ]
-    again = parse_records(text).trace
-    assert again == trace and np.signbit(again.ai[:, 0]).all()
+    again = parse_records(text)
+    assert again.trace == trace and again.notes == report.notes
+    assert np.signbit(again.trace.ai[:, 0]).all()
 
 
 def _poc(horizon_s: float):
@@ -202,7 +228,7 @@ def test_engine_trace_is_columnar():
 
 
 def test_annotations_go_to_the_next_sample():
-    """A noted event at t goes to the first sample at or after t, kinds counted and sorted."""
+    """A noted event at t goes to the first sample at or after t, each kind counted."""
     eng = SimEngine(_poc(0.05))
     eng.state.events.extend(EventRecord(t, kind, gpu, {}) for t, gpu, kind in [
         (0.0, "gpu1", "trim"),
@@ -214,12 +240,18 @@ def test_annotations_go_to_the_next_sample():
         (0.050001, "gpu1", "trim"),  # after the last sample: dropped
     ])
     eng.state.misses.extend([(0.0, "srv1", 0.5), (0.0095, "srv1", 0.25)])
-    trace = eng.run().trace
-    assert trace.notes == {
-        (0, 0): "miss:1;preempt:1;trim:2",
-        (1, 0): "miss:1",
-        (1, 1): "preempt:1;repartition:1",
+    report = eng.run()
+    assert report.notes == {
+        (0, 0, "miss"): 1, (0, 0, "preempt"): 1, (0, 0, "trim"): 2,
+        (1, 0, "miss"): 1,
+        (1, 1, "preempt"): 1, (1, 1, "repartition"): 1,
     }
+    rows = [row.split(",") for row in write_report(report, "records").splitlines()]
+    assert [(r[1], r[2], r[5]) for r in rows if r[0] == "sample" and r[5]] == [
+        ("0.000000", "gpu1", "miss:1;preempt:1;trim:2"),
+        ("0.010000", "gpu1", "miss:1"),
+        ("0.010000", "gpu2", "preempt:1;repartition:1"),
+    ]
 
 
 def test_trace_memory_per_row():
