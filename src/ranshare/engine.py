@@ -536,12 +536,11 @@ class SimEngine:
                 t_us = round(start * US)
                 if t_us < self.horizon_us:
                     push(t_us, EventKind.POLICY_EPOCH, ())
-        for cell in self.scenario.cells:
-            if cell.profile.kind is ProfileKind.TRACE:
-                for t, _v in cell.profile.points:
-                    t_us = round(t * US)
-                    if 0 < t_us < self.horizon_us:
-                        push(t_us, EventKind.PROFILE_CHANGE, ())
+        # one reroute per step time: cells share profiles, and steps share microseconds
+        traces = [c.profile for c in self.scenario.cells if c.profile.kind is ProfileKind.TRACE]
+        for t_us in sorted({round(t * US) for p in traces for t, _v in p.points}):
+            if 0 < t_us < self.horizon_us:
+                push(t_us, EventKind.PROFILE_CHANGE, ())
 
     # -- fabric ------------------------------------------------------------------
 

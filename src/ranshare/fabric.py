@@ -10,13 +10,16 @@ count as a synchronization hop.
 
 Routing is fluid ECMP (RFC 2992) by shortest-path counts: a flow splits
 evenly over its shortest paths, and a link (a, b) lies on sigma_s(a) *
-sigma_t(b) of them (Brandes, J. Math. Sociol. 25(2), 2001), so two
-breadth-first passes per flow route it without enumerating a path.
+sigma_t(b) of them (Brandes, J. Math. Sociol. 25(2), 2001), so one
+breadth-first search per flow endpoint routes all flows without enumerating a
+path. No order of searches or neighbours changes a load: each link's sum is
+built in one place per flow, flows in list order. The same search gives the
+PTP tree.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,12 +105,12 @@ class FabricTopology:
     aggregation_router: str = "agg"
 
     def _adjacency(self) -> Adjacency:
-        """Every switch and link endpoint, read from the link table as it is now."""
+        """Every switch and link endpoint, neighbours in id order, from the current link table."""
         adj: Adjacency = {sid: {} for sid in self.switches}
         for link in self.links.values():
             adj.setdefault(link.endpoint_a, {})[link.endpoint_b] = link.id
             adj.setdefault(link.endpoint_b, {})[link.endpoint_a] = link.id
-        return adj
+        return {node: dict(sorted(nbrs.items())) for node, nbrs in adj.items()}
 
     def ids_with_role(self, role: SwitchRole) -> list[str]:
         return sorted(s.id for s in self.switches.values() if s.role is role)
@@ -291,26 +294,6 @@ def validate_topology(topology: FabricTopology) -> list[Violation]:
     return violations
 
 
-def _bfs_path(adj: Adjacency, src: str, dst: str) -> list[str] | None:
-    """Deterministic shortest path; ties broken by lowest node id."""
-    if src == dst:
-        return [src]
-    parent: dict[str, str] = {src: src}
-    frontier = deque([src])
-    while frontier:
-        node = frontier.popleft()
-        for nxt in sorted(adj[node]):
-            if nxt not in parent:
-                parent[nxt] = node
-                if nxt == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                frontier.append(nxt)
-    return None
-
-
 def sync_hops(topology: FabricTopology, path: tuple[str, ...]) -> int:
     """PTP hops along a path; timing-transparent aggregation nodes are skipped."""
     transparent = set(topology.ids_with_role(SwitchRole.AGGREGATION_ROUTER))
@@ -322,28 +305,34 @@ def build_ptp_tree(topology: FabricTopology) -> SyncTree:
 
     Every RU takes timing from its homing pair's lower-id GM; every server
     hosting a DU takes timing from the nearest GM (lowest id on ties), per
-    the fabric-sourced synchronization layout.
+    the fabric-sourced synchronization layout. On a path, a node's parent is
+    its neighbour one hop closer to the GM that the GM's breadth-first search
+    reached first, neighbours taken in id order.
     """
     adj = topology._adjacency()
+    gms = sorted(topology.gm_switches)
+    homes = {ru: min(pair) for ru, pair in sorted(topology.rus.items())}
+    dists = {src: _path_counts(adj, src)[0] for src in {*gms, *homes.values()}}
     paths: dict[str, tuple[str, ...]] = {}
 
-    for ru, pair in sorted(topology.rus.items()):
-        gm = min(pair)
-        path = _bfs_path(adj, gm, ru)
-        if path is None:
+    def tree_path(gm: str, node: str) -> tuple[str, ...]:
+        dist, path = dists[gm], [node]
+        while dist[path[-1]]:  # parent: the first neighbour reached one hop closer
+            here = path[-1]
+            path.append(next(n for n in dist if dist[n] == dist[here] - 1 and n in adj[here]))
+        return tuple(reversed(path))
+
+    for ru, gm in homes.items():
+        if ru not in dists[gm]:
             raise UnreachableEndpoint(f"RU {ru} cannot reach grandmaster {gm}")
-        paths[ru] = tuple(path)
+        paths[ru] = tree_path(gm, ru)
 
     # Every bundle in this model includes a DU.
     for server in sorted(topology.server_frontends):
-        best: list[str] | None = None
-        for gm in sorted(topology.gm_switches):
-            path = _bfs_path(adj, gm, server)
-            if path is not None and (best is None or len(path) < len(best)):
-                best = path
-        if best is None:
+        reach = [(dists[gm][server], gm) for gm in gms if server in dists[gm]]
+        if not reach:
             raise UnreachableEndpoint(f"server {server} cannot reach any grandmaster")
-        paths[server] = tuple(best)
+        paths[server] = tree_path(min(reach)[1], server)
 
     max_hops = max(sync_hops(topology, p) for p in paths.values()) if paths else 0
     grandmaster = min(topology.gm_switches) if topology.gm_switches else ""
@@ -351,7 +340,7 @@ def build_ptp_tree(topology: FabricTopology) -> SyncTree:
 
 
 def _path_counts(adj: Adjacency, src: str) -> tuple[dict[str, int], dict[str, int]]:
-    """Hop distance and shortest-path count from ``src`` to every reachable node."""
+    """Hop distance and shortest-path count from ``src`` to each node reached, in that order."""
     dist, sigma = {src: 0}, {src: 1}
     frontier = [src]
     while frontier:
@@ -371,16 +360,25 @@ def _path_counts(adj: Adjacency, src: str) -> tuple[dict[str, int], dict[str, in
 def route_flows(
     topology: FabricTopology, flows: list[Flow]
 ) -> tuple[dict[str, float], list[CapacityViolation]]:
-    """Fluid equal-cost routing: each flow splits evenly over all shortest paths."""
+    """Fluid equal-cost routing: each flow splits evenly over all shortest paths.
+
+    Each distinct endpoint is searched once per call. Within one flow a link
+    (a, b) takes all its ``sigma_s(a) * sigma_t(b)`` additions of the share in
+    one place, and flows are added in list order, so neither search order nor
+    neighbour order enters any link's sum.
+    """
     adj = topology._adjacency()
     loads: dict[str, float] = {link_id: 0.0 for link_id in topology.links}
+    searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
     for f in flows:
         if f.src not in adj or f.dst not in adj:
             raise NoPath(f"flow {f.id}: unknown endpoint")
-        d_s, sigma_s = _path_counts(adj, f.src)
+        for end in (f.src, f.dst):
+            if end not in searches:
+                searches[end] = _path_counts(adj, end)
+        (d_s, sigma_s), (d_t, sigma_t) = searches[f.src], searches[f.dst]
         if f.dst not in d_s:
             raise NoPath(f"flow {f.id}: {f.src} and {f.dst} are disconnected")
-        d_t, sigma_t = _path_counts(adj, f.dst)
         hops = d_s[f.dst]
         share = f.rate_gbps / sigma_s[f.dst]
         for a, d in d_s.items():

@@ -862,6 +862,29 @@ class TestEventClock:
         assert out.stdout.strip() == "raised", out.stderr
 
 
+class TestProfileChange:
+    def test_one_reroute_per_step_time(self):
+        """Cells on one trace profile, and steps in one microsecond, reroute once.
+
+        The steps at 0.5 s and 0.5000001 s round to the same microsecond.
+        Two 20 Gbps peaks on 15 Gbps links overload both RU links at 0.9.
+        """
+        profile = LoadProfile(
+            kind=ProfileKind.TRACE,
+            points=((0.0, 0.3), (0.5, 0.9), (0.5000001, 0.9), (1.0, 0.3), (1.5, 0.9)),
+        )
+        sc = dataclasses.replace(
+            scenario(horizon=2.0),
+            cells=tuple(CellSpec(c, POC_CELL, profile, "srv1") for c in ("cell1", "cell2")),
+            topology=TopologySpec(link_capacity_gbps=15.0),
+        )
+        report = run(sc)
+        assert [ev.time_s for ev in report.events if ev.kind == "reroute"] == [0.5, 1.0, 1.5]
+        rows = [(ev.time_s, ev.subject) for ev in report.fabric_violations]
+        assert {t for t, _ in rows} == {0.5, 1.5}
+        assert len(rows) == len(set(rows))
+
+
 class TestOverloadedQueue:
     def test_queue_indexes_agree_after_overload(self):
         workloads = (

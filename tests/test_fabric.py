@@ -1,14 +1,18 @@
+import dataclasses
 import math
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 
+from ranshare import fabric
 from ranshare.compute import GpuDevice, NfBundle, Server
 from ranshare.engine import run
 from ranshare.errors import NodeIdClash, NoPath, OddLeafCount, UnreachableEndpoint
 from ranshare.fabric import (
     CapacityViolation,
+    FabricTopology,
     Flow,
     FlowKind,
     FronthaulCalibration,
@@ -23,6 +27,7 @@ from ranshare.fabric import (
 )
 from ranshare.scenario import parse_scenario
 from ranshare.workload import CellConfig
+from test_golden import ROOT, _load_workloads
 
 
 def server(sid="srv1", bundle=NfBundle.DU_CU_CN):
@@ -65,6 +70,81 @@ def reference_route_flows(topo, flows):
         if load > topo.links[link_id].capacity_gbps + 1e-9
     ]
     return loads, violations
+
+
+def reference_bfs_path(adj, src: str, dst: str) -> list[str] | None:
+    """A shortest path by a breadth-first search that stops at ``dst``, neighbours in id order."""
+    if src == dst:
+        return [src]
+    parent: dict[str, str] = {src: src}
+    frontier = deque([src])
+    while frontier:
+        node = frontier.popleft()
+        for nxt in sorted(adj[node]):
+            if nxt not in parent:
+                parent[nxt] = node
+                if nxt == dst:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                frontier.append(nxt)
+    return None
+
+
+def reference_ptp_tree(topo):
+    """The PTP tree by one ``reference_bfs_path`` per RU and per (server, GM) pair."""
+    g = nx_graph(topo)
+    paths = {}
+    for ru, pair in sorted(topo.rus.items()):
+        gm = min(pair)
+        path = reference_bfs_path(g, gm, ru)
+        if path is None:
+            raise UnreachableEndpoint(f"RU {ru} cannot reach grandmaster {gm}")
+        paths[ru] = tuple(path)
+    for srv in sorted(topo.server_frontends):
+        best = None
+        for gm in sorted(topo.gm_switches):
+            path = reference_bfs_path(g, gm, srv)
+            if path is not None and (best is None or len(path) < len(best)):
+                best = path
+        if best is None:
+            raise UnreachableEndpoint(f"server {srv} cannot reach any grandmaster")
+        paths[srv] = tuple(best)
+    max_hops = max(sync_hops(topo, p) for p in paths.values()) if paths else 0
+    grandmaster = min(topo.gm_switches) if topo.gm_switches else ""
+    return fabric.SyncTree(grandmaster=grandmaster, paths=paths, max_hops=max_hops)
+
+
+def ptp_outcome(build, topo):
+    """The tree ``build`` gives, or the message of the ``UnreachableEndpoint`` it raises."""
+    try:
+        return build(topo)
+    except UnreachableEndpoint as exc:
+        return str(exc)
+
+
+def cluster_fleet():
+    """The ``cluster_diurnal`` benchmark fleet's fabric and its 32 fronthaul flows at 1 Gbps."""
+    build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
+    sc = parse_scenario(build(ROOT, 1), name="cluster_diurnal")
+    flows = [
+        Flow(f"fh-{c.id}", f"ru-{c.id}", c.server_id, FlowKind.FRONTHAUL, 1.0) for c in sc.cells
+    ]
+    return sc.fabric, flows
+
+
+def count_searches(monkeypatch) -> list[str]:
+    """Record the source of every search the fabric module runs from now on."""
+    sources: list[str] = []
+    search = fabric._path_counts
+
+    def counted(adj, src):
+        sources.append(src)
+        return search(adj, src)
+
+    monkeypatch.setattr(fabric, "_path_counts", counted)
+    return sources
 
 
 def random_fabric(rng):
@@ -210,6 +290,46 @@ class TestPtp:
         assert t1 == t2
         assert t1.grandmaster == "cl1"
 
+    def test_matches_one_path_search_per_endpoint(self):
+        """Paths, ``max_hops`` and unreachable messages equal those of one search per path.
+
+        Half the fabrics are copies with their link tables shuffled and 1-8
+        links deleted, and a third of those also lose a grandmaster, so an
+        RU's home GM can be a leaf that is no grandmaster.
+        """
+        rng = random.Random(588)
+        failed = cut = 0
+        for i in range(120):
+            servers_ = [server(f"srv{k}") for k in range(rng.randint(1, 6))]
+            rus = [f"ru{k}" for k in range(rng.randint(1, 8))]
+            topo = build_reference_fabric(
+                rng.randint(1, 3), 2 * rng.randint(1, 3), rng.randint(1, 3),
+                2 * rng.randint(1, 3), rus, servers_,
+            )
+            if i % 2:
+                links = dict(rng.sample(sorted(topo.links.items()), len(topo.links)))
+                for link_id in rng.sample(sorted(links), rng.randint(1, 8)):
+                    del links[link_id]
+                gms = list(topo.gm_switches)
+                if i % 3 == 0:
+                    gms.remove(rng.choice(gms))
+                topo = dataclasses.replace(topo, links=links, gm_switches=gms)
+                cut += 1
+            expected = ptp_outcome(reference_ptp_tree, topo)
+            assert ptp_outcome(build_ptp_tree, topo) == expected
+            failed += isinstance(expected, str)
+        assert cut == 60 and 0 < failed < cut
+
+    def test_one_search_per_grandmaster(self, monkeypatch):
+        topo = reference(rus=("ru1", "ru2", "ru3"), servers_=[server("srv1"), server("srv2")])
+        sources = count_searches(monkeypatch)
+        build_ptp_tree(topo)
+        assert sorted(sources) == topo.gm_switches == ["cl1", "cl2"]
+        sources.clear()
+        topo.gm_switches.remove("cl1")  # cl1 is still every RU's home GM
+        build_ptp_tree(topo)
+        assert sorted(sources) == ["cl1", "cl2"]
+
 
 class TestRouting:
     def test_single_flow_splits_equally_across_spines(self):
@@ -269,6 +389,30 @@ class TestRouting:
             violated += bool(violations)
         assert spines == {1, 2, 3, 4} and leaves == {2, 4, 6, 8}
         assert 0 < violated < 120
+
+    def test_one_search_per_endpoint(self, monkeypatch):
+        """The 32 fronthaul flows of the 16-server fleet have 48 endpoints: 32 RUs, 16 servers."""
+        topo, flows = cluster_fleet()
+        sources = count_searches(monkeypatch)
+        route_flows(topo, flows)
+        assert len(flows) == 32
+        assert sorted(sources) == sorted({end for f in flows for end in (f.src, f.dst)})
+        assert len(sources) == 48
+
+    def test_loads_do_not_depend_on_neighbour_order(self, monkeypatch):
+        """Loads are bit-identical when every node lists its neighbours in reverse."""
+        rng = random.Random(2001)
+        topo, flows = cluster_fleet()
+        flows = [dataclasses.replace(f, rate_gbps=rng.uniform(0.5, 9.0)) for f in flows]
+        cases = [(topo, flows)] + [random_fabric(rng) for _ in range(40)]
+        expected = [route_flows(t, fs) for t, fs in cases]
+        in_order = FabricTopology._adjacency
+
+        def reversed_adjacency(self):
+            return {n: dict(reversed(nbrs.items())) for n, nbrs in in_order(self).items()}
+
+        monkeypatch.setattr(FabricTopology, "_adjacency", reversed_adjacency)
+        assert [route_flows(t, fs) for t, fs in cases] == expected
 
     @pytest.mark.parametrize("route", [route_flows, reference_route_flows])
     def test_detached_endpoint_has_no_path(self, route):
