@@ -34,10 +34,10 @@ fixed point, and the epochs after it change nothing. An epoch is
 quiescent when it finds every GPU's forecast inputs fixed, takes no
 action, logs no event and leaves no GPU throttled (``_dispatch`` returns
 True; no dynamic GPU ever settles). The next epoch would then find the same
-state, unless something comes first: another heap event, a change of
-demand at the next slot (a trace point in (0, 0.5) us has no event), or a
-queued job becoming eligible. So ``run`` moves the next epoch to the first
-grid time at or after the earliest of these (``_skip_quiet_epochs``), or
+state, unless something comes first: another heap event (a preempted
+job's resume is one) or a change of demand at the next slot (a trace
+point in (0, 0.5) us has no event). So ``run`` moves the next epoch to the
+first grid time at or after the earliest of these (``_skip_quiet_epochs``), or
 drops it past the horizon, and the steady segments in between settle as
 one. "At or after", not "after": a step at a grid time T changes the slot
 at T, which settles before the epoch at T, so that epoch must run. The
@@ -669,6 +669,8 @@ class SimEngine:
                         "arrival", job.id,
                         size=job.size_compute_seconds, demand=job.demand_fraction,
                     )
+            elif job.state is JobState.PREEMPTED:  # its resume delay is over
+                state.enqueue(job)
             placement_round(state)
         elif kind is EventKind.JOB_COMPLETION:
             job_id, version = payload
@@ -693,9 +695,8 @@ class SimEngine:
         """Move the epoch after a quiescent one to where something can change.
 
         That is the first grid time at or after the earliest of: the next
-        other heap event, ``next_slot`` if its demand differs from the
-        last settled slot's, and a time just before a queued job becomes
-        eligible. Past the horizon, no epoch is left.
+        other heap event and ``next_slot`` if its demand differs from the
+        last settled slot's. Past the horizon, no epoch is left.
         """
         state = self.state
         heap = state.heap
@@ -705,12 +706,6 @@ class SimEngine:
         last, nxt = self.demand.vector(np.array([next_slot - self.slot_us, next_slot]) / US).T
         if (last != nxt).any():
             bound = min(bound, next_slot)
-        eligible_by = state.clock + orch.TOL
-        for _arrival, job_id in state.queue:
-            at = state.jobs[job_id].eligible_at_s
-            if at > eligible_by:
-                # no epoch before this time finds the job eligible
-                bound = min(bound, math.floor((at - orch.TOL) * US) - 1)
         due = -(-bound // self.epoch_us) * self.epoch_us
         if due > heap[0][0]:
             heappop(heap)

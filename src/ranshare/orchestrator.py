@@ -869,7 +869,6 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     tops = np.maximum.reduceat(grantable[state.id_rows], state.id_starts).tolist()
     grantable, frees, budgets = grantable.tolist(), frees.tolist(), budgets.tolist()
     top = max(tops, default=-math.inf)
-    eligible_by = state.clock + TOL
     entries = order.entries
     i, n = 0, len(entries)
     while i < n:
@@ -881,8 +880,6 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
                 i = bisect.bisect_left(entries, (_BATCH_RANK, -(top + TOL)), i)
             continue
         if job.state not in (JobState.QUEUED, JobState.PREEMPTED):
-            continue
-        if job.eligible_at_s > eligible_by:
             continue
         if rank == _INTERACTIVE_RANK and demand + TOL < job.required_rate:
             continue  # its demand can never meet the latency bound
@@ -917,20 +914,17 @@ def forecast_holds(state: ClusterState) -> bool:
 
 
 def _queued_demand(state: ClusterState) -> float:
-    """Eligible queued demand, summed in queue order only until it exceeds TOL.
+    """Queued demand, summed in queue order only until it exceeds TOL.
 
     Its one use is the test ``queued + undergrant > TOL``. A sum of
     non-negative terms never shrinks, so once past TOL it decides that test
     as the full sum would.
     """
     total = 0.0
-    eligible_by = state.clock + TOL
     for _, jid in state.queue:
-        job = state.jobs[jid]
-        if job.eligible_at_s <= eligible_by:
-            total += job.demand_fraction
-            if total > TOL:
-                break
+        total += state.jobs[jid].demand_fraction
+        if total > TOL:
+            break
     return total
 
 
@@ -1076,16 +1070,23 @@ def set_rate(state: ClusterState, job: AiJob, rate: float):
 
 
 def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
-    """Suspend a running job, preserving its remaining work."""
+    """Suspend a running job, preserving its remaining work.
+
+    It rejoins the queue after the policy's resume delay, at the clock's
+    resolution: now, or at a ``JOB_ARRIVAL`` for it.
+    """
     state.log("preempt", gpu.device.id, job=job.id, fraction=job.granted_fraction)
     set_rate(state, job, 0.0)
     _change_grant(state, gpu, job, -job.granted_fraction)
     gpu.jobs.remove(job)
     job.state = JobState.PREEMPTED
     job.preempt_count += 1
-    job.eligible_at_s = state.clock + state.policy.resume_delay_s
     job.gpu_id = None
-    state.enqueue(job)
+    delay_us = round(state.policy.resume_delay_s * US)
+    if delay_us > 0:
+        state.push(state.clock_us + delay_us, EventKind.JOB_ARRIVAL, (job.id,))
+    else:
+        state.enqueue(job)
 
 
 def _reclaim(state: ClusterState, action: ScaleAction):
@@ -1183,8 +1184,6 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
         job = state.jobs[queue[i][1]]
         i += 1
         if job.slo_class is not SloClass.BATCH:
-            continue
-        if job.eligible_at_s > state.clock + TOL:
             continue
         free = gpu.ai_left  # 0.0 without an AI slice
         if free + TOL < min_grant:

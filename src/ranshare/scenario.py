@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import re
+import sys
 from collections import Counter
 from enum import Enum
 from typing import Any, Iterator, NamedTuple
@@ -90,7 +91,10 @@ def _load_yaml(text: str):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float that is finite as a float: not ``.nan``, ``.inf`` or ``1e400``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # False for nan
 
 
 def _is_integer(value) -> bool:
@@ -123,7 +127,7 @@ def _is_list(value, item) -> bool:
     return isinstance(value, list) and all(map(item, value))
 
 
-_number = _type(_is_number, "expected a number")
+_number = _type(_is_number, "expected a finite number")
 _integer = _type(_is_integer, "expected an integer", int)
 _count = _type(lambda v: _is_integer(v) and v >= 0, "expected a non-negative integer", int)
 _ident = _type(_is_ident, "must be an identifier (letters/digits/_-./)")

@@ -276,7 +276,6 @@ class AiJob:
     gpu_id: str | None = None  # it runs in that GPU's AI slice
     accrued_until_us: int = 0
     version: int = 0  # bumped on every rate change; stale completions check it
-    eligible_at_s: float = 0.0  # resume delay gate after preemption
 
     def __post_init__(self):
         if self.size_compute_seconds <= 0:

@@ -110,6 +110,30 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert main(["run", str(bad)]) == 3
 
+    @pytest.mark.parametrize(
+        "scenario, old, new, message",
+        [
+            ("poc", "horizon_s: 600.0", "horizon_s: .nan", "sim.horizon_s: expected a finite number"),
+            ("poc", "horizon_s: 600.0", "horizon_s: 1e400", "sim.horizon_s: expected a finite number"),
+            ("uplift", "arrival: saturating", "arrival: trace\n    arrivals: [0.5, .inf]",
+             "ai_workloads[0].arrivals: expected a list of times"),
+            ("poc", "kind: diurnal", "kind: trace\n    points: [[0.0, .nan]]",
+             "profiles[0].points: expected a list of [time, value] pairs"),
+        ],
+        ids=["nan-horizon", "overflowing-horizon", "infinite-arrival", "nan-trace-point"],
+    )
+    def test_non_finite_number_exit_2(
+        self, tmp_path, scenario_dir, capsys, scenario, old, new, message
+    ):
+        """A number must be finite, where ``validate`` and ``run`` read it alike."""
+        text = (scenario_dir / f"{scenario}.scenario").read_text()
+        assert old in text
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text.replace(old, new))
+        assert main(["validate", str(bad)]) == 2
+        assert main(["run", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main([]) == 1

@@ -479,6 +479,76 @@ class TestTimeSplit:
         assert [i.tenant_class.value for i in g2.instances] == ["FREE"]
 
 
+class TestResumeDelay:
+    """A preempted job rejoins the queue when its ``resume_delay_s`` ends."""
+
+    @staticmethod
+    def split(delay: float, queue_bound=None, arrivals=()) -> Scenario:
+        """gpu1 gives AI 0.6, then 0.4 from 1 s: job a (0.5 of the GPU) is preempted at 1 s.
+
+        Each of ``arrivals`` brings a job of 0.3.
+        """
+        policy = Policy(
+            kind=PolicyKind.TIME_SPLIT,
+            schedule=((0.0, 1.0, 0.4), (1.0, 2.0, 0.6)),
+            split_gpus=("gpu1",),
+            queue_bound=queue_bound,
+            resume_delay_s=delay,
+        )
+        workloads = [
+            AiWorkload(id=wid, arrival=ArrivalKind.TRACE, trace_arrivals=times,
+                       job_size=constant(100.0), demand_fraction=constant(demand))
+            for wid, times, demand in (("a", (0.0,), 0.5), ("b", arrivals, 0.3))
+            if times
+        ]
+        return scenario(
+            profile=LoadProfile(kind=ProfileKind.CONSTANT, level=0.5),
+            policy=policy,
+            workloads=workloads,
+            horizon=2.0,
+            gpus=("gpu1",),
+        )
+
+    def test_placed_again_when_the_delay_ends(self, scenario_dir):
+        """Under poc's time split the job is placed again at the end of each delay.
+
+        No event is due at 2.5 s or 4.5 s, so placement must not wait for
+        the next boundary.
+        """
+        text = (scenario_dir / "poc.scenario").read_text()
+        old = "  kind: static_split\n  ran_fraction: 0.40\n  ai_fraction: 0.60\n"
+        assert old in text
+        text = text.replace(old, (
+            "  kind: time_split\n  resume_delay_s: 0.5\n  schedule:\n"
+            "    - {start_s: 0.0, end_s: 2.0, ran_fraction: 0.40}\n"
+            "    - {start_s: 2.0, end_s: 4.0, ran_fraction: 0.60}\n"
+            "    - {start_s: 4.0, end_s: 6.0, ran_fraction: 0.40}\n"
+        )).replace("horizon_s: 600.0", "horizon_s: 6.0")
+        report = run(parse_scenario(text, name="poc"))
+        places = [(e.time_s, e.fields["fraction"]) for e in report.events if e.kind == "place"]
+        assert places == [(0.0, 0.6), (2.5, 0.4), (4.5, 0.6)]
+        assert report.summary.per_gpu["gpu1"].avg_ai == pytest.approx(0.45)
+
+    def test_a_resume_past_the_horizon_leaves_the_job_queued(self):
+        engine = SimEngine(self.split(delay=1.5))
+        report = engine.run()
+        assert [e.time_s for e in report.events if e.kind in ("place", "preempt")] == [0.0, 1.0]
+        assert engine.state.jobs["a-0"].state is JobState.PREEMPTED
+        assert not engine.state.queue
+        assert report.job_stats.queued_at_end == 1
+
+    def test_a_job_waiting_out_its_delay_is_not_counted_by_the_bound(self):
+        """With a bound of 1, b arrives while a waits for 1.5 s: b is queued, not rejected."""
+        report = run(self.split(delay=0.5, queue_bound=1, arrivals=(1.2,)))
+        events = [(e.time_s, e.kind, e.fields.get("job", e.subject)) for e in report.events
+                  if e.kind in ("arrival", "reject", "place")]
+        assert events == [
+            (0.0, "arrival", "a-0"), (0.0, "place", "a-0"),
+            (1.2, "arrival", "b-0"), (1.2, "place", "b-0"),
+            (1.5, "place", "a-0"),
+        ]
+
+
 class TestStepApi:
     def test_tie_break_slot_before_epoch(self):
         # slots never enter the heap; test_epoch_at_t0_sees_slot_settled_demand

@@ -20,6 +20,7 @@ from ranshare.errors import (
     ParseError,
     PartitionOverflow,
     ScenarioInvalid,
+    SchemaError,
     SemanticError,
     UnreachableEndpoint,
 )
@@ -78,6 +79,12 @@ CASES = [
      SemanticError, r"gpu1: granularity 0 outside \(0, 1\]"),
     ({"servers": [{"id": "srv1", "frontend_port_gbps": 0, "gpus": [{"id": "gpu1"}]}]},
      SemanticError, "server srv1: port rates must be positive"),
+    ({"sim": {"horizon_s": float("nan"), "seed": 3}},
+     SchemaError, "sim.horizon_s: expected a finite number"),
+    ({"ai_workloads": [{"id": "w1", "arrival": "trace", "arrivals": [0.5, float("inf")]}]},
+     SchemaError, r"ai_workloads\[0\].arrivals: expected a list of times"),
+    ({"profiles": [{"id": "p1", "kind": "trace", "points": [[0.0, float("nan")]]}]},
+     SchemaError, r"profiles\[0\].points: expected a list of \[time, value\] pairs"),
     ({"sim": {"horizon_s": 1.0, "seed": 3, "sample_interval_s": 0.0001}},
      SemanticError, "sim.sample_interval_s must be >= the slot duration"),
     ({"servers": [{"id": sid, "gpus": [{"id": "gpu1"}]} for sid in ("srv1", "srv2")]},

@@ -268,7 +268,7 @@ class TestPolicyEpoch:
         assert any(a.kind is ActionKind.GRANT_AI for a in actions)
 
     def test_epoch_reads_constant_share_of_long_queue(self):
-        """Whether queued work wants a grant needs one eligible job, not the queue."""
+        """Whether queued work wants a grant needs one queued job, not the whole queue."""
 
         class CountingJobs(dict):
             reads = 0
@@ -286,7 +286,7 @@ class TestPolicyEpoch:
         assert CountingJobs.reads <= 2
 
     def test_epoch_sums_no_undergrant_when_queued_work_wants_a_grant(self, monkeypatch):
-        """Eligible queued work decides the test ``queued + undergrant > TOL`` alone."""
+        """Queued work decides the test ``queued + undergrant > TOL`` alone."""
         calls = []
         undergrant = orchestrator._undergrant
 

@@ -105,8 +105,6 @@ def reference_plan_placement(jobs, state):
     for job in interactive + batch:
         if job.state not in (JobState.QUEUED, JobState.PREEMPTED):
             continue
-        if job.eligible_at_s > state.clock + TOL:
-            continue
         try_place(job)
     return decision
 
@@ -139,9 +137,8 @@ def random_job(rng: random.Random, jid: str, clock_s: float) -> AiJob:
         latency_bound_s=rng.uniform(0.2, 20.0) if slo is SloClass.INTERACTIVE else 0.0,
     )
     if rng.random() < 0.2:
-        job.state = JobState.PREEMPTED
-        # some resume now, some are not yet eligible
-        job.eligible_at_s = clock_s + rng.choice([0.0, 0.0, 0.5, 2.0])
+        job.state = JobState.PREEMPTED  # queued again after its resume delay
+        rng.choice([0.0, 0.0, 0.5, 2.0])  # unused: keeps every later draw of the fleets in place
     return job
 
 

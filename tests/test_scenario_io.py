@@ -252,7 +252,7 @@ PARSER_ERRORS = [
     (scenario_text(policy="{kind: static_split, ran_fraction: 0.5}"), SchemaError,
      "policy: missing required key 'ai_fraction'"),
     (scenario_text(topology="{link_capacity_gbps: fast}"), SchemaError,
-     "topology.link_capacity_gbps: expected a number"),
+     "topology.link_capacity_gbps: expected a finite number"),
     (scenario_text(ai_workloads="[{id: w, arrival: saturating, job_size: {kind: normal}}]"), SchemaError,
      "ai_workloads[0].job_size.kind: unknown distribution 'normal'"),
     (scenario_text(profiles="[{id: p1, kind: trace, points: [[0.0]]}]"), SchemaError,

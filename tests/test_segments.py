@@ -505,6 +505,7 @@ def _policy(rng: random.Random, servers, horizon: float, slot: float) -> Policy:
             schedule=schedule,
             split_gpus=split_gpus,
             settle_slots=rng.randint(1, 4),
+            resume_delay_s=rng.choice((0.0, 0.0, 0.02)),
         )
     return Policy(
         kind=kind,
@@ -1365,10 +1366,10 @@ def test_throttle_between_epochs(monkeypatch):
 
 
 def test_preempted_job_resumes_between_heap_events():
-    """A job preempted with a resume delay becomes eligible when no event is due.
+    """A job preempted with a resume delay is placed again when the delay ends.
 
-    Job b is preempted at 0.5 s and may resume from 1.13 s; nothing is on
-    the heap then, so only the epoch at 1.2 s can place it again.
+    Job b is preempted at 0.5 s with a 0.63 s delay. Its resume is a heap
+    event at 1.13 s, between two epoch grid times, and it places the job then.
     """
     jobs = (
         "  - id: a\n    arrival: saturating\n    demand_fraction: {kind: constant, value: 0.55}\n"
@@ -1382,9 +1383,9 @@ def test_preempted_job_resumes_between_heap_events():
         workloads=jobs,
         policy=_POLICY + "\n  resume_delay_s: 0.63",
     )
-    eng = assert_skips(sc, "resume", needed=(1.2,))
+    eng = assert_skips(sc, "resume")
     assert _events(eng, "preempt") == [0.5]
-    assert _events(eng, "place") == [0.0, 0.2, 1.2]
+    assert _events(eng, "place") == [0.0, 0.2, 1.13]
 
 
 def test_one_epoch_window_forgets_a_step_down():
