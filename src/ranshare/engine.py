@@ -660,7 +660,7 @@ class SimEngine:
             job = state.jobs[payload[0]]
             if job.state is JobState.QUEUED:
                 bound = state.policy.queue_bound
-                if bound is not None and len(state.queue) >= bound:
+                if bound is not None and len(state.pending) >= bound:
                     job.state = JobState.REJECTED
                     state.log("reject", job.id)
                 else:

@@ -91,6 +91,8 @@ class Policy:
             raise ValueError("resume_delay_s must be >= 0")
         if self.settle_slots < 0:
             raise ValueError("settle_slots must be >= 0")
+        if self.queue_bound is not None and self.queue_bound < 0:
+            raise ValueError("queue_bound must be >= 0")
         if self.kind is PolicyKind.STATIC_SPLIT:
             if self.ran_fraction < 0 or self.ai_fraction < 0:
                 raise ValueError("split fractions must be >= 0")
@@ -337,7 +339,7 @@ class GpuState:
 
     @property
     def ai_left(self) -> float:
-        """What the AI slice has left to grant; ``_frees`` gives it for every GPU."""
+        """What the AI slice has left to grant."""
         return self.ai_cap - self.ai_granted
 
     def accrue_ai(self, now_us: int):
@@ -368,10 +370,10 @@ class ClusterState:
     clock_us: int = 0
     slot_us: int = 500
     cell_hosts: frozenset[str] = frozenset()  # ids of the servers that host a cell
-    # the queue, changed only by enqueue/dequeue: (arrival, id) in arrival
-    # order, and its jobs in placement order
-    queue: list[tuple[float, str]] = field(init=False, default_factory=list)
+    # the queue, changed only by enqueue/dequeue: its jobs in placement order,
+    # and its BATCH jobs alone as (arrival, id) in arrival order, for backfill
     pending: PlacementOrder = field(init=False, default_factory=PlacementOrder)
+    batch_queue: list[tuple[float, str]] = field(init=False, default_factory=list)
     # the run log: every event, and every slot miss as (t_s, server id, shortfall)
     events: list[EventRecord] = field(init=False, default_factory=list)
     misses: list[tuple[float, str, float]] = field(init=False, default_factory=list)
@@ -422,16 +424,17 @@ class ClusterState:
         heappush(self.heap, (t_us, kind.value, self.seq, kind, payload))
 
     def enqueue(self, job: AiJob):
-        bisect.insort(self.queue, (job.arrival_time, job.id))
         self.pending.add(job)
+        if job.slo_class is SloClass.BATCH:
+            bisect.insort(self.batch_queue, (job.arrival_time, job.id))
 
     def dequeue(self, job: AiJob):
-        key = (job.arrival_time, job.id)
-        i = bisect.bisect_left(self.queue, key)
-        if i == len(self.queue) or self.queue[i] != key:
-            raise ValueError(f"job {job.id} is not queued")
-        del self.queue[i]
-        self.pending.remove(job)
+        try:
+            self.pending.remove(job)
+        except KeyError:
+            raise ValueError(f"job {job.id} is not queued") from None
+        if job.slo_class is SloClass.BATCH:
+            del self.batch_queue[bisect.bisect_left(self.batch_queue, (job.arrival_time, job.id))]
 
 
 def build_cluster_state(
@@ -828,10 +831,13 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
 # -- placement ---------------------------------------------------------------
 
 
-def _frees(state: ClusterState) -> np.ndarray:
-    """Every GPU's ``ai_left``, in ``gpus`` order."""
+def _usable(state: ClusterState) -> np.ndarray:
+    """GPUs with an AI slice and not settling (only a time split settles), in ``gpus`` order."""
     fleet = state.fleet
-    return fleet.ai_cap - fleet.ai_granted
+    usable = fleet.ai_cap > 0.0
+    if state.policy.kind is PolicyKind.TIME_SPLIT:
+        usable &= fleet.settling_until_us <= state.clock_us
+    return usable
 
 
 def _budgets(state: ClusterState) -> np.ndarray:
@@ -862,9 +868,8 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
     fleet = state.fleet
-    frees, budgets = _frees(state), _budgets(state)
-    usable = (fleet.settling_until_us <= state.clock_us) & (fleet.ai_cap > 0.0)
-    grantable = np.where(usable, np.minimum(frees, budgets), -math.inf)
+    frees, budgets = fleet.ai_cap - fleet.ai_granted, _budgets(state)
+    grantable = np.where(_usable(state), np.minimum(frees, budgets), -math.inf)
     # each server's top, servers by id
     tops = np.maximum.reduceat(grantable[state.id_rows], state.id_starts).tolist()
     grantable, frees, budgets = grantable.tolist(), frees.tolist(), budgets.tolist()
@@ -914,15 +919,17 @@ def forecast_holds(state: ClusterState) -> bool:
 
 
 def _queued_demand(state: ClusterState) -> float:
-    """Queued demand, summed in queue order only until it exceeds TOL.
+    """Queued demand, summed in placement order only until it exceeds TOL.
 
     Its one use is the test ``queued + undergrant > TOL``. A sum of
     non-negative terms never shrinks, so once past TOL it decides that test
-    as the full sum would.
+    as the full sum would, whatever the order of the terms: placement order
+    decides as arrival order did. (Demands are in (0, 1]; only a queue whose
+    total is at most TOL could round differently in another order.)
     """
     total = 0.0
-    for _, jid in state.queue:
-        total += state.jobs[jid].demand_fraction
+    for *_, job in state.pending.entries:
+        total += job.demand_fraction
         if total > TOL:
             break
     return total
@@ -1002,10 +1009,6 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
 
 
 # -- applying actions ----------------------------------------------------------
-
-
-def _job_sort_newest(jobs: list[AiJob]) -> list[AiJob]:
-    return sorted(jobs, key=lambda j: (j.arrival_time, j.id), reverse=True)
 
 
 def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float):
@@ -1092,7 +1095,7 @@ def preempt_job(state: ClusterState, gpu: GpuState, job: AiJob):
 def _reclaim(state: ClusterState, action: ScaleAction):
     gpu = state.gpu_by_id(action.gpu_id)
     delta = action.fraction
-    for job in _job_sort_newest(list(gpu.jobs)):
+    for job in sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id), reverse=True):
         if delta <= TOL:
             break
         if job.granted_fraction <= delta + TOL:
@@ -1168,7 +1171,7 @@ def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
 
 
 def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
-    """Grant queued BATCH jobs partial fractions from a GPU's budget.
+    """Grant the queued BATCH jobs, in arrival order, partial fractions from a GPU's budget.
 
     Partial grants are the backfill mechanism: batch work runs at whatever
     rate it is given. INTERACTIVE jobs are never partially granted; they
@@ -1176,15 +1179,11 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
     no GPU that is settling.
     """
     min_grant = gpu.device.partition_granularity
-    if budget < min_grant - TOL:
-        return budget
-    queue = state.queue
+    queue = state.batch_queue
     i = 0  # start_job dequeues queue[i - 1], so the next job then sits there
     while i < len(queue) and budget >= min_grant - TOL:
         job = state.jobs[queue[i][1]]
         i += 1
-        if job.slo_class is not SloClass.BATCH:
-            continue
         free = gpu.ai_left  # 0.0 without an AI slice
         if free + TOL < min_grant:
             break  # free only shrinks here: no later job can be granted either
@@ -1198,20 +1197,18 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 
 
 def placement_round(state: ClusterState):
-    """Place what fits of the queue, then backfill every GPU whose budget can grant.
+    """Place what fits of the queue, then backfill the queued BATCH jobs.
 
-    A budget below the GPU's granularity (less TOL) grants nothing, so its
-    GPU is left out of the backfill, as are GPUs without an AI slice and
-    GPUs settling after a repartition.
+    Backfill offers the BATCH jobs to every usable GPU whose budget can
+    grant: a budget below the GPU's granularity (less TOL) grants nothing.
     """
-    if state.queue:
+    if state.pending:
         decision = plan_placement(state.pending, state)
         for job_id, (gpu_id, fraction) in decision.assignments.items():
             start_job(state, state.jobs[job_id], state.gpu_by_id(gpu_id), fraction)
-    if state.queue:
-        fleet, budgets = state.fleet, _budgets(state)
-        ready = budgets >= fleet.min_grant - TOL
-        ready &= (fleet.ai_cap > 0.0) & (fleet.settling_until_us <= state.clock_us)
+    if state.batch_queue:
+        budgets = _budgets(state)
+        ready = (budgets >= state.fleet.min_grant - TOL) & _usable(state)
         for g, budget in zip(np.flatnonzero(ready).tolist(), budgets[ready].tolist()):
             backfill_queue(state, state.gpus[g], budget)
 

@@ -319,7 +319,7 @@ class TestRepartition:
         assert gpu1.ai_granted == gpu1.ai_level == 0.0
         assert math.copysign(1.0, gpu1.ai_granted) == 1.0
         assert all(j.state is JobState.PREEMPTED and j.granted_fraction == 0.0 for j in jobs)
-        assert [jid for _t, jid in state.queue] == ["j0", "j1", "j2"]
+        assert [jid for _t, jid in state.batch_queue] == ["j0", "j1", "j2"]
         assert_ledger(state)
 
     def test_conservation_under_random_allocations(self):

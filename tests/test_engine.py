@@ -358,6 +358,31 @@ class TestQueueBound:
         rejects = [e for e in report.events if e.kind == "reject"]
         assert len(rejects) == 1
 
+    def test_the_bound_counts_queued_interactive_jobs(self):
+        """Two INTERACTIVE jobs and a BATCH job fill a bound of 3: either class is then rejected."""
+
+        def trace(wid, times, slo, bound_s):
+            return AiWorkload(
+                id=wid, arrival=ArrivalKind.TRACE, trace_arrivals=times, job_size=constant(1.0),
+                demand_fraction=constant(0.5), slo_class=slo, latency_bound_s=bound_s,
+            )
+
+        # gpu1 is all RAN slice: no job can start, so every arrival queues
+        policy = Policy(
+            kind=PolicyKind.STATIC_SPLIT, ran_fraction=1.0, split_gpus=("gpu1",), queue_bound=3,
+        )
+        workloads = (
+            trace("live", (0.1, 0.2, 0.5), SloClass.INTERACTIVE, 10.0),
+            trace("jobs", (0.3, 0.4), SloClass.BATCH, 0.0),
+        )
+        report = run(scenario(workloads=workloads, policy=policy, horizon=1.0, gpus=("gpu1",)))
+        seen = [(e.kind, e.subject) for e in report.events if e.kind in ("arrival", "reject")]
+        assert seen == [
+            ("arrival", "live-0"), ("arrival", "live-1"), ("arrival", "jobs-0"),
+            ("reject", "jobs-1"), ("reject", "live-2"),
+        ]
+        assert report.job_stats.queued_at_end == 3
+
 
 class TestTimeSplit:
     def test_boundary_repartitions_and_settles(self):
@@ -534,7 +559,7 @@ class TestResumeDelay:
         report = engine.run()
         assert [e.time_s for e in report.events if e.kind in ("place", "preempt")] == [0.0, 1.0]
         assert engine.state.jobs["a-0"].state is JobState.PREEMPTED
-        assert not engine.state.queue
+        assert not engine.state.pending
         assert report.job_stats.queued_at_end == 1
 
     def test_a_job_waiting_out_its_delay_is_not_counted_by_the_bound(self):
@@ -972,7 +997,7 @@ class TestOverloadedQueue:
         state = engine.state
         js = report.job_stats
         assert js.queued_at_end > 50
-        queued = [state.jobs[jid] for _, jid in state.queue]
+        queued = [state.jobs[jid] for _, jid in state.batch_queue]
         assert js.queued_at_end == len(queued) == len(state.pending)
         assert [e[3] for e in state.pending.entries] == [
             e[3] for e in orch.PlacementOrder(queued).entries

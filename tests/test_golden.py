@@ -9,7 +9,8 @@ backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
 whose split GPUs are repartitioned under running jobs, and of
 ``all_miss_text``, ``poc`` with a RAN slice too small for its cell, so
-every slot misses. A small fleet's
+every slot misses, and of ``mixed_fleet_text``, the 4 x 2-GPU ladder
+fleet with INTERACTIVE jobs queued beside its BATCH ones. A small fleet's
 RECORDS must not change with the hash seed or under ``python -O``. The four
 benchmark workloads are pinned at three seeds each, built by
 ``perfbench/workloads.py``, which this module only reads. The RECORDS of
@@ -57,6 +58,20 @@ ALL_MISS = {
 FLEET = {
     "records": "c3a3da6f3368d6e8c19be1f35057f5d2a74d490dd9cd07e0178680a91fffb630",
     "summary": "4659dc8c5b9ae679fab41e7c9dda01573e52484d948ba5a97233424539d56dc3",
+}
+MIXED = {
+    1: {
+        "records": "31bbde486124357dc573d6ca302b193dc3c752875538a4b7e30c512d0f74defa",
+        "summary": "8bcb431292e262b7fb8104b57468b93c3108cf8032ca4e4b2392d29950c5c9ff",
+    },
+    7: {
+        "records": "a96be8124ca6c22f849e160e91a95f6e514c90cb98ea459e4306ac1a8d6e75ee",
+        "summary": "955c1b7a078958e79f26ee8fee9a8817632efa20035d3e044812484c32791dfc",
+    },
+    23: {
+        "records": "dbcff56a58adfc12922958188705a4f381a06eff8705bd2043732548b9eacfa6",
+        "summary": "798a01b24833e188560395e780a69b1cd97344c2e4753f4514c8a0262bd6cef0",
+    },
 }
 WORKLOADS = {
     "cluster_diurnal": {
@@ -334,6 +349,43 @@ def _load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def mixed_fleet_text(seed: int) -> str:
+    """``cluster(4, 2, 20.0, 20.0, seed)`` of ``perfbench/workloads.py`` with INTERACTIVE jobs.
+
+    The diurnal profile runs from 0.1 to 1.0 with a 2 s period, and Poisson
+    INTERACTIVE jobs arrive at 10 jobs/s beside the BATCH ones, with
+    exponential size (mean 0.5 s), demand uniform in (0.7, 1.0) and a 1 s
+    latency bound.
+    """
+    text = _load_workloads().cluster(4, 2, 20.0, 20.0, seed)
+    interactive = "\n".join((
+        "  - id: live",
+        "    arrival: poisson",
+        "    rate_per_s: 10.0",
+        "    job_size: {kind: exponential, mean: 0.5}",
+        "    demand_fraction: {kind: uniform, low: 0.7, high: 1.0}",
+        "    slo_class: interactive",
+        "    latency_bound_s: 1.0",
+        "policy:",
+    ))
+    for old, new in (
+        ("min: 0.2, max: 0.9, period_s: 20.0", "min: 0.1, max: 1.0, period_s: 2.0"),
+        ("policy:", interactive),
+    ):
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("seed", sorted(MIXED))
+def test_mixed_fleet_report_bytes(seed):
+    report = SimEngine(parse_scenario(mixed_fleet_text(seed), name="mixed")).run()
+    # BATCH ("jobs-") and INTERACTIVE ("live-") jobs both start
+    placed = {e.fields["job"].split("-")[0] for e in report.events if e.kind == "place"}
+    assert placed == {"jobs", "live"}
+    assert_report(report, MIXED[seed], seed)
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,8 @@ CASES = [
     (lambda: partition_gpu(GPU, 0.5, 1.5), ValueError, r"gpu1: share 1\.5 outside \[0, 1\]"),
     (lambda: partition_gpu(GPU, 0.5, 0.6), PartitionOverflow, "gpu1: requested 22/20 units"),
     (lambda: Policy(kind=PolicyKind.TIME_SPLIT), ValueError, "time split needs a schedule"),
+    (lambda: Policy(kind=PolicyKind.DYNAMIC_BACKFILL, queue_bound=-1),
+     ValueError, "queue_bound must be >= 0"),
     (lambda: _engine(servers=lambda sc: (*sc.servers, Server("srv1", (GpuDevice("gpu2"),)))),
      ScenarioInvalid, "duplicate server ids"),
     (lambda: _engine(cells=lambda sc: (dataclasses.replace(sc.cells[0], server_id="nowhere"),)),

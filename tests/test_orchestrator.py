@@ -336,7 +336,7 @@ class TestApplyActions:
         preempt_job(state, gpu1, newer)
         assert newer.remaining_compute_seconds == before
         assert newer.preempt_count == 1
-        assert (newer.arrival_time, newer.id) in state.queue
+        assert (newer.arrival_time, newer.id) in state.batch_queue
 
     def test_grant_capped_at_queued_demand(self):
         state = poc_state(DYNAMIC)

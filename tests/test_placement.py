@@ -224,8 +224,12 @@ class TestDifferential:
         gpu = next(gpu for gpu in state.gpus if gpu.ai_slice)
         for job in queue[::3]:
             start_job(state, job, gpu, 0.0)
-        queued = [state.jobs[jid] for _, jid in state.queue]
+        queued = [job for i, job in enumerate(queue) if i % 3]
         assert state.pending.entries == PlacementOrder(queued).entries
+        # the BATCH queue holds those jobs alone, in arrival order
+        batch = [job for job in queued if job.slo_class is SloClass.BATCH]
+        assert 0 < len(batch) < len(queued)
+        assert state.batch_queue == sorted((job.arrival_time, job.id) for job in batch)
 
 
 class CountingGpus(list):
@@ -315,7 +319,51 @@ class TestOverloadCost:
         # only the one GPU whose budget meets its granularity is offered the queue
         assert calls == [state.gpus[5].device.id]
         assert state.gpus[5].ai_granted == pytest.approx(0.05)
-        assert len(state.queue) == len(jobs) - 1
+        assert len(state.batch_queue) == len(jobs) - 1
+
+    def test_a_round_with_only_interactive_jobs_queued_backfills_nothing(self, monkeypatch):
+        """Backfill grants BATCH jobs alone, so no GPU is offered a queue without one."""
+        state, _ = overloaded_fleet(0)  # every GPU's budget, 0.05, meets its granularity
+        for i in range(20):
+            job = AiJob(f"i{i:02d}", i * 1e-3, 1.0, 0.8,
+                        slo_class=SloClass.INTERACTIVE, latency_bound_s=10.0)
+            state.jobs[job.id] = job
+            state.enqueue(job)
+        calls = []
+        monkeypatch.setattr(orchestrator, "backfill_queue", lambda *args: calls.append(args))
+        orchestrator.placement_round(state)
+        assert calls == []
+        assert len(state.pending) == 20  # 0.8 fits no budget of 0.05
+
+    def test_backfill_reads_no_interactive_job(self):
+        """BATCH jobs queued behind INTERACTIVE ones are granted without reading one of those."""
+        state, _ = overloaded_fleet(0)
+        live = []
+        for i in range(30):
+            job = AiJob(f"i{i:02d}", i * 1e-3, 1.0, 0.8,
+                        slo_class=SloClass.INTERACTIVE, latency_bound_s=10.0)
+            state.jobs[job.id] = job
+            state.enqueue(job)
+            live.append(job)
+        batch = []
+        for i, demand in enumerate((0.3, 0.5, 0.1)):
+            job = AiJob(f"b{i}", 1.0 + i * 1e-3, 1.0, demand)
+            state.jobs[job.id] = job
+            state.enqueue(job)
+            batch.append(job)
+        read = []
+
+        class RecordingJobs(dict):
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+        state.jobs = RecordingJobs(state.jobs)
+        assert backfill_queue(state, state.gpus[0], 0.85) == pytest.approx(0.0)
+        assert read == ["b0", "b1", "b2"]
+        assert [j.granted_fraction for j in batch] == pytest.approx([0.3, 0.5, 0.05])
+        assert all(j.state is JobState.QUEUED for j in live)
+        assert len(state.pending) == len(live)
 
     def test_backfill_onto_full_slice_does_not_walk_the_queue(self):
         # static split: the GPU's only AI slice is full, the budget unlimited
@@ -341,5 +389,5 @@ class TestOverloadCost:
 
         state.jobs = CountingJobs(state.jobs)
         assert orchestrator.backfill_queue(state, gpu, math.inf) == math.inf
-        assert len(state.queue) == 500
+        assert len(state.batch_queue) == 500
         assert CountingJobs.reads == 1  # the first queued job finds the slice full

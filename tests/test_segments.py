@@ -1420,7 +1420,7 @@ def test_epochs_with_a_grant_that_changes_nothing_all_run():
     )
     sc = uplift_variant(1.0, workloads=job)
     eng = assert_same_run(sc, "silent grant")
-    assert eng.state.queue and not _events(eng, "place")
+    assert eng.state.pending and not _events(eng, "place")
     assert len(epoch_times(sc)) == 10
 
 
