@@ -163,11 +163,10 @@ class Trace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return (
-            self.gpu_ids == other.gpu_ids
-            and np.array_equal(self.times, other.times)
-            and np.array_equal(self.ran, other.ran)
-            and np.array_equal(self.ai, other.ai)
+        # by bit pattern: a level's zero sign is data (the RECORDS writer keeps it)
+        return self.gpu_ids == other.gpu_ids and all(
+            np.array_equal(a.view(np.int64), b.view(np.int64))
+            for a, b in ((self.times, other.times), (self.ran, other.ran), (self.ai, other.ai))
         )
 
 
@@ -446,18 +445,44 @@ def p95(values) -> float:
     return below + diff * weight
 
 
+def _fsum(x: np.ndarray) -> float:
+    """``math.fsum(x.tolist())`` of a float64 vector, bit for bit (see ``summarize``)."""
+    m = x.size.bit_length()  # n < 2**m
+    partials: list[float] = []
+    while 2.0**-900 <= (top := max(float(x.max()), -float(x.min()))) < 2.0 ** (1000 - m):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        q = (x + sigma) - sigma  # exact: multiples of sigma * 2**-53, none above 2**e
+        partials.append(float(q.sum()))  # exact in any order
+        x = x - q  # exact, and at most sigma * 2**-53
+    # a left-over x (inf and nan compare False) joins the partials, as does an
+    # all-zero x with a -0.0: its sign is fsum's to decide
+    if top != 0.0 or (not partials and np.signbit(x).any()):
+        partials += x.tolist()
+    return math.fsum(partials)
+
+
 def summarize(trace: Trace) -> Summary:
     """Time-weighted summary of a utilization trace.
 
-    The trace is treated as a step function: each sample holds until the
-    next one, and the final sample carries zero weight. Peaks and P95 are
-    over the raw samples. Every average is an exact ``math.fsum`` of the
-    elementwise products.
+    The trace is a step function: each sample holds until the next one,
+    and the final sample carries zero weight. Peaks and P95 are over the
+    raw samples; a peak is its first sample, so of equal zeros the one
+    Python's ``max`` keeps. Each average is ``math.fsum`` of the elementwise
+    products, bit for bit, by error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", 2008). With n < 2**m
+    samples, max |x| below 2**e and s = 2**(e+m), q = (s + x) - s and
+    x - q are exact; the q are multiples of 2**(e+m-53) no larger than
+    2**e, so numpy sums them exactly in any order, and the remainder
+    repeats this until it is zero. ``math.fsum`` of the partial sums rounds
+    the exact sum, as ``math.fsum`` of the samples does. A non-finite
+    sample, a max of 2**(1000-m) or more, a remainder below 2**-900 and
+    all zeros with a -0.0 end in ``math.fsum`` of the partials and what
+    remains: on the first pass, the samples, which raise as they would.
     """
     if not len(trace):
         raise EmptyTrace("cannot summarize an empty trace")
     weights = np.append(np.diff(trace.times), 0.0)
-    span = math.fsum(weights.tolist())
+    span = _fsum(weights)
     per_gpu = {}
     for g, gpu_id in enumerate(trace.gpu_ids):
         ran, ai = trace.ran[:, g], trace.ai[:, g]
@@ -465,14 +490,14 @@ def summarize(trace: Trace) -> Summary:
         if span <= 0.0:
             avg_ran, avg_ai, avg_total = float(ran[0]), float(ai[0]), float(totals[0])
         else:
-            avg_ran = math.fsum((weights * ran).tolist()) / span
-            avg_ai = math.fsum((weights * ai).tolist()) / span
-            avg_total = math.fsum((weights * totals).tolist()) / span
+            avg_ran = _fsum(weights * ran) / span
+            avg_ai = _fsum(weights * ai) / span
+            avg_total = _fsum(weights * totals) / span
         per_gpu[gpu_id] = GpuSummary(
             avg_ran=avg_ran,
             avg_ai=avg_ai,
             avg_total=avg_total,
-            peak_total=max(totals.tolist()),
+            peak_total=float(totals[np.argmax(totals == totals.max())]),
             p95_total=p95(totals),
         )
     avg_total = math.fsum(g.avg_total for g in per_gpu.values()) / len(per_gpu)

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from heapq import heappop
@@ -20,6 +22,7 @@ from ranshare.engine import (
     SimEngine,
     TopologySpec,
     Trace,
+    _fsum,
     mix_seed,
     p95,
     run,
@@ -42,6 +45,7 @@ from ranshare.workload import (
 )
 
 from test_golden import _load_workloads
+from test_segments import reference_summarize
 
 POC_CELL = CellConfig(bandwidth_mhz=100.0, scs_khz=30, tx_antennas=4, rx_antennas=4)
 STATIC = Policy(
@@ -610,6 +614,44 @@ class TestStepApi:
         assert value == pytest.approx(0.6, abs=1e-9)  # 1 - 0.35 - 0.05
 
 
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e300, -1e300, 5e-324, -5e-324, 2.0**-1022])
+
+
+def _summands(n: int):
+    """``n`` summands: any floats; 53-bit mantissas within 100 binades of a base, or
+    anywhere from the subnormals to 2**1000; or a cancelling mix."""
+    def at(exponents):
+        return st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), exponents) | _EDGES
+
+    def row(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    banded = st.integers(-1126, 947).flatmap(lambda e: row(at(st.integers(e, min(e + 100, 947)))))
+    cancelling = banded.map(
+        lambda v: v[: n // 2] + [-x for x in reversed(v[: n // 2])] + v[n // 2 * 2:]
+    )
+    return row(_ANY_FLOAT | _EDGES) | row(at(st.integers(-1126, 947))) | banded | cancelling
+
+
+def _assert_fsum(values):
+    """``_fsum`` gives ``math.fsum``'s result in hex, or raises its error."""
+    try:
+        expected = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _fsum(np.array(values, dtype=float))
+    else:
+        assert _fsum(np.array(values, dtype=float)).hex() == expected.hex()
+
+
+def _summary_hex(summary):
+    return (
+        [(g, [v.hex() for v in dataclasses.astuple(s)]) for g, s in summary.per_gpu.items()],
+        summary.avg_total.hex(),
+    )
+
+
 class TestSummarize:
     def _trace(self, rows, gpu="g1"):
         """One GPU's trace from (time, ran, ai) rows."""
@@ -655,6 +697,62 @@ class TestSummarize:
         expected = float(np.percentile(values, 95))
         assert p95(values).hex() == expected.hex()
         assert p95(np.array(values)).hex() == expected.hex()
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.integers(1, 400).flatmap(_summands))
+    def test_fsum_is_math_fsum_bit_for_bit(self, values):
+        _assert_fsum(values)
+
+    @pytest.mark.parametrize("values", [
+        [-0.0, -0.0, -0.0],  # all zeros with a -0.0: fsum's own sign rule
+        [0.0, -0.0],
+        [1.0, -1.0, -0.0],
+        [1.0, 2.0**-53, 2.0**-80],  # the remainder decides the rounding
+        [1e300, 5e-324, -1e300],  # 2,000 binades apart
+        [1e300, 1.0, -1e300, 5e-324],
+        [2.0**-1000, 2.0**-1074, -(2.0**-1000)],  # below the extraction range
+        [2.0**999, 2.0**999, -(2.0**999)],  # above it, without overflow
+        [1e308, 1e308],  # OverflowError, as fsum's
+        [math.inf, 1.0],
+        [-1.0, -math.inf],
+        [math.nan, 1.0],
+        [math.inf, -math.inf],  # ValueError, as fsum's
+    ])
+    def test_fsum_edges(self, values):
+        _assert_fsum(values)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_summarize_matches_reference_on_fleets(self, data):
+        gpus = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 80))
+        steps = data.draw(st.lists(
+            st.floats(1e-6, 10.0) | st.sampled_from([0.01, 0.5]), min_size=n, max_size=n
+        ))
+        level = st.floats(-1.0, 2.0) | st.sampled_from([0.0, -0.0, 0.35, 0.95, 1.0])
+        levels = st.lists(st.lists(level, min_size=gpus, max_size=gpus), min_size=n, max_size=n)
+        trace = Trace(
+            [f"g{g}" for g in range(gpus)],
+            list(itertools.accumulate(steps)),  # irregular, increasing
+            data.draw(levels),
+            data.draw(levels),
+        )
+        assert _summary_hex(summarize(trace)) == _summary_hex(reference_summarize(list(trace)))
+
+    @pytest.mark.parametrize("rows", [
+        [(0.0, -0.0, 0.0), (0.5, 0.0, -0.0)],  # ndarray.max gives 0.0 and -0.0 here
+        [(0.0, -0.0, 0.0), (0.5, -0.0, -0.0), (1.5, -0.0, -0.25), (1.75, 0.0, -0.0)],
+        [(3.0, -0.0, 0.0)],  # one sample: the span is 0
+    ])
+    def test_zero_peaks_keep_the_first_sign(self, rows):
+        """Of equal zero peaks the first counts, as Python's ``max`` keeps it."""
+        times, g1, g2 = zip(*rows)
+        levels = list(zip(g1, g2))
+        trace = Trace(("g1", "g2"), times, levels, levels)
+        s = summarize(trace)
+        assert s.per_gpu["g1"].peak_total.hex() == (-0.0).hex()
+        assert s.per_gpu["g2"].peak_total.hex() == (0.0).hex()
+        assert _summary_hex(s) == _summary_hex(reference_summarize(list(trace)))
 
     def test_p95_leaves_its_input_alone(self):
         values = np.array([3.0, 1.0, 2.0])

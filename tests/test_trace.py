@@ -112,6 +112,14 @@ class TestTrace:
         assert trace != _records()
         assert _report(trace, {(0, 0, "miss"): 2, (1, 0, "miss"): 1}) != _report(trace)
 
+    def test_zero_signs_count(self):
+        """Columns compare by their bits: a level or time that lost its zero sign differs."""
+        trace = Trace(("g1",), [0.0, 0.5], [0.0, 0.25], [0.5, 0.0])
+        assert Trace(("g1",), [0.0, 0.5], [0.0, 0.25], [0.5, -0.0]) != trace
+        assert Trace(("g1",), [0.0, 0.5], [-0.0, 0.25], [0.5, 0.0]) != trace
+        assert Trace(("g1",), [-0.0, 0.5], [0.0, 0.25], [0.5, 0.0]) != trace
+        assert Trace(("g1",), [0.0, 0.5], [0.0, 0.25], [0.5, 0.0]) == trace
+
     @pytest.mark.parametrize("note", [
         "miss", "miss:", "miss:0", "miss:-1", "miss:1.5", "miss:01", ":2", "Miss:2", "miss:2;",
         "miss:2;;trim:1", "miss:2 trim:1", "first",
