@@ -127,9 +127,11 @@ def round6(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     scaled = x * 1e6
-    out = np.rint(scaled) / 1e6
-    with np.errstate(invalid="ignore"):  # inf - floor(inf) is nan: the slow path
-        exact = (np.abs(x) < 1e3) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    out = np.rint(scaled)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan: the slow path
+        scaled -= out  # exact: within a factor 2 of each other, or one is 0
+        exact = (np.abs(scaled, out=scaled) < 0.5 - 1e-6) & (np.abs(x) < 1e3)
+    out /= 1e6
     if not exact.all():
         slow = ~exact
         out[slow] = [round(v, 6) for v in x[slow].tolist()]
@@ -615,15 +617,16 @@ class SimEngine:
             )
 
     def _close_trace(self):
-        """Round the recorded levels and count the notes.
+        """Round the recorded levels in place and count the notes.
 
         Each ``NOTED_EVENTS`` event at time t notes its GPU on the first
         sample at or after t; each slot miss notes its server's first GPU
         the same way. A note past the last sample is dropped.
         """
         trace = self.trace
-        trace.ran = round6(trace.ran)
-        trace.ai = round6(trace.ai)
+        step = max(1, 16384 // max(1, len(trace.gpu_ids)))  # rows per block of temporaries
+        for block in (a[s:s + step] for a in (trace.ran, trace.ai) for s in range(0, len(a), step)):
+            block[...] = round6(block)
         state = self.state
         index = {gpu.device.id: g for g, gpu in enumerate(state.gpus)}
         heads = {srv.server.id: index[srv.gpus[0].device.id] for srv in state.servers}

@@ -6,9 +6,9 @@ reported with their section path. Reports serialize to two formats:
 
 * RECORDS - line-delimited CSV-ish records, one per trace sample plus one
   per event/miss/fabric entry; fractions carry 6 decimals. This format
-  round-trips: ``parse_records(write_report(r, "records")) == r``. It is
-  written in blocks of sample rows: ``iter_report`` yields each block's
-  text as it is formatted, so the whole text need never be held.
+  round-trips: ``parse_records(write_report(r, "records")) == r``. Each
+  block of sample rows is written as one byte grid and yielded by
+  ``iter_report``, so the whole text need never be held.
 * SUMMARY - human-readable per-GPU and per-class averages and counters.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import re
 import sys
 from collections import Counter
@@ -632,13 +633,13 @@ def write_report(report: MetricsReport, format: str = "records") -> str:
 
 
 _BLOCK_ROWS = 8192  # sample rows per RECORDS chunk (whole samples, at least one)
-_LEVEL_TEXTS = 16384  # level texts kept across chunks; past this the cache starts over
-# samples in a block from which their heads are joined from text tables: in
-# a smaller block, building the tables costs more than formatting each time
-_TABLE_HEADS = 512
+# the ASCII of each two-digit number 00-99, as the uint16 that holds its two bytes
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+_NEWLINE, _DOT, _COMMA = (np.frombuffer(b, np.uint8) for b in (b"\n", b".", b","))
 
 
 def _iter_records(report: MetricsReport) -> Iterator[str]:
+    """The header, then blocks of sample rows with the other rows and notes spliced in."""
     yield "\n".join((
         "# ranshare-records v1",
         "# " + _write_fields(report, _META),
@@ -664,77 +665,94 @@ def _iter_records(report: MetricsReport) -> Iterator[str]:
     others.sort()
     trace = report.trace
     width = len(trace.gpu_ids)
-    samples = len(trace.times)
+    samples = len(trace.times) if width else 0  # a sample of no GPUs has no rows
     before = np.searchsorted(trace.times, [t for t, _c, _i, _row in others]).tolist()
     notes = _note_texts(report.notes)
-    texts: dict[int, str] = {}
+    gpus = _texts([f"{gpu_id}," for gpu_id in trace.gpu_ids], (1, width))
     k = j = 0  # others[:k] and notes[:j] are written
     step = max(1, _BLOCK_ROWS // max(width, 1))
     for s0 in range(0, samples, step):
         s1 = min(s0 + step, samples)
-        pieces = _sample_pieces(trace, s0, s1, texts)
+        rows, lengths = _sample_rows(trace, s0, s1, gpus)
+        starts = np.concatenate(([0], np.cumsum(lengths)))  # row r is rows[starts[r]:starts[r + 1]]
+        cuts = []  # (offset, text): other rows before their sample, notes before a newline
         while k < len(others) and before[k] < s1:
-            pieces[(before[k] - s0) * width, 0] += others[k][3]
+            cuts.append((starts[(before[k] - s0) * width], others[k][3]))
             k += 1
         while j < len(notes) and notes[j][0] < s1:
             s, g, note = notes[j]
-            pieces[(s - s0) * width + g, -1] = note + "\n"
+            cuts.append((starts[(s - s0) * width + g + 1] - 1, note))
             j += 1
-        yield "".join(pieces.ravel().tolist())
+        text, pieces, at = str(rows, "utf-8"), [], 0
+        for offset, cut in sorted(cuts, key=lambda cut: cut[0]):  # stable: others keep order
+            pieces += (text[at:offset], cut)
+            at = offset
+        yield "".join(pieces + [text[at:]])
     yield "".join(row for _t, _c, _i, row in others[k:])
 
 
-def _sample_pieces(trace: Trace, s0: int, s1: int, texts: dict[int, str]) -> np.ndarray:
-    """Samples ``s0:s1`` as RECORDS rows, one row of text pieces per (sample, GPU).
+def _sample_rows(trace: Trace, s0: int, s1: int, gpus) -> tuple[np.ndarray, np.ndarray]:
+    """Samples ``s0:s1`` as their RECORDS rows' bytes, without notes, and each row's length.
 
-    A row's pieces are the other rows that precede it (empty, for the
-    caller to fill), its time, its GPU, its two levels and its end, where
-    the caller puts a note. Each sample's head is written once (see
-    ``_sample_heads``), and each distinct level once while ``texts`` keeps
-    it: levels are told apart by their bits, so that -0.0 keeps its sign.
+    The fields (the head once per sample, the GPU ids ``gpus``, the levels and
+    the newline) lie NUL-padded side by side in one (sample, GPU, byte) grid,
+    and a compress drops the NULs when the fields' lengths show any."""
+    n = s1 - s0
+    head, head_length = _decimal_fields(trace.times[s0:s1], 2.0**32, "sample,")
+    head = np.concatenate([np.broadcast_to(p, (n, p.shape[-1])) for p in head], axis=-1)
+    fields = (([head[:, None]], head_length[:, None]), gpus,
+              _decimal_fields(trace.ran[s0:s1], 10.0), _decimal_fields(trace.ai[s0:s1], 10.0),
+              ([_NEWLINE], 1))
+    grid = np.concatenate([np.broadcast_to(p, (n, len(trace.gpu_ids), p.shape[-1]))
+                           for parts, _n in fields for p in parts], axis=-1)
+    lengths = sum(length for _parts, length in fields).ravel()
+    return (grid.ravel() if lengths.sum() == grid.size else grid[grid != 0]), lengths
+
+
+def _texts(texts: list[str], shape: tuple) -> tuple[list[np.ndarray], np.ndarray]:
+    """A field of ``shape`` from its texts: their NUL-padded UTF-8 and their lengths."""
+    packed = np.array([text.encode() for text in texts], dtype=bytes)
+    grid = packed.view(np.uint8).reshape(*shape, packed.itemsize)
+    return [grid], np.array(list(map(len, texts)), dtype=np.int64).reshape(shape)
+
+
+def _millionths(a: np.ndarray, below: float) -> np.ndarray | None:
+    """Each magnitude of ``a`` as whole millionths ``k``, or None unless each is the
+    double ``k / 1e6`` below ``below``. Below 2**32 that double is within 2.4e-7
+    of ``k`` millionths, under half of one, so its text to 6 decimals is ``k``'s."""
+    if not a.max(initial=0.0) < below:  # a nan compares False
+        return None
+    k = np.rint(a * US).astype(np.int64)
+    return k if (k / US == a).all() else None
+
+
+def _decimal_fields(x: np.ndarray, below: float, prefix: str = "") -> tuple[list, np.ndarray]:
+    """``<prefix><v>,`` for each ``v`` of ``x`` to 6 decimals, as byte fields, and their lengths.
+
+    With every magnitude whole millionths below ``below`` (``_millionths``),
+    a value is written from its digits, two at a time: a ``-`` where its
+    sign bit is set (so -0.0 keeps it), as many units digits as the largest
+    has, leading zeros made NUL, and six decimals. Otherwise it is formatted.
     """
-    width = len(trace.gpu_ids)
-    ran, ai = trace.ran[s0:s1].ravel(), trace.ai[s0:s1].ravel()
-    levels, code = np.unique(np.concatenate((ran, ai)).view(np.int64), return_inverse=True)
-    level_text = np.empty(len(levels), dtype=object)
-    for i, (bits, v) in enumerate(zip(levels.tolist(), levels.view(np.float64).tolist())):
-        text = texts.get(bits)
-        if text is None:
-            if len(texts) >= _LEVEL_TEXTS:
-                texts.clear()
-            text = texts[bits] = f"{v:.6f},"
-        level_text[i] = text
-    heads = _sample_heads(trace.times[s0:s1])
-    gpus = np.array([f"{gpu_id}," for gpu_id in trace.gpu_ids], dtype=object)
-    pieces = np.empty((ran.size, 6), dtype=object)
-    pieces[:, 0] = ""
-    pieces[:, 1] = heads.repeat(width)
-    pieces[:, 2] = np.tile(gpus, s1 - s0)
-    pieces[:, 3] = level_text[code[:ran.size]]
-    pieces[:, 4] = level_text[code[ran.size:]]
-    pieces[:, 5] = "\n"
-    return pieces
-
-
-def _sample_heads(times: np.ndarray) -> np.ndarray:
-    """``sample,<t>,`` for each time, ``t`` to 6 decimals.
-
-    Times on the sample grid are whole microseconds, each the double
-    nearest ``us / 1e6``; below 2**32 s such a double lies within half a
-    microsecond of it, so it prints as its seconds and six microsecond
-    digits. When every time is one and there are ``_TABLE_HEADS`` or
-    more, the heads are joined from one text per distinct second and per
-    distinct microsecond part; otherwise each time is formatted as a float.
-    """
-    if times.size >= _TABLE_HEADS and ((times >= 0.0) & (times < 2.0**32)).all():
-        us = np.rint(times * US).astype(np.int64)
-        if ((us / US).view(np.int64) == times.view(np.int64)).all():
-            secs, at_sec = np.unique(us // US, return_inverse=True)
-            parts, at_part = np.unique(us % US, return_inverse=True)
-            sec_text = np.array([f"sample,{s}." for s in secs.tolist()], dtype=object)
-            part_text = np.array([f"{p:06d}," for p in parts.tolist()], dtype=object)
-            return sec_text[at_sec] + part_text[at_part]
-    return np.array([f"sample,{t:.6f}," for t in times.tolist()], dtype=object)
+    k = _millionths(np.abs(x), below)
+    if k is None:
+        return _texts([f"{prefix}{v:.6f}," for v in x.ravel().tolist()], x.shape)
+    width = len(str(k.max(initial=0) // US))  # units digits
+    lead = sum(k < 10**i * US for i in range(1, width))  # each value's leading zeros
+    pairs = np.empty((*k.shape, (width + 7) // 2), np.uint16)
+    for i in reversed(range(pairs.shape[-1])):
+        high = k // 100
+        pairs[..., i] = _PAIRS.take(k - high * 100)
+        k = high
+    digits = pairs.view(np.uint8)[..., -width - 6:]
+    if np.any(lead):
+        digits[np.arange(width + 6) < lead[..., None]] = 0
+    sign = np.signbit(x)
+    parts = [np.frombuffer(prefix.encode(), np.uint8), digits[..., :width], _DOT,
+             digits[..., width:], _COMMA]
+    if sign.any():
+        parts.insert(1, np.where(sign, ord("-"), 0).astype(np.uint8)[..., None])
+    return parts, len(prefix) + width + 8 + sign - lead
 
 
 def _write_summary(report: MetricsReport) -> str:
@@ -772,9 +790,9 @@ def parse_records(text: str) -> MetricsReport:
 
     Sample rows go straight into the trace's columns: each sample lists the
     ``# gpus=`` GPUs in order, at one time, later than the previous sample's.
-    A sample row's annotation reads back as the report's note counts: each
-    ``;``-separated part is ``kind:n`` with ``n`` a positive integer, and no
-    kind comes twice.
+    Its time and both levels must be finite. A sample row's annotation reads
+    back as the report's note counts: each ``;``-separated part is ``kind:n``
+    with ``n`` a positive integer, and no kind comes twice.
     """
     meta: dict = {}
     job_stats = gpu_ids = None
@@ -803,6 +821,9 @@ def parse_records(text: str) -> MetricsReport:
             kind, t_raw, subject, ran_raw, ai_raw, annotation = line.split(",", 5)
             t = float(t_raw)
             if kind == "sample":
+                r, a = float(ran_raw), float(ai_raw)
+                if not (math.isfinite(t) and math.isfinite(r) and math.isfinite(a)):
+                    raise ParseError(f"line {number}: sample row {line!r} is not finite")
                 if not gpu_ids or subject != gpu_ids[g]:
                     raise ParseError(f"line {number}: sample row for {subject!r} is not "
                                      "the next gpu of the '# gpus=' header")
@@ -812,8 +833,8 @@ def parse_records(text: str) -> MetricsReport:
                     times.append(t)
                 if annotation:
                     _read_note(annotation, len(times) - 1, g, notes, number)
-                ran.append(float(ran_raw))
-                ai.append(float(ai_raw))
+                ran.append(r)
+                ai.append(a)
                 g = (g + 1) % len(gpu_ids)
             elif kind == "event":
                 ev_kind, _, detail = annotation.partition(" ")

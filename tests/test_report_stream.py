@@ -10,12 +10,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranshare import scenario
-from ranshare.engine import EventRecord, JobStats, MetricsReport, Trace
+from ranshare.engine import EventRecord, JobStats, MetricsReport, SimEngine, Trace
 from ranshare.orchestrator import DeadlineMiss
-from ranshare.scenario import iter_report, parse_records, write_report
+from ranshare.scenario import iter_report, parse_records, parse_scenario, write_report
 
+from conftest import SCENARIO_DIR
+from test_golden import MIXED, mixed_fleet_text
 from test_segments import reference_write_records
 
 TIMES = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -64,12 +68,10 @@ def edge_report(width: int) -> MetricsReport:
     )
 
 
-@pytest.mark.parametrize("level_texts", [1, scenario._LEVEL_TEXTS])
 @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
 @pytest.mark.parametrize("width", [1, 2, 3])
-def test_block_edges_match_the_whole_trace_writer(monkeypatch, width, block_rows, level_texts):
+def test_block_edges_match_the_whole_trace_writer(monkeypatch, width, block_rows):
     monkeypatch.setattr(scenario, "_BLOCK_ROWS", block_rows)
-    monkeypatch.setattr(scenario, "_LEVEL_TEXTS", level_texts)
     report = edge_report(width)
     text = write_report(report, "records")
     assert text == reference_write_records(report)
@@ -110,12 +112,122 @@ def test_chunks_join_to_the_report(monkeypatch, format):
     ],
     ids=["grid", "float-steps", "off-grid", "minus-zero", "negative", "past-2**32", "nan", "empty"],
 )
-@pytest.mark.parametrize("table_heads", [0, scenario._TABLE_HEADS])
-def test_sample_heads_match_float_formatting(monkeypatch, times, table_heads):
-    """Heads joined from integer microseconds are the text of formatting each time."""
-    monkeypatch.setattr(scenario, "_TABLE_HEADS", table_heads)
+@pytest.mark.parametrize("route", ["digits", "texts"])
+def test_sample_heads_match_float_formatting(monkeypatch, times, route):
+    """Heads written from integer microseconds are the text of formatting each time."""
+    if route == "texts":
+        monkeypatch.setattr(scenario, "_millionths", lambda x, below: None)
+    parts, lengths = scenario._decimal_fields(times, 2.0**32, "sample,")
+    grid = np.concatenate([np.broadcast_to(p, (times.size, p.shape[-1])) for p in parts], -1)
+    heads = [bytes(row).replace(b"\0", b"").decode() for row in grid]
     want = [f"sample,{t:.6f}," for t in times.tolist()]
-    assert scenario._sample_heads(times).tolist() == want
+    assert heads == want
+    assert lengths.ravel().tolist() == [len(head) for head in want]
+
+
+def odd_times(rng, times: np.ndarray, share: float) -> np.ndarray:
+    """``times`` with about ``share`` of them moved off the digit route, sorted again.
+
+    A moved time is a few ulps off its microsecond, half-way to the next
+    one, negative (-0.0 among them), past 2**32 s or nan.
+    """
+    times = times.copy()
+    moved = np.flatnonzero(rng.random(times.size) < share)
+    for i, how in zip(moved, rng.integers(0, 5, moved.size)):
+        t = times[i]
+        if how == 0:
+            times[i] = t + rng.choice([-3, -1, 1, 2]) * np.spacing(max(t, 1e-300))
+        elif how == 1:
+            times[i] = t + 5e-7
+        elif how == 2:
+            times[i] = -t
+        elif how == 3:
+            times[i] = 2.0**32 + t
+        else:
+            times[i] = np.nan
+    return np.sort(times)  # nan last
+
+
+def odd_levels(rng, shape, share: float) -> np.ndarray:
+    """Six-decimal levels in [0, 1], some -0.0, and about ``share`` of them
+    raw floats, half-way between millionths, magnitudes of 10 or more,
+    levels just below 10, nan or inf."""
+    levels = np.round(rng.random(shape), 6)
+    levels[rng.random(shape) < 0.1] = -0.0
+    moved = rng.random(shape) < share
+    odd = np.concatenate((
+        rng.random(64), -rng.random(16), (2 * rng.integers(0, 10**6, 16) + 1) / 2e6,
+        10.0 + rng.random(16) * 1e6, [-10.0, 10.0, 1e300], np.round(10.0 - rng.random(8) * 1e-5, 6),
+        [np.nan, np.inf, -np.inf, -1e-9, 1e-7],
+    ))
+    levels[moved] = rng.choice(odd, size=int(moved.sum()))
+    return levels
+
+
+@st.composite
+def random_reports(draw):
+    """Reports of 0-3 GPUs and 0-300 samples with other rows at and between sample times.
+
+    Sample times are sorted, and are taken from the microsecond grid but
+    for a drawn share. Other rows go with finite sample times only: the
+    whole-trace writer sorts every row by time, and no order holds nan.
+    """
+    width = draw(st.integers(0, 3))
+    samples = draw(st.integers(0, 300))
+    prefixes = draw(st.lists(st.sampled_from(["g", "gpu", "srv00-gpu", "gpü"]), min_size=width,
+                             max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.0, 0.01, 0.2, 1.0]))
+    us = np.sort(rng.integers(0, 10 ** draw(st.integers(1, 15)), samples))
+    times = odd_times(rng, us / 1e6, draw(st.sampled_from([0.0, 0.0, 0.01, 0.5])))
+    ran = odd_levels(rng, (samples, width), share)
+    ai = odd_levels(rng, (samples, width), draw(st.sampled_from([0.0, share])))
+    others = ([], [], [])
+    if not np.isnan(times).any():
+        finite = times.tolist() + [-1.0, 0.0, 5e9]
+        if samples > 1:
+            finite += ((times[1:] + times[:-1]) / 2).tolist()
+        for rows in others:
+            rows += rng.choice(finite, size=draw(st.integers(0, 6))).tolist()
+    kinds = ["miss", "preempt", "repartition", "trim"]
+    notes = {
+        (int(rng.integers(samples)), int(rng.integers(width)), kinds[int(rng.integers(4))]):
+            int(rng.integers(1, 30))
+        for _ in range(draw(st.integers(0, 8)) if samples and width else 0)
+    }
+    events, misses, fabric = others
+    return make_report([f"{p}{g}" for g, p in enumerate(prefixes)], times, ran, ai, notes,
+                       events=[(t, "j") for t in events], misses=misses, fabric=fabric)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8192])
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(report=random_reports())
+def test_records_match_the_whole_trace_writer(block_rows, report):
+    """Both routes of every field, and every splice, give the whole-trace writer's bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenario, "_BLOCK_ROWS", block_rows)
+        assert write_report(report, "records") == reference_write_records(report)
+
+
+def engine_scenario(source: str) -> str:
+    if source == "mixed":
+        return mixed_fleet_text(min(MIXED))
+    text = (SCENARIO_DIR / f"{source}.scenario").read_text(encoding="utf-8")
+    assert text.count("horizon_s: 600.0") == 1
+    return text.replace("horizon_s: 600.0", "horizon_s: 20.0")
+
+
+@pytest.mark.parametrize("source", ["poc", "uplift", "mixed"])
+def test_engine_traces_take_the_digit_route(monkeypatch, source):
+    """Every time and level the engine records is written from its digits:
+    the writer formats text for the GPU ids alone, none for a sample's fields."""
+    report = SimEngine(parse_scenario(engine_scenario(source))).run()
+    shapes = []
+    texts = scenario._texts
+    monkeypatch.setattr(scenario, "_texts", lambda *args: shapes.append(args[1]) or texts(*args))
+    assert write_report(report, "records") == reference_write_records(report)
+    assert shapes == [(1, len(report.gpu_ids))]
 
 
 def test_unknown_format_is_refused_before_any_chunk():

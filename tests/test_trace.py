@@ -130,6 +130,16 @@ class TestTrace:
         with pytest.raises(ParseError, match="line 6: note .* is not kind:n"):
             parse_records("\n".join(lines))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 3, 4], ids=["time", "ran", "ai"])
+    def test_non_finite_sample_values_rejected(self, column, value):
+        lines = write_report(_report(_trace()), "records").splitlines()
+        row = lines[5].split(",")
+        row[column] = value
+        lines[5] = ",".join(row)
+        with pytest.raises(ParseError, match="line 6: sample row .* is not finite"):
+            parse_records("\n".join(lines))
+
     @pytest.mark.parametrize("note", ["miss:1;miss:1", "trim:1;miss:2;trim:3"])
     def test_repeated_note_kind_rejected(self, note):
         lines = write_report(_report(_trace()), "records").splitlines()
