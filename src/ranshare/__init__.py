@@ -46,7 +46,7 @@ from .orchestrator import (
     plan_placement,
     policy_epoch,
 )
-from .scenario import load_scenario, parse_records, parse_scenario, write_report, write_scenario
+from .scenario import load_scenario, parse_records, parse_scenario, write_report
 from .workload import (
     AiJob,
     AiWorkload,

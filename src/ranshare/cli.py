@@ -22,7 +22,7 @@ from .errors import (
     SemanticError,
     SimulatorError,
 )
-from .scenario import _build_scenario, _load_yaml, iter_report, parse_scenario
+from .scenario import _build_scenario, _load_yaml, _read_text, iter_report, load_scenario
 
 EXIT_USAGE = 1
 EXIT_SCHEMA = 2
@@ -63,14 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    return text
-
-
 def _set_path(doc: dict, dotted: str, value):
     keys = dotted.split(".")
     node = doc
@@ -101,8 +93,7 @@ def _write_file(path: Path, chunks) -> None:
 
 
 def _cmd_run(args) -> int:
-    text = _load_document(args.scenario)
-    scenario = parse_scenario(text, name=Path(args.scenario).stem)
+    scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     report = SimEngine(scenario).run()
@@ -115,14 +106,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    text = _load_document(args.scenario)
-    parse_scenario(text, name=Path(args.scenario).stem)
+    load_scenario(args.scenario)
     print(f"{args.scenario}: ok")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_yaml(_load_document(args.scenario))
+    doc = _load_yaml(_read_text(args.scenario))
     name = Path(args.scenario).stem
     base = _build_scenario(doc, name)  # fail early
     axes = []

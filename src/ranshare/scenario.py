@@ -1,8 +1,9 @@
 """Scenario configuration (strict-schema YAML) and report serialization.
 
-The scenario document is YAML with a closed schema: unknown keys are
-errors, every cross-reference must resolve, and invariant violations are
-reported with their section path. Reports serialize to two formats:
+A scenario document is read, never written: it is YAML with a closed
+schema, unknown keys are errors, every cross-reference must resolve, and
+invariant violations are reported with their section path. Reports
+serialize to two formats:
 
 * RECORDS - line-delimited CSV-ish records, one per trace sample plus one
   per event/miss/fabric entry; fractions carry 6 decimals. This format
@@ -15,12 +16,11 @@ reported with their section path. Reports serialize to two formats:
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import re
 import sys
 from collections import Counter
-from enum import Enum
+from pathlib import Path
 from typing import Any, Iterator, NamedTuple
 
 import numpy as np
@@ -143,15 +143,6 @@ _points = _type(
 )
 
 
-def _plain(value):
-    """A field value as the document writes it."""
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value
-
-
 def _mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected a mapping")
@@ -163,8 +154,7 @@ def _mapping(obj, path: str) -> dict:
 _ROOT = "document"  # the path of the whole document in messages
 
 _REQUIRED = "required"  # must be given
-_OPTIONAL = "optional"  # absent or null: the field default; always written
-_SPARSE = "sparse"  # as _OPTIONAL, but left out of the document at its default
+_OPTIONAL = "optional"  # absent or null: the field default
 
 
 class _Key(NamedTuple):
@@ -179,14 +169,14 @@ class _Key(NamedTuple):
 
 
 class _Section:
-    """A mapping of the document, read into and written from one object.
+    """A mapping of the document, read into one object.
 
     ``make`` builds the object from the keys that are given, so an absent
     optional key takes the dataclass's own field default. With ``make`` None
     the mapping's keys set fields of the enclosing object instead. ``parts``
     builds the fields whose own fields are keys of this mapping. With
     ``kinds``, the value of the ``kind`` key selects which of the keys listed
-    there apply; the keys of other kinds are allowed, but not read or written.
+    there apply; the keys of other kinds are allowed, but not read.
     """
 
     def __init__(self, make, *keys: _Key, parts=None, kinds=None):
@@ -196,8 +186,6 @@ class _Section:
         self.kinds = kinds or {}
         self.kind_keys = set().union(*self.kinds.values())
         self.allowed = {k.key for k in keys}
-        declared = dataclasses.fields(make) if dataclasses.is_dataclass(make) else ()
-        self.defaults = {f.name: f.default for f in declared}
 
     def fields(self, obj, path: str) -> dict:
         """The field values that ``obj``, found at ``path``, gives."""
@@ -232,25 +220,6 @@ class _Section:
         except (ValueError, TypeError, SimulatorError) as exc:
             raise SemanticError(f"{path}: {exc}")
 
-    def write(self, obj, **given) -> dict:
-        """The mapping that reads back as ``obj``; ``given`` supplies fields
-        that ``obj`` does not hold."""
-        doc = {}
-        for k in self.keys:
-            if k.key in self.kind_keys and k.key not in self.kinds[obj.kind]:
-                continue
-            if isinstance(k.type, _Section) and k.type.make is None:
-                doc[k.key] = k.type.write(obj)
-                continue
-            if k.field in given:
-                value = given[k.field]
-            else:
-                value = functools.reduce(getattr, k.field.split("."), obj)
-            if k.need == _SPARSE and value == self.defaults[k.field]:
-                continue
-            doc[k.key] = getattr(k.type, "write", _plain)(value)
-        return doc
-
 
 class _Many(NamedTuple):
     """A list of ``section`` mappings, read into a tuple; no two share an id."""
@@ -271,9 +240,6 @@ class _Many(NamedTuple):
                     raise SchemaError(f"{path}[{i}]: duplicate {self.noun} id {ident!r}")
                 seen.add(ident)
         return tuple(items)
-
-    def write(self, items) -> list:
-        return [self.section.write(item) for item in items]
 
 
 _CELL_CONFIG = (
@@ -362,18 +328,18 @@ _WORKLOAD = _Section(
     AiWorkload,
     _Key("id", _ident, _REQUIRED),
     _Key("arrival", _choice(ArrivalKind, "unknown arrival kind {!r}"), _REQUIRED),
-    _Key("rate_per_s", _number, _SPARSE),
-    _Key("arrivals", _times, _SPARSE, "trace_arrivals"),
+    _Key("rate_per_s", _number),
+    _Key("arrivals", _times, field="trace_arrivals"),
     _Key("job_size", _DISTRIBUTION),
     _Key("demand_fraction", _DISTRIBUTION),
     _Key("slo_class", _choice(SloClass, "unknown class {!r}")),
-    _Key("latency_bound_s", _number, _SPARSE),
+    _Key("latency_bound_s", _number),
 )
 
 _POLICY = _Section(
     Policy,
     _Key("kind", _choice(PolicyKind, "unknown policy {!r}"), _REQUIRED),
-    _Key("gpus", _gpu_ids, _SPARSE, "split_gpus"),
+    _Key("gpus", _gpu_ids, field="split_gpus"),
     _Key("ran_fraction", _number, _REQUIRED),
     _Key("ai_fraction", _number, _REQUIRED),
     _Key("schedule", _Many(_Section(
@@ -389,9 +355,9 @@ _POLICY = _Section(
         _Key("kind", _choice(ForecastKind, "unknown forecast {!r}"), _REQUIRED, "forecast"),
         _Key("window_s", _number),
     )),
-    _Key("queue_bound", _count, _SPARSE),
-    _Key("resume_delay_s", _number, _SPARSE),
-    _Key("settle_slots", _integer, _SPARSE),
+    _Key("queue_bound", _count),
+    _Key("resume_delay_s", _number),
+    _Key("settle_slots", _integer),
     kinds={
         PolicyKind.STATIC_SPLIT: {"ran_fraction", "ai_fraction"},
         PolicyKind.TIME_SPLIT: {"schedule"},
@@ -477,42 +443,17 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     return _build_scenario(_load_yaml(text), name)
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``; one that cannot be read is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
 def load_scenario(path) -> Scenario:
-    import pathlib
-
-    p = pathlib.Path(path)
-    return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
-
-
-def write_scenario(scenario: Scenario) -> str:
-    """Serialize a Scenario back to the document format (identity under parse)."""
-    pids: dict[int, str] = {}  # cells that share a profile object share its entry
-    profiles, cells = [], []
-    for cell in scenario.cells:
-        if id(cell.profile) not in pids:
-            pids[id(cell.profile)] = f"profile-{len(pids)}"
-            profiles.append(_PROFILE.write(cell.profile, id=pids[id(cell.profile)]))
-        cells.append(_CELL.write(cell, profile=pids[id(cell.profile)]))
-    flows = [
-        _FLOW.write(f, server=f.dst, kind="ai_wired")
-        if f.kind is FlowKind.AI_WIRED
-        else _FLOW.write(f, server=f.src, kind="egress")
-        for f in scenario.static_flows
-    ]
-    doc = {
-        "topology": _TOPOLOGY.write(scenario.topology),
-        "servers": [_SERVER.write(s) for s in scenario.servers],
-        "calibration": _CALIBRATION.write(scenario.calibration),
-        "profiles": profiles,
-        "cells": cells,
-        "ai_workloads": [_WORKLOAD.write(w) for w in scenario.ai_workloads],
-        "policy": _POLICY.write(scenario.policy),
-        "flows": flows,
-        "sim": _SIM.write(scenario),
-    }
-    # the list sections are left out when empty
-    doc = {key: value for key, value in doc.items() if value}
-    return yaml.safe_dump(doc, sort_keys=False)
+    """Parse and fully validate the scenario file at ``path``, named by its stem."""
+    return parse_scenario(_read_text(path), name=Path(path).stem)
 
 
 # -- report serialization -------------------------------------------------------
@@ -788,6 +729,7 @@ def _write_summary(report: MetricsReport) -> str:
 def parse_records(text: str) -> MetricsReport:
     """Rebuild a MetricsReport from RECORDS output (inverse of write_report).
 
+    The ``# gpus=`` header names each GPU once, by a non-empty id, or none.
     Sample rows go straight into the trace's columns: each sample lists the
     ``# gpus=`` GPUs in order, at one time, later than the previous sample's.
     Its time and both levels must be finite. A sample row's annotation reads
@@ -814,6 +756,11 @@ def parse_records(text: str) -> MetricsReport:
             elif body.startswith("gpus="):
                 raw = body[len("gpus="):]
                 gpu_ids = tuple(raw.split(",")) if raw else ()
+                if "" in gpu_ids:
+                    raise ParseError(f"line {number}: '# gpus=' header names an empty gpu id")
+                if len(set(gpu_ids)) < len(gpu_ids):
+                    repeated = next(i for i in gpu_ids if gpu_ids.count(i) > 1)
+                    raise ParseError(f"line {number}: '# gpus=' header names gpu {repeated!r} twice")
             elif body.startswith("jobs "):
                 job_stats = JobStats(**_read_fields(body[len("jobs "):], _JOBS, number))
             continue

@@ -138,8 +138,13 @@ class TestValidate:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
 
-    def test_missing_file_exit_2(self):
-        assert main(["validate", "/nonexistent/file.scenario"]) == 2
+    def test_missing_file_exit_2(self, capsys):
+        path = "/nonexistent/file.scenario"
+        for argv in (["validate", path], ["run", path], ["sweep", path, "--param", "sim.seed=1"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+            )
 
     def test_unwritable_output_exit_4(self, short_poc, capsys):
         rc = main(["run", str(short_poc), "--out", "/nonexistent-dir/out.records"])

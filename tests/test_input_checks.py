@@ -165,6 +165,12 @@ CASES = [
      ParseError, "line 1: malformed row 'sample,soon,"),
     (lambda: parse_records("# gpus=gpu1\nsample,0.0,gpu1,high,0.2,\n"),
      ParseError, "line 2: malformed row 'sample,0.0,gpu1,high,"),
+    (lambda: parse_records("# gpus=g1,g2,g1\n"),
+     ParseError, "line 1: '# gpus=' header names gpu 'g1' twice"),
+    (lambda: parse_records("# ranshare-records v1\n# gpus=g1,,g2\n"),
+     ParseError, "line 2: '# gpus=' header names an empty gpu id"),
+    (lambda: parse_records("# gpus=g1,\n"),
+     ParseError, "line 1: '# gpus=' header names an empty gpu id"),
     (lambda: parse_records("miss,0.0,srv1,0,0,shortfall\n"),
      ParseError, "line 1: malformed row 'miss,0.0,srv1,0,0,shortfall'"),
     (lambda: parse_records("miss,0.0,srv1,0,0,shortfall=lots\n"),

@@ -17,7 +17,6 @@ from ranshare.scenario import (
     parse_records,
     parse_scenario,
     write_report,
-    write_scenario,
 )
 
 MINIMAL = """
@@ -97,13 +96,13 @@ profiles:
         assert sc.topology.compute_spines == 2
         assert sc.calibration.reference_peak_fraction == 0.40
 
-    def test_write_back_identity(self, scenario_dir):
-        for name in ("poc.scenario", "uplift.scenario"):
-            sc = load_scenario(scenario_dir / name)
-            again = parse_scenario(write_scenario(sc), name=sc.name)
-            assert again == sc
+    def test_missing_file_names_its_path(self, tmp_path):
+        path = tmp_path / "absent.scenario"
+        with pytest.raises(ParseError) as err:
+            load_scenario(path)
+        assert str(err.value).startswith(f"cannot read {path}: ")
 
-    def test_write_back_identity_exotic(self):
+    def test_exotic_document_parses_and_runs(self):
         doc = """
 servers:
   - id: srv1
@@ -151,9 +150,10 @@ sim:
   seed: 5
 """
         sc = parse_scenario(doc, name="exotic")
-        again = parse_scenario(write_scenario(sc), name="exotic")
-        assert again == sc
-        # and it actually runs
+        assert sc.policy.kind is PolicyKind.TIME_SPLIT
+        assert (sc.policy.split_gpus, sc.policy.settle_slots) == (("gpu1",), 2)
+        assert sc.ai_workloads[0].latency_bound_s == 2.0
+        assert [f.rate_gbps for f in sc.static_flows] == [4.0, 2.5]
         from ranshare.engine import run
 
         report = run(sc)
@@ -438,20 +438,7 @@ def test_parameters_that_can_only_fail_later_are_rejected(sections, message):
     assert str(err.value) == message
 
 
-# -- write-back round trip --------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "workload",
-    [
-        "{id: w, arrival: saturating, slo_class: batch, latency_bound_s: 2.0}",
-        "{id: w, arrival: trace, arrivals: [0.5], rate_per_s: 3.0}",
-        "{id: w, arrival: saturating, arrivals: [0.5]}",
-    ],
-)
-def test_write_back_keeps_fields_other_kinds_ignore(workload):
-    sc = parse_scenario(scenario_text(ai_workloads=f"[{workload}]"))
-    assert parse_scenario(write_scenario(sc)) == sc
+# -- generated documents -----------------------------------------------------------
 
 
 GRANULARITIES = (0.05, 0.1, 0.25, 0.5)
@@ -632,16 +619,6 @@ def scenario_documents(draw):
     return yaml.safe_dump(document, sort_keys=False)
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(scenario_documents())
-def test_write_back_round_trip(text):
-    sc = parse_scenario(text, name="generated")
-    written = write_scenario(sc)
-    again = parse_scenario(written, name="generated")
-    assert again == sc
-    assert write_scenario(again) == written
-
-
 # -- the YAML loader --------------------------------------------------------------
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -664,9 +641,7 @@ def test_loader_runs_on_libyaml_where_pyyaml_has_it():
 
 def test_both_loaders_read_the_same_documents():
     texts = _bench_texts() + [MINIMAL, scenario_text()]
-    for name in ("poc.scenario", "uplift.scenario"):
-        text = (ROOT / "scenarios" / name).read_text()
-        texts += [text, write_scenario(parse_scenario(text))]
+    texts += [(ROOT / "scenarios" / name).read_text() for name in ("poc.scenario", "uplift.scenario")]
     for text in texts:
         fast = yaml.load(text, Loader=scenario_mod._Loader)
         assert fast == yaml.load(text, Loader=scenario_mod._PyLoader)
@@ -675,7 +650,6 @@ def test_both_loaders_read_the_same_documents():
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(scenario_documents())
 def test_both_loaders_read_generated_documents_alike(text):
-    written = write_scenario(parse_scenario(text, name="generated"))
-    for doc in (text, written):
-        fast = yaml.load(doc, Loader=scenario_mod._Loader)
-        assert fast == yaml.load(doc, Loader=scenario_mod._PyLoader)
+    parse_scenario(text, name="generated")  # the generator writes only valid documents
+    fast = yaml.load(text, Loader=scenario_mod._Loader)
+    assert fast == yaml.load(text, Loader=scenario_mod._PyLoader)
