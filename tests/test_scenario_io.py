@@ -438,6 +438,23 @@ def test_parameters_that_can_only_fail_later_are_rejected(sections, message):
     assert str(err.value) == message
 
 
+KEPT_FIELDS = {
+    "{id: w, arrival: saturating, slo_class: batch, latency_bound_s: 2.0}":
+        {"latency_bound_s": 2.0},
+    "{id: w, arrival: trace, arrivals: [0.5], rate_per_s: 3.0}":
+        {"rate_per_s": 3.0, "trace_arrivals": (0.5,)},
+    "{id: w, arrival: saturating, arrivals: [0.5]}":
+        {"trace_arrivals": (0.5,)},
+}
+
+
+@pytest.mark.parametrize("workload", list(KEPT_FIELDS))
+def test_parse_keeps_fields_other_kinds_ignore(workload):
+    (parsed,) = parse_scenario(scenario_text(ai_workloads=f"[{workload}]")).ai_workloads
+    for field, value in KEPT_FIELDS[workload].items():
+        assert getattr(parsed, field) == value
+
+
 # -- generated documents -----------------------------------------------------------
 
 
