@@ -20,9 +20,10 @@ of one ``settle_slot`` per slot, bit for bit:
 * constant demand (constant and trace profiles between profile changes) in
   closed form: one ``settle_slot``, which every later slot repeats;
 * otherwise by slicing a RAN tape, the AI-independent RAN side of every
-  slot, which is computed for the whole fleet once per chunk of at most
-  ``CHUNK_CELLS`` (GPU, slot) cells of the slot grid, so memory does not
-  grow with segment length; a slice adds only the throttle test.
+  slot, which is computed once per run of slots for the GPUs RAN reaches,
+  at most ``CHUNK_CELLS`` (slot, GPU) cells, so memory does not grow with
+  segment length; a slice adds only the throttle test, which it repeats
+  only for the GPUs whose AI grant changed.
 
 A slot whose throttle test fires ends the segment (it may change job rates
 and schedule events). RAN demand comes from the one evaluator

@@ -547,9 +547,9 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     gpu.throttled = bites and eff_total < gpu.ai_granted - TOL
 
 
-# A RAN tape covers at most one chunk of the slot grid, CHUNK_CELLS (GPU, slot)
-# cells, so its arrays stay small however long a segment is (and on the heap:
-# see SimEngine.run).
+# A RAN tape holds at most CHUNK_CELLS (slot, column) cells and reads demand
+# for at most CHUNK_CELLS (server, slot) cells, so its arrays stay small
+# however long a segment is (and on the heap: see SimEngine.run).
 CHUNK_CELLS = 16384
 
 
@@ -579,9 +579,13 @@ class RanTape:
     column): ``take`` is the RAN level, and ``ran_integral`` and
     ``ran_accrue_us`` are the RAN integral and its clock after the slot.
     Under the dynamic policy, ``asked`` is what the GPU was asked to serve
-    and ``room`` what RAN left for AI, ``ai_cap - take``. ``misses`` are
-    the tape's misses in order and ``miss_slots`` their slots. ``next`` is
-    the first slot not yet settled from the tape.
+    and ``room`` what RAN left for AI, ``ai_cap - take``; per column,
+    ``fire`` is the first slot whose throttle test fires at the grant
+    ``tested``, searched from the tape's first slot or from where a slice
+    started (``size`` where none does; see ``_first_fire``), and ``stop``
+    is the least ``fire``. ``misses`` are the tape's misses in order and
+    ``miss_slots`` their slots. ``next`` is the first slot not yet settled
+    from the tape.
 
     A GPU outside ``cols`` has a RAN level of +0.0 and takes 0.0 at every
     slot, so its level, integral and clock stay as they are; what it is
@@ -594,7 +598,7 @@ class RanTape:
 
     __slots__ = (
         "first_us", "size", "next", "cols", "take", "ran_integral", "ran_accrue_us",
-        "asked", "room", "misses", "miss_slots",
+        "asked", "room", "tested", "fire", "stop", "misses", "miss_slots",
     )
 
 
@@ -613,14 +617,17 @@ def settle_segment(
     last slot, and no GPU is settling, one ``settle_slot`` gives every slot
     (a trace point between events moves demand only at the event's slot,
     the last, or, when it lies in (0, 0.5) us and so has no event, at the
-    second). Otherwise the segment slices the fleet's ``RanTape``. A tape
-    runs from the slot it is built at to the end of that slot's chunk of
-    the grid (``CHUNK_CELLS // len(state.gpus)`` slots per chunk), and the
+    second). Otherwise the segment slices the fleet's ``RanTape``. The
     segment builds one, with one ``demand.vector`` call, when the tape it
-    finds does not go on at the segment's next slot: in a new chunk, and
-    after ``refresh_caches`` or a closed-form segment. A slice reads the
-    RAN side off the tape and runs the throttle test; while a GPU is
-    throttled, whose test then fires at every slot, a slice holds one slot.
+    finds does not go on at the segment's next slot: when it is used up,
+    and after ``refresh_caches`` or a closed-form segment. A tape reads
+    demand for ``CHUNK_CELLS // w`` slots from the one it is built at, w
+    being the number of servers or the last tape's column count, whichever
+    is more, and keeps as many of them as its own columns fit in
+    ``CHUNK_CELLS`` cells (see ``_ran_tape``): while demand reaches the
+    same GPUs, it keeps them all. A slice reads the RAN side off the tape
+    and runs the throttle test; while a GPU is throttled, whose test then
+    fires at every slot, a slice holds one slot.
 
     A slot that applies a throttle may change job rates and schedule
     events, so the call returns after it: the return value is the number of
@@ -652,18 +659,18 @@ def settle_segment(
                     state.misses.extend((t_us / US, sid, sf) for _t, sid, sf in missed)
             state.clock_us = first_us + (count - 1) * slot_us
             return count
-    chunk = max(1, CHUNK_CELLS // len(state.gpus))
     j = i = 0  # slots[:j] are settled and samples[:i] emitted
     while j < count:
         t0 = first_us + j * slot_us
         tape = fleet.tape
         if tape is None or tape.next == tape.size or tape.first_us + tape.next * slot_us != t0:
+            per_slot = max(len(fleet.server_ids), 0 if tape is None else tape.cols.size, 1)
             tape = fleet.tape = None  # one tape at a time
-            t_us = t0 + slot_us * np.arange(chunk - t0 // slot_us % chunk, dtype=np.int64)
+            t_us = t0 + slot_us * np.arange(max(1, CHUNK_CELLS // per_slot), dtype=np.int64)
             t_s = t_us / US
             tape = fleet.tape = _ran_tape(state, t_us, t_s, demand.vector(t_s))
         a = tape.next
-        b = min(tape.size, a + (1 if fleet.throttled.any() else count - j))
+        b = min(tape.size, a + (1 if np.count_nonzero(fleet.throttled) else count - j))
         hi = j + b - a
         i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
         fired = _settle_slice(state, tape, a, b, samples[i:i_hi], emit)
@@ -674,54 +681,65 @@ def settle_segment(
 
 
 def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
-    """The RAN tape of the slots at ``t_us`` (int64 us; ``t_s`` in s), from the fleet as it is.
+    """The RAN tape of the first slots at ``t_us`` (int64 us; ``t_s`` in s), from the fleet as it is.
 
-    ``rem`` is each server's demand, (server, slot). The tape's arrays are
-    (slot, column), or (slot, server, GPU position) while demand fills one
-    GPU position of every server at a time. Every element goes through the
-    float operations of ``settle_slot``'s rule applied one GPU at a time,
-    in the same order, so the tape is that rule's slot by slot, bit for bit
-    (``tests/test_segments.py`` keeps the scalar form). A position a server
-    lacks, and a GPU at a slot it is settling, meets a capacity of 0, which
-    takes nothing and leaves the remainder as it is. The RAN integral
-    accrues only at the slots where the level changes, summed in slot order.
+    ``rem`` is each server's demand, (server, slot). The tape keeps the
+    first ``CHUNK_CELLS // len(cols)`` of these slots, at least one, and
+    its arrays are (slot, column). Demand fills one GPU position of every
+    server at a time, a (slot, server) array per position. Every element
+    goes through the float operations of ``settle_slot``'s rule applied
+    one GPU at a time, in the same order, so the tape is that rule's slot
+    by slot, bit for bit (``tests/test_segments.py`` keeps the scalar
+    form). A position a server lacks, and a GPU at a slot it is settling,
+    meets a capacity of 0, which takes nothing and leaves the remainder as
+    it is. The RAN integral accrues only at the slots where the level
+    changes, summed in slot order.
 
     Demand fills positions in order and stops at the first one where no
-    server has any left, so every GPU from there on takes 0.0 at every
-    slot. The tape's ``cols`` are the GPUs at the positions demand reached,
-    those whose RAN level is not +0.0 (RAN that leaves a GPU must settle
-    it to 0.0), and those granted more than ``ai_cap`` (placement grants
-    up to TOL past what is free). Every other GPU is as ``RanTape`` says,
-    and none is throttled: while a GPU is throttled, ``_apply_throttle``
-    runs again whenever its RAN level or AI grant changes (its test fires
-    at every slot, and under the dynamic policy every grant change ends in
-    ``_refresh_effective``), and it leaves the GPU throttled only if the
-    grant exceeds ``ai_cap - ran_level``, which at a level of 0.0 is
-    ``ai_cap``.
+    server has any left at any slot given, so every GPU from there on
+    takes 0.0 at every slot. The tape's ``cols`` are the GPUs at the
+    positions demand reached, those whose RAN level is not +0.0 (RAN that
+    leaves a GPU must settle it to 0.0), and those granted more than
+    ``ai_cap`` (placement grants up to TOL past what is free). Every other
+    GPU is as ``RanTape`` says, and none is throttled: while a GPU is
+    throttled, ``_apply_throttle`` runs again whenever its RAN level or AI
+    grant changes (its test fires at every slot, and under the dynamic
+    policy every grant change ends in ``_refresh_effective``), and it
+    leaves the GPU throttled only if the grant exceeds ``ai_cap -
+    ran_level``, which at a level of 0.0 is ``ai_cap``.
     """
     fleet = state.fleet
-    n = t_us.size
     servers, width = fleet.grid_cap.shape
-    rem = rem.T  # (slot, server)
-    caps = fleet.grid_cap  # (server, position), or (slot, server, position)
-    if fleet.settling_until_us.max() >= t_us[0]:
-        grid_live = np.ones((n, servers * width), dtype=bool)  # (slot, position): not settling
-        grid_live[:, fleet.grid_rows] = t_us[:, None] > fleet.settling_until_us
-        caps = np.where(grid_live.reshape(n, servers, width), caps, 0.0)
-    take = np.zeros((n, servers, width))
-    reached = width  # positions demand reached
+    settling = fleet.settling_until_us.max() >= t_us[0]
+    if settling:
+        until = np.full(servers * width, -1, dtype=np.int64)  # (server, position)
+        until[fleet.grid_rows] = fleet.settling_until_us
+        until = until.reshape(servers, width, 1)
+    fills = []  # what each position demand reached takes, (server, slot)
     for p in range(width):
         if not rem.any():
-            reached = p  # no demand is left, so every later take is 0.0
-            break
+            break  # no demand is left, so every later take is 0.0
+        cap = fleet.grid_cap[:, p, None]
+        if settling:
+            cap = np.where(t_us > until[:, p], cap, 0.0)
         # take = rem if rem < cap else cap; rem = 0.0 if rem < cap else rem - cap
-        np.minimum(rem, caps[..., p], out=take[..., p])
-        rem = np.maximum(rem - caps[..., p], 0.0)
-    keep = fleet.grid_rows % width < reached
+        fills.append(np.minimum(rem, cap))
+        rem = np.maximum(rem - cap, 0.0)
+    at = fleet.grid_rows % width  # each GPU's position
+    keep = at < len(fills)
     keep |= fleet.ran_level.view(np.int64) != 0
     keep |= fleet.ai_granted > fleet.ai_cap
     cols = np.flatnonzero(keep)
-    take = take.reshape(n, servers * width)[:, fleet.grid_rows[cols]]
+    n = min(t_us.size, max(1, CHUNK_CELLS // max(1, cols.size)))
+    t_us, t_s, rem = t_us[:n], t_s[:n], rem[:, :n].T  # rem is (slot, server) from here on
+    # what each column takes, gathered a row per column, then (slot, column)
+    took = np.zeros((cols.size, n))
+    at, owner = at[cols], fleet.grid_rows[cols] // width
+    for p, fill in enumerate(fills):
+        mine = np.flatnonzero(at == p)
+        took[mine] = fill[owner[mine], :n]
+    take = np.ascontiguousarray(took.T)
+    del fills, took
 
     before = np.concatenate((fleet.ran_level[cols][None], take[:-1]))
     changed = take != before
@@ -745,7 +763,7 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
     tape.cols, tape.take = cols, take
     tape.ran_integral, tape.ran_accrue_us = sums[1:], accrued[1:]
-    tape.asked = tape.room = None
+    tape.asked = tape.room = tape.tested = tape.fire = tape.stop = None
     if state.policy.is_dynamic:
         # what each GPU was asked to serve: its take, plus the server's
         # shortfall on the server's last GPU (take + 0.0 is take); demand
@@ -755,7 +773,12 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
             asked = take.copy()
             asked[:, fleet.last_rows] += rem
         tape.asked, tape.room = asked, fleet.ai_cap[cols] - take
-    slots, owners = np.nonzero(rem > TOL)  # by slot, then by server
+        # each column's first firing slot at its grant now (see _first_fire)
+        tape.tested = fleet.ai_granted[cols]
+        hits = tape.tested > tape.room + TOL
+        tape.fire = np.where(hits.any(axis=0), hits.argmax(axis=0), n)
+        tape.stop = int(tape.fire.min(initial=n))
+    slots, owners = np.divmod(np.flatnonzero(rem > TOL), servers)  # by slot, then by server
     ids = fleet.server_ids
     missed = zip(t_s[slots].tolist(), owners.tolist(), rem[slots, owners].tolist())
     tape.misses = [(t, ids[si], shortfall) for t, si, shortfall in missed]
@@ -772,23 +795,30 @@ def _first_fire(state: ClusterState, tape: RanTape, a: int, b: int):
     ``room`` is never negative and a GPU without a grant never fires.
     Only the tape's columns are tested: no other GPU's test fires (see
     ``RanTape``). Returns ``(b, None)`` when no test fires.
+
+    The test is incremental. The tape searches every column when it is
+    built: a column's ``fire`` is the first slot, from where it was last
+    searched, whose test fires at the grant ``tested``. While the grant is
+    unchanged, that is also the first from ``a``, unless it lies before
+    ``a``. So a slice searches again, from ``a`` to the tape's end, only the
+    columns whose grant changed or whose ``fire`` it passed (a fire ends a
+    slice, so such a column has just fired), and otherwise compares the
+    least ``fire``, ``stop``, with ``b``.
     """
     if not state.policy.is_dynamic:
         return b, None
-    fleet = state.fleet
-    granted, throttled = fleet.ai_granted[tape.cols], fleet.throttled[tape.cols]
-    room = tape.room[a:b]
-    if throttled.any():
-        fire = (granted > room + TOL) | throttled
-    else:
-        # x + TOL never falls as x grows, so a GPU's test fires somewhere in
-        # the slice exactly when it fires at the slice's least room
-        if not (granted > room.min(axis=0) + TOL).any():
-            return b, None
-        fire = granted > room + TOL
-    hits = fire.any(axis=1)
-    k = int(hits.argmax())
-    return (a + k, np.flatnonzero(fire[k])) if hits[k] else (b, None)
+    fleet, fire = state.fleet, tape.fire
+    granted = fleet.ai_granted[tape.cols]
+    # a grant whose bits are unchanged is unchanged
+    if tape.stop < a or granted.tobytes() != tape.tested.tobytes():
+        for c in np.flatnonzero((granted != tape.tested) | (fire < a)).tolist():
+            hits = granted[c] > tape.room[a:, c] + TOL
+            k = int(hits.argmax())
+            fire[c] = a + k if hits[k] else tape.size
+        tape.tested, tape.stop = granted, int(fire.min(initial=tape.size))
+    if np.count_nonzero(fleet.throttled):
+        return a, np.flatnonzero(fleet.throttled[tape.cols] | (fire == a))
+    return (tape.stop, np.flatnonzero(fire == tape.stop)) if tape.stop < b else (b, None)
 
 
 def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=range(0), emit=None):
@@ -815,10 +845,10 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     state.misses.extend(tape.misses[lo:bisect.bisect_left(tape.miss_slots, last + 1, lo)])
     if samples:
         # the slot whose state each sample shows, up to the firing one
-        first_us = tape.first_us + a * slot_us
-        times = np.arange(samples.start, samples.stop, samples.step, dtype=np.int64)
-        marks = a + (times - first_us) // slot_us
-        marks = marks[:marks.searchsorted(stop)]
+        first_us = tape.first_us
+        marks = np.arange(samples.start - first_us, samples.stop - first_us, samples.step) // slot_us
+        if stop < b:
+            marks = marks[:marks.searchsorted(stop)]
         emit(tape.take[marks], fleet.ai_level, marks.size, cols)
     state.clock_us = tape.first_us + last * slot_us
     tape.next = last + 1

@@ -729,6 +729,7 @@ def _write_summary(report: MetricsReport) -> str:
 def parse_records(text: str) -> MetricsReport:
     """Rebuild a MetricsReport from RECORDS output (inverse of write_report).
 
+    The ``# scenario=``, ``# gpus=`` and ``# jobs`` headers come once each.
     The ``# gpus=`` header names each GPU once, by a non-empty id, or none.
     Sample rows go straight into the trace's columns: each sample lists the
     ``# gpus=`` GPUs in order, at one time, later than the previous sample's.
@@ -738,6 +739,7 @@ def parse_records(text: str) -> MetricsReport:
     """
     meta: dict = {}
     job_stats = gpu_ids = None
+    seen: set[str] = set()  # the headers read
     times: list[float] = []
     ran: list[float] = []
     ai: list[float] = []
@@ -751,9 +753,14 @@ def parse_records(text: str) -> MetricsReport:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
-            if body.startswith("scenario="):
+            head = next((h for h in ("scenario=", "gpus=", "jobs ") if body.startswith(h)), None)
+            if head in seen:
+                raise ParseError(f"line {number}: a second '# {head.strip()}' header")
+            if head:
+                seen.add(head)
+            if head == "scenario=":
                 meta = _read_fields(body, _META, number)
-            elif body.startswith("gpus="):
+            elif head == "gpus=":
                 raw = body[len("gpus="):]
                 gpu_ids = tuple(raw.split(",")) if raw else ()
                 if "" in gpu_ids:
@@ -761,7 +768,7 @@ def parse_records(text: str) -> MetricsReport:
                 if len(set(gpu_ids)) < len(gpu_ids):
                     repeated = next(i for i in gpu_ids if gpu_ids.count(i) > 1)
                     raise ParseError(f"line {number}: '# gpus=' header names gpu {repeated!r} twice")
-            elif body.startswith("jobs "):
+            elif head == "jobs ":
                 job_stats = JobStats(**_read_fields(body[len("jobs "):], _JOBS, number))
             continue
         try:

@@ -73,6 +73,11 @@ def _dequeue_unqueued():
     state.dequeue(AiJob("j1", 0.0, 1.0, 0.5))
 
 
+_JOBS_HEADER = (
+    "# jobs completed=0 preempted_events=0 rejected=0 queued_at_end=0 running_at_end=0"
+    " mean_wait_s=0.0 p95_wait_s=0.0 mean_turnaround_s=0.0"
+)
+
 CASES = [
     # -- through parse_scenario ------------------------------------------------
     ({"servers": [{"id": "srv1", "gpus": [{"id": "gpu1", "partition_granularity": 0}]}]},
@@ -171,6 +176,15 @@ CASES = [
      ParseError, "line 2: '# gpus=' header names an empty gpu id"),
     (lambda: parse_records("# gpus=g1,\n"),
      ParseError, "line 1: '# gpus=' header names an empty gpu id"),
+    (lambda: parse_records("# gpus=a\nsample,0.0,a,0.1,0.2,\n# gpus=b\n"
+                           "# scenario=other horizon_s=1.0 sample_interval_s=0.1 seed=7\n"
+                           "sample,0.1,b,0.1,0.2,\n"),
+     ParseError, "line 3: a second '# gpus=' header"),
+    (lambda: parse_records("# scenario=one horizon_s=1.0 sample_interval_s=0.1 seed=1\n"
+                           "# gpus=a\n# scenario=other horizon_s=1.0 sample_interval_s=0.1 seed=7\n"),
+     ParseError, "line 3: a second '# scenario=' header"),
+    (lambda: parse_records(f"{_JOBS_HEADER}\n# gpus=\n{_JOBS_HEADER}\n"),
+     ParseError, "line 3: a second '# jobs' header"),
     (lambda: parse_records("miss,0.0,srv1,0,0,shortfall\n"),
      ParseError, "line 1: malformed row 'miss,0.0,srv1,0,0,shortfall'"),
     (lambda: parse_records("miss,0.0,srv1,0,0,shortfall=lots\n"),

@@ -1118,7 +1118,9 @@ def test_demand_is_read_once_per_chunk(monkeypatch):
 
     Its demand is diurnal, so no segment settles in closed form and no
     quiescent epoch probes demand: every read builds a RAN tape, and the
-    segments in between only slice it.
+    segments in between only slice it. A chunk is what a tape holds: RAN
+    fits on each server's first GPU, so a tape's 16 columns span
+    ``CHUNK_CELLS // 16`` slots.
     """
     build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
     text = build(ROOT, 1).replace("horizon_s: 10.0", "horizon_s: 2.0")
@@ -1134,10 +1136,10 @@ def test_demand_is_read_once_per_chunk(monkeypatch):
     eng.demand = dataclasses.replace(eng.demand, vector=counting)
     segments = _counting_segments(monkeypatch)
     eng.run()
-    chunk = orchestrator.CHUNK_CELLS // 64
+    chunk = orchestrator.CHUNK_CELLS // 16
     chunks = -(-eng.horizon_us // eng.slot_us // chunk)
-    # one read per segment would be over four times as many
-    assert chunks == 16 and len(reads) <= chunks and 4 * chunks < segments[0], (reads, segments)
+    # one read per segment would be over sixteen times as many
+    assert chunks == 4 and len(reads) <= chunks and 16 * chunks < segments[0], (reads, segments)
     assert sum(reads) == chunks * chunk
 
 
@@ -1160,6 +1162,38 @@ def test_fleet_tapes_cover_only_the_first_gpus(monkeypatch):
     fleet = eng.state.fleet
     assert fleet.ran_integral[firsts].all() and not fleet.ran_integral[others].any()
     assert not fleet.ran_level[others].any() and not eng.trace.ran[:, others].any()
+
+
+@pytest.mark.parametrize(
+    "servers, horizon_s, counts", [(16, 2.0, (4, 129)), (128, 1.0, (16, 394))],
+    ids=["cluster_diurnal for 2 s", "128 x 4 for 1 s"],
+)
+def test_settlement_work_counts(monkeypatch, servers, horizon_s, counts):
+    """The RAN tapes built and the slices settled on two fleets of 4-GPU servers, pinned.
+
+    ``cluster_diurnal`` cut to 2 s, and the same fleet of 128 servers at
+    320 jobs/s for 1 s. RAN fits on each server's first GPU, so a tape's
+    columns are one per server, and it spans ``CHUNK_CELLS // servers``
+    slots: 1,024 and 128. No tape holds more than ``CHUNK_CELLS`` cells,
+    and both counts repeat exactly from run to run.
+    """
+    workloads = _load_workloads()
+    if servers == 16:
+        build, _fmt = workloads.WORKLOADS["cluster_diurnal"]
+        text = build(ROOT, 1).replace("horizon_s: 10.0", f"horizon_s: {horizon_s}")
+    else:
+        text = workloads.cluster(servers, 4, 320.0, horizon_s, 1, fixed_count=True)
+    sc = parse_scenario(text, name="fleet")
+    runs = []
+    for _run in range(2):
+        tapes = _recording_tapes(monkeypatch)
+        slices = _recording_slices(monkeypatch)
+        SimEngine(sc).run()
+        monkeypatch.undo()
+        assert all(tape.cols.size == servers for tape in tapes)
+        assert all(tape.size * tape.cols.size <= orchestrator.CHUNK_CELLS for tape in tapes)
+        runs.append((len(tapes), len(slices)))
+    assert runs == [counts, counts]
 
 
 class _PoisonedTrace(engine_module.Trace):
@@ -1215,7 +1249,7 @@ def test_ran_that_leaves_a_gpu_settles_it(monkeypatch, kind, one_slot_tapes):
         gpus = tuple(f"srv{s}-gpu{g}" for s, n in enumerate((2, 2, 3)) for g in range(n))
         policy = Policy(kind=kind, ran_fraction=0.5, ai_fraction=0.5, split_gpus=gpus)
     if one_slot_tapes:
-        monkeypatch.setattr(orchestrator, "CHUNK_CELLS", 7)
+        monkeypatch.setattr(orchestrator, "CHUNK_CELLS", 3)  # one slot of the three servers' demand
     monkeypatch.setattr(engine_module, "Trace", _PoisonedTrace)
     tapes = _recording_tapes(monkeypatch)
     eng = assert_same_run(_spill_scenario(policy), (kind, one_slot_tapes))
@@ -1249,6 +1283,78 @@ def test_tape_keeps_a_gpu_granted_past_its_capacity():
     assert second.throttled and second.ran_level == 0.0
     assert _settle_all(state, np.array([[0.3, 0.5, 0.4]])) == [(3, 0), (2, 0), (1, 0)]
     assert second.throttled and first.ran_level == 0.4
+
+
+# -- the incremental throttle test ---------------------------------------------------
+
+
+def reference_first_fire(state, tape, a: int, b: int):
+    """The throttle test as a full scan: every tape column at every slot of ``a:b``.
+
+    Returns the first slot that fires and its firing columns as a list,
+    or ``(b, None)``.
+    """
+    fleet = state.fleet
+    granted, throttled = fleet.ai_granted[tape.cols], fleet.throttled[tape.cols]
+    fire = (granted > tape.room[a:b] + orchestrator.TOL) | throttled
+    hits = fire.any(axis=1)
+    k = int(hits.argmax())
+    return (a + k, np.flatnonzero(fire[k]).tolist()) if hits[k] else (b, None)
+
+
+def _fires_from(state, tape, a: int) -> np.ndarray:
+    """Each tape column's first slot from ``a`` whose room test fires at its grant, or the tape's size."""
+    hits = state.fleet.ai_granted[tape.cols] > tape.room[a:] + orchestrator.TOL
+    return np.where(hits.any(axis=0), a + hits.argmax(axis=0), tape.size)
+
+
+def test_incremental_throttle_test_matches_a_full_scan():
+    """``_first_fire`` on random tapes whose grants change between slices, against a full scan.
+
+    Before each slice, random tape columns have their grant raised,
+    lowered or set again to its value, or are throttled or released. A
+    slice starts where the last one ended: after the slot it fired at, or
+    at its end. Some changes make a column that would fire fire later in
+    the same tape, and some slices fire at a slot an earlier slice found.
+    """
+    rng = random.Random(33)
+    later = found_before = 0
+    for _trial in range(300):
+        state = _dynamic_state(2, 1, 3)
+        fleet = state.fleet
+        fleet.ai_granted[:] = [rng.uniform(0.0, 1.0) for _ in state.gpus]
+        n = rng.randint(1, 40)
+        # a random walk per server, so that room drifts and fires come in runs
+        steps = np.array([[rng.uniform(-0.3, 0.3) for _ in range(n)] for _ in state.servers])
+        demands = np.clip(rng.uniform(0.0, 2.0) + np.cumsum(steps, axis=1), 0.0, 2.5)
+        t_us = state.slot_us * np.arange(1, n + 1, dtype=np.int64)
+        tape = orchestrator._ran_tape(state, t_us, t_us / US, demands)
+        cols = tape.cols.tolist()
+        a, ended_at_b = 0, False
+        while a < tape.size:
+            before = _fires_from(state, tape, a)
+            changed = rng.sample(range(len(cols)), rng.choice((0, 0, 1, 2)))
+            for c in changed:
+                g = cols[c]
+                action = rng.choice(("raise", "lower", "same", "throttle", "release"))
+                if action == "raise":
+                    fleet.ai_granted[g] += rng.uniform(0.0, 0.5)
+                elif action == "lower":
+                    fleet.ai_granted[g] = max(0.0, fleet.ai_granted[g] - rng.uniform(0.0, 0.5))
+                elif action == "same":
+                    fleet.ai_granted[g] = float(fleet.ai_granted[g])
+                else:
+                    fleet.throttled[g] = action == "throttle"
+            after = _fires_from(state, tape, a)
+            later += bool(((before < after) & (after < tape.size)).any())
+            b = min(tape.size, a + rng.randint(1, 8))
+            stop, firing = orchestrator._first_fire(state, tape, a, b)
+            got = (stop, None if firing is None else firing.tolist())
+            assert got == reference_first_fire(state, tape, a, b), (a, b)
+            found_before += ended_at_b and not changed and stop < b
+            ended_at_b = stop == b
+            a = stop + 1 if stop < b else b
+    assert later > 0 and found_before > 0, (later, found_before)
 
 
 def _counting_segments(monkeypatch) -> list[int]:
