@@ -11,14 +11,16 @@ count as a synchronization hop.
 Routing is fluid ECMP (RFC 2992) by shortest-path counts: a flow splits
 evenly over its shortest paths, and a link (a, b) lies on sigma_s(a) *
 sigma_t(b) of them (Brandes, J. Math. Sociol. 25(2), 2001), so one
-breadth-first search per flow endpoint routes all flows without enumerating a
-path. No order of searches or neighbours changes a load: each link's sum is
-built in one place per flow, flows in list order. The same search gives the
-PTP tree.
+breadth-first search per set of neighbours among the flow endpoints routes all
+flows without enumerating a path: endpoints with the same neighbours, such as
+the RUs behind the aggregation router, share one. No order of searches or
+neighbours changes a load: each link's sum is built in one place per flow,
+flows in list order. The same search gives the PTP tree.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -73,8 +75,8 @@ class Flow:
     rate_gbps: float = 0.0
 
     def __post_init__(self):
-        if self.rate_gbps < 0:
-            raise ValueError("flow rate must be >= 0")
+        if not 0 <= self.rate_gbps < math.inf:  # NaN fails both tests
+            raise ValueError(f"flow rate must be >= 0 and finite, not {self.rate_gbps}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,10 @@ class SyncTree:
 class FronthaulCalibration:
     gbps_per_mhz_per_port: float = 0.05
 
+    def __post_init__(self):
+        if not self.gbps_per_mhz_per_port >= 0:
+            raise ValueError("fronthaul_gbps_per_mhz_per_port must be >= 0")
+
 
 def _pairs(ids: list[str]) -> list[tuple[str, str]]:
     return [(ids[i], ids[i + 1]) for i in range(0, len(ids), 2)]
@@ -155,6 +161,8 @@ def build_reference_fabric(
         raise OddLeafCount("leaf switches come in pairs")
     if not rus or not servers:
         raise InvalidCounts("need at least one RU and one server")
+    if not link_capacity_gbps > 0:
+        raise ValueError("link_capacity_gbps must be positive")
 
     switches: dict[str, Switch] = {}
     links: dict[str, Link] = {}
@@ -362,33 +370,47 @@ def route_flows(
 ) -> tuple[dict[str, float], list[CapacityViolation]]:
     """Fluid equal-cost routing: each flow splits evenly over all shortest paths.
 
-    Each distinct endpoint is searched once per call. Within one flow a link
-    (a, b) takes all its ``sigma_s(a) * sigma_t(b)`` additions of the share in
-    one place, and flows are added in list order, so neither search order nor
-    neighbour order enters any link's sum.
+    Endpoints with the same neighbours are twins, and only the first of them
+    is searched: the others' distances and path counts are its own with the
+    two twins' entries swapped, exactly, on any graph. A flow walks only the
+    nodes on its shortest paths, layer by layer from its source. Within one
+    flow a link (a, b) takes all its ``sigma_s(a) * sigma_t(b)`` additions of
+    the share in one place, and flows are added in list order, so neither
+    search order nor neighbour order enters any link's sum.
     """
     adj = topology._adjacency()
     loads: dict[str, float] = {link_id: 0.0 for link_id in topology.links}
     searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+    twins: dict[frozenset[str], str] = {}  # neighbour set -> the endpoint searched
     for f in flows:
         if f.src not in adj or f.dst not in adj:
             raise NoPath(f"flow {f.id}: unknown endpoint")
         for end in (f.src, f.dst):
-            if end not in searches:
+            if end in searches:
+                continue
+            first = twins.setdefault(frozenset(adj[end]), end) if adj[end] else end
+            if first == end:
                 searches[end] = _path_counts(adj, end)
+            else:  # the first twin's tables, the two twins' entries swapped
+                dist, sigma = (dict(table) for table in searches[first])
+                dist[first], sigma[first], dist[end], sigma[end] = dist[end], sigma[end], 0, 1
+                searches[end] = dist, sigma
         (d_s, sigma_s), (d_t, sigma_t) = searches[f.src], searches[f.dst]
         if f.dst not in d_s:
             raise NoPath(f"flow {f.id}: {f.src} and {f.dst} are disconnected")
         hops = d_s[f.dst]
         share = f.rate_gbps / sigma_s[f.dst]
-        for a, d in d_s.items():
-            if d + d_t[a] != hops:
-                continue  # on no shortest path
-            for b, link_id in adj[a].items():
-                if d + 1 + d_t[b] == hops:
-                    # once per path through (a, b), the same sum as walking each path
-                    for _ in range(sigma_s[a] * sigma_t[b]):
-                        loads[link_id] += share
+        layer: dict[str, None] = {f.src: None}
+        for rest in range(hops - 1, -1, -1):  # hops left after the next layer
+            ring: dict[str, None] = {}
+            for a in layer:
+                for b, link_id in adj[a].items():
+                    if d_t[b] == rest:  # so b lies one hop further on a shortest path
+                        # once per path through (a, b), the same sum as walking each path
+                        for _ in range(sigma_s[a] * sigma_t[b]):
+                            loads[link_id] += share
+                        ring[b] = None
+            layer = ring
     violations = [
         CapacityViolation(link_id, load, topology.links[link_id].capacity_gbps)
         for link_id, load in sorted(loads.items())

@@ -91,11 +91,16 @@ class TestValidate:
              "policy.epoch_s 0.0012345 is not a positive whole number of us"),
             ("uplift", "arrival: saturating", "arrival: trace\n    arrivals: [-1.0, 0.5]",
              "ai_workloads[0]: trace arrivals must be >= 0"),
+            ("poc", "link_capacity_gbps: 100.0", "link_capacity_gbps: -5.0",
+             "topology: link_capacity_gbps must be positive"),
+            ("poc", "fronthaul_gbps_per_mhz_per_port: 0.05",
+             "fronthaul_gbps_per_mhz_per_port: -0.05",
+             "topology: fronthaul_gbps_per_mhz_per_port must be >= 0"),
         ],
         ids=[
             "granularity", "numerology", "calibration-overflow", "empty-trace",
             "server-named-wan", "server-named-like-an-ru", "epoch-below-1us", "epoch-off-us-grid",
-            "negative-trace-arrival",
+            "negative-trace-arrival", "negative-link-capacity", "negative-fronthaul-calibration",
         ],
     )
     def test_what_cannot_run_fails_validate_exit_3(

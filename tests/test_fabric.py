@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -16,6 +16,8 @@ from ranshare.fabric import (
     Flow,
     FlowKind,
     FronthaulCalibration,
+    Link,
+    Switch,
     SwitchRole,
     build_ptp_tree,
     build_reference_fabric,
@@ -27,7 +29,7 @@ from ranshare.fabric import (
 )
 from ranshare.scenario import parse_scenario
 from ranshare.workload import CellConfig
-from test_golden import ROOT, _load_workloads
+from test_golden import _load_workloads
 
 
 def server(sid="srv1", bundle=NfBundle.DU_CU_CN):
@@ -124,10 +126,11 @@ def ptp_outcome(build, topo):
         return str(exc)
 
 
-def cluster_fleet():
-    """The ``cluster_diurnal`` benchmark fleet's fabric and its 32 fronthaul flows at 1 Gbps."""
-    build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
-    sc = parse_scenario(build(ROOT, 1), name="cluster_diurnal")
+def cluster_fleet(servers=16):
+    """The fabric of the ``cluster_diurnal`` fleet with ``servers`` servers (the benchmark
+    has 16) and its fronthaul flows, two per server, at 1 Gbps."""
+    text = _load_workloads().cluster(servers, 4, 40.0, 10.0, 1, fixed_count=True)
+    sc = parse_scenario(text, name="cluster_diurnal")
     flows = [
         Flow(f"fh-{c.id}", f"ru-{c.id}", c.server_id, FlowKind.FRONTHAUL, 1.0) for c in sc.cells
     ]
@@ -174,6 +177,51 @@ def random_fabric(rng):
         for i in range(rng.randint(1, 12))
     ]
     return topo, flows
+
+
+def random_graph(rng):
+    """A random fabric that no reference build makes, and flows over it.
+
+    A core of 3-8 switches is linked at random. Each of 1-3 groups of 2-4
+    twins links to the same 1-3 core switches, so twins carry transit
+    between those switches. Up to two more switches have no link. Flows run
+    between any two nodes of one component, a node and itself included, and
+    about one case in ten adds a flow between two components.
+    """
+    core = [f"s{i}" for i in range(rng.randint(3, 8))]
+    edges = {(a, b) for i, a in enumerate(core) for b in core[i + 1:] if rng.random() < 0.4}
+    for g in range(rng.randint(1, 3)):
+        hubs = rng.sample(core, rng.randint(1, 3))
+        edges |= {(f"t{g}{k}", hub) for k in range(rng.randint(2, 4)) for hub in hubs}
+    lone = [f"z{i}" for i in range(rng.randint(0, 2))]
+    links = [Link(a, b, rng.choice((10.0, 40.0, 100.0))) for a, b in sorted(edges)]
+    topo = FabricTopology(
+        switches={sid: Switch(sid, SwitchRole.COMPUTE_SPINE) for sid in core + lone},
+        links={link.id: link for link in links},
+        rus={}, server_frontends={}, server_backends={}, gm_switches=[],
+    )
+    g = nx_graph(topo)
+    pairs = []
+    for _ in range(rng.randint(1, 10)):
+        src = rng.choice(sorted(g))
+        pairs.append((src, rng.choice(sorted(nx.node_connected_component(g, src)))))
+    src = rng.choice(sorted(g))
+    apart = sorted(set(g) - nx.node_connected_component(g, src))
+    if apart and rng.random() < 0.1:
+        pairs.append((src, rng.choice(apart)))
+    flows = [
+        Flow(f"f{i}", src, dst, FlowKind.AI_WIRED, rng.uniform(0.5, 60.0))
+        for i, (src, dst) in enumerate(pairs)
+    ]
+    return topo, flows
+
+
+def route_outcome(route, topo, flows):
+    """The loads and violations ``route`` gives, or the message of the ``NoPath`` it raises."""
+    try:
+        return route(topo, flows)
+    except NoPath as exc:
+        return str(exc)
 
 
 class TestBuild:
@@ -390,14 +438,50 @@ class TestRouting:
         assert spines == {1, 2, 3, 4} and leaves == {2, 4, 6, 8}
         assert 0 < violated < 120
 
-    def test_one_search_per_endpoint(self, monkeypatch):
-        """The 32 fronthaul flows of the 16-server fleet have 48 endpoints: 32 RUs, 16 servers."""
-        topo, flows = cluster_fleet()
+    def test_twins_match_path_enumeration_off_reference_fabrics(self):
+        """On random graphs, loads and violations equal, float for float, those of enumerating
+        every path: with twin endpoints, endpoints inside other flows' paths, flows between
+        twins, switches with no link and flows between components."""
+        rng = random.Random(1736)
+        seen = Counter()
+        for _ in range(300):
+            topo, flows = random_graph(rng)
+            outcome = route_outcome(route_flows, topo, flows)
+            assert outcome == route_outcome(reference_route_flows, topo, flows)
+            if isinstance(outcome, str):
+                seen["no path"] += 1
+                continue
+            g = nx_graph(topo)
+            ends = {end for f in flows for end in (f.src, f.dst)}
+            homes = Counter(frozenset(g[end]) for end in ends if g[end])
+            inner = {
+                node for f in flows for path in nx.all_shortest_paths(g, f.src, f.dst)
+                for node in path[1:-1]
+            }
+            seen["twin endpoints"] += any(k > 1 for k in homes.values())
+            seen["flow between twins"] += any(
+                f.src != f.dst and g[f.src] and set(g[f.src]) == set(g[f.dst]) for f in flows
+            )
+            seen["transit endpoint"] += bool(ends & inner)
+            seen["lone switch"] += any(not g[end] for end in ends)
+            seen["violated"] += bool(outcome[1])
+        assert min(seen.values()) >= 10 and len(seen) == 6, seen
+
+    def test_one_search_per_neighbour_set(self, monkeypatch):
+        """The fleet's endpoints have three neighbour sets, however many servers it has.
+
+        Every RU hangs off ``agg``, and the servers share one server-leaf
+        pair and alternate between two converged-leaf pairs. So the 32
+        fronthaul flows of 16 servers and the 256 of 128 servers each take
+        three searches: one RU and the first two servers.
+        """
         sources = count_searches(monkeypatch)
-        route_flows(topo, flows)
-        assert len(flows) == 32
-        assert sorted(sources) == sorted({end for f in flows for end in (f.src, f.dst)})
-        assert len(sources) == 48
+        for servers in (16, 128):
+            topo, flows = cluster_fleet(servers)
+            sources.clear()
+            route_flows(topo, flows)
+            assert len(flows) == 2 * servers
+            assert sources == [flows[0].src, flows[0].dst, "srv01"]
 
     def test_loads_do_not_depend_on_neighbour_order(self, monkeypatch):
         """Loads are bit-identical when every node lists its neighbours in reverse."""

@@ -24,7 +24,7 @@ from ranshare.errors import (
     SemanticError,
     UnreachableEndpoint,
 )
-from ranshare.fabric import build_ptp_tree, build_reference_fabric
+from ranshare.fabric import Flow, FlowKind, build_ptp_tree, build_reference_fabric
 from ranshare.orchestrator import PlacementOrder, Policy, PolicyKind, build_cluster_state
 from ranshare.scenario import parse_records, parse_scenario
 from ranshare.workload import AiJob, AiWorkload, Distribution, gen_ai_arrivals
@@ -111,6 +111,12 @@ CASES = [
      SemanticError, r"flows\[0\]: flow rate must be >= 0"),
     ({"topology": {"compute_leaves": 0}},
      SemanticError, "topology: need at least one leaf pair per fabric"),
+    ({"topology": {"link_capacity_gbps": 0.0}},
+     SemanticError, "topology: link_capacity_gbps must be positive"),
+    ({"topology": {"link_capacity_gbps": -5.0}},
+     SemanticError, "^topology: link_capacity_gbps must be positive$"),
+    ({"topology": {"fronthaul_gbps_per_mhz_per_port": -0.05}},
+     SemanticError, "topology: fronthaul_gbps_per_mhz_per_port must be >= 0"),
     ({"policy": {"kind": "static_split", "ran_fraction": -0.1, "ai_fraction": 0.5}},
      SemanticError, "split fractions must be >= 0"),
     ({"policy": {"kind": "static_split", "ran_fraction": 0.4, "ai_fraction": 0.6,
@@ -158,6 +164,10 @@ CASES = [
     (lambda: build_reference_fabric(1, 2, 1, 2, [], [Server("srv1", (GPU,))]),
      InvalidCounts, "need at least one RU and one server"),
     (_ru_cut_off, UnreachableEndpoint, "RU ru1 cannot reach grandmaster"),
+    (lambda: Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, float("nan")),
+     ValueError, "flow rate must be >= 0 and finite, not nan"),
+    (lambda: Flow("f1", "ru1", "srv1", FlowKind.FRONTHAUL, float("inf")),
+     ValueError, "flow rate must be >= 0 and finite, not inf"),
     (lambda: Distribution(kind="weibull").sample(random.Random(0)),
      ValueError, "unknown distribution kind 'weibull'"),
     (lambda: AiJob("j1", 0.0, 0.0, 0.5), ValueError, "job size must be positive"),
