@@ -90,9 +90,9 @@ class Server:
     def __post_init__(self):
         if not self.gpus:
             raise ValueError(f"server {self.id}: needs at least one GPU")
-        if self.cpu_cores <= 0:
+        if not self.cpu_cores > 0:
             raise ValueError(f"server {self.id}: cpu_cores must be positive")
-        if self.frontend_port_gbps <= 0 or self.backend_port_gbps <= 0:
+        if not (self.frontend_port_gbps > 0 and self.backend_port_gbps > 0):
             raise ValueError(f"server {self.id}: port rates must be positive")
 
 

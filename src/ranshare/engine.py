@@ -248,9 +248,9 @@ class Scenario:
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         problems = []
-        if self.horizon_s <= 0:
+        if not self.horizon_s > 0:
             problems.append("sim.horizon_s must be positive")
-        if self.sample_interval_s < self.slot_s - 1e-12:
+        if not self.sample_interval_s >= self.slot_s - 1e-12:
             problems.append("sim.sample_interval_s must be >= the slot duration")
         server_ids = {s.id for s in self.servers}
         if len(server_ids) != len(self.servers):

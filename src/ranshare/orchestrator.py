@@ -87,14 +87,14 @@ class Policy:
 
     def __post_init__(self):
         object.__setattr__(self, "schedule", tuple(Interval(*iv) for iv in self.schedule))
-        if self.resume_delay_s < 0:
+        if not self.resume_delay_s >= 0:
             raise ValueError("resume_delay_s must be >= 0")
         if self.settle_slots < 0:
             raise ValueError("settle_slots must be >= 0")
         if self.queue_bound is not None and self.queue_bound < 0:
             raise ValueError("queue_bound must be >= 0")
         if self.kind is PolicyKind.STATIC_SPLIT:
-            if self.ran_fraction < 0 or self.ai_fraction < 0:
+            if not (self.ran_fraction >= 0 and self.ai_fraction >= 0):
                 raise ValueError("split fractions must be >= 0")
             if self.ran_fraction + self.ai_fraction > 1.0 + TOL:
                 raise ValueError("static split fractions exceed 1.0")
@@ -103,7 +103,7 @@ class Policy:
                 raise ValueError("time split needs a schedule")
             prev_end = None
             for start, end, ran in self.schedule:
-                if end <= start:
+                if not end > start:
                     raise ValueError("schedule interval must have end > start")
                 if not 0.0 <= ran <= 1.0:
                     raise ValueError("schedule ran_fraction must be in [0, 1]")
@@ -111,11 +111,11 @@ class Policy:
                     raise ValueError("schedule intervals overlap")
                 prev_end = end
         else:
-            if self.epoch_s <= 0:
+            if not self.epoch_s > 0:
                 raise ValueError("epoch_s must be positive")
             if not 0.0 <= self.safety_margin < 1.0:
                 raise ValueError("safety_margin must be in [0, 1)")
-            if self.forecast is ForecastKind.MAX_OVER_WINDOW and self.window_s <= 0:
+            if self.forecast is ForecastKind.MAX_OVER_WINDOW and not self.window_s > 0:
                 raise ValueError("window_s must be positive")
 
     @property
@@ -217,15 +217,12 @@ class Fleet:
     Slice-size caches (``ai_cap``, ``grid_cap``) change only in
     ``GpuState.refresh_caches``; the slot levels, the AI grant and the
     throttle flag, the end of a repartition's settling, the forecast inputs
-    and the level integrals change wherever the orchestrator changes them,
+    and the AI level integral change wherever the orchestrator changes them,
     through ``GpuState``'s properties or as whole arrays.
 
-    Each level integral has its own clock (``ran_accrue_us``,
-    ``ai_accrue_us``: the time up to which it is accrued). The RAN
-    integral accrues at the slots where the RAN level changes, in slot
-    order, and at the horizon; it is computed on the ``tape``, so no AI
-    event splits it. The AI integral accrues where the AI level may change:
-    a grant change, a throttle, a refresh, and the horizon.
+    The AI level integral has its own clock (``ai_accrue_us``: the time up
+    to which it is accrued). It accrues where the AI level may change: a
+    grant change, a throttle, a refresh, and the horizon.
 
     The forecast inputs are ``demand_last`` (the last settled slot's RAN
     demand), ``epoch_max`` (its maximum this policy epoch) and ``history``
@@ -238,7 +235,7 @@ class Fleet:
     the tape holds the RAN side under the capacities and settling windows
     it was built with. The tape covers only the GPUs its ``cols`` name;
     settling it reads and writes these arrays at ``cols``, and every other
-    GPU's RAN level, integral and clock stay as they are.
+    GPU's RAN level stays as it is.
 
     ``ai_granted`` is what a GPU's AI slice has granted, so its AI capacity
     left is ``ai_cap - ai_granted``, and ``ai_level`` is the rate AI runs
@@ -256,8 +253,8 @@ class Fleet:
     __slots__ = (
         "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
         "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
-        "epoch_max", "history", "min_grant", "ai_ceiling", "ran_integral", "ai_integral",
-        "ran_accrue_us", "ai_accrue_us", "tape",
+        "epoch_max", "history", "min_grant", "ai_ceiling", "ai_integral", "ai_accrue_us",
+        "tape",
     )
 
     def __init__(self, servers: list[ServerState], history_rows: int):
@@ -271,7 +268,7 @@ class Fleet:
         self.last_rows = np.cumsum(sizes) - 1
         for name in (
             "ai_cap", "ran_level", "ai_granted", "ai_level", "demand_last", "epoch_max",
-            "ran_integral", "ai_integral",
+            "ai_integral",
         ):
             setattr(self, name, np.zeros(n))
         self.history = np.full((history_rows, n), -np.inf)
@@ -279,7 +276,6 @@ class Fleet:
         self.ai_ceiling = np.ones(n)
         self.throttled = np.zeros(n, dtype=bool)
         self.settling_until_us = np.full(n, -1, dtype=np.int64)
-        self.ran_accrue_us = np.zeros(n, dtype=np.int64)
         self.ai_accrue_us = np.zeros(n, dtype=np.int64)
         self.tape = None  # see settle_segment
 
@@ -513,11 +509,10 @@ def settle_slot(state: ClusterState, t_s: float, demands: list[float]) -> bool:
     the forecaster and caps each GPU's AI at what RAN left of it; a split's
     hard AI slice is untouched by construction. Misses are appended to
     ``state.misses`` as ``(t_s, server_id, shortfall)`` when shortfall
-    exceeds 1e-9. A GPU's RAN integral accrues when its RAN level changes;
-    its AI integral, only when a throttle is applied. Returns True when a
-    GPU's throttle was applied, which may have changed job rates and so
-    queued completion events. This is a one-slot ``RanTape``, settled by
-    ``_settle_slice``.
+    exceeds 1e-9. A GPU's AI integral accrues only when a throttle is
+    applied. Returns True when a GPU's throttle was applied, which may
+    have changed job rates and so queued completion events. This is a
+    one-slot ``RanTape``, settled by ``_settle_slice``.
     """
     rem = np.array(demands, dtype=float).reshape(-1, 1)
     tape = _ran_tape(state, np.array([state.clock_us]), np.array([t_s]), rem)
@@ -576,29 +571,27 @@ class RanTape:
     for ``k < size``. ``cols`` are the GPUs (indices in ``state.gpus``,
     ascending) the tape covers: every GPU whose RAN level the tape can
     change or whose throttle test can fire (see ``_ran_tape``). Per (slot,
-    column): ``take`` is the RAN level, and ``ran_integral`` and
-    ``ran_accrue_us`` are the RAN integral and its clock after the slot.
-    Under the dynamic policy, ``asked`` is what the GPU was asked to serve
-    and ``room`` what RAN left for AI, ``ai_cap - take``; per column,
-    ``fire`` is the first slot whose throttle test fires at the grant
-    ``tested``, searched from the tape's first slot or from where a slice
-    started (``size`` where none does; see ``_first_fire``), and ``stop``
-    is the least ``fire``. ``misses`` are the tape's misses in order and
-    ``miss_slots`` their slots. ``next`` is the first slot not yet settled
-    from the tape.
+    column), ``take`` is the RAN level. Under the dynamic policy, ``asked``
+    is what the GPU was asked to serve and ``room`` what RAN left for AI,
+    ``ai_cap - take``; per column, ``fire`` is the first slot whose
+    throttle test fires at the grant ``tested``, searched from the tape's
+    first slot or from where a slice started (``size`` where none does;
+    see ``_first_fire``), and ``stop`` is the least ``fire``. ``misses``
+    are the tape's misses in order and ``miss_slots`` their slots.
+    ``next`` is the first slot not yet settled from the tape.
 
     A GPU outside ``cols`` has a RAN level of +0.0 and takes 0.0 at every
-    slot, so its level, integral and clock stay as they are; what it is
-    asked is 0.0, so its ``demand_last`` is 0.0 and its ``epoch_max``,
-    never negative, is unchanged. Its ``room`` is ``ai_cap``, and its AI
+    slot, so its level stays as it is; what it is asked is 0.0, so its
+    ``demand_last`` is 0.0 and its ``epoch_max``, never negative, is
+    unchanged. Its ``room`` is ``ai_cap``, and its AI
     grant is at most ``ai_cap``, so its throttle test cannot fire; nor is
     it throttled, since a GPU is throttled only while its grant exceeds
     ``ai_cap`` less its RAN level.
     """
 
     __slots__ = (
-        "first_us", "size", "next", "cols", "take", "ran_integral", "ran_accrue_us",
-        "asked", "room", "tested", "fire", "stop", "misses", "miss_slots",
+        "first_us", "size", "next", "cols", "take", "asked", "room", "tested", "fire", "stop",
+        "misses", "miss_slots",
     )
 
 
@@ -692,8 +685,7 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     by slot, bit for bit (``tests/test_segments.py`` keeps the scalar
     form). A position a server lacks, and a GPU at a slot it is settling,
     meets a capacity of 0, which takes nothing and leaves the remainder as
-    it is. The RAN integral accrues only at the slots where the level
-    changes, summed in slot order.
+    it is.
 
     Demand fills positions in order and stops at the first one where no
     server has any left at any slot given, so every GPU from there on
@@ -731,7 +723,7 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     keep |= fleet.ai_granted > fleet.ai_cap
     cols = np.flatnonzero(keep)
     n = min(t_us.size, max(1, CHUNK_CELLS // max(1, cols.size)))
-    t_us, t_s, rem = t_us[:n], t_s[:n], rem[:, :n].T  # rem is (slot, server) from here on
+    t_s, rem = t_s[:n], rem[:, :n].T  # rem is (slot, server) from here on
     # what each column takes, gathered a row per column, then (slot, column)
     took = np.zeros((cols.size, n))
     at, owner = at[cols], fleet.grid_rows[cols] // width
@@ -741,28 +733,9 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     take = np.ascontiguousarray(took.T)
     del fills, took
 
-    before = np.concatenate((fleet.ran_level[cols][None], take[:-1]))
-    changed = take != before
-    # the integral's clock before each slot, and after the last one
-    accrued = np.empty((n + 1, cols.size), dtype=np.int64)
-    accrued[0] = fleet.ran_accrue_us[cols]
-    np.multiply(changed, t_us[:, None], out=accrued[1:])
-    np.maximum.accumulate(accrued, out=accrued)
-    # the integral before each slot, and what the slot adds: the old level
-    # times the time since the last accrual where the level changes, else
-    # 0.0, which changes no integral (the scalar rule does not accrue there)
-    sums = np.empty((n + 1, cols.size))
-    sums[0] = fleet.ran_integral[cols]
-    dt = t_us[:, None] - accrued[:-1]
-    dt *= changed
-    np.multiply(before, dt, out=sums[1:])
-    del before, changed, dt  # temporaries, freed before the AI side's arrays are made
-    np.add.accumulate(sums, out=sums)
-
     tape = RanTape()
     tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
     tape.cols, tape.take = cols, take
-    tape.ran_integral, tape.ran_accrue_us = sums[1:], accrued[1:]
     tape.asked = tape.room = tape.tested = tape.fire = tape.stop = None
     if state.policy.is_dynamic:
         # what each GPU was asked to serve: its take, plus the server's
@@ -834,8 +807,6 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     stop, firing = _first_fire(state, tape, a, b)
     last = min(stop, b - 1)
     fleet.ran_level[cols] = tape.take[last]
-    fleet.ran_integral[cols] = tape.ran_integral[last]
-    fleet.ran_accrue_us[cols] = tape.ran_accrue_us[last]
     if state.policy.is_dynamic:
         asked = tape.asked[a:last + 1]
         fleet.demand_last[:] = 0.0
@@ -1044,7 +1015,7 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
 def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float):
     """Add ``amount`` (negative to release) to ``job``'s grant in the GPU's AI slice.
 
-    The GPU's level integrals are accrued at the old level first. The
+    The GPU's AI level integral is accrued at the old level first. The
     GPU's grant and the job's both move by ``amount``, and AI runs at the
     new grant until ``_refresh_effective`` caps it.
     """
@@ -1066,16 +1037,12 @@ def _accrue_job(job: AiJob, now_us: int):
 
 
 def accrue_all(state: ClusterState):
-    """Bring every GPU's level integrals and every running job's work up to the clock."""
+    """Bring every GPU's AI level integral and every running job's work up to the clock."""
     fleet = state.fleet
-    for integral, level, clock in (
-        (fleet.ran_integral, fleet.ran_level, fleet.ran_accrue_us),
-        (fleet.ai_integral, fleet.ai_level, fleet.ai_accrue_us),
-    ):
-        dt = state.clock_us - clock
-        due = dt > 0
-        integral[due] += level[due] * dt[due]
-        clock[due] = state.clock_us
+    dt = state.clock_us - fleet.ai_accrue_us
+    due = dt > 0
+    fleet.ai_integral[due] += fleet.ai_level[due] * dt[due]
+    fleet.ai_accrue_us[due] = state.clock_us
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             _accrue_job(job, state.clock_us)

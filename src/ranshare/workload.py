@@ -29,7 +29,7 @@ class CellConfig:
     rx_antennas: int = 4
 
     def __post_init__(self):
-        if self.bandwidth_mhz <= 0:
+        if not self.bandwidth_mhz > 0:
             raise ValueError("bandwidth_mhz must be positive")
         if self.tx_antennas < 1 or self.rx_antennas < 1:
             raise ValueError("antenna counts must be >= 1")
@@ -84,7 +84,7 @@ class LoadProfile:
         elif self.kind is ProfileKind.DIURNAL_SINUSOID:
             if not (0.0 <= self.minimum <= self.maximum <= 1.0):
                 raise ValueError("diurnal needs 0 <= min <= max <= 1")
-            if self.period_s <= 0:
+            if not self.period_s > 0:
                 raise ValueError("diurnal period must be positive")
         elif self.kind is ProfileKind.TRACE:
             if not self.points:
@@ -235,11 +235,12 @@ class AiWorkload:
     latency_bound_s: float = 0.0
 
     def __post_init__(self):
-        if self.rate_per_s < 0:
-            raise ValueError("rate must be >= 0")
-        if any(t < 0 for t in self.trace_arrivals):
-            raise ValueError("trace arrivals must be >= 0")
-        if self.slo_class is SloClass.INTERACTIVE and self.latency_bound_s <= 0:
+        # NaN fails both tests; at a NaN or inf rate gen_ai_arrivals would never return
+        if not 0 <= self.rate_per_s < math.inf:
+            raise ValueError(f"rate must be >= 0 and finite, not {self.rate_per_s}")
+        if not all(0 <= t < math.inf for t in self.trace_arrivals):
+            raise ValueError("trace arrivals must be >= 0 and finite")
+        if self.slo_class is SloClass.INTERACTIVE and not self.latency_bound_s > 0:
             raise ValueError("interactive workloads need a positive latency bound")
         # a workload with no demand in (0, 1] or no positive size is a
         # mistake: AiJob rejects a demand or size of 0 or less, and
@@ -278,7 +279,7 @@ class AiJob:
     version: int = 0  # bumped on every rate change; stale completions check it
 
     def __post_init__(self):
-        if self.size_compute_seconds <= 0:
+        if not self.size_compute_seconds > 0:  # inf is a saturating backlog
             raise ValueError("job size must be positive")
         if not 0.0 < self.demand_fraction <= 1.0:
             raise ValueError("demand_fraction must be in (0, 1]")
@@ -300,8 +301,8 @@ def gen_ai_arrivals(workload: AiWorkload, seed: int, horizon_s: float) -> list[A
     jobs the run dispatches are made: a trace arrival whose microsecond
     time is past the horizon's is dropped.
     """
-    if horizon_s <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon_s < math.inf:  # NaN fails both tests
+        raise ValueError(f"horizon must be positive and finite, not {horizon_s}")
     rng = random.Random(seed)
     jobs: list[AiJob] = []
 

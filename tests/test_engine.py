@@ -41,6 +41,7 @@ from ranshare.workload import (
     ProfileKind,
     SloClass,
     constant,
+    ran_peak_fraction,
     uniform,
 )
 
@@ -240,9 +241,10 @@ class TestValidateOnce:
         report = engine.run()
         gpu1 = engine.state.gpu_by_id("gpu1")
         horizon_us = round(sc.horizon_s * 1e6)
-        assert report.summary.per_gpu["gpu1"].avg_ran == pytest.approx(
-            engine.state.fleet.ran_integral[gpu1.index] / horizon_us, abs=1e-9
-        )
+        # the cell's constant demand fits in gpu1's RAN slice, which meets all of it
+        demand = 0.5 * ran_peak_fraction(POC_CELL, sc.calibration)
+        assert 0.0 < demand < STATIC.ran_fraction
+        assert report.summary.per_gpu["gpu1"].avg_ran == pytest.approx(demand, abs=1e-9)
         assert report.summary.per_gpu["gpu1"].avg_ai == pytest.approx(
             gpu1.ai_integral / horizon_us, abs=1e-9
         )

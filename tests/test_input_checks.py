@@ -4,10 +4,14 @@ An input is a change to ``BASE``, a valid scenario document, wherever a
 document can reach the check; ``parse_scenario`` must then refuse it. Where
 no document can (the schema stops it first, or the value is built in code),
 the input is a call to the constructor or function that makes the value.
+No check may be an ``assert`` statement, which ``python -O`` strips.
 """
 
+import ast
 import dataclasses
+import math
 import random
+from pathlib import Path
 
 import pytest
 import yaml
@@ -27,9 +31,23 @@ from ranshare.errors import (
 from ranshare.fabric import Flow, FlowKind, build_ptp_tree, build_reference_fabric
 from ranshare.orchestrator import PlacementOrder, Policy, PolicyKind, build_cluster_state
 from ranshare.scenario import parse_records, parse_scenario
-from ranshare.workload import AiJob, AiWorkload, Distribution, gen_ai_arrivals
+from ranshare.workload import (
+    AiJob,
+    AiWorkload,
+    ArrivalKind,
+    CellConfig,
+    Distribution,
+    LoadProfile,
+    ProfileKind,
+    SloClass,
+    gen_ai_arrivals,
+)
 
 GPU = GpuDevice("gpu1")
+NAN = math.nan
+STATIC = PolicyKind.STATIC_SPLIT
+DYNAMIC = PolicyKind.DYNAMIC_BACKFILL
+POISSON = AiWorkload(arrival=ArrivalKind.POISSON, rate_per_s=1.0)
 CELL = {"id": "c1", "server": "srv1", "profile": "p1"}
 BASE = {
     "servers": [{"id": "srv1", "gpus": [{"id": "gpu1"}]}],
@@ -173,6 +191,42 @@ CASES = [
     (lambda: AiJob("j1", 0.0, 0.0, 0.5), ValueError, "job size must be positive"),
     (lambda: AiJob("j1", 0.0, 1.0, 0.0), ValueError, r"demand_fraction must be in \(0, 1\]"),
     (lambda: gen_ai_arrivals(AiWorkload(), 1, 0.0), ValueError, "horizon must be positive"),
+    # -- NaN, which every comparison fails, built in code (the parser refuses it) ----
+    (lambda: Server("front", (GPU,), frontend_port_gbps=NAN),
+     ValueError, "server front: port rates must be positive"),
+    (lambda: Server("back", (GPU,), backend_port_gbps=NAN),
+     ValueError, "server back: port rates must be positive"),
+    (lambda: Server("cores", (GPU,), cpu_cores=NAN),
+     ValueError, "server cores: cpu_cores must be positive"),
+    (lambda: Policy(kind=DYNAMIC, epoch_s=NAN), ValueError, "epoch_s must be positive"),
+    (lambda: Policy(kind=DYNAMIC, window_s=NAN), ValueError, "^window_s must be positive$"),
+    (lambda: Policy(kind=STATIC, resume_delay_s=NAN), ValueError, "resume_delay_s must be >= 0"),
+    (lambda: Policy(kind=STATIC, ran_fraction=NAN, ai_fraction=0.5),
+     ValueError, "^split fractions must be >= 0$"),
+    (lambda: Policy(kind=STATIC, ran_fraction=0.5, ai_fraction=NAN),
+     ValueError, "^split fractions must be >= 0"),
+    (lambda: Policy(kind=PolicyKind.TIME_SPLIT, schedule=((0.0, NAN, 0.4),)),
+     ValueError, "^schedule interval must have end > start$"),
+    (lambda: CellConfig(bandwidth_mhz=NAN), ValueError, "bandwidth_mhz must be positive"),
+    (lambda: LoadProfile(kind=ProfileKind.DIURNAL_SINUSOID, period_s=NAN),
+     ValueError, "^diurnal period must be positive$"),
+    (lambda: AiJob("j1", 0.0, NAN, 0.5), ValueError, "^job size must be positive$"),
+    (lambda: AiWorkload(slo_class=SloClass.INTERACTIVE, latency_bound_s=NAN),
+     ValueError, "interactive workloads need a positive latency bound"),
+    (lambda: _engine(horizon_s=lambda sc: NAN), ScenarioInvalid, "sim.horizon_s must be positive"),
+    (lambda: _engine(sample_interval_s=lambda sc: NAN),
+     ScenarioInvalid, r"^sim\.sample_interval_s must be >= the slot duration$"),
+    # -- arrival inputs under which gen_ai_arrivals would never return ----------
+    (lambda: dataclasses.replace(POISSON, rate_per_s=NAN),
+     ValueError, "rate must be >= 0 and finite, not nan"),
+    (lambda: dataclasses.replace(POISSON, rate_per_s=math.inf),
+     ValueError, "rate must be >= 0 and finite, not inf"),
+    (lambda: AiWorkload(arrival=ArrivalKind.TRACE, trace_arrivals=(0.5, NAN)),
+     ValueError, "trace arrivals must be >= 0 and finite"),
+    (lambda: gen_ai_arrivals(POISSON, 1, NAN),
+     ValueError, "horizon must be positive and finite, not nan"),
+    (lambda: gen_ai_arrivals(POISSON, 1, math.inf),
+     ValueError, "horizon must be positive and finite, not inf"),
     (lambda: parse_records("bogus,0.0,x,0,0,\n"), ParseError, "unknown record type 'bogus'"),
     (lambda: parse_records("sample,0.0,gpu1,0.1\n"),
      ParseError, r"line 1: malformed row 'sample,0\.0,gpu1,0\.1'"),
@@ -217,3 +271,15 @@ def test_input_is_refused(given, error, message):
             parse_scenario(document(**given))
         else:
             given()
+
+
+def test_checks_do_not_rely_on_assert():
+    """``python -O`` strips ``assert`` statements, so no module of the package has one."""
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "ranshare").glob("*.py"))
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert paths and asserts == []

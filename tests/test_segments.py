@@ -13,17 +13,15 @@ they were for that list of rows, with their own note formatter
 formatter as it was when the log formatted each event as it came. Random
 scenarios go through them and through the engine, and everything the run
 leaves behind must be equal: report bytes, the rows and their notes, the
-raw miss list, every GPU's levels, forecast inputs and level integrals,
+raw miss list, every GPU's levels, forecast inputs and AI level integral,
 and every job.
 Targeted scenarios check the same for runs that skip quiescent policy
 epochs.
 
-Each level integral runs on its own clock. The RAN integral accrues at
-the slots where the RAN level changes and at the horizon, so no AI event
-splits it; the AI integral accrues where the orchestrator may change the
-AI level (grant changes, throttles, refreshes) and at the horizon. The
-references state the RAN half; the AI half is the orchestrator's own
-code, which both runs call.
+The AI level integral runs on its own clock. It accrues where the
+orchestrator may change the AI level (grant changes, throttles,
+refreshes), in the orchestrator's own code, which both runs call, and at
+the horizon, where the reference accrues it one GPU at a time.
 """
 
 import copy
@@ -80,9 +78,8 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
 
     Per server, demand fills GPUs in declaration order; a GPU that is
     settling takes nothing. RAN meets a GPU's RAN slices, and under the
-    dynamic policy its FREE capacity too. A GPU whose RAN level changes
-    accrues its RAN integral first, on the RAN clock. Only under the
-    dynamic policy does each GPU record what it was asked to serve, and a
+    dynamic policy its FREE capacity too. Only under the dynamic policy
+    does each GPU record what it was asked to serve, and a
     GPU whose AI grant exceeds the FREE capacity RAN left over, or that is
     throttled, has its throttle applied at once (which accrues the AI
     integral). Returns True when a throttle was applied.
@@ -95,7 +92,6 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
         for gpu in srv.gpus:
             if gpu.settling_until_us >= now_us:
                 if gpu.ran_level != 0.0:
-                    accrue(gpu, "ran", now_us)
                     gpu.ran_level = 0.0
                 continue
             ran_cap = free_cap = 0.0
@@ -117,7 +113,6 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 if asked > fleet.epoch_max[gpu.index]:
                     fleet.epoch_max[gpu.index] = asked
             if take != gpu.ran_level:
-                accrue(gpu, "ran", now_us)
                 gpu.ran_level = take
             if soft and (gpu.ai_granted > 0.0 or gpu.throttled):
                 in_free = take - ran_cap
@@ -132,14 +127,13 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     return applied
 
 
-def accrue(gpu, level: str, now_us: int):
-    """Accrue ``gpu``'s ``level`` ("ran" or "ai") integral up to ``now_us``, on its own clock."""
+def accrue_ai(gpu, now_us: int):
+    """Accrue ``gpu``'s AI level integral up to ``now_us``, on its own clock."""
     fleet, g = gpu.fleet, gpu.index
-    clock = getattr(fleet, f"{level}_accrue_us")
-    dt = now_us - clock.item(g)
+    dt = now_us - fleet.ai_accrue_us.item(g)
     if dt > 0:
-        getattr(fleet, f"{level}_integral")[g] += getattr(fleet, f"{level}_level").item(g) * dt
-        clock[g] = now_us
+        fleet.ai_integral[g] += fleet.ai_level.item(g) * dt
+        fleet.ai_accrue_us[g] = now_us
 
 
 def reference_forecast_holds(state, past: list[deque]) -> bool:
@@ -225,10 +219,9 @@ class ForecastOracle:
 
 
 def reference_accrue_all(state):
-    """``accrue_all`` one GPU and one job at a time: both integrals and all work up to the clock."""
+    """``accrue_all`` one GPU and one job at a time: AI integrals and all work up to the clock."""
     for gpu in state.gpus:
-        accrue(gpu, "ran", state.clock_us)
-        accrue(gpu, "ai", state.clock_us)
+        accrue_ai(gpu, state.clock_us)
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             orchestrator._accrue_job(job, state.clock_us)
@@ -592,8 +585,7 @@ def _gpu_state(state) -> list[tuple]:
         (
             g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
             f.demand_last.item(i), f.epoch_max.item(i), tuple(f.history[:, i].tolist()),
-            f.ai_ceiling.item(i), f.ran_integral.item(i), g.ai_integral,
-            f.ran_accrue_us.item(i), g.ai_accrue_us,
+            f.ai_ceiling.item(i), g.ai_integral, g.ai_accrue_us,
         )
         for i, g in enumerate(state.gpus)
     ]
@@ -658,7 +650,7 @@ PATHS = ("settle_slot", "_apply_throttle")
 def assert_same_run(sc: Scenario, label) -> SimEngine:
     """Run ``sc`` slot by slot and by segments; everything must be equal.
 
-    Every GPU's RAN level, RAN integral and its clock must be equal bit for bit.
+    Every GPU's RAN level must be equal bit for bit.
     """
     ref_eng = SimEngine(sc)
     ref = reference_run(ref_eng)
@@ -673,9 +665,8 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
     assert again == rep and again.summary == rep.summary, label
     assert eng.state.misses == ref_eng.state.misses, label
     assert _gpu_state(eng.state) == _gpu_state(ref_eng.state), label
-    for name in ("ran_level", "ran_integral", "ran_accrue_us"):
-        got, want = (getattr(e.state.fleet, name) for e in (eng, ref_eng))
-        assert got.tobytes() == want.tobytes(), (label, name)
+    got, want = (e.state.fleet.ran_level for e in (eng, ref_eng))
+    assert got.tobytes() == want.tobytes(), label
     assert _job_state(eng.state) == _job_state(ref_eng.state), label
     assert eng.state.events == ref_eng.state.events, label
     for rec in rep.trace:
@@ -1097,9 +1088,9 @@ def _run_keeping_raw_ran(sc: Scenario) -> tuple[SimEngine, np.ndarray]:
 def test_ai_changes_no_ran_bit():
     """A dynamic 16 x 4 fleet settles RAN to the same bits with and without its AI workloads.
 
-    Misses, every sample's RAN level, and each GPU's RAN level and RAN
-    integral with its clock, bit for bit: AI events split neither the
-    settlement nor the RAN integral. The fleet's AI is throttled as it runs.
+    Misses, every sample's RAN level, and each GPU's RAN level, bit for
+    bit: AI events do not split the settlement. The fleet's AI is throttled
+    as it runs.
     """
     sc = parse_scenario(fleet_text(), name="fleet")
     with_ai, ran = _run_keeping_raw_ran(sc)
@@ -1108,9 +1099,8 @@ def test_ai_changes_no_ran_bit():
     assert any(ev.kind == "trim" for ev in with_ai.state.events)
     assert with_ai.state.misses == without_ai.state.misses
     assert ran.tobytes() == ran_alone.tobytes()
-    for name in ("ran_level", "ran_integral", "ran_accrue_us"):
-        got, alone = (getattr(eng.state.fleet, name) for eng in (with_ai, without_ai))
-        assert got.tobytes() == alone.tobytes(), name
+    got, alone = (eng.state.fleet.ran_level for eng in (with_ai, without_ai))
+    assert got.tobytes() == alone.tobytes()
 
 
 def test_demand_is_read_once_per_chunk(monkeypatch):
@@ -1149,7 +1139,8 @@ def test_demand_is_read_once_per_chunk(monkeypatch):
 def test_fleet_tapes_cover_only_the_first_gpus(monkeypatch):
     """On a 16 x 4 cluster fleet RAN fits on each server's first GPU, and each tape covers those alone.
 
-    The other 48 GPUs keep a RAN level, integral and trace column of 0.0.
+    Each first GPU's RAN trace column is nonzero; the other 48 GPUs keep a
+    RAN level and trace column of 0.0.
     """
     tapes = _recording_tapes(monkeypatch)
     build, _fmt = _load_workloads().WORKLOADS["cluster_diurnal"]
@@ -1160,7 +1151,7 @@ def test_fleet_tapes_cover_only_the_first_gpus(monkeypatch):
     assert tapes and all(tape.cols.tolist() == firsts for tape in tapes)
     others = [g for g in range(64) if g % 4]
     fleet = eng.state.fleet
-    assert fleet.ran_integral[firsts].all() and not fleet.ran_integral[others].any()
+    assert eng.trace.ran[:, firsts].any(axis=0).all()
     assert not fleet.ran_level[others].any() and not eng.trace.ran[:, others].any()
 
 
