@@ -23,7 +23,11 @@ of one ``settle_slot`` per slot, bit for bit:
   slot, which is computed once per run of slots for the GPUs RAN reaches,
   at most ``CHUNK_CELLS`` (slot, GPU) cells, so memory does not grow with
   segment length; a slice adds only the throttle test, which it repeats
-  only for the GPUs whose AI grant changed.
+  only for the GPUs whose AI grant changed;
+* under a split whose demand bound (``DemandModel.bound``) no RAN slice can
+  miss, a segment longer than one tape, or one that runs to the horizon,
+  puts on its tapes only the slots a report sees: its samples' slots and
+  its last one.
 
 A slot whose throttle test fires ends the segment (it may change job rates
 and schedule events). RAN demand comes from the one evaluator
@@ -250,8 +254,12 @@ class Scenario:
         problems = []
         if not self.horizon_s > 0:
             problems.append("sim.horizon_s must be positive")
+        elif self.horizon_s == math.inf:
+            problems.append("sim.horizon_s must be finite")
         if not self.sample_interval_s >= self.slot_s - 1e-12:
             problems.append("sim.sample_interval_s must be >= the slot duration")
+        elif self.sample_interval_s == math.inf:
+            problems.append("sim.sample_interval_s must be finite")
         server_ids = {s.id for s in self.servers}
         if len(server_ids) != len(self.servers):
             problems.append("duplicate server ids")
@@ -373,11 +381,15 @@ def mix_seed(base_seed: int, index: int) -> int:
 
 
 def _fleet_demand(terms: list[list[tuple[float, LoadProfile]]], floor: float):
-    """Every server's demand as one ``times -> (servers, times)`` array.
+    """Every server's demand as one ``times -> (servers, times)`` array, and a bound on it.
 
     Row ``i`` adds server ``i``'s terms in order to 0.0 and floors the sum;
     a server with fewer terms than another adds ``0.0 * load``, which
-    leaves its sum unchanged. Each distinct profile is evaluated once.
+    leaves its sum unchanged. Each distinct profile is evaluated once. The
+    bound, one per server, is the same sum and floor of each profile's
+    ``bound``: a peak is positive, so every operation there is monotone in
+    a load, and the bound is at least each time's demand, bit for bit (a
+    server's missing terms add 0.0, which changes no sum).
     """
     index: dict[LoadProfile, int] = {}
     for server_terms in terms:
@@ -399,7 +411,13 @@ def _fleet_demand(terms: list[list[tuple[float, LoadProfile]]], floor: float):
             total = total + peaks[:, k, None] * loads[which[:, k]]
         return np.where(total > floor, total, floor)
 
-    return vector
+    bound = []
+    for server_terms in terms:
+        total = 0.0  # the same double operations as vector's, on each profile's bound
+        for peak, profile in server_terms:
+            total = total + peak * profile.bound
+        bound.append(total if total > floor else floor)
+    return vector, np.array(bound)
 
 
 def build_demand(scenario: Scenario) -> DemandModel:
@@ -414,11 +432,13 @@ def build_demand(scenario: Scenario) -> DemandModel:
         ]
         for server in scenario.servers
     ]
+    vector, bound = _fleet_demand(terms, floor)
     return DemandModel(
-        vector=_fleet_demand(terms, floor),
+        vector=vector,
         stepwise=all(
             c.profile.kind is not ProfileKind.DIURNAL_SINUSOID for c in scenario.cells
         ),
+        bound=bound,
     )
 
 
@@ -527,7 +547,7 @@ class SimEngine:
         self.state = orch.build_cluster_state(
             list(scenario.servers), scenario.policy, partitions, cell_hosts=cell_hosts
         )
-        self.state.slot_us = self.slot_us
+        self.state.slot_us, self.state.horizon_us = self.slot_us, self.horizon_us
         self.fabric_events: list[EventRecord] = []
         # no samples until run() allocates the whole trace
         self.trace = Trace([g.device.id for g in self.state.gpus], [], [], [])

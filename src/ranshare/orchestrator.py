@@ -235,7 +235,9 @@ class Fleet:
     the tape holds the RAN side under the capacities and settling windows
     it was built with. The tape covers only the GPUs its ``cols`` name;
     settling it reads and writes these arrays at ``cols``, and every other
-    GPU's RAN level stays as it is.
+    GPU's RAN level stays as it is. ``cannot_miss`` is the verdict of
+    ``_cannot_miss`` at these capacities, or None until a segment asks;
+    ``refresh_caches`` drops it with the tape.
 
     ``ai_granted`` is what a GPU's AI slice has granted, so its AI capacity
     left is ``ai_cap - ai_granted``, and ``ai_level`` is the rate AI runs
@@ -254,7 +256,7 @@ class Fleet:
         "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
         "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
         "epoch_max", "history", "min_grant", "ai_ceiling", "ai_integral", "ai_accrue_us",
-        "tape",
+        "tape", "cannot_miss",
     )
 
     def __init__(self, servers: list[ServerState], history_rows: int):
@@ -277,7 +279,7 @@ class Fleet:
         self.throttled = np.zeros(n, dtype=bool)
         self.settling_until_us = np.full(n, -1, dtype=np.int64)
         self.ai_accrue_us = np.zeros(n, dtype=np.int64)
-        self.tape = None  # see settle_segment
+        self.tape = self.cannot_miss = None  # see settle_segment
 
 
 @dataclass
@@ -331,7 +333,7 @@ class GpuState:
         fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
             self.ai_cap if dynamic else self.ran_units / self.device.total_units
         )
-        fleet.tape = None
+        fleet.tape = fleet.cannot_miss = None
 
     @property
     def ai_left(self) -> float:
@@ -365,6 +367,7 @@ class ClusterState:
     jobs: dict[str, AiJob] = field(default_factory=dict)
     clock_us: int = 0
     slot_us: int = 500
+    horizon_us: float = math.inf  # no slot at or past it settles
     cell_hosts: frozenset[str] = frozenset()  # ids of the servers that host a cell
     # the queue, changed only by enqueue/dequeue: its jobs in placement order,
     # and its BATCH jobs alone as (arrival, id) in arrival order, for backfill
@@ -555,11 +558,13 @@ class DemandModel:
     ``vector`` maps a float64 array of times (s) to a (server, time) array.
     Each element depends on its own time alone, so a slot reads the same
     bits however its time is batched. ``stepwise`` says that no term varies
-    continuously (constant and trace profiles only).
+    continuously (constant and trace profiles only). ``bound`` holds one
+    value per server that no element of ``vector`` exceeds, at any time.
     """
 
     vector: Callable[[np.ndarray], np.ndarray]
     stepwise: bool
+    bound: np.ndarray
 
 
 class RanTape:
@@ -567,18 +572,20 @@ class RanTape:
 
     RAN is granted before AI, so each slot's RAN levels, misses and
     forecast inputs follow from demand, ``grid_cap`` and the settling
-    windows alone. Slot ``k`` of the tape is at ``first_us + k * slot_us``,
-    for ``k < size``. ``cols`` are the GPUs (indices in ``state.gpus``,
-    ascending) the tape covers: every GPU whose RAN level the tape can
-    change or whose throttle test can fire (see ``_ran_tape``). Per (slot,
-    column), ``take`` is the RAN level. Under the dynamic policy, ``asked``
-    is what the GPU was asked to serve and ``room`` what RAN left for AI,
-    ``ai_cap - take``; per column, ``fire`` is the first slot whose
-    throttle test fires at the grant ``tested``, searched from the tape's
-    first slot or from where a slice started (``size`` where none does;
-    see ``_first_fire``), and ``stop`` is the least ``fire``. ``misses``
-    are the tape's misses in order and ``miss_slots`` their slots.
-    ``next`` is the first slot not yet settled from the tape.
+    windows alone. ``t_us`` are the times (int64 us, ascending) of the
+    tape's ``size`` slots: every slot of a run, or only those a report can
+    see (see ``settle_segment``). ``cols`` are the GPUs (indices in
+    ``state.gpus``, ascending) the tape covers: every GPU whose RAN level
+    the tape can change or whose throttle test can fire (see
+    ``_ran_tape``). Per (slot, column), ``take`` is the RAN level. Under
+    the dynamic policy, ``asked`` is what the GPU was asked to serve and
+    ``room`` what RAN left for AI, ``ai_cap - take``; per column, ``fire``
+    is the first slot whose throttle test fires at the grant ``tested``,
+    searched from the tape's first slot or from where a slice started
+    (``size`` where none does; see ``_first_fire``), and ``stop`` is the
+    least ``fire``. ``misses`` are the tape's misses in order and
+    ``miss_slots`` their slots. ``next`` is the first slot not yet settled
+    from the tape.
 
     A GPU outside ``cols`` has a RAN level of +0.0 and takes 0.0 at every
     slot, so its level stays as it is; what it is asked is 0.0, so its
@@ -590,7 +597,7 @@ class RanTape:
     """
 
     __slots__ = (
-        "first_us", "size", "next", "cols", "take", "asked", "room", "tested", "fire", "stop",
+        "t_us", "size", "next", "cols", "take", "asked", "room", "tested", "fire", "stop",
         "misses", "miss_slots",
     )
 
@@ -612,15 +619,26 @@ def settle_segment(
     the last, or, when it lies in (0, 0.5) us and so has no event, at the
     second). Otherwise the segment slices the fleet's ``RanTape``. The
     segment builds one, with one ``demand.vector`` call, when the tape it
-    finds does not go on at the segment's next slot: when it is used up,
-    and after ``refresh_caches`` or a closed-form segment. A tape reads
-    demand for ``CHUNK_CELLS // w`` slots from the one it is built at, w
-    being the number of servers or the last tape's column count, whichever
-    is more, and keeps as many of them as its own columns fit in
-    ``CHUNK_CELLS`` cells (see ``_ran_tape``): while demand reaches the
-    same GPUs, it keeps them all. A slice reads the RAN side off the tape
-    and runs the throttle test; while a GPU is throttled, whose test then
-    fires at every slot, a slice holds one slot.
+    finds does not go on at its next slot: when it is used up, and after
+    ``refresh_caches`` or a closed-form segment. A tape reads demand for
+    ``CHUNK_CELLS // w`` slots from the one it is built at, w being the
+    number of servers or the last tape's column count, whichever is more,
+    and keeps as many of them as its own columns fit in ``CHUNK_CELLS``
+    cells (see ``_ran_tape``): while demand reaches the same GPUs, it keeps
+    them all. A slice reads the RAN side off the tape and runs the throttle
+    test; while a GPU is throttled, whose test then fires at every slot, a
+    slice holds one slot.
+
+    Under a split there is no throttle test, and while no GPU settles, no
+    slot can miss if ``demand.bound``, sent through ``grid_cap``'s
+    positions as ``_ran_tape`` sends demand, leaves no server more than
+    TOL (``_cannot_miss``). A slot then changes nothing but RAN levels,
+    which a report sees only at a sample's slot and, through the levels
+    the segment leaves, at its last slot. So a segment that reads more
+    demand than one tape (``CHUNK_CELLS // servers`` slots), or that runs
+    to the horizon, builds its tapes of those slots alone. A shorter
+    segment builds a tape of every slot as before, which the segments after
+    it read on: a tape of its few observable slots would serve it alone.
 
     A slot that applies a throttle may change job rates and schedule
     events, so the call returns after it: the return value is the number of
@@ -635,6 +653,7 @@ def settle_segment(
     ``cols``: every other GPU's RAN level is 0.0 at those samples.
     """
     fleet, slot_us = state.fleet, state.slot_us
+    last_us = first_us + (count - 1) * slot_us
     if demand.stepwise and fleet.settling_until_us.max() < first_us:
         ends = np.array([0, min(1, count - 1), count - 1], dtype=np.int64)
         rows = demand.vector((first_us + slot_us * ends) / US)
@@ -652,40 +671,73 @@ def settle_segment(
                     state.misses.extend((t_us / US, sid, sf) for _t, sid, sf in missed)
             state.clock_us = first_us + (count - 1) * slot_us
             return count
+    needed = None  # the times of the slots a report sees; None for every slot
+    if (
+        not state.policy.is_dynamic
+        and (
+            count > CHUNK_CELLS // max(1, len(fleet.server_ids))
+            or last_us + slot_us >= state.horizon_us
+        )
+        and fleet.settling_until_us.max() < first_us
+        and _cannot_miss(state, demand)
+    ):
+        due = np.arange(samples.start, samples.stop, samples.step, dtype=np.int64)
+        needed = np.append(due - (due - first_us) % slot_us, last_us)
     j = i = 0  # slots[:j] are settled and samples[:i] emitted
     while j < count:
         t0 = first_us + j * slot_us
         tape = fleet.tape
-        if tape is None or tape.next == tape.size or tape.first_us + tape.next * slot_us != t0:
+        if tape is None or tape.next == tape.size or tape.t_us.item(tape.next) != t0:
             per_slot = max(len(fleet.server_ids), 0 if tape is None else tape.cols.size, 1)
             tape = fleet.tape = None  # one tape at a time
-            t_us = t0 + slot_us * np.arange(max(1, CHUNK_CELLS // per_slot), dtype=np.int64)
+            n = max(1, CHUNK_CELLS // per_slot)
+            if needed is None:
+                t_us = t0 + slot_us * np.arange(n, dtype=np.int64)
+            else:
+                t_us = needed[needed.searchsorted(t0):][:n]
             t_s = t_us / US
             tape = fleet.tape = _ran_tape(state, t_us, t_s, demand.vector(t_s))
         a = tape.next
         b = min(tape.size, a + (1 if np.count_nonzero(fleet.throttled) else count - j))
-        hi = j + b - a
+        hi = (tape.t_us.item(b - 1) - first_us) // slot_us + 1
         i_hi = bisect.bisect_left(samples, first_us + hi * slot_us, i)
         fired = _settle_slice(state, tape, a, b, samples[i:i_hi], emit)
         if fired < b - a:
-            return j + fired + 1
+            return (tape.t_us.item(a + fired) - first_us) // slot_us + 1
         j, i = hi, i_hi
     return count
+
+
+def _cannot_miss(state: ClusterState, demand: DemandModel) -> bool:
+    """Whether no slot can miss while ``grid_cap`` holds and no GPU settles.
+
+    ``demand.bound`` fills the positions as demand does in ``_ran_tape``,
+    ``rem - cap`` floored at 0.0; each step is monotone in ``rem``, so what
+    the bound leaves of a server is at least what any slot's demand leaves.
+    The verdict is kept in ``fleet.cannot_miss`` until ``refresh_caches``.
+    """
+    fleet = state.fleet
+    if fleet.cannot_miss is None:
+        rem = demand.bound
+        for p in range(fleet.grid_cap.shape[1]):
+            rem = np.maximum(rem - fleet.grid_cap[:, p], 0.0)
+        fleet.cannot_miss = not (rem > TOL).any()
+    return fleet.cannot_miss
 
 
 def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     """The RAN tape of the first slots at ``t_us`` (int64 us; ``t_s`` in s), from the fleet as it is.
 
-    ``rem`` is each server's demand, (server, slot). The tape keeps the
-    first ``CHUNK_CELLS // len(cols)`` of these slots, at least one, and
-    its arrays are (slot, column). Demand fills one GPU position of every
-    server at a time, a (slot, server) array per position. Every element
-    goes through the float operations of ``settle_slot``'s rule applied
-    one GPU at a time, in the same order, so the tape is that rule's slot
-    by slot, bit for bit (``tests/test_segments.py`` keeps the scalar
-    form). A position a server lacks, and a GPU at a slot it is settling,
-    meets a capacity of 0, which takes nothing and leaves the remainder as
-    it is.
+    The times ascend, and ``rem`` is each server's demand at them, (server,
+    slot). The tape keeps the first ``CHUNK_CELLS // len(cols)`` of these
+    slots, at least one, and its arrays are (slot, column). Demand fills
+    one GPU position of every server at a time, a (slot, server) array per
+    position. Every element goes through the float operations of
+    ``settle_slot``'s rule applied one GPU at a time, in the same order, so
+    the tape is that rule's slot by slot, bit for bit
+    (``tests/test_segments.py`` keeps the scalar form). A position a server
+    lacks, and a GPU at a slot it is settling, meets a capacity of 0, which
+    takes nothing and leaves the remainder as it is.
 
     Demand fills positions in order and stops at the first one where no
     server has any left at any slot given, so every GPU from there on
@@ -734,7 +786,7 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     del fills, took
 
     tape = RanTape()
-    tape.first_us, tape.size, tape.next = int(t_us[0]), n, 0
+    tape.t_us, tape.size, tape.next = t_us[:n], n, 0
     tape.cols, tape.take = cols, take
     tape.asked = tape.room = tape.tested = tape.fire = tape.stop = None
     if state.policy.is_dynamic:
@@ -803,7 +855,7 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     ``a``, or ``b - a`` when none fires. Of ``samples`` (us), which fall in
     the slice, those before the firing slot go to ``emit``.
     """
-    fleet, slot_us, cols = state.fleet, state.slot_us, tape.cols
+    fleet, cols = state.fleet, tape.cols
     stop, firing = _first_fire(state, tape, a, b)
     last = min(stop, b - 1)
     fleet.ran_level[cols] = tape.take[last]
@@ -816,12 +868,12 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
     state.misses.extend(tape.misses[lo:bisect.bisect_left(tape.miss_slots, last + 1, lo)])
     if samples:
         # the slot whose state each sample shows, up to the firing one
-        first_us = tape.first_us
-        marks = np.arange(samples.start - first_us, samples.stop - first_us, samples.step) // slot_us
+        due = np.arange(samples.start, samples.stop, samples.step, dtype=np.int64)
+        marks = tape.t_us.searchsorted(due, "right") - 1
         if stop < b:
             marks = marks[:marks.searchsorted(stop)]
         emit(tape.take[marks], fleet.ai_level, marks.size, cols)
-    state.clock_us = tape.first_us + last * slot_us
+    state.clock_us = tape.t_us.item(last)
     tape.next = last + 1
     if firing is not None:
         for g, room in zip(cols[firing].tolist(), tape.room[stop, firing].tolist()):

@@ -97,11 +97,28 @@ class LoadProfile:
                     raise ValueError("trace timestamps must be strictly increasing")
                 last = t
 
+    @property
+    def bound(self) -> float:
+        """An upper bound on every load ``vector_sampler`` returns.
+
+        A constant returns its level and a trace one of its values. A
+        diurnal load is clipped to 1.0, and of ``np.sin`` the bound assumes
+        no more than that it is finite at a finite time: so with ``minimum
+        == maximum`` the load is ``minimum + 0.0``, and otherwise only the
+        clip bounds it.
+        """
+        if self.kind is ProfileKind.CONSTANT:
+            return self.level
+        if self.kind is ProfileKind.DIURNAL_SINUSOID:
+            return self.minimum if self.maximum == self.minimum else 1.0
+        return max(v for _t, v in self.points)
+
     def vector_sampler(self):
         """Compile this profile into a ``times -> loads`` callable on float64 arrays.
 
         Each element depends on its own time alone, so a time gives the same
-        load, bit for bit, however the times around it are batched.
+        load, bit for bit, however the times around it are batched. Every
+        load is at most ``bound``.
         """
         if self.kind is ProfileKind.CONSTANT:
             level = self.level

@@ -216,6 +216,11 @@ CASES = [
     (lambda: _engine(horizon_s=lambda sc: NAN), ScenarioInvalid, "sim.horizon_s must be positive"),
     (lambda: _engine(sample_interval_s=lambda sc: NAN),
      ScenarioInvalid, r"^sim\.sample_interval_s must be >= the slot duration$"),
+    # -- infinity, which the parser refuses too; a run must not overflow on it ----
+    (lambda: _engine(horizon_s=lambda sc: math.inf),
+     ScenarioInvalid, r"^sim\.horizon_s must be finite$"),
+    (lambda: _engine(sample_interval_s=lambda sc: math.inf),
+     ScenarioInvalid, r"^sim\.sample_interval_s must be finite$"),
     # -- arrival inputs under which gen_ai_arrivals would never return ----------
     (lambda: dataclasses.replace(POISSON, rate_per_s=NAN),
      ValueError, "rate must be >= 0 and finite, not nan"),

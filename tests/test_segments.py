@@ -620,7 +620,7 @@ def _recording_slices(monkeypatch) -> list[tuple[int, int, bool, int]]:
     original = orchestrator._settle_slice
 
     def recording(state, tape, a, b, *rest):
-        t_us = tape.first_us + a * state.slot_us
+        t_us = tape.t_us.item(a)
         settling = bool((state.fleet.settling_until_us >= t_us).any())
         fired = original(state, tape, a, b, *rest)
         slices.append((b - a, fired, settling, a))
@@ -641,6 +641,37 @@ def _recording_tapes(monkeypatch) -> list:
 
     monkeypatch.setattr(orchestrator, "_ran_tape", recording)
     return tapes
+
+
+def _recording_segments(monkeypatch) -> list[list]:
+    """Record each segment the engine settles as [verdict, tapes built].
+
+    The verdict is what ``_cannot_miss`` returned, True when the segment
+    settles on tapes of its observable slots alone, or None where the
+    segment did not ask: the dynamic policy, a settling GPU, a segment in
+    closed form, or one no longer than a tape that ends before the horizon.
+    """
+    segments = []
+    settle, cannot_miss, ran_tape = (
+        orchestrator.settle_segment, orchestrator._cannot_miss, orchestrator._ran_tape
+    )
+
+    def settling(*args):
+        segments.append([None, 0])
+        return settle(*args)
+
+    def asking(*args):
+        segments[-1][0] = cannot_miss(*args)
+        return segments[-1][0]
+
+    def building(*args):
+        segments[-1][1] += 1
+        return ran_tape(*args)
+
+    monkeypatch.setattr(engine_module, "settle_segment", settling)
+    monkeypatch.setattr(orchestrator, "_cannot_miss", asking)
+    monkeypatch.setattr(orchestrator, "_ran_tape", building)
+    return segments
 
 
 # the engine calls settle_slot only for a segment it settles in closed form
@@ -683,9 +714,10 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
     for name in PATHS:
         _counting(monkeypatch, counts, name)
     slices = _recording_slices(monkeypatch)
+    segments = _recording_segments(monkeypatch)
     oracle = ForecastOracle(monkeypatch)
     default = orchestrator.CHUNK_CELLS
-    misses = throttled = 0
+    misses = throttled = observable = dense = chunked = 0
     for seed in range(120):
         sc = random_scenario(seed)
         chunk = default
@@ -694,9 +726,14 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
         monkeypatch.setattr(orchestrator, "CHUNK_CELLS", chunk)
         before = counts.get("_apply_throttle", 0)
         oracle.start()
+        segments.clear()
         eng = assert_same_run(sc, seed)
         throttled += counts.get("_apply_throttle", 0) > before
         misses += bool(eng.state.misses)
+        verdicts = {verdict for verdict, _tapes in segments}
+        observable += True in verdicts
+        dense += False in verdicts
+        chunked += any(verdict and tapes > 1 for verdict, tapes in segments)
     # every settlement path, and each case a tape slice handles, was exercised
     for name in PATHS:
         assert counts.get(name, 0) > 0, (name, counts)
@@ -713,6 +750,8 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
     }
     assert all(cases.values()), cases
     assert misses > 0 and throttled > 0, (misses, throttled)
+    # splits on tapes of observable slots alone (some over several chunks), and on every slot
+    assert observable >= 20 and dense >= 20 and chunked > 0, (observable, dense, chunked)
     # windows of one epoch (no history) and longer, both forecasts, and steady epochs
     assert min(oracle.windows) == 1 and max(oracle.windows) > 2, oracle.windows
     assert oracle.kinds == set(ForecastKind) and 0 < oracle.held < oracle.epochs
@@ -944,7 +983,7 @@ def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
     )
     eng = assert_same_run(sc, "settling middle")
     assert any(settling and n > 1 for n, _fired, settling, _a in slices), slices
-    assert [tape.first_us for tape in tapes] == [0, 50_500, 100_500]
+    assert [tape.t_us.item(0) for tape in tapes] == [0, 50_500, 100_500]
     assert [ev.subject for ev in eng.state.events if ev.kind == "repartition"] == ["srv1-gpu1"] * 2
     assert eng.state.misses
 
@@ -992,7 +1031,7 @@ def assert_slice_matches_slots(state, tape, a: int, demands: np.ndarray) -> int:
     ref = copy.deepcopy(state)
     fired = orchestrator._settle_slice(state, tape, a, tape.size)
     for k in range(a, tape.size):
-        ref.clock_us = t = tape.first_us + k * state.slot_us
+        ref.clock_us = t = tape.t_us.item(k)
         if reference_settle_slot(ref, t / US, demands[:, k].tolist()):
             assert fired == k - a
             break
@@ -1131,6 +1170,77 @@ def test_demand_is_read_once_per_chunk(monkeypatch):
     # one read per segment would be over sixteen times as many
     assert chunks == 4 and len(reads) <= chunks and 16 * chunks < segments[0], (reads, segments)
     assert sum(reads) == chunks * chunk
+
+
+def test_poc_reads_demand_only_at_the_slots_a_report_sees(monkeypatch):
+    """The 600 s ``poc`` split reads demand at its samples' slots and a few per segment, not at 1.2 M.
+
+    Its cell asks at most 0.40 of the GPU, which the 0.40 RAN slice holds,
+    so no slot can miss and a slot between samples changes nothing a
+    report shows. The job arriving at 0 s makes a one-slot segment first,
+    too short to pass a tape of every slot, so it builds one, of
+    ``CHUNK_CELLS`` slots, and the segment to the horizon reads on from it.
+    """
+    eng = SimEngine(parse_scenario((ROOT / "scenarios" / "poc.scenario").read_text(), name="poc"))
+    times = []
+
+    def counting(t_s):
+        times.append(t_s.size)
+        return vector(t_s)
+
+    vector = eng.demand.vector
+    eng.demand = dataclasses.replace(eng.demand, vector=counting)
+    segments = _counting_segments(monkeypatch)
+    report = eng.run()
+    samples = report.trace.times.size
+    assert samples == 60_001 and not report.deadline_misses
+    assert times[0] == orchestrator.CHUNK_CELLS and segments[0] == 2, (times, segments)
+    assert sum(times) <= orchestrator.CHUNK_CELLS + samples + 3 * segments[0], sum(times)
+
+
+def _split_wave(minimum: float, maximum: float) -> Scenario:
+    """A cell peaking at 0.8 of the GPU, on a diurnal load, on a 0.45 RAN slice."""
+    wave = LoadProfile(
+        ProfileKind.DIURNAL_SINUSOID, minimum=minimum, maximum=maximum, period_s=0.1
+    )
+    return Scenario(
+        name="wave",
+        servers=(Server(id="srv1", gpus=(GpuDevice("gpu1"), GpuDevice("gpu2"))),),
+        cells=(CellSpec("cell1", CellConfig(), wave, "srv1"),),
+        calibration=Calibration(reference_peak_fraction=0.8),
+        ai_workloads=(AiWorkload(id="sat", arrival=ArrivalKind.SATURATING),),
+        policy=Policy(
+            kind=PolicyKind.STATIC_SPLIT, ran_fraction=0.45, ai_fraction=0.55,
+            split_gpus=("gpu1",),
+        ),
+        horizon_s=0.3,
+        sample_interval_s=0.0015,
+    )
+
+
+@pytest.mark.parametrize(
+    "minimum, maximum, verdict, misses",
+    [(0.5, 0.5, True, False), (0.2, 0.5, False, False), (0.2, 1.0, False, True)],
+    ids=["bound fits", "bound passes the slice, no miss", "misses"],
+)
+def test_split_keeps_every_slot_unless_its_bound_fits(monkeypatch, minimum, maximum, verdict, misses):
+    """A split reads only observable slots when demand's bound fits its RAN slice, else every slot.
+
+    Demand is 0.8 x load on a 0.45 slice. A load of 0.5 (min = max) is
+    bounded by 0.5, which fits. A load from 0.2 to 0.5 asks at most 0.4 and
+    never misses, but only the clip bounds it, at 1.0, which does not fit.
+    A load up to 1.0 misses at its peaks. Each run equals the slot-by-slot
+    one. The segment to the horizon asks; the one-slot segment at the
+    saturating job's arrival is too short to, and its tape, of 64 slots
+    here, serves the next segment's first slots.
+    """
+    monkeypatch.setattr(orchestrator, "CHUNK_CELLS", 64)
+    segments = _recording_segments(monkeypatch)
+    tapes = _recording_tapes(monkeypatch)
+    eng = assert_same_run(_split_wave(minimum, maximum), (minimum, maximum))
+    assert {v for v, _tapes in segments} == {None, verdict} and bool(eng.state.misses) == misses
+    every_slot = [bool((np.diff(tape.t_us) == eng.slot_us).all()) for tape in tapes]
+    assert all(every_slot) != verdict, every_slot
 
 
 # -- the tape's columns ----------------------------------------------------------

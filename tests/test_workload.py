@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ranshare.compute import GpuDevice, Server
 from ranshare.engine import CellSpec, Scenario, build_demand
@@ -177,6 +179,106 @@ class TestSampleLoad:
             LoadProfile(kind=ProfileKind.TRACE, points=((0.0, 0.5), (0.0, 0.6)))
         with pytest.raises(ValueError):
             LoadProfile(kind=ProfileKind.CONSTANT, level=1.5)
+
+
+# every slot of a 60 s run at 0.5 ms, and every 397th slot of the 600 s one
+SLOTS = np.concatenate([np.arange(0, 120_000), np.arange(0, 1_200_000, 397)]) * 500 / 1e6
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def load_profiles(draw) -> LoadProfile:
+    """Profiles of every kind; diurnal ones often with min = max or max = 1.0, and short periods."""
+    kind = draw(st.sampled_from(list(ProfileKind)))
+    if kind is ProfileKind.CONSTANT:
+        return LoadProfile(kind=kind, level=draw(UNIT))
+    if kind is ProfileKind.DIURNAL_SINUSOID:
+        lo = draw(UNIT)
+        return LoadProfile(
+            kind=kind,
+            minimum=lo,
+            maximum=draw(st.one_of(st.just(lo), st.just(1.0), st.floats(lo, 1.0))),
+            period_s=draw(st.one_of(
+                st.sampled_from((0.0005, 0.001, 0.0015, 0.02)), st.floats(1e-4, 1e5)
+            )),
+            phase=draw(st.floats(-1e3, 1e3)),
+        )
+    times = sorted(draw(st.lists(st.floats(-1.0, 700.0), min_size=1, max_size=8, unique=True)))
+    return LoadProfile(kind=kind, points=tuple((t, draw(UNIT)) for t in times))
+
+
+@st.composite
+def fleets(draw) -> Scenario:
+    """One to four servers of zero to four cells each, on any profiles and an idle floor."""
+    servers = tuple(
+        Server(id=f"srv{i}", gpus=(GpuDevice(f"gpu{i}"),)) for i in range(draw(st.integers(1, 4)))
+    )
+    cells = []
+    for server in servers:
+        for _ in range(draw(st.integers(0, 4))):
+            antennas = draw(st.sampled_from((1, 2, 4)))
+            config = CellConfig(
+                bandwidth_mhz=draw(st.sampled_from((10.0, 40.0, 100.0))),
+                tx_antennas=antennas,
+                rx_antennas=antennas,
+            )
+            cells.append(CellSpec(f"cell{len(cells)}", config, draw(load_profiles()), server.id))
+    return Scenario(
+        name="fleet",
+        servers=servers,
+        cells=tuple(cells),
+        calibration=Calibration(
+            reference_peak_fraction=draw(st.floats(0.01, 1.0)),
+            idle_floor_fraction=draw(st.one_of(st.just(0.0), UNIT)),
+        ),
+        ai_workloads=(),
+        policy=Policy(kind=PolicyKind.DYNAMIC_BACKFILL),
+    )
+
+
+class TestBound:
+    """``LoadProfile.bound`` and ``DemandModel.bound`` are at least every value their evaluators return.
+
+    Under a split, a segment whose demand bound fits the RAN slices
+    reads demand at a few slots only (``orchestrator.settle_segment``), so
+    a value past its bound would hide a miss.
+    """
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(load_profiles(), st.lists(st.floats(-1e4, 1e6), max_size=50))
+    def test_profile_loads_are_within_the_bound(self, profile, times):
+        t = np.concatenate([SLOTS, times])
+        assert (profile.vector_sampler()(t) <= profile.bound).all()
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(fleets(), st.lists(st.floats(-1e4, 1e6), max_size=50))
+    def test_demand_is_within_the_bound(self, scenario, times):
+        demand = build_demand(scenario)
+        t = np.concatenate([SLOTS, times])
+        assert (demand.vector(t) <= demand.bound[:, None]).all()
+
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, -math.pi / 2, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "minimum, maximum, period_s",
+        [(0.98, 1.0, 300.0), (0.2, 1.0, 0.001), (0.0, 1.0, 0.0005), (0.7, 0.7, 0.02)],
+        ids=["poc", "max 1.0, period 2 slots", "max 1.0, period 1 slot", "min = max"],
+    )
+    def test_diurnal_loads_over_the_poc_grid(self, minimum, maximum, period_s, phase):
+        """Every slot of a 600 s run at 0.5 ms, for diurnal loads that reach the bound."""
+        profile = LoadProfile(
+            ProfileKind.DIURNAL_SINUSOID, minimum=minimum, maximum=maximum,
+            period_s=period_s, phase=phase,
+        )
+        loads = profile.vector_sampler()(np.arange(1_200_000) * 500 / 1e6)
+        assert profile.bound == maximum and loads.max() <= maximum
+
+    def test_bounds_by_kind(self):
+        trace = LoadProfile(ProfileKind.TRACE, points=((0.0, 0.3), (1.0, 0.8), (2.0, 0.1)))
+        assert trace.bound == 0.8
+        assert LoadProfile(ProfileKind.CONSTANT, level=0.35).bound == 0.35
+        # a diurnal load below 1.0 is bounded by the clip alone
+        wave = LoadProfile(ProfileKind.DIURNAL_SINUSOID, minimum=0.2, maximum=0.9)
+        assert wave.bound == 1.0
 
 
 class TestArrivals:
