@@ -4,7 +4,7 @@ Slice sizes are stored internally as integer multiples of the device's
 partition granularity; the decimal fraction is derived as units/total so
 that e.g. a 0.4/0.6 split reproduces those decimals exactly. Slices hold
 no grants: the orchestrator keeps what each GPU's one AI slice has granted
-in its fleet arrays (``GpuState.ai_granted``), and drains a GPU before it
+in its fleet arrays (``Fleet.ai_granted``), and drains a GPU before it
 calls ``repartition``, so a new layout never has a grant to fit.
 """
 

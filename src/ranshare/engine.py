@@ -649,10 +649,9 @@ class SimEngine:
         for block in (a[s:s + step] for a in (trace.ran, trace.ai) for s in range(0, len(a), step)):
             block[...] = round6(block)
         state = self.state
-        index = {gpu.device.id: g for g, gpu in enumerate(state.gpus)}
-        heads = {srv.server.id: index[srv.gpus[0].device.id] for srv in state.servers}
+        heads = {srv.server.id: srv.gpus[0].index for srv in state.servers}
         noted = [(t, heads[sid], "miss") for t, sid, _shortfall in state.misses]
-        noted += [(ev.time_s, index[ev.subject], ev.kind) for ev in state.events
+        noted += [(ev.time_s, state.gpu_by_id(ev.subject).index, ev.kind) for ev in state.events
                   if ev.kind in NOTED_EVENTS]
         times, gpus, kinds = zip(*noted) if noted else ((), (), ())
         at = np.searchsorted(trace.times, times).tolist()
@@ -733,7 +732,7 @@ class SimEngine:
             state.log("reroute", "-")
         elif kind is EventKind.REPARTITION_SETTLED:
             gpu = state.gpu_by_id(payload[0])
-            if gpu.settling_until_us <= t_us:
+            if state.fleet.settling_until_us.item(gpu.index) <= t_us:
                 state.log("settled", gpu.device.id)
                 placement_round(state)
         return False

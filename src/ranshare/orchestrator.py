@@ -199,26 +199,16 @@ class PlacementOrder:
         del self.entries[i]
 
 
-def _column(name: str) -> property:
-    """A ``GpuState`` field whose one store is the fleet array ``name``, at the GPU's index."""
-
-    def get(gpu):
-        return getattr(gpu.fleet, name).item(gpu.index)
-
-    def put(gpu, value):
-        getattr(gpu.fleet, name)[gpu.index] = value
-
-    return property(get, put)
-
-
 class Fleet:
     """Every GPU's per-slot settlement state, one array per field, in ``ClusterState.gpus`` order.
 
-    Slice-size caches (``ai_cap``, ``grid_cap``) change only in
-    ``GpuState.refresh_caches``; the slot levels, the AI grant and the
-    throttle flag, the end of a repartition's settling, the forecast inputs
-    and the AI level integral change wherever the orchestrator changes them,
-    through ``GpuState``'s properties or as whole arrays.
+    These arrays are the one store of every number per GPU: GPU ``g``'s
+    element of ``name`` is ``fleet.name[g]``, ``g`` being its
+    ``GpuState.index``. Slice-size caches (``ai_cap``, ``grid_cap``) change
+    only in ``GpuState.refresh_caches``; the slot levels, the AI grant and
+    the throttle flag, the end of a repartition's settling, the forecast
+    inputs and the AI level integral change wherever the orchestrator
+    changes them, one element at a time or as whole arrays.
 
     The AI level integral has its own clock (``ai_accrue_us``: the time up
     to which it is accrued). It accrues where the AI level may change: a
@@ -286,37 +276,21 @@ class Fleet:
 class GpuState:
     """One GPU's jobs and slices; its levels, grant and forecast inputs live in the fleet arrays.
 
-    ``ClusterState`` sets ``fleet`` and ``index``. Each property below reads
-    and writes the GPU's element of the fleet array of the same name.
-    ``ai_slice`` is the one slice AI jobs may use under the policy, or None:
-    the whole-GPU FREE slice under the dynamic policy, the AI slice under a
-    split. Every job on the GPU runs in it.
+    ``index`` is the GPU's element in each ``Fleet`` array, set by
+    ``ClusterState``. ``ai_slice`` is the one slice AI jobs may use under
+    the policy, or None: the whole-GPU FREE slice under the dynamic policy,
+    the AI slice under a split. Every job on the GPU runs in it.
     """
 
     device: GpuDevice
     instances: list[GpuInstance]
     jobs: list[AiJob] = field(default_factory=list)
     ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
-    ran_units: int = 0  # the RAN slice's size in units, 0 without one; set where the GPU is cut
     generation: int = 0  # repartitions so far
-    fleet: Fleet | None = field(default=None, repr=False)
     index: int = -1
 
-    # slice-size cache, refreshed on (re)partition
-    ai_cap = _column("ai_cap")  # the AI slice's size, 0.0 without one
-    # the AI grant and the current slot levels
-    ai_granted = _column("ai_granted")
-    ran_level = _column("ran_level")
-    ai_level = _column("ai_level")  # the grant, after the dynamic policy's per-slot cap
-    throttled = _column("throttled")
-    # repartition settling: slots up to this time accept no allocations
-    settling_until_us = _column("settling_until_us")
-    # the AI level integral, accrued up to its own clock (microseconds)
-    ai_integral = _column("ai_integral")
-    ai_accrue_us = _column("ai_accrue_us")
-
-    def refresh_caches(self, dynamic: bool):
-        """Recompute the slice caches and zero the AI grant after a (re)partition.
+    def refresh_caches(self, fleet: Fleet, dynamic: bool):
+        """Recompute the GPU's slice caches in ``fleet`` and zero its grant after a (re)partition.
 
         A GPU is (re)partitioned only with no job on it, so it holds no
         grant. ``dynamic``: the dynamic policy, under which the GPU is one
@@ -326,26 +300,20 @@ class GpuState:
         """
         ai_class = TenantClass.FREE if dynamic else TenantClass.AI
         self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
-        self.ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
-        self.ai_granted = self.ai_level = 0.0
-        self.throttled = False
-        fleet = self.fleet
-        fleet.grid_cap.flat[fleet.grid_rows[self.index]] = (
-            self.ai_cap if dynamic else self.ran_units / self.device.total_units
+        ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
+        g = self.index
+        fleet.ai_cap[g] = ai_cap
+        fleet.ai_granted[g] = fleet.ai_level[g] = 0.0
+        fleet.throttled[g] = False
+        fleet.grid_cap.flat[fleet.grid_rows[g]] = (
+            ai_cap if dynamic else _ran_units(self) / self.device.total_units
         )
         fleet.tape = fleet.cannot_miss = None
 
-    @property
-    def ai_left(self) -> float:
-        """What the AI slice has left to grant."""
-        return self.ai_cap - self.ai_granted
 
-    def accrue_ai(self, now_us: int):
-        """Accrue the AI level integral up to ``now_us``, before the AI level changes."""
-        dt = now_us - self.ai_accrue_us
-        if dt > 0:
-            self.ai_integral += self.ai_level * dt
-            self.ai_accrue_us = now_us
+def _ran_units(gpu: GpuState) -> int:
+    """The size of the GPU's RAN slice in units, 0 without one."""
+    return next((i.units for i in gpu.instances if i.tenant_class is TenantClass.RAN), 0)
 
 
 @dataclass
@@ -395,8 +363,8 @@ class ClusterState:
         dynamic = self.policy.is_dynamic
         self.fleet = Fleet(self.servers, _window(self.policy) - 1 if dynamic else 0)
         for i, gpu in enumerate(self.gpus):
-            gpu.fleet, gpu.index = self.fleet, i
-            gpu.refresh_caches(dynamic)
+            gpu.index = i
+            gpu.refresh_caches(self.fleet, dynamic)
         self.by_id = sorted(self.servers, key=lambda s: s.server.id)
         self.id_rows = np.array([gpu.index for srv in self.by_id for gpu in srv.gpus], dtype=np.intp)
         sizes = [len(srv.gpus) for srv in self.by_id]
@@ -459,11 +427,7 @@ def build_cluster_state(
         gpu_states = []
         for gpu in server.gpus:
             ran, ai = partitions.get(gpu.id, (0.0, 0.0))
-            gpu_states.append(GpuState(
-                device=gpu,
-                instances=compute.partition_gpu(gpu, ran, ai),
-                ran_units=round(ran * gpu.total_units),
-            ))
+            gpu_states.append(GpuState(device=gpu, instances=compute.partition_gpu(gpu, ran, ai)))
         server_states.append(ServerState(server=server, gpus=gpu_states))
     return ClusterState(
         servers=server_states,
@@ -530,7 +494,9 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
     the cap does not bite, every job runs at its grant, and AI at
     exactly ``ai_granted``: only a job not at its grant changes rate.
     """
-    bites = gpu.ai_granted > allowed
+    fleet, g = state.fleet, gpu.index
+    granted = fleet.ai_granted.item(g)
+    bites = granted > allowed
     remaining = allowed if bites else math.inf
     eff_total = 0.0
     # oldest first: the oldest job keeps its rate
@@ -540,9 +506,9 @@ def _apply_throttle(state: ClusterState, gpu: GpuState, allowed: float):
         eff_total += rate
         if rate != job.service_rate:
             set_rate(state, job, rate)
-    gpu.accrue_ai(state.clock_us)
-    gpu.ai_level = eff_total if bites else gpu.ai_granted
-    gpu.throttled = bites and eff_total < gpu.ai_granted - TOL
+    _accrue_ai(fleet, g, state.clock_us)
+    fleet.ai_level[g] = eff_total if bites else granted
+    fleet.throttled[g] = bites and eff_total < granted - TOL
 
 
 # A RAN tape holds at most CHUNK_CELLS (slot, column) cells and reads demand
@@ -1026,7 +992,7 @@ def policy_epoch(state: ClusterState, t: float) -> list[ScaleAction]:
             # layout is its RAN units
             total = gpu.device.total_units
             units = round(ran * total)
-            if units != gpu.ran_units:
+            if units != _ran_units(gpu):
                 actions.append(ScaleAction(ActionKind.REPARTITION, gpu.device.id, units / total))
         return actions
 
@@ -1071,9 +1037,9 @@ def _change_grant(state: ClusterState, gpu: GpuState, job: AiJob, amount: float)
     GPU's grant and the job's both move by ``amount``, and AI runs at the
     new grant until ``_refresh_effective`` caps it.
     """
-    gpu.accrue_ai(state.clock_us)
-    gpu.ai_granted += amount
-    gpu.ai_level = gpu.ai_granted
+    fleet, g = state.fleet, gpu.index
+    _accrue_ai(fleet, g, state.clock_us)
+    fleet.ai_granted[g] = fleet.ai_level[g] = fleet.ai_granted.item(g) + amount
     job.granted_fraction += amount
 
 
@@ -1086,6 +1052,14 @@ def _accrue_job(job: AiJob, now_us: int):
             rem = job.remaining_compute_seconds - done
             job.remaining_compute_seconds = rem if rem > 0.0 else 0.0
         job.accrued_until_us = now_us
+
+
+def _accrue_ai(fleet: Fleet, g: int, now_us: int):
+    """Accrue GPU ``g``'s AI level integral up to ``now_us``, before its AI level changes."""
+    dt = now_us - fleet.ai_accrue_us.item(g)
+    if dt > 0:
+        fleet.ai_integral[g] = fleet.ai_integral.item(g) + fleet.ai_level.item(g) * dt
+        fleet.ai_accrue_us[g] = now_us
 
 
 def accrue_all(state: ClusterState):
@@ -1192,23 +1166,26 @@ def _refresh_effective(state: ClusterState, gpu: GpuState):
     """Re-apply the dynamic policy's per-slot cap after grant changes."""
     if not state.policy.is_dynamic:
         return  # a split's AI slice is hard: AI runs at its grant
-    allowed = gpu.ai_cap - gpu.ran_level
-    if gpu.ai_granted > allowed + TOL or gpu.throttled:
+    fleet, g = state.fleet, gpu.index
+    allowed = fleet.ai_cap.item(g) - fleet.ran_level.item(g)
+    granted = fleet.ai_granted.item(g)
+    if granted > allowed + TOL or fleet.throttled.item(g):
         _apply_throttle(state, gpu, allowed)
     else:
-        gpu.accrue_ai(state.clock_us)
-        gpu.ai_level = gpu.ai_granted
+        _accrue_ai(fleet, g, state.clock_us)
+        fleet.ai_level[g] = granted
 
 
 def _top_up(state: ClusterState, gpu: GpuState, budget: float) -> float:
     """Raise under-granted running jobs toward their demand, oldest first."""
+    fleet, g = state.fleet, gpu.index
     for job in sorted(gpu.jobs, key=lambda j: (j.arrival_time, j.id)):
         if budget <= TOL:
             break
         gap = job.demand_fraction - job.granted_fraction
         if gap <= TOL:
             continue
-        extra = min(gap, budget, gpu.ai_left)
+        extra = min(gap, budget, fleet.ai_cap.item(g) - fleet.ai_granted.item(g))
         if extra <= TOL:
             continue
         _change_grant(state, gpu, job, extra)
@@ -1227,13 +1204,14 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
     only enter via plan_placement with their full demand. Callers pass
     no GPU that is settling.
     """
+    fleet, g = state.fleet, gpu.index
     min_grant = gpu.device.partition_granularity
     queue = state.batch_queue
     i = 0  # start_job dequeues queue[i - 1], so the next job then sits there
     while i < len(queue) and budget >= min_grant - TOL:
         job = state.jobs[queue[i][1]]
         i += 1
-        free = gpu.ai_left  # 0.0 without an AI slice
+        free = fleet.ai_cap.item(g) - fleet.ai_granted.item(g)  # 0.0 without an AI slice
         if free + TOL < min_grant:
             break  # free only shrinks here: no later job can be granted either
         grant = min(job.demand_fraction, budget, free)
@@ -1280,20 +1258,20 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI."""
     if state.policy.is_dynamic:
         raise ValueError(f"dynamic_backfill shares whole GPUs; cannot partition {action.gpu_id}")
-    gpu = state.gpu_by_id(action.gpu_id)
+    gpu, fleet = state.gpu_by_id(action.gpu_id), state.fleet
     for job in list(gpu.jobs):  # drain AI before resizing
         preempt_job(state, gpu, job)
-    gpu.accrue_ai(state.clock_us)
+    _accrue_ai(fleet, gpu.index, state.clock_us)
     gpu.generation += 1
     prefix = f"{gpu.device.id}.g{gpu.generation}"
     gpu.instances = compute.repartition(gpu.device, action.fraction, 1.0 - action.fraction, prefix)
-    gpu.ran_units = round(action.fraction * gpu.device.total_units)
-    gpu.refresh_caches(state.policy.is_dynamic)
+    gpu.refresh_caches(fleet, dynamic=False)
     # the boundary slot finishes on the old layout (ran_level persists);
     # the next settle_slots slot settlements find the GPU settling
-    gpu.settling_until_us = state.clock_us + state.policy.settle_slots * state.slot_us
+    until = state.clock_us + state.policy.settle_slots * state.slot_us
+    fleet.settling_until_us[gpu.index] = until
     state.log(
         "repartition", gpu.device.id,
         layout=[(i.compute_fraction, i.tenant_class) for i in gpu.instances],
     )
-    state.push(gpu.settling_until_us, EventKind.REPARTITION_SETTLED, (gpu.device.id,))
+    state.push(until, EventKind.REPARTITION_SETTLED, (gpu.device.id,))

@@ -3,8 +3,9 @@
 ``compute`` cuts GPUs into slices; grants inside slices are made by the
 orchestrator, on the engine path: ``settle_slot`` grants RAN demand each
 slot, and ``start_job``/``backfill_queue`` grant AI inside each GPU's one
-AI slice (``GpuState.ai_slice``), recorded as the GPU's ``ai_granted``. AI
-runs at that grant (``ai_level``) unless the dynamic policy caps it.
+AI slice (``GpuState.ai_slice``), recorded as the GPU's element of the
+fleet array ``ai_granted``. AI runs at that grant (``ai_level``) unless the
+dynamic policy caps it.
 """
 
 import math
@@ -90,19 +91,20 @@ def assert_ledger(state) -> float:
     AI exactly its grant, but one that bites by TOL or less leaves the GPU
     unthrottled just below it.
     """
-    total = 0.0
+    total, fleet = 0.0, state.fleet
     for gpu_state in state.gpus:
+        g = gpu_state.index
         ai_slice = gpu_state.ai_slice
-        assert gpu_state.ai_cap == (ai_slice.compute_fraction if ai_slice else 0.0)
+        assert fleet.ai_cap.item(g) == (ai_slice.compute_fraction if ai_slice else 0.0)
         held = math.fsum(j.granted_fraction for j in gpu_state.jobs)
-        granted = gpu_state.ai_granted
+        granted = fleet.ai_granted.item(g)
         assert granted == pytest.approx(held, abs=1e-9)
-        assert granted <= gpu_state.ai_cap + 1e-9
-        assert gpu_state.ai_level <= granted + TOL
+        assert granted <= fleet.ai_cap.item(g) + 1e-9
+        assert fleet.ai_level.item(g) <= granted + TOL
         if not state.policy.is_dynamic:
-            assert not gpu_state.throttled and gpu_state.ai_level == granted
-        elif not gpu_state.throttled:
-            assert gpu_state.ai_level == pytest.approx(granted, abs=TOL)
+            assert not fleet.throttled.item(g) and fleet.ai_level.item(g) == granted
+        elif not fleet.throttled.item(g):
+            assert fleet.ai_level.item(g) == pytest.approx(granted, abs=TOL)
         total += granted
     return total
 
@@ -167,38 +169,40 @@ class TestAllocate:
 
     def test_fits_within_slice(self):
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         assert settle(state, 0.35) == []
-        assert gpu1.ran_level == 0.35
+        assert fleet.ran_level.item(0) == 0.35
         job = run_job(state, gpu1, 0.5)
-        assert gpu1.ai_slice is slice_of(gpu1, AI) and gpu1.ai_granted == gpu1.ai_level == 0.5
+        assert gpu1.ai_slice is slice_of(gpu1, AI)
+        assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == 0.5
         assert job.service_rate == 0.5
 
     def test_clipped_at_slice(self):
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         misses = settle(state, 0.5)
-        assert gpu1.ran_level == pytest.approx(0.4, abs=1e-12)
+        assert fleet.ran_level.item(0) == pytest.approx(0.4, abs=1e-12)
         assert [m[2] for m in misses] == [pytest.approx(0.1, abs=1e-12)]
         # a job asking for the whole GPU is granted the AI slice and no more
         job = queue_job(state, "big", 1.0)
         backfill_queue(state, gpu1, math.inf)
         assert job.granted_fraction == pytest.approx(0.6, abs=1e-12)
         assert gpu1.ai_slice is slice_of(gpu1, AI)
-        assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.6, abs=1e-12)
+        assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_demand(self):
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         assert settle(state, 0.0) == []
-        assert gpu1.ran_level == 0.0 and gpu1.ai_level == gpu1.ai_granted == 0.0
+        assert fleet.ran_level.item(0) == 0.0
+        assert fleet.ai_level.item(0) == fleet.ai_granted.item(0) == 0.0
 
     def test_class_mismatch(self):
         """A slice serves its own class only."""
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         # RAN demand does not spill into the idle AI slice
-        assert settle(state, 0.9) and gpu1.ran_level == pytest.approx(0.4)
+        assert settle(state, 0.9) and fleet.ran_level.item(0) == pytest.approx(0.4)
         # AI work does not land in the RAN slice, although RAN leaves 0.2 of it idle
         settle(state, 0.2)
         assert gpu1.ai_slice is slice_of(gpu1, AI)
@@ -207,27 +211,28 @@ class TestAllocate:
         assert plan_placement([late], state).assignments == {}
         backfill_queue(state, gpu1, math.inf)
         assert late.state is JobState.QUEUED
-        assert gpu1.ai_granted == pytest.approx(0.6)
+        assert fleet.ai_granted.item(0) == pytest.approx(0.6)
 
     def test_free_accepts_any_class(self):
         state = whole_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         assert gpu1.ai_slice is slice_of(gpu1, FREE)
         job = run_job(state, gpu1, 0.9)
         assert settle(state, 0.2) == []
-        assert gpu1.ran_level == pytest.approx(0.2)
+        assert fleet.ran_level.item(0) == pytest.approx(0.2)
         # the grant stays held; RAN comes first, so AI runs at what is left
-        assert gpu1.ai_granted == pytest.approx(0.9) and gpu1.ai_level == pytest.approx(0.8)
-        assert job.service_rate == pytest.approx(0.8) and gpu1.throttled
+        assert fleet.ai_granted.item(0) == pytest.approx(0.9)
+        assert fleet.ai_level.item(0) == pytest.approx(0.8)
+        assert job.service_rate == pytest.approx(0.8) and fleet.throttled.item(0)
 
     def test_slot_accumulation(self):
         """Each slot grants its demand afresh; nothing accumulates across slots."""
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         for k in range(3):
             state.clock_us = k * state.slot_us
             assert settle(state, 0.3) == []
-            assert gpu1.ran_level == 0.3
+            assert fleet.ran_level.item(0) == 0.3
         state.clock_us += state.slot_us
         assert [m[2] for m in settle(state, 0.5)] == [pytest.approx(0.1, abs=1e-12)]
 
@@ -258,12 +263,13 @@ class TestAllocate:
             state = build_cluster_state(
                 servers, policy, initial_partitions(policy, servers, hosts), cell_hosts=hosts
             )
+            fleet = state.fleet
             for gpu_state in state.gpus:
                 # only a split's GPU is ever repartitioned, and so settles
                 if rng.random() < 0.15 and not state.policy.is_dynamic:
-                    gpu_state.settling_until_us = 10**9
+                    fleet.settling_until_us[gpu_state.index] = 10**9
                 if gpu_state.ai_slice and rng.random() < 0.5:
-                    grant = rng.uniform(0.05, gpu_state.ai_cap)
+                    grant = rng.uniform(0.05, fleet.ai_cap.item(gpu_state.index))
                     run_job(state, gpu_state, grant, jid=f"{gpu_state.device.id}-j")
             for k in range(4):
                 state.clock_us = k * state.slot_us
@@ -272,7 +278,7 @@ class TestAllocate:
                 misses = settle(state, *demands)
                 shortfall = {sid: sf for _t, sid, sf in misses}
                 for srv, demand in zip(state.servers, demands):
-                    granted = math.fsum(g.ran_level for g in srv.gpus)
+                    granted = math.fsum(fleet.ran_level.item(g.index) for g in srv.gpus)
                     assert granted + shortfall.get(srv.server.id, 0.0) == pytest.approx(
                         demand, abs=1e-9
                     )
@@ -283,10 +289,11 @@ class TestAllocate:
                             if i.tenant_class is RAN
                             or (state.policy.is_dynamic and i.tenant_class is FREE)
                         )
-                        if g.settling_until_us >= state.clock_us:
+                        ran, ai = fleet.ran_level.item(g.index), fleet.ai_level.item(g.index)
+                        if fleet.settling_until_us.item(g.index) >= state.clock_us:
                             cap = 0.0
-                        assert g.ran_level <= cap + 1e-9
-                        assert g.ran_level + g.ai_level <= 1.0 + 1e-9
+                        assert ran <= cap + 1e-9
+                        assert ran + ai <= 1.0 + 1e-9
                 assert all(sf > TOL for _t, _sid, sf in misses)
                 slots += 1
             assert_ledger(state)
@@ -310,14 +317,14 @@ class TestRepartition:
         the GPU's grant after the repartition is +0.0 all the same.
         """
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         jobs = [run_job(state, gpu1, g, jid=f"j{i}") for i, g in enumerate((0.05, 0.05, 0.5))]
         orch._repartition_gpu(state, ScaleAction(ActionKind.REPARTITION, "gpu1", 0.7))
         layout = [(i.compute_fraction, i.tenant_class) for i in gpu1.instances]
         assert layout == [(0.7, RAN), (0.3, AI)]
-        assert gpu1.jobs == [] and gpu1.ai_cap == 0.3
-        assert gpu1.ai_granted == gpu1.ai_level == 0.0
-        assert math.copysign(1.0, gpu1.ai_granted) == 1.0
+        assert gpu1.jobs == [] and fleet.ai_cap.item(0) == 0.3
+        assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == 0.0
+        assert math.copysign(1.0, fleet.ai_granted.item(0)) == 1.0
         assert all(j.state is JobState.PREEMPTED and j.granted_fraction == 0.0 for j in jobs)
         assert [jid for _t, jid in state.batch_queue] == ["j0", "j1", "j2"]
         assert_ledger(state)
@@ -349,14 +356,14 @@ class TestIsolation:
 
                 def run(ai_grant):
                     state = make()
-                    gpu1 = state.gpus[0]
+                    gpu1, fleet = state.gpus[0], state.fleet
                     if ai_grant:
                         assert gpu1.ai_slice is slice_of(gpu1, cls)
                         run_job(state, gpu1, ai_grant)
                     log = []
                     for k, d in enumerate(demands):
                         state.clock_us = k * state.slot_us
-                        log.append((settle(state, d), gpu1.ran_level))
+                        log.append((settle(state, d), fleet.ran_level.item(0)))
                     return log
 
                 assert run(0.0) == run(slice_of(make().gpus[0], cls).compute_fraction)
@@ -367,29 +374,30 @@ class TestFreeCapacity:
 
     def test_partial_grants(self):
         state = split_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         settle(state, 0.4)
         run_job(state, gpu1, 0.55)
-        assert gpu1.ai_left == pytest.approx(0.05, abs=1e-9)
+        assert fleet.ai_cap.item(0) - fleet.ai_granted.item(0) == pytest.approx(0.05, abs=1e-9)
         jobs = [queue_job(state, "j2", 0.1), queue_job(state, "j3", 0.05)]
         assert list(plan_placement(jobs, state).assignments) == ["j3"]
 
     def test_idle_gpu(self):
         state = whole_state()
-        gpu1 = state.gpus[0]
-        assert gpu1.ai_slice is slice_of(gpu1, FREE) and gpu1.ai_left == 1.0
+        gpu1, fleet = state.gpus[0], state.fleet
+        assert gpu1.ai_slice is slice_of(gpu1, FREE)
+        assert fleet.ai_cap.item(0) - fleet.ai_granted.item(0) == 1.0
         job = queue_job(state, "j1", 1.0)
         assert list(plan_placement([job], state).assignments) == ["j1"]
 
     def test_poc_server_frees_whole_second_gpu(self):
         state = split_state(gpus=("gpu1", "gpu2"))
-        gpu1, gpu2 = state.gpus
+        (gpu1, gpu2), fleet = state.gpus, state.fleet
         settle(state, 0.4)
         run_job(state, gpu1, 0.6)
-        assert gpu1.ai_left == pytest.approx(0.0, abs=1e-9)
+        assert fleet.ai_cap.item(0) - fleet.ai_granted.item(0) == pytest.approx(0.0, abs=1e-9)
         # the whole second GPU is FREE, which AI does not use under a static split
         assert [(i.compute_fraction, i.tenant_class) for i in gpu2.instances] == [(1.0, FREE)]
-        assert gpu2.ai_slice is None and gpu2.ai_left == 0.0
+        assert gpu2.ai_slice is None and fleet.ai_cap.item(1) - fleet.ai_granted.item(1) == 0.0
 
     def test_ran_headroom_hidden_unless_visible(self):
         # static split: the RAN slice's idle 0.3 is not offered to AI
@@ -401,13 +409,13 @@ class TestFreeCapacity:
         assert plan_placement([job], state).assignments == {}
         # dynamic: RAN shares the whole GPU, so AI may use what RAN leaves
         state = whole_state()
-        gpu1 = state.gpus[0]
+        gpu1, fleet = state.gpus[0], state.fleet
         settle(state, 0.1)
         assert gpu1.ai_slice is slice_of(gpu1, FREE)
         job = run_job(state, gpu1, 0.9)
-        assert job.service_rate == pytest.approx(0.9) and not gpu1.throttled
+        assert job.service_rate == pytest.approx(0.9) and not fleet.throttled.item(0)
         run_job(state, gpu1, 0.05, jid="j2")
-        assert gpu1.throttled and gpu1.ai_level == pytest.approx(0.9)
+        assert fleet.throttled.item(0) and fleet.ai_level.item(0) == pytest.approx(0.9)
 
 
 class TestOneAiSlice:

@@ -240,13 +240,14 @@ class TestValidateOnce:
         engine = SimEngine(sc)
         report = engine.run()
         gpu1 = engine.state.gpu_by_id("gpu1")
+        fleet = engine.state.fleet
         horizon_us = round(sc.horizon_s * 1e6)
         # the cell's constant demand fits in gpu1's RAN slice, which meets all of it
         demand = 0.5 * ran_peak_fraction(POC_CELL, sc.calibration)
         assert 0.0 < demand < STATIC.ran_fraction
         assert report.summary.per_gpu["gpu1"].avg_ran == pytest.approx(demand, abs=1e-9)
         assert report.summary.per_gpu["gpu1"].avg_ai == pytest.approx(
-            gpu1.ai_integral / horizon_us, abs=1e-9
+            fleet.ai_integral.item(gpu1.index) / horizon_us, abs=1e-9
         )
 
 
@@ -310,7 +311,8 @@ class TestWorkConservation:
             if math.isfinite(j.size_compute_seconds)
         )
         integrated = sum(
-            g.ai_integral / 1e6 for s in engine.state.servers for g in s.gpus
+            engine.state.fleet.ai_integral.item(g.index) / 1e6
+            for s in engine.state.servers for g in s.gpus
         )
         n_jobs = len(engine.state.jobs)
         assert done == pytest.approx(integrated, abs=1e-5 * max(n_jobs, 1))

@@ -340,7 +340,7 @@ class TestApplyActions:
 
     def test_grant_capped_at_queued_demand(self):
         state = poc_state(DYNAMIC)
-        gpu1 = state.gpu_by_id("gpu1")
+        gpu1, fleet = state.gpu_by_id("gpu1"), state.fleet
         state.fleet.ai_ceiling[gpu1.index] = 0.9
         enqueue(state, job("j1", 0.25))
         apply_actions(
@@ -349,7 +349,7 @@ class TestApplyActions:
         j = state.jobs["j1"]
         assert j.state is JobState.RUNNING
         assert j.granted_fraction == 0.25
-        assert gpu1.ai_granted == pytest.approx(0.25)
+        assert fleet.ai_granted.item(0) == pytest.approx(0.25)
 
 
 def settle_misses(state, demands):
@@ -373,19 +373,19 @@ class TestRanPriority:
     def test_dynamic_whole_gpu_available(self):
         state = poc_state(DYNAMIC)
         assert settle_misses(state, [0.45]) == []
-        assert state.gpu_by_id("gpu1").ran_level == pytest.approx(0.45)
+        assert state.fleet.ran_level.item(0) == pytest.approx(0.45)
 
     def test_ai_throttled_when_ran_spikes(self):
         state = poc_state(DYNAMIC)
-        gpu1 = state.gpu_by_id("gpu1")
+        gpu1, fleet = state.gpu_by_id("gpu1"), state.fleet
         j = job("j1", 1.0)
         state.jobs["j1"] = j
         state.enqueue(j)
         start_job(state, j, gpu1, 0.85)
         settle_slot(state, 0.0, [0.4])
-        assert gpu1.ran_level == pytest.approx(0.4)
+        assert fleet.ran_level.item(0) == pytest.approx(0.4)
         assert j.service_rate == pytest.approx(0.60, abs=1e-9)
-        assert gpu1.ran_level + gpu1.ai_level <= 1.0 + 1e-9
+        assert fleet.ran_level.item(0) + fleet.ai_level.item(0) <= 1.0 + 1e-9
         # relief: demand drops, AI rate restored
         settle_slot(state, 0.0005, [0.1])
         assert j.service_rate == pytest.approx(0.85)
@@ -399,25 +399,25 @@ class TestRanPriority:
         level, a job's rate or a job's version.
         """
         state = poc_state(DYNAMIC)
-        gpu1 = state.gpu_by_id("gpu1")
+        gpu1, fleet = state.gpu_by_id("gpu1"), state.fleet
         enqueue(state, job("new", 0.1, arrival=2.0), job("mid", 0.4, arrival=1.0), job("old", 0.3))
         for jid in ("new", "mid", "old"):
             start_job(state, state.jobs[jid], gpu1, state.jobs[jid].demand_fraction)
-        granted = gpu1.ai_granted
+        granted = fleet.ai_granted.item(0)
         assert granted == 0.8 and granted - 0.3 - 0.4 < 0.1
         settle_slot(state, 0.0, [0.5])  # RAN leaves AI 0.5: "mid" and "new" are cut
-        assert gpu1.throttled
+        assert fleet.throttled.item(0)
         versions = {jid: j.version for jid, j in state.jobs.items()}
         state.clock_us = 500
         settle_slot(state, 0.0005, [1.0 - granted])  # RAN leaves AI exactly its grant
-        assert gpu1.ai_level == granted and not gpu1.throttled
+        assert fleet.ai_level.item(0) == granted and not fleet.throttled.item(0)
         assert all(j.service_rate == j.granted_fraction for j in state.jobs.values())
         moved = {jid: j.version - versions[jid] for jid, j in state.jobs.items()}
         assert moved == {"old": 0, "mid": 1, "new": 1}
         # the cap at the grant, once more: no job changes rate
         versions = {jid: j.version for jid, j in state.jobs.items()}
         _apply_throttle(state, gpu1, granted)
-        assert gpu1.ai_level == granted and not gpu1.throttled
+        assert fleet.ai_level.item(0) == granted and not fleet.throttled.item(0)
         assert {jid: j.version for jid, j in state.jobs.items()} == versions
 
     def test_ran_fills_gpus_in_order(self):
@@ -431,8 +431,8 @@ class TestRanPriority:
         )
         misses = settle_misses(state, [0.6])
         assert misses == []
-        assert state.gpu_by_id("gpu1").ran_level == pytest.approx(0.4)
-        assert state.gpu_by_id("gpu2").ran_level == pytest.approx(0.2)
+        assert state.fleet.ran_level.item(0) == pytest.approx(0.4)
+        assert state.fleet.ran_level.item(1) == pytest.approx(0.2)
 
 
 class TestBackfill:
@@ -486,28 +486,40 @@ class TestEventLog:
         assert event_detail(cut) == "layout=0.400000:RAN,0.600000:AI"
 
 
+@pytest.mark.parametrize("policy", [STATIC, DYNAMIC], ids=["static", "dynamic"])
+def test_fleet_numbers_have_no_second_access_path(policy):
+    """No ``GpuState`` attribute shares a name with a fleet array, and no GPU refers to the fleet.
+
+    A GPU's numbers are then read and written in ``state.fleet`` alone.
+    """
+    state = poc_state(policy)
+    for gpu in state.gpus:
+        assert [name for name in orchestrator.Fleet.__slots__ if hasattr(gpu, name)] == []
+        assert not hasattr(gpu, "fleet")
+
+
 def test_grant_changes_accrue_at_the_old_level():
     """Placing, trimming and preempting integrate the GPU's AI level up to now first."""
     state = poc_state()
-    gpu1 = state.gpu_by_id("gpu1")
+    gpu1, fleet = state.gpu_by_id("gpu1"), state.fleet
     enqueue(state, job("j1", 0.5), job("j2", 0.1, arrival=1.0))
     state.clock_us = 1_000
     start_job(state, state.jobs["j1"], gpu1, 0.5)
-    assert gpu1.ai_integral == 0.0
+    assert fleet.ai_integral.item(0) == 0.0
     state.clock_us = 3_000
     start_job(state, state.jobs["j2"], gpu1, 0.1)
-    assert gpu1.ai_integral == 0.5 * 2_000
+    assert fleet.ai_integral.item(0) == 0.5 * 2_000
     state.clock_us = 4_000
     apply_actions(state, [ScaleAction(ActionKind.RECLAIM_AI, "gpu1", fraction=0.2)])
-    assert gpu1.ai_integral == 0.5 * 2_000 + 0.6 * 1_000
-    assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.4)
-    assert gpu1.ai_left == pytest.approx(0.2)
+    assert fleet.ai_integral.item(0) == 0.5 * 2_000 + 0.6 * 1_000
+    assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == pytest.approx(0.4)
+    assert fleet.ai_cap.item(0) - fleet.ai_granted.item(0) == pytest.approx(0.2)
     state.clock_us = 6_000
     preempt_job(state, gpu1, state.jobs["j1"])
-    assert gpu1.ai_integral == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
+    assert fleet.ai_integral.item(0) == pytest.approx(0.5 * 2_000 + 0.6 * 1_000 + 0.4 * 2_000)
     # a bare preemption on a split GPU moves its AI level with the grant
-    assert gpu1.ai_granted == gpu1.ai_level == pytest.approx(0.0)
-    assert gpu1.ai_left == pytest.approx(0.6)
+    assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == pytest.approx(0.0)
+    assert fleet.ai_cap.item(0) - fleet.ai_granted.item(0) == pytest.approx(0.6)
 
 
 class TestJobClock:
@@ -515,7 +527,7 @@ class TestJobClock:
 
     def test_start_and_trim_queue_completions(self):
         state = poc_state(DYNAMIC)
-        gpu1 = state.gpu_by_id("gpu1")
+        gpu1, fleet = state.gpu_by_id("gpu1"), state.fleet
         j = job("j1", 0.5, size=3.0)
         state.jobs["j1"] = j
         state.enqueue(j)
@@ -541,7 +553,7 @@ class TestJobClock:
         finish_job(state, j)
         assert j.state is JobState.DONE and j.remaining_compute_seconds == 0.0
         assert j.completion_time == redone_us / 1e6 and j.version == 3
-        assert gpu1.jobs == [] and gpu1.ai_granted == pytest.approx(0.0)
+        assert gpu1.jobs == [] and fleet.ai_granted.item(0) == pytest.approx(0.0)
         done = EventRecord(redone_us / 1e6, "completion", "j1", {"gpu": "gpu1"})
         assert state.events[-1] == done
         assert len(state.heap) == 2  # finishing queues nothing
@@ -559,10 +571,10 @@ class TestJobClock:
         )
         state.clock_us = 10_000_000
         apply_actions(state, policy_epoch(state, 10.0))
-        gpu1 = state.gpu_by_id("gpu1")
-        assert gpu1.settling_until_us == 10_000_000 + 3 * state.slot_us
+        until = state.fleet.settling_until_us.item(0)  # gpu1's
+        assert until == 10_000_000 + 3 * state.slot_us
         settled = EventKind.REPARTITION_SETTLED
-        assert state.heap == [(gpu1.settling_until_us, settled.value, 1, settled, ("gpu1",))]
+        assert state.heap == [(until, settled.value, 1, settled, ("gpu1",))]
 
     def test_push_before_the_clock_raises(self):
         state = poc_state()

@@ -37,9 +37,9 @@ def eligible_slices(state, gpu):
     return [i for i in gpu.instances if i.tenant_class in classes]
 
 
-def slice_free(gpu, inst):
+def slice_free(state, gpu, inst):
     """What ``inst`` has left; a GPU's running jobs all hold their grants in its one AI slice."""
-    return inst.compute_fraction - gpu.ai_granted
+    return inst.compute_fraction - state.fleet.ai_granted.item(gpu.index)
 
 
 def reference_plan_placement(jobs, state):
@@ -53,7 +53,8 @@ def reference_plan_placement(jobs, state):
         """Policy-level AI budget left on a GPU, one GPU at a time."""
         if not state.policy.is_dynamic:
             return math.inf
-        return gpu.fleet.ai_ceiling[gpu.index] - gpu.ai_granted
+        fleet = state.fleet
+        return fleet.ai_ceiling[gpu.index] - fleet.ai_granted.item(gpu.index)
 
     decision = PlacementDecision()
     interactive = [j for j in jobs if j.slo_class is SloClass.INTERACTIVE]
@@ -69,17 +70,17 @@ def reference_plan_placement(jobs, state):
         for srv in sorted(state.servers, key=lambda s: s.server.id):
             gpus = []
             for gpu in srv.gpus:
-                if gpu.settling_until_us > now_us:
+                if state.fleet.settling_until_us.item(gpu.index) > now_us:
                     continue
                 total_free = sum(
-                    frees.setdefault(i.id, slice_free(gpu, i))
+                    frees.setdefault(i.id, slice_free(state, gpu, i))
                     for i in eligible_slices(state, gpu)
                 )
                 gpus.append((-total_free, gpu.device.id, gpu))
             for _, _, gpu in sorted(gpus, key=lambda x: (x[0], x[1])):
                 insts = sorted(
                     eligible_slices(state, gpu),
-                    key=lambda i: (-frees.setdefault(i.id, slice_free(gpu, i)), i.id),
+                    key=lambda i: (-frees.setdefault(i.id, slice_free(state, gpu, i)), i.id),
                 )
                 for inst in insts:
                     yield gpu, inst
@@ -91,7 +92,7 @@ def reference_plan_placement(jobs, state):
         ):
             return False
         for gpu, inst in candidates():
-            free = frees.setdefault(inst.id, slice_free(gpu, inst))
+            free = frees.setdefault(inst.id, slice_free(state, gpu, inst))
             budget = budgets.setdefault(gpu.device.id, _gpu_budget(state, gpu))
             grantable = free if free < budget else budget
             if grantable + TOL < job.demand_fraction:
@@ -168,16 +169,16 @@ def random_fleet(rng: random.Random):
         if policy.kind is not PolicyKind.TIME_SPLIT:
             continue
         if r < 0.15:
-            gpu.settling_until_us = state.clock_us + 500
+            state.fleet.settling_until_us[gpu.index] = state.clock_us + 500
         elif r < 0.25:
-            gpu.settling_until_us = state.clock_us  # settles at this instant
+            state.fleet.settling_until_us[gpu.index] = state.clock_us  # settles at this instant
 
     n = 0
     for gpu in gpus:  # running jobs hold part of the capacity
         for inst in eligible_slices(state, gpu):
             if rng.random() < 0.6:
                 grant = rng.randrange(1, 5) * 0.05
-                if grant <= slice_free(gpu, inst) + TOL:
+                if grant <= slice_free(state, gpu, inst) + TOL:
                     running = AiJob(f"run{n}", 0.0, 100.0, grant)
                     n += 1
                     state.jobs[running.id] = running
@@ -318,7 +319,7 @@ class TestOverloadCost:
         orchestrator.placement_round(state)
         # only the one GPU whose budget meets its granularity is offered the queue
         assert calls == [state.gpus[5].device.id]
-        assert state.gpus[5].ai_granted == pytest.approx(0.05)
+        assert state.fleet.ai_granted.item(5) == pytest.approx(0.05)
         assert len(state.batch_queue) == len(jobs) - 1
 
     def test_a_round_with_only_interactive_jobs_queued_backfills_nothing(self, monkeypatch):

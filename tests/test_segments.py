@@ -74,7 +74,7 @@ US = 1_000_000
 
 
 def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
-    """``settle_slot`` as a scalar loop over the GPUs, one attribute at a time.
+    """``settle_slot`` as a scalar loop over the GPUs, one fleet element at a time.
 
     Per server, demand fills GPUs in declaration order; a GPU that is
     settling takes nothing. RAN meets a GPU's RAN slices, and under the
@@ -90,9 +90,10 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     applied = False
     for srv, rem in zip(state.servers, demands):
         for gpu in srv.gpus:
-            if gpu.settling_until_us >= now_us:
-                if gpu.ran_level != 0.0:
-                    gpu.ran_level = 0.0
+            g = gpu.index
+            if fleet.settling_until_us.item(g) >= now_us:
+                if fleet.ran_level.item(g) != 0.0:
+                    fleet.ran_level[g] = 0.0
                 continue
             ran_cap = free_cap = 0.0
             for inst in gpu.instances:
@@ -109,17 +110,17 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
                 rem -= cap
             if soft:
                 asked = take + (rem if gpu is srv.gpus[-1] else 0.0)
-                fleet.demand_last[gpu.index] = asked
-                if asked > fleet.epoch_max[gpu.index]:
-                    fleet.epoch_max[gpu.index] = asked
-            if take != gpu.ran_level:
-                gpu.ran_level = take
-            if soft and (gpu.ai_granted > 0.0 or gpu.throttled):
+                fleet.demand_last[g] = asked
+                if asked > fleet.epoch_max[g]:
+                    fleet.epoch_max[g] = asked
+            if take != fleet.ran_level.item(g):
+                fleet.ran_level[g] = take
+            if soft and (fleet.ai_granted.item(g) > 0.0 or fleet.throttled.item(g)):
                 in_free = take - ran_cap
                 if in_free < 0.0:
                     in_free = 0.0
                 allowed = free_cap - in_free
-                if gpu.ai_granted > allowed + TOL or gpu.throttled:
+                if fleet.ai_granted.item(g) > allowed + TOL or fleet.throttled.item(g):
                     orchestrator._apply_throttle(state, gpu, allowed)
                     applied = True
         if rem > TOL:
@@ -127,9 +128,8 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     return applied
 
 
-def accrue_ai(gpu, now_us: int):
-    """Accrue ``gpu``'s AI level integral up to ``now_us``, on its own clock."""
-    fleet, g = gpu.fleet, gpu.index
+def accrue_ai(fleet, g: int, now_us: int):
+    """Accrue GPU ``g``'s AI level integral up to ``now_us``, on its own clock."""
     dt = now_us - fleet.ai_accrue_us.item(g)
     if dt > 0:
         fleet.ai_integral[g] += fleet.ai_level.item(g) * dt
@@ -221,7 +221,7 @@ class ForecastOracle:
 def reference_accrue_all(state):
     """``accrue_all`` one GPU and one job at a time: AI integrals and all work up to the clock."""
     for gpu in state.gpus:
-        accrue_ai(gpu, state.clock_us)
+        accrue_ai(state.fleet, gpu.index, state.clock_us)
     for job in state.jobs.values():
         if job.state is JobState.RUNNING:
             orchestrator._accrue_job(job, state.clock_us)
@@ -275,9 +275,12 @@ class ReferenceSampler:
 
     def flush(self, before_us: int):
         eng = self.eng
-        gpus = eng.state.gpus
+        gpus, fleet = eng.state.gpus, eng.state.fleet
         while eng.next_sample_us < before_us and eng.next_sample_us <= eng.horizon_us:
-            self._emit_samples([g.ran_level for g in gpus], [g.ai_level for g in gpus])
+            self._emit_samples(
+                [fleet.ran_level.item(g.index) for g in gpus],
+                [fleet.ai_level.item(g.index) for g in gpus],
+            )
 
 
 def reference_summarize(trace: list[TraceRecord]) -> Summary:
@@ -583,9 +586,10 @@ def _gpu_state(state) -> list[tuple]:
     f = state.fleet
     return [
         (
-            g.device.id, g.ran_level, g.ai_granted, g.ai_level, g.throttled,
-            f.demand_last.item(i), f.epoch_max.item(i), tuple(f.history[:, i].tolist()),
-            f.ai_ceiling.item(i), g.ai_integral, g.ai_accrue_us,
+            g.device.id, f.ran_level.item(i), f.ai_granted.item(i), f.ai_level.item(i),
+            f.throttled.item(i), f.demand_last.item(i), f.epoch_max.item(i),
+            tuple(f.history[:, i].tolist()), f.ai_ceiling.item(i), f.ai_integral.item(i),
+            f.ai_accrue_us.item(i),
         )
         for i, g in enumerate(state.gpus)
     ]
@@ -1066,36 +1070,38 @@ def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
 def test_block_with_a_settling_gpu_between_live_gpus():
     """Demand passes a settling middle GPU by, to its live neighbour, and what is left misses."""
     state = _split_state(3, 1)
-    first, middle, third = state.servers[0].gpus
+    first, middle, third = (g.index for g in state.servers[0].gpus)
+    ran = state.fleet.ran_level
     _settle_all(state, np.array([[1.2] * 4, [0.2] * 4]))
-    assert (first.ran_level, middle.ran_level, third.ran_level) == (0.5, 0.5, 1.2 - 0.5 - 0.5)
-    middle.settling_until_us = state.clock_us + 4 * state.slot_us
+    assert (ran.item(first), ran.item(middle), ran.item(third)) == (0.5, 0.5, 1.2 - 0.5 - 0.5)
+    state.fleet.settling_until_us[middle] = state.clock_us + 4 * state.slot_us
     before = len(state.misses)
     assert _settle_all(state, np.array([[0.7, 0.9, 1.4, 1.2], [0.2, 0.4, 0.2, 0.4]])) == [(4, 4)]
-    assert (first.ran_level, middle.ran_level, third.ran_level) == (0.5, 0.0, 0.5)
+    assert (ran.item(first), ran.item(middle), ran.item(third)) == (0.5, 0.0, 0.5)
     assert [(sid, sf) for _t, sid, sf in state.misses[before:]] == [
         ("srv0", 1.4 - 0.5 - 0.5), ("srv0", 1.2 - 0.5 - 0.5),
     ]
     _settle_all(state, np.array([[1.4], [0.2]]))
-    assert (middle.ran_level, third.ran_level) == (0.5, 1.4 - 0.5 - 0.5)
+    assert (ran.item(middle), ran.item(third)) == (0.5, 1.4 - 0.5 - 0.5)
 
 
 def test_block_with_the_last_gpu_settling_while_demand_overflows():
     """A settling last GPU takes nothing, so all demand past the first GPU's slice misses."""
     state = _split_state(2)
-    first, last = state.gpus
+    first, last = (g.index for g in state.gpus)
+    ran = state.fleet.ran_level
     _settle_all(state, np.array([[0.6, 0.8, 0.9]]))
-    assert last.ran_level == 0.9 - 0.5
-    last.settling_until_us = state.clock_us + 5 * state.slot_us
+    assert ran.item(last) == 0.9 - 0.5
+    state.fleet.settling_until_us[last] = state.clock_us + 5 * state.slot_us
     before = len(state.misses)
     assert _settle_all(state, np.array([[0.4, 1.3, 0.7]])) == [(3, 3)]
-    assert (first.ran_level, last.ran_level) == (0.5, 0.0)
+    assert (ran.item(first), ran.item(last)) == (0.5, 0.0)
     assert [sf for _t, _sid, sf in state.misses[before:]] == [1.3 - 0.5, 0.7 - 0.5]
     before = len(state.misses)
     _settle_all(state, np.array([[1.1, 0.6, 1.2, 0.4, 0.8]]))
     # the last GPU is live again from the third slot on
     assert [sf for _t, _sid, sf in state.misses[before:]] == [1.1 - 0.5, 0.6 - 0.5, 1.2 - 0.5 - 0.5]
-    assert last.ran_level == 0.8 - 0.5
+    assert ran.item(last) == 0.8 - 0.5
 
 
 def test_block_applies_simultaneous_throttles_in_gpu_order():
@@ -1381,9 +1387,10 @@ def test_tape_keeps_a_gpu_granted_past_its_capacity():
     first, second = state.gpus
     _run_free_job(state, second, 0.5, "j0")
     _run_free_job(state, second, 0.5 + 3 * orchestrator.TOL, "j1")
-    assert second.throttled and second.ran_level == 0.0
+    fleet = state.fleet
+    assert fleet.throttled.item(second.index) and fleet.ran_level.item(second.index) == 0.0
     assert _settle_all(state, np.array([[0.3, 0.5, 0.4]])) == [(3, 0), (2, 0), (1, 0)]
-    assert second.throttled and first.ran_level == 0.4
+    assert fleet.throttled.item(second.index) and fleet.ran_level.item(first.index) == 0.4
 
 
 # -- the incremental throttle test ---------------------------------------------------
