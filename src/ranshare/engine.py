@@ -10,9 +10,10 @@ simultaneous events follow the ``EventKind`` order: policy epoch < arrival
 < completion < profile change < repartition settled.
 
 Slot boundaries dominate the event count, so they never enter the heap.
-Between two heap events slots differ only through RAN demand, so the main
-loop settles them a segment at a time: every slot from the next unsettled
-one up to and including the next event's time (capped at the horizon).
+Between two heap events slots differ only through RAN demand (a GPU's RAN
+capacity is 0 while it settles, up to its settled event), so the main loop
+settles them a segment at a time: every slot from the next unsettled one
+up to and including the next event's time (capped at the horizon).
 A slot at an event's time settles before the event, so the event sees that
 slot's demand. ``orchestrator.settle_segment`` settles a segment with the result
 of one ``settle_slot`` per slot, bit for bit:
@@ -50,13 +51,13 @@ epochs that run keep their grid times and the event order stays the same;
 only the ``seq`` numbers of later pushes shift, which leaves every tie in
 its order.
 
-Utilization samples are flushed lazily: a sample at time t is recorded
-once the clock moves strictly past t, so it reflects the state after every
-event that fired at t. A sample due before a segment's last slot sees only
-slot settlements, so the segment hands its levels over in blocks of
-samples. The samples go into one columnar ``Trace``, preallocated by
-``run``: every GPU's raw levels per sample, rounded to 6 decimals in one
-pass at the end.
+Utilization samples are flushed lazily: a sample at time t is recorded once
+the clock moves strictly past t, so it reflects the state after every event
+that fired at t. A sample due before a segment's last slot sees only slot
+settlements, so a segment on tapes hands its levels over in blocks of
+samples, and a closed-form one leaves them to the next flush. The samples go
+into one columnar ``Trace``, preallocated by ``run``: every GPU's raw levels
+per sample, rounded to 6 decimals in one pass at the end.
 
 ``ClusterState`` is the run's only log: ``state.log`` records every event
 with its typed fields, unformatted, and settlement appends every slot miss
@@ -611,10 +612,9 @@ class SimEngine:
     def _emit_samples(self, ran, ai, n: int, cols=None):
         """Record the next ``n`` samples of every GPU's raw levels.
 
-        ``ran`` and ``ai`` list the levels in ``state.gpus`` order: one row
-        for all ``n`` samples, or an (n, GPU) array. With ``cols``, ``ran``
-        is (n, column) for those GPUs alone, and every other GPU's RAN
-        level is 0.0.
+        ``ai`` is the AI levels (``state.gpus`` order) for all ``n``, and
+        ``ran`` one row of RAN levels, or with ``cols`` (a tape's columns,
+        from settlement) an (n, column) array, every other GPU at 0.0.
         """
         s = self.next_sample_us // self.sample_us
         rows = slice(s, s + n)
@@ -733,6 +733,7 @@ class SimEngine:
         elif kind is EventKind.REPARTITION_SETTLED:
             gpu = state.gpu_by_id(payload[0])
             if state.fleet.settling_until_us.item(gpu.index) <= t_us:
+                gpu.refresh_caches(state.fleet, dynamic=False)  # RAN meets its slice again
                 state.log("settled", gpu.device.id)
                 placement_round(state)
         return False

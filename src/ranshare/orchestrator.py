@@ -205,10 +205,10 @@ class Fleet:
     These arrays are the one store of every number per GPU: GPU ``g``'s
     element of ``name`` is ``fleet.name[g]``, ``g`` being its
     ``GpuState.index``. Slice-size caches (``ai_cap``, ``grid_cap``) change
-    only in ``GpuState.refresh_caches``; the slot levels, the AI grant and
-    the throttle flag, the end of a repartition's settling, the forecast
-    inputs and the AI level integral change wherever the orchestrator
-    changes them, one element at a time or as whole arrays.
+    only at events, in ``refresh_caches`` and ``_repartition_gpu``; the slot
+    levels, the AI grant and the throttle flag, the end of a repartition's
+    settling, the forecast inputs and the AI level integral change wherever
+    the orchestrator changes them, one element at a time or as whole arrays.
 
     The AI level integral has its own clock (``ai_accrue_us``: the time up
     to which it is accrued). It accrues where the AI level may change: a
@@ -222,10 +222,10 @@ class Fleet:
 
     ``tape`` is the ``RanTape`` that ``settle_segment`` slices, or None
     until the next segment builds one: ``refresh_caches`` drops it, since
-    the tape holds the RAN side under the capacities and settling windows
-    it was built with. The tape covers only the GPUs its ``cols`` name;
-    settling it reads and writes these arrays at ``cols``, and every other
-    GPU's RAN level stays as it is. ``cannot_miss`` is the verdict of
+    the tape holds the RAN side under the capacities it was built with,
+    which hold while it lives. The tape covers only the GPUs its ``cols``
+    name; settling it reads and writes these arrays at ``cols``, and every
+    other GPU's RAN level stays as it is. ``cannot_miss`` is the verdict of
     ``_cannot_miss`` at these capacities, or None until a segment asks;
     ``refresh_caches`` drops it with the tape.
 
@@ -237,9 +237,9 @@ class Fleet:
 
     ``grid_cap`` is the capacity RAN demand meets on each (server, GPU
     position): the GPU's RAN slices, or under the dynamic policy the whole
-    GPU, and 0 where a server has no GPU at that position. ``grid_rows`` is
-    each GPU's flat index in that grid and ``last_rows`` each server's last
-    GPU.
+    GPU, and 0 where a server has no GPU at that position or its GPU
+    settles. ``grid_rows`` is each GPU's flat index in that grid and
+    ``last_rows`` each server's last GPU.
     """
 
     __slots__ = (
@@ -290,21 +290,18 @@ class GpuState:
     index: int = -1
 
     def refresh_caches(self, fleet: Fleet, dynamic: bool):
-        """Recompute the GPU's slice caches in ``fleet`` and zero its grant after a (re)partition.
+        """Recompute the GPU's slice caches in ``fleet`` and drop the RAN tape; its grant stays.
 
-        A GPU is (re)partitioned only with no job on it, so it holds no
-        grant. ``dynamic``: the dynamic policy, under which the GPU is one
-        whole FREE slice that RAN and AI share, RAN first. Otherwise RAN
-        meets the RAN slice and AI uses the AI slice; ``partition_gpu`` cuts
-        at most one slice of each class.
+        ``dynamic``: the dynamic policy, under which the GPU is one whole
+        FREE slice that RAN and AI share, RAN first. Otherwise RAN meets the
+        RAN slice and AI uses the AI slice; ``partition_gpu`` cuts at most
+        one slice of each class.
         """
         ai_class = TenantClass.FREE if dynamic else TenantClass.AI
         self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
         ai_cap = self.ai_slice.compute_fraction if self.ai_slice else 0.0
         g = self.index
         fleet.ai_cap[g] = ai_cap
-        fleet.ai_granted[g] = fleet.ai_level[g] = 0.0
-        fleet.throttled[g] = False
         fleet.grid_cap.flat[fleet.grid_rows[g]] = (
             ai_cap if dynamic else _ran_units(self) / self.device.total_units
         )
@@ -536,16 +533,15 @@ class DemandModel:
 class RanTape:
     """The RAN side of settling a run of slots, which no AI state changes.
 
-    RAN is granted before AI, so each slot's RAN levels, misses and
-    forecast inputs follow from demand, ``grid_cap`` and the settling
-    windows alone. ``t_us`` are the times (int64 us, ascending) of the
-    tape's ``size`` slots: every slot of a run, or only those a report can
-    see (see ``settle_segment``). ``cols`` are the GPUs (indices in
-    ``state.gpus``, ascending) the tape covers: every GPU whose RAN level
-    the tape can change or whose throttle test can fire (see
-    ``_ran_tape``). Per (slot, column), ``take`` is the RAN level. Under
-    the dynamic policy, ``asked`` is what the GPU was asked to serve and
-    ``room`` what RAN left for AI, ``ai_cap - take``; per column, ``fire``
+    RAN is granted before AI, so each slot's RAN levels, misses and forecast
+    inputs follow from demand and ``grid_cap`` alone. ``t_us`` are the times
+    (int64 us, ascending) of the tape's ``size`` slots: every slot of a run,
+    or only those a report can see (see ``settle_segment``). ``cols`` are
+    the GPUs (indices in ``state.gpus``, ascending) the tape covers: every
+    GPU whose RAN level the tape can change or whose throttle test can fire
+    (see ``_ran_tape``). Per (slot, column), ``take`` is the RAN level.
+    Under the dynamic policy, ``asked`` is what the GPU was asked to serve
+    and ``room`` what RAN left for AI, ``ai_cap - take``; per column, ``fire``
     is the first slot whose throttle test fires at the grant ``tested``,
     searched from the tape's first slot or from where a slice started
     (``size`` where none does; see ``_first_fire``), and ``stop`` is the
@@ -579,8 +575,8 @@ def settle_segment(
     """Settle ``count`` slots from ``first_us`` that no event separates.
 
     The result is that of ``settle_slot`` called once per slot, in order,
-    bit for bit. When demand is stepwise, equal at the first, second and
-    last slot, and no GPU is settling, one ``settle_slot`` gives every slot
+    bit for bit. When demand is stepwise and equal at the first, second and
+    last slot, one ``settle_slot`` gives every slot
     (a trace point between events moves demand only at the event's slot,
     the last, or, when it lies in (0, 0.5) us and so has no event, at the
     second). Otherwise the segment slices the fleet's ``RanTape``. The
@@ -595,32 +591,32 @@ def settle_segment(
     test; while a GPU is throttled, whose test then fires at every slot, a
     slice holds one slot.
 
-    Under a split there is no throttle test, and while no GPU settles, no
-    slot can miss if ``demand.bound``, sent through ``grid_cap``'s
-    positions as ``_ran_tape`` sends demand, leaves no server more than
-    TOL (``_cannot_miss``). A slot then changes nothing but RAN levels,
-    which a report sees only at a sample's slot and, through the levels
-    the segment leaves, at its last slot. So a segment that reads more
-    demand than one tape (``CHUNK_CELLS // servers`` slots), or that runs
-    to the horizon, builds its tapes of those slots alone. A shorter
-    segment builds a tape of every slot as before, which the segments after
-    it read on: a tape of its few observable slots would serve it alone.
+    Under a split there is no throttle test, and no slot can miss if
+    ``demand.bound``, sent through ``grid_cap``'s positions as ``_ran_tape``
+    sends demand, leaves no server more than TOL (``_cannot_miss``). A slot
+    then changes nothing but RAN levels, which a report sees only at a
+    sample's slot and, through the levels the segment leaves, at its last
+    slot. So a segment that reads more demand than one tape
+    (``CHUNK_CELLS // servers`` slots), or that runs to the horizon, builds
+    its tapes of those slots alone. A shorter segment builds a tape of every slot as
+    before, which the segments after it read on: a tape of its few
+    observable slots would serve it alone.
 
     A slot that applies a throttle may change job rates and schedule
     events, so the call returns after it: the return value is the number of
     slots settled. ``samples`` are the times (us) of the utilization
     samples due before the segment's last slot; a sample at ``t`` shows
     the state after the last slot at or before ``t``. Those whose slot is
-    settled before the last slot settled are handed over in order:
-    ``emit(ran, ai, n, cols=None)`` records the next ``n`` samples, where
-    ``ran`` and ``ai`` give the per-GPU levels (``state.gpus`` order) either
-    as one row that holds for all ``n`` or as an (n, GPU) array. Samples
-    read off a tape come as an (n, column) ``ran`` with the tape's
-    ``cols``: every other GPU's RAN level is 0.0 at those samples.
+    settled before the last slot settled are handed over in order, off the
+    tape: ``emit(ran, ai, n, cols)`` records the next ``n`` samples, ``ran``
+    (n, column) for the tape's ``cols`` (every other GPU's RAN level is 0.0)
+    and ``ai`` the AI levels (``state.gpus`` order). A closed-form segment
+    hands over none: its slots leave the levels equal, which the engine's
+    next flush records.
     """
     fleet, slot_us = state.fleet, state.slot_us
     last_us = first_us + (count - 1) * slot_us
-    if demand.stepwise and fleet.settling_until_us.max() < first_us:
+    if demand.stepwise:
         ends = np.array([0, min(1, count - 1), count - 1], dtype=np.int64)
         rows = demand.vector((first_us + slot_us * ends) / US)
         if not (rows != rows[:, :1]).any():
@@ -631,7 +627,6 @@ def settle_segment(
             if settle_slot(state, first_us / US, rows[:, 0].tolist()):
                 return 1
             missed = state.misses[before:]
-            emit(fleet.ran_level, fleet.ai_level, len(samples))
             if missed:
                 for t_us in range(first_us + slot_us, first_us + count * slot_us, slot_us):
                     state.misses.extend((t_us / US, sid, sf) for _t, sid, sf in missed)
@@ -644,7 +639,6 @@ def settle_segment(
             count > CHUNK_CELLS // max(1, len(fleet.server_ids))
             or last_us + slot_us >= state.horizon_us
         )
-        and fleet.settling_until_us.max() < first_us
         and _cannot_miss(state, demand)
     ):
         due = np.arange(samples.start, samples.stop, samples.step, dtype=np.int64)
@@ -675,7 +669,7 @@ def settle_segment(
 
 
 def _cannot_miss(state: ClusterState, demand: DemandModel) -> bool:
-    """Whether no slot can miss while ``grid_cap`` holds and no GPU settles.
+    """Whether no slot can miss while ``grid_cap`` holds.
 
     ``demand.bound`` fills the positions as demand does in ``_ran_tape``,
     ``rem - cap`` floored at 0.0; each step is monotone in ``rem``, so what
@@ -702,8 +696,8 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     ``settle_slot``'s rule applied one GPU at a time, in the same order, so
     the tape is that rule's slot by slot, bit for bit
     (``tests/test_segments.py`` keeps the scalar form). A position a server
-    lacks, and a GPU at a slot it is settling, meets a capacity of 0, which
-    takes nothing and leaves the remainder as it is.
+    lacks, and a GPU that is settling, meets a capacity of 0, which takes
+    nothing and leaves the remainder as it is.
 
     Demand fills positions in order and stops at the first one where no
     server has any left at any slot given, so every GPU from there on
@@ -720,18 +714,11 @@ def _ran_tape(state: ClusterState, t_us, t_s, rem) -> RanTape:
     """
     fleet = state.fleet
     servers, width = fleet.grid_cap.shape
-    settling = fleet.settling_until_us.max() >= t_us[0]
-    if settling:
-        until = np.full(servers * width, -1, dtype=np.int64)  # (server, position)
-        until[fleet.grid_rows] = fleet.settling_until_us
-        until = until.reshape(servers, width, 1)
     fills = []  # what each position demand reached takes, (server, slot)
     for p in range(width):
         if not rem.any():
             break  # no demand is left, so every later take is 0.0
         cap = fleet.grid_cap[:, p, None]
-        if settling:
-            cap = np.where(t_us > until[:, p], cap, 0.0)
         # take = rem if rem < cap else cap; rem = 0.0 if rem < cap else rem - cap
         fills.append(np.minimum(rem, cap))
         rem = np.maximum(rem - cap, 0.0)
@@ -1255,21 +1242,28 @@ def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterSta
 
 
 def _repartition_gpu(state: ClusterState, action: ScaleAction):
-    """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI."""
+    """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI.
+
+    Up to its ``REPARTITION_SETTLED`` event the GPU settles: RAN meets a
+    capacity of 0.0 on it, and ``settling_until_us`` keeps AI off it.
+    """
     if state.policy.is_dynamic:
         raise ValueError(f"dynamic_backfill shares whole GPUs; cannot partition {action.gpu_id}")
     gpu, fleet = state.gpu_by_id(action.gpu_id), state.fleet
+    g = gpu.index
     for job in list(gpu.jobs):  # drain AI before resizing
         preempt_job(state, gpu, job)
-    _accrue_ai(fleet, gpu.index, state.clock_us)
+    _accrue_ai(fleet, g, state.clock_us)
+    fleet.ai_granted[g] = fleet.ai_level[g] = 0.0  # drained, so it holds no grant
     gpu.generation += 1
     prefix = f"{gpu.device.id}.g{gpu.generation}"
     gpu.instances = compute.repartition(gpu.device, action.fraction, 1.0 - action.fraction, prefix)
     gpu.refresh_caches(fleet, dynamic=False)
     # the boundary slot finishes on the old layout (ran_level persists);
-    # the next settle_slots slot settlements find the GPU settling
+    # the next settle_slots slots meet a RAN capacity of 0
+    fleet.grid_cap.flat[fleet.grid_rows[g]] = 0.0
     until = state.clock_us + state.policy.settle_slots * state.slot_us
-    fleet.settling_until_us[gpu.index] = until
+    fleet.settling_until_us[g] = until
     state.log(
         "repartition", gpu.device.id,
         layout=[(i.compute_fraction, i.tenant_class) for i in gpu.instances],

@@ -265,9 +265,11 @@ class TestAllocate:
             )
             fleet = state.fleet
             for gpu_state in state.gpus:
-                # only a split's GPU is ever repartitioned, and so settles
+                # only a split's GPU is ever repartitioned, and so settles,
+                # with a RAN capacity of 0 until its settled event
                 if rng.random() < 0.15 and not state.policy.is_dynamic:
                     fleet.settling_until_us[gpu_state.index] = 10**9
+                    fleet.grid_cap.flat[fleet.grid_rows[gpu_state.index]] = 0.0
                 if gpu_state.ai_slice and rng.random() < 0.5:
                     grant = rng.uniform(0.05, fleet.ai_cap.item(gpu_state.index))
                     run_job(state, gpu_state, grant, jid=f"{gpu_state.device.id}-j")

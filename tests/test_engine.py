@@ -421,6 +421,49 @@ class TestTimeSplit:
         late = [t for t in report.trace if t.gpu_id == "gpu1" and t.time_s > 1.1]
         assert all(t.ai_fraction <= 0.3 + 1e-9 for t in late)
 
+    SETTLING = Policy(
+        kind=PolicyKind.TIME_SPLIT,
+        schedule=((0.0, 1.0, 0.4), (1.0, 2.0, 0.7)),
+        split_gpus=("gpu1",),
+        settle_slots=3,
+    )
+
+    def test_settling_gpu_meets_a_ran_capacity_of_zero(self):
+        """From a repartition to its settled event RAN meets 0.0 on the GPU, and AI the new share."""
+        engine = SimEngine(scenario(policy=self.SETTLING, gpus=("gpu1",)))
+        state, fleet = engine.state, engine.state.fleet
+        g = state.gpu_by_id("gpu1").index
+
+        def ran_cap():
+            return fleet.grid_cap.flat[fleet.grid_rows[g]].item()
+
+        assert ran_cap() == 0.4
+        state.clock_us = 1_000_000
+        engine._dispatch(EventKind.POLICY_EPOCH, (), 1_000_000)
+        ai_share = state.gpus[g].ai_slice.compute_fraction
+        assert ran_cap() == 0.0 and fleet.ai_cap.item(g) == ai_share == pytest.approx(0.3)
+        assert fleet.tape is None and fleet.cannot_miss is None
+        until = fleet.settling_until_us.item(g)
+        assert until == 1_001_500
+        state.clock_us = until
+        engine._dispatch(EventKind.REPARTITION_SETTLED, ("gpu1",), until)
+        assert ran_cap() == 0.7 and fleet.ai_cap.item(g) == ai_share
+
+    def test_job_placed_at_the_settled_microsecond_keeps_its_grant(self):
+        """An arrival sorts before the settled event at its time, and its job keeps its grant."""
+        job = AiWorkload(
+            id="late",
+            arrival=ArrivalKind.TRACE,
+            trace_arrivals=(1.0015,),
+            job_size=constant(10.0),
+            demand_fraction=constant(0.2),
+        )
+        report = run(scenario(policy=self.SETTLING, workloads=(job,), gpus=("gpu1",)))
+        events = [(e.time_s, e.kind) for e in report.events]
+        assert events.index((1.0015, "place")) < events.index((1.0015, "settled"))
+        late = [t.ai_fraction for t in report.trace if t.time_s > 1.0015]
+        assert late and all(ai == 0.2 for ai in late)
+
     def test_drained_gpu_reads_positive_zero_ai(self):
         """A drained GPU's AI level restarts at +0.0, not at what its grants' sum rounds to.
 

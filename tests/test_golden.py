@@ -2,9 +2,10 @@
 
 A change that keeps the simulation's behaviour keeps these bytes: the
 RECORDS and SUMMARY output of each ``scenarios/*.scenario`` at its full
-600 s horizon, as ``ranshare run`` writes it, and the standard output of
-each ``demos/*.py``. A change meant to alter the output updates the hashes
-and says why. ``fleet_text`` builds a 16 x 4-GPU fleet under dynamic
+horizon (600 s; 60 s for ``time_split``), as ``ranshare run`` writes it,
+and the standard output of each ``demos/*.py``. A change meant to alter
+the output updates the hashes and says why. ``fleet_text`` builds a
+16 x 4-GPU fleet under dynamic
 backfill, the shape of the cluster benchmarks, and its report bytes are
 pinned the same way, as are those of ``time_split_text``, a small fleet
 whose split GPUs are repartitioned under running jobs, and of
@@ -38,6 +39,10 @@ GOLDEN = {
     "uplift": {
         "records": "4f13f015dd0825f82c2d461b9b44afde58f2444c6758df54dd8f69363d559f3b",
         "summary": "d4b62e700b787bb578e944a3eb8d9996dfcdcd5e37e9a44a26e85f4b623c5f60",
+    },
+    "time_split": {
+        "records": "877ea19c3f14116f6c449eb62925f169011353752e14216ae2c9ee6e2f831a39",
+        "summary": "5d3e32f18dba51caf2805882eafca7fb0405bb7dfc1ffed0ae815ed1f429a393",
     },
 }
 
@@ -150,9 +155,20 @@ def assert_report(report, want: dict, label=None):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_shipped_scenario_report_bytes(scenario_dir, name):
     scenario = load_scenario(scenario_dir / f"{name}.scenario")
-    assert scenario.horizon_s == 600.0
+    assert scenario.horizon_s == (60.0 if name == "time_split" else 600.0)
     report = SimEngine(scenario).run()
     assert_report(report, GOLDEN[name], name)
+
+
+def test_time_split_scenario_misses_only_while_settling(scenario_dir):
+    """Each boundary of ``time_split.scenario`` preempts, and only its two settling slots miss."""
+    report = SimEngine(load_scenario(scenario_dir / "time_split.scenario")).run()
+    bounds = (10.0, 20.0, 30.0, 40.0, 50.0)
+    assert [e.time_s for e in report.events if e.kind == "repartition"] == list(bounds)
+    assert {e.time_s for e in report.events if e.kind == "preempt"} == set(bounds)
+    assert [m.time_s for m in report.deadline_misses] == [
+        t + k * 0.0005 for t in bounds for k in (1, 2)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

@@ -634,6 +634,29 @@ def _recording_slices(monkeypatch) -> list[tuple[int, int, bool, int]]:
     return slices
 
 
+def _checking_tape_capacities(monkeypatch):
+    """Check that ``fleet.grid_cap`` holds while a tape lives.
+
+    Only events change ``grid_cap``, and each change drops the tape, so
+    every slice reads the tape built last, at the capacities it was built
+    with.
+    """
+    built = []  # the last tape built, and grid_cap then
+    ran_tape, settle_slice = orchestrator._ran_tape, orchestrator._settle_slice
+
+    def building(state, *rest):
+        built[:] = [ran_tape(state, *rest), state.fleet.grid_cap.copy()]
+        return built[0]
+
+    def slicing(state, tape, *rest):
+        assert tape is built[0]
+        assert np.array_equal(state.fleet.grid_cap, built[1])
+        return settle_slice(state, tape, *rest)
+
+    monkeypatch.setattr(orchestrator, "_ran_tape", building)
+    monkeypatch.setattr(orchestrator, "_settle_slice", slicing)
+
+
 def _recording_tapes(monkeypatch) -> list:
     """Record each RAN tape built."""
     tapes = []
@@ -652,8 +675,8 @@ def _recording_segments(monkeypatch) -> list[list]:
 
     The verdict is what ``_cannot_miss`` returned, True when the segment
     settles on tapes of its observable slots alone, or None where the
-    segment did not ask: the dynamic policy, a settling GPU, a segment in
-    closed form, or one no longer than a tape that ends before the horizon.
+    segment did not ask: the dynamic policy, a segment in closed form, or
+    one no longer than a tape that ends before the horizon.
     """
     segments = []
     settle, cannot_miss, ran_tape = (
@@ -712,7 +735,8 @@ def assert_same_run(sc: Scenario, label) -> SimEngine:
 def test_segments_match_slot_by_slot_loop(monkeypatch):
     """120 random scenarios; odd seeds settle on tapes of a few slots.
 
-    ``ForecastOracle`` checks every dynamic epoch of both runs.
+    ``ForecastOracle`` checks every dynamic epoch of both runs, and no
+    capacity changes under a live tape.
     """
     counts: dict[str, int] = {}
     for name in PATHS:
@@ -720,6 +744,7 @@ def test_segments_match_slot_by_slot_loop(monkeypatch):
     slices = _recording_slices(monkeypatch)
     segments = _recording_segments(monkeypatch)
     oracle = ForecastOracle(monkeypatch)
+    _checking_tape_capacities(monkeypatch)
     default = orchestrator.CHUNK_CELLS
     misses = throttled = observable = dense = chunked = 0
     for seed in range(120):
@@ -960,8 +985,8 @@ def test_throttle_fires_at_the_first_and_the_last_slot_of_a_segment(monkeypatch)
 def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
     """The middle GPU of three repartitions and settles while its neighbours stay live.
 
-    Each repartition changes the GPU's capacity and settling window, so the
-    tape is built again from the slot after it.
+    Each repartition sets the GPU's RAN capacity to 0.0, and its settled
+    event restores it, so the tape is built again from the slot after each.
     """
     slices = _recording_slices(monkeypatch)
     tapes = _recording_tapes(monkeypatch)
@@ -987,7 +1012,7 @@ def test_settling_gpu_between_live_gpus_under_time_split(monkeypatch):
     )
     eng = assert_same_run(sc, "settling middle")
     assert any(settling and n > 1 for n, _fired, settling, _a in slices), slices
-    assert [tape.t_us.item(0) for tape in tapes] == [0, 50_500, 100_500]
+    assert [tape.t_us.item(0) for tape in tapes] == [0, 50_500, 53_500, 100_500, 103_500]
     assert [ev.subject for ev in eng.state.events if ev.kind == "repartition"] == ["srv1-gpu1"] * 2
     assert eng.state.misses
 
@@ -1067,6 +1092,20 @@ def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
     return slices
 
 
+def _open_window(state, g: int, slots: int):
+    """Start GPU ``g`` settling for ``slots`` slots, as a repartition does: RAN meets 0.0 on it."""
+    fleet = state.fleet
+    fleet.settling_until_us[g] = state.clock_us + slots * state.slot_us
+    fleet.grid_cap.flat[fleet.grid_rows[g]] = 0.0
+    fleet.tape = fleet.cannot_miss = None
+
+
+def _close_window(state, g: int):
+    """End GPU ``g``'s settling window, as its settled event does."""
+    assert state.fleet.settling_until_us.item(g) <= state.clock_us
+    state.gpus[g].refresh_caches(state.fleet, dynamic=False)
+
+
 def test_block_with_a_settling_gpu_between_live_gpus():
     """Demand passes a settling middle GPU by, to its live neighbour, and what is left misses."""
     state = _split_state(3, 1)
@@ -1074,13 +1113,14 @@ def test_block_with_a_settling_gpu_between_live_gpus():
     ran = state.fleet.ran_level
     _settle_all(state, np.array([[1.2] * 4, [0.2] * 4]))
     assert (ran.item(first), ran.item(middle), ran.item(third)) == (0.5, 0.5, 1.2 - 0.5 - 0.5)
-    state.fleet.settling_until_us[middle] = state.clock_us + 4 * state.slot_us
+    _open_window(state, middle, 4)
     before = len(state.misses)
     assert _settle_all(state, np.array([[0.7, 0.9, 1.4, 1.2], [0.2, 0.4, 0.2, 0.4]])) == [(4, 4)]
     assert (ran.item(first), ran.item(middle), ran.item(third)) == (0.5, 0.0, 0.5)
     assert [(sid, sf) for _t, sid, sf in state.misses[before:]] == [
         ("srv0", 1.4 - 0.5 - 0.5), ("srv0", 1.2 - 0.5 - 0.5),
     ]
+    _close_window(state, middle)
     _settle_all(state, np.array([[1.4], [0.2]]))
     assert (ran.item(middle), ran.item(third)) == (0.5, 1.4 - 0.5 - 0.5)
 
@@ -1092,15 +1132,19 @@ def test_block_with_the_last_gpu_settling_while_demand_overflows():
     ran = state.fleet.ran_level
     _settle_all(state, np.array([[0.6, 0.8, 0.9]]))
     assert ran.item(last) == 0.9 - 0.5
-    state.fleet.settling_until_us[last] = state.clock_us + 5 * state.slot_us
+    _open_window(state, last, 5)
     before = len(state.misses)
     assert _settle_all(state, np.array([[0.4, 1.3, 0.7]])) == [(3, 3)]
     assert (ran.item(first), ran.item(last)) == (0.5, 0.0)
     assert [sf for _t, _sid, sf in state.misses[before:]] == [1.3 - 0.5, 0.7 - 0.5]
     before = len(state.misses)
-    _settle_all(state, np.array([[1.1, 0.6, 1.2, 0.4, 0.8]]))
-    # the last GPU is live again from the third slot on
-    assert [sf for _t, _sid, sf in state.misses[before:]] == [1.1 - 0.5, 0.6 - 0.5, 1.2 - 0.5 - 0.5]
+    assert _settle_all(state, np.array([[1.1, 0.6]])) == [(2, 2)]
+    assert [sf for _t, _sid, sf in state.misses[before:]] == [1.1 - 0.5, 0.6 - 0.5]
+    # the window's last slot is settled: the last GPU is live again from the next
+    _close_window(state, last)
+    before = len(state.misses)
+    _settle_all(state, np.array([[1.2, 0.4, 0.8]]))
+    assert [sf for _t, _sid, sf in state.misses[before:]] == [1.2 - 0.5 - 0.5]
     assert ran.item(last) == 0.8 - 0.5
 
 

@@ -28,7 +28,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ranshare"
-SWEEPS = {"poc": "policy.ai_fraction=0.5,0.6", "uplift": "policy.safety_margin=0.05,0.1"}
+SWEEPS = {
+    "poc": "policy.ai_fraction=0.5,0.6",
+    "uplift": "policy.safety_margin=0.05,0.1",
+    "time_split": "policy.settle_slots=1,2",
+}
 
 reached: dict[str, set[int]] = {}  # file -> lines run
 called: dict[str, set[int]] = {}  # file -> first lines of the code objects called
@@ -52,7 +56,7 @@ def _trace(frame, event, arg):
 def _entry_points(out: Path) -> None:
     from ranshare import cli, parse_records, parse_scenario, SimEngine, write_report
 
-    for name in ("poc", "uplift"):
+    for name in SWEEPS:
         path = str(ROOT / "scenarios" / f"{name}.scenario")
         commands = [["run", path, "--format", fmt, "--out", str(out / f"{name}.{fmt}")]
                     for fmt in ("records", "summary")]
