@@ -7,11 +7,12 @@ between. The clock is an integer microsecond counter; every event time is
 quantized to it, which makes tie-breaking exact and runs reproducible byte
 for byte. Heap events carry (time_us, kind_priority, seq) keys so that
 simultaneous events follow the ``EventKind`` order: policy epoch < arrival
-< completion < profile change < repartition settled.
+< completion < profile change < repartition settled. A settling GPU has a
+capacity of 0 for RAN and AI alike until its current settled event reopens
+both, so events before that one at its microsecond place no job on it.
 
 Slot boundaries dominate the event count, so they never enter the heap.
-Between two heap events slots differ only through RAN demand (a GPU's RAN
-capacity is 0 while it settles, up to its settled event), so the main loop
+Between two heap events slots differ only through RAN demand, so the main loop
 settles them a segment at a time: every slot from the next unsettled one
 up to and including the next event's time (capped at the horizon).
 A slot at an event's time settles before the event, so the event sees that
@@ -732,8 +733,8 @@ class SimEngine:
             state.log("reroute", "-")
         elif kind is EventKind.REPARTITION_SETTLED:
             gpu = state.gpu_by_id(payload[0])
-            if state.fleet.settling_until_us.item(gpu.index) <= t_us:
-                gpu.refresh_caches(state.fleet, dynamic=False)  # RAN meets its slice again
+            if gpu.generation == payload[1]:  # else a later repartition superseded it
+                gpu.refresh_caches(state.fleet, dynamic=False)  # RAN and AI meet their slices
                 state.log("settled", gpu.device.id)
                 placement_round(state)
         return False

@@ -205,10 +205,13 @@ class Fleet:
     These arrays are the one store of every number per GPU: GPU ``g``'s
     element of ``name`` is ``fleet.name[g]``, ``g`` being its
     ``GpuState.index``. Slice-size caches (``ai_cap``, ``grid_cap``) change
-    only at events, in ``refresh_caches`` and ``_repartition_gpu``; the slot
-    levels, the AI grant and the throttle flag, the end of a repartition's
-    settling, the forecast inputs and the AI level integral change wherever
-    the orchestrator changes them, one element at a time or as whole arrays.
+    only at events, in ``refresh_caches`` and ``_repartition_gpu``, and are
+    0.0 while a GPU settles. The slot levels, the AI grant, the throttle
+    flag, the AI ceiling, the forecast inputs and the AI level integral
+    change wherever the orchestrator changes them, one element at a time or
+    as whole arrays. ``ai_ceiling`` caps each GPU's AI grant for placement:
+    each dynamic epoch's ``1 - forecast - safety_margin`` (1.0 before the
+    first), and +inf under a split, where ``ai_ceiling - ai_granted`` is +inf.
 
     The AI level integral has its own clock (``ai_accrue_us``: the time up
     to which it is accrued). It accrues where the AI level may change: a
@@ -244,12 +247,12 @@ class Fleet:
 
     __slots__ = (
         "ai_cap", "grid_cap", "grid_rows", "last_rows", "server_ids", "ran_level",
-        "ai_granted", "ai_level", "throttled", "settling_until_us", "demand_last",
+        "ai_granted", "ai_level", "throttled", "demand_last",
         "epoch_max", "history", "min_grant", "ai_ceiling", "ai_integral", "ai_accrue_us",
         "tape", "cannot_miss",
     )
 
-    def __init__(self, servers: list[ServerState], history_rows: int):
+    def __init__(self, servers: list[ServerState], policy: Policy):
         sizes = [len(srv.gpus) for srv in servers]
         n, width = sum(sizes), max(sizes, default=0)
         self.server_ids = [srv.server.id for srv in servers]
@@ -263,11 +266,10 @@ class Fleet:
             "ai_integral",
         ):
             setattr(self, name, np.zeros(n))
-        self.history = np.full((history_rows, n), -np.inf)
+        self.history = np.full((_window(policy) - 1 if policy.is_dynamic else 0, n), -np.inf)
         self.min_grant = np.array([g.device.partition_granularity for s in servers for g in s.gpus])
-        self.ai_ceiling = np.ones(n)
+        self.ai_ceiling = np.full(n, 1.0 if policy.is_dynamic else math.inf)
         self.throttled = np.zeros(n, dtype=bool)
-        self.settling_until_us = np.full(n, -1, dtype=np.int64)
         self.ai_accrue_us = np.zeros(n, dtype=np.int64)
         self.tape = self.cannot_miss = None  # see settle_segment
 
@@ -279,14 +281,14 @@ class GpuState:
     ``index`` is the GPU's element in each ``Fleet`` array, set by
     ``ClusterState``. ``ai_slice`` is the one slice AI jobs may use under
     the policy, or None: the whole-GPU FREE slice under the dynamic policy,
-    the AI slice under a split. Every job on the GPU runs in it.
+    the AI slice under a split, None while it settles. Every job runs in it.
     """
 
     device: GpuDevice
     instances: list[GpuInstance]
     jobs: list[AiJob] = field(default_factory=list)
     ai_slice: GpuInstance | None = field(default=None, init=False)  # set by refresh_caches
-    generation: int = 0  # repartitions so far
+    generation: int = 0  # repartitions so far, which a settled event names
     index: int = -1
 
     def refresh_caches(self, fleet: Fleet, dynamic: bool):
@@ -295,7 +297,7 @@ class GpuState:
         ``dynamic``: the dynamic policy, under which the GPU is one whole
         FREE slice that RAN and AI share, RAN first. Otherwise RAN meets the
         RAN slice and AI uses the AI slice; ``partition_gpu`` cuts at most
-        one slice of each class.
+        one slice of each class; a GPU's current settled event calls it.
         """
         ai_class = TenantClass.FREE if dynamic else TenantClass.AI
         self.ai_slice = next((i for i in self.instances if i.tenant_class is ai_class), None)
@@ -357,11 +359,10 @@ class ClusterState:
     def __post_init__(self):
         self.gpus = [gpu for srv in self.servers for gpu in srv.gpus]
         self._gpus = {gpu.device.id: gpu for gpu in self.gpus}
-        dynamic = self.policy.is_dynamic
-        self.fleet = Fleet(self.servers, _window(self.policy) - 1 if dynamic else 0)
+        self.fleet = Fleet(self.servers, self.policy)
         for i, gpu in enumerate(self.gpus):
             gpu.index = i
-            gpu.refresh_caches(self.fleet, dynamic)
+            gpu.refresh_caches(self.fleet, self.policy.is_dynamic)
         self.by_id = sorted(self.servers, key=lambda s: s.server.id)
         self.id_rows = np.array([gpu.index for srv in self.by_id for gpu in srv.gpus], dtype=np.intp)
         sizes = [len(srv.gpus) for srv in self.by_id]
@@ -837,23 +838,6 @@ def _settle_slice(state: ClusterState, tape: RanTape, a: int, b: int, samples=ra
 # -- placement ---------------------------------------------------------------
 
 
-def _usable(state: ClusterState) -> np.ndarray:
-    """GPUs with an AI slice and not settling (only a time split settles), in ``gpus`` order."""
-    fleet = state.fleet
-    usable = fleet.ai_cap > 0.0
-    if state.policy.kind is PolicyKind.TIME_SPLIT:
-        usable &= fleet.settling_until_us <= state.clock_us
-    return usable
-
-
-def _budgets(state: ClusterState) -> np.ndarray:
-    """Every GPU's policy-level AI budget left (physical capacity aside), in ``gpus`` order."""
-    fleet = state.fleet
-    if not state.policy.is_dynamic:
-        return np.full(len(state.gpus), math.inf)
-    return fleet.ai_ceiling - fleet.ai_granted
-
-
 def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> PlacementDecision:
     """First-fit placement of whole job demands.
 
@@ -861,21 +845,23 @@ def plan_placement(jobs: list[AiJob] | PlacementOrder, state: ClusterState) -> P
     grantable fraction meets their latency bound. BATCH jobs follow,
     first-fit-decreasing by demand fraction. Candidate order: servers by
     id, then GPUs by free capacity descending (ties by id); a job runs in
-    its GPU's AI slice, and a GPU without one, or settling, is no
-    candidate. Jobs that fit nowhere stay queued; rejection happens only at
-    enqueue time via the queue bound. ``jobs`` is any list of jobs, or a
-    ``PlacementOrder`` already in that order, such as ``state.pending``.
+    its GPU's AI slice, and a GPU with an ``ai_cap`` of 0.0 (no AI slice,
+    or settling) is no candidate. Jobs that fit nowhere stay queued;
+    rejection happens only at enqueue time via the queue bound. ``jobs`` is
+    any list of jobs, or a ``PlacementOrder`` already in that order, such
+    as ``state.pending``. The policy shows only through the fleet arrays.
 
-    Each GPU's grantable fraction (``min(free, budget)``, ``-inf`` for no
-    candidate) is read once per call, and so each server's largest, its top.
+    Each GPU's grantable fraction (``min(free, budget)``, the budget
+    ``ai_ceiling - ai_granted``, ``-inf`` for no candidate) is read once
+    per call, and so each server's largest, its top.
     A job above every top + TOL is skipped (the BATCH run by one bisection);
     any other walks only the first server whose top fits, and renews that top.
     """
     order = jobs if isinstance(jobs, PlacementOrder) else PlacementOrder(jobs)
     decision = PlacementDecision()
     fleet = state.fleet
-    frees, budgets = fleet.ai_cap - fleet.ai_granted, _budgets(state)
-    grantable = np.where(_usable(state), np.minimum(frees, budgets), -math.inf)
+    frees, budgets = fleet.ai_cap - fleet.ai_granted, fleet.ai_ceiling - fleet.ai_granted
+    grantable = np.where(fleet.ai_cap > 0.0, np.minimum(frees, budgets), -math.inf)
     # each server's top, servers by id
     tops = np.maximum.reduceat(grantable[state.id_rows], state.id_starts).tolist()
     grantable, frees, budgets = grantable.tolist(), frees.tolist(), budgets.tolist()
@@ -1188,8 +1174,8 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 
     Partial grants are the backfill mechanism: batch work runs at whatever
     rate it is given. INTERACTIVE jobs are never partially granted; they
-    only enter via plan_placement with their full demand. Callers pass
-    no GPU that is settling.
+    only enter via plan_placement with their full demand. A GPU with no
+    AI capacity left, a settling one among them, grants nothing.
     """
     fleet, g = state.fleet, gpu.index
     min_grant = gpu.device.partition_granularity
@@ -1213,16 +1199,16 @@ def backfill_queue(state: ClusterState, gpu: GpuState, budget: float) -> float:
 def placement_round(state: ClusterState):
     """Place what fits of the queue, then backfill the queued BATCH jobs.
 
-    Backfill offers the BATCH jobs to every usable GPU whose budget can
-    grant: a budget below the GPU's granularity (less TOL) grants nothing.
+    Backfill offers the BATCH jobs to every GPU with AI capacity whose budget
+    can grant: a budget below the GPU's granularity (less TOL) grants nothing.
     """
     if state.pending:
         decision = plan_placement(state.pending, state)
         for job_id, (gpu_id, fraction) in decision.assignments.items():
             start_job(state, state.jobs[job_id], state.gpu_by_id(gpu_id), fraction)
     if state.batch_queue:
-        budgets = _budgets(state)
-        ready = (budgets >= state.fleet.min_grant - TOL) & _usable(state)
+        budgets = state.fleet.ai_ceiling - state.fleet.ai_granted
+        ready = (budgets >= state.fleet.min_grant - TOL) & (state.fleet.ai_cap > 0.0)
         for g, budget in zip(np.flatnonzero(ready).tolist(), budgets[ready].tolist()):
             backfill_queue(state, state.gpus[g], budget)
 
@@ -1244,8 +1230,8 @@ def apply_actions(state: ClusterState, actions: list[ScaleAction]) -> ClusterSta
 def _repartition_gpu(state: ClusterState, action: ScaleAction):
     """Drain the GPU and cut it into ``action.fraction`` for RAN and the rest for AI.
 
-    Up to its ``REPARTITION_SETTLED`` event the GPU settles: RAN meets a
-    capacity of 0.0 on it, and ``settling_until_us`` keeps AI off it.
+    Until its ``REPARTITION_SETTLED`` event of this generation, ``settle_slots``
+    slots on, RAN and AI meet a capacity of 0.0 on it and ``start_job`` refuses it.
     """
     if state.policy.is_dynamic:
         raise ValueError(f"dynamic_backfill shares whole GPUs; cannot partition {action.gpu_id}")
@@ -1259,13 +1245,13 @@ def _repartition_gpu(state: ClusterState, action: ScaleAction):
     prefix = f"{gpu.device.id}.g{gpu.generation}"
     gpu.instances = compute.repartition(gpu.device, action.fraction, 1.0 - action.fraction, prefix)
     gpu.refresh_caches(fleet, dynamic=False)
-    # the boundary slot finishes on the old layout (ran_level persists);
-    # the next settle_slots slots meet a RAN capacity of 0
-    fleet.grid_cap.flat[fleet.grid_rows[g]] = 0.0
-    until = state.clock_us + state.policy.settle_slots * state.slot_us
-    fleet.settling_until_us[g] = until
+    # the boundary slot finishes on the old layout (ran_level persists); up
+    # to the settled event neither RAN nor AI has any of the GPU
+    gpu.ai_slice = None
+    fleet.ai_cap[g] = fleet.grid_cap.flat[fleet.grid_rows[g]] = 0.0
     state.log(
         "repartition", gpu.device.id,
         layout=[(i.compute_fraction, i.tenant_class) for i in gpu.instances],
     )
-    state.push(until, EventKind.REPARTITION_SETTLED, (gpu.device.id,))
+    until = state.clock_us + state.policy.settle_slots * state.slot_us
+    state.push(until, EventKind.REPARTITION_SETTLED, (gpu.device.id, gpu.generation))

@@ -32,7 +32,7 @@ from ranshare.orchestrator import (
 )
 from ranshare.workload import AiJob, JobState
 
-from test_segments import random_scenario
+from test_segments import random_scenario, settled_due
 
 RAN, AI, FREE = TenantClass.RAN, TenantClass.AI, TenantClass.FREE
 DYNAMIC = Policy(kind=PolicyKind.DYNAMIC_BACKFILL)
@@ -258,6 +258,7 @@ class TestAllocate:
                     ran_fraction=ran,
                     ai_fraction=rng.choice((0.0, round(1.0 - ran, 2))),
                     split_gpus=tuple(rng.sample(gpu_ids, rng.randint(0, len(gpu_ids)))),
+                    settle_slots=4,  # a repartition at 0 settles past the four slots
                 )
             hosts = {s.id for s in servers if rng.random() < 0.7}
             state = build_cluster_state(
@@ -266,13 +267,15 @@ class TestAllocate:
             fleet = state.fleet
             for gpu_state in state.gpus:
                 # only a split's GPU is ever repartitioned, and so settles,
-                # with a RAN capacity of 0 until its settled event
-                if rng.random() < 0.15 and not state.policy.is_dynamic:
-                    fleet.settling_until_us[gpu_state.index] = 10**9
-                    fleet.grid_cap.flat[fleet.grid_rows[gpu_state.index]] = 0.0
+                # with no capacity on either side until its settled event
+                settles = rng.random() < 0.15 and not state.policy.is_dynamic
                 if gpu_state.ai_slice and rng.random() < 0.5:
                     grant = rng.uniform(0.05, fleet.ai_cap.item(gpu_state.index))
                     run_job(state, gpu_state, grant, jid=f"{gpu_state.device.id}-j")
+                if settles:  # recut to its RAN share, which drains its job
+                    ran = orch._ran_units(gpu_state) / gpu_state.device.total_units
+                    cut = ScaleAction(ActionKind.REPARTITION, gpu_state.device.id, ran)
+                    orch.apply_actions(state, [cut])
             for k in range(4):
                 state.clock_us = k * state.slot_us
                 demands = [rng.choice((0.0, rng.uniform(0.0, 1.0), rng.uniform(0.0, 4.0)))
@@ -292,7 +295,7 @@ class TestAllocate:
                             or (state.policy.is_dynamic and i.tenant_class is FREE)
                         )
                         ran, ai = fleet.ran_level.item(g.index), fleet.ai_level.item(g.index)
-                        if fleet.settling_until_us.item(g.index) >= state.clock_us:
+                        if settled_due(state).get(g.index, -1) >= state.clock_us:
                             cap = 0.0
                         assert ran <= cap + 1e-9
                         assert ran + ai <= 1.0 + 1e-9
@@ -324,7 +327,10 @@ class TestRepartition:
         orch._repartition_gpu(state, ScaleAction(ActionKind.REPARTITION, "gpu1", 0.7))
         layout = [(i.compute_fraction, i.tenant_class) for i in gpu1.instances]
         assert layout == [(0.7, RAN), (0.3, AI)]
-        assert gpu1.jobs == [] and fleet.ai_cap.item(0) == 0.3
+        # the GPU settles, with no capacity for AI, until its settled event reopens it
+        assert gpu1.jobs == [] and fleet.ai_cap.item(0) == 0.0 and gpu1.ai_slice is None
+        gpu1.refresh_caches(fleet, dynamic=False)
+        assert fleet.ai_cap.item(0) == 0.3 and gpu1.ai_slice is slice_of(gpu1, AI)
         assert fleet.ai_granted.item(0) == fleet.ai_level.item(0) == 0.0
         assert math.copysign(1.0, fleet.ai_granted.item(0)) == 1.0
         assert all(j.state is JobState.PREEMPTED and j.granted_fraction == 0.0 for j in jobs)

@@ -428,11 +428,12 @@ class TestTimeSplit:
         settle_slots=3,
     )
 
-    def test_settling_gpu_meets_a_ran_capacity_of_zero(self):
-        """From a repartition to its settled event RAN meets 0.0 on the GPU, and AI the new share."""
+    def test_settling_gpu_has_a_capacity_of_zero_on_both_sides(self):
+        """From a repartition to its current settled event neither RAN nor AI has any of the GPU."""
         engine = SimEngine(scenario(policy=self.SETTLING, gpus=("gpu1",)))
         state, fleet = engine.state, engine.state.fleet
-        g = state.gpu_by_id("gpu1").index
+        gpu = state.gpu_by_id("gpu1")
+        g = gpu.index
 
         def ran_cap():
             return fleet.grid_cap.flat[fleet.grid_rows[g]].item()
@@ -440,17 +441,21 @@ class TestTimeSplit:
         assert ran_cap() == 0.4
         state.clock_us = 1_000_000
         engine._dispatch(EventKind.POLICY_EPOCH, (), 1_000_000)
-        ai_share = state.gpus[g].ai_slice.compute_fraction
-        assert ran_cap() == 0.0 and fleet.ai_cap.item(g) == ai_share == pytest.approx(0.3)
+        assert ran_cap() == 0.0 and fleet.ai_cap.item(g) == 0.0 and gpu.ai_slice is None
         assert fleet.tape is None and fleet.cannot_miss is None
-        until = fleet.settling_until_us.item(g)
-        assert until == 1_001_500
+        settled = EventKind.REPARTITION_SETTLED
+        [(until, payload)] = [(e[0], e[4]) for e in state.heap if e[3] is settled]
+        assert until == 1_001_500 and payload == ("gpu1", 1)
         state.clock_us = until
-        engine._dispatch(EventKind.REPARTITION_SETTLED, ("gpu1",), until)
-        assert ran_cap() == 0.7 and fleet.ai_cap.item(g) == ai_share
+        # an earlier generation's settled event is stale: the GPU stays shut
+        engine._dispatch(settled, ("gpu1", 0), until)
+        assert ran_cap() == 0.0 and fleet.ai_cap.item(g) == 0.0 and gpu.ai_slice is None
+        engine._dispatch(settled, payload, until)
+        ai_share = gpu.ai_slice.compute_fraction
+        assert ran_cap() == 0.7 and fleet.ai_cap.item(g) == ai_share == pytest.approx(0.3)
 
     def test_job_placed_at_the_settled_microsecond_keeps_its_grant(self):
-        """An arrival sorts before the settled event at its time, and its job keeps its grant."""
+        """An arrival at the settled microsecond waits for the settled event, then gets its grant."""
         job = AiWorkload(
             id="late",
             arrival=ArrivalKind.TRACE,
@@ -459,10 +464,59 @@ class TestTimeSplit:
             demand_fraction=constant(0.2),
         )
         report = run(scenario(policy=self.SETTLING, workloads=(job,), gpus=("gpu1",)))
-        events = [(e.time_s, e.kind) for e in report.events]
-        assert events.index((1.0015, "place")) < events.index((1.0015, "settled"))
+        events = [(e.time_s, e.kind, e.subject) for e in report.events]
+        assert events.index((1.0015, "settled", "gpu1")) < events.index((1.0015, "place", "gpu1"))
+        assert report.events[-1].fields == {"job": "late-0", "instance": "gpu1.g1/s1", "fraction": 0.2}
         late = [t.ai_fraction for t in report.trace if t.time_s > 1.0015]
         assert late and all(ai == 0.2 for ai in late)
+
+    def test_gpus_settling_at_one_microsecond_each_open_at_their_own_event(self):
+        """Two GPUs settle at 1.0015 s; each takes a job only after its own settled row."""
+        policy = dataclasses.replace(self.SETTLING, split_gpus=("gpu1", "gpu2"))
+        job = AiWorkload(
+            id="late",
+            arrival=ArrivalKind.TRACE,
+            trace_arrivals=(1.0015, 1.0015),
+            job_size=constant(10.0),
+            demand_fraction=constant(0.3),  # fills a GPU's 0.3 AI slice
+        )
+        report = run(scenario(policy=policy, workloads=(job,)))
+        rows = [(e.kind, e.subject) for e in report.events if e.time_s == 1.0015]
+        assert rows == [
+            ("arrival", "late-0"), ("arrival", "late-1"),
+            ("settled", "gpu1"), ("place", "gpu1"), ("settled", "gpu2"), ("place", "gpu2"),
+        ]
+        late = [t.ai_fraction for t in report.trace if t.time_s > 1.0015]
+        assert late and all(ai == 0.3 for ai in late)
+
+    def test_no_settling_slot_reopens_the_gpu_at_its_boundary(self):
+        """With ``settle_slots: 0`` a drained job returns at the boundary, after the settled row.
+
+        The boundary slot settles on the old layout and the next on the new
+        one, so no slot misses.
+        """
+        policy = dataclasses.replace(self.SETTLING, settle_slots=0)
+        job = AiWorkload(
+            id="j",
+            arrival=ArrivalKind.TRACE,
+            trace_arrivals=(0.5,),
+            job_size=constant(10.0),
+            demand_fraction=constant(0.2),
+        )
+        sc = scenario(
+            profile=LoadProfile(kind=ProfileKind.CONSTANT, level=0.5),
+            policy=policy,
+            workloads=(job,),
+            gpus=("gpu1",),
+        )
+        report = run(sc)
+        rows = [(e.kind, e.subject) for e in report.events if e.time_s == 1.0]
+        # the drain is logged before the cut
+        assert rows == [
+            ("preempt", "gpu1"), ("repartition", "gpu1"), ("settled", "gpu1"), ("place", "gpu1"),
+        ]
+        assert report.events[-1].fields == {"job": "j-0", "instance": "gpu1.g1/s1", "fraction": 0.2}
+        assert report.deadline_misses == []
 
     def test_drained_gpu_reads_positive_zero_ai(self):
         """A drained GPU's AI level restarts at +0.0, not at what its grants' sum rounds to.

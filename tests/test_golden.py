@@ -53,7 +53,7 @@ DEMOS = {
     "04_policy_sweep": "275fd85ca78642ac7033d44eaa47f9be828552a6a5f63de3eae26e9e5d4a6814",
 }
 TIME_SPLIT = {
-    "records": "df60763ed6fa91bd676811f07dc9f2f83a29af7c88bc9b207d95a3711fc44fc5",
+    "records": "fc0b52a8ee4a178814d63f334e1ac4d466f6e61b55e6a06aeb378eb569d530ff",
     "summary": "d1ea27bbfbc2ceb8acf12b1ee0cec43a0486d625516b6b769702512f36f11b60",
 }
 ALL_MISS = {
@@ -327,12 +327,28 @@ def time_split_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+# the TIME_SPLIT RECORDS lines, sorted: what the report holds whatever the
+# order of the rows that share a microsecond
+TIME_SPLIT_LINES = "135f797c125e64bbec4ee91eccbd60208062dc08c498c55e7eed44b21bea9cd5"
+
+
 def test_time_split_report_bytes():
     report = SimEngine(parse_scenario(time_split_text(), name="time_split")).run()
     assert [e.time_s for e in report.events if e.kind == "repartition"] == [
         t for t in (0.4, 0.8, 1.2, 1.6) for _ in range(3)
     ]
     assert_report(report, TIME_SPLIT)
+    lines = "\n".join(sorted(write_report(report, "records").splitlines()))
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == TIME_SPLIT_LINES
+    # after a repartition, a GPU takes a job only once its own settled row is logged
+    settling = set()
+    for e in report.events:
+        if e.kind == "repartition":
+            settling.add(e.subject)
+        elif e.kind == "settled":
+            settling.discard(e.subject)
+        elif e.kind == "place":
+            assert e.subject not in settling, e
 
 
 def all_miss_text() -> str:

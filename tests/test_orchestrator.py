@@ -571,10 +571,9 @@ class TestJobClock:
         )
         state.clock_us = 10_000_000
         apply_actions(state, policy_epoch(state, 10.0))
-        until = state.fleet.settling_until_us.item(0)  # gpu1's
-        assert until == 10_000_000 + 3 * state.slot_us
+        until = 10_000_000 + 3 * state.slot_us
         settled = EventKind.REPARTITION_SETTLED
-        assert state.heap == [(until, settled.value, 1, settled, ("gpu1",))]
+        assert state.heap == [(until, settled.value, 1, settled, ("gpu1", 1))]  # generation 1
 
     def test_push_before_the_clock_raises(self):
         state = poc_state()

@@ -1,5 +1,6 @@
 """plan_placement against its former full-rescan body, and its cost under overload."""
 
+import dataclasses
 import math
 import random
 
@@ -9,11 +10,14 @@ from ranshare import orchestrator
 from ranshare.compute import GpuDevice, Server, TenantClass
 from ranshare.orchestrator import (
     TOL,
+    ActionKind,
     ForecastKind,
     Policy,
     PlacementDecision,
     PlacementOrder,
     PolicyKind,
+    ScaleAction,
+    apply_actions,
     backfill_queue,
     build_cluster_state,
     initial_partitions,
@@ -21,6 +25,8 @@ from ranshare.orchestrator import (
     start_job,
 )
 from ranshare.workload import AiJob, JobState, SloClass
+
+from test_segments import settled_due
 
 DYNAMIC = Policy(
     kind=PolicyKind.DYNAMIC_BACKFILL,
@@ -64,13 +70,13 @@ def reference_plan_placement(jobs, state):
 
     budgets: dict[str, float] = {}
     frees: dict[str, float] = {}
-    now_us = state.clock_us
+    settling = settled_due(state)  # a GPU settles until its settled event is dispatched
 
     def candidates():
         for srv in sorted(state.servers, key=lambda s: s.server.id):
             gpus = []
             for gpu in srv.gpus:
-                if state.fleet.settling_until_us.item(gpu.index) > now_us:
+                if gpu.index in settling:
                     continue
                 total_free = sum(
                     frees.setdefault(i.id, slice_free(state, gpu, i))
@@ -143,10 +149,20 @@ def random_job(rng: random.Random, jid: str, clock_s: float) -> AiJob:
     return job
 
 
+def start_settling(state, gpu, slots: int):
+    """Repartition ``gpu`` to the RAN share it has, to settle for ``slots`` slots from now."""
+    policy = state.policy
+    state.policy = dataclasses.replace(policy, settle_slots=slots)
+    share = orchestrator._ran_units(gpu) / gpu.device.total_units
+    apply_actions(state, [ScaleAction(ActionKind.REPARTITION, gpu.device.id, share)])
+    state.policy = policy
+
+
 def random_fleet(rng: random.Random):
     """A random cluster with running jobs, settling GPUs and a 0-300 job queue.
 
-    GPUs settle only under a time split, the one policy that repartitions.
+    GPUs settle only under a time split, the one policy that repartitions,
+    and only the GPUs it splits. A split has no AI ceiling (+inf).
     """
     policy = random_policy(rng)
     servers = []
@@ -164,21 +180,24 @@ def random_fleet(rng: random.Random):
     clock_s = state.clock
     gpus = [g for srv in state.servers for g in srv.gpus]
     for gpu in gpus:
-        state.fleet.ai_ceiling[gpu.index] = rng.choice([0.0, 0.3, 0.55, 0.95, 1.0])
+        ceiling = rng.choice([0.0, 0.3, 0.55, 0.95, 1.0])  # drawn always: later draws stay put
+        if policy.is_dynamic:
+            state.fleet.ai_ceiling[gpu.index] = ceiling
         r = rng.random()
-        if policy.kind is not PolicyKind.TIME_SPLIT:
+        if policy.kind is not PolicyKind.TIME_SPLIT or gpu.device.id not in partitions:
             continue
         if r < 0.15:
-            state.fleet.settling_until_us[gpu.index] = state.clock_us + 500
+            start_settling(state, gpu, 1)
         elif r < 0.25:
-            state.fleet.settling_until_us[gpu.index] = state.clock_us  # settles at this instant
+            start_settling(state, gpu, 0)  # its settled event is due at this instant
 
     n = 0
     for gpu in gpus:  # running jobs hold part of the capacity
         for inst in eligible_slices(state, gpu):
             if rng.random() < 0.6:
                 grant = rng.randrange(1, 5) * 0.05
-                if grant <= slice_free(state, gpu, inst) + TOL:
+                # a settling GPU has no slice for AI, and so no running job
+                if gpu.ai_slice and grant <= slice_free(state, gpu, inst) + TOL:
                     running = AiJob(f"run{n}", 0.0, 100.0, grant)
                     n += 1
                     state.jobs[running.id] = running
@@ -216,6 +235,32 @@ class TestDifferential:
             skipped += len(queue) - len(ref_queue.assignments)
         assert kinds == set(PolicyKind)
         assert placed > 0 and skipped > 0
+
+    def test_placement_reads_no_policy(self):
+        """Every policy rule placement needs lives in the fleet arrays ``ai_cap`` and ``ai_ceiling``.
+
+        A settling GPU has an ``ai_cap`` of 0.0 and a split an ``ai_ceiling``
+        of +inf, so ``plan_placement`` decides the same without
+        ``state.policy``; the fleet keeps no settling window beside them.
+        """
+        assert "settling_until_us" not in orchestrator.Fleet.__slots__
+
+        class NoPolicy:
+            def __getattribute__(self, name):
+                raise AssertionError(f"placement read policy.{name}")
+
+        rng = random.Random(11)
+        kinds = set()
+        placed = 0
+        for _ in range(60):
+            state, policy, _queue = random_fleet(rng)
+            kinds.add(policy.kind)
+            want = plan_placement(state.pending, state)
+            state.policy = NoPolicy()
+            got = plan_placement(state.pending, state)
+            assert list(got.assignments.items()) == list(want.assignments.items())
+            placed += len(got.assignments)
+        assert kinds == set(PolicyKind) and placed > 0
 
     def test_pending_index_tracks_queue(self):
         rng = random.Random(7)

@@ -73,13 +73,29 @@ ROOT = Path(__file__).resolve().parents[1]
 US = 1_000_000
 
 
+def settled_due(state) -> dict[int, int]:
+    """Each settling GPU's index, and the time (us) its settled event is due.
+
+    A GPU settles from a repartition until its settled event: the
+    current-generation ``REPARTITION_SETTLED`` entry pending in
+    ``state.heap``. An entry of an earlier generation settles nothing.
+    """
+    due = {}
+    for t_us, _prio, _seq, kind, payload in state.heap:
+        if kind is EventKind.REPARTITION_SETTLED:
+            gpu = state.gpu_by_id(payload[0])
+            if gpu.generation == payload[1]:
+                due[gpu.index] = t_us
+    return due
+
+
 def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     """``settle_slot`` as a scalar loop over the GPUs, one fleet element at a time.
 
     Per server, demand fills GPUs in declaration order; a GPU that is
-    settling takes nothing. RAN meets a GPU's RAN slices, and under the
-    dynamic policy its FREE capacity too. Only under the dynamic policy
-    does each GPU record what it was asked to serve, and a
+    settling (``settled_due``) takes nothing. RAN meets a GPU's RAN
+    slices, and under the dynamic policy its FREE capacity too. Only under
+    the dynamic policy does each GPU record what it was asked to serve, and a
     GPU whose AI grant exceeds the FREE capacity RAN left over, or that is
     throttled, has its throttle applied at once (which accrues the AI
     integral). Returns True when a throttle was applied.
@@ -87,11 +103,12 @@ def reference_settle_slot(state, t_s: float, demands: list[float]) -> bool:
     TOL = orchestrator.TOL
     soft, fleet = state.policy.is_dynamic, state.fleet
     now_us = state.clock_us
+    due = settled_due(state)
     applied = False
     for srv, rem in zip(state.servers, demands):
         for gpu in srv.gpus:
             g = gpu.index
-            if fleet.settling_until_us.item(g) >= now_us:
+            if due.get(g, -1) >= now_us:
                 if fleet.ran_level.item(g) != 0.0:
                     fleet.ran_level[g] = 0.0
                 continue
@@ -625,7 +642,7 @@ def _recording_slices(monkeypatch) -> list[tuple[int, int, bool, int]]:
 
     def recording(state, tape, a, b, *rest):
         t_us = tape.t_us.item(a)
-        settling = bool((state.fleet.settling_until_us >= t_us).any())
+        settling = any(due >= t_us for due in settled_due(state).values())
         fired = original(state, tape, a, b, *rest)
         slices.append((b - a, fired, settling, a))
         return fired
@@ -1093,17 +1110,20 @@ def _settle_all(state, demands: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _open_window(state, g: int, slots: int):
-    """Start GPU ``g`` settling for ``slots`` slots, as a repartition does: RAN meets 0.0 on it."""
-    fleet = state.fleet
-    fleet.settling_until_us[g] = state.clock_us + slots * state.slot_us
-    fleet.grid_cap.flat[fleet.grid_rows[g]] = 0.0
-    fleet.tape = fleet.cannot_miss = None
+    """Start GPU ``g`` settling for ``slots`` slots: repartition it to the 0.5 / 0.5 layout it has."""
+    state.policy = dataclasses.replace(state.policy, settle_slots=slots)
+    cut = orchestrator.ScaleAction(orchestrator.ActionKind.REPARTITION, state.gpus[g].device.id, 0.5)
+    orchestrator.apply_actions(state, [cut])
+    assert state.fleet.grid_cap.flat[state.fleet.grid_rows[g]] == 0.0
 
 
 def _close_window(state, g: int):
-    """End GPU ``g``'s settling window, as its settled event does."""
-    assert state.fleet.settling_until_us.item(g) <= state.clock_us
-    state.gpus[g].refresh_caches(state.fleet, dynamic=False)
+    """End GPU ``g``'s settling window: its settled event is due, and reopens its slices."""
+    t_us, _prio, _seq, kind, (gpu_id, generation) = heappop(state.heap)
+    gpu = state.gpus[g]
+    assert kind is EventKind.REPARTITION_SETTLED and t_us <= state.clock_us
+    assert (gpu_id, generation) == (gpu.device.id, gpu.generation)
+    gpu.refresh_caches(state.fleet, dynamic=False)
 
 
 def test_block_with_a_settling_gpu_between_live_gpus():
